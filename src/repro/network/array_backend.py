@@ -1,18 +1,22 @@
 """Batched numpy engine for the cycle-accurate simulator.
 
-:class:`ArraySimulator` is a drop-in engine behind the same
-:class:`~repro.network.config.SimulationConfig`, the same routing layer
-and the same :class:`~repro.network.stats.SimulationResult`.  It exists
-for the paper's 1056-node default scale (``p = h = 4, a = 8``) and
-beyond, where the scalar engine's per-terminal and per-port Python
-overhead dominates the run time.
+:class:`ArraySimulator` is the decide-kernel engine behind the same
+:class:`~repro.network.config.SimulationConfig`, the same routing
+algorithms and the same :class:`~repro.network.stats.SimulationResult`
+as the scalar reference.  It exists for the paper's 1056-node default
+scale (``p = h = 4, a = 8``) and beyond, where the scalar engine's
+per-terminal and per-port Python overhead dominates the run time.
 
-The engine has three tiers, selected at construction:
+It runs exactly the configurations
+:func:`~repro.network.decide_kernel.kernel_ineligibility` accepts --
+single-flit packets, a registry routing, the canonical single-link
+dragonfly -- and refuses everything else at construction.
+:func:`repro.network.backend.make_simulator` is the selection point: an
+ineligible ``backend="array"`` request gets the scalar engine, with the
+reason logged and recorded in the result's provenance.
 
-**Decide-kernel mode** (single-flit + registry routing on the canonical
-single-link dragonfly -- the overwhelmingly common case).  Flits are
-*integers* indexing columnar numpy state, and the per-packet routing
-layer is replaced by the table lowering of
+Flits are *integers* indexing columnar numpy state, and the per-packet
+routing layer is replaced by the table lowering of
 :mod:`repro.network.decide_kernel`:
 
 * **Route decisions** batch per cycle: the Valiant intermediate-group
@@ -30,18 +34,6 @@ layer is replaced by the table lowering of
   does), and latency samples / spawned replies are reconstructed from
   flit columns at ejection, in the scalar engine's eject order.
 
-**Vectorized fallback mode** (single-flit but non-registry routing,
-non-dragonfly topology, or multiple global links per group pair): the
-routing layer's ``decide``/``next_hop`` are called per packet exactly
-as the scalar engine calls them -- :class:`TableDrivenRouting` and
-custom executors plug in unchanged -- while traffic draws, switch
-arbitration and credit delivery stay batched.  The fallback is never
-silent: the reason is logged and recorded in
-:meth:`backend_provenance`.
-
-**Inherited scalar mode** (``packet_size > 1``): the virtual
-cut-through paths of the scalar engine run unchanged.
-
 What stays bit-identical, and why
 ---------------------------------
 
@@ -51,10 +43,10 @@ What stays bit-identical, and why
   two 32-bit words the same way) -- the batched row of doubles is equal
   bit for bit to the scalar per-terminal draws, asserted on a probe at
   construction.
-* **Route decisions** (kernel mode) consume the route rng word-for-word
-  as the scalar inlined rejection loop does, in the same
-  ascending-terminal order, and the occupancy comparison reads the same
-  live counters at the same point of the injection scan.
+* **Route decisions** consume the route rng word-for-word as the scalar
+  inlined rejection loop does, in the same ascending-terminal order,
+  and the occupancy comparison reads the same live counters at the same
+  point of the injection scan.
 * **Switch arbitration** batches only decisions that are independent
   within a cycle (each output port touches its own queues, credits and
   round-robin pointer); the per-flit tail work runs in ascending
@@ -66,10 +58,9 @@ What stays bit-identical, and why
 
 from __future__ import annotations
 
-import logging
 import random
 from itertools import chain
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -83,11 +74,9 @@ from .decide_kernel import (
     kernel_ineligibility,
     lower_traffic,
 )
-from .packet import Flit, Packet, RoutePlan
+from .packet import Packet
 from .simulator import Simulator, SimulatorStateError
 from .stats import LatencySample
-
-logger = logging.getLogger(__name__)
 
 
 def transplant_rng(rng: random.Random) -> np.random.RandomState:
@@ -144,50 +133,37 @@ class ArraySimulator(Simulator):
         pattern: Callable[[int], int],
         config: SimulationConfig,
     ) -> None:
+        reason = kernel_ineligibility(config, topology, routing)
+        if reason is not None:
+            raise ValueError(
+                f"ArraySimulator cannot run this configuration ({reason}); "
+                "make_simulator(backend='array') selects the scalar engine "
+                "for it"
+            )
         super().__init__(topology, routing, pattern, config)
-        #: Vectorized paths cover single-flit packets (the paper's
-        #: default); multi-flit runs fall through to the inherited
-        #: scalar cut-through machinery untouched.
-        self._vectorized = config.packet_size == 1
-        #: Decide-kernel mode: flits as column indices, batched routing.
-        self._kernel = False
-        #: Why the kernel is off (``None`` when it is on) -- surfaced by
-        #: :meth:`backend_provenance` and logged at construction so the
-        #: fallback is never silent.
-        self._kernel_fallback_reason: Optional[str] = None
-        #: Batched destination draws for the lowered random patterns
-        #: (kernel mode only; ``None`` keeps the per-packet call).
-        self._traffic_lowering = None
-        if not self._vectorized:
-            self._kernel_fallback_reason = (
-                f"multi-flit packets (packet_size={config.packet_size})"
-            )
-            logger.info(
-                "decide kernel disabled (%s); running inherited scalar paths",
-                self._kernel_fallback_reason,
-            )
-            return
-        # Switch-probe state as int64 arrays (see module docstring for
-        # why only these three); the inherited scalar paths that still
-        # touch them element-wise keep working transparently.
+        # Counters the hot phases scan or scatter-add wholesale become
+        # int64 arrays: the switch probe reads ``_credits`` /
+        # ``_pending_vc`` / ``_rr_vc`` for every active port at once,
+        # and ``_pending`` / ``_buf_count`` batch-update everywhere but
+        # the sequential UGAL q-compare.  The fingerprint and sanitizer
+        # consume them through ``_as_tuple``-style iteration, which
+        # handles numpy transparently.
         self._credits = np.asarray(self._credits, dtype=np.int64)
         self._pending_vc = np.asarray(self._pending_vc, dtype=np.int64)
         self._rr_vc = np.asarray(self._rr_vc, dtype=np.int64)
+        self._pending = np.asarray(self._pending, dtype=np.int64)
+        self._buf_count = np.asarray(self._buf_count, dtype=np.int64)
         #: True per flat port that has a network channel (ejection and
         #: unwired ports need no credit to forward).
         self._is_network = np.asarray(
             [info is not None for info in self._channel_info], dtype=bool
         )
         self._port_shifts = np.arange(self._radix, dtype=np.int64)
-        #: Busy terminals: source queue or mid-injection stream
-        #: non-empty.  Injection visits busy terminals plus this
-        #: cycle's Bernoulli winners instead of scanning all N.
+        #: Busy terminals: source queue non-empty.  Injection visits
+        #: busy terminals plus this cycle's Bernoulli winners instead of
+        #: scanning all N.
         self._busy = np.asarray(
-            [
-                bool(self._source_queue[t]) or bool(self._inflight_injection[t])
-                for t in range(self._num_terminals)
-            ],
-            dtype=bool,
+            [bool(queue) for queue in self._source_queue], dtype=bool
         )
         # Continue the traffic RNG's exact stream in numpy, and prove
         # it on a probe draw: one double from a copy of each generator
@@ -202,60 +178,14 @@ class ArraySimulator(Simulator):
             )
         # The probe consumed draws from copies only; self._np_traffic
         # still sits at the scalar stream's position.
-
-        # Decide-kernel eligibility: exact registry routing on the
-        # canonical dragonfly.  Anything else keeps the per-packet
-        # vectorized fallback above.
-        reason = kernel_ineligibility(config, topology, routing)
-        if reason is None:
-            try:
-                self._mt_route = VectorizedMT19937.from_python_rng(
-                    self._rng_route
-                )
-                self._tables = DecideTables(topology, routing, config.num_vcs)
-            except ValueError as exc:  # pragma: no cover - defensive
-                reason = str(exc)
-        if reason is not None:
-            self._kernel_fallback_reason = reason
-            logger.info(
-                "decide kernel disabled (%s); array backend falls back to "
-                "per-packet decide",
-                reason,
-            )
-            return
-        self._kernel = True
-        # The pattern rng transplant is only sound in kernel mode, where
-        # every destination draw goes through the batched injection pass
-        # (the scalar ``pattern(src)`` path would advance the Python rng
-        # the lowering no longer tracks).
+        self._mt_route = VectorizedMT19937.from_python_rng(self._rng_route)
+        self._tables = DecideTables(topology, routing, config.num_vcs)
+        #: Batched destination draws for the lowered random patterns
+        #: (``None`` keeps the per-packet ``pattern(src)`` call).  The
+        #: transplant is sound because every destination draw goes
+        #: through the batched injection pass.
         self._traffic_lowering = lower_traffic(self.pattern)
-        self._init_kernel_state()
 
-    # ------------------------------------------------------------------
-    # Provenance (recorded on every SimulationResult)
-    # ------------------------------------------------------------------
-    def backend_provenance(self) -> Dict[str, str]:
-        info = {"backend": "array"}
-        if self._kernel:
-            info["kernel"] = KERNEL_NAME
-        else:
-            info["kernel"] = "none"
-            if self._kernel_fallback_reason:
-                info["kernel_fallback"] = self._kernel_fallback_reason
-        return info
-
-    # ------------------------------------------------------------------
-    # Kernel state
-    # ------------------------------------------------------------------
-    def _init_kernel_state(self) -> None:
-        # Kernel mode promotes two more counters to numpy so the hot
-        # phases can scatter-add instead of looping: ``_pending`` (read
-        # sequentially by the UGAL q-compare, batch-updated everywhere
-        # else) and ``_buf_count``.  The fingerprint and sanitizer
-        # consume both through ``_as_tuple``-style iteration, which
-        # handles numpy transparently.
-        self._pending = np.asarray(self._pending, dtype=np.int64)
-        self._buf_count = np.asarray(self._buf_count, dtype=np.int64)
         num_ports = self._num_routers * self._radix
         ch_dstr = np.zeros(num_ports, np.int64)
         ch_dbase = np.zeros(num_ports, np.int64)
@@ -288,6 +218,9 @@ class ArraySimulator(Simulator):
         self._f_free: List[int] = []
         self._grow_columns(4096)
 
+    def backend_provenance(self) -> Dict[str, str]:
+        return {"backend": "array", "kernel": KERNEL_NAME}
+
     def _grow_columns(self, need: int) -> None:
         new_cap = max(self._f_cap * 2, need, 4096)
         for name, dtype in _FLIT_COLUMNS:
@@ -303,97 +236,6 @@ class ArraySimulator(Simulator):
     # Phase 1: arrivals
     # ------------------------------------------------------------------
     def _deliver_arrivals(self, now: int) -> None:
-        if self._kernel:
-            return self._deliver_arrivals_kernel(now)
-        if not self._vectorized:
-            return super()._deliver_arrivals(now)
-        batch = self._arrival_ring[now % self._arrival_ring_size]
-        if not batch:
-            return
-        # Mirrors the scalar single-flit fast path: the hop decision and
-        # FIFO appends stay per flit (the next-hop memo and the routing
-        # executors are Python); the per-VC counter increments batch at
-        # the end.  Also used when the hop cache is disabled
-        # (table-driven or custom routing): ``hop_key`` is then None per
-        # flit and the executor is consulted directly, exactly as
-        # ``_enqueue`` does.
-        radix = self._radix
-        vcs = self._vcs
-        hop = self._hop
-        hop_cache_enabled = self._hop_cache_enabled
-        cache0 = self._hop_cache0
-        cache1 = self._hop_cache1
-        cache2 = self._hop_cache2
-        dst_routers = self._dst_router
-        eject_hop = self._eject_hop
-        num_routers = self._num_routers
-        channel_info = self._channel_info
-        credit_delay = self._credit_delay_enabled
-        ctq = self._ctq
-        buf_count = self._buf_count
-        out_q = self._out_q
-        pending = self._pending
-        active_mask = self._active_mask
-        active_routers = self._active_routers
-        out_idxs: List[int] = []
-        for router, in_idx, flit in batch:
-            packet = flit.packet
-            plan = packet.plan
-            hop_key = plan.hop_key if hop_cache_enabled else None
-            dst = packet.dst_terminal
-            progress = flit.progress
-            if hop_key is None:
-                h = self.routing.next_hop(self.topology, router, plan, progress, dst)
-                out_port, out_vc, flit.next_progress = h
-            elif progress == 0 and plan.gc1 is not None:
-                h = cache0.get(hop_key[0] + router)
-                if h is None:
-                    h = hop(plan, hop_key, router, 0, dst)
-                out_port, out_vc, flit.next_progress = h
-            elif progress == 1 and plan.gc2 is not None:
-                h = cache1.get(hop_key[1] + router)
-                if h is None:
-                    h = hop(plan, hop_key, router, 1, dst)
-                out_port, out_vc, flit.next_progress = h
-            else:
-                dst_router = dst_routers[dst]
-                if router == dst_router:
-                    out_port, out_vc = eject_hop[dst]
-                    flit.next_progress = progress
-                else:
-                    h2 = cache2.get(router * num_routers + dst_router)
-                    if h2 is None:
-                        h = self.routing.next_hop(
-                            self.topology, router, plan, progress, dst
-                        )
-                        cache2[router * num_routers + dst_router] = (h[0], h[1])
-                        out_port, out_vc, flit.next_progress = h
-                    else:
-                        out_port, out_vc = h2
-                        flit.next_progress = progress
-            p_idx = router * radix + out_port
-            if packet.vc_class and channel_info[p_idx] is not None:
-                out_vc += 3 * packet.vc_class
-            flit.in_idx = in_idx
-            if credit_delay and channel_info[p_idx] is not None:
-                ctq[p_idx].append(now)
-            buf_count[in_idx] += 1
-            out_idx = p_idx * vcs + out_vc
-            out_q[out_idx].append(flit)
-            count = pending[p_idx] + 1
-            pending[p_idx] = count
-            if count == 1:
-                mask = active_mask[router]
-                if not mask:
-                    active_routers.add(router)
-                active_mask[router] = mask | (1 << out_port)
-            out_idxs.append(out_idx)
-        # Two inputs can be routed to the same output VC in one cycle,
-        # so the batched increment must be duplicate-safe.
-        np.add.at(self._pending_vc, np.asarray(out_idxs, dtype=np.intp), 1)
-        batch.clear()
-
-    def _deliver_arrivals_kernel(self, now: int) -> None:
         batch = self._arrival_ring[now % self._arrival_ring_size]
         if not batch:
             return
@@ -480,7 +322,7 @@ class ArraySimulator(Simulator):
     # Phase 1b: credit delivery (batched scatter-add)
     # ------------------------------------------------------------------
     def _deliver_credits(self, now: int) -> None:
-        if not self._vectorized or self._credit_delay_enabled:
+        if self._credit_delay_enabled:
             # UGAL-L_CR's round-trip sensing pops per-event CTQ stamps
             # and maintains running minima -- inherently sequential, so
             # the scalar path keeps it.
@@ -503,121 +345,7 @@ class ArraySimulator(Simulator):
     # Phase 2: injection
     # ------------------------------------------------------------------
     def _inject(self, now: int) -> None:
-        if self._kernel:
-            return self._inject_kernel(now)
-        if not self._vectorized:
-            return super()._inject(now)
-        busy = self._busy
-        inject_one = self._inject_one_array
-        if self._bulk_mode:
-            for terminal in np.nonzero(busy)[0].tolist():
-                inject_one(terminal, now)
-            return
-        config = self.config
-        packet_prob = config.load / config.packet_size
-        # One batched row per cycle == the scalar engine's one draw per
-        # terminal per cycle, double for double.
-        draws = self._np_traffic.random_sample(self._num_terminals)
-        injecting = draws < packet_prob
-        visits = np.nonzero(injecting | busy)[0]
-        if visits.size == 0:
-            return
-        pattern = self.pattern
-        tagged_window = self._measure_start <= now < self._measure_end
-        counter = self._packet_counter
-        source_queue = self._source_queue
-        for terminal, injects in zip(
-            visits.tolist(), injecting[visits].tolist()
-        ):
-            if injects:
-                packet = Packet(
-                    counter, terminal, pattern(terminal), now, 1,
-                    None, tagged_window,
-                )
-                counter += 1
-                if tagged_window:
-                    self._outstanding_tagged += 1
-                source_queue[terminal].append(packet)
-            inject_one(terminal, now)
-        self._packet_counter = counter
-
-    def _inject_one_array(self, terminal: int, now: int) -> None:
-        """Single-flit injection attempt (mirrors ``_inject_one``).
-
-        Differences from the scalar method: no multi-flit branches (the
-        vectorized mode guarantees ``packet_size == 1``) and the busy
-        flag is refreshed on exit so the visit set stays exact.
-        """
-        queue = self._source_queue[terminal]
-        if not queue:
-            self._busy[terminal] = False
-            return
-        router = self._terminal_router[terminal]
-        base = self._inject_base[terminal]
-        packet = queue[0]
-        plan = packet.plan
-        hop = None
-        if plan is None:
-            dst = packet.dst_terminal
-            plan = self.routing.decide(
-                self, self.topology, self._rng_route, router, dst
-            )
-            packet.plan = plan
-            hop_key = None
-            if self._hop_cache_enabled and type(plan) is RoutePlan:
-                hop_key = plan.hop_key
-                if hop_key is None:
-                    hop_key = self._intern_plan(plan)
-            if hop_key is not None:
-                hop = self._hop(plan, hop_key, router, 0, dst)
-            else:
-                hop = self.routing.next_hop(self.topology, router, plan, 0, dst)
-            packet.hop_assignment[router] = (hop[0], hop[1])
-            in_idx = base + hop[1]
-        else:
-            # Retry after backpressure (see the scalar engine).
-            in_idx = base + packet.hop_assignment[router][1]
-        if self._depth - self._buf_count[in_idx] < 1:
-            # No space: the queue is non-empty, so the terminal must be
-            # revisited next cycle even if this visit came from a fresh
-            # Bernoulli draw rather than the busy set.
-            self._busy[terminal] = True
-            return
-        queue.popleft()
-        packet.inject_time = now
-        flit = Flit(packet)
-        if hop is None:
-            dst = packet.dst_terminal
-            hop_key = plan.hop_key if self._hop_cache_enabled else None
-            if hop_key is not None:
-                hop = self._hop(plan, hop_key, router, 0, dst)
-            else:
-                hop = self.routing.next_hop(self.topology, router, plan, 0, dst)
-        out_port, out_vc, flit.next_progress = hop
-        p_idx = router * self._radix + out_port
-        channel = self._channel_info[p_idx]
-        if packet.vc_class and channel is not None:
-            out_vc += 3 * packet.vc_class
-        packet.hop_assignment[router] = (out_port, out_vc)
-        flit.in_idx = in_idx
-        if self._credit_delay_enabled and channel is not None:
-            self._ctq[p_idx].append(now)
-        self._buf_count[in_idx] += 1
-        out_idx = p_idx * self._vcs + out_vc
-        self._out_q[out_idx].append(flit)
-        pending = self._pending
-        count = pending[p_idx] + 1
-        pending[p_idx] = count
-        if count == 1:
-            mask = self._active_mask[router]
-            if not mask:
-                self._active_routers.add(router)
-            self._active_mask[router] = mask | (1 << out_port)
-        self._pending_vc[out_idx] += 1
-        self._busy[terminal] = bool(queue)
-
-    def _inject_kernel(self, now: int) -> None:
-        """Kernel-mode injection: batched decide, sequential commit.
+        """Batched decide, sequential commit.
 
         Pass A walks the visit set in ascending-terminal order creating
         this cycle's packets (pattern rng order preserved) and collects
@@ -857,10 +585,9 @@ class ArraySimulator(Simulator):
 
         Returns ``(ports, vc_sel, out_idx)`` -- winners in ascending
         flat-port order with their pending/credit/round-robin updates
-        already applied -- or ``None`` when nothing forwards.  Shared by
-        the kernel and fallback switch phases; decisions are
-        independent within a cycle (each port reads and writes only its
-        own slots), so batching cannot reorder anything observable.
+        already applied -- or ``None`` when nothing forwards.  Decisions
+        are independent within a cycle (each port reads and writes only
+        its own slots), so batching cannot reorder anything observable.
         """
         active = self._active_routers
         if not active:
@@ -916,86 +643,6 @@ class ArraySimulator(Simulator):
         return ports, vc_sel, out_idx
 
     def _switch(self) -> None:
-        if self._kernel:
-            return self._switch_kernel()
-        if not self._vectorized:
-            return super()._switch()
-        won = self._arbitrate()
-        if won is None:
-            return
-        ports, vc_sel, out_idx = won
-        radix = self._radix
-        masks = self._active_mask
-        active = self._active_routers
-        # Per-flit tail in ascending flat-port order (== scalar order):
-        # dequeue, pending/active-set bookkeeping, upstream credit
-        # return, forward or eject.
-        now = self.now
-        measuring = self._measure_start <= now < self._measure_end
-        out_q = self._out_q
-        buf_count = self._buf_count
-        pending = self._pending
-        channel_info = self._channel_info
-        credit_delay = self._credit_delay_enabled
-        td = self._td
-        td_min = self._td_min
-        credit_gain = self._credit_gain
-        global_flits = self._global_flits
-        arrival_ring = self._arrival_ring
-        arrival_ring_size = self._arrival_ring_size
-        credit_ring = self._credit_ring
-        credit_ring_size = self._credit_ring_size
-        eject = self._eject
-        for p_idx, slot, vc in zip(
-            ports.tolist(), out_idx.tolist(), vc_sel.tolist()
-        ):
-            flit = out_q[slot].popleft()
-            count = pending[p_idx] - 1
-            pending[p_idx] = count
-            if not count:
-                router = p_idx // radix
-                left = masks[router] & ~(1 << (p_idx - router * radix))
-                masks[router] = left
-                if not left:
-                    active.discard(router)
-            buf_count[flit.in_idx] -= 1
-            info = channel_info[p_idx]
-            upstream = flit.upstream
-            if upstream is not None:
-                credit_idx, up_p_idx, offset = upstream
-                if (
-                    credit_delay
-                    and info is not None
-                    and not flit.arrived_on_global
-                ):
-                    excess = td[p_idx] - td_min[p_idx // radix]
-                    if excess > 0:
-                        offset += int(credit_gain * excess)
-                if offset <= credit_ring_size:
-                    credit_ring[(now + offset) % credit_ring_size].append(
-                        (credit_idx, up_p_idx)
-                    )
-                else:
-                    overflow = self._credit_overflow
-                    batch = overflow.get(now + offset)
-                    if batch is None:
-                        overflow[now + offset] = [(credit_idx, up_p_idx)]
-                    else:
-                        batch.append((credit_idx, up_p_idx))
-            if info is None:
-                eject(p_idx, flit, now, measuring)
-            else:
-                dst_router, dst_base, latency, is_global, channel_index = info
-                flit.progress = flit.next_progress
-                if is_global and measuring:
-                    global_flits[channel_index] += 1
-                flit.upstream = (slot, p_idx, latency)
-                flit.arrived_on_global = is_global
-                arrival_ring[(now + latency) % arrival_ring_size].append(
-                    (dst_router, dst_base + vc, flit)
-                )
-
-    def _switch_kernel(self) -> None:
         won = self._arbitrate()
         if won is None:
             return
@@ -1164,15 +811,3 @@ class ArraySimulator(Simulator):
             if measuring:
                 self._ejected_flits_in_window += len(ej_p_l)
             self._f_free.extend(ej_f.tolist())
-
-    def _eject(self, p_idx: int, flit: Flit, now: int, measuring: bool) -> None:
-        super()._eject(p_idx, flit, now, measuring)
-        if (
-            self._vectorized
-            and self._request_reply
-            and flit.packet.vc_class == 0
-        ):
-            # The spawned reply queued at the request's destination NIC
-            # must wake that terminal's injection (fallback tier; the
-            # kernel tier ejects flits in ``_switch_kernel``).
-            self._busy[flit.packet.dst_terminal] = True

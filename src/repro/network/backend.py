@@ -8,13 +8,13 @@ The cycle-accurate engine has two interchangeable implementations:
     the repository -- golden fixtures, differential corpus, sanitizer
     laws -- is defined against this engine.
 ``array``
-    The batched numpy engine
+    The batched numpy decide-kernel engine
     (:class:`~repro.network.array_backend.ArraySimulator`): the
-    per-cycle scans (injection Bernoulli draws, switch port/VC
-    arbitration, credit eligibility, counter updates) run as masked
-    array operations over the active sets.  Built for the paper's
-    1056-node default scale (``p = h = 4, a = 8``) where the scalar
-    engine's per-terminal/per-port Python overhead dominates.
+    per-cycle scans (injection Bernoulli draws, route decisions, switch
+    port/VC arbitration, credit eligibility, counter updates) run as
+    masked array operations over the active sets.  Built for the
+    paper's 1056-node default scale (``p = h = 4, a = 8``) where the
+    scalar engine's per-terminal/per-port Python overhead dominates.
 
 Selection is *per run*: pass ``backend="array"`` to
 :func:`make_simulator` / :func:`repro.network.simulator.simulate`, or
@@ -23,41 +23,37 @@ that does not name a backend explicitly -- including the sweep
 executor's worker processes and the sweep service, which inherit the
 environment and need no changes.
 
+:func:`make_simulator` is also where an array request the kernel cannot
+serve (multi-flit packets, table-driven or custom routing, a topology
+variant -- see :func:`~repro.network.decide_kernel.kernel_ineligibility`)
+is answered: it runs on the scalar engine, the reason is logged, and the
+result's provenance says so (``{"backend": "array", "kernel": "none",
+"kernel_fallback": <reason>}``).  There is no third engine.
+
 Equivalence contract
 --------------------
 
-The array backend is not allowed to be "roughly right"; its agreement
-with the scalar engine is a declared, machine-checked contract
-(:func:`contract_for`), asserted by the backend-differential harness
-(``tests/network/test_backend_differential.py``) over the 184-case
-corpus, the golden fixtures, and a Hypothesis shape fuzzer:
-
-* **Single-flit configurations** (``packet_size == 1``, the paper's
-  default, with or without request-reply): **bit-identical**.  The
-  array engine consumes the same RNG streams in the same order (the
-  traffic Bernoulli stream is batch-drawn from a Mersenne-Twister whose
-  state is transplanted verbatim into numpy, which reproduces
-  CPython's ``random.random`` doubles exactly), and its vectorized
-  switch arbitration is an exact reformulation: within one cycle every
-  output port's decision depends only on that port's own queues,
-  credits and round-robin pointer, so batching the decisions cannot
-  reorder anything observable.
-* **Multi-flit configurations** (``packet_size > 1``): the array
-  backend currently runs the scalar engine's virtual cut-through paths
-  unchanged (vectorizing them is future work), so runs are today also
-  bit-identical; the *declared* contract is the weaker
-  statistical-equivalence tolerance below, which is what the harness
-  asserts first, so a future vectorized multi-flit path can relax to
-  it without weakening any promise made here.
-
-Tolerance equivalence means: at matched seeds, mean packet latency
-agrees within ``mean_latency_rtol`` (relative), accepted load within
-``accepted_load_atol`` (absolute, flits/terminal/cycle), and both
-backends agree on whether the run saturated.
+The array backend is not allowed to be "roughly right": at matched
+seeds its :class:`~repro.network.stats.SimulationResult` is
+**bit-identical** to the scalar engine's on every configuration,
+asserted by the backend-differential harness
+(``tests/network/test_backend_differential.py``) over the 199-case
+corpus, the golden fixtures, and a Hypothesis shape fuzzer.  The kernel
+consumes the same RNG streams in the same order (Mersenne-Twister state
+transplanted verbatim into numpy, which reproduces CPython's
+``random.random`` doubles and ``getrandbits`` words exactly), and its
+vectorized switch arbitration is an exact reformulation: within one
+cycle every output port's decision depends only on that port's own
+queues, credits and round-robin pointer, so batching the decisions
+cannot reorder anything observable.  Configurations the kernel does not
+cover run the scalar engine itself.  :func:`contract_for` therefore
+declares only *which tier* will run, so the harness can assert that the
+tier it thinks it is certifying is the tier that ran.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
@@ -68,6 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..routing.base import RoutingAlgorithm
     from ..topology.dragonfly import Dragonfly
     from .simulator import Simulator
+
+logger = logging.getLogger(__name__)
 
 #: Environment variable selecting the default backend (default scalar).
 BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
@@ -117,66 +115,52 @@ def make_simulator(
     ``backend=None`` defers to ``REPRO_SIM_BACKEND`` (default scalar),
     which is how the sweep executor's workers and the sweep service
     pick the backend up without any plumbing of their own.
+
+    ``array`` means the decide-kernel engine wherever it applies: a
+    configuration :func:`kernel_ineligibility` rejects runs on the
+    scalar engine instead, never silently -- the reason is logged here
+    and stamped on the simulator's provenance.
     """
-    name = resolve_backend(backend)
-    if name == "array":
-        try:
-            from .array_backend import ArraySimulator
-        except ImportError as exc:  # pragma: no cover - numpy is baked in
-            raise RuntimeError(
-                "the array simulation backend requires numpy; install it "
-                "or select backend='scalar'"
-            ) from exc
-        return ArraySimulator(topology, routing, pattern, config)
     from .simulator import Simulator
 
-    return Simulator(topology, routing, pattern, config)
+    if resolve_backend(backend) == "scalar":
+        return Simulator(topology, routing, pattern, config)
+    try:
+        from .array_backend import ArraySimulator
+        from .decide_kernel import kernel_ineligibility
+    except ImportError as exc:  # pragma: no cover - numpy is baked in
+        raise RuntimeError(
+            "the array simulation backend requires numpy; install it "
+            "or select backend='scalar'"
+        ) from exc
+    reason = kernel_ineligibility(config, topology, routing)
+    if reason is None:
+        return ArraySimulator(topology, routing, pattern, config)
+    logger.info("decide kernel disabled (%s); running the scalar engine", reason)
+    sim = Simulator(topology, routing, pattern, config)
+    # The result must still say what was asked for and why it was not
+    # served by the kernel, so results in a cache or store stay
+    # attributable to the backend that requested them.
+    provenance = {"backend": "array", "kernel": "none", "kernel_fallback": reason}
+    sim.backend_provenance = provenance.copy  # type: ignore[method-assign]
+    return sim
 
 
 @dataclass(frozen=True)
 class EquivalenceContract:
-    """What the array backend promises relative to the scalar engine."""
+    """Which engine tier an array-backend run of a configuration gets.
 
-    #: True: per-packet latency samples, global channel flit counts and
-    #: every other field of the result must match bit for bit.
-    bit_identical: bool
-    #: Relative tolerance on mean packet latency at matched seeds.
-    mean_latency_rtol: float
-    #: Absolute tolerance on accepted load (flits/terminal/cycle).
-    accepted_load_atol: float
-    #: One-line rationale, printed by the harness on failure.
-    note: str
+    The equivalence itself is not a field: it is bit-identity, always.
+    """
+
     #: Name of the batched decide kernel the array backend will engage
     #: on this configuration (``"decide-v1"``), or ``None`` when the
     #: kernel stays off or eligibility was not evaluated (``contract_for``
     #: called without topology/routing).
     decide_kernel: Optional[str] = None
     #: When the kernel stays off despite topology/routing being known:
-    #: the human-readable ineligibility reason the backend will log.
+    #: the human-readable ineligibility reason ``make_simulator`` logs.
     kernel_fallback: Optional[str] = None
-
-
-#: Tolerances for configurations where only statistical equivalence is
-#: promised.  Deliberately tight: at matched seeds the two engines see
-#: identical traffic, so even a relaxed backend has no excuse for drift
-#: beyond arbitration reorderings.
-TOLERANCE = EquivalenceContract(
-    bit_identical=False,
-    mean_latency_rtol=0.02,
-    accepted_load_atol=0.01,
-    note=(
-        "multi-flit virtual cut-through: contract allows tolerance "
-        "equivalence (current implementation delegates to the scalar "
-        "paths and is in fact bit-identical)"
-    ),
-)
-
-BIT_IDENTICAL = EquivalenceContract(
-    bit_identical=True,
-    mean_latency_rtol=0.0,
-    accepted_load_atol=0.0,
-    note="single-flit: same RNG draw order, exact vectorized arbitration",
-)
 
 
 def contract_for(
@@ -184,31 +168,24 @@ def contract_for(
     topology: Optional["Dragonfly"] = None,
     routing: Optional["RoutingAlgorithm"] = None,
 ) -> EquivalenceContract:
-    """The equivalence the array backend owes on this configuration.
+    """The tier the array backend will run on this configuration.
 
-    The strength of the promise depends only on ``config`` (single-flit
-    runs are bit-identical, multi-flit runs get the tolerance contract).
-    Passing ``topology`` and ``routing`` additionally stamps the
-    contract with the array backend's *kernel capability* on that exact
-    setup: ``decide_kernel`` names the batched decide kernel that will
-    engage, or ``kernel_fallback`` carries the ineligibility reason the
-    backend will log when it falls back to per-packet decides.  Either
-    way the equivalence promise itself is unchanged -- the kernel is an
-    implementation tier inside the same contract, and the differential
-    harness uses these fields only to assert that the tier it *thinks*
-    it is certifying is the tier that actually ran.
+    With ``topology`` and ``routing`` the contract is stamped with the
+    array backend's *kernel capability* on that exact setup:
+    ``decide_kernel`` names the batched decide kernel that will engage,
+    or ``kernel_fallback`` carries the ineligibility reason that sends
+    the run to the scalar engine.  The differential harness uses these
+    fields only to assert that the tier it *thinks* it is certifying is
+    the tier that actually ran.
     """
-    base = BIT_IDENTICAL if config.packet_size == 1 else TOLERANCE
     if topology is None or routing is None:
-        return base
-    import dataclasses
-
+        return EquivalenceContract()
     from .decide_kernel import KERNEL_NAME, kernel_ineligibility
 
     reason = kernel_ineligibility(config, topology, routing)
     if reason is None:
-        return dataclasses.replace(base, decide_kernel=KERNEL_NAME)
-    return dataclasses.replace(base, kernel_fallback=reason)
+        return EquivalenceContract(decide_kernel=KERNEL_NAME)
+    return EquivalenceContract(kernel_fallback=reason)
 
 
 # ----------------------------------------------------------------------

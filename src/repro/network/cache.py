@@ -119,8 +119,9 @@ class SweepCache:
     def get(self, key: Dict[str, object]) -> Optional[SimulationResult]:
         """The stored result for ``key``, or ``None`` on a miss.
 
-        Stale entries (schema bump, key mismatch, corrupt JSON) are
-        deleted so the cache self-heals.
+        Stale entries (schema bump, key mismatch, JSON that is not an
+        entry object, unparseable result) are deleted so the cache
+        self-heals.
         """
         path = self._entry_path(key)
         try:
@@ -129,7 +130,11 @@ class SweepCache:
         except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
-        if entry.get("schema") != SCHEMA_VERSION or entry.get("key") != key:
+        if (
+            not isinstance(entry, dict)
+            or entry.get("schema") != SCHEMA_VERSION
+            or entry.get("key") != key
+        ):
             try:
                 path.unlink()
             except OSError:

@@ -31,7 +31,7 @@ with a handful of numpy gathers, bit-identically to the scalar path:
 
 Eligibility is deliberately conservative (:func:`kernel_ineligibility`):
 exact registry classes on the canonical single-link dragonfly with
-single-flit packets.  Anything else falls back to the per-packet path.
+single-flit packets.  Anything else runs on the scalar engine.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ _KERNEL_ROUTINGS = (
 def kernel_ineligibility(config, topology, routing) -> Optional[str]:
     """Why the decide kernel cannot run this configuration, or ``None``.
 
-    The returned string is human-readable; the array backend logs it and
-    records it on the simulator so fallbacks are never silent.
+    The returned string is human-readable; ``make_simulator`` logs it
+    and records it on the simulator so fallbacks are never silent.
     """
     if getattr(config, "packet_size", 1) != 1:
         return f"multi-flit packets (packet_size={config.packet_size})"

@@ -1,11 +1,12 @@
 """Backend-differential harness: scalar vs array engine equivalence.
 
 Every corpus case (``differential_corpus.CORPUS``, 199 configurations)
-and every golden fixture runs on both backends; the array engine must
-honour the equivalence contract declared for the configuration by
-:func:`repro.network.backend.contract_for` -- bit-identity for
-single-flit runs, declared tolerances for multi-flit.  When an
-equivalence assertion fails, the harness re-runs both engines in
+and every golden fixture runs on both backends; the array backend must
+reproduce the scalar engine's result bit for bit on every one of them
+(``to_dict()`` equality), multi-flit included, and must have run the
+tier :func:`repro.network.backend.contract_for` declares for the
+configuration.  When an equivalence assertion fails, the harness
+re-runs both engines in
 lockstep (:func:`repro.network.backend.first_divergence`) and reports
 the first cycle and state field at which they split, which turns "the
 latency is off" into "arbitration at port 37 diverged at cycle 112".
@@ -18,7 +19,6 @@ determinism check (a second scalar run must reproduce the first).
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Dict
 
@@ -34,7 +34,6 @@ from repro.network.backend import (
     make_simulator,
 )
 from repro.network.config import SimulationConfig
-from repro.network.stats import SimulationResult
 from repro.network.sweep import load_sweep
 from repro.network.traffic import make_pattern
 from repro.routing import (
@@ -135,43 +134,13 @@ def describe_divergence(case: DifferentialCase) -> str:
 
 
 def assert_contract(case: DifferentialCase, reference, candidate, backend: str) -> None:
-    contract = contract_for(case.config)
-    if contract.bit_identical:
-        if candidate.to_dict() != reference.to_dict():
-            detail = (
-                describe_divergence(case) if backend == "array"
-                else "scalar determinism broke: rerun differs from reference"
-            )
-            pytest.fail(
-                f"{case.case_id}: {backend} backend violates bit-identity "
-                f"({contract.note}); {detail}"
-            )
-        return
-    # Tolerance contract: matched seeds, declared statistical agreement.
-    assert candidate.saturated == reference.saturated, (
-        f"{case.case_id}: backends disagree on saturation; "
-        f"{describe_divergence(case)}"
-    )
-    if not math.isclose(
-        candidate.avg_latency,
-        reference.avg_latency,
-        rel_tol=contract.mean_latency_rtol,
-    ):
-        pytest.fail(
-            f"{case.case_id}: mean latency {candidate.avg_latency} vs "
-            f"reference {reference.avg_latency} exceeds "
-            f"rtol={contract.mean_latency_rtol} ({contract.note}); "
-            f"{describe_divergence(case)}"
+    if candidate.to_dict() != reference.to_dict():
+        detail = (
+            describe_divergence(case) if backend == "array"
+            else "scalar determinism broke: rerun differs from reference"
         )
-    if not math.isclose(
-        candidate.accepted_load,
-        reference.accepted_load,
-        abs_tol=contract.accepted_load_atol,
-    ):
         pytest.fail(
-            f"{case.case_id}: accepted load {candidate.accepted_load} vs "
-            f"{reference.accepted_load} exceeds "
-            f"atol={contract.accepted_load_atol}; {describe_divergence(case)}"
+            f"{case.case_id}: {backend} backend violates bit-identity; {detail}"
         )
 
 
@@ -199,25 +168,10 @@ class TestGoldenFixtures:
             topology, fixture["routing"], fixture["pattern"],
             fixture["loads"], config,
         )
-        contract = contract_for(config)
-        if contract.bit_identical:
-            produced = [point.result.to_dict() for point in points]
-            assert produced == fixture["points"], (
-                f"{backend} backend diverged from pinned fixture "
-                f"({contract.note})"
-            )
-        else:
-            for point, pinned in zip(points, fixture["points"]):
-                want = SimulationResult.from_dict(pinned)
-                assert point.result.saturated == want.saturated
-                assert math.isclose(
-                    point.result.avg_latency, want.avg_latency,
-                    rel_tol=contract.mean_latency_rtol,
-                )
-                assert math.isclose(
-                    point.result.accepted_load, want.accepted_load,
-                    abs_tol=contract.accepted_load_atol,
-                )
+        produced = [point.result.to_dict() for point in points]
+        assert produced == fixture["points"], (
+            f"{backend} backend diverged from pinned fixture"
+        )
 
 
 class TestScaleFixture:

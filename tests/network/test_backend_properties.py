@@ -3,20 +3,18 @@
 The differential corpus pins fixed configurations; this fuzzer samples
 the configuration space itself -- random small dragonfly shapes
 (p, a, h, g), routing algorithms, traffic patterns, loads, buffer
-depths and seeds -- and asserts the backend-equivalence contract on
-every draw.  Failures shrink to a minimal configuration and the
+depths, packet sizes and seeds -- and asserts scalar/array bit-identity
+on every draw.  Failures shrink to a minimal configuration and the
 assertion names the first diverging statistic, so a shrunk report reads
 "p=1 a=2 h=1 g=3 MIN uniform_random load=0.05: packet_latencies
 diverge", not just "results differ".
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import DragonflyParams
-from repro.network.backend import contract_for, make_simulator
+from repro.network.backend import make_simulator
 from repro.network.config import SimulationConfig
 from repro.network.traffic import make_pattern
 from repro.routing.ugal import make_routing
@@ -42,7 +40,7 @@ def backend_setup(draw):
     pattern = draw(st.sampled_from(["uniform_random", "worst_case"]))
     load = draw(st.sampled_from([0.05, 0.2, 0.5]))
     depth = draw(st.sampled_from([2, 4, 16]))
-    packet_size = draw(st.sampled_from([1, 1, 1, 4]))  # bias: bit-identity path
+    packet_size = draw(st.sampled_from([1, 1, 1, 4]))  # bias: kernel path
     if packet_size > depth:
         packet_size = 1
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -71,8 +69,8 @@ def run_backend(params, routing_name, pattern_name, config, backend):
 @given(backend_setup())
 @settings(max_examples=30, deadline=None)
 def test_backends_agree_on_random_configurations(setup):
-    """Scalar and array engines agree per the equivalence contract on
-    any sampled shape/routing/pattern/load/seed combination."""
+    """Scalar and array backends agree bit for bit on any sampled
+    shape/routing/pattern/load/packet-size/seed combination."""
     params, routing_name, pattern_name, config = setup
     label = (
         f"p={params.p} a={params.a} h={params.h} g={params.num_groups} "
@@ -81,35 +79,22 @@ def test_backends_agree_on_random_configurations(setup):
     )
     scalar = run_backend(params, routing_name, pattern_name, config, "scalar")
     array = run_backend(params, routing_name, pattern_name, config, "array")
-    contract = contract_for(config)
 
     # Statistic-by-statistic comparison so a shrunk failure names the
     # first diverging statistic instead of dumping two result dicts.
     assert array.saturated == scalar.saturated, f"{label}: saturated diverges"
-    if contract.bit_identical:
-        assert len(array.samples) == len(scalar.samples), (
-            f"{label}: sample_count diverges"
-        )
-        assert array.latencies == scalar.latencies, (
-            f"{label}: packet_latencies diverge"
-        )
-        assert array.ejected_flits_in_window == scalar.ejected_flits_in_window, (
-            f"{label}: ejected_flits_in_window diverges"
-        )
-        assert array.global_channel_flits == scalar.global_channel_flits, (
-            f"{label}: global_channel_flits diverge"
-        )
-        assert array.to_dict() == scalar.to_dict(), (
-            f"{label}: full result diverges"
-        )
-    else:
-        assert math.isclose(
-            array.avg_latency,
-            scalar.avg_latency,
-            rel_tol=contract.mean_latency_rtol,
-        ), f"{label}: avg_latency diverges beyond rtol"
-        assert math.isclose(
-            array.accepted_load,
-            scalar.accepted_load,
-            abs_tol=contract.accepted_load_atol,
-        ), f"{label}: accepted_load diverges beyond atol"
+    assert len(array.samples) == len(scalar.samples), (
+        f"{label}: sample_count diverges"
+    )
+    assert array.latencies == scalar.latencies, (
+        f"{label}: packet_latencies diverge"
+    )
+    assert array.ejected_flits_in_window == scalar.ejected_flits_in_window, (
+        f"{label}: ejected_flits_in_window diverges"
+    )
+    assert array.global_channel_flits == scalar.global_channel_flits, (
+        f"{label}: global_channel_flits diverge"
+    )
+    assert array.to_dict() == scalar.to_dict(), (
+        f"{label}: full result diverges"
+    )

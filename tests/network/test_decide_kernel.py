@@ -10,8 +10,9 @@ the layer that broke, not as a whole-run divergence:
 * :meth:`DecideTables.batch_decide` resolves to exactly the decision the
   scalar :meth:`RoutingAlgorithm.decide` makes, for every registry
   routing, against a shared synthetic congestion state;
-* eligibility is conservative, fallbacks are logged, and provenance
-  reports the tier that ran.
+* eligibility is conservative, ``make_simulator`` selects the engine
+  from it, fallbacks are logged, and provenance reports the tier that
+  ran.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.params import DragonflyParams
+from repro.network.array_backend import ArraySimulator
 from repro.network.backend import contract_for, make_simulator
 from repro.network.config import SimulationConfig
 from repro.network.decide_kernel import (
@@ -33,8 +35,14 @@ from repro.network.decide_kernel import (
     kernel_ineligibility,
     lower_traffic,
 )
+from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
-from repro.routing import ALL_ROUTING_NAMES, make_routing
+from repro.routing import (
+    ALL_ROUTING_NAMES,
+    TableDrivenRouting,
+    compile_dragonfly_tables,
+    make_routing,
+)
 from repro.routing.minimal import MinimalRouting
 from repro.routing.paths import memoised_valiant_plan, next_hop
 from repro.topology.dragonfly import Dragonfly
@@ -311,14 +319,12 @@ class TestEligibility:
 
     def test_contract_stamps_kernel_capability(self):
         contract = contract_for(BASE_CONFIG, TOPOLOGY, make_routing("UGAL-L"))
-        assert contract.bit_identical
         assert contract.decide_kernel == KERNEL_NAME
         assert contract.kernel_fallback is None
 
     def test_contract_stamps_fallback_reason(self):
         config = dataclasses.replace(BASE_CONFIG, packet_size=4)
         contract = contract_for(config, TOPOLOGY, make_routing("UGAL-L"))
-        assert not contract.bit_identical
         assert contract.decide_kernel is None
         assert contract.kernel_fallback is not None
 
@@ -370,7 +376,8 @@ class TestTrafficLowering:
 
     def test_kernel_sim_uses_lowering(self) -> None:
         sim = _sim(BASE_CONFIG, "array")
-        assert sim._kernel and sim._traffic_lowering is not None
+        assert isinstance(sim, ArraySimulator)
+        assert sim._traffic_lowering is not None
         bursty = make_simulator(
             TOPOLOGY,
             make_routing("UGAL-L"),
@@ -378,7 +385,8 @@ class TestTrafficLowering:
             BASE_CONFIG,
             backend="array",
         )
-        assert bursty._kernel and bursty._traffic_lowering is None
+        assert isinstance(bursty, ArraySimulator)
+        assert bursty._traffic_lowering is None
 
 
 def _sim(config: SimulationConfig, backend: str, routing_name: str = "UGAL-L"):
@@ -389,6 +397,40 @@ def _sim(config: SimulationConfig, backend: str, routing_name: str = "UGAL-L"):
         config,
         backend=backend,
     )
+
+
+class _VariantDragonfly(Dragonfly):
+    pass
+
+
+#: One (topology, routing, config) factory per class of input the kernel
+#: does not cover.  The table-driven case is request-reply: replies
+#: spawned at ejection must wake their source terminal's injection, or
+#: the run never drains.
+INELIGIBLE = {
+    "multi-flit": lambda: (
+        TOPOLOGY,
+        make_routing("UGAL-L"),
+        dataclasses.replace(BASE_CONFIG, packet_size=4),
+    ),
+    "table-driven-request-reply": lambda: (
+        TOPOLOGY,
+        TableDrivenRouting(
+            make_routing("UGAL-L"), compile_dragonfly_tables(TOPOLOGY)
+        ),
+        dataclasses.replace(BASE_CONFIG, request_reply=True, num_vcs=6),
+    ),
+    "dragonfly-subclass": lambda: (
+        _VariantDragonfly(DragonflyParams.paper_example_72()),
+        make_routing("UGAL-L"),
+        BASE_CONFIG,
+    ),
+    "multi-link-non-maximal-g": lambda: (
+        Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=3)),
+        make_routing("UGAL-L"),
+        BASE_CONFIG,
+    ),
+}
 
 
 class TestProvenance:
@@ -402,7 +444,7 @@ class TestProvenance:
 
     def test_fallback_is_reported_and_logged(self, caplog):
         config = dataclasses.replace(BASE_CONFIG, packet_size=4)
-        with caplog.at_level(logging.INFO, logger="repro.network.array_backend"):
+        with caplog.at_level(logging.INFO, logger="repro.network.backend"):
             sim = _sim(config, "array")
         info = sim.backend_provenance()
         assert info["backend"] == "array"
@@ -412,6 +454,39 @@ class TestProvenance:
             "decide kernel disabled" in record.getMessage()
             for record in caplog.records
         ), "fallback must be logged, never silent"
+
+    @pytest.mark.parametrize("kind", sorted(INELIGIBLE))
+    def test_ineligible_array_request_runs_the_scalar_engine(self, kind, caplog):
+        runs = {}
+        for backend in ("scalar", "array"):
+            topology, routing, config = INELIGIBLE[kind]()
+            pattern = make_pattern(
+                "uniform_random", topology, seed=config.seed + 17
+            )
+            with caplog.at_level(logging.INFO, logger="repro.network.backend"):
+                sim = make_simulator(
+                    topology, routing, pattern, config, backend=backend
+                )
+            assert type(sim) is Simulator
+            runs[backend] = sim.run()
+        reason = kernel_ineligibility(config, topology, routing)
+        assert reason is not None
+        assert any(
+            "decide kernel disabled" in record.getMessage()
+            and reason in record.getMessage()
+            for record in caplog.records
+        ), "fallback must be logged, never silent"
+        assert runs["array"].backend_info == {
+            "backend": "array", "kernel": "none", "kernel_fallback": reason,
+        }
+        assert runs["array"].drained and runs["array"].samples
+        assert runs["array"].to_dict() == runs["scalar"].to_dict()
+
+    def test_array_simulator_refuses_ineligible_input(self):
+        topology, routing, config = INELIGIBLE["multi-flit"]()
+        pattern = make_pattern("uniform_random", topology, seed=3)
+        with pytest.raises(ValueError, match="packet_size=4"):
+            ArraySimulator(topology, routing, pattern, config)
 
     def test_provenance_excluded_from_equality_and_payload(self):
         scalar = _sim(BASE_CONFIG, "scalar").run()

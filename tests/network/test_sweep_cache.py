@@ -145,12 +145,29 @@ class TestCacheInvalidation:
         path.write_text(json.dumps(entry))
         assert cache.get(key) is None
 
-    def test_corrupt_file_is_a_miss(self, df, config, tmp_path):
+    @pytest.mark.parametrize(
+        "payload, invalidated",
+        [
+            ("{not json", False),
+            # Valid JSON that is not an entry object is a stale entry
+            # like any other: dropped and counted, never a crash.
+            ("[]", True),
+            ("null", True),
+            ("3", True),
+            ('"x"', True),
+        ],
+    )
+    def test_corrupt_file_is_a_miss(
+        self, df, config, tmp_path, payload, invalidated
+    ):
         cache = SweepCache(tmp_path)
         key = point_key(df, "MIN", "uniform_random", config)
-        (tmp_path / f"{key_digest(key)}.json").write_text("{not json")
+        path = tmp_path / f"{key_digest(key)}.json"
+        path.write_text(payload)
         assert cache.get(key) is None
         assert cache.misses == 1
+        assert cache.invalidations == int(invalidated)
+        assert path.exists() != invalidated
 
     def test_clear_and_len(self, df, config, tmp_path):
         cache = SweepCache(tmp_path)
