@@ -61,8 +61,8 @@ different environments.  The committed copy was generated with
 ``--baseline <seed>`` against the pre-optimisation engine; CI
 regenerates a ``--smoke`` copy on every push as an artifact to prove
 the benchmark itself still runs, and ``--perf-gate`` fails the build if
-the array backend's decide-kernel advantage at the 1056-node Figure 9
-point drops below the floor.
+the array backend's advantage at the 1056-node Figure 9 point drops
+below the floor.
 """
 
 from __future__ import annotations
@@ -148,13 +148,15 @@ ACCEPTANCE = {
     # The array backend's bar: the 1056-node Figure 9 point must finish
     # well inside the 5-minute CI smoke budget on the array backend.
     "paper1k_fig9_point_max_array_seconds": 300.0,
-    # The decide kernel's bar: scalar/array interleaved A/B at the
+    # The array engine's bar: scalar/array interleaved A/B at the
     # 1056-node Figure 9 point.  The recorded full-mode number is the
-    # >= 1.8x claim; the CI --perf-gate floor is deliberately lower
-    # (shared runners are noisy) but still far above the pre-kernel
-    # parity (~1.0x), so a disabled or regressed kernel fails fast.
-    "paper1k_fig9_point_min_array_speedup": 1.8,
-    "perf_gate_min_array_speedup": 1.3,
+    # >= 3.0x claim; the CI --perf-gate floor is deliberately lower
+    # (shared runners are noisy, same margin as before) but above the
+    # 1.75-1.9x the engine reached while its per-flit tails were still
+    # Python loops, so a disabled kernel or a reintroduced loop fails
+    # fast.
+    "paper1k_fig9_point_min_array_speedup": 3.0,
+    "perf_gate_min_array_speedup": 2.0,
 }
 
 

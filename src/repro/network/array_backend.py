@@ -4,8 +4,8 @@
 :class:`~repro.network.config.SimulationConfig`, the same routing
 algorithms and the same :class:`~repro.network.stats.SimulationResult`
 as the scalar reference.  It exists for the paper's 1056-node default
-scale (``p = h = 4, a = 8``) and beyond, where the scalar engine's
-per-terminal and per-port Python overhead dominates the run time.
+scale (``p = h = 4, a = 8``), where the scalar engine's per-terminal and
+per-port Python overhead dominates the run time.
 
 It runs exactly the configurations
 :func:`~repro.network.decide_kernel.kernel_ineligibility` accepts --
@@ -15,24 +15,38 @@ dragonfly -- and refuses everything else at construction.
 ineligible ``backend="array"`` request gets the scalar engine, with the
 reason logged and recorded in the result's provenance.
 
-Flits are *integers* indexing columnar numpy state, and the per-packet
-routing layer is replaced by the table lowering of
-:mod:`repro.network.decide_kernel`:
+Every per-cycle step is a numpy operation over that cycle's batch; no
+phase iterates per flit, packet, terminal or port in Python.
 
-* **Route decisions** batch per cycle: the Valiant intermediate-group
-  draws replay the route rng's exact Mersenne-Twister stream
-  (:class:`~repro.network.decide_kernel.VectorizedMT19937`), candidate
-  first hops and UGAL hop counts come from dense per-group-pair tables,
-  and only the final ``q_m * H_m <= q_nm * H_nm`` comparison stays
-  sequential -- it must, because decisions earlier in the same cycle
-  enqueue flits that change the occupancies later decisions read.
-* **Hop advancement** in arrivals and the switch becomes numpy gathers
-  over per-flit hop-key columns instead of per-flit executor calls.
-* Per-packet objects survive only where observable: source queues hold
-  real :class:`~repro.network.packet.Packet` objects until injection
-  (blocked heads keep their decided plan exactly as the scalar engine
-  does), and latency samples / spawned replies are reconstructed from
-  flit columns at ejection, in the scalar engine's eject order.
+State layout
+------------
+
+* **Rows.**  Packets are single-flit, so a packet and its flit are one
+  *row*: an integer id indexing the ``_f_*`` columns
+  (:data:`_FLIT_COLUMNS`), allocated when the packet is created and
+  recycled through a free stack when it ejects (a request's row becomes
+  its reply's row in place).
+* **FIFOs.**  The per-terminal source queues and the per-(port, VC)
+  output queues are :class:`LinkedFifos`: one intrusive singly linked
+  list over row ids (``head``/``tail`` per slot, one ``next`` link per
+  row) with a batch append and a batch pop.  A blocked queue head keeps
+  its pinned route decision in the row's ``decided``/``port``/``vc``/
+  ``hop0``/``hop1``/``minimal`` columns, exactly as the scalar engine
+  pins the decided plan on the packet.
+* **Rings.**  The arrival and credit calendar rings hold, per slot, a
+  list of int64 chunks (row ids, resp. credit slots) concatenated at
+  delivery.  An arriving row already carries its input slot
+  (``in_idx``), and a credit's upstream port is ``credit_idx // vcs``,
+  so one column per event is enough.
+* **Active set.**  The ports the switch visits are
+  ``pending.nonzero()`` -- ascending flat-port order, the scalar
+  visit order.
+* ``_pending`` and ``_pending_vc`` are two windows onto one occupancy
+  buffer, so a UGAL read is one gather whatever the congestion signal.
+
+The sanitizer and the lockstep fingerprint read all of this through
+:class:`ArrayStateView`, which materialises queues, ring events and port
+masks from the arrays on demand.
 
 What stays bit-identical, and why
 ---------------------------------
@@ -44,23 +58,41 @@ What stays bit-identical, and why
   bit for bit to the scalar per-terminal draws, asserted on a probe at
   construction.
 * **Route decisions** consume the route rng word-for-word as the scalar
-  inlined rejection loop does, in the same ascending-terminal order,
-  and the occupancy comparison reads the same live counters at the same
-  point of the injection scan.
+  inlined rejection loop does, in the same ascending-terminal order
+  (:class:`~repro.network.decide_kernel.VectorizedMT19937`).
+* **Injection commit** is wave ordered.  The scalar engine visits
+  terminals in ascending order, and the only thing one terminal's
+  attempt can see of another's is the UGAL ``q_m * H_m <= q_nm * H_nm``
+  occupancy read.  That read is domain closed
+  (:mod:`~repro.network.decide_kernel`): it never leaves the source
+  router -- or, for UGAL-G, the source group -- and an injection writes
+  occupancy only at its own router, while the buffer-space test reads
+  the terminal's private injection slot.  So terminals of different
+  domains commute, and within a domain only *comparing* terminals need
+  ordering: a terminal's wave is the number of comparing terminals at
+  or before it in its domain.  Wave ``k`` gathers live occupancy for
+  every domain's ``k``-th comparing terminal at once, finishes their
+  comparisons, and scatters the occupancy of everything committing in
+  the wave; each comparing terminal therefore sees exactly the
+  injections the ascending scan would have committed before it.  MIN
+  and VAL never compare, so they commit in a single wave.
 * **Switch arbitration** batches only decisions that are independent
   within a cycle (each output port touches its own queues, credits and
-  round-robin pointer); the per-flit tail work runs in ascending
-  flat-port order -- precisely the scalar visit order -- so sample
-  order, ring order and every downstream FIFO order match.
+  round-robin pointer); winners stay in ascending flat-port order, so
+  sample order, ring order and every downstream FIFO order match.
+* **FIFO order** survives batching because :meth:`LinkedFifos.append`
+  sorts a batch by slot *stably*: rows bound for one queue keep their
+  batch order, which is the scalar append order.
 * **Credit delivery** applies as one duplicate-safe scatter-add per
-  cycle (plain path; UGAL-L_CR's round-trip sensing stays per event).
+  cycle.  UGAL-L_CR's credit round-trip sensing is the one sequential
+  residue: its CTQ stamps are appended per event, and its credit
+  delivery hands each cycle's events to the scalar per-event loop.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -74,8 +106,7 @@ from .decide_kernel import (
     kernel_ineligibility,
     lower_traffic,
 )
-from .packet import Packet
-from .simulator import Simulator, SimulatorStateError
+from .simulator import Simulator, SimulatorStateError, SimulatorStateView
 from .stats import LatencySample
 
 
@@ -100,27 +131,207 @@ def transplant_rng(rng: random.Random) -> np.random.RandomState:
     return np_rng
 
 
-#: Per-flit columnar state of the decide kernel.  A flit is an int id
-#: indexing these; ids are recycled through a free list at ejection.
+class LinkedFifos:
+    """``num_slots`` FIFOs of integer item ids as one linked list.
+
+    ``head[slot]`` is the oldest item of a slot (-1 when the FIFO is
+    empty), ``tail[slot]`` the newest (meaningful only while the FIFO is
+    non-empty), and ``next[item]`` the item queued behind ``item`` (-1
+    at the tail).  The list is intrusive: an item is a row id of the
+    caller's column store, lives in at most one FIFO of this instance at
+    a time, and the caller :meth:`reserve`\\ s link capacity as its store
+    grows.
+    """
+
+    __slots__ = ("head", "tail", "next")
+
+    def __init__(self, num_slots: int, capacity: int) -> None:
+        self.head = np.full(num_slots, -1, dtype=np.int64)
+        self.tail = np.full(num_slots, -1, dtype=np.int64)
+        self.next = np.full(capacity, -1, dtype=np.int64)
+
+    def reserve(self, capacity: int) -> None:
+        """Make item ids below ``capacity`` linkable."""
+        if capacity > self.next.shape[0]:
+            grown = np.full(capacity, -1, dtype=np.int64)
+            grown[: self.next.shape[0]] = self.next
+            self.next = grown
+
+    def append(self, slots: np.ndarray, items: np.ndarray) -> None:
+        """Append ``items[i]`` to FIFO ``slots[i]``, in batch order.
+
+        Slots may repeat: items bound for the same FIFO are queued in
+        their batch order.  The batch is sorted by slot (stably), each
+        run of equal slots is chained internally, and the chains are
+        spliced onto the slots' tails.
+        """
+        count = items.shape[0]
+        if count == 0:
+            return
+        link = self.next
+        link[items] = -1
+        # Stable sort by slot.  The batch position in the low bits makes
+        # every key unique, so numpy's fast unstable sort cannot reorder
+        # the items of one slot.
+        shift = count.bit_length()
+        key = (slots << shift) | np.arange(count, dtype=np.int64)
+        key.sort()
+        items = items[key & ((1 << shift) - 1)]
+        slots = key >> shift
+        starts_run = np.empty(count, dtype=np.bool_)
+        starts_run[0] = True
+        np.not_equal(slots[1:], slots[:-1], out=starts_run[1:])
+        follows = (~starts_run).nonzero()[0]
+        link[items[follows - 1]] = items[follows]
+        first = starts_run.nonzero()[0]
+        last = np.empty_like(first)
+        last[:-1] = first[1:] - 1
+        last[-1] = count - 1
+        self._splice(slots[first], items[first], items[last])
+
+    def append_distinct(self, slots: np.ndarray, items: np.ndarray) -> None:
+        """:meth:`append` for a batch whose ``slots`` do not repeat."""
+        self.next[items] = -1
+        self._splice(slots, items, items)
+
+    def _splice(
+        self, slots: np.ndarray, firsts: np.ndarray, lasts: np.ndarray
+    ) -> None:
+        """Hang one ``firsts[i]`` .. ``lasts[i]`` chain per distinct slot."""
+        occupied = self.head[slots] >= 0
+        self.next[self.tail[slots[occupied]]] = firsts[occupied]
+        vacant = ~occupied
+        self.head[slots[vacant]] = firsts[vacant]
+        self.tail[slots] = lasts
+
+    def pop(self, slots: np.ndarray) -> np.ndarray:
+        """Remove and return the heads of distinct, non-empty ``slots``."""
+        items = self.head[slots]
+        self.head[slots] = self.next[items]
+        return items
+
+    def to_lists(self) -> List[List[int]]:
+        """Every FIFO's items, oldest first (diagnostics, not hot path)."""
+        link = self.next.tolist()
+        queues = []
+        for item in self.head.tolist():
+            queue: List[int] = []
+            while item >= 0:
+                if len(queue) > len(link):
+                    raise SimulatorStateError(
+                        "FIFO links form a cycle: a queue is longer than "
+                        f"the {len(link)}-row store"
+                    )
+                queue.append(item)
+                item = link[item]
+            queues.append(queue)
+        return queues
+
+
+#: Per-row columnar state.  A row is a single-flit packet from creation
+#: to ejection; ids are recycled through a free stack.
 _FLIT_COLUMNS = (
+    # -- fixed at packet creation ---------------------------------------
     ("dst", np.int64),              # destination terminal
     ("dst_router", np.int64),       # its router (gather-friendly)
+    ("src_terminal", np.int64),     # source terminal (reply addressing)
+    ("origin_creation", np.int64),  # creation time of the sample origin
+    ("measured", np.bool_),         # tagged for latency sampling
+    ("vc_off", np.int64),           # 3 * vc_class network-VC offset
+    ("pkt", np.int64),              # packet index (error messages)
+    # -- the route decision, pinned once made ---------------------------
+    ("decided", np.bool_),          # the columns below are valid
+    ("port", np.int64),             # first hop at the source router
+    ("vc", np.int64),               # ... and its raw VC
     ("hop0", np.int64),             # phase-0 hop-table key, -1 if none
     ("hop1", np.int64),             # phase-1 hop-table key, -1 if none
     ("minimal", np.bool_),          # RoutePlan.minimal of the decision
-    ("measured", np.bool_),         # tagged for latency sampling
+    # -- in-network progress --------------------------------------------
     ("progress", np.int64),         # global hops taken
     ("next_progress", np.int64),    # progress after the queued hop
-    ("in_idx", np.int64),           # input VC slot holding the flit
+    ("in_idx", np.int64),           # input VC slot holding the row
     ("up_credit", np.int64),        # upstream credit slot, -1 at source
-    ("up_pidx", np.int64),          # upstream flat port (CR sensing)
     ("up_lat", np.int64),           # upstream channel latency
     ("on_global", np.bool_),        # arrived over a global channel
-    ("vc_off", np.int64),           # 3 * vc_class network-VC offset
-    ("origin_creation", np.int64),  # creation time of the sample origin
-    ("src_terminal", np.int64),     # source terminal (reply addressing)
-    ("pkt", np.int64),              # packet index (error messages)
 )
+
+
+_NO_EVENTS = np.zeros(0, dtype=np.int64)
+
+
+def _joined(chunks: List[np.ndarray]) -> np.ndarray:
+    """One ring slot's chunks as a single array."""
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks) if chunks else _NO_EVENTS
+
+
+class ArrayStateView(SimulatorStateView):
+    """:class:`SimulatorStateView` over the array layout.
+
+    Queues, ring events and port masks do not exist as Python objects in
+    :class:`ArraySimulator`; each accessor materialises them from the
+    arrays at call time, in the shapes the scalar view exposes, so an
+    audit still sees the live state -- including corruption injected in
+    place.
+    """
+
+    __slots__ = ()
+
+    @property
+    def out_q(self):
+        return self._sim._out_fifo.to_lists()
+
+    @property
+    def source_queue(self):
+        return self._sim._src_fifo.to_lists()
+
+    def _arrival_events(self, chunks) -> List[Tuple[int, int, int]]:
+        rows = _joined(chunks)
+        in_idx = self._sim._f_in_idx[rows]
+        return list(zip(
+            (in_idx // self._sim._rv).tolist(), in_idx.tolist(), rows.tolist()
+        ))
+
+    @property
+    def arrival_ring(self):
+        return [
+            self._arrival_events(chunks) for chunks in self._sim._arrival_ring
+        ]
+
+    def _credit_events(self, chunks) -> List[Tuple[int, int]]:
+        credits = _joined(chunks)
+        return list(zip(
+            credits.tolist(), (credits // self._sim._vcs).tolist()
+        ))
+
+    @property
+    def credit_ring(self):
+        return [self._credit_events(chunks) for chunks in self._sim._credit_ring]
+
+    @property
+    def credit_overflow(self):
+        return {
+            when: self._credit_events(chunks)
+            for when, chunks in self._sim._credit_overflow.items()
+        }
+
+    @property
+    def samples(self):
+        return self._sim._materialise_samples()
+
+    def active_port_mask(self, router: int) -> int:
+        radix = self._sim._radix
+        ports = np.flatnonzero(
+            self._sim._pending[router * radix:(router + 1) * radix]
+        )
+        return sum(1 << port for port in ports.tolist())
+
+    def router_marked_active(self, router: int) -> bool:
+        radix = self._sim._radix
+        return bool(
+            self._sim._pending[router * radix:(router + 1) * radix].any()
+        )
 
 
 class ArraySimulator(Simulator):
@@ -141,30 +352,25 @@ class ArraySimulator(Simulator):
                 "for it"
             )
         super().__init__(topology, routing, pattern, config)
-        # Counters the hot phases scan or scatter-add wholesale become
-        # int64 arrays: the switch probe reads ``_credits`` /
-        # ``_pending_vc`` / ``_rr_vc`` for every active port at once,
-        # and ``_pending`` / ``_buf_count`` batch-update everywhere but
-        # the sequential UGAL q-compare.  The fingerprint and sanitizer
-        # consume them through ``_as_tuple``-style iteration, which
-        # handles numpy transparently.
+        num_ports = self._num_routers * self._radix
+        num_slots = self._num_routers * self._rv
+        # Per-port and per-(port, VC) queue occupancy share one buffer:
+        # a UGAL comparison reads either kind through one gather, an
+        # injection wave updates both through one scatter-add.
+        self._occupancy = np.zeros(num_ports + num_slots, dtype=np.int64)
+        self._pending = self._occupancy[:num_ports]
+        self._pending_vc = self._occupancy[num_ports:]
         self._credits = np.asarray(self._credits, dtype=np.int64)
-        self._pending_vc = np.asarray(self._pending_vc, dtype=np.int64)
         self._rr_vc = np.asarray(self._rr_vc, dtype=np.int64)
-        self._pending = np.asarray(self._pending, dtype=np.int64)
         self._buf_count = np.asarray(self._buf_count, dtype=np.int64)
+        self._td = np.asarray(self._td, dtype=np.float64)
+        self._td_min = np.asarray(self._td_min, dtype=np.float64)
         #: True per flat port that has a network channel (ejection and
         #: unwired ports need no credit to forward).
         self._is_network = np.asarray(
             [info is not None for info in self._channel_info], dtype=bool
         )
-        self._port_shifts = np.arange(self._radix, dtype=np.int64)
-        #: Busy terminals: source queue non-empty.  Injection visits
-        #: busy terminals plus this cycle's Bernoulli winners instead of
-        #: scanning all N.
-        self._busy = np.asarray(
-            [bool(queue) for queue in self._source_queue], dtype=bool
-        )
+        self._slot_needs_no_credit = np.repeat(~self._is_network, self._vcs)
         # Continue the traffic RNG's exact stream in numpy, and prove
         # it on a probe draw: one double from a copy of each generator
         # must agree bit for bit.
@@ -180,26 +386,27 @@ class ArraySimulator(Simulator):
         # still sits at the scalar stream's position.
         self._mt_route = VectorizedMT19937.from_python_rng(self._rng_route)
         self._tables = DecideTables(topology, routing, config.num_vcs)
+        #: Terminals per dependency domain of the UGAL occupancy read:
+        #: the source router, or the whole source group for UGAL-G.
+        self._domain_size = self._tables.p * (
+            self._tables.a if self._tables.signal == "remote" else 1
+        )
         #: Batched destination draws for the lowered random patterns
         #: (``None`` keeps the per-packet ``pattern(src)`` call).  The
         #: transplant is sound because every destination draw goes
         #: through the batched injection pass.
         self._traffic_lowering = lower_traffic(self.pattern)
 
-        num_ports = self._num_routers * self._radix
-        ch_dstr = np.zeros(num_ports, np.int64)
         ch_dbase = np.zeros(num_ports, np.int64)
         ch_lat = np.zeros(num_ports, np.int64)
         ch_glob = np.zeros(num_ports, np.bool_)
         ch_cidx = np.zeros(num_ports, np.int64)
         for idx, info in enumerate(self._channel_info):
             if info is not None:
-                ch_dstr[idx] = info[0]
                 ch_dbase[idx] = info[1]
                 ch_lat[idx] = info[2]
                 ch_glob[idx] = info[3]
                 ch_cidx[idx] = info[4]
-        self._ch_dstr = ch_dstr
         self._ch_dbase = ch_dbase
         self._ch_lat = ch_lat
         self._ch_glob = ch_glob
@@ -212,44 +419,146 @@ class ArraySimulator(Simulator):
         )
         self._dst_router_np = np.asarray(self._dst_router, np.int64)
         self._terminal_router_np = np.asarray(self._terminal_router, np.int64)
-        # Flit columns: free-list allocation, capacity doubling.
+        self._inject_base_np = np.asarray(self._inject_base, np.int64)
+        self._eject_terminal_np = np.asarray(self._eject_terminal, np.int64)
+        #: Window flit counts per channel; ``_global_flits`` (the list
+        #: the result is built from) is filled in once at run end.
+        self._global_flit_counts = np.zeros(len(self._global_flits), np.int64)
+        #: Latency samples as (latency, minimal) column chunks, turned
+        #: into ``LatencySample`` objects once at result time.
+        self._sample_latency: List[np.ndarray] = []
+        self._sample_minimal: List[np.ndarray] = []
+
+        # Row store: free-stack allocation, capacity doubling.
         self._f_cap = 0
-        self._f_next = 0
-        self._f_free: List[int] = []
+        self._f_top = 0
+        self._free = np.zeros(0, np.int64)
+        self._free_count = 0
+        self._src_fifo = LinkedFifos(self._num_terminals, 0)
+        self._out_fifo = LinkedFifos(num_slots, 0)
         self._grow_columns(4096)
+        # The event rings keep their geometry and change their payload:
+        # a slot is a list of int64 chunks.
+        self._arrival_ring = [[] for _ in range(self._arrival_ring_size)]
+        self._credit_ring = [[] for _ in range(self._credit_ring_size)]
+        self._credit_overflow = {}
+        # Bulk mode: the base constructor queued the whole workload as
+        # Packet objects (consuming the pattern rng in scalar order);
+        # move it into rows.
+        queued = [
+            packet for queue in self._source_queue for packet in queue
+        ]
+        if queued:
+            self._packet_counter = 0
+            srcs = np.asarray(
+                [packet.src_terminal for packet in queued], np.int64
+            )
+            dsts = np.asarray(
+                [packet.dst_terminal for packet in queued], np.int64
+            )
+            self._src_fifo.append(
+                srcs, self._new_packets(srcs, dsts, creation=0, measured=True)
+            )
+        # The scalar engine's per-slot queue objects have no role here.
+        del self._source_queue, self._out_q
 
     def backend_provenance(self) -> Dict[str, str]:
         return {"backend": "array", "kernel": KERNEL_NAME}
 
+    def state_view(self) -> ArrayStateView:
+        return ArrayStateView(self)
+
+    # ------------------------------------------------------------------
+    # Row store
+    # ------------------------------------------------------------------
     def _grow_columns(self, need: int) -> None:
         new_cap = max(self._f_cap * 2, need, 4096)
         for name, dtype in _FLIT_COLUMNS:
             attr = "_f_" + name
-            old = getattr(self, attr, None)
             grown = np.zeros(new_cap, dtype)
-            if old is not None:
-                grown[: self._f_cap] = old
+            if self._f_cap:
+                grown[: self._f_cap] = getattr(self, attr)
             setattr(self, attr, grown)
+        free = np.zeros(new_cap, np.int64)
+        free[: self._free_count] = self._free[: self._free_count]
+        self._free = free
+        self._src_fifo.reserve(new_cap)
+        self._out_fifo.reserve(new_cap)
         self._f_cap = new_cap
+
+    def _alloc_rows(self, count: int) -> np.ndarray:
+        """``count`` unused row ids: recycled ones first, then fresh."""
+        recycled = min(count, self._free_count)
+        stop = self._free_count
+        rows = self._free[stop - recycled:stop].copy()
+        self._free_count = stop - recycled
+        if recycled < count:
+            top = self._f_top + count - recycled
+            if top > self._f_cap:
+                self._grow_columns(top)
+            rows = np.concatenate(
+                (rows, np.arange(self._f_top, top, dtype=np.int64))
+            )
+            self._f_top = top
+        return rows
+
+    def _new_packets(
+        self, srcs: np.ndarray, dsts: np.ndarray, creation: int, measured: bool
+    ) -> np.ndarray:
+        """Rows of one new packet per ``(srcs[i], dsts[i])``, numbered
+        in batch order; the caller queues them at their sources."""
+        count = srcs.shape[0]
+        rows = self._alloc_rows(count)
+        self._f_dst[rows] = dsts
+        self._f_dst_router[rows] = self._dst_router_np[dsts]
+        self._f_src_terminal[rows] = srcs
+        self._f_origin_creation[rows] = creation
+        self._f_measured[rows] = measured
+        self._f_vc_off[rows] = 0
+        self._f_pkt[rows] = np.arange(
+            self._packet_counter, self._packet_counter + count, dtype=np.int64
+        )
+        self._f_decided[rows] = False
+        self._packet_counter += count
+        return rows
+
+    # ------------------------------------------------------------------
+    # Once-per-run hooks of Simulator.run()
+    # ------------------------------------------------------------------
+    def _mean_source_queue_depth(self) -> float:
+        queues = self._src_fifo.to_lists()
+        return sum(map(len, queues)) / max(1, len(queues))
+
+    def _materialise_samples(self) -> List[LatencySample]:
+        """``_samples`` brought up to date with the sample columns."""
+        if self._sample_latency:
+            self._samples.extend(map(
+                LatencySample,
+                np.concatenate(self._sample_latency).tolist(),
+                np.concatenate(self._sample_minimal).tolist(),
+            ))
+            self._sample_latency.clear()
+            self._sample_minimal.clear()
+        return self._samples
+
+    def _finalise_measurement(self) -> None:
+        self._materialise_samples()
+        self._global_flits = self._global_flit_counts.tolist()
 
     # ------------------------------------------------------------------
     # Phase 1: arrivals
     # ------------------------------------------------------------------
     def _deliver_arrivals(self, now: int) -> None:
-        batch = self._arrival_ring[now % self._arrival_ring_size]
-        if not batch:
+        chunks = self._arrival_ring[now % self._arrival_ring_size]
+        if not chunks:
             return
-        n = len(batch)
-        arr = np.fromiter(
-            chain.from_iterable(batch), np.int64, count=3 * n
-        ).reshape(n, 3)
-        routers = arr[:, 0]
-        in_idx = arr[:, 1]
-        fids = arr[:, 2]
+        fids = _joined(chunks)
+        chunks.clear()
         tables = self._tables
         a = tables.a
         p = tables.p
-        radix = self._radix
+        in_idx = self._f_in_idx[fids]
+        routers = in_idx // self._rv
         prog = self._f_progress[fids]
         hk0 = self._f_hop0[fids]
         hk1 = self._f_hop1[fids]
@@ -280,305 +589,205 @@ class ArraySimulator(Simulator):
         )
         # Local and terminal ports never advance progress; global ports
         # (the top of the port range) always do.
-        nprog = prog + (port >= p + a - 1)
-        p_idx = routers * radix + port
+        self._f_next_progress[fids] = prog + (port >= p + a - 1)
+        p_idx = routers * self._radix + port
         is_net = self._is_network[p_idx]
-        out_vc = vc + self._f_vc_off[fids] * is_net
-        out_idx = p_idx * self._vcs + out_vc
-        self._f_in_idx[fids] = in_idx
-        self._f_next_progress[fids] = nprog
-        # Order-insensitive counter updates batch as scatter-adds; the
-        # FIFO appends stay a (minimal) loop in batch order == scalar
-        # order.  Port activation only needs the ports whose pending
-        # count crosses zero, read *before* the scatter.
-        np.add.at(self._pending_vc, out_idx, 1)
+        out_idx = p_idx * self._vcs + vc + self._f_vc_off[fids] * is_net
+        # Several arrivals may share an output port: scatter-add.
+        np.add.at(
+            self._occupancy,
+            np.concatenate((p_idx, out_idx + self._pending.shape[0])),
+            1,
+        )
         np.add.at(self._buf_count, in_idx, 1)
-        pending = self._pending
-        # Ports whose pending count crosses zero, read before the
-        # scatter; duplicates (two flits to one idle port) are fine --
-        # the activation below is idempotent.
-        newly = p_idx[pending[p_idx] == 0]
-        np.add.at(pending, p_idx, 1)
-        if newly.size:
-            active_mask = self._active_mask
-            active_routers = self._active_routers
-            for pi in newly.tolist():
-                router, out_port = divmod(pi, radix)
-                mask = active_mask[router]
-                if not mask:
-                    active_routers.add(router)
-                active_mask[router] = mask | (1 << out_port)
-        out_q = self._out_q
-        for oi, fid in zip(out_idx.tolist(), fids.tolist()):
-            out_q[oi].append(fid)
+        self._out_fifo.append(out_idx, fids)
         if self._credit_delay_enabled:
             ctq = self._ctq
-            for pi, net in zip(p_idx.tolist(), is_net.tolist()):
-                if net:
-                    ctq[pi].append(now)
-        batch.clear()
+            for pi in p_idx[is_net].tolist():
+                ctq[pi].append(now)
 
     # ------------------------------------------------------------------
     # Phase 1b: credit delivery (batched scatter-add)
     # ------------------------------------------------------------------
     def _deliver_credits(self, now: int) -> None:
+        chunks = self._credit_ring[now % self._credit_ring_size]
         if self._credit_delay_enabled:
             # UGAL-L_CR's round-trip sensing pops per-event CTQ stamps
             # and maintains running minima -- inherently sequential, so
-            # the scalar path keeps it.
-            return super()._deliver_credits(now)
-        batch = self._credit_ring[now % self._credit_ring_size]
-        if self._credit_overflow:
+            # the scalar loop keeps it: hand it this cycle's events in
+            # its own (credit slot, upstream port) layout.
             overflow = self._credit_overflow.pop(now, None)
             if overflow:
-                batch.extend(overflow)
-        if not batch:
+                chunks.extend(overflow)
+            if chunks:
+                events = _joined(chunks)
+                chunks[:] = zip(
+                    events.tolist(), (events // self._vcs).tolist()
+                )
+                super()._deliver_credits(now)
             return
-        np.add.at(
-            self._credits,
-            np.asarray([event[0] for event in batch], dtype=np.intp),
-            1,
-        )
-        batch.clear()
+        if chunks:
+            np.add.at(self._credits, _joined(chunks), 1)
+            chunks.clear()
 
     # ------------------------------------------------------------------
     # Phase 2: injection
     # ------------------------------------------------------------------
     def _inject(self, now: int) -> None:
-        """Batched decide, sequential commit.
+        """Batched decide, wave-ordered commit (module docstring).
 
-        Pass A walks the visit set in ascending-terminal order creating
-        this cycle's packets (pattern rng order preserved) and collects
-        the queue heads that still need a route decision.  Pass B
-        lowers all of those decisions at once
-        (:meth:`DecideTables.batch_decide` -- one rejection-sampled
-        Valiant draw per inter-group decider, in visit order).  Pass C
-        revisits the terminals in the same order, finishing each UGAL
-        decision with two live occupancy reads and committing the
-        injection; the pending counters update inline because the next
-        decision may read them.
+        New packets join their source FIFOs; every non-empty FIFO's head
+        is visited.  Heads without a pinned decision get one from
+        :meth:`DecideTables.batch_decide` (one rejection-sampled Valiant
+        draw per inter-group decider, in ascending-terminal order), the
+        UGAL comparisons finish wave by wave against live occupancy, and
+        every head whose injection slot has room commits.
         """
-        busy = self._busy
-        source_queue = self._source_queue
-        if self._bulk_mode:
-            visits_l = np.nonzero(busy)[0].tolist()
-            if not visits_l:
-                return
-            deciders: List[int] = []
-            dec_dsts: List[int] = []
-            for terminal in visits_l:
-                q = source_queue[terminal]
-                if q and q[0].plan is None:
-                    deciders.append(terminal)
-                    dec_dsts.append(q[0].dst_terminal)
-        else:
+        src = self._src_fifo
+        if not self._bulk_mode:
             config = self.config
-            packet_prob = config.load / config.packet_size
             draws = self._np_traffic.random_sample(self._num_terminals)
-            injecting = draws < packet_prob
-            visits = np.nonzero(injecting | busy)[0]
-            if visits.size == 0:
-                return
-            pattern = self.pattern
-            tagged_window = self._measure_start <= now < self._measure_end
-            counter = self._packet_counter
-            visits_l = visits.tolist()
-            deciders = []
-            dec_dsts = []
-            lowering = self._traffic_lowering
-            batched_dsts = None
-            if lowering is not None:
-                # Ascending injecting terminals == the order the scalar
-                # loop below calls ``pattern(terminal)``, so one batched
-                # draw replays the whole cycle's destinations.
-                inj = np.nonzero(injecting)[0]
-                if inj.size:
-                    batched_dsts = lowering.batch(inj).tolist()
-            di = 0
-            for terminal, injects in zip(
-                visits_l, injecting[visits].tolist()
-            ):
-                if injects:
-                    if batched_dsts is None:
-                        dst = pattern(terminal)
-                    else:
-                        dst = batched_dsts[di]
-                        di += 1
-                    packet = Packet(
-                        counter, terminal, dst, now, 1,
-                        None, tagged_window,
-                    )
-                    counter += 1
-                    source_queue[terminal].append(packet)
-                q = source_queue[terminal]
-                if q and q[0].plan is None:
-                    deciders.append(terminal)
-                    dec_dsts.append(q[0].dst_terminal)
-            if tagged_window:
-                self._outstanding_tagged += counter - self._packet_counter
-            self._packet_counter = counter
-
-        if deciders:
-            dsts = np.asarray(dec_dsts, np.int64)
-            b = self._tables.batch_decide(
-                self._mt_route,
-                self._terminal_router_np[deciders],
-                dsts,
-                self._dst_router_np[dsts],
-            )
-            # Candidate A rows as ready-made decision tuples (zip runs
-            # in C; indexing one list beats six in the hot loop below).
-            a_dec = list(
-                zip(b.a_port, b.a_vc, b.a_hk0, b.a_hk1, b.a_min, b.a_key)
-            )
-            mode = b.mode
-            use_vc = b.use_vc
-            qa = b.qa
-            qb = b.qb
-            hm = b.hm
-            hn = b.hn
-            b_port = b.b_port
-            b_vc = b.b_vc
-            b_hk0 = b.b_hk0
-            b_hk1 = b.b_hk1
-            b_key = b.b_key
-
-        # Pass C: sequential injection attempts, ascending terminals.
-        tables = self._tables
-        pending = self._pending
-        pending_vc = self._pending_vc
-        buf_count = self._buf_count
-        depth = self._depth
-        inject_base = self._inject_base
-        terminal_router = self._terminal_router
-        radix = self._radix
-        vcs = self._vcs
-        p_cut = tables.p + tables.a - 1  # first global port
-        channel_info = self._channel_info
-        credit_delay = self._credit_delay_enabled
-        ctq = self._ctq
-        out_q = self._out_q
-        active_mask = self._active_mask
-        active_routers = self._active_routers
-        free = self._f_free
-        next_id = self._f_next
-        di = 0
-        rows: List[tuple] = []
-        # ndarray.item() returns plain Python ints -- the per-visit
-        # reads below then run int arithmetic instead of boxed numpy
-        # scalar ufunc calls (3-4x faster at this call volume).
-        bc_item = buf_count.item
-        pd_item = pending.item
-        pv_item = pending_vc.item
-        for terminal in visits_l:
-            q = source_queue[terminal]
-            if not q:
-                busy[terminal] = False
-                continue
-            packet = q[0]
-            if packet.plan is None:
-                # Consume decision ``di``; finish UGAL against the live
-                # occupancy counters (mutated by earlier iterations).
-                if mode[di]:
-                    if use_vc[di]:
-                        q_a = pv_item(qa[di])
-                        q_b = pv_item(qb[di])
-                    else:
-                        q_a = pd_item(qa[di])
-                        q_b = pd_item(qb[di])
-                    if q_a * hm[di] <= q_b * hn[di]:
-                        decision = a_dec[di]
-                    else:
-                        decision = (
-                            b_port[di], b_vc[di], b_hk0[di], b_hk1[di],
-                            False, b_key[di],
-                        )
+            inj = (draws < config.load / config.packet_size).nonzero()[0]
+            if inj.shape[0]:
+                lowering = self._traffic_lowering
+                if lowering is not None:
+                    # Ascending injecting terminals == the order the
+                    # scalar loop calls ``pattern(terminal)``, so one
+                    # batched draw replays the cycle's destinations.
+                    dsts = lowering.batch(inj)
                 else:
-                    decision = a_dec[di]
-                di += 1
-                fresh = True
-            else:
-                decision = packet.hop_assignment[-1]
-                fresh = False
-            port, vc, hk0, hk1, minimal, key = decision
-            in_idx = inject_base[terminal] + vc
-            if depth - bc_item(in_idx) < 1:
-                if fresh:
-                    # Blocked: pin the decision on the packet exactly as
-                    # the scalar engine pins the decided plan, so the
-                    # retry neither redraws rng nor re-reads occupancy.
-                    packet.plan = tables.plan_for(key, minimal)
-                    packet.hop_assignment[-1] = decision
-                busy[terminal] = True
-                continue
-            q.popleft()
-            router = terminal_router[terminal]
-            p_idx = router * radix + port
-            vc_class = packet.vc_class
-            if vc_class and channel_info[p_idx] is not None:
-                out_idx = p_idx * vcs + vc + 3 * vc_class
-            else:
-                out_idx = p_idx * vcs + vc
-            if credit_delay and channel_info[p_idx] is not None:
-                ctq[p_idx].append(now)
-            buf_count[in_idx] = bc_item(in_idx) + 1
-            if free:
-                fid = free.pop()
-            else:
-                fid = next_id
-                next_id += 1
-            out_q[out_idx].append(fid)
-            count = pd_item(p_idx) + 1
-            pending[p_idx] = count
-            if count == 1:
-                mask = active_mask[router]
-                if not mask:
-                    active_routers.add(router)
-                active_mask[router] = mask | (1 << port)
-            pending_vc[out_idx] = pv_item(out_idx) + 1
-            busy[terminal] = bool(q)
-            request = packet.request
-            rows.append((
-                fid, packet.dst_terminal, hk0, hk1, minimal,
-                packet.measured, in_idx, port,
-                # Ungated network-VC offset: the channel gate applies
-                # per hop (in arrivals); zero must mean "request class".
-                3 * vc_class,
-                request.creation_time if request is not None
-                else packet.creation_time,
-                packet.src_terminal, packet.index,
-            ))
-        self._f_next = next_id
-        if not rows:
+                    dsts = np.fromiter(
+                        map(self.pattern, inj.tolist()), np.int64, inj.shape[0]
+                    )
+                tagged = self._measure_start <= now < self._measure_end
+                src.append_distinct(
+                    inj, self._new_packets(inj, dsts, now, tagged)
+                )
+                if tagged:
+                    self._outstanding_tagged += inj.shape[0]
+        visits = (src.head >= 0).nonzero()[0]
+        count = visits.shape[0]
+        if count == 0:
             return
-        if next_id > self._f_cap:
-            self._grow_columns(next_id)
-        (
-            c_fid, c_dst, c_hk0, c_hk1, c_min, c_meas,
-            c_in, c_port, c_voff, c_orig, c_src, c_pkt,
-        ) = zip(*rows)
-        # Batched column writes (fancy-index stores beat ~17 scalar
-        # numpy writes per flit by an order of magnitude).
-        fa = np.asarray(c_fid, np.int64)
-        dst_a = np.asarray(c_dst, np.int64)
-        self._f_dst[fa] = dst_a
-        self._f_dst_router[fa] = self._dst_router_np[dst_a]
-        self._f_hop0[fa] = c_hk0
-        self._f_hop1[fa] = c_hk1
-        self._f_minimal[fa] = c_min
-        self._f_measured[fa] = c_meas
-        self._f_progress[fa] = 0
-        self._f_next_progress[fa] = np.asarray(c_port, np.int64) >= p_cut
-        self._f_in_idx[fa] = c_in
-        self._f_up_credit[fa] = -1
-        self._f_on_global[fa] = False
-        self._f_vc_off[fa] = c_voff
-        self._f_origin_creation[fa] = c_orig
-        self._f_src_terminal[fa] = c_src
-        self._f_pkt[fa] = c_pkt
+        heads = src.head[visits]
+        routers = self._terminal_router_np[visits]
+        num_ports = self._pending.shape[0]
+
+        # Decide the fresh heads; candidate A goes onto the rows at once
+        # (it is the decision unless a comparison picks B below).
+        fresh = (~self._f_decided[heads]).nonzero()[0]
+        compares = np.zeros(count, dtype=np.bool_)
+        if fresh.shape[0]:
+            fresh_rows = heads[fresh]
+            batch = self._tables.batch_decide(
+                self._mt_route,
+                routers[fresh],
+                self._f_dst[fresh_rows],
+                self._f_dst_router[fresh_rows],
+            )
+            self._f_decided[fresh_rows] = True
+            self._f_port[fresh_rows] = batch.a_port
+            self._f_vc[fresh_rows] = batch.a_vc
+            self._f_hop0[fresh_rows] = batch.a_hk0
+            self._f_hop1[fresh_rows] = batch.a_hk1
+            self._f_minimal[fresh_rows] = batch.a_min
+            compares[fresh] = batch.mode
+
+        # Both candidates' commit footprint, candidate-major: flat
+        # position ``c * count + i`` is visit ``i`` taking candidate
+        # ``c``.  Only comparing visits have a meaningful candidate 1.
+        port2 = np.zeros((2, count), dtype=np.int64)
+        vc2 = np.zeros((2, count), dtype=np.int64)
+        port2[0] = self._f_port[heads]
+        vc2[0] = self._f_vc[heads]
+        any_compare = bool(compares.any())
+        if any_compare:
+            port2[1, fresh] = batch.b_port
+            vc2[1, fresh] = batch.b_vc
+        in2 = self._inject_base_np[visits] + vc2
+        has_room = (self._buf_count[in2] < self._depth).ravel()
+        p2 = routers * self._radix + port2
+        out2 = p2 * self._vcs + vc2
+        if self._request_reply:
+            # Ungated on the row: the network-VC offset applies per hop,
+            # only on network channels (zero must mean "request class").
+            out2 += self._f_vc_off[heads] * self._is_network[p2]
+        in_flat = in2.ravel()
+        port_flat = port2.ravel()
+        # Occupancy-buffer indices a commit increments: its output port
+        # and its output (port, VC) slot.
+        footprint = np.stack((p2.ravel(), out2.ravel() + num_ports))
+        occupancy = self._occupancy
+        choice = np.zeros(count, dtype=np.int64)
+
+        if not any_compare:
+            # Nothing reads occupancy this cycle: one wave.
+            taken = has_room[:count].nonzero()[0]
+            np.add.at(occupancy, footprint[:, taken], 1)
+        else:
+            qa = np.zeros(count, dtype=np.int64)
+            qb = np.zeros(count, dtype=np.int64)
+            hm = np.zeros(count, dtype=np.int64)
+            hn = np.zeros(count, dtype=np.int64)
+            qa[fresh] = batch.qa + num_ports * batch.use_vc
+            qb[fresh] = batch.qb + num_ports * batch.use_vc
+            hm[fresh] = batch.hm
+            hn[fresh] = batch.hn
+            # Wave = comparing visits at or before this one in its
+            # domain.  Domains are runs of ``visits`` (terminals are
+            # numbered router by router, group by group).
+            domain = visits // self._domain_size
+            running = np.cumsum(compares)
+            opens = np.empty(count, dtype=np.bool_)
+            opens[0] = True
+            np.not_equal(domain[1:], domain[:-1], out=opens[1:])
+            before_domain = (running - compares)[opens]
+            wave = running - before_domain[np.cumsum(opens) - 1]
+            for k in range(int(wave.max()) + 1):
+                members = (wave == k).nonzero()[0]
+                takes_b = compares[members] & (
+                    occupancy[qa[members]] * hm[members]
+                    > occupancy[qb[members]] * hn[members]
+                )
+                choice[members] = takes_b
+                taken = members + count * takes_b
+                taken = taken[has_room[taken]]
+                np.add.at(occupancy, footprint[:, taken], 1)
+            # Comparisons that picked the Valiant candidate re-pin it.
+            picked_b = choice[fresh].nonzero()[0]
+            if picked_b.shape[0]:
+                rows = heads[fresh[picked_b]]
+                self._f_port[rows] = batch.b_port[picked_b]
+                self._f_vc[rows] = batch.b_vc[picked_b]
+                self._f_hop0[rows] = batch.b_hk0[picked_b]
+                self._f_hop1[rows] = batch.b_hk1[picked_b]
+                self._f_minimal[rows] = False
+
+        # Commit, ascending terminals: heads with room leave their
+        # source FIFO for the output queue of their first hop.
+        flat = np.arange(count) + count * choice
+        flat = flat[has_room[flat]]
+        if flat.shape[0] == 0:
+            return
+        fids = src.pop(visits[flat % count])
+        in_idx = in_flat[flat]
+        self._buf_count[in_idx] += 1
+        self._f_progress[fids] = 0
+        self._f_next_progress[fids] = (
+            port_flat[flat] >= self._tables.p + self._tables.a - 1
+        )
+        self._f_in_idx[fids] = in_idx
+        self._f_up_credit[fids] = -1
+        self._f_on_global[fids] = False
+        self._out_fifo.append(footprint[1, flat] - num_ports, fids)
+        if self._credit_delay_enabled:
+            ctq = self._ctq
+            p_idx = footprint[0, flat]
+            for pi in p_idx[self._is_network[p_idx]].tolist():
+                ctq[pi].append(now)
 
     # ------------------------------------------------------------------
-    # Phase 3: switch (vectorized arbitration, ordered per-flit tail)
+    # Phase 3: switch (vectorized arbitration, ordered batch tail)
     # ------------------------------------------------------------------
     def _arbitrate(self):
         """Batched output-port arbitration over the active set.
@@ -589,43 +798,32 @@ class ArraySimulator(Simulator):
         are independent within a cycle (each port reads and writes only
         its own slots), so batching cannot reorder anything observable.
         """
-        active = self._active_routers
-        if not active:
+        # Ascending flat-port order is the scalar visit order (sorted
+        # routers, ascending ports), which sample ordering and the
+        # golden fixtures depend on.
+        act = self._pending.nonzero()[0]
+        if act.shape[0] == 0:
             return None
-        radix = self._radix
-        masks = self._active_mask
-        # Snapshot the active ports in ascending flat-port order -- the
-        # scalar visit order (sorted routers, ascending ports), which
-        # sample ordering and the golden fixtures depend on.  Expanding
-        # the per-router bitmasks as a (router, port) bit matrix keeps
-        # the scan in numpy: 2-D nonzero yields row-major order, i.e.
-        # exactly the ascending (router, port) sequence.
-        routers = np.fromiter(active, np.int64, len(active))
-        routers.sort()
-        mask_arr = np.asarray([masks[r] for r in routers.tolist()], np.int64)
-        ri, pi = np.nonzero((mask_arr[:, None] >> self._port_shifts) & 1)
-        act = routers[ri] * radix + pi
         vcs = self._vcs
         credits = self._credits
         pending_vc = self._pending_vc
+        # A VC can forward iff it has queued flits and (ejection port,
+        # or downstream credit available) -- the scalar loop's
+        # conditions verbatim, evaluated for every slot at once.
+        eligible = (pending_vc > 0) & (
+            self._slot_needs_no_credit | (credits > 0)
+        )
+        # Round-robin VC probe, all active ports at once: at each offset
+        # of the rotation, a port still unselected takes that VC if it
+        # is eligible.
         rr = self._rr_vc[act]
         slot_base = act * vcs
-        needs_no_credit = ~self._is_network[act]
-        # Round-robin VC probe, all active ports at once: for each
-        # offset in the rotation, a port still unselected takes this VC
-        # iff the VC has queued flits and (ejection port, or downstream
-        # credit available) -- the scalar loop's conditions verbatim.
-        selected_vc = np.full(act.size, -1, dtype=np.int64)
+        selected_vc = np.full(act.shape[0], -1, dtype=np.int64)
         for offset in range(vcs):
             vc = rr + offset
-            vc[vc >= vcs] -= vcs
-            slot = slot_base + vc
-            take = (
-                (selected_vc < 0)
-                & (pending_vc[slot] > 0)
-                & (needs_no_credit | (credits[slot] > 0))
-            )
-            selected_vc[take] = vc[take]
+            vc -= vcs * (vc >= vcs)
+            take = eligible[slot_base + vc] & (selected_vc < 0)
+            selected_vc = np.where(take, vc, selected_vc)
         chosen = selected_vc >= 0
         if not chosen.any():
             return None
@@ -636,178 +834,139 @@ class ArraySimulator(Simulator):
         # flit, network ports additionally consume one downstream
         # credit, and the round-robin pointer advances past the winner.
         pending_vc[out_idx] -= 1
+        self._pending[ports] -= 1
         credits[out_idx] -= self._is_network[ports]
         next_rr = vc_sel + 1
         next_rr[next_rr >= vcs] = 0
         self._rr_vc[ports] = next_rr
         return ports, vc_sel, out_idx
 
+    def _return_credits(
+        self, now: int, ports: np.ndarray, fa: np.ndarray, is_net: np.ndarray
+    ) -> None:
+        """Schedule the upstream credit of every forwarded row."""
+        upc = self._f_up_credit[fa]
+        offsets = self._f_up_lat[fa]
+        size = self._credit_ring_size
+        ring = self._credit_ring
+        if not self._credit_delay_enabled:
+            # The offset is the upstream latency, always within the
+            # ring, and takes only a few distinct values.  Distinct
+            # offsets land in distinct slots (latencies differ by less
+            # than the ring size).
+            for offset in self._distinct_lats:
+                credits = upc[(upc >= 0) & (offsets == offset)]
+                if credits.shape[0]:
+                    ring[(now + offset) % size].append(credits)
+            return
+        # UGAL-L_CR: credits that do not cross a global channel are
+        # delayed by the round-trip excess of the port the row leaves
+        # through, which can push them past the ring horizon.
+        excess = self._td[ports] - self._td_min[ports // self._radix]
+        delayed = is_net & ~self._f_on_global[fa] & (excess > 0)
+        offsets = offsets + np.where(
+            delayed, (self._credit_gain * excess).astype(np.int64), 0
+        )
+        valid = upc >= 0
+        upc = upc[valid]
+        offsets = offsets[valid]
+        for offset in np.unique(offsets).tolist():
+            credits = upc[offsets == offset]
+            if offset <= size:
+                ring[(now + offset) % size].append(credits)
+            else:
+                self._credit_overflow.setdefault(now + offset, []).append(
+                    credits
+                )
+
     def _switch(self) -> None:
         won = self._arbitrate()
         if won is None:
             return
         ports, vc_sel, out_idx = won
-        radix = self._radix
         now = self.now
         measuring = self._measure_start <= now < self._measure_end
-        out_q = self._out_q
-        # Dequeue in ascending port order; pending decrements batch
-        # (each winner is a distinct port) and only ports drained to
-        # zero need the active-set walk.
-        fa = np.asarray(
-            [out_q[slot].popleft() for slot in out_idx.tolist()], np.int64
-        )
-        pending = self._pending
-        pending[ports] -= 1
-        drained = ports[pending[ports] == 0]
-        if drained.size:
-            masks = self._active_mask
-            active = self._active_routers
-            for p_idx in drained.tolist():
-                router, out_port = divmod(p_idx, radix)
-                left = masks[router] & ~(1 << out_port)
-                masks[router] = left
-                if not left:
-                    active.discard(router)
+        fa = self._out_fifo.pop(out_idx)
+        # Two winners may vacate the same input slot (scatter-subtract).
         np.subtract.at(self._buf_count, self._f_in_idx[fa], 1)
-        # Upstream credit returns, in port order over every winner
-        # (ejecting flits return credits too).  Gather the upstream
-        # columns *before* the forward stores below overwrite them.
-        upc = self._f_up_credit[fa]
-        upp = self._f_up_pidx[fa]
-        upl = self._f_up_lat[fa]
         is_net = self._is_network[ports]
-        credit_ring = self._credit_ring
-        credit_ring_size = self._credit_ring_size
-        if self._credit_delay_enabled:
-            # Per-event path: the round-trip excess adjustment can push
-            # a credit past the ring horizon, and offsets vary per port.
-            td = self._td
-            td_min = self._td_min
-            credit_gain = self._credit_gain
-            upc_l = upc.tolist()
-            upp_l = upp.tolist()
-            upl_l = upl.tolist()
-            og_l = self._f_on_global[fa].tolist()
-            net_l = is_net.tolist()
-            for j, p_idx in enumerate(ports.tolist()):
-                credit_idx = upc_l[j]
-                if credit_idx < 0:
-                    continue
-                offset = upl_l[j]
-                if net_l[j] and not og_l[j]:
-                    excess = td[p_idx] - td_min[p_idx // radix]
-                    if excess > 0:
-                        offset += int(credit_gain * excess)
-                if offset <= credit_ring_size:
-                    credit_ring[(now + offset) % credit_ring_size].append(
-                        (credit_idx, upp_l[j])
-                    )
-                else:
-                    overflow = self._credit_overflow
-                    batch = overflow.get(now + offset)
-                    if batch is None:
-                        overflow[now + offset] = [(credit_idx, upp_l[j])]
-                    else:
-                        batch.append((credit_idx, upp_l[j]))
-        else:
-            # Plain path: the offset is the upstream latency, always
-            # within the ring, and takes only a few distinct values --
-            # group by value and bulk-append.  Distinct offsets land in
-            # distinct slots (latencies differ by less than the ring
-            # size), so each slot receives its events in port order.
-            valid = np.nonzero(upc >= 0)[0]
-            if valid.size:
-                upcv = upc[valid]
-                uppv = upp[valid]
-                uplv = upl[valid]
-                for offset in self._distinct_lats:
-                    sel = uplv == offset
-                    if sel.any():
-                        credit_ring[(now + offset) % credit_ring_size].extend(
-                            zip(upcv[sel].tolist(), uppv[sel].tolist())
-                        )
+        # Upstream credit returns read the rows' upstream columns
+        # *before* the forward stores below overwrite them.
+        self._return_credits(now, ports, fa, is_net)
         # Forwards: batched column stores, then ring appends grouped by
-        # latency (same distinct-slot argument as the credits above).
-        fwd = np.nonzero(is_net)[0]
-        if fwd.size:
+        # latency (distinct latencies land in distinct slots).
+        fwd = is_net.nonzero()[0]
+        if fwd.shape[0]:
             fwd_f = fa[fwd]
             fwd_p = ports[fwd]
             lat = self._ch_lat[fwd_p]
             glob = self._ch_glob[fwd_p]
             self._f_progress[fwd_f] = self._f_next_progress[fwd_f]
             self._f_up_credit[fwd_f] = out_idx[fwd]
-            self._f_up_pidx[fwd_f] = fwd_p
             self._f_up_lat[fwd_f] = lat
             self._f_on_global[fwd_f] = glob
+            self._f_in_idx[fwd_f] = self._ch_dbase[fwd_p] + vc_sel[fwd]
             if measuring:
-                global_flits = self._global_flits
-                for channel_index in self._ch_cidx[fwd_p[glob]].tolist():
-                    global_flits[channel_index] += 1
-            arrival_ring = self._arrival_ring
-            arrival_ring_size = self._arrival_ring_size
-            dstr = self._ch_dstr[fwd_p]
-            din = self._ch_dbase[fwd_p] + vc_sel[fwd]
+                # Winners are distinct ports, hence distinct channels.
+                self._global_flit_counts[self._ch_cidx[fwd_p[glob]]] += 1
             for latency in self._distinct_lats:
-                sel = lat == latency
-                if sel.any():
-                    arrival_ring[(now + latency) % arrival_ring_size].extend(
-                        zip(
-                            dstr[sel].tolist(),
-                            din[sel].tolist(),
-                            fwd_f[sel].tolist(),
-                        )
-                    )
-        # Ejections: scalar eject semantics from flit columns, in
-        # ascending port order (sample order is part of bit-identity).
-        ej = np.nonzero(~is_net)[0]
-        if ej.size:
-            ej_f = fa[ej]
-            ej_p_l = ports[ej].tolist()
-            dst_l = self._f_dst[ej_f].tolist()
-            meas_l = self._f_measured[ej_f].tolist()
-            min_l = self._f_minimal[ej_f].tolist()
-            orig_l = self._f_origin_creation[ej_f].tolist()
-            src_l = self._f_src_terminal[ej_f].tolist()
-            voff_l = self._f_vc_off[ej_f].tolist()
-            pkt_l = self._f_pkt[ej_f].tolist()
-            eject_terminal = self._eject_terminal
-            terminal_latency = self._terminal_latency
-            request_reply = self._request_reply
-            samples = self._samples
-            source_queue = self._source_queue
-            busy = self._busy
-            eject_time = now + terminal_latency
-            for j, p_idx in enumerate(ej_p_l):
-                dst = dst_l[j]
-                if eject_terminal[p_idx] != dst:
-                    raise SimulatorStateError(
-                        f"packet {pkt_l[j]} for terminal {dst} ejected at "
-                        f"router {p_idx // radix} port {p_idx % radix} "
-                        "(misrouted)"
-                    )
-                if request_reply and voff_l[j] == 0:
-                    # The request stays open until its reply lands;
-                    # spawn the reply at the destination NIC.  The
-                    # reply's creation_time carries the *request's*
-                    # creation forward -- the only thing the latency
-                    # sample at reply ejection needs from the request.
-                    reply = Packet(
-                        self._packet_counter, dst, src_l[j], orig_l[j], 1,
-                        None, meas_l[j], 1,
-                    )
-                    self._packet_counter += 1
-                    source_queue[dst].append(reply)
-                    busy[dst] = True
-                elif meas_l[j]:
-                    self._outstanding_tagged -= 1
-                    samples.append(
-                        LatencySample(
-                            latency=eject_time - orig_l[j],
-                            minimal=min_l[j],
-                        )
-                    )
-            self._flits_delivered += len(ej_p_l)
-            if measuring:
-                self._ejected_flits_in_window += len(ej_p_l)
-            self._f_free.extend(ej_f.tolist())
+                arriving = fwd_f[lat == latency]
+                if arriving.shape[0]:
+                    self._arrival_ring[
+                        (now + latency) % self._arrival_ring_size
+                    ].append(arriving)
+        ej = (~is_net).nonzero()[0]
+        if ej.shape[0]:
+            self._eject_rows(now, ports[ej], fa[ej], measuring)
+
+    def _eject_rows(
+        self, now: int, ports: np.ndarray, fids: np.ndarray, measuring: bool
+    ) -> None:
+        """Scalar eject semantics over rows, in ascending port order
+        (sample order is part of bit-identity)."""
+        dst = self._f_dst[fids]
+        misrouted = (self._eject_terminal_np[ports] != dst).nonzero()[0]
+        if misrouted.shape[0]:
+            first = int(misrouted[0])
+            p_idx = int(ports[first])
+            raise SimulatorStateError(
+                f"packet {int(self._f_pkt[fids[first]])} for terminal "
+                f"{int(dst[first])} ejected at router {p_idx // self._radix} "
+                f"port {p_idx % self._radix} (misrouted)"
+            )
+        self._flits_delivered += fids.shape[0]
+        if measuring:
+            self._ejected_flits_in_window += fids.shape[0]
+        if self._request_reply:
+            # A request stays open until its reply lands: its row turns
+            # into the reply at the destination NIC, keeping the
+            # *request's* creation time -- the only thing the latency
+            # sample at reply ejection needs from the request.
+            is_request = self._f_vc_off[fids] == 0
+            requests = fids[is_request]
+            fids = fids[~is_request]
+            if requests.shape[0]:
+                repliers = dst[is_request]
+                askers = self._f_src_terminal[requests]
+                self._f_dst[requests] = askers
+                self._f_dst_router[requests] = self._dst_router_np[askers]
+                self._f_src_terminal[requests] = repliers
+                self._f_vc_off[requests] = 3
+                self._f_pkt[requests] = np.arange(
+                    self._packet_counter,
+                    self._packet_counter + requests.shape[0],
+                    dtype=np.int64,
+                )
+                self._f_decided[requests] = False
+                self._packet_counter += requests.shape[0]
+                self._src_fifo.append_distinct(repliers, requests)
+        sampled = fids[self._f_measured[fids]]
+        if sampled.shape[0]:
+            self._outstanding_tagged -= sampled.shape[0]
+            self._sample_latency.append(
+                now + self._terminal_latency - self._f_origin_creation[sampled]
+            )
+            self._sample_minimal.append(self._f_minimal[sampled])
+        stop = self._free_count + fids.shape[0]
+        self._free[self._free_count:stop] = fids
+        self._free_count = stop

@@ -9,10 +9,11 @@ The cycle-accurate engine has two interchangeable implementations:
     laws -- is defined against this engine.
 ``array``
     The batched numpy decide-kernel engine
-    (:class:`~repro.network.array_backend.ArraySimulator`): the
-    per-cycle scans (injection Bernoulli draws, route decisions, switch
-    port/VC arbitration, credit eligibility, counter updates) run as
-    masked array operations over the active sets.  Built for the
+    (:class:`~repro.network.array_backend.ArraySimulator`): every
+    per-cycle step (injection Bernoulli draws, route decisions and
+    their wave-ordered commit, queue appends and pops, switch port/VC
+    arbitration, credit returns, ejection) is an array operation over
+    that cycle's batch.  Built for the
     paper's 1056-node default scale (``p = h = 4, a = 8``) where the
     scalar engine's per-terminal/per-port Python overhead dominates.
 
@@ -37,7 +38,7 @@ The array backend is not allowed to be "roughly right": at matched
 seeds its :class:`~repro.network.stats.SimulationResult` is
 **bit-identical** to the scalar engine's on every configuration,
 asserted by the backend-differential harness
-(``tests/network/test_backend_differential.py``) over the 199-case
+(``tests/network/test_backend_differential.py``) over the 241-case
 corpus, the golden fixtures, and a Hypothesis shape fuzzer.  The kernel
 consumes the same RNG streams in the same order (Mersenne-Twister state
 transplanted verbatim into numpy, which reproduces CPython's

@@ -63,6 +63,10 @@ class SimulationConfig:
             raise ValueError(f"load must be in (0, 1], got {self.load}")
         if self.warmup_cycles < 0 or self.measure_cycles < 1:
             raise ValueError("invalid warmup/measurement window")
+        if self.drain_max_cycles < 0:
+            raise ValueError(
+                f"drain_max_cycles must be >= 0, got {self.drain_max_cycles}"
+            )
         if self.vc_buffer_depth < 1:
             raise ValueError("vc_buffer_depth must be >= 1")
         if self.num_vcs < 3:

@@ -17,12 +17,20 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   global link and the first-hop (port, VC) of both route phases for all
   ``a`` source routers of a group, using the canonical VC assignment --
   a decision then reduces to index arithmetic;
-* :meth:`DecideTables.batch_decide` evaluates one cycle's decisions,
-  returning per-decider candidate hops plus, for UGAL, the two queue
-  indices and hop counts of the ``q_m * H_m <= q_nm * H_nm`` comparison.
-  The comparison itself stays sequential in the caller: decisions made
-  earlier in the same cycle enqueue flits that *change* the occupancies
-  later decisions read, so the queue reads cannot be snapshotted;
+* :meth:`DecideTables.batch_decide` evaluates one cycle's decisions as
+  arrays end to end (:class:`DecideBatch`), returning per-decider
+  candidate hops plus, for UGAL, the two queue indices and hop counts of
+  the ``q_m * H_m <= q_nm * H_nm`` comparison.  The comparison is the
+  only intra-cycle dependency of injection, and it is *domain closed*:
+  the indices it reads never leave the decider's source router
+  (``kernel_signal`` ``port`` / ``vc`` / ``vc_hybrid``:
+  ``qa = srcs * radix + m_port``) or its source group (``remote``:
+  ``L_qidx[pair]`` with both pairs rooted at ``sg``), and an injection
+  only ever writes occupancy at its own source router.  Terminals of
+  different routers (groups) therefore commute, which is what lets
+  :class:`~repro.network.array_backend.ArraySimulator` finish the
+  comparisons in a few batched *waves* instead of one terminal at a
+  time;
 * :func:`lower_traffic` extends the same transplant to the random
   traffic patterns (uniform random, worst case, group tornado), so a
   cycle's destination draws -- one ``getrandbits`` rejection loop per
@@ -38,17 +46,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..routing import vc_assignment as vcs
 from ..routing.minimal import MinimalRouting
-from ..routing.paths import (
-    _INTRA_GROUP_MINIMAL,
-    memoised_minimal_plan,
-    memoised_valiant_plan,
-)
 from ..routing.tables import group_link_matrix
 from ..routing.ugal import UgalG, UgalL, UgalLCr, UgalLVc, UgalLVcH
 from ..routing.valiant import ValiantRouting
@@ -320,41 +323,61 @@ def lower_traffic(pattern) -> Optional[TrafficLowering]:
 
 @dataclass
 class DecideBatch:
-    """One cycle's lowered decisions as parallel Python lists.
+    """One cycle's lowered decisions as parallel numpy arrays.
 
-    ``mode[i] == 0`` means decision ``i`` is fully resolved: take
-    candidate A.  ``mode[i] == 1`` means a UGAL comparison remains: read
+    ``mode[i]`` false means decision ``i`` is fully resolved: take
+    candidate A.  ``mode[i]`` true means a UGAL comparison remains: read
     occupancies at ``qa[i]`` / ``qb[i]`` (per-VC when ``use_vc[i]``,
     whole-port otherwise) and take A iff ``q_a * hm[i] <= q_b * hn[i]``.
-    The reads are the caller's: they must happen in terminal-visit order
-    against *live* queue state.
+    The reads are the caller's: they must see every injection committed
+    earlier in the cycle *within the decider's dependency domain* (its
+    source router, or its source group for the ``remote`` signal) --
+    see the module docstring for why nothing outside the domain matters.
 
     Candidate fields: ``port``/``vc`` is the first hop at the source
     router (raw VC, before the vc-class offset); ``hk0``/``hk1`` are the
     per-phase hop-table keys carried on the flit (-1 when the phase does
-    not apply); ``minimal`` mirrors ``RoutePlan.minimal``; ``key`` is
-    the plan key for :meth:`DecideTables.plan_for`.  Candidate B exists
-    only where ``mode == 1`` and is always the non-degenerate Valiant
-    candidate.
+    not apply); ``a_min`` mirrors ``RoutePlan.minimal``.  Candidate B
+    and the comparison fields are meaningful only where ``mode`` is true
+    (elsewhere they hold in-range filler), and B is always the
+    non-degenerate Valiant candidate (``minimal`` false).
     """
 
-    mode: List[int]
-    use_vc: List[bool]
-    qa: List[int]
-    qb: List[int]
-    hm: List[int]
-    hn: List[int]
-    a_port: List[int]
-    a_vc: List[int]
-    a_hk0: List[int]
-    a_hk1: List[int]
-    a_min: List[bool]
-    a_key: List[int]
-    b_port: List[int]
-    b_vc: List[int]
-    b_hk0: List[int]
-    b_hk1: List[int]
-    b_key: List[int]
+    mode: np.ndarray
+    use_vc: np.ndarray
+    qa: np.ndarray
+    qb: np.ndarray
+    hm: np.ndarray
+    hn: np.ndarray
+    a_port: np.ndarray
+    a_vc: np.ndarray
+    a_hk0: np.ndarray
+    a_hk1: np.ndarray
+    a_min: np.ndarray
+    b_port: np.ndarray
+    b_vc: np.ndarray
+    b_hk0: np.ndarray
+    b_hk1: np.ndarray
+
+    @classmethod
+    def resolved(
+        cls,
+        a_port: np.ndarray,
+        a_vc: np.ndarray,
+        a_hk0: np.ndarray,
+        a_hk1: np.ndarray,
+        a_min: np.ndarray,
+    ) -> "DecideBatch":
+        """A batch with no comparison left (MIN and VAL)."""
+        n = a_port.shape[0]
+        filler = np.zeros(n, dtype=np.int64)
+        never = np.zeros(n, dtype=np.bool_)
+        return cls(
+            mode=never, use_vc=never,
+            qa=filler, qb=filler, hm=filler, hn=filler,
+            a_port=a_port, a_vc=a_vc, a_hk0=a_hk0, a_hk1=a_hk1, a_min=a_min,
+            b_port=filler, b_vc=filler, b_hk0=filler, b_hk1=filler,
+        )
 
 
 _ZERO = np.int64(0)
@@ -391,7 +414,6 @@ class DecideTables:
             raise ValueError(
                 "decide tables require a unique global link per group pair"
             )
-        self.topology = topology
         self.kind: str = routing.kernel_decide
         self.signal: Optional[str] = routing.kernel_signal
         if self.kind not in ("min", "val", "ugal"):
@@ -459,39 +481,6 @@ class DecideTables:
         self.hop1_port = port.reshape(-1).copy()
         self.hop1_vc = vc_table(False, 1).reshape(-1).copy()
 
-        # Plan objects by key, for the paths that still need a
-        # RoutePlan (blocked-injection retries, sanitizer views).  The
-        # minimal list is prebuilt (g^2 small); Valiant plans populate
-        # lazily through the same per-topology memo the scalar path
-        # uses, so both backends intern identical objects.
-        self._min_plans: List[Optional[object]] = [None] * (g * g)
-        for sg in range(g):
-            for dg in range(g):
-                if sg != dg and matrix[sg][dg] is not None:
-                    self._min_plans[sg * g + dg] = memoised_minimal_plan(
-                        topology, sg, dg
-                    )
-        self._val_plans: Dict[int, object] = {}
-
-    # ------------------------------------------------------------------
-
-    def plan_for(self, key: int, minimal: bool):
-        """The interned :class:`RoutePlan` behind a candidate key."""
-        if key < 0:
-            return _INTRA_GROUP_MINIMAL
-        if minimal:
-            return self._min_plans[key]
-        plan = self._val_plans.get(key)
-        if plan is None:
-            g = self.g
-            dg = key % g
-            sg_ig = key // g
-            plan = memoised_valiant_plan(
-                self.topology, sg_ig // g, sg_ig % g, dg
-            )
-            self._val_plans[key] = plan
-        return plan
-
     def first_hop_arrays(
         self,
         srcs: np.ndarray,
@@ -537,26 +526,19 @@ class DecideTables:
         m_port = self.hop0_port[idx_min]
         m_vc = self.hop0_vc[idx_min]
 
-        kind = self.kind
+        # The minimal plan's first hop and keys: the whole decision for
+        # MIN, candidate A for UGAL, the degenerate-draw case for VAL.
         none_i = np.full(n, -1, dtype=np.int64)
-        zeros = np.zeros(n, dtype=np.int64)
+        min_port = np.where(inter, m_port, f_port)
+        min_vc = np.where(inter, m_vc, f_vc)
+        min_hk0 = np.where(inter, pair * 2 + 1, none_i)
+        always = np.ones(n, dtype=np.bool_)
 
+        kind = self.kind
         if kind == "min":
-            a_port = np.where(inter, m_port, f_port)
-            a_vc = np.where(inter, m_vc, f_vc)
-            a_hk0 = np.where(inter, pair * 2 + 1, none_i)
-            a_key = np.where(inter, pair, none_i)
-            return DecideBatch(
-                mode=zeros.tolist(),
-                use_vc=[False] * n,
-                qa=zeros.tolist(), qb=zeros.tolist(),
-                hm=zeros.tolist(), hn=zeros.tolist(),
-                a_port=a_port.tolist(), a_vc=a_vc.tolist(),
-                a_hk0=a_hk0.tolist(), a_hk1=none_i.tolist(),
-                a_min=[True] * n, a_key=a_key.tolist(),
-                b_port=zeros.tolist(), b_vc=zeros.tolist(),
-                b_hk0=zeros.tolist(), b_hk1=zeros.tolist(),
-                b_key=zeros.tolist(),
+            return DecideBatch.resolved(
+                a_port=min_port, a_vc=min_vc,
+                a_hk0=min_hk0, a_hk1=none_i, a_min=always,
             )
 
         # VAL and UGAL: draw an intermediate group for every inter-group
@@ -575,38 +557,19 @@ class DecideTables:
         idx_nm = (pair1 * 2) * a + sli
         n_port = self.hop0_port[idx_nm]
         n_vc = self.hop0_vc[idx_nm]
-        nm_key = pair1 * g + dg
 
         if kind == "val":
-            a_port = np.where(nonmin, n_port, np.where(inter, m_port, f_port))
-            a_vc = np.where(nonmin, n_vc, np.where(inter, m_vc, f_vc))
-            a_hk0 = np.where(
-                nonmin, pair1 * 2, np.where(inter, pair * 2 + 1, none_i)
-            )
-            a_hk1 = np.where(nonmin, pair2, none_i)
-            a_key = np.where(nonmin, nm_key, np.where(inter, pair, none_i))
-            return DecideBatch(
-                mode=zeros.tolist(),
-                use_vc=[False] * n,
-                qa=zeros.tolist(), qb=zeros.tolist(),
-                hm=zeros.tolist(), hn=zeros.tolist(),
-                a_port=a_port.tolist(), a_vc=a_vc.tolist(),
-                a_hk0=a_hk0.tolist(), a_hk1=a_hk1.tolist(),
-                a_min=(~nonmin).tolist(), a_key=a_key.tolist(),
-                b_port=zeros.tolist(), b_vc=zeros.tolist(),
-                b_hk0=zeros.tolist(), b_hk1=zeros.tolist(),
-                b_key=zeros.tolist(),
+            return DecideBatch.resolved(
+                a_port=np.where(nonmin, n_port, min_port),
+                a_vc=np.where(nonmin, n_vc, min_vc),
+                a_hk0=np.where(nonmin, pair1 * 2, min_hk0),
+                a_hk1=np.where(nonmin, pair2, none_i),
+                a_min=~nonmin,
             )
 
         # UGAL: candidate A is always the minimal plan (the resolved
         # choice on intra and degenerate rows); candidate B and the
         # queue comparison exist on non-degenerate inter rows.
-        mode = nonmin
-        a_port = np.where(inter, m_port, f_port)
-        a_vc = np.where(inter, m_vc, f_vc)
-        a_hk0 = np.where(inter, pair * 2 + 1, none_i)
-        a_key = np.where(inter, pair, none_i)
-
         hm = (
             1
             + (self.L_src[pair] != srcs)
@@ -625,38 +588,34 @@ class DecideTables:
         if signal == "port":
             qa = srcs * radix + m_port
             qb = srcs * radix + n_port
-            use_vc = [False] * n
+            use_vc = np.zeros(n, dtype=np.bool_)
         elif signal == "remote":
             qa = self.L_qidx[pair]
             qb = self.L_qidx[pair1]
-            use_vc = [False] * n
+            use_vc = np.zeros(n, dtype=np.bool_)
         elif signal == "vc":
             qa = (srcs * radix + m_port) * nv + m_vc
             qb = (srcs * radix + n_port) * nv + n_vc
-            use_vc = [True] * n
+            use_vc = np.ones(n, dtype=np.bool_)
         else:  # vc_hybrid
-            shared = m_port == n_port
+            use_vc = m_port == n_port
             qa = np.where(
-                shared,
+                use_vc,
                 (srcs * radix + m_port) * nv + m_vc,
                 srcs * radix + m_port,
             )
             qb = np.where(
-                shared,
+                use_vc,
                 (srcs * radix + n_port) * nv + n_vc,
                 srcs * radix + n_port,
             )
-            use_vc = shared.tolist()
 
         return DecideBatch(
-            mode=mode.astype(np.int64).tolist(),
+            mode=nonmin,
             use_vc=use_vc,
-            qa=qa.tolist(), qb=qb.tolist(),
-            hm=hm.astype(np.int64).tolist(), hn=hn.astype(np.int64).tolist(),
-            a_port=a_port.tolist(), a_vc=a_vc.tolist(),
-            a_hk0=a_hk0.tolist(), a_hk1=none_i.tolist(),
-            a_min=[True] * n, a_key=a_key.tolist(),
-            b_port=n_port.tolist(), b_vc=n_vc.tolist(),
-            b_hk0=(pair1 * 2).tolist(), b_hk1=pair2.tolist(),
-            b_key=nm_key.tolist(),
+            qa=qa, qb=qb, hm=hm, hn=hn,
+            a_port=min_port, a_vc=min_vc,
+            a_hk0=min_hk0, a_hk1=none_i, a_min=always,
+            b_port=n_port, b_vc=n_vc,
+            b_hk0=pair1 * 2, b_hk1=pair2,
         )

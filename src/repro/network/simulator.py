@@ -201,8 +201,9 @@ class SimulatorStateView:
 
     # -- active set -----------------------------------------------------
     # The scalar engine maintains explicit bitmasks and an active-router
-    # set; the array backend derives activity from its pending array.
-    # These two methods are the only polymorphic part of the view.
+    # set; the array backend derives activity from its pending array
+    # (its ``ArrayStateView`` also materialises the queue, ring and
+    # sample accessors above, which it keeps as arrays).
     def active_port_mask(self, router: int) -> int:
         """Bitmask of this router's output ports the engine considers
         active (bit ``p`` set iff port ``p`` has queued flits)."""
@@ -540,6 +541,18 @@ class Simulator:
         """
         return {"backend": "scalar", "kernel": "none"}
 
+    def _mean_source_queue_depth(self) -> float:
+        """Mean per-terminal source-queue depth (read once per run, when
+        the measurement window closes)."""
+        queues = self._source_queue
+        return sum(len(queue) for queue in queues) / max(1, len(queues))
+
+    def _finalise_measurement(self) -> None:
+        """Once-per-run hook before the result is built: an engine that
+        keeps ``_samples`` / ``_global_flits`` in another layout during
+        the run brings them up to date here.  The scalar engine appends
+        to them directly."""
+
     def run(self) -> SimulationResult:
         config = self.config
         limit = self._measure_end + config.drain_max_cycles
@@ -562,16 +575,16 @@ class Simulator:
                 sanitizer.maybe_audit(self, now)
             if now >= measure_end:
                 if now == measure_end:
-                    queues = self._source_queue
-                    self._source_queue_at_end = sum(
-                        len(queue) for queue in queues
-                    ) / max(1, len(queues))
+                    self._source_queue_at_end = (
+                        self._mean_source_queue_depth()
+                    )
                 if self._outstanding_tagged == 0:
                     drained = True
                     break
         if sanitizer is not None:
             # Final audit regardless of where the stride landed.
             sanitizer.audit(self)
+        self._finalise_measurement()
         return SimulationResult(
             routing_name=self.routing.name,
             pattern_name=getattr(self.pattern, "name", "custom"),

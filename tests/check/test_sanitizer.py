@@ -2,8 +2,10 @@
 
 Three layers: the audit functions on a finished simulator whose state is
 deliberately corrupted (each conservation law must name its own finding
-code), the periodic in-run hook (a corruption planted at cycle T must
-surface within one stride of T), and the behaviour-preservation contract
+code -- on both engines, since the array engine answers the audits
+through its own state-view subclass), the periodic in-run hook (a
+corruption planted at cycle T must surface within one stride of T), and
+the behaviour-preservation contract
 (every golden fixture re-simulated under ``REPRO_SANITIZE=1`` stays
 bit-identical with zero findings).
 """
@@ -11,6 +13,7 @@ bit-identical with zero findings).
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.check.sanitizer import (
@@ -26,6 +29,8 @@ from repro.check.sanitizer import (
     structural_findings,
 )
 from repro.core.params import DragonflyParams
+from repro.network import backend as engine_backend
+from repro.network.array_backend import ArraySimulator
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator, SimulatorStateError
 from repro.network.sweep import load_sweep
@@ -37,18 +42,29 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_FIXTURES = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
 
 
-def make_simulator(topology, routing="MIN", pattern="uniform_random", **kwargs):
+ENGINES = {"scalar": Simulator, "array": ArraySimulator}
+
+
+def make_simulator(
+    topology, routing="MIN", pattern="uniform_random", backend="scalar",
+    **kwargs,
+):
     defaults = dict(
         load=0.2, warmup_cycles=100, measure_cycles=100, drain_max_cycles=2000
     )
     defaults.update(kwargs)
     config = SimulationConfig(**defaults)
-    return Simulator(
+    sim = engine_backend.make_simulator(
         topology,
         make_routing(routing),
         make_pattern(pattern, topology, seed=config.seed + 17),
         config,
+        backend=backend,
     )
+    # An array request the kernel cannot serve silently becomes the
+    # scalar engine; these tests must audit the engine they name.
+    assert type(sim) is ENGINES[backend]
+    return sim
 
 
 def first_network_out_idx(sim):
@@ -109,12 +125,47 @@ class TestEnvPlumbing:
         assert sim._sanitizer is None
 
 
-@pytest.fixture()
-def finished(tiny_dragonfly):
-    """A drained low-load run; its end state satisfies every law."""
-    sim = make_simulator(tiny_dragonfly)
+def finished_run(topology, backend):
+    sim = make_simulator(topology, backend=backend)
     sim.run()
     return sim
+
+
+@pytest.fixture(params=sorted(ENGINES))
+def finished(request, tiny_dragonfly):
+    """A drained low-load run on each engine; its end state satisfies
+    every law.  Tests taking this fixture plant corruptions both state
+    layouts share."""
+    return finished_run(tiny_dragonfly, request.param)
+
+
+@pytest.fixture()
+def finished_scalar(tiny_dragonfly):
+    return finished_run(tiny_dragonfly, "scalar")
+
+
+@pytest.fixture()
+def finished_array(tiny_dragonfly):
+    return finished_run(tiny_dragonfly, "array")
+
+
+def overflow_batch(sim, credit_idx):
+    """One overflow-map entry holding one credit event, in the engine's
+    own layout: (credit slot, upstream port) tuples, or int64 chunks."""
+    if isinstance(sim, ArraySimulator):
+        return [np.asarray([credit_idx], dtype=np.int64)]
+    return [(credit_idx, credit_idx // sim._vcs)]
+
+
+def splice_phantom_flit(sim):
+    """Array layout: hang row 0 on an empty output FIFO without touching
+    the pending counters, so the queue's length disagrees with them."""
+    fifo = sim._out_fifo
+    slot = first_network_out_idx(sim)
+    assert fifo.head[slot] < 0
+    fifo.next[0] = -1
+    fifo.head[slot] = fifo.tail[slot] = 0
+    return slot
 
 
 class TestAuditFindings:
@@ -145,17 +196,29 @@ class TestAuditFindings:
         finished._packet_counter += 1
         assert "SAN003" in codes(audit_simulator(finished))
 
-    def test_corrupted_active_mask_is_san004(self, finished):
-        finished._active_mask[0] ^= 1
-        findings = audit_simulator(finished)
+    def test_corrupted_active_mask_is_san004(self, finished_scalar):
+        finished_scalar._active_mask[0] ^= 1
+        findings = audit_simulator(finished_scalar)
         assert "SAN004" in codes(findings)
+
+    def test_spliced_fifo_is_san004(self, finished_array):
+        slot = splice_phantom_flit(finished_array)
+        findings = audit_simulator(finished_array)
+        router, index = divmod(slot, finished_array._rv)
+        port, vc = divmod(index, finished_array._vcs)
+        assert any(
+            f.code == "SAN004"
+            and f.location == f"router {router} port {port} VC {vc}"
+            and "1 queued flits" in f.message
+            for f in findings
+        )
 
     def test_corrupted_pending_counter_is_san004(self, finished):
         finished._pending[0] += 1
         assert "SAN004" in codes(audit_simulator(finished))
 
     def test_stranded_overflow_entry_is_san005(self, finished):
-        finished._credit_overflow[finished.now] = [(0, 0)]
+        finished._credit_overflow[finished.now] = overflow_batch(finished, 0)
         findings = audit_simulator(finished)
         assert "SAN005" in codes(findings)
         assert any("stranded" in f.message for f in findings)
@@ -164,10 +227,21 @@ class TestAuditFindings:
         finished._credit_overflow[finished.now + 100] = []
         assert "SAN005" in codes(audit_simulator(finished))
 
-    def test_out_of_range_credit_event_is_san005(self, finished):
-        slots = finished._num_routers * finished._rv
-        finished._credit_ring[0].append((slots + 5, 0))
-        assert "SAN005" in codes(audit_simulator(finished))
+    def test_out_of_range_credit_event_is_san005(self, finished_scalar):
+        slots = finished_scalar._num_routers * finished_scalar._rv
+        finished_scalar._credit_ring[0].append((slots + 5, 0))
+        assert "SAN005" in codes(audit_simulator(finished_scalar))
+
+    def test_out_of_range_credit_chunk_is_san005(self, finished_array):
+        slots = finished_array._num_routers * finished_array._rv
+        finished_array._credit_ring[0].append(
+            np.asarray([0, slots + 5], dtype=np.int64)
+        )
+        findings = audit_simulator(finished_array)
+        assert any(
+            f.code == "SAN005" and str(slots + 5) in f.message
+            for f in findings
+        )
 
     def test_structural_subset_skips_conservation_laws(self, finished):
         """check_invariants() must stay callable mid-cycle: the full
@@ -177,10 +251,18 @@ class TestAuditFindings:
         assert structural_findings(finished) == []
         assert "SAN002" in codes(audit_simulator(finished))
 
-    def test_check_invariants_raises_simulator_state_error(self, finished):
-        finished._active_mask[0] ^= 1
+    def test_check_invariants_raises_simulator_state_error(
+        self, finished_scalar
+    ):
+        finished_scalar._active_mask[0] ^= 1
         with pytest.raises(SimulatorStateError) as excinfo:
-            finished.check_invariants()
+            finished_scalar.check_invariants()
+        assert "SAN004" in str(excinfo.value)
+
+    def test_check_invariants_raises_on_the_array_layout(self, finished_array):
+        splice_phantom_flit(finished_array)
+        with pytest.raises(SimulatorStateError) as excinfo:
+            finished_array.check_invariants()
         assert "SAN004" in str(excinfo.value)
 
     def test_sanitizer_error_carries_findings(self, finished):

@@ -1,6 +1,6 @@
 """The backend-differential corpus.
 
-199 simulation configurations, generated programmatically, that the
+241 simulation configurations, generated programmatically, that the
 scalar and array engines must agree on under the equivalence contract
 (:func:`repro.network.backend.contract_for`).  The corpus is the
 certification artifact for the array backend: it sweeps every routing
@@ -8,9 +8,11 @@ algorithm over benign and adversarial traffic on two topologies, and
 covers every engine mode with its own block -- saturation, multi-flit
 virtual cut-through, request-reply VC classes, bulk (fixed packet
 count) termination, table-driven forwarding, seed variation, a
-non-zero router pipeline, and a decide-dominated block (adversarial +
+non-zero router pipeline, a decide-dominated block (adversarial +
 bursty traffic, every UGAL variant, including the paper's 1056-node
-shape) certifying the batched route-decision kernel.
+shape) certifying the batched route-decision kernel, and a wave block
+(every terminal deciding every cycle, single-slot buffers) certifying
+the array engine's wave-ordered injection commit.
 
 Kept importable on its own (no pytest dependency) so the harness, the
 Hypothesis fuzzer and ad-hoc scripts can all iterate the same cases.
@@ -31,6 +33,10 @@ from repro.routing import ALL_ROUTING_NAMES
 TOPOLOGIES: Dict[str, DragonflyParams] = {
     "tiny": DragonflyParams(p=1, a=2, h=1),
     "paper72": DragonflyParams.paper_example_72(),
+    # The smallest canonical shape with two terminals per router and
+    # one global port per router (h=1, N=40): the "waves" block pairs it
+    # with ``tiny`` so both degenerate dependency-domain sizes are run.
+    "h1": DragonflyParams(p=2, a=4, h=1),
     # The paper's default scale (N=1056): the shape the decide kernel
     # exists for.  Only the "decide" block uses it -- with short
     # windows, so certification stays minutes, not hours.
@@ -192,6 +198,39 @@ def _build_corpus() -> List[DifferentialCase]:
             ),
         )
 
+    # Block "waves": as many same-domain deciders per cycle as the
+    # model allows, for the array engine's wave-ordered commit.  At
+    # load 1.0 every terminal creates a packet every cycle, so every
+    # terminal of a router (of a group, for UGAL-G) decides in the same
+    # cycle and each later one must see the earlier ones' injections;
+    # request-reply adds reply heads interleaved with request heads;
+    # bulk keeps every source queue non-empty from cycle 0; and
+    # single-slot buffers block most heads, so pinned decisions are
+    # retried next to fresh ones.  Every routing (MIN and VAL commit in
+    # one wave; each UGAL signal has its own domain and read), 7*6 = 42.
+    for routing in ALL_ROUTING_NAMES:
+        full = _config(
+            load=1.0, warmup_cycles=20, measure_cycles=20,
+            drain_max_cycles=300,
+        )
+        add("waves", "paper72", routing, "worst_case", full)
+        add(
+            "waves-reqreply", "paper72", routing, "uniform_random",
+            dataclasses.replace(full, num_vcs=6, request_reply=True),
+        )
+        add(
+            "waves-bulk", "paper72", routing, "worst_case",
+            dataclasses.replace(
+                full, packets_per_terminal=12, vc_buffer_depth=2,
+                drain_max_cycles=1500,
+            ),
+        )
+        for topology in ("tiny", "h1", "paper72"):
+            add(
+                "waves-depth1", topology, routing, "uniform_random",
+                dataclasses.replace(full, vc_buffer_depth=1),
+            )
+
     # Block "seed": RNG-stream variation on one contended case.  3.
     for seed in (11, 12, 13):
         add(
@@ -206,7 +245,7 @@ CORPUS: Tuple[DifferentialCase, ...] = tuple(_build_corpus())
 
 # The corpus is a certification surface; its size is pinned so a block
 # cannot silently shrink during a refactor.
-assert len(CORPUS) == 199, f"corpus size drifted: {len(CORPUS)}"
+assert len(CORPUS) == 241, f"corpus size drifted: {len(CORPUS)}"
 assert len({case.case_id for case in CORPUS}) == len(CORPUS), (
     "duplicate corpus case ids"
 )

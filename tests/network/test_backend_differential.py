@@ -1,6 +1,6 @@
 """Backend-differential harness: scalar vs array engine equivalence.
 
-Every corpus case (``differential_corpus.CORPUS``, 199 configurations)
+Every corpus case (``differential_corpus.CORPUS``, 241 configurations)
 and every golden fixture runs on both backends; the array backend must
 reproduce the scalar engine's result bit for bit on every one of them
 (``to_dict()`` equality), multi-flit included, and must have run the
@@ -241,6 +241,22 @@ class TestArrayBackendInvariants:
         )
         result = sim.run()
         assert result.ejected_flits_in_window > 0
+
+    def test_lockstep_diagnostic_reads_the_array_layout(
+        self, paper72_dragonfly
+    ):
+        """``first_divergence`` fingerprints both engines through their
+        state views every cycle; on agreeing engines it must say so."""
+        config = SimulationConfig(
+            load=0.3, warmup_cycles=40, measure_cycles=40,
+            drain_max_cycles=1500,
+        )
+        assert first_divergence(
+            paper72_dragonfly,
+            lambda: make_routing("UGAL-L"),
+            lambda: make_pattern("worst_case", paper72_dragonfly, seed=9),
+            config,
+        ) is None
 
     def test_structural_findings_clean_on_both_backends(
         self, paper72_dragonfly

@@ -36,6 +36,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationConfig(measure_cycles=0)
 
+    def test_rejects_negative_drain_limit(self):
+        # range(measure_end + drain_max_cycles) would be empty: both
+        # engines returned total_cycles=1, 0 samples, accepted_load=0.0.
+        with pytest.raises(ValueError, match="drain_max_cycles.*-5000"):
+            SimulationConfig(
+                warmup_cycles=100, measure_cycles=100, drain_max_cycles=-5000
+            )
+
+    def test_zero_drain_limit_stays_valid(self):
+        assert SimulationConfig(drain_max_cycles=0).drain_max_cycles == 0
+
 
 class TestBuilders:
     def test_with_load(self):

@@ -44,7 +44,12 @@ from repro.routing import (
     make_routing,
 )
 from repro.routing.minimal import MinimalRouting
-from repro.routing.paths import memoised_valiant_plan, next_hop
+from repro.routing.paths import (
+    _INTRA_GROUP_MINIMAL,
+    memoised_minimal_plan,
+    memoised_valiant_plan,
+    next_hop,
+)
 from repro.topology.dragonfly import Dragonfly
 
 TOPOLOGY = Dragonfly(DragonflyParams.paper_example_72())
@@ -56,6 +61,20 @@ BASE_CONFIG = SimulationConfig(
     measure_cycles=30,
     drain_max_cycles=1500,
 )
+
+
+def plan_behind(topology: Dragonfly, hk0: int, hk1: int, minimal: bool):
+    """The lowering oracle: the interned ``RoutePlan`` a decision's hop
+    keys stand for.  The engine never materialises plans; these tests
+    do, to compare a lowered decision with ``RoutingAlgorithm.decide``.
+    """
+    if hk0 < 0:
+        return _INTRA_GROUP_MINIMAL
+    g = topology.g
+    sg, tg = divmod(int(hk0) >> 1, g)
+    if minimal:
+        return memoised_minimal_plan(topology, sg, tg)
+    return memoised_valiant_plan(topology, sg, tg, int(hk1) % g)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +181,7 @@ class TestHopTables:
                 for li in range(a):
                     src_router = sg * a + li
                     # Minimal first hop (m = 1).
-                    plan = tables.plan_for(pair, True)
+                    plan = plan_behind(topo, pair * 2 + 1, -1, True)
                     want = next_hop(topo, src_router, plan, 0, dst_terminal)
                     key = (pair * 2 + 1) * a + li
                     got = (int(tables.hop0_port[key]), int(tables.hop0_vc[key]))
@@ -256,10 +275,8 @@ def test_batch_decide_matches_scalar(name):
         plan = routing.decide(view, topo, rng, src_router, dst_terminal)
         want = next_hop(topo, src_router, plan, 0, dst_terminal)
 
-        if batch.mode[i] == 0:
-            got_port, got_vc = batch.a_port[i], batch.a_vc[i]
-            got_min, got_key = batch.a_min[i], batch.a_key[i]
-        else:
+        take_a = True
+        if batch.mode[i]:
             # The caller's live comparison, against the same state.
             if batch.use_vc[i]:
                 q_a = view.pending_vc[batch.qa[i]]
@@ -267,16 +284,19 @@ def test_batch_decide_matches_scalar(name):
             else:
                 q_a = view.pending[batch.qa[i]]
                 q_b = view.pending[batch.qb[i]]
-            if q_a * batch.hm[i] <= q_b * batch.hn[i]:
-                got_port, got_vc = batch.a_port[i], batch.a_vc[i]
-                got_min, got_key = batch.a_min[i], batch.a_key[i]
-            else:
-                got_port, got_vc = batch.b_port[i], batch.b_vc[i]
-                got_min, got_key = False, batch.b_key[i]
+            take_a = q_a * batch.hm[i] <= q_b * batch.hn[i]
+        if take_a:
+            got_port, got_vc = batch.a_port[i], batch.a_vc[i]
+            got_hk0, got_hk1 = batch.a_hk0[i], batch.a_hk1[i]
+            got_min = bool(batch.a_min[i])
+        else:
+            got_port, got_vc = batch.b_port[i], batch.b_vc[i]
+            got_hk0, got_hk1 = batch.b_hk0[i], batch.b_hk1[i]
+            got_min = False
 
         assert (got_port, got_vc) == want, f"decider {i} first hop"
         assert got_min == plan.minimal, f"decider {i} minimal flag"
-        lowered = tables.plan_for(got_key, got_min)
+        lowered = plan_behind(topo, got_hk0, got_hk1, got_min)
         assert lowered.minimal == plan.minimal
         assert lowered.gc1 == plan.gc1, f"decider {i} gc1"
         assert lowered.gc2 == plan.gc2, f"decider {i} gc2"
