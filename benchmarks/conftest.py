@@ -16,10 +16,9 @@ transparently:
   every already-simulated point.
 
 Results are bit-identical whichever combination is active (see
-docs/parallel-sweeps.md); the archived row files record which one was.
+docs/sweeps.md); the archived row files record which one was.
 """
 
-import os
 import pathlib
 
 import pytest
@@ -47,16 +46,16 @@ def run_experiment(benchmark, report):
 
     def _run(experiment_id: str, quick: bool = True):
         from repro.experiments import get_experiment
-        from repro.network.cache import CACHE_ENV_VAR
-        from repro.network.parallel import WORKERS_ENV_VAR
+        from repro.settings import Settings
 
         experiment = get_experiment(experiment_id)
         result = benchmark.pedantic(
             lambda: experiment.run(quick=quick), rounds=1, iterations=1
         )
+        settings = Settings.from_env()
         executor_note = (
-            f"   sweep executor: workers={os.environ.get(WORKERS_ENV_VAR, '1')} "
-            f"cache={os.environ.get(CACHE_ENV_VAR) or 'off'}"
+            f"   sweep executor: workers={settings.workers} "
+            f"cache={settings.cache_dir or 'off'}"
         )
         report(experiment_id, result.format_table() + "\n" + executor_note)
         return result

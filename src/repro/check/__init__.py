@@ -58,7 +58,6 @@ from .sanitizer import (
     SanitizerError,
     SimulatorSanitizer,
     audit_simulator,
-    sanitizer_from_env,
     structural_findings,
 )
 from .symbolic import (
@@ -111,7 +110,6 @@ __all__ = [
     "lint_sources",
     "lint_tree",
     "register",
-    "sanitizer_from_env",
     "soundness_harness",
     "structural_findings",
     "symbolic_scale_configurations",

@@ -34,8 +34,8 @@ selection flags and ``docs/static-analysis.md`` for the full story.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import pathlib
 import sys
 import time
@@ -335,9 +335,11 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
     """
     from ..core.params import DragonflyParams
     from ..network.config import SimulationConfig
+    from ..network.parallel import ServiceError, SweepExecutor
     from ..network.sweep import load_sweep
+    from ..settings import ENV_VARS, Settings
     from ..topology.dragonfly import Dragonfly
-    from .sanitizer import ENV_ENABLE, SanitizerError
+    from .sanitizer import SanitizerError
 
     report = CheckReport(pass_name="sanitize")
     path = pathlib.Path(fixture)
@@ -353,20 +355,19 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
     data = json.loads(path.read_text())
     topology = Dragonfly(DragonflyParams(**data["topology"]))
     config = SimulationConfig(**data["config"])
-    previous = os.environ.get(ENV_ENABLE)
-    os.environ[ENV_ENABLE] = "1"
+    settings = dataclasses.replace(Settings.from_env(), sanitize=True)
     try:
         points = load_sweep(
-            topology, data["routing"], data["pattern"], data["loads"], config
+            topology, data["routing"], data["pattern"], data["loads"], config,
+            executor=SweepExecutor(settings=settings),
         )
-    except SanitizerError as error:
-        report.extend(error.findings)
+    except ServiceError as error:
+        # The sweep runner reports a failed point as ServiceError
+        # chained to what the point raised.
+        if not isinstance(error.__cause__, SanitizerError):
+            raise
+        report.extend(error.__cause__.findings)
         return report
-    finally:
-        if previous is None:
-            del os.environ[ENV_ENABLE]
-        else:
-            os.environ[ENV_ENABLE] = previous
     results = [point.result.to_dict() for point in points]
     if results != data["points"]:
         report.add(
@@ -377,7 +378,7 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
     else:
         report.note(
             f"{path.stem}: {len(points)} point(s) re-simulated under "
-            f"{ENV_ENABLE}=1; zero violations, bit-identical results"
+            f"{ENV_VARS['sanitize']}=1; zero violations, bit-identical results"
         )
     return report
 

@@ -1,6 +1,6 @@
 """Repo-specific AST lint for simulator hygiene (stdlib ``ast`` only).
 
-Three rules, each motivated by a reproducibility or performance property
+Seven rules, each motivated by a reproducibility or performance property
 of the codebase:
 
 ``REP001`` unseeded randomness
@@ -54,6 +54,15 @@ of the codebase:
     transplant modules (``network/decide_kernel.py``,
     ``network/array_backend.py``), whose whole point is replaying the
     scalar engine's streams through numpy's state machinery, are exempt.
+
+``REP007`` the environment is read in ``settings.py`` only
+    ``environ``, ``getenv`` and ``putenv`` of the ``os`` module are
+    forbidden in ``src/repro`` outside ``repro/settings.py``.  One module parses and
+    validates every ``REPRO_*`` variable; everything else receives a
+    :class:`~repro.settings.Settings` by argument.  A second reader
+    grows its own parser and defaults, and a writer (exporting a flag
+    so child code picks it up) leaks the flag into every later
+    in-process caller.  Script trees are not subject to it.
 """
 
 from __future__ import annotations
@@ -97,6 +106,11 @@ NP_RANDOM_SANCTIONED_MODULES = frozenset({
     "network/decide_kernel.py",
     "network/array_backend.py",
 })
+
+#: ``os`` attributes that touch the process environment (REP007) and
+#: the one module (relative, POSIX-style) allowed to use them.
+ENVIRON_ATTRS = frozenset({"environ", "getenv", "putenv"})
+ENVIRON_MODULE = "settings.py"
 
 #: Repo-level script trees linted in script mode alongside the package.
 SCRIPT_TREES = ("benchmarks", "examples")
@@ -161,6 +175,8 @@ class _Linter(ast.NodeVisitor):
         self._numpy_aliases: set = set()
         self._np_random_aliases: set = set()
         self._np_random_exempt = relative in NP_RANDOM_SANCTIONED_MODULES
+        self._os_aliases: set = set()
+        self._environ_banned = not script_mode and relative != ENVIRON_MODULE
         self._script_mode = script_mode
         #: In script mode, depth > 0 means inside a def/class body or the
         #: ``__main__`` guard, where prints are a script's normal output.
@@ -192,6 +208,8 @@ class _Linter(ast.NodeVisitor):
         for alias in node.names:
             if alias.name == "random":
                 self._random_aliases.add(alias.asname or "random")
+            elif alias.name == "os":
+                self._os_aliases.add(alias.asname or "os")
             elif alias.name == "numpy":
                 self._numpy_aliases.add(alias.asname or "numpy")
             elif alias.name == "numpy.random":
@@ -212,6 +230,10 @@ class _Linter(ast.NodeVisitor):
                         "module-global randomness; use a seeded "
                         "random.Random instance",
                     )
+        elif node.module == "os" and self._environ_banned:
+            for alias in node.names:
+                if alias.name in ENVIRON_ATTRS:
+                    self._add_environ(node, alias.name)
         elif node.module == "numpy":
             for alias in node.names:
                 if alias.name == "random":
@@ -238,6 +260,26 @@ class _Linter(ast.NodeVisitor):
             and isinstance(value.value, ast.Name)
             and value.value.id in self._numpy_aliases
         )
+
+    # -- the environment: read in settings.py only ----------------------
+    def _add_environ(self, node: ast.AST, attr: str) -> None:
+        self._add(
+            "REP007", node,
+            f"os.{attr} outside repro/settings.py; take a "
+            "repro.settings.Settings argument (default "
+            "Settings.from_env()) instead of reading or writing the "
+            "process environment",
+        )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            self._environ_banned
+            and node.attr in ENVIRON_ATTRS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self._os_aliases
+        ):
+            self._add_environ(node, node.attr)
+        self.generic_visit(node)
 
     # -- calls: unseeded random + print ----------------------------------
     def visit_Call(self, node: ast.Call) -> None:

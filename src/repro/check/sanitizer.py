@@ -25,8 +25,9 @@ laws those structures must jointly satisfy:
 The laws hold at phase boundaries of the run loop; the hooks in
 :class:`~repro.network.simulator.Simulator` audit after the switch phase.
 Everything is opt-in via ``REPRO_SANITIZE=1`` (stride configurable with
-``REPRO_SANITIZE_STRIDE``, default 64 cycles) so the disabled-mode cost
-is one predicate per cycle.
+``REPRO_SANITIZE_STRIDE``, default 64 cycles; both are read by
+:class:`repro.settings.Settings` and reach the simulator as an
+argument) so the disabled-mode cost is one predicate per cycle.
 
 Every check reads engine state through the backend-neutral
 :meth:`~repro.network.simulator.Simulator.state_view`, never through
@@ -38,40 +39,13 @@ active-set answers that backend keeps only implicitly.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List
 
 from .report import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..network.simulator import Simulator, SimulatorStateView
-
-#: Cycles between periodic audits when ``REPRO_SANITIZE_STRIDE`` is unset.
-DEFAULT_STRIDE = 64
-
-ENV_ENABLE = "REPRO_SANITIZE"
-ENV_STRIDE = "REPRO_SANITIZE_STRIDE"
-
-
-def sanitizer_enabled() -> bool:
-    """True when the environment opts into runtime sanitizing."""
-    return os.environ.get(ENV_ENABLE, "") not in ("", "0")
-
-
-def stride_from_env() -> int:
-    raw = os.environ.get(ENV_STRIDE, "")
-    if not raw:
-        return DEFAULT_STRIDE
-    try:
-        stride = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENV_STRIDE} must be a positive integer, got {raw!r}"
-        ) from exc
-    if stride < 1:
-        raise ValueError(f"{ENV_STRIDE} must be >= 1, got {stride}")
-    return stride
 
 
 class SanitizerError(RuntimeError):
@@ -354,8 +328,8 @@ class SimulatorSanitizer:
 
     __slots__ = ("stride",)
 
-    def __init__(self, stride: Optional[int] = None) -> None:
-        self.stride = stride_from_env() if stride is None else stride
+    def __init__(self, stride: int) -> None:
+        self.stride = stride
         if self.stride < 1:
             raise ValueError(f"sanitizer stride must be >= 1, got {self.stride}")
 
@@ -368,10 +342,3 @@ class SimulatorSanitizer:
         findings = audit_simulator(sim)
         if findings:
             raise SanitizerError(findings)
-
-
-def sanitizer_from_env() -> Optional[SimulatorSanitizer]:
-    """The sanitizer the environment asks for, or None when disabled."""
-    if not sanitizer_enabled():
-        return None
-    return SimulatorSanitizer()

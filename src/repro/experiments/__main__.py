@@ -11,13 +11,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
 import time
 from typing import List, Optional
 
 from . import all_experiment_ids, get_experiment
-from ..network.backend import BACKEND_ENV_VAR, BACKENDS, resolve_backend
+from ..settings import BACKENDS, ENV_VARS, Settings
 from .base import shared_experiment_executor
 
 
@@ -54,14 +54,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "simulation engine for every run (default: "
-            f"{BACKEND_ENV_VAR} or scalar)"
+            f"{ENV_VARS['backend']} or scalar)"
         ),
     )
     args = parser.parse_args(argv)
 
+    settings = Settings.from_env()
     if args.backend is not None:
-        # Exported rather than plumbed so sweep-executor workers inherit it.
-        os.environ[BACKEND_ENV_VAR] = resolve_backend(args.backend)
+        settings = dataclasses.replace(settings, backend=args.backend)
 
     if args.all:
         selected = all_experiment_ids()
@@ -80,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             exit_code = 2
             continue
         started = time.perf_counter()
-        with shared_experiment_executor() as executor:
+        with shared_experiment_executor(settings) as executor:
             result = experiment.run(quick=not args.full)
         elapsed = time.perf_counter() - started
         print(result.format_table())

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..core.params import DragonflyParams
+from ..network.cache import SweepCache
 from ..network.config import SimulationConfig
-from ..network.parallel import SweepExecutor
+from ..network.parallel import SchedulerOptions, SweepExecutor
+from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 
 
@@ -148,40 +150,56 @@ def experiment_config(
 _SHARED_EXECUTOR: Optional[SweepExecutor] = None
 
 
-def _executor_from_env() -> SweepExecutor:
-    # Imported lazily: the service layer depends on repro.network and on
-    # this module's config/topology helpers.
-    from ..service.client import executor_from_env
+def executor_for(settings: Settings) -> SweepExecutor:
+    """The sweep executor ``settings`` describes.
 
-    service = executor_from_env()
-    if service is not None:
-        return service
-    return SweepExecutor.from_env()
+    ``service_root`` selects the journaled, store-backed
+    :class:`repro.service.client.ServiceExecutor`; otherwise a bare
+    executor over ``cache_dir`` (or no cache).  Either way the engine
+    fields travel with the executor into every point it runs.
+    """
+    if settings.service_root is not None:
+        # Imported lazily: the service layer depends on repro.network
+        # and on this module's config/topology helpers.
+        from ..service.client import ServiceExecutor
+
+        return ServiceExecutor(
+            settings.service_root,
+            options=SchedulerOptions.from_settings(settings),
+            settings=settings,
+        )
+    return SweepExecutor(
+        workers=settings.workers,
+        cache=SweepCache(settings.cache_dir) if settings.cache_dir else None,
+        settings=settings,
+    )
 
 
 def experiment_executor() -> SweepExecutor:
     """The sweep executor the experiment runners use.
 
-    Configured entirely from the environment so figure scripts and
-    benchmarks gain parallelism (``REPRO_SWEEP_WORKERS``), on-disk
-    result caching (``REPRO_SWEEP_CACHE``), or the full sweep service
-    (``REPRO_SWEEP_SERVICE``: journaled, resumable, store-backed sweeps
-    -- :class:`repro.service.client.ServiceExecutor`) without code
-    changes; the default is serial and uncached, matching the
-    historical behaviour point for point.
+    Outside a :func:`shared_experiment_executor` context it is
+    configured from the environment (:class:`repro.settings.Settings`),
+    so figure scripts and benchmarks gain parallelism
+    (``REPRO_SWEEP_WORKERS``), on-disk result caching
+    (``REPRO_SWEEP_CACHE``), or the full sweep service
+    (``REPRO_SWEEP_SERVICE``) without code changes; the default is
+    serial and uncached, matching the historical behaviour point for
+    point.
 
-    Inside a :func:`shared_experiment_executor` context every call
-    returns the same instance, so a whole figure run accumulates one
-    set of cache/simulation counters for the summary line.
+    Inside the context every call returns the same instance, so a whole
+    figure run accumulates one set of cache/simulation counters for the
+    summary line.
     """
     if _SHARED_EXECUTOR is not None:
         return _SHARED_EXECUTOR
-    return _executor_from_env()
+    return executor_for(Settings.from_env())
 
 
 @contextlib.contextmanager
-def shared_experiment_executor() -> Iterator[SweepExecutor]:
-    """Scope within which :func:`experiment_executor` is a singleton.
+def shared_experiment_executor(settings: Settings) -> Iterator[SweepExecutor]:
+    """Scope within which :func:`experiment_executor` is a singleton
+    built from ``settings``.
 
     The CLI wraps each experiment run in this context and reports
     ``executor.summary_line()`` -- points cached vs simulated, cache
@@ -189,7 +207,7 @@ def shared_experiment_executor() -> Iterator[SweepExecutor]:
     -- after the figure's table.
     """
     global _SHARED_EXECUTOR
-    executor = _executor_from_env()
+    executor = executor_for(settings)
     _SHARED_EXECUTOR = executor
     try:
         yield executor

@@ -117,7 +117,8 @@ class FlattenedButterflyRouting(Experiment):
                     config = SimulationConfig(load=load, **windows)
                     pattern = make_pattern(pattern_name, topology, seed=31)
                     run = make_simulator(
-                        topology, make_fb_routing(name), pattern, config
+                        topology, make_fb_routing(name), pattern, config,
+                        settings=experiment_executor().settings,
                     ).run()
                     row[name] = math.inf if run.saturated else run.avg_latency
                 result.rows.append(row)
@@ -210,7 +211,10 @@ class GroupVariantComparison(Experiment):
                 load=load, drain_max_cycles=drain, **windows
             )
             pattern = make_pattern("worst_case", topology, seed=21)
-            return make_simulator(topology, routing, pattern, config).run()
+            return make_simulator(
+                topology, routing, pattern, config,
+                settings=experiment_executor().settings,
+            ).run()
 
         min_run = simulate(canonical, make_routing("MIN"), 0.3, 800)
         ugal_run = simulate(canonical, make_routing("UGAL-L"), 0.1, 8000)
@@ -359,7 +363,10 @@ class FourTopologySimulation(Experiment):
             for pattern_name, load in patterns:
                 config = SimulationConfig(load=load, num_vcs=vcs, **windows)
                 pattern = make_pattern(pattern_name, topology, seed=41)
-                run = make_simulator(topology, routing, pattern, config).run()
+                run = make_simulator(
+                    topology, routing, pattern, config,
+                    settings=experiment_executor().settings,
+                ).run()
                 result.rows.append(
                     {
                         "topology": name,

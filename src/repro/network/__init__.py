@@ -1,13 +1,10 @@
 """Cycle-accurate flit-level interconnection network simulator."""
 
+from ..settings import BACKENDS
 from .backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
     EquivalenceContract,
-    backend_from_env,
     contract_for,
     make_simulator,
-    resolve_backend,
 )
 from .cache import SweepCache, point_key
 from .config import SimulationConfig
@@ -41,13 +38,10 @@ from .traffic import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKENDS",
     "EquivalenceContract",
-    "backend_from_env",
     "contract_for",
     "make_simulator",
-    "resolve_backend",
     "SweepCache",
     "point_key",
     "PointSpec",

@@ -92,11 +92,12 @@ What stays bit-identical, and why
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..routing.base import RoutingAlgorithm
+from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 from .config import SimulationConfig
 from .decide_kernel import (
@@ -343,6 +344,7 @@ class ArraySimulator(Simulator):
         routing: RoutingAlgorithm,
         pattern: Callable[[int], int],
         config: SimulationConfig,
+        settings: Optional[Settings] = None,
     ) -> None:
         reason = kernel_ineligibility(config, topology, routing)
         if reason is not None:
@@ -351,7 +353,7 @@ class ArraySimulator(Simulator):
                 "make_simulator(backend='array') selects the scalar engine "
                 "for it"
             )
-        super().__init__(topology, routing, pattern, config)
+        super().__init__(topology, routing, pattern, config, settings)
         num_ports = self._num_routers * self._radix
         num_slots = self._num_routers * self._rv
         # Per-port and per-(port, VC) queue occupancy share one buffer:

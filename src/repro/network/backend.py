@@ -19,10 +19,11 @@ The cycle-accurate engine has two interchangeable implementations:
 
 Selection is *per run*: pass ``backend="array"`` to
 :func:`make_simulator` / :func:`repro.network.simulator.simulate`, or
-set ``REPRO_SIM_BACKEND=array`` in the environment to switch every run
-that does not name a backend explicitly -- including the sweep
-executor's worker processes and the sweep service, which inherit the
-environment and need no changes.
+hand it a :class:`~repro.settings.Settings` whose ``backend`` says so.
+With neither, the run takes ``Settings.from_env()`` -- so
+``REPRO_SIM_BACKEND=array`` switches every run that does not name a
+backend.  The sweep runner resolves its settings once in the parent
+and passes them to its workers as an argument.
 
 :func:`make_simulator` is also where an array request the kernel cannot
 serve (multi-flit packets, table-driven or custom routing, a topology
@@ -54,11 +55,12 @@ tier it thinks it is certifying is the tier that ran.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from ..settings import Settings
 from .config import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,41 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = logging.getLogger(__name__)
 
-#: Environment variable selecting the default backend (default scalar).
-BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-#: The recognised backend names.
-BACKENDS = ("scalar", "array")
-
-
-def backend_from_env() -> str:
-    """Backend name from ``REPRO_SIM_BACKEND``.
-
-    Unset or blank means ``scalar``.  Anything else must name a known
-    backend -- garbage raises :class:`ValueError` naming the variable
-    instead of silently running the wrong engine.
-    """
-    raw = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not raw:
-        return "scalar"
-    if raw not in BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR} must be one of {list(BACKENDS)}, got {raw!r}"
-        )
-    return raw
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalise an explicit backend name, or fall back to the env var."""
-    if backend is None:
-        return backend_from_env()
-    name = backend.strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; choose from {list(BACKENDS)}"
-        )
-    return name
-
 
 def make_simulator(
     topology: "Dragonfly",
@@ -110,12 +77,14 @@ def make_simulator(
     pattern: Callable[[int], int],
     config: SimulationConfig,
     backend: Optional[str] = None,
+    settings: Optional[Settings] = None,
 ) -> "Simulator":
     """Build the selected engine behind the uniform Simulator interface.
 
-    ``backend=None`` defers to ``REPRO_SIM_BACKEND`` (default scalar),
-    which is how the sweep executor's workers and the sweep service
-    pick the backend up without any plumbing of their own.
+    ``settings`` carries the engine choice and the sanitizer switch
+    (default ``Settings.from_env()``, read once here); an explicit
+    ``backend`` replaces its ``backend`` field and is validated the
+    same way.
 
     ``array`` means the decide-kernel engine wherever it applies: a
     configuration :func:`kernel_ineligibility` rejects runs on the
@@ -124,8 +93,11 @@ def make_simulator(
     """
     from .simulator import Simulator
 
-    if resolve_backend(backend) == "scalar":
-        return Simulator(topology, routing, pattern, config)
+    settings = settings or Settings.from_env()
+    if backend is not None:
+        settings = dataclasses.replace(settings, backend=backend.strip().lower())
+    if settings.backend == "scalar":
+        return Simulator(topology, routing, pattern, config, settings)
     try:
         from .array_backend import ArraySimulator
         from .decide_kernel import kernel_ineligibility
@@ -136,9 +108,9 @@ def make_simulator(
         ) from exc
     reason = kernel_ineligibility(config, topology, routing)
     if reason is None:
-        return ArraySimulator(topology, routing, pattern, config)
+        return ArraySimulator(topology, routing, pattern, config, settings)
     logger.info("decide kernel disabled (%s); running the scalar engine", reason)
-    sim = Simulator(topology, routing, pattern, config)
+    sim = Simulator(topology, routing, pattern, config, settings)
     # The result must still say what was asked for and why it was not
     # served by the kernel, so results in a cache or store stay
     # attributable to the backend that requested them.

@@ -35,7 +35,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .config import SimulationConfig
 from .stats import SimulationResult
@@ -44,10 +44,6 @@ from .stats import SimulationResult
 #: simulator's cycle-level behaviour, the meaning of a config field, or
 #: the :meth:`SimulationResult.to_dict` layout.
 SCHEMA_VERSION = 1
-
-#: Environment variable naming the cache directory; unset disables the
-#: cache in :meth:`repro.network.parallel.SweepExecutor.from_env`.
-CACHE_ENV_VAR = "REPRO_SWEEP_CACHE"
 
 
 def topology_signature(topology: object) -> Dict[str, object]:
@@ -83,6 +79,60 @@ def key_digest(key: Dict[str, object]) -> str:
     """Stable SHA-256 digest of a key's canonical JSON."""
     canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_json_atomic(path: Path, payload: object) -> None:
+    """Write ``payload`` as JSON to ``path`` through a temp file and a
+    rename, so a crashed or concurrent writer never leaves a truncated
+    file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.stem, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def read_entry(
+    path: Path,
+) -> Optional[Tuple[Dict[str, object], SimulationResult]]:
+    """The ``(key, result)`` stored in one point file.
+
+    ``None`` when the file parses as JSON but is not a current entry
+    (not an object, schema bump, no key, unparseable result) -- a stale
+    record the caller may drop.  A file that cannot be read as JSON at
+    all raises ``OSError`` / ``json.JSONDecodeError``.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        entry = json.load(handle)
+    if (
+        not isinstance(entry, dict)
+        or entry.get("schema") != SCHEMA_VERSION
+        or not isinstance(entry.get("key"), dict)
+    ):
+        return None
+    try:
+        result = SimulationResult.from_dict(entry["result"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    # Provenance rides alongside the result (not in the keyed payload,
+    # so it never affects hits): entries written before it existed
+    # surface as "unknown" rather than being invalidated.
+    provenance = entry.get("provenance")
+    result.backend_info = (
+        dict(provenance)
+        if isinstance(provenance, dict)
+        else {"backend": "unknown", "kernel": "unknown"}
+    )
+    return entry["key"], result
 
 
 class SweepCache:
@@ -125,16 +175,11 @@ class SweepCache:
         """
         path = self._entry_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry = read_entry(path)
         except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != SCHEMA_VERSION
-            or entry.get("key") != key
-        ):
+        if entry is None or entry[0] != key:
             try:
                 path.unlink()
             except OSError:
@@ -142,31 +187,11 @@ class SweepCache:
             self.invalidations += 1
             self.misses += 1
             return None
-        try:
-            result = SimulationResult.from_dict(entry["result"])
-        except (KeyError, TypeError, ValueError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        # Provenance rides alongside the result (not in the keyed
-        # payload, so it never affects hits): entries written before it
-        # existed surface as "unknown" rather than being invalidated.
-        provenance = entry.get("provenance")
-        result.backend_info = (
-            dict(provenance)
-            if isinstance(provenance, dict)
-            else {"backend": "unknown", "kernel": "unknown"}
-        )
         self.hits += 1
-        return result
+        return entry[1]
 
     def put(self, key: Dict[str, object], result: SimulationResult) -> None:
         """Store ``result`` under ``key`` (atomic, last writer wins)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -174,20 +199,7 @@ class SweepCache:
         }
         if result.backend_info is not None:
             entry["provenance"] = dict(result.backend_info)
-        path = self._entry_path(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(self._entry_path(key), entry)
 
     def __len__(self) -> int:
         if not self.directory.is_dir():
@@ -205,22 +217,3 @@ class SweepCache:
                 except OSError:
                     pass
         return removed
-
-    @classmethod
-    def from_env(cls) -> Optional["SweepCache"]:
-        """A cache at ``$REPRO_SWEEP_CACHE``, or ``None`` when unset.
-
-        Raises :class:`ValueError` when the variable names an existing
-        path that is not a directory -- a cache pointed at a regular
-        file would silently store nothing.
-        """
-        directory = os.environ.get(CACHE_ENV_VAR, "").strip()
-        if not directory:
-            return None
-        path = Path(directory)
-        if path.exists() and not path.is_dir():
-            raise ValueError(
-                f"{CACHE_ENV_VAR} must name a directory (created on "
-                f"demand), but {directory!r} exists and is not one"
-            )
-        return cls(directory)

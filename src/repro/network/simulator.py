@@ -46,13 +46,13 @@ output bit for bit.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..routing.base import RoutingAlgorithm
 from ..topology.base import ChannelKind
+from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 from .config import SimulationConfig
 from .packet import Flit, Packet, RoutePlan, make_flits
@@ -258,6 +258,7 @@ class Simulator:
         routing: RoutingAlgorithm,
         pattern: Callable[[int], int],
         config: SimulationConfig,
+        settings: Optional[Settings] = None,
     ) -> None:
         self.topology = topology
         self.routing = routing
@@ -471,13 +472,14 @@ class Simulator:
                     self._outstanding_tagged += 1
                     self._source_queue[terminal].append(packet)
 
-        # Opt-in conservation sanitizer (``REPRO_SANITIZE=1``); imported
+        # Opt-in conservation sanitizer (``Settings.sanitize``); imported
         # lazily so the disabled mode never touches repro.check at all.
+        settings = settings or Settings.from_env()
         self._sanitizer: Optional[SimulatorSanitizer] = None
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from ..check.sanitizer import sanitizer_from_env
+        if settings.sanitize:
+            from ..check.sanitizer import SimulatorSanitizer
 
-            self._sanitizer = sanitizer_from_env()
+            self._sanitizer = SimulatorSanitizer(settings.sanitize_stride)
 
     # ------------------------------------------------------------------
     # CongestionView interface (queried by routing algorithms)
@@ -1249,8 +1251,8 @@ def simulate(
     """Convenience one-shot run.
 
     ``backend`` selects the engine implementation (``"scalar"`` or
-    ``"array"``); ``None`` defers to ``REPRO_SIM_BACKEND`` (default
-    scalar).  See :mod:`repro.network.backend` for the equivalence
+    ``"array"``); ``None`` defers to :class:`~repro.settings.Settings`
+    (default scalar).  See :mod:`repro.network.backend` for the equivalence
     contract between the engines.
     """
     from .backend import make_simulator

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..routing.base import RoutingAlgorithm
+from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 from .backend import make_simulator
 from .config import SimulationConfig
@@ -41,15 +42,18 @@ def run_point(
     routing: RoutingAlgorithm,
     pattern_name: str,
     config: SimulationConfig,
+    settings: Optional[Settings] = None,
 ) -> SimulationResult:
     """One simulation run with a freshly seeded pattern.
 
-    The engine backend comes from ``REPRO_SIM_BACKEND`` (default
-    scalar); worker processes inherit the environment, so the whole
-    sweep/cache/service stack switches backends with no plumbing.
+    The engine is built from ``settings`` (default
+    ``Settings.from_env()``); the sweep runner passes the settings it
+    resolved, in-process and in its workers alike.
     """
     pattern = make_pattern(pattern_name, topology, seed=config.seed + 17)
-    return make_simulator(topology, routing, pattern, config).run()
+    return make_simulator(
+        topology, routing, pattern, config, settings=settings
+    ).run()
 
 
 def load_sweep(

@@ -1,6 +1,6 @@
 """CLI front end of the sweep service (``python -m repro.serve``).
 
-Verbs (see ``docs/sweep-service.md``):
+Verbs (see ``docs/sweeps.md``):
 
 ``submit``
     Decompose a figure preset or an explicit ``--manifest`` file into

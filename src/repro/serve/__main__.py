@@ -16,18 +16,15 @@ when every unit completed, 1 when any unit failed permanently.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..service.client import service_root_from_env
+from ..network.parallel import JobProgress, SchedulerOptions
 from ..service.manifest import SweepManifest, manifests_for_figure
-from ..service.scheduler import (
-    JobProgress,
-    SchedulerOptions,
-    run_manifest,
-)
+from ..service.scheduler import run_manifest
 from ..service.status import (
     job_statuses,
     render_query_rows,
@@ -35,22 +32,23 @@ from ..service.status import (
     store_summary,
 )
 from ..service.store import ResultStore
+from ..settings import Settings
 
 
-def _resolve_root(raw: Optional[str]) -> Path:
+def _resolve_root(args: argparse.Namespace) -> Path:
+    raw, settings = args.root, args.settings
     if raw:
-        root = Path(raw)
-        if root.exists() and not root.is_dir():
+        try:
+            settings = dataclasses.replace(settings, service_root=Path(raw))
+        except ValueError:
             raise SystemExit(
                 f"error: service root {raw!r} exists and is not a directory"
             )
-        return root
-    root = service_root_from_env()
-    if root is None:
+    if settings.service_root is None:
         raise SystemExit(
             "error: no service root; pass --root DIR or set REPRO_SWEEP_SERVICE"
         )
-    return root
+    return settings.service_root
 
 
 def _parse_loads(raw: Optional[str]) -> Optional[List[float]]:
@@ -77,8 +75,6 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
         except (KeyError, TypeError, ValueError) as error:
             raise SystemExit(f"error: bad manifest {args.manifest}: {error}")
         if loads is not None:
-            import dataclasses
-
             manifest = dataclasses.replace(manifest, loads=tuple(loads))
         return [manifest]
     if not args.figure:
@@ -90,11 +86,9 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    root = _resolve_root(args.root)
-    options = SchedulerOptions.from_env()
+    root = _resolve_root(args)
+    options = SchedulerOptions.from_settings(args.settings)
     if args.workers is not None:
-        import dataclasses
-
         options = dataclasses.replace(options, workers=args.workers)
     manifests = _manifests(args)
     live = args.progress and sys.stderr.isatty() and not args.json
@@ -119,7 +113,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     flush=True,
                 )
 
-        report = run_manifest(root, manifest, options, on_progress=show)
+        report = run_manifest(
+            root, manifest, options, on_progress=show, settings=args.settings
+        )
         if live:
             print(file=sys.stderr)
         summary = {
@@ -150,7 +146,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    root = _resolve_root(args.root)
+    root = _resolve_root(args)
     statuses = job_statuses(root)
     summary = store_summary(root)
     if args.json:
@@ -172,7 +168,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    root = _resolve_root(args.root)
+    root = _resolve_root(args)
     store = ResultStore(root / "store")
     points = store.query(
         figure=args.figure,
@@ -193,7 +189,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
-    root = _resolve_root(args.root)
+    root = _resolve_root(args)
     store = ResultStore(root / "store")
     counts = store.gc()
     if args.json:
@@ -269,6 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     gc.set_defaults(func=_cmd_gc)
 
     args = parser.parse_args(argv)
+    args.settings = Settings.from_env()
     return args.func(args)
 
 

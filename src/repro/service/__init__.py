@@ -6,7 +6,7 @@ pool + directory of JSON files" to a *service*:
 :mod:`~repro.service.manifest`
     A sweep request (figure tag, topology, routings, patterns, loads,
     replication seeds, simulation config) decomposed into
-    content-addressed :class:`~repro.service.manifest.WorkUnit`\\ s
+    content-addressed :class:`~repro.network.parallel.WorkUnit`\\ s
     keyed by :func:`repro.network.cache.point_key`.
 
 :mod:`~repro.service.store`
@@ -17,53 +17,42 @@ pool + directory of JSON files" to a *service*:
     predicates.  Queries never simulate.
 
 :mod:`~repro.service.scheduler`
-    :class:`~repro.service.scheduler.SweepScheduler` -- shards work
-    units across worker processes with heartbeats, per-unit timeouts,
-    bounded retries with backoff, and an append-only crash journal so a
-    killed service resumes a partial sweep without recomputing
-    completed points.
+    The sweep runner of :mod:`repro.network.parallel` (worker pool with
+    heartbeats, per-unit timeouts, bounded retries with backoff)
+    configured as a job: an append-only crash journal and the indexed
+    store, so a killed service resumes a partial sweep without
+    recomputing completed points.
 
 :mod:`~repro.service.client`
     :class:`~repro.service.client.ServiceExecutor` -- a drop-in
-    :class:`~repro.network.parallel.SweepExecutor` backed by the store
-    and scheduler.  Setting ``REPRO_SWEEP_SERVICE`` to a service root
+    :class:`~repro.network.parallel.SweepExecutor` whose batches are
+    such jobs.  Setting ``REPRO_SWEEP_SERVICE`` to a service root
     directory turns every figure script and benchmark that calls
     :func:`repro.experiments.base.experiment_executor` into a service
     client with no code changes.
 
 The CLI front end lives in :mod:`repro.serve` (``python -m repro.serve
-submit|status|query|gc``).  See ``docs/sweep-service.md``.
+submit|status|query|gc``).  See ``docs/sweeps.md``.
 """
 
-from .client import (
-    SERVICE_ENV_VAR,
-    ServiceExecutor,
-    executor_from_env,
-    service_root_from_env,
-)
+from ..network.parallel import SchedulerOptions, ServiceError
+from .client import ServiceExecutor
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     SweepManifest,
     TopologySpec,
-    WorkUnit,
     manifests_for_figure,
 )
-from .scheduler import SchedulerOptions, ServiceError, SweepScheduler
 from .store import ResultStore, StoredPoint
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
-    "SERVICE_ENV_VAR",
     "ResultStore",
     "SchedulerOptions",
     "ServiceError",
     "ServiceExecutor",
     "StoredPoint",
     "SweepManifest",
-    "SweepScheduler",
     "TopologySpec",
-    "WorkUnit",
-    "executor_from_env",
     "manifests_for_figure",
-    "service_root_from_env",
 ]

@@ -1,11 +1,12 @@
 """Library client: the sweep service as a drop-in ``SweepExecutor``.
 
 :class:`ServiceExecutor` keeps the :class:`~repro.network.parallel.SweepExecutor`
-interface (``run_point``/``run_points``/``stats``) but routes execution
-through the service scheduler and result store, which buys every
-caller -- ``load_sweep``, ``saturation_load``, ``replicate``, the
-``repro.experiments`` figure runners, the benchmarks -- journaled,
-resumable, store-backed sweeps with no code changes.
+interface (``run_point``/``run_points``/``stats``) and runs the same
+execution core, configured as a service job: every batch is journaled
+under ``<root>/jobs/`` and its points land in the indexed result store.
+That buys every caller -- ``load_sweep``, ``saturation_load``,
+``replicate``, the ``repro.experiments`` figure runners, the benchmarks
+-- resumable, queryable sweeps with no code changes.
 
 Setting ``REPRO_SWEEP_SERVICE`` to a service root directory makes
 :func:`repro.experiments.base.experiment_executor` return one of these,
@@ -17,58 +18,24 @@ land, and a killed run resumes where it stopped.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Union
 
-from ..network.cache import key_digest, point_key
-from ..network.parallel import PointSpec, SweepExecutor
-from ..network.stats import SimulationResult
-from .manifest import WorkUnit
-from .scheduler import JobProgress, SchedulerOptions, SweepScheduler
+from ..network.cache import key_digest
+from ..network.parallel import (
+    JobProgress,
+    JobReport,
+    SchedulerOptions,
+    SweepExecutor,
+    WorkUnit,
+)
+from ..settings import Settings
+from .scheduler import job_scheduler
 from .store import ResultStore
-
-#: Environment variable naming the service root directory; when set,
-#: :func:`repro.experiments.base.experiment_executor` returns a
-#: :class:`ServiceExecutor` rooted there.
-SERVICE_ENV_VAR = "REPRO_SWEEP_SERVICE"
-
-
-def service_root_from_env() -> Optional[Path]:
-    """The service root from ``REPRO_SWEEP_SERVICE``, or ``None``.
-
-    Raises :class:`ValueError` naming the variable when it points at an
-    existing path that is not a directory -- a service rooted at a
-    regular file could never store anything.
-    """
-    raw = os.environ.get(SERVICE_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    path = Path(raw)
-    if path.exists() and not path.is_dir():
-        raise ValueError(
-            f"{SERVICE_ENV_VAR} must name a directory (created on "
-            f"demand), but {raw!r} exists and is not one"
-        )
-    return path
-
-
-def executor_from_env() -> Optional["ServiceExecutor"]:
-    """A :class:`ServiceExecutor` when ``REPRO_SWEEP_SERVICE`` is set.
-
-    Worker count and fault-tolerance knobs come from the same
-    environment family the CLI uses (``REPRO_SWEEP_WORKERS``,
-    ``REPRO_SWEEP_SERVICE_TIMEOUT``, ``REPRO_SWEEP_SERVICE_RETRIES``,
-    ``REPRO_SWEEP_SERVICE_HEARTBEAT``).
-    """
-    root = service_root_from_env()
-    if root is None:
-        return None
-    return ServiceExecutor(root, options=SchedulerOptions.from_env())
 
 
 class ServiceExecutor(SweepExecutor):
-    """A ``SweepExecutor`` whose backend is the sweep service."""
+    """A ``SweepExecutor`` whose batches are journaled service jobs."""
 
     def __init__(
         self,
@@ -76,6 +43,7 @@ class ServiceExecutor(SweepExecutor):
         options: Optional[SchedulerOptions] = None,
         figure: str = "adhoc",
         on_progress: Optional[Callable[[JobProgress], None]] = None,
+        settings: Optional[Settings] = None,
     ) -> None:
         self.root = Path(root)
         self.options = options or SchedulerOptions()
@@ -84,45 +52,26 @@ class ServiceExecutor(SweepExecutor):
         self.store = ResultStore(self.root / "store")
         # The store's point records double as the executor's cache, so
         # cache counters (hits/misses/invalidations) keep reporting.
-        super().__init__(workers=self.options.workers, cache=self.store.cache)
+        super().__init__(
+            workers=self.options.workers,
+            cache=self.store.cache,
+            settings=settings,
+        )
 
-    def run_points(
-        self, topology, specs: Sequence[PointSpec]
-    ) -> List[SimulationResult]:
-        """Answer a batch through the store + journaled scheduler.
-
-        Each batch becomes one ad-hoc job (its identity is the digest of
-        its unit digests) under ``<root>/jobs/``, so interrupted figure
-        runs resume and ``status`` can narrate them like any submitted
-        manifest.
-        """
-        units: List[WorkUnit] = []
-        for index, spec in enumerate(specs):
-            key = point_key(
-                topology, spec.routing_name, spec.pattern_name, spec.config
-            )
-            units.append(
-                WorkUnit(
-                    index=index, digest=key_digest(key), key=key, spec=spec
-                )
-            )
+    def _run(self, topology, units: List[WorkUnit]) -> JobReport:
+        """One batch as one ad-hoc job (its identity is the digest of
+        its unit digests), so interrupted figure runs resume and
+        ``status`` can narrate them like any submitted manifest."""
         batch_digest = key_digest({"units": [unit.digest for unit in units]})
-        job_dir = self.root / "jobs" / f"{self.figure}-{batch_digest[:16]}"
-        scheduler = SweepScheduler(
-            store=self.store,
-            topology=topology,
-            units=units,
-            job_dir=job_dir,
+        return job_scheduler(
+            self.store,
+            self.root / "jobs" / f"{self.figure}-{batch_digest[:16]}",
+            topology,
+            units,
             options=self.options,
             figure=self.figure,
-        )
-        report = scheduler.run(on_progress=self.on_progress)
-        self.stats["cached"] += report.progress.cached
-        self.stats["simulated"] += report.progress.simulated
-        if report.fallback_error is not None:
-            self.stats["fallbacks"] += 1
-            self.last_fallback_error = report.fallback_error
-        return report.ordered_results(len(specs))
+            settings=self.settings,
+        ).run(on_progress=self.on_progress)
 
     def query(self, **filters) -> List:
         """Convenience pass-through to :meth:`ResultStore.query`."""
@@ -130,14 +79,3 @@ class ServiceExecutor(SweepExecutor):
 
     def summary_line(self) -> str:
         return f"service {self.root}: " + super().summary_line()
-
-
-#: Flat map of every environment knob the service family honours, for
-#: documentation and the ``status`` verb's environment report.
-SERVICE_ENV_KNOBS: Dict[str, str] = {
-    SERVICE_ENV_VAR: "service root directory (enables the service client)",
-    "REPRO_SWEEP_WORKERS": "worker processes (1, N, or 0/'auto')",
-    "REPRO_SWEEP_SERVICE_TIMEOUT": "per-unit timeout in seconds",
-    "REPRO_SWEEP_SERVICE_RETRIES": "max attempts per unit",
-    "REPRO_SWEEP_SERVICE_HEARTBEAT": "worker heartbeat interval in seconds",
-}

@@ -82,13 +82,21 @@ class Journal:
                 break
             if not isinstance(event, dict):
                 continue
-            state.events.append(event)
             kind = event.get("event")
             digest = event.get("unit")
+            elapsed = 0.0
+            if kind == "done":
+                try:
+                    elapsed = float(event.get("elapsed", 0.0))  # type: ignore[arg-type]
+                except (TypeError, ValueError):
+                    # A damaged event is skipped (the unit is then not
+                    # done, and a resume re-answers it from the store).
+                    continue
+            state.events.append(event)
             if kind == "start" and isinstance(digest, str):
                 state.attempts[digest] = state.attempts.get(digest, 0) + 1
             elif kind == "done" and isinstance(digest, str):
-                state.done[digest] = float(event.get("elapsed", 0.0))  # type: ignore[arg-type]
+                state.done[digest] = elapsed
                 state.failed.pop(digest, None)
             elif kind == "cached" and isinstance(digest, str):
                 state.cached.append(digest)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import DragonflyParams
-from ..network.cache import key_digest, point_key
+from ..network.cache import key_digest
 from ..network.config import SimulationConfig
-from ..network.parallel import PointSpec
+from ..network.parallel import PointSpec, WorkUnit, work_units
 from ..topology.dragonfly import Dragonfly
 
 #: Bump when the manifest layout or its decomposition into units changes.
@@ -103,20 +103,6 @@ class TopologySpec:
             h=params.h,
             num_groups=params.num_groups,
         )
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One content-addressed simulation point of a manifest."""
-
-    #: Position in the manifest's deterministic unit order.
-    index: int
-    #: SHA-256 digest of :attr:`key` -- the point's content address.
-    digest: str
-    #: Full auditable cache key (:func:`repro.network.cache.point_key`).
-    key: Dict[str, object]
-    #: What to simulate: routing + pattern + fully resolved config.
-    spec: PointSpec
 
 
 @dataclass(frozen=True)
@@ -217,25 +203,16 @@ class SweepManifest:
         it must describe the same machine as :attr:`topology`.
         """
         topology = topology if topology is not None else self.topology.build()
-        units: List[WorkUnit] = []
-        for routing in self.routings:
-            for pattern in self.patterns:
-                for load in self.loads:
-                    for seed in self.seeds:
-                        config = dataclasses.replace(
-                            self.config, load=load, seed=seed
-                        )
-                        spec = PointSpec(routing, pattern, config)
-                        key = point_key(topology, routing, pattern, config)
-                        units.append(
-                            WorkUnit(
-                                index=len(units),
-                                digest=key_digest(key),
-                                key=key,
-                                spec=spec,
-                            )
-                        )
-        return units
+        return work_units(topology, [
+            PointSpec(
+                routing, pattern,
+                dataclasses.replace(self.config, load=load, seed=seed),
+            )
+            for routing in self.routings
+            for pattern in self.patterns
+            for load in self.loads
+            for seed in self.seeds
+        ])
 
 
 # ----------------------------------------------------------------------

@@ -1,680 +1,69 @@
-"""Sharded sweep scheduler with heartbeats, timeouts and crash resume.
+"""The sweep runner configured as a service job.
 
-:class:`SweepScheduler` executes a list of content-addressed
-:class:`~repro.service.manifest.WorkUnit`\\ s against a
-:class:`~repro.service.store.ResultStore`:
+A job is :class:`repro.network.parallel.SweepScheduler` -- the one
+execution core -- given two things the bare executor leaves out:
 
-* Units whose point record already exists are answered from the store
-  (zero ``run_point`` calls); all others are sharded across a pool of
-  worker *processes*.
-* Each worker owns a private task queue (so an assignment is never
-  ambiguous), sends heartbeats from a daemon thread, and reports
-  ``started``/``done``/``error`` events on a shared result queue.
-* The scheduler detects dead or wedged workers three ways -- the
-  process exited, heartbeats went stale, or the assigned unit exceeded
-  its per-unit timeout -- kills them, respawns a replacement, and
-  requeues the in-flight unit with exponential backoff, up to a bounded
-  number of attempts per unit.
-* Every state change lands in an append-only fsync'd
-  :class:`~repro.service.journal.Journal` *after* the corresponding
-  point record is durably stored, so SIGKILLing the whole service loses
-  at most in-flight work: a restarted scheduler replays the journal,
-  re-answers completed units from the store, and simulates only the
-  remainder.  Results are bit-identical either way because every unit
-  is a pure function of its spec.
+* a :class:`~repro.service.journal.Journal` under
+  ``<root>/jobs/<job_id>/journal.jsonl``, so every state change is
+  fsync'd after its point record is stored and a SIGKILLed service
+  resumes without recomputing completed units;
+* the indexed :class:`~repro.service.store.ResultStore` (through a
+  :class:`~repro.service.store.FigureStore`, so hits are tagged with,
+  and new points filed under, the job's figure).
 
-``workers=1`` (or an unpicklable topology, which is logged and
-journaled, never silent) degrades to an in-process serial loop with the
-same journaling, retries and resume behaviour.
+:func:`job_scheduler` builds that configuration;
+:func:`run_manifest` (the ``submit`` verb) and
+:class:`~repro.service.client.ServiceExecutor` are its two callers.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
-import os
-import pickle
-import queue as queue_module
-import threading
-import time
-from dataclasses import dataclass, field
+import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from ..network.parallel import _run_spec, workers_from_env
-from ..network.stats import SimulationResult
-from ..topology.dragonfly import Dragonfly
+from ..network.parallel import (
+    JobProgress,
+    JobReport,
+    SchedulerOptions,
+    SweepScheduler,
+    WorkUnit,
+)
+from ..settings import Settings
 from .journal import Journal
-from .manifest import WorkUnit
-from .store import ResultStore
-
-#: Per-unit wall-clock timeout in seconds.
-TIMEOUT_ENV_VAR = "REPRO_SWEEP_SERVICE_TIMEOUT"
-#: Maximum attempts per unit (first try + retries).
-RETRIES_ENV_VAR = "REPRO_SWEEP_SERVICE_RETRIES"
-#: Worker heartbeat interval in seconds.
-HEARTBEAT_ENV_VAR = "REPRO_SWEEP_SERVICE_HEARTBEAT"
-
-DEFAULT_UNIT_TIMEOUT = 3600.0
-DEFAULT_MAX_ATTEMPTS = 3
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
+from .manifest import SweepManifest
+from .store import FigureStore, ResultStore
 
 
-class ServiceError(RuntimeError):
-    """A sweep job could not be completed (units failed permanently)."""
+def job_scheduler(
+    store: ResultStore,
+    job_dir: Union[str, Path],
+    topology,
+    units: Sequence[WorkUnit],
+    options: Optional[SchedulerOptions] = None,
+    figure: str = "adhoc",
+    settings: Optional[Settings] = None,
+) -> SweepScheduler:
+    """The sweep runner journaling to ``job_dir`` over ``store``."""
+    job_dir = Path(job_dir)
+    return SweepScheduler(
+        topology,
+        units,
+        store=FigureStore(store, figure),
+        journal=Journal(job_dir / "journal.jsonl"),
+        options=options,
+        settings=settings,
+        job_id=job_dir.name,
+        figure=figure,
+    )
 
 
-def _positive_float_env(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{name} must be a positive number of seconds, got {raw!r}"
-        ) from exc
-    if value <= 0:
-        raise ValueError(
-            f"{name} must be a positive number of seconds, got {value}"
-        )
-    return value
-
-
-def _positive_int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{name} must be a positive integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class SchedulerOptions:
-    """Fault-tolerance and sharding knobs of one scheduler run."""
-
-    #: Worker process count; ``1`` runs in-process.
-    workers: int = 1
-    #: Kill and retry a unit running longer than this (seconds).
-    unit_timeout: float = DEFAULT_UNIT_TIMEOUT
-    #: Total attempts per unit before it fails permanently.
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    #: Worker heartbeat period (seconds); a worker silent for several
-    #: periods is declared dead even if the process object looks alive.
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
-    #: Base of the exponential retry backoff (seconds).
-    backoff_base: float = 0.25
-    #: Scheduler poll period (seconds).
-    poll_interval: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.unit_timeout <= 0 or self.heartbeat_interval <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    @classmethod
-    def from_env(cls) -> "SchedulerOptions":
-        """Options from the ``REPRO_SWEEP_SERVICE_*`` family (and
-        ``REPRO_SWEEP_WORKERS``); garbage raises :class:`ValueError`
-        naming the offending variable."""
-        return cls(
-            workers=workers_from_env(),
-            unit_timeout=_positive_float_env(TIMEOUT_ENV_VAR, DEFAULT_UNIT_TIMEOUT),
-            max_attempts=_positive_int_env(RETRIES_ENV_VAR, DEFAULT_MAX_ATTEMPTS),
-            heartbeat_interval=_positive_float_env(
-                HEARTBEAT_ENV_VAR, DEFAULT_HEARTBEAT_INTERVAL
-            ),
-        )
-
-
-@dataclass
-class JobProgress:
-    """Live counts of one job, rendered on the service progress line."""
-
-    total: int = 0
-    #: Answered from the result store without simulating.
-    cached: int = 0
-    #: Of the cached units, how many a previous (crashed) run journaled.
-    journaled: int = 0
-    simulated: int = 0
-    failed: int = 0
-    running: int = 0
-    retries: int = 0
-    started_at: float = field(default_factory=time.monotonic)
-    #: Wall-clock seconds of completed simulations (for the ETA).
-    sim_elapsed: float = 0.0
-
-    @property
-    def done(self) -> int:
-        return self.cached + self.simulated
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.done - self.failed
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cached / self.done if self.done else 0.0
-
-    def eta_seconds(self, workers: int = 1) -> Optional[float]:
-        """Remaining-work estimate from the mean simulated-unit time."""
-        if self.simulated == 0 or self.remaining == 0:
-            return None
-        mean = self.sim_elapsed / self.simulated
-        return self.remaining * mean / max(1, workers)
-
-    def line(self, workers: int = 1) -> str:
-        """The one-line progress report (service ``submit`` verb)."""
-        parts = [
-            f"{self.done}/{self.total} done",
-            f"{self.running} running",
-            f"{self.failed} failed",
-            f"cache {self.cached}/{self.done or 1} "
-            f"({100.0 * self.hit_rate:.0f}% hit)",
-        ]
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        eta = self.eta_seconds(workers)
-        if eta is not None:
-            parts.append(f"ETA {eta:.0f}s")
-        return " | ".join(parts)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "total": self.total,
-            "cached": self.cached,
-            "journaled": self.journaled,
-            "simulated": self.simulated,
-            "failed": self.failed,
-            "retries": self.retries,
-            "hit_rate": self.hit_rate,
-            "elapsed": time.monotonic() - self.started_at,
-        }
-
-
-@dataclass
-class JobReport:
-    """Outcome of one scheduler run."""
-
-    job_id: str
-    figure: str
-    progress: JobProgress
-    #: Unit index -> result, for every completed unit.
-    results: Dict[int, SimulationResult]
-    #: Unit index -> last error text, for permanently failed units.
-    failed: Dict[int, str]
-    #: Serial-fallback diagnostic (pickling/pool error), if any.
-    fallback_error: Optional[str] = None
-
-    def raise_for_failures(self) -> None:
-        if self.failed:
-            detail = "; ".join(
-                f"unit {index}: {error}" for index, error in sorted(self.failed.items())
-            )
-            raise ServiceError(
-                f"job {self.job_id}: {len(self.failed)} units failed "
-                f"permanently ({detail})"
-            )
-
-    def ordered_results(self, count: int) -> List[SimulationResult]:
-        self.raise_for_failures()
-        return [self.results[index] for index in range(count)]
-
-
-# ----------------------------------------------------------------------
-# Worker process body
-# ----------------------------------------------------------------------
-def _worker_main(
-    worker_id: int,
-    topology: Dragonfly,
-    task_queue,
-    result_queue,
-    heartbeat_interval: float,
-    crash_flag: Optional[str],
-) -> None:
-    """Worker loop: heartbeat thread + one unit at a time.
-
-    ``crash_flag`` is the fault-injection hook the crash-resume tests
-    use: the first worker to claim the flag file deletes it and dies
-    with ``os._exit`` mid-unit, exactly like a SIGKILL.
-    """
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.is_set():
-            try:
-                result_queue.put(("heartbeat", worker_id, None, None))
-            except Exception:
-                return
-            stop.wait(heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True).start()
-    try:
-        while True:
-            item = task_queue.get()
-            if item is None:
-                break
-            index, spec = item
-            result_queue.put(("started", worker_id, index, None))
-            if crash_flag is not None:
-                try:
-                    os.unlink(crash_flag)
-                except OSError:
-                    pass  # another worker already crashed on the flag
-                else:
-                    os._exit(43)
-            try:
-                result = _run_spec(topology, spec)
-            except BaseException as exc:
-                result_queue.put(
-                    ("error", worker_id, index, f"{type(exc).__name__}: {exc}")
-                )
-            else:
-                result_queue.put(("done", worker_id, index, result))
-    finally:
-        stop.set()
-
-
-@dataclass
-class _WorkerHandle:
-    process: multiprocessing.process.BaseProcess
-    task_queue: object
-    last_heartbeat: float
-    assigned: Optional[int] = None
-    assigned_at: float = 0.0
-
-
-class SweepScheduler:
-    """Run one job's work units to completion, durably."""
-
-    def __init__(
-        self,
-        store: ResultStore,
-        topology: Dragonfly,
-        units: Sequence[WorkUnit],
-        job_dir: Union[str, Path],
-        options: Optional[SchedulerOptions] = None,
-        figure: str = "adhoc",
-        crash_flag: Optional[Union[str, Path]] = None,
-    ) -> None:
-        self.store = store
-        self.topology = topology
-        self.units = list(units)
-        self.job_dir = Path(job_dir)
-        self.options = options or SchedulerOptions()
-        self.figure = figure
-        #: Test-only fault injection; see :func:`_worker_main`.
-        self.crash_flag = str(crash_flag) if crash_flag is not None else None
-        self.journal = Journal(self.job_dir / "journal.jsonl")
-        self.job_id = self.job_dir.name
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        on_progress: Optional[Callable[[JobProgress], None]] = None,
-    ) -> JobReport:
-        """Execute every unit; resume from the journal if one exists."""
-        self.job_dir.mkdir(parents=True, exist_ok=True)
-        state = self.journal.replay()
-        progress = JobProgress(total=len(self.units))
-        results: Dict[int, SimulationResult] = {}
-        failed: Dict[int, str] = {}
-        fallback_error: Optional[str] = None
-
-        pending: List[int] = []
-        for unit in self.units:
-            hit = self.store.get(unit.key)
-            if hit is not None:
-                results[unit.index] = hit
-                self.store.tag(unit.key, self.figure)
-                progress.cached += 1
-                if unit.digest in state.done:
-                    progress.journaled += 1
-                else:
-                    self.journal.append({"event": "cached", "unit": unit.digest})
-                continue
-            if unit.digest in state.done:
-                # Journaled complete but the record vanished (gc'd or a
-                # different store): recompute, loudly.
-                self.journal.append({"event": "recompute", "unit": unit.digest})
-            pending.append(unit.index)
-
-        self.journal.append({
-            "event": "job",
-            "job": self.job_id,
-            "figure": self.figure,
-            "units": len(self.units),
-            "pending": len(pending),
-            "resumed": bool(state.events),
-            "workers": self.options.workers,
-        })
-        if on_progress is not None:
-            on_progress(progress)
-
-        if pending:
-            use_pool = self.options.workers > 1 and len(pending) > 1
-            if use_pool:
-                error = self._pickle_error(pending)
-                if error is not None:
-                    fallback_error = error
-                    self.journal.append({"event": "fallback", "error": error})
-                    use_pool = False
-            runner = self._run_pool if use_pool else self._run_inline
-            runner(pending, results, failed, progress, on_progress)
-
-        self.journal.append({
-            "event": "complete",
-            "job": self.job_id,
-            **progress.to_dict(),
-        })
-        if on_progress is not None:
-            on_progress(progress)
-        return JobReport(
-            job_id=self.job_id,
-            figure=self.figure,
-            progress=progress,
-            results=results,
-            failed=failed,
-            fallback_error=fallback_error or state.last_fallback,
-        )
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping
-    # ------------------------------------------------------------------
-    def _pickle_error(self, pending: Sequence[int]) -> Optional[str]:
-        try:
-            pickle.dumps((self.topology, [self.units[i].spec for i in pending]))
-            return None
-        except Exception as exc:
-            return (
-                "pre-flight pickle check failed; running serial: "
-                f"{type(exc).__name__}: {exc}"
-            )
-
-    def _complete_unit(
-        self,
-        index: int,
-        result: SimulationResult,
-        elapsed: float,
-        results: Dict[int, SimulationResult],
-        progress: JobProgress,
-    ) -> None:
-        unit = self.units[index]
-        # Store first, journal second: a journaled ``done`` implies a
-        # durable point record, the invariant resume relies on.
-        self.store.put(unit.key, result, figure=self.figure)
-        self.journal.append({
-            "event": "done",
-            "unit": unit.digest,
-            "elapsed": elapsed,
-        })
-        results[index] = result
-        progress.simulated += 1
-        progress.sim_elapsed += elapsed
-
-    def _fail_attempt(
-        self,
-        index: int,
-        attempts: Dict[int, int],
-        error: str,
-        failed: Dict[int, str],
-        progress: JobProgress,
-    ) -> bool:
-        """Journal a failed attempt; ``True`` when the unit may retry."""
-        unit = self.units[index]
-        permanent = attempts[index] >= self.options.max_attempts
-        self.journal.append({
-            "event": "failed",
-            "unit": unit.digest,
-            "attempt": attempts[index],
-            "error": error,
-            "permanent": permanent,
-        })
-        if permanent:
-            failed[index] = error
-            progress.failed += 1
-            return False
-        progress.retries += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # In-process execution (workers == 1 or unpicklable inputs)
-    # ------------------------------------------------------------------
-    def _run_inline(
-        self,
-        pending: Sequence[int],
-        results: Dict[int, SimulationResult],
-        failed: Dict[int, str],
-        progress: JobProgress,
-        on_progress: Optional[Callable[[JobProgress], None]],
-    ) -> None:
-        attempts: Dict[int, int] = {}
-        for index in pending:
-            unit = self.units[index]
-            while True:
-                attempts[index] = attempts.get(index, 0) + 1
-                self.journal.append({
-                    "event": "start",
-                    "unit": unit.digest,
-                    "attempt": attempts[index],
-                    "worker": "inline",
-                })
-                progress.running = 1
-                if on_progress is not None:
-                    on_progress(progress)
-                started = time.monotonic()
-                try:
-                    result = _run_spec(self.topology, unit.spec)
-                except Exception as exc:  # noqa: BLE001 - journaled + retried
-                    error = f"{type(exc).__name__}: {exc}"
-                    if self._fail_attempt(index, attempts, error, failed, progress):
-                        time.sleep(
-                            self.options.backoff_base
-                            * (2 ** (attempts[index] - 1))
-                        )
-                        continue
-                    break
-                else:
-                    self._complete_unit(
-                        index, result, time.monotonic() - started, results, progress
-                    )
-                    break
-            progress.running = 0
-            if on_progress is not None:
-                on_progress(progress)
-
-    # ------------------------------------------------------------------
-    # Sharded execution
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self,
-        pending: Sequence[int],
-        results: Dict[int, SimulationResult],
-        failed: Dict[int, str],
-        progress: JobProgress,
-        on_progress: Optional[Callable[[JobProgress], None]],
-    ) -> None:
-        ctx = multiprocessing.get_context()
-        result_queue = ctx.Queue()
-        workers: Dict[int, _WorkerHandle] = {}
-        next_worker_id = 0
-        #: Units eligible to dispatch: (not-before time, unit index).
-        ready: List[tuple] = [(0.0, index) for index in pending]
-        attempts: Dict[int, int] = {}
-        started_at: Dict[int, float] = {}
-        outstanding = set(pending)
-        heartbeat_grace = max(5.0 * self.options.heartbeat_interval, 2.0)
-
-        def spawn() -> None:
-            nonlocal next_worker_id
-            worker_id = next_worker_id
-            next_worker_id += 1
-            task_queue = ctx.Queue()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    self.topology,
-                    task_queue,
-                    result_queue,
-                    self.options.heartbeat_interval,
-                    self.crash_flag,
-                ),
-                daemon=True,
-            )
-            process.start()
-            workers[worker_id] = _WorkerHandle(
-                process=process,
-                task_queue=task_queue,
-                last_heartbeat=time.monotonic(),
-            )
-
-        def requeue(index: int, error: str) -> None:
-            if self._fail_attempt(index, attempts, error, failed, progress):
-                delay = self.options.backoff_base * (2 ** (attempts[index] - 1))
-                ready.append((time.monotonic() + delay, index))
-            else:
-                outstanding.discard(index)
-
-        def retire(worker_id: int, error: str) -> None:
-            """Kill a dead/wedged worker, requeueing its assignment."""
-            handle = workers.pop(worker_id)
-            if handle.process.is_alive():
-                handle.process.terminate()
-            handle.process.join(timeout=5.0)
-            self.journal.append({
-                "event": "worker-dead",
-                "worker": worker_id,
-                "unit": (
-                    self.units[handle.assigned].digest
-                    if handle.assigned is not None
-                    else None
-                ),
-                "error": error,
-            })
-            if handle.assigned is not None:
-                attempts.setdefault(handle.assigned, 0)
-                if attempts[handle.assigned] == 0:
-                    # Dispatched but the ``started`` event never arrived.
-                    attempts[handle.assigned] = 1
-                requeue(handle.assigned, error)
-
-        for _ in range(min(self.options.workers, len(pending))):
-            spawn()
-
-        try:
-            last_progress = 0.0
-            while outstanding:
-                now = time.monotonic()
-                # Dispatch ready units to idle workers.
-                idle = [h for h in workers.values() if h.assigned is None]
-                if idle and ready:
-                    ready.sort()
-                    for handle in idle:
-                        if not ready or ready[0][0] > now:
-                            break
-                        _, index = ready.pop(0)
-                        if index not in outstanding:
-                            continue
-                        handle.assigned = index
-                        handle.assigned_at = now
-                        handle.task_queue.put((index, self.units[index].spec))
-                # Top the pool back up if workers died with work left.
-                while len(workers) < min(
-                    self.options.workers, len(outstanding)
-                ):
-                    spawn()
-
-                # Drain worker events.
-                try:
-                    kind, worker_id, index, payload = result_queue.get(
-                        timeout=self.options.poll_interval
-                    )
-                except queue_module.Empty:
-                    kind = None
-                if kind is not None and worker_id in workers:
-                    handle = workers[worker_id]
-                    handle.last_heartbeat = time.monotonic()
-                    if kind == "started":
-                        attempts[index] = attempts.get(index, 0) + 1
-                        started_at[index] = time.monotonic()
-                        self.journal.append({
-                            "event": "start",
-                            "unit": self.units[index].digest,
-                            "attempt": attempts[index],
-                            "worker": worker_id,
-                        })
-                    elif kind == "done":
-                        elapsed = time.monotonic() - started_at.get(
-                            index, handle.assigned_at
-                        )
-                        self._complete_unit(
-                            index, payload, elapsed, results, progress
-                        )
-                        outstanding.discard(index)
-                        handle.assigned = None
-                    elif kind == "error":
-                        requeue(index, str(payload))
-                        handle.assigned = None
-
-                # Detect dead or wedged workers.
-                now = time.monotonic()
-                for worker_id in list(workers):
-                    handle = workers[worker_id]
-                    if not handle.process.is_alive():
-                        retire(worker_id, "worker process died")
-                    elif now - handle.last_heartbeat > heartbeat_grace:
-                        retire(worker_id, "worker heartbeat lost")
-                    elif (
-                        handle.assigned is not None
-                        and now - handle.assigned_at > self.options.unit_timeout
-                    ):
-                        retire(
-                            worker_id,
-                            f"unit exceeded {self.options.unit_timeout:.1f}s timeout",
-                        )
-
-                progress.running = sum(
-                    1 for h in workers.values() if h.assigned is not None
-                )
-                if on_progress is not None and now - last_progress > 0.2:
-                    last_progress = now
-                    on_progress(progress)
-        finally:
-            for handle in workers.values():
-                try:
-                    handle.task_queue.put(None)
-                except Exception:
-                    pass
-            deadline = time.monotonic() + 5.0
-            for handle in workers.values():
-                handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
-            result_queue.cancel_join_thread()
-        progress.running = 0
-
-
-# ----------------------------------------------------------------------
-# Manifest-level convenience
-# ----------------------------------------------------------------------
 def run_manifest(
     root: Union[str, Path],
-    manifest,
+    manifest: SweepManifest,
     options: Optional[SchedulerOptions] = None,
     on_progress: Optional[Callable[[JobProgress], None]] = None,
-    crash_flag: Optional[Union[str, Path]] = None,
+    settings: Optional[Settings] = None,
 ) -> JobReport:
     """Submit one manifest against the service root and run it to
     completion (the ``submit`` verb's engine).
@@ -683,12 +72,8 @@ def run_manifest(
     its journal, so ``status`` can describe the job and a resume can
     verify it is re-running the same request.
     """
-    import json
-
     root = Path(root)
-    store = ResultStore(root / "store")
     topology = manifest.topology.build()
-    units = manifest.work_units(topology)
     job_dir = root / "jobs" / manifest.job_id
     job_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = job_dir / "manifest.json"
@@ -697,13 +82,12 @@ def run_manifest(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True),
             encoding="utf-8",
         )
-    scheduler = SweepScheduler(
-        store=store,
-        topology=topology,
-        units=units,
-        job_dir=job_dir,
+    return job_scheduler(
+        ResultStore(root / "store"),
+        job_dir,
+        topology,
+        manifest.work_units(topology),
         options=options,
         figure=manifest.figure,
-        crash_flag=crash_flag,
-    )
-    return scheduler.run(on_progress=on_progress)
+        settings=settings,
+    ).run(on_progress=on_progress)

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .journal import Journal
+from .manifest import SweepManifest
 from .store import ResultStore, StoredPoint
 
 
@@ -29,10 +30,12 @@ class JobStatus:
     cached: int
     failed: int
     attempts: int
-    state: str  # "complete" | "interrupted" | "empty"
+    state: str  # "complete" | "interrupted" | "empty" | "corrupt"
     last_event_age: Optional[float] = None
     last_fallback: Optional[str] = None
     failures: Dict[str, str] = field(default_factory=dict)
+    #: For ``state == "corrupt"``: the damaged file and what is wrong.
+    damaged: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -47,6 +50,7 @@ class JobStatus:
             "last_event_age": self.last_event_age,
             "last_fallback": self.last_fallback,
             "failures": dict(self.failures),
+            "damaged": self.damaged,
         }
 
     def line(self) -> str:
@@ -59,6 +63,8 @@ class JobStatus:
         ]
         if self.last_fallback:
             parts.append(f"fallback: {self.last_fallback}")
+        if self.damaged:
+            parts.append(f"damaged: {self.damaged}")
         return "  ".join(parts)
 
 
@@ -74,26 +80,25 @@ def job_statuses(root: Union[str, Path]) -> List[JobStatus]:
             continue
         figure = "?"
         units = 0
+        damaged: Optional[str] = None
         manifest_path = job_dir / "manifest.json"
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-                figure = str(manifest.get("figure", "?"))
-                units = (
-                    len(manifest.get("routings", []))
-                    * len(manifest.get("patterns", []))
-                    * len(manifest.get("loads", []))
-                    * len(manifest.get("seeds", []))
+        journal_path = job_dir / "journal.jsonl"
+        state = Journal(journal_path).replay()
+        declared = [e for e in state.events if e.get("event") == "job"]
+        damaged_file = journal_path
+        try:
+            if declared:
+                units = int(declared[-1].get("units", 0))  # type: ignore[call-overload]
+                figure = str(declared[-1].get("figure", figure))
+            damaged_file = manifest_path
+            if manifest_path.exists():
+                manifest = SweepManifest.from_dict(
+                    json.loads(manifest_path.read_text(encoding="utf-8"))
                 )
-            except (OSError, json.JSONDecodeError):
-                pass
-        state = Journal(job_dir / "journal.jsonl").replay()
-        declared = [
-            e for e in state.events if e.get("event") == "job"
-        ]
-        if declared:
-            figure = str(declared[-1].get("figure", figure))
-            units = int(declared[-1].get("units", units))  # type: ignore[arg-type]
+                if not declared:
+                    figure, units = manifest.figure, manifest.num_units()
+        except (OSError, AttributeError, KeyError, TypeError, ValueError) as error:
+            damaged = f"{damaged_file}: {type(error).__name__}: {error}"
         last_age: Optional[float] = None
         if state.events:
             try:
@@ -110,13 +115,15 @@ def job_statuses(root: Union[str, Path]) -> List[JobStatus]:
                 failed=len(state.failed),
                 attempts=sum(state.attempts.values()),
                 state=(
-                    "complete" if state.complete
+                    "corrupt" if damaged
+                    else "complete" if state.complete
                     else "interrupted" if state.events
                     else "empty"
                 ),
                 last_event_age=last_age,
                 last_fallback=state.last_fallback,
                 failures=dict(state.failed),
+                damaged=damaged,
             )
         )
     return statuses

@@ -27,13 +27,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..network.cache import SCHEMA_VERSION, SweepCache, key_digest
+from ..network.cache import (
+    SweepCache,
+    key_digest,
+    read_entry,
+    write_json_atomic,
+)
 from ..network.stats import SimulationResult
 
 #: Bump when the index layout changes; a mismatched index is rebuilt
@@ -91,6 +94,24 @@ class StoredPoint:
             "backend": self.backend,
             "kernel": self.kernel,
         }
+
+
+@dataclass(frozen=True)
+class FigureStore:
+    """A :class:`ResultStore` as the sweep runner sees it on behalf of
+    one figure: hits are tagged ``figure``, puts are filed under it."""
+
+    store: "ResultStore"
+    figure: str
+
+    def get(self, key: Dict[str, object]) -> Optional[SimulationResult]:
+        result = self.store.get(key)
+        if result is not None:
+            self.store.tag(key, self.figure)
+        return result
+
+    def put(self, key: Dict[str, object], result: SimulationResult) -> None:
+        self.store.put(key, result, figure=self.figure)
 
 
 class ResultStore:
@@ -234,26 +255,13 @@ class ResultStore:
         recovered = dropped = corrupt = 0
         for path in sorted(self.points_dir.glob("*.json")):
             try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
+                entry = read_entry(path)
             except (OSError, json.JSONDecodeError):
+                entry = None
+            if entry is None or key_digest(entry[0]) != path.stem:
                 corrupt += 1
                 continue
-            key = entry.get("key")
-            if (
-                entry.get("schema") != SCHEMA_VERSION
-                or not isinstance(key, dict)
-                or key_digest(key) != path.stem
-            ):
-                corrupt += 1
-                continue
-            try:
-                result = SimulationResult.from_dict(entry["result"])
-            except (KeyError, TypeError, ValueError):
-                corrupt += 1
-                continue
-            provenance = entry.get("provenance")
-            if isinstance(provenance, dict):
-                result.backend_info = dict(provenance)
+            key, result = entry
             digest = path.stem
             record = self._entry_from_key(key, result)
             previous = old_index.get(digest)
@@ -373,18 +381,6 @@ class ResultStore:
 
     def _write_index(self, index: Dict[str, Dict[str, object]]) -> None:
         self._index = index
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": INDEX_SCHEMA_VERSION, "points": index}
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix="index", suffix=".tmp"
+        write_json_atomic(
+            self.index_path, {"schema": INDEX_SCHEMA_VERSION, "points": index}
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise

@@ -1,4 +1,4 @@
-"""Tests for the repo-specific AST lint (REP001..REP006)."""
+"""Tests for the repo-specific AST lint (REP001..REP007)."""
 
 import textwrap
 
@@ -220,6 +220,52 @@ class TestNumpyGlobalRandom:
             sizes = np.arange(10)
         """)
         assert not iter_findings_by_rule(findings, "REP006")
+
+
+class TestEnvironmentAccess:
+    def test_reads_and_writes_are_flagged(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            import os
+            backend = os.environ.get("REPRO_SIM_BACKEND")
+            workers = os.getenv("REPRO_SWEEP_WORKERS")
+            os.environ["REPRO_SANITIZE"] = "1"
+            os.putenv("REPRO_SANITIZE", "1")
+        """, name="network/backend.py")
+        rep007 = iter_findings_by_rule(findings, "REP007")
+        assert [f.location for f in rep007] == [
+            f"network/backend.py:{line}" for line in (3, 4, 5, 6)
+        ]
+        assert "Settings" in rep007[0].message
+
+    def test_aliases_and_from_imports_are_tracked(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            import os as operating_system
+            from os import environ, getenv
+            value = operating_system.environ["X"]
+        """)
+        assert len(iter_findings_by_rule(findings, "REP007")) == 3
+
+    def test_settings_module_and_other_os_use_are_allowed(self, tmp_path):
+        lint_snippet(tmp_path, """
+            import os
+            raw = os.environ.get("REPRO_SIM_BACKEND", "")
+        """, name="settings.py")
+        findings = lint_snippet(tmp_path, """
+            import os
+            from os import path
+            cpus = os.cpu_count()
+            os.unlink("scratch")
+            environ = {"not": "os.environ"}
+            environ.get("not")
+        """)
+        assert not iter_findings_by_rule(findings, "REP007")
+
+    def test_scripts_are_not_subject_to_it(self, tmp_path):
+        (tmp_path / "bench.py").write_text(
+            "import os\nWORKERS = os.environ.get('REPRO_SWEEP_WORKERS')\n"
+        )
+        findings = lint_tree(tmp_path, script_mode=True)
+        assert not iter_findings_by_rule(findings, "REP007")
 
 
 class TestTreeWalk:

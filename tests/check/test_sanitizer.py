@@ -17,15 +17,9 @@ import numpy as np
 import pytest
 
 from repro.check.sanitizer import (
-    DEFAULT_STRIDE,
-    ENV_ENABLE,
-    ENV_STRIDE,
     SanitizerError,
     SimulatorSanitizer,
     audit_simulator,
-    sanitizer_enabled,
-    sanitizer_from_env,
-    stride_from_env,
     structural_findings,
 )
 from repro.core.params import DragonflyParams
@@ -36,7 +30,11 @@ from repro.network.simulator import Simulator, SimulatorStateError
 from repro.network.sweep import load_sweep
 from repro.network.traffic import make_pattern
 from repro.routing.ugal import make_routing
+from repro.settings import ENV_VARS, Settings
 from repro.topology.dragonfly import Dragonfly
+
+ENV_ENABLE = ENV_VARS["sanitize"]
+ENV_STRIDE = ENV_VARS["sanitize_stride"]
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_FIXTURES = sorted(path.stem for path in GOLDEN_DIR.glob("*.json"))
@@ -81,47 +79,43 @@ def codes(findings):
     return {finding.code for finding in findings}
 
 
-class TestEnvPlumbing:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_ENABLE, raising=False)
-        assert not sanitizer_enabled()
-        assert sanitizer_from_env() is None
+class TestSettingsPlumbing:
+    """The sanitizer is switched by ``Settings`` (parsing contract in
+    tests/network/test_env_config.py): from the environment by default,
+    from an explicit argument otherwise."""
 
-    def test_zero_means_disabled(self, monkeypatch):
-        monkeypatch.setenv(ENV_ENABLE, "0")
-        assert not sanitizer_enabled()
-        assert sanitizer_from_env() is None
+    @pytest.mark.parametrize("raw", [None, "0"])
+    def test_disabled_by_default_and_by_zero(
+        self, monkeypatch, tiny_dragonfly, raw
+    ):
+        if raw is None:
+            monkeypatch.delenv(ENV_ENABLE, raising=False)
+        else:
+            monkeypatch.setenv(ENV_ENABLE, raw)
+        assert make_simulator(tiny_dragonfly)._sanitizer is None
 
-    def test_enabled_with_custom_stride(self, monkeypatch):
+    def test_enabled_with_custom_stride(self, monkeypatch, tiny_dragonfly):
         monkeypatch.setenv(ENV_ENABLE, "1")
         monkeypatch.setenv(ENV_STRIDE, "7")
-        sanitizer = sanitizer_from_env()
-        assert sanitizer is not None
-        assert sanitizer.stride == 7
+        assert make_simulator(tiny_dragonfly)._sanitizer.stride == 7
 
-    def test_default_stride(self, monkeypatch):
+    def test_default_stride(self, monkeypatch, tiny_dragonfly):
         monkeypatch.setenv(ENV_ENABLE, "1")
         monkeypatch.delenv(ENV_STRIDE, raising=False)
-        assert stride_from_env() == DEFAULT_STRIDE
+        stride = make_simulator(tiny_dragonfly)._sanitizer.stride
+        assert stride == Settings().sanitize_stride == 64
 
-    @pytest.mark.parametrize("raw", ["nope", "0", "-3"])
-    def test_bad_stride_is_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_STRIDE, raw)
-        with pytest.raises(ValueError):
-            stride_from_env()
-
-    def test_simulator_attaches_sanitizer_when_enabled(
+    def test_explicit_settings_beat_the_environment(
         self, monkeypatch, tiny_dragonfly
     ):
         monkeypatch.setenv(ENV_ENABLE, "1")
-        sim = make_simulator(tiny_dragonfly)
-        assert sim._sanitizer is not None
-
-    def test_simulator_skips_sanitizer_when_disabled(
-        self, monkeypatch, tiny_dragonfly
-    ):
-        monkeypatch.delenv(ENV_ENABLE, raising=False)
-        sim = make_simulator(tiny_dragonfly)
+        sim = engine_backend.make_simulator(
+            tiny_dragonfly,
+            make_routing("MIN"),
+            make_pattern("uniform_random", tiny_dragonfly, seed=1),
+            SimulationConfig(),
+            settings=Settings(sanitize=False),
+        )
         assert sim._sanitizer is None
 
 

@@ -27,13 +27,12 @@ import pytest
 from differential_corpus import CORPUS, TOPOLOGIES, DifferentialCase
 from repro.core.params import DragonflyParams
 from repro.network.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
     contract_for,
     first_divergence,
     make_simulator,
 )
 from repro.network.config import SimulationConfig
+from repro.settings import BACKENDS
 from repro.network.sweep import load_sweep
 from repro.network.traffic import make_pattern
 from repro.routing import (
@@ -163,7 +162,7 @@ class TestGoldenFixtures:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fixture_replays(self, golden, backend, monkeypatch):
         fixture, topology, config = golden
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
         points = load_sweep(
             topology, fixture["routing"], fixture["pattern"],
             fixture["loads"], config,
@@ -195,7 +194,7 @@ class TestScaleFixture:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fixture_replays(self, scale, backend, monkeypatch):
         fixture, topology, config = scale
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
         points = load_sweep(
             topology, fixture["routing"], fixture["pattern"],
             fixture["loads"], config,

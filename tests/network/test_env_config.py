@@ -1,221 +1,190 @@
-"""Environment-variable parsing contracts for the sweep/sanitizer knobs.
+"""Environment-variable parsing contracts: ``Settings.from_env``.
 
 Each ``REPRO_*`` variable must either parse to a sane value or fail
 loudly with a :class:`ValueError` that names the offending variable --
 a typo'd setting silently degrading to a default has bitten real
-sweeps.
+sweeps.  ``repro.settings`` is the only reader, so this file is the
+whole contract.
 """
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.check.sanitizer import DEFAULT_STRIDE, ENV_STRIDE, stride_from_env
-from repro.network.backend import (
-    BACKEND_ENV_VAR,
-    backend_from_env,
-    resolve_backend,
-)
-from repro.network.cache import CACHE_ENV_VAR, SweepCache
-from repro.network.parallel import WORKERS_ENV_VAR, SweepExecutor
-from repro.service.client import SERVICE_ENV_VAR, service_root_from_env
-from repro.service.scheduler import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_UNIT_TIMEOUT,
-    HEARTBEAT_ENV_VAR,
-    RETRIES_ENV_VAR,
-    TIMEOUT_ENV_VAR,
-    SchedulerOptions,
-)
+from repro.network.backend import make_simulator
+from repro.network.parallel import SchedulerOptions
+from repro.settings import ENV_VARS, Settings
+
+DEFAULTS = Settings()
 
 
-class TestSanitizeStride:
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_STRIDE, raising=False)
-        assert stride_from_env() == DEFAULT_STRIDE
+def from_env(**variables):
+    """``Settings.from_env`` over exactly these ``field=raw`` pairs."""
+    return Settings.from_env(
+        {ENV_VARS[name]: raw for name, raw in variables.items()}
+    )
 
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv(ENV_STRIDE, "17")
-        assert stride_from_env() == 17
 
-    @pytest.mark.parametrize("raw", ["0", "-3", "garbage", "1.5", ""])
-    def test_bad_values_raise_naming_variable(self, monkeypatch, raw):
-        if raw == "":
-            # Empty means unset, not an error.
-            monkeypatch.setenv(ENV_STRIDE, raw)
-            assert stride_from_env() == DEFAULT_STRIDE
-            return
-        monkeypatch.setenv(ENV_STRIDE, raw)
-        with pytest.raises(ValueError, match=ENV_STRIDE):
-            stride_from_env()
+def test_nine_variables_with_their_historical_names():
+    assert ENV_VARS == {
+        "backend": "REPRO_SIM_BACKEND",
+        "sanitize": "REPRO_SANITIZE",
+        "sanitize_stride": "REPRO_SANITIZE_STRIDE",
+        "workers": "REPRO_SWEEP_WORKERS",
+        "cache_dir": "REPRO_SWEEP_CACHE",
+        "service_root": "REPRO_SWEEP_SERVICE",
+        "unit_timeout": "REPRO_SWEEP_SERVICE_TIMEOUT",
+        "max_attempts": "REPRO_SWEEP_SERVICE_RETRIES",
+        "heartbeat_interval": "REPRO_SWEEP_SERVICE_HEARTBEAT",
+    }
+    assert set(ENV_VARS) == {f.name for f in dataclasses.fields(Settings)}
+
+
+def test_empty_environment_is_all_defaults():
+    assert Settings.from_env({}) == DEFAULTS
+    assert DEFAULTS == Settings(
+        backend="scalar", sanitize=False, sanitize_stride=64, workers=1,
+        cache_dir=None, service_root=None, unit_timeout=3600.0,
+        max_attempts=3, heartbeat_interval=0.5,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ENV_VARS))
+def test_blank_means_unset(name):
+    assert from_env(**{name: "   "}) == DEFAULTS
+
+
+def test_default_environ_is_the_process_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
+    assert Settings.from_env().workers == 3
+    monkeypatch.delenv("REPRO_SWEEP_WORKERS")
+    assert Settings.from_env().workers == 1
+
+
+def test_settings_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULTS.workers = 2
+
+
+class TestSanitize:
+    @pytest.mark.parametrize("raw, enabled", [("1", True), ("yes", True), ("0", False)])
+    def test_switch(self, raw, enabled):
+        assert from_env(sanitize=raw).sanitize is enabled
+
+    def test_valid_stride(self):
+        assert from_env(sanitize_stride="17").sanitize_stride == 17
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "garbage", "nope", "1.5"])
+    def test_bad_stride_raises_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SANITIZE_STRIDE"):
+            from_env(sanitize_stride=raw)
 
 
 class TestSweepWorkers:
-    def test_unset_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert SweepExecutor.from_env().workers == 1
-
     @pytest.mark.parametrize("raw", ["0", "auto", "AUTO"])
-    def test_auto_means_cpu_count(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert SweepExecutor.from_env().workers == (os.cpu_count() or 1)
+    def test_auto_means_cpu_count(self, raw):
+        assert from_env(workers=raw).workers == (os.cpu_count() or 1)
 
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert SweepExecutor.from_env().workers == 3
+    def test_explicit_value(self):
+        assert from_env(workers="3").workers == 3
 
-    @pytest.mark.parametrize("raw", ["-1", "-8", "two", "1.5", "none"])
-    def test_bad_values_raise_naming_variable(self, monkeypatch, raw):
-        monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            SweepExecutor.from_env()
+    @pytest.mark.parametrize("raw", ["-1", "-8", "two", "1.5", "none", "many"])
+    def test_bad_values_raise_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS"):
+            from_env(workers=raw)
 
 
-class TestSweepCache:
-    def test_unset_disables_cache(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert SweepCache.from_env() is None
+@pytest.mark.parametrize("name", ["cache_dir", "service_root"])
+class TestDirectories:
+    def test_directory_accepted_even_before_it_exists(self, name, tmp_path):
+        target = tmp_path / "not-yet"
+        assert getattr(from_env(**{name: str(target)}), name) == target
 
-    def test_blank_disables_cache(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "   ")
-        assert SweepCache.from_env() is None
-
-    def test_directory_accepted(self, monkeypatch, tmp_path):
-        target = tmp_path / "cache"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(target))
-        cache = SweepCache.from_env()
-        assert cache is not None
-        assert cache.directory == target
-
-    def test_existing_file_rejected_naming_variable(self, monkeypatch, tmp_path):
+    def test_existing_file_rejected_naming_variable(self, name, tmp_path):
         bogus = tmp_path / "not-a-dir"
         bogus.write_text("x")
-        monkeypatch.setenv(CACHE_ENV_VAR, str(bogus))
-        with pytest.raises(ValueError, match=CACHE_ENV_VAR):
-            SweepCache.from_env()
-
-
-class TestSweepServiceRoot:
-    def test_unset_disables_service(self, monkeypatch):
-        monkeypatch.delenv(SERVICE_ENV_VAR, raising=False)
-        assert service_root_from_env() is None
-
-    def test_blank_disables_service(self, monkeypatch):
-        monkeypatch.setenv(SERVICE_ENV_VAR, "   ")
-        assert service_root_from_env() is None
-
-    def test_directory_accepted_even_before_it_exists(
-        self, monkeypatch, tmp_path
-    ):
-        target = tmp_path / "svc"
-        monkeypatch.setenv(SERVICE_ENV_VAR, str(target))
-        assert service_root_from_env() == target
-
-    def test_existing_file_rejected_naming_variable(self, monkeypatch, tmp_path):
-        bogus = tmp_path / "not-a-dir"
-        bogus.write_text("x")
-        monkeypatch.setenv(SERVICE_ENV_VAR, str(bogus))
-        with pytest.raises(ValueError, match=SERVICE_ENV_VAR):
-            service_root_from_env()
+        with pytest.raises(ValueError, match=ENV_VARS[name]):
+            from_env(**{name: str(bogus)})
 
 
 class TestSchedulerKnobs:
-    def _clear(self, monkeypatch):
-        for name in (
-            WORKERS_ENV_VAR, TIMEOUT_ENV_VAR, RETRIES_ENV_VAR,
-            HEARTBEAT_ENV_VAR,
-        ):
-            monkeypatch.delenv(name, raising=False)
-
-    def test_unset_uses_defaults(self, monkeypatch):
-        self._clear(monkeypatch)
-        options = SchedulerOptions.from_env()
-        assert options.workers == 1
-        assert options.unit_timeout == DEFAULT_UNIT_TIMEOUT
-        assert options.max_attempts == DEFAULT_MAX_ATTEMPTS
-        assert options.heartbeat_interval == DEFAULT_HEARTBEAT_INTERVAL
-
-    def test_valid_values(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "120.5")
-        monkeypatch.setenv(RETRIES_ENV_VAR, "5")
-        monkeypatch.setenv(HEARTBEAT_ENV_VAR, "0.25")
-        options = SchedulerOptions.from_env()
+    def test_valid_values_reach_the_scheduler_options(self):
+        settings = from_env(
+            workers="4", unit_timeout="120.5", max_attempts="5",
+            heartbeat_interval="0.25",
+        )
+        options = SchedulerOptions.from_settings(settings)
         assert options.workers == 4
         assert options.unit_timeout == 120.5
         assert options.max_attempts == 5
         assert options.heartbeat_interval == 0.25
 
+    def test_scheduler_defaults_are_the_settings_defaults(self):
+        assert SchedulerOptions() == SchedulerOptions.from_settings(DEFAULTS)
+
     @pytest.mark.parametrize("raw", ["0", "-1", "garbage", "1.5s"])
-    def test_bad_timeout_raises_naming_variable(self, monkeypatch, raw):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=TIMEOUT_ENV_VAR):
-            SchedulerOptions.from_env()
+    def test_bad_timeout_raises_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SWEEP_SERVICE_TIMEOUT"):
+            from_env(unit_timeout=raw)
 
     @pytest.mark.parametrize("raw", ["0", "-2", "three", "1.5"])
-    def test_bad_retries_raises_naming_variable(self, monkeypatch, raw):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(RETRIES_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=RETRIES_ENV_VAR):
-            SchedulerOptions.from_env()
+    def test_bad_retries_raises_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SWEEP_SERVICE_RETRIES"):
+            from_env(max_attempts=raw)
 
     @pytest.mark.parametrize("raw", ["0", "-0.5", "beat"])
-    def test_bad_heartbeat_raises_naming_variable(self, monkeypatch, raw):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(HEARTBEAT_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=HEARTBEAT_ENV_VAR):
-            SchedulerOptions.from_env()
+    def test_bad_heartbeat_raises_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SWEEP_SERVICE_HEARTBEAT"):
+            from_env(heartbeat_interval=raw)
 
 
 class TestSimBackend:
-    def test_unset_means_scalar(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert backend_from_env() == "scalar"
-
-    @pytest.mark.parametrize("raw", ["", "   "])
-    def test_blank_means_scalar(self, monkeypatch, raw):
-        monkeypatch.setenv(BACKEND_ENV_VAR, raw)
-        assert backend_from_env() == "scalar"
-
     @pytest.mark.parametrize("raw", ["scalar", "array", " Array ", "SCALAR"])
-    def test_valid_values_normalise(self, monkeypatch, raw):
-        monkeypatch.setenv(BACKEND_ENV_VAR, raw)
-        assert backend_from_env() == raw.strip().lower()
+    def test_valid_values_normalise(self, raw):
+        assert from_env(backend=raw).backend == raw.strip().lower()
 
     @pytest.mark.parametrize("raw", ["numpy", "arry", "fast", "0", "both"])
-    def test_bad_values_raise_naming_variable(self, monkeypatch, raw):
-        monkeypatch.setenv(BACKEND_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR):
-            backend_from_env()
+    def test_bad_values_raise_naming_variable(self, raw):
+        with pytest.raises(ValueError, match="REPRO_SIM_BACKEND"):
+            from_env(backend=raw)
 
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "array")
-        assert resolve_backend("scalar") == "scalar"
-        assert resolve_backend(None) == "array"
+    def test_direct_construction_is_validated_too(self):
+        with pytest.raises(ValueError, match="REPRO_SIM_BACKEND"):
+            Settings(backend="gpu")
 
-    def test_explicit_garbage_raises(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend("gpu")
-
-    def test_env_garbage_fails_at_run_time(self, paper72_dragonfly, monkeypatch):
-        # The error must surface where a sweep would build its engine,
-        # not only in the parsing helper.
-        from repro.network.backend import make_simulator
+    @pytest.fixture()
+    def engine(self, paper72_dragonfly):
+        """``engine(**kwargs)``: the backend ``make_simulator`` built."""
         from repro.network.config import SimulationConfig
         from repro.network.traffic import make_pattern
         from repro.routing import make_routing
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR):
-            make_simulator(
+        def build(**kwargs):
+            return make_simulator(
                 paper72_dragonfly,
                 make_routing("MIN"),
                 make_pattern("uniform_random", paper72_dragonfly),
                 SimulationConfig(),
-            )
+                **kwargs,
+            ).backend_provenance()["backend"]
+
+        return build
+
+    def test_explicit_arguments_override_env(self, monkeypatch, engine):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "array")
+        assert engine() == "array"
+        assert engine(backend=" Scalar ") == "scalar"
+        assert engine(settings=DEFAULTS) == "scalar"
+        assert engine(backend="array", settings=DEFAULTS) == "array"
+
+    def test_explicit_garbage_raises(self, engine):
+        with pytest.raises(ValueError, match="must be one of"):
+            engine(backend="gpu")
+
+    def test_env_garbage_fails_at_run_time(self, monkeypatch, engine):
+        # The error must surface where a sweep would build its engine,
+        # not only in the parsing helper.
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "vector")
+        with pytest.raises(ValueError, match="REPRO_SIM_BACKEND"):
+            engine()

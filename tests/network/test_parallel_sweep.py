@@ -1,29 +1,44 @@
-"""Parallel sweep execution is bit-identical to serial execution.
+"""Every configuration of the sweep runner is bit-identical to a
+plain serial loop.
 
 The contract of :mod:`repro.network.parallel`: a sweep point is a pure
-function of its :class:`PointSpec`, so fanning points across a process
-pool changes wall-clock time and nothing else.  These tests pin the
-equivalence (the CI workflow re-runs the equivalence class with
+function of its :class:`PointSpec`, so where it runs -- in-process, in
+a worker pool, as a journaled service job -- changes wall-clock time
+and nothing else.  These tests pin the equivalence over the three
+configurations (the CI workflow re-runs the equivalence class with
 ``REPRO_SWEEP_WORKERS=2``), the ordered reassembly, the serial
-fallback, and the deterministic seed derivation.
+fallback and its diagnostics, the pool's fault tolerance without a
+journal, and the deterministic seed derivation.
 """
 
 import dataclasses
+import logging
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro.network.parallel as parallel_module
+import repro.network.sweep as sweep_module
 from repro.core.params import DragonflyParams
 from repro.network.config import SimulationConfig
 from repro.network.parallel import (
     PointSpec,
+    SchedulerOptions,
+    ServiceError,
     SweepExecutor,
+    SweepScheduler,
+    _run_spec,
     derive_seed,
     derive_seeds,
+    work_units,
 )
 from repro.network.replication import replicate
 from repro.network.sweep import load_sweep
 from repro.routing.ugal import make_routing
+from repro.service import ServiceExecutor
+from repro.settings import Settings
 from repro.topology.dragonfly import Dragonfly
 
 
@@ -44,31 +59,59 @@ def point_dicts(points):
     return [(p.load, p.result.to_dict()) for p in points]
 
 
+def serial_reference(topology, routing, pattern, loads, config):
+    """The oracle: a plain loop over ``_run_spec``, no executor at all."""
+    return [
+        (load, _run_spec(
+            topology, PointSpec(routing, pattern, config.with_load(load))
+        ).to_dict())
+        for load in loads
+    ]
+
+
+#: The three configurations of the one execution core.
+CONFIGURATIONS = {
+    "inline": lambda tmp_path, workers: SweepExecutor(workers=1),
+    "pool": lambda tmp_path, workers: SweepExecutor(workers=workers),
+    "service": lambda tmp_path, workers: ServiceExecutor(
+        tmp_path / "svc", options=SchedulerOptions(workers=2)
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CONFIGURATIONS))
+def make_executor(request, tmp_path):
+    """``make_executor(workers)`` for each configuration in turn."""
+    return lambda workers=2: CONFIGURATIONS[request.param](tmp_path, workers)
+
+
 class TestParallelSerialEquivalence:
     LOADS = (0.1, 0.2, 0.3, 0.4)
 
-    def test_four_workers_match_serial(self, df, config):
+    def test_matches_serial(self, df, config, make_executor):
         """The acceptance-criterion equivalence: 4 workers, same bits."""
-        serial = load_sweep(df, "UGAL-L", "uniform_random", self.LOADS, config)
-        parallel = load_sweep(
+        points = load_sweep(
             df, "UGAL-L", "uniform_random", self.LOADS, config,
-            executor=SweepExecutor(workers=4),
+            executor=make_executor(4),
         )
-        assert point_dicts(serial) == point_dicts(parallel)
+        assert point_dicts(points) == serial_reference(
+            df, "UGAL-L", "uniform_random", self.LOADS, config
+        )
 
-    def test_two_workers_match_serial_adversarial(self, df, config):
-        serial = load_sweep(df, "VAL", "worst_case", (0.05, 0.15), config)
-        parallel = load_sweep(
+    def test_matches_serial_adversarial(self, df, config, make_executor):
+        points = load_sweep(
             df, "VAL", "worst_case", (0.05, 0.15), config,
-            executor=SweepExecutor(workers=2),
+            executor=make_executor(2),
         )
-        assert point_dicts(serial) == point_dicts(parallel)
+        assert point_dicts(points) == serial_reference(
+            df, "VAL", "worst_case", (0.05, 0.15), config
+        )
 
-    def test_results_keep_submission_order(self, df, config):
+    def test_results_keep_submission_order(self, df, config, make_executor):
         loads = (0.4, 0.1, 0.3, 0.2)  # deliberately unsorted
         points = load_sweep(
             df, "MIN", "uniform_random", loads, config,
-            executor=SweepExecutor(workers=4),
+            executor=make_executor(4),
         )
         assert [p.load for p in points] == list(loads)
         assert [p.result.offered_load for p in points] == list(loads)
@@ -76,69 +119,82 @@ class TestParallelSerialEquivalence:
     def test_env_configured_executor_matches_serial(self, df, config):
         """CI re-runs this class with ``REPRO_SWEEP_WORKERS=2``; locally
         the environment usually selects the serial executor."""
-        serial = load_sweep(df, "MIN", "uniform_random", self.LOADS, config)
         from_env = load_sweep(
             df, "MIN", "uniform_random", self.LOADS, config,
-            executor=SweepExecutor.from_env(),
+            executor=SweepExecutor(workers=Settings.from_env().workers),
         )
-        assert point_dicts(serial) == point_dicts(from_env)
+        assert point_dicts(from_env) == serial_reference(
+            df, "MIN", "uniform_random", self.LOADS, config
+        )
 
-    def test_replicate_executor_matches_serial(self, df, config):
+    def test_replicate_executor_matches_serial(self, df, config, make_executor):
         serial = replicate(
             df, lambda: make_routing("MIN"), "uniform_random", config,
             seeds=(1, 2, 3),
         )
         parallel = replicate(
             df, lambda: make_routing("MIN"), "uniform_random", config,
-            seeds=(1, 2, 3), executor=SweepExecutor(workers=3),
+            seeds=(1, 2, 3), executor=make_executor(3),
         )
         assert serial.latency.values == parallel.latency.values
         assert serial.accepted_load.values == parallel.accepted_load.values
         assert serial.saturated_runs == parallel.saturated_runs
 
 
+def no_pool(monkeypatch):
+    """Make any attempt to start worker processes an assertion failure."""
+
+    def explode(*args, **kwargs):
+        raise AssertionError("no worker pool may be created here")
+
+    monkeypatch.setattr(parallel_module.multiprocessing, "get_context", explode)
+
+
+def unpicklable_topology():
+    topology = Dragonfly(DragonflyParams.paper_example_72())
+    topology.unpicklable = lambda: None  # closures cannot pickle
+    with pytest.raises(Exception):
+        pickle.dumps(topology)
+    return topology
+
+
 class TestSerialFallback:
     def test_single_point_never_forks(self, df, config, monkeypatch):
         """One miss runs in-process even with workers > 1."""
-        import repro.network.parallel as parallel_module
-
-        def explode(*args, **kwargs):
-            raise AssertionError("pool must not be created for one point")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", explode)
+        no_pool(monkeypatch)
         executor = SweepExecutor(workers=4)
         result = executor.run_point(df, "MIN", "uniform_random", config)
         assert result.routing_name == "MIN"
 
-    def test_unpicklable_topology_degrades_to_serial(self, config):
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        topology.unpicklable = lambda: None  # closures cannot pickle
-        with pytest.raises(Exception):
-            pickle.dumps(topology)
+    def test_one_worker_never_forks(self, df, config, monkeypatch):
+        no_pool(monkeypatch)
+        points = load_sweep(
+            df, "MIN", "uniform_random", (0.1, 0.2), config,
+            executor=SweepExecutor(workers=1),
+        )
+        assert len(points) == 2
+
+    def test_unpicklable_topology_degrades_to_serial(self, config, monkeypatch):
+        no_pool(monkeypatch)
         executor = SweepExecutor(workers=2)
         points = load_sweep(
-            topology, "MIN", "uniform_random", (0.1, 0.2), config,
-            executor=executor,
+            unpicklable_topology(), "MIN", "uniform_random", (0.1, 0.2),
+            config, executor=executor,
         )
         assert executor.stats["fallbacks"] >= 1
-        reference = load_sweep(
+        assert point_dicts(points) == serial_reference(
             Dragonfly(DragonflyParams.paper_example_72()),
             "MIN", "uniform_random", (0.1, 0.2), config,
         )
-        assert point_dicts(points) == point_dicts(reference)
 
     def test_fallback_is_logged_and_surfaced(self, config, caplog):
         """The pre-flight pickle failure is never silent: it is logged,
         kept on the executor, and lands in the summary line."""
-        import logging
-
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        topology.unpicklable = lambda: None
         executor = SweepExecutor(workers=2)
         with caplog.at_level(logging.WARNING, logger="repro.network.parallel"):
             load_sweep(
-                topology, "MIN", "uniform_random", (0.1, 0.2), config,
-                executor=executor,
+                unpicklable_topology(), "MIN", "uniform_random", (0.1, 0.2),
+                config, executor=executor,
             )
         assert executor.last_fallback_error is not None
         assert "pickle" in executor.last_fallback_error
@@ -147,9 +203,135 @@ class TestSerialFallback:
         assert "fallback" in summary
         assert "pickle" in summary
 
+    def test_pool_that_cannot_start_degrades_to_serial(
+        self, df, config, monkeypatch, caplog
+    ):
+        """The other old-executor fallback: worker processes that will
+        not start (``OSError``) cost a diagnostic, not the sweep."""
+        context = parallel_module.multiprocessing.get_context()
+
+        def no_processes(*args, **kwargs):
+            raise OSError("cannot allocate a process")
+
+        monkeypatch.setattr(context, "Process", no_processes)
+        monkeypatch.setattr(
+            parallel_module.multiprocessing, "get_context", lambda: context
+        )
+        executor = SweepExecutor(workers=2)
+        with caplog.at_level(logging.WARNING, logger="repro.network.parallel"):
+            points = load_sweep(
+                df, "MIN", "uniform_random", (0.1, 0.2), config,
+                executor=executor,
+            )
+        assert "worker pool failed" in executor.last_fallback_error
+        assert "cannot allocate a process" in executor.summary_line()
+        assert point_dicts(points) == serial_reference(
+            df, "MIN", "uniform_random", (0.1, 0.2), config
+        )
+
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=0)
+
+
+class TestBareExecutorFaultTolerance:
+    """What the bare executor gained from the shared core: the pool's
+    requeue and the bounded retries, with no journal anywhere."""
+
+    def test_killed_worker_is_requeued_without_a_journal(
+        self, df, config, tmp_path
+    ):
+        """A worker dying mid-unit (``os._exit``, same as SIGKILL) costs
+        one retry; the batch is still bit-identical."""
+        crash_flag = tmp_path / "crash-now"
+        crash_flag.write_text("arm")
+        loads = (0.1, 0.2, 0.3)
+        specs = [
+            PointSpec("MIN", "uniform_random", config.with_load(load))
+            for load in loads
+        ]
+        scheduler = SweepScheduler(
+            df, work_units(df, specs),
+            options=SchedulerOptions(workers=2, backoff_base=0.01),
+            crash_flag=str(crash_flag),
+        )
+        report = scheduler.run()
+        assert not crash_flag.exists()
+        assert report.progress.retries >= 1
+        assert report.progress.failed == 0
+        produced = [r.to_dict() for r in report.ordered_results(len(specs))]
+        assert produced == [
+            result for _, result in serial_reference(
+                df, "MIN", "uniform_random", loads, config
+            )
+        ]
+        assert list(tmp_path.iterdir()) == [], "nothing may be journaled"
+
+    def test_python_exception_surfaces_its_original_text(
+        self, df, config, monkeypatch
+    ):
+        """A point that raises fails the batch with ``ServiceError``
+        carrying ``Type: message`` and chained to the exception, after
+        the bounded number of attempts."""
+        attempts = []
+
+        def broken(topology, routing, pattern, config, settings=None):
+            attempts.append(config.load)
+            raise RuntimeError("injected simulator bug")
+
+        monkeypatch.setattr(sweep_module, "run_point", broken)
+        monkeypatch.setattr(parallel_module.time, "sleep", lambda seconds: None)
+        executor = SweepExecutor()
+        with pytest.raises(ServiceError) as excinfo:
+            executor.run_point(df, "MIN", "uniform_random", config)
+        assert "RuntimeError: injected simulator bug" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert len(attempts) == SchedulerOptions().max_attempts
+
+    def test_pooled_exception_surfaces_its_original_text(
+        self, df, config, monkeypatch
+    ):
+        def broken(topology, routing, pattern, config, settings=None):
+            raise RuntimeError("injected simulator bug")
+
+        # Patched before fork, so the workers inherit the broken function.
+        monkeypatch.setattr(sweep_module, "run_point", broken)
+        specs = [
+            PointSpec("MIN", "uniform_random", config.with_load(load))
+            for load in (0.1, 0.2)
+        ]
+        report = SweepScheduler(
+            df, work_units(df, specs),
+            options=SchedulerOptions(workers=2, max_attempts=1),
+        ).run()
+        with pytest.raises(ServiceError, match="RuntimeError: injected simulator bug"):
+            report.raise_for_failures()
+
+
+class TestLayering:
+    def test_network_does_not_import_the_service(self):
+        """The core lives under repro.network and must stand alone."""
+        code = (
+            "import sys, repro.network.parallel, repro.experiments.base\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.service')]\n"
+            "assert not loaded, loaded"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_workers_get_settings_as_an_argument(self, df, config, monkeypatch):
+        """An executor's settings reach pool workers even when the
+        environment says otherwise."""
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "scalar")
+        executor = SweepExecutor(workers=2, settings=Settings(backend="array"))
+        points = load_sweep(
+            df, "MIN", "uniform_random", (0.1, 0.2), config, executor=executor
+        )
+        assert [p.result.backend_info["backend"] for p in points] == [
+            "array", "array",
+        ]
+        assert point_dicts(points) == serial_reference(
+            df, "MIN", "uniform_random", (0.1, 0.2), config
+        )
 
 
 class TestSeedDerivation:
@@ -180,36 +362,6 @@ class TestSeedDerivation:
     def test_rejects_nonpositive_runs(self):
         with pytest.raises(ValueError):
             derive_seeds(1, 0)
-
-
-class TestFromEnv:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        executor = SweepExecutor.from_env()
-        assert executor.workers == 1
-        assert executor.cache is None
-
-    def test_explicit_workers_and_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
-        executor = SweepExecutor.from_env()
-        assert executor.workers == 3
-        assert executor.cache is not None
-        assert executor.cache.directory == tmp_path / "cache"
-
-    def test_auto_maps_to_cpu_count(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "auto")
-        assert SweepExecutor.from_env().workers == (os.cpu_count() or 1)
-
-    def test_garbage_is_rejected_naming_the_variable(self, monkeypatch):
-        # A typo'd setting must fail loudly, not silently run serial
-        # (see tests/network/test_env_config.py for the full contract).
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS"):
-            SweepExecutor.from_env()
 
 
 class TestPointSpec:

@@ -45,9 +45,9 @@ def counted_run_point(monkeypatch):
     calls = []
     real = sweep_module.run_point
 
-    def counting(topology, routing, pattern_name, config):
+    def counting(topology, routing, pattern_name, config, settings=None):
         calls.append(config)
-        return real(topology, routing, pattern_name, config)
+        return real(topology, routing, pattern_name, config, settings)
 
     monkeypatch.setattr(sweep_module, "run_point", counting)
     return calls

@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.experiments.base import executor_for, experiment_executor
+from repro.network.parallel import SchedulerOptions, SweepExecutor
 from repro.network.sweep import load_sweep
-from repro.service.client import (
-    SERVICE_ENV_VAR,
-    ServiceExecutor,
-    executor_from_env,
-    service_root_from_env,
-)
-from repro.service.scheduler import SchedulerOptions
+from repro.service.client import ServiceExecutor
+from repro.settings import Settings
+
+SERVICE_ENV_VAR = "REPRO_SWEEP_SERVICE"
 
 
 @pytest.fixture()
@@ -22,29 +21,47 @@ def point_dicts(points):
 
 
 class TestEnvActivation:
-    def test_unset_means_no_service(self, monkeypatch):
-        monkeypatch.delenv(SERVICE_ENV_VAR, raising=False)
-        assert service_root_from_env() is None
-        assert executor_from_env() is None
+    """``executor_for`` is the one place a ``Settings`` becomes an
+    executor (the parsing contract is tests/network/test_env_config.py)."""
 
-    def test_set_returns_service_executor(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(SERVICE_ENV_VAR, str(tmp_path / "svc"))
-        executor = executor_from_env()
+    def test_defaults_are_serial_and_uncached(self):
+        executor = executor_for(Settings())
+        assert type(executor) is SweepExecutor
+        assert executor.workers == 1
+        assert executor.cache is None
+
+    def test_workers_and_cache_reach_the_bare_executor(self, tmp_path):
+        settings = Settings(workers=3, cache_dir=tmp_path / "cache")
+        executor = executor_for(settings)
+        assert type(executor) is SweepExecutor
+        assert executor.workers == 3
+        assert executor.cache.directory == tmp_path / "cache"
+        assert executor.settings is settings
+
+    def test_service_root_returns_service_executor(self, tmp_path):
+        settings = Settings(
+            service_root=tmp_path / "svc", workers=2, max_attempts=5,
+            unit_timeout=12.0, heartbeat_interval=0.25,
+        )
+        executor = executor_for(settings)
         assert isinstance(executor, ServiceExecutor)
         assert executor.root == tmp_path / "svc"
+        assert executor.options == SchedulerOptions(
+            workers=2, max_attempts=5, unit_timeout=12.0,
+            heartbeat_interval=0.25,
+        )
+        assert executor.settings is settings
 
     def test_file_root_rejected_naming_the_variable(self, monkeypatch, tmp_path):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("x")
         monkeypatch.setenv(SERVICE_ENV_VAR, str(not_a_dir))
         with pytest.raises(ValueError, match=SERVICE_ENV_VAR):
-            service_root_from_env()
+            experiment_executor()
 
     def test_experiment_executor_becomes_a_service_client(
         self, monkeypatch, tmp_path
     ):
-        from repro.experiments.base import experiment_executor
-
         monkeypatch.delenv(SERVICE_ENV_VAR, raising=False)
         assert not isinstance(experiment_executor(), ServiceExecutor)
         monkeypatch.setenv(SERVICE_ENV_VAR, str(tmp_path / "svc"))

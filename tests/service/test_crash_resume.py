@@ -18,10 +18,10 @@ import time
 import pytest
 
 from repro.network.config import SimulationConfig
-from repro.network.parallel import _run_spec
+from repro.network.parallel import SchedulerOptions, _run_spec
 from repro.service.journal import Journal
 from repro.service.manifest import SweepManifest, TopologySpec
-from repro.service.scheduler import SchedulerOptions, run_manifest
+from repro.service.scheduler import run_manifest
 
 
 @pytest.fixture()
@@ -111,9 +111,9 @@ def test_sigkilled_service_resumes_without_recomputation(
     calls = []
     real_run_point = sweep.run_point
 
-    def counted(topology, routing, pattern, config):
+    def counted(topology, routing, pattern, config, settings=None):
         calls.append(pattern)
-        return real_run_point(topology, routing, pattern, config)
+        return real_run_point(topology, routing, pattern, config, settings)
 
     monkeypatch.setattr(sweep, "run_point", counted)
     report = run_manifest(

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.network.parallel import _run_spec
+from repro.network.parallel import SchedulerOptions, ServiceError, _run_spec
 from repro.service.journal import Journal
-from repro.service.scheduler import (
-    SchedulerOptions,
-    ServiceError,
-    SweepScheduler,
-    run_manifest,
-)
+from repro.service.scheduler import job_scheduler, run_manifest
 from repro.service.store import ResultStore
 
 
@@ -27,14 +22,17 @@ def make_scheduler(tmp_path, manifest, units=None, **option_kwargs):
     topology = manifest.topology.build()
     all_units = manifest.work_units(topology)
     option_kwargs.setdefault("backoff_base", 0.01)
-    return SweepScheduler(
-        store=store,
-        topology=topology,
-        units=all_units if units is None else units,
-        job_dir=tmp_path / "jobs" / manifest.job_id,
+    job_dir = tmp_path / "jobs" / manifest.job_id
+    scheduler = job_scheduler(
+        store,
+        job_dir,
+        topology,
+        all_units if units is None else units,
         options=SchedulerOptions(**option_kwargs),
         figure=manifest.figure,
     )
+    scheduler.job_dir = job_dir  # where the tests read the journal back
+    return scheduler
 
 
 def counting_run_point(monkeypatch):
@@ -44,9 +42,9 @@ def counting_run_point(monkeypatch):
     calls = []
     real = sweep.run_point
 
-    def counted(topology, routing, pattern, config):
+    def counted(topology, routing, pattern, config, settings=None):
         calls.append(pattern)
-        return real(topology, routing, pattern, config)
+        return real(topology, routing, pattern, config, settings)
 
     monkeypatch.setattr(sweep, "run_point", counted)
     return calls
@@ -110,7 +108,7 @@ class TestInlineExecution:
         scheduler = make_scheduler(tmp_path, tiny_manifest)
         scheduler.run()
         victim = scheduler.units[0]
-        (scheduler.store.points_dir / f"{victim.digest}.json").unlink()
+        (scheduler.store.store.points_dir / f"{victim.digest}.json").unlink()
         report = make_scheduler(tmp_path, tiny_manifest).run()
         assert report.progress.simulated == 1
         assert report.progress.cached == tiny_manifest.num_units() - 1
@@ -130,11 +128,11 @@ class TestRetries:
         real = sweep.run_point
         tripped = []
 
-        def flaky(topology, routing, pattern, config):
+        def flaky(topology, routing, pattern, config, settings=None):
             if config.load == 0.2 and not tripped:
                 tripped.append(config.load)
                 raise RuntimeError("injected transient failure")
-            return real(topology, routing, pattern, config)
+            return real(topology, routing, pattern, config, settings)
 
         monkeypatch.setattr(sweep, "run_point", flaky)
         report = make_scheduler(tmp_path, tiny_manifest).run()
@@ -154,11 +152,11 @@ class TestRetries:
         real = sweep.run_point
         attempts = []
 
-        def broken(topology, routing, pattern, config):
+        def broken(topology, routing, pattern, config, settings=None):
             if config.load == 0.3:
                 attempts.append(config.load)
                 raise RuntimeError("injected permanent failure")
-            return real(topology, routing, pattern, config)
+            return real(topology, routing, pattern, config, settings)
 
         monkeypatch.setattr(sweep, "run_point", broken)
         scheduler = make_scheduler(tmp_path, tiny_manifest, max_attempts=2)
@@ -187,7 +185,7 @@ class TestRetries:
                                                monkeypatch):
         import repro.network.sweep as sweep
 
-        def always_broken(topology, routing, pattern, config):
+        def always_broken(topology, routing, pattern, config, settings=None):
             raise RuntimeError("nope")
 
         monkeypatch.setattr(sweep, "run_point", always_broken)
@@ -244,7 +242,7 @@ class TestPoolExecution:
 
         from repro.service.manifest import SweepManifest
 
-        def wedge(topology, routing, pattern, config):
+        def wedge(topology, routing, pattern, config, settings=None):
             time_module.sleep(60.0)
 
         # Patched before fork, so workers inherit the wedged function.

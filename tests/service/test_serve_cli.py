@@ -171,6 +171,66 @@ class TestStatusQueryGc:
         assert counts["tmp_removed"] == 1
 
 
+class TestStatusOnDamagedJobs:
+    """``status`` lists a damaged job as corrupt, naming the file; it
+    used to die with a traceback."""
+
+    @pytest.fixture()
+    def job_dir(self, root, manifest_file, tiny_manifest, capsys):
+        run_cli(
+            "--root", str(root), "submit",
+            "--manifest", str(manifest_file), "--no-progress",
+        )
+        capsys.readouterr()
+        return root / "jobs" / tiny_manifest.job_id
+
+    @pytest.mark.parametrize("payload", ["[]", "3", "{}", "{not json"])
+    def test_damaged_manifest_is_listed_as_corrupt(
+        self, root, job_dir, payload, capsys
+    ):
+        (job_dir / "manifest.json").write_text(payload)
+        assert run_cli("--root", str(root), "status") == 0
+        out = capsys.readouterr().out
+        assert "corrupt" in out
+        assert str(job_dir / "manifest.json") in out
+        # The journal still says what the job was.
+        assert "6/6 done" in out
+
+        assert run_cli("--root", str(root), "status", "--json") == 0
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert job["state"] == "corrupt"
+        assert job["figure"] == "figtest"
+        assert str(job_dir / "manifest.json") in job["damaged"]
+
+    def test_damaged_done_event_is_skipped(self, root, job_dir, capsys):
+        journal = job_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        victim = next(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["event"] == "done"
+        )
+        event = json.loads(lines[victim])
+        event["elapsed"] = "x"
+        lines[victim] = json.dumps(event)
+        journal.write_text("\n".join(lines) + "\n")
+        assert run_cli("--root", str(root), "status", "--json") == 0
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert job["state"] == "complete"
+        assert job["done"] == 5
+
+    def test_damaged_job_event_is_listed_as_corrupt(self, root, job_dir, capsys):
+        journal = job_dir / "journal.jsonl"
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        for event in lines:
+            if event["event"] == "job":
+                event["units"] = "many"
+        journal.write_text("".join(json.dumps(e) + "\n" for e in lines))
+        assert run_cli("--root", str(root), "status") == 0
+        out = capsys.readouterr().out
+        assert "corrupt" in out
+        assert str(journal) in out
+
+
 class TestQueryBackendFilter:
     @pytest.fixture()
     def mixed_root(self, root, tiny_manifest):

@@ -200,6 +200,18 @@ class TestMaintenance:
         assert counts["corrupt"] == 1
         assert counts["indexed"] == len(units) - 1
 
+    @pytest.mark.parametrize("payload", ["[]", "null", "3", '"x"', "{}"])
+    def test_gc_counts_non_entry_json_as_corrupt(self, populated, payload):
+        """Valid JSON that is not an entry object used to crash
+        ``reindex``/``gc`` with AttributeError; it is a corrupt record."""
+        store, _, units = populated
+        (store.points_dir / f"{units[0].digest}.json").write_text(payload)
+        (store.points_dir / "stray.json").write_text(payload)
+        counts = store.gc()
+        assert counts["corrupt"] == 2
+        assert counts["indexed"] == len(units) - 1
+        assert counts["dropped"] == 1
+
     def test_unknown_index_layout_is_rebuilt_not_trusted(self, populated, tmp_path):
         store, _, units = populated
         store.index_path.write_text(json.dumps({"schema": 999, "points": {}}))
