@@ -108,7 +108,7 @@ from .decide_kernel import (
     lower_traffic,
 )
 from .simulator import Simulator, SimulatorStateError, SimulatorStateView
-from .stats import LatencySample
+from .stats import LatencySamples
 
 
 def transplant_rng(rng: random.Random) -> np.random.RandomState:
@@ -319,7 +319,8 @@ class ArrayStateView(SimulatorStateView):
 
     @property
     def samples(self):
-        return self._sim._materialise_samples()
+        self._sim._finalise_measurement()
+        return self._sim._samples
 
     def active_port_mask(self, router: int) -> int:
         radix = self._sim._radix
@@ -426,10 +427,10 @@ class ArraySimulator(Simulator):
         #: Window flit counts per channel; ``_global_flits`` (the list
         #: the result is built from) is filled in once at run end.
         self._global_flit_counts = np.zeros(len(self._global_flits), np.int64)
-        #: Latency samples as (latency, minimal) column chunks, turned
-        #: into ``LatencySample`` objects once at result time.
-        self._sample_latency: List[np.ndarray] = []
-        self._sample_minimal: List[np.ndarray] = []
+        #: Latency samples as (latency, minimal) column chunks, joined
+        #: into ``_samples`` once at result time.
+        self._sample_latency: List[np.ndarray] = [_NO_EVENTS]
+        self._sample_minimal: List[np.ndarray] = [np.zeros(0, np.bool_)]
 
         # Row store: free-stack allocation, capacity doubling.
         self._f_cap = 0
@@ -531,20 +532,12 @@ class ArraySimulator(Simulator):
         queues = self._src_fifo.to_lists()
         return sum(map(len, queues)) / max(1, len(queues))
 
-    def _materialise_samples(self) -> List[LatencySample]:
-        """``_samples`` brought up to date with the sample columns."""
-        if self._sample_latency:
-            self._samples.extend(map(
-                LatencySample,
-                np.concatenate(self._sample_latency).tolist(),
-                np.concatenate(self._sample_minimal).tolist(),
-            ))
-            self._sample_latency.clear()
-            self._sample_minimal.clear()
-        return self._samples
-
     def _finalise_measurement(self) -> None:
-        self._materialise_samples()
+        # The int64 latencies are narrowed to the column with a range check.
+        self._samples = LatencySamples(
+            memoryview(np.concatenate(self._sample_latency)),
+            np.concatenate(self._sample_minimal),
+        )
         self._global_flits = self._global_flit_counts.tolist()
 
     # ------------------------------------------------------------------

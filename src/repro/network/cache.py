@@ -24,7 +24,9 @@ Entries carry a schema version stamp (:data:`SCHEMA_VERSION`) and the
 full key they were stored under; a version mismatch, a key mismatch
 (hash collision or hand-edited file) or an unreadable file is treated as
 a miss and the stale entry is dropped.  Bump :data:`SCHEMA_VERSION`
-whenever the simulator's behaviour or the result serialisation changes.
+whenever the simulator's behaviour or the record layout
+(:meth:`SimulationResult.to_record`: the result's fields with the
+latency samples packed, see ``docs/sweeps.md``) changes.
 """
 
 from __future__ import annotations
@@ -35,15 +37,16 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .config import SimulationConfig
 from .stats import SimulationResult
 
 #: Bump on any change that invalidates previously stored results: the
 #: simulator's cycle-level behaviour, the meaning of a config field, or
-#: the :meth:`SimulationResult.to_dict` layout.
-SCHEMA_VERSION = 1
+#: the :meth:`SimulationResult.to_record` layout.  One stamp for the
+#: cache and the result store.  2: ``samples`` is a packed object.
+SCHEMA_VERSION = 2
 
 
 def topology_signature(topology: object) -> Dict[str, object]:
@@ -101,15 +104,42 @@ def write_json_atomic(path: Path, payload: object) -> None:
         raise
 
 
+def unlink_all(paths: Iterable[Path]) -> int:
+    """Delete ``paths``; returns how many went (a file that vanished or
+    cannot be removed is skipped)."""
+    removed = 0
+    for path in paths:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed
+
+
+def entry_schema(path: Path) -> object:
+    """The schema stamp of a point file; ``None`` when it carries none
+    or cannot be read.  A record with another stamp than
+    :data:`SCHEMA_VERSION` is unreachable for good: the stamp is part
+    of the key its file name hashes."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return entry.get("schema") if isinstance(entry, dict) else None
+
+
 def read_entry(
     path: Path,
 ) -> Optional[Tuple[Dict[str, object], SimulationResult]]:
     """The ``(key, result)`` stored in one point file.
 
     ``None`` when the file parses as JSON but is not a current entry
-    (not an object, schema bump, no key, unparseable result) -- a stale
-    record the caller may drop.  A file that cannot be read as JSON at
-    all raises ``OSError`` / ``json.JSONDecodeError``.
+    (not an object, schema bump, no key, a result that
+    :meth:`SimulationResult.from_dict` rejects) -- a record the caller
+    may drop.  A file that cannot be read as JSON at all raises
+    ``OSError`` / ``json.JSONDecodeError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         entry = json.load(handle)
@@ -120,8 +150,8 @@ def read_entry(
     ):
         return None
     try:
-        result = SimulationResult.from_dict(entry["result"])
-    except (KeyError, TypeError, ValueError):
+        result = SimulationResult.from_dict(entry.get("result"))
+    except ValueError:
         return None
     # Provenance rides alongside the result (not in the keyed payload,
     # so it never affects hits): entries written before it existed
@@ -195,7 +225,7 @@ class SweepCache:
         entry = {
             "schema": SCHEMA_VERSION,
             "key": key,
-            "result": result.to_dict(),
+            "result": result.to_record(),
         }
         if result.backend_info is not None:
             entry["provenance"] = dict(result.backend_info)
@@ -208,12 +238,4 @@ class SweepCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return unlink_all(self.directory.glob("*.json"))

@@ -56,7 +56,7 @@ from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 from .config import SimulationConfig
 from .packet import Flit, Packet, RoutePlan, make_flits
-from .stats import LatencySample, SimulationResult
+from .stats import LatencySamples, SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
     from ..check.sanitizer import SimulatorSanitizer
@@ -445,7 +445,7 @@ class Simulator:
         self._flits_delivered = 0
         self._source_queue_at_end = 0.0
         self._outstanding_tagged = 0
-        self._samples: List[LatencySample] = []
+        self._samples = LatencySamples()
         self._ejected_flits_in_window = 0
         #: Flits per directed channel index during the window (dense;
         #: converted to the sparse dict of SimulationResult at run end).
@@ -1236,9 +1236,7 @@ class Simulator:
                 )
             origin = packet.request if packet.request is not None else packet
             latency = packet.eject_time - origin.creation_time
-            self._samples.append(
-                LatencySample(latency=latency, minimal=packet.plan.minimal)
-            )
+            self._samples.append(latency, packet.plan.minimal)
 
 
 def simulate(

@@ -199,6 +199,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
         f"gc: {counts['indexed']} points indexed, "
         f"{counts['recovered']} recovered, {counts['dropped']} index entries "
         f"dropped, {counts['corrupt']} corrupt records skipped, "
+        f"{counts['stale_removed']} stale records removed, "
         f"{counts['tmp_removed']} temp files removed"
     )
     return 0

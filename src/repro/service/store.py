@@ -32,9 +32,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..network.cache import (
+    SCHEMA_VERSION,
     SweepCache,
+    entry_schema,
     key_digest,
     read_entry,
+    unlink_all,
     write_json_atomic,
 )
 from ..network.stats import SimulationResult
@@ -283,19 +286,18 @@ class ResultStore:
         }
 
     def gc(self) -> Dict[str, int]:
-        """Clean the store: drop temp litter and stale records, rebuild
-        the index.  Never deletes a valid point record."""
-        tmp_removed = 0
-        if self.points_dir.is_dir():
-            for path in self.points_dir.glob("*.tmp"):
-                try:
-                    path.unlink()
-                    tmp_removed += 1
-                except OSError:
-                    pass
-        counts = self.reindex()
-        counts["tmp_removed"] = tmp_removed
-        return counts
+        """Clean the store: drop temp litter and records stamped with
+        another schema version (``stale_removed``; no key can reach
+        them again), rebuild the index.  Never deletes a valid point
+        record, and leaves corrupt ones in place for inspection."""
+        removed = {
+            "tmp_removed": unlink_all(self.points_dir.glob("*.tmp")),
+            "stale_removed": unlink_all(
+                path for path in self.points_dir.glob("*.json")
+                if entry_schema(path) not in (None, SCHEMA_VERSION)
+            ),
+        }
+        return {**self.reindex(), **removed}
 
     # ------------------------------------------------------------------
     # Index plumbing

@@ -4,14 +4,10 @@ import math
 
 import pytest
 
-from repro.network.stats import LatencySample, SimulationResult
+from repro.network.stats import LatencySample, LatencySamples, SimulationResult
 
 
 def _result(latencies=(), minimal=(), drained=True, **kwargs):
-    samples = [
-        LatencySample(latency=lat, minimal=is_min)
-        for lat, is_min in zip(latencies, minimal)
-    ]
     defaults = dict(
         routing_name="MIN",
         pattern_name="uniform_random",
@@ -19,7 +15,7 @@ def _result(latencies=(), minimal=(), drained=True, **kwargs):
         num_terminals=10,
         measure_cycles=100,
         drained=drained,
-        samples=samples,
+        samples=LatencySamples(latencies, minimal),
     )
     defaults.update(kwargs)
     return SimulationResult(**defaults)
@@ -53,6 +49,47 @@ class TestLatencyStats:
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
             _result([1], [True]).latency_percentile(101)
+
+
+class TestSamplesReadAsASequence:
+    """``SimulationResult.samples`` is two columns that still read as a
+    ``Sequence[LatencySample]``."""
+
+    def test_columns(self):
+        samples = _result([10, 20, 40], [True, True, False]).samples
+        assert samples.latency.tolist() == [10, 20, 40]
+        assert bytes(samples.minimal) == b"\x01\x01\x00"
+        assert samples.latencies(minimal=True).tolist() == [10, 20]
+        assert samples.latencies(minimal=False).tolist() == [40]
+
+    def test_len_iteration_indexing_equality_truthiness(self):
+        samples = _result([10, 20, 40], [True, True, False]).samples
+        expected = [
+            LatencySample(10, True), LatencySample(20, True),
+            LatencySample(40, False),
+        ]
+        assert len(samples) == 3 and samples
+        assert list(samples) == expected
+        assert samples[0] == expected[0] and samples[-1] == expected[-1]
+        assert samples[1].minimal is True
+        assert list(samples[1:]) == expected[1:]
+        assert samples == LatencySamples([10, 20, 40], [1, 1, 0])
+        assert samples != LatencySamples([10, 20], [1, 1])
+        assert samples != LatencySamples([10, 20, 40], [1, 1, 1])
+        assert LatencySample(20, True) in samples
+        assert not _result().samples
+        with pytest.raises(IndexError):
+            samples[3]
+
+    @pytest.mark.parametrize("minimal", [[True], [1, 0, 1], [1, 2]])
+    def test_minimal_is_one_flag_per_latency(self, minimal):
+        with pytest.raises(ValueError):
+            LatencySamples([1, 2], minimal)
+
+    def test_results_compare_by_their_samples(self):
+        assert _result([1, 2], [True, False]) == _result([1, 2], [True, False])
+        assert _result([1, 2], [True, False]) != _result([1, 2], [True, True])
+        assert _result([1, 2], [True, False]) != _result([1, 3], [True, False])
 
 
 class TestHistogram:

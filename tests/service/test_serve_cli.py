@@ -169,6 +169,18 @@ class TestStatusQueryGc:
         counts = json.loads(capsys.readouterr().out)
         assert counts["indexed"] == 6
         assert counts["tmp_removed"] == 1
+        assert counts["corrupt"] == counts["stale_removed"] == 0
+
+    def test_gc_prints_stale_and_corrupt_counts(self, submitted, capsys):
+        points = submitted / "store" / "points"
+        (points / "old.json").write_text('{"schema": 1, "key": {}, "result": {}}')
+        (points / "bad.json").write_text("[]")
+        assert run_cli("--root", str(submitted), "gc") == 0
+        out = capsys.readouterr().out
+        assert "1 corrupt records skipped" in out
+        assert "1 stale records removed" in out
+        assert not (points / "old.json").exists()
+        assert (points / "bad.json").exists()
 
 
 class TestStatusOnDamagedJobs:
