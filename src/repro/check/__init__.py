@@ -27,12 +27,7 @@ from .cdg import (
     cdg_from_traces,
     certify,
     describe_cycle,
-    dragonfly_traces,
     find_counterexample,
-    flattened_butterfly_traces,
-    folded_clos_traces,
-    torus_traces,
-    variant_traces,
 )
 from .invariants import (
     audit_dragonfly,
@@ -101,11 +96,8 @@ __all__ = [
     "default_topology_audits",
     "describe_cycle",
     "describe_symbolic_cycle",
-    "dragonfly_traces",
     "find_counterexample",
     "find_symbolic_counterexample",
-    "flattened_butterfly_traces",
-    "folded_clos_traces",
     "lint_file",
     "lint_sources",
     "lint_tree",
@@ -113,6 +105,4 @@ __all__ = [
     "soundness_harness",
     "structural_findings",
     "symbolic_scale_configurations",
-    "torus_traces",
-    "variant_traces",
 ]

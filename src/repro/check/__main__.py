@@ -49,6 +49,7 @@ from .registry import (
     broken_configuration,
     degraded_crosscheck_configurations,
     degraded_family_configurations,
+    degraded_table_configurations,
     symbolic_scale_configurations,
 )
 from .report import CheckReport, Severity, combined_exit_code
@@ -78,8 +79,10 @@ def run_cdg_pass(demo_broken: bool = False) -> CheckReport:
     if demo_broken:
         configurations.append(broken_configuration())
     for configuration in configurations:
-        fabric, traces = configuration.build()
-        certification = certify(configuration.name, fabric, traces)
+        family = configuration.family()
+        certification = certify(
+            configuration.name, family.topology.fabric, family.traces()
+        )
         report.note(certification.summary())
         if certification.ok == configuration.expect_deadlock_free:
             if not certification.ok:
@@ -120,14 +123,8 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
     if demo_broken:
         configurations.append(broken_configuration())
     for configuration in configurations:
-        if configuration.grammar is None:
-            report.note(
-                f"{configuration.name}: no path grammar registered; "
-                "skipped (concrete cdg pass still covers it)"
-            )
-            continue
         certification = certify_grammar(
-            configuration.name, configuration.grammar()
+            configuration.name, configuration.family().grammar()
         )
         report.note(certification.summary())
         if certification.ok == configuration.expect_deadlock_free:
@@ -468,20 +465,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        from .tables import degraded_configurations
-
         print("CDG configurations:")
         for configuration in all_configurations():
-            markers = "".join(
-                marker for marker, present in (
-                    (" [grammar]", configuration.grammar is not None),
-                    (" [tables]", configuration.tables is not None),
-                ) if present
-            )
-            print(f"  {configuration.name}{markers}  "
+            try:
+                lowering = configuration.family()
+                budget = f"{lowering.family}, {lowering.grammar().num_vcs} VCs"
+            except Exception:
+                print(
+                    f"registry entry {configuration.name!r}: family() cannot "
+                    "be constructed",
+                    file=sys.stderr,
+                )
+                raise
+            print(f"  {configuration.name} [{budget}]  "
                   f"({configuration.description})")
         print("Fault-degraded table configurations:")
-        for degraded in degraded_configurations():
+        for degraded in degraded_table_configurations():
             print(f"  {degraded.name}  ({degraded.description})")
         print("Degraded families (symbolic, fault-parametric):")
         for family in degraded_family_configurations():

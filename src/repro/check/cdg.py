@@ -7,43 +7,29 @@ some admissible route can hold a flit in buffer A while requesting
 buffer B.
 
 This module proves that condition *statically* for a concrete
-(topology, routing algorithm, VC assignment) triple by exhaustively
-enumerating every route the route-class admits (every source router,
-every destination terminal, every global-channel / intermediate /
-up-port choice the algorithm could make), re-executing each route through
-the same ``next_hop`` executor the simulator uses, and checking the
-resulting graph with :func:`networkx.is_directed_acyclic_graph`.  When
-the proof fails, :func:`find_counterexample` extracts a concrete cycle
-of (channel, VC) buffers and renders it as a human-readable deadlock
-scenario.
-
-The enumeration is a *superset* of what an adaptive algorithm (UGAL)
-actually routes -- UGAL always picks between the minimal and one Valiant
-candidate, both of which are enumerated here -- so acyclicity of the
-enumerated graph certifies every UGAL variant as well.
+(topology, routing algorithm, VC assignment) triple from the traces of
+every route the route-class admits, and checks the resulting graph with
+:func:`networkx.find_cycle`.  It is graph machinery only: it knows a
+fabric and (router, port, vc) traces, no routing family and no concrete
+topology.  The traces come from the family's single route enumerator,
+:meth:`repro.routing.tables.Lowering.traces` (every source router, every
+destination terminal, every global-channel / intermediate / up-port
+choice, each re-executed through the same ``next_hop`` executor the
+simulator uses); the table pass feeds the same functions with walks
+*through compiled tables*.  When the proof fails,
+:func:`find_counterexample` extracts a concrete cycle of (channel, VC)
+buffers and :func:`describe_cycle` renders it as a human-readable
+deadlock scenario.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..network.packet import RoutePlan
-from ..routing import vc_assignment as vcs
-from ..routing.clos_routing import ClosRoutePlan, clos_walk_route
-from ..routing.fb_paths import FbRoutePlan, fb_walk_route
-from ..routing.paths import walk_route
-from ..routing.torus_routing import TorusRoutePlan, torus_walk_route
-from ..routing.variant_paths import variant_walk_route
 from ..topology.base import Fabric
-from ..topology.dragonfly import Dragonfly
-from ..topology.flattened_butterfly import FlattenedButterfly
-from ..topology.folded_clos import FoldedClos
-from ..topology.group_variants import FlattenedButterflyGroupDragonfly
-from ..topology.torus import Torus
 
 #: One hop of a walked route: (router, out_port, vc).  The final element
 #: of a trace is the ejection hop (terminal port), which holds no network
@@ -142,156 +128,6 @@ def certify(name: str, fabric: Fabric, traces: Iterable[Trace]) -> Certification
         cycle=cycle,
         cycle_description=describe_cycle(fabric, cycle) if cycle else None,
     )
-
-
-# ----------------------------------------------------------------------
-# Route enumeration, one generator per topology/routing family.  Each
-# yields full (router, port, vc) traces produced by the *real* executors.
-# ----------------------------------------------------------------------
-def dragonfly_traces(
-    topology: Dragonfly,
-    assignment: vcs.VcAssignment = vcs.CANONICAL,
-    include_nonminimal: bool = True,
-) -> Iterator[Trace]:
-    """Every admissible dragonfly route under the given assignment.
-
-    Minimal routes: every source router x destination terminal x global
-    channel between the two groups.  Non-minimal (Valiant) routes: the
-    same, additionally over every intermediate group and every second
-    global channel.  This is a superset of what MIN/VAL/UGAL-* can emit
-    (their tie-breaks select among these links), so the certificate
-    covers all of them.
-    """
-    include_nonminimal = include_nonminimal and assignment.supports_nonminimal
-    for src_router in range(topology.fabric.num_routers):
-        src_group = topology.group_of(src_router)
-        for dst_terminal in range(topology.num_terminals):
-            dst_router = topology.terminal_router(dst_terminal)
-            dst_group = topology.group_of(dst_router)
-            if src_group == dst_group:
-                yield walk_route(
-                    topology, src_router, dst_terminal,
-                    RoutePlan(minimal=True), assignment,
-                )
-                continue
-            for gc1 in topology.group_links(src_group, dst_group):
-                yield walk_route(
-                    topology, src_router, dst_terminal,
-                    RoutePlan(minimal=True, gc1=gc1), assignment,
-                )
-            if not include_nonminimal:
-                continue
-            for mid_group in range(topology.g):
-                if mid_group in (src_group, dst_group):
-                    continue
-                for gc1 in topology.group_links(src_group, mid_group):
-                    for gc2 in topology.group_links(mid_group, dst_group):
-                        yield walk_route(
-                            topology, src_router, dst_terminal,
-                            RoutePlan(minimal=False, gc1=gc1, gc2=gc2),
-                            assignment,
-                        )
-
-
-def variant_traces(
-    topology: FlattenedButterflyGroupDragonfly,
-    assignment: vcs.VcAssignment = vcs.CANONICAL,
-    include_nonminimal: bool = True,
-) -> Iterator[Trace]:
-    """Every admissible route on a Figure 6 group-variant dragonfly."""
-    include_nonminimal = include_nonminimal and assignment.supports_nonminimal
-    for src_router in range(topology.num_routers):
-        src_group = topology.group_of(src_router)
-        for dst_terminal in range(topology.num_terminals):
-            dst_router = topology.terminal_router(dst_terminal)
-            dst_group = topology.group_of(dst_router)
-            if src_group == dst_group:
-                yield variant_walk_route(
-                    topology, src_router, dst_terminal,
-                    RoutePlan(minimal=True), assignment,
-                )
-                continue
-            for gc1 in topology.group_links(src_group, dst_group):
-                yield variant_walk_route(
-                    topology, src_router, dst_terminal,
-                    RoutePlan(minimal=True, gc1=gc1), assignment,
-                )
-            if not include_nonminimal:
-                continue
-            for mid_group in range(topology.g):
-                if mid_group in (src_group, dst_group):
-                    continue
-                for gc1 in topology.group_links(src_group, mid_group):
-                    for gc2 in topology.group_links(mid_group, dst_group):
-                        yield variant_walk_route(
-                            topology, src_router, dst_terminal,
-                            RoutePlan(minimal=False, gc1=gc1, gc2=gc2),
-                            assignment,
-                        )
-
-
-def flattened_butterfly_traces(
-    topology: FlattenedButterfly,
-    include_nonminimal: bool = True,
-) -> Iterator[Trace]:
-    """Every DOR route, plus every router-level Valiant route."""
-    for src_router in range(topology.num_routers):
-        for dst_terminal in range(topology.num_terminals):
-            yield fb_walk_route(
-                topology, src_router, dst_terminal, FbRoutePlan(minimal=True)
-            )
-            if not include_nonminimal:
-                continue
-            dst_router = topology.terminal_router(dst_terminal)
-            for mid in range(topology.num_routers):
-                if mid in (src_router, dst_router):
-                    continue
-                yield fb_walk_route(
-                    topology, src_router, dst_terminal,
-                    FbRoutePlan(minimal=False, intermediate_router=mid),
-                )
-
-
-def torus_traces(
-    topology: Torus,
-    include_nonminimal: bool = True,
-) -> Iterator[Trace]:
-    """Every dateline-DOR route, plus every router-level Valiant route."""
-    for src_router in range(topology.num_routers):
-        for dst_terminal in range(topology.num_terminals):
-            yield torus_walk_route(
-                topology, src_router, dst_terminal, TorusRoutePlan(minimal=True)
-            )
-            if not include_nonminimal:
-                continue
-            dst_router = topology.terminal_router(dst_terminal)
-            for mid in range(topology.num_routers):
-                if mid in (src_router, dst_router):
-                    continue
-                yield torus_walk_route(
-                    topology, src_router, dst_terminal,
-                    TorusRoutePlan(minimal=False, intermediate_router=mid),
-                )
-
-
-def folded_clos_traces(topology: FoldedClos) -> Iterator[Trace]:
-    """Every up*/down* route over every possible up-port choice.
-
-    Covers both CLOS-RAND (all up-port tuples are enumerated) and
-    CLOS-DET (whose d-mod-k tuple is one of them).
-    """
-    for src_leaf in range(topology.switches_per_level):
-        src_router = topology.switch_id(0, src_leaf)
-        for dst_terminal in range(topology.num_terminals):
-            dst_leaf = topology.terminal_router(dst_terminal)
-            ancestor = topology.ancestor_level(src_leaf, dst_leaf)
-            for up_ports in itertools.product(
-                range(topology.down), repeat=ancestor
-            ):
-                plan = ClosRoutePlan(
-                    minimal=True, ancestor_level=ancestor, up_ports=up_ports
-                )
-                yield clos_walk_route(topology, src_router, dst_terminal, plan)
 
 
 def max_vc_used(traces: Iterable[Trace]) -> int:

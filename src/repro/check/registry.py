@@ -1,22 +1,25 @@
 """Registry of certifiable (topology, routing, VC assignment) triples.
 
-``python -m repro.check cdg`` certifies every registered configuration.
-A configuration bundles a topology builder with a route enumerator and
-the VC budget the routing family claims to need; the certifier then
-proves the claim (acyclic CDG) or prints a counterexample cycle.
+``python -m repro.check`` certifies every registered configuration
+three ways -- concrete CDG, symbolic grammar, compiled tables.  A
+configuration is a name plus one ``family`` factory returning the
+routing family's :class:`~repro.routing.tables.Lowering`; the fabric,
+the route traces, the path grammar and the table compiler all come from
+that one object, so the three passes cannot disagree about which routes
+or which topology they certify.
 
 Registering a new routing algorithm
 -----------------------------------
-Write a trace enumerator that yields every route your algorithm can emit
-(see :mod:`repro.check.cdg` for the existing families), then::
+Write one :class:`~repro.routing.tables.Lowering` subclass (``routes``,
+``next_hop``, ``legs``, ``compile``, ``grammar``, ``classify_hop`` --
+see ``docs/static-analysis.md``), then one registry line::
 
     from repro.check.registry import CheckConfiguration, register
 
     register(CheckConfiguration(
         name="mytopo/MYALG@my-vcs",
         description="my algorithm on my topology",
-        claimed_vcs=2,
-        build=lambda: (topology.fabric, my_traces(topology)),
+        family=lambda: MyLowering(MyTopology(...)),
     ))
 
 Adaptive algorithms that choose among enumerated candidates (the UGAL
@@ -31,8 +34,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from ..core.params import DragonflyParams
 from ..routing import vc_assignment as vcs
-from ..routing.clos_routing import clos_path_grammar
-from ..routing.fb_paths import fb_path_grammar
 from ..routing.grammar import DegradedPathGrammar, PathGrammar
 from ..routing.paths import degraded_dragonfly_grammar, dragonfly_path_grammar
 from ..routing.tables import (
@@ -44,9 +45,6 @@ from ..routing.tables import (
     TorusLowering,
     VariantLowering,
 )
-from ..routing.torus_routing import torus_path_grammar
-from ..routing.variant_paths import variant_path_grammar
-from ..topology.base import Fabric
 from ..topology.dragonfly import Dragonfly
 from ..topology.faults import (
     ALL_FAULT_CLASSES,
@@ -57,49 +55,29 @@ from ..topology.flattened_butterfly import FlattenedButterfly
 from ..topology.folded_clos import FoldedClos
 from ..topology.group_variants import FlattenedButterflyGroupDragonfly
 from ..topology.torus import Torus
-from .cdg import (
-    Trace,
-    dragonfly_traces,
-    flattened_butterfly_traces,
-    folded_clos_traces,
-    torus_traces,
-    variant_traces,
-)
 
 
 @dataclass(frozen=True)
 class CheckConfiguration:
     """One certifiable configuration.
 
-    ``build`` constructs the topology and returns its fabric together
-    with the (lazily enumerated) route traces; construction is deferred
-    so ``--list`` stays instant.  ``claimed_vcs`` is the VC budget the
-    routing family documents (asserted against the traces by the CLI).
+    ``family`` builds the topology and returns the routing family's
+    :class:`~repro.routing.tables.Lowering` on it; construction is
+    deferred to the pass that runs (about a millisecond per family --
+    ``--list`` constructs each one to show its family and VC budget).
+    Every pass reads the one object: the cdg pass certifies
+    ``family().traces()`` on ``family().topology.fabric``, the symbolic
+    pass analyses ``family().grammar()`` (whose ``num_vcs`` is the VC
+    budget the family documents) and cross-checks it against the traces,
+    and the tables pass compiles and certifies ``family()`` itself.
     ``expect_deadlock_free`` is False only for negative controls kept to
     demonstrate counterexample extraction.
-
-    ``grammar``, when present, returns the routing family's
-    :class:`~repro.routing.grammar.PathGrammar` -- the symbolic certifier
-    (:mod:`repro.check.symbolic`) analyses it in place of the enumerated
-    traces, and the soundness harness cross-checks the two verdicts.
-
-    ``tables``, when present, returns the family's table
-    :class:`~repro.routing.tables.Lowering` -- the table pass
-    (:mod:`repro.check.tables`) compiles the configuration to explicit
-    forwarding tables and certifies the compiled form.
     """
 
     name: str
     description: str
-    claimed_vcs: int
-    build: Callable[[], Tuple[Fabric, Iterable[Trace]]]
+    family: Callable[[], Lowering]
     expect_deadlock_free: bool = True
-    grammar: Optional[Callable[[], PathGrammar]] = None
-    tables: Optional[Callable[[], Lowering]] = None
-
-
-def _dragonfly(params: DragonflyParams) -> Dragonfly:
-    return Dragonfly(params)
 
 
 def _df_config(
@@ -110,95 +88,25 @@ def _df_config(
     include_nonminimal: bool = True,
     expect_deadlock_free: bool = True,
 ) -> CheckConfiguration:
-    def build() -> Tuple[Fabric, Iterable[Trace]]:
-        topology = _dragonfly(params)
-        return topology.fabric, dragonfly_traces(
-            topology, assignment, include_nonminimal
-        )
-
     return CheckConfiguration(
         name=name,
         description=description,
-        claimed_vcs=assignment.num_vcs,
-        build=build,
+        family=lambda: DragonflyLowering(
+            Dragonfly(params), assignment, include_nonminimal
+        ),
         expect_deadlock_free=expect_deadlock_free,
-        grammar=lambda: dragonfly_path_grammar(assignment, include_nonminimal),
-        tables=lambda: DragonflyLowering(
-            _dragonfly(params), assignment, include_nonminimal
-        ),
-    )
-
-
-def _variant_config() -> CheckConfiguration:
-    def build() -> Tuple[Fabric, Iterable[Trace]]:
-        topology = FlattenedButterflyGroupDragonfly(p=1, group_dims=(2, 2), h=1)
-        return topology.fabric, variant_traces(topology, vcs.CANONICAL)
-
-    return CheckConfiguration(
-        name="dragonfly-fbgroup/MIN+VAL+UGAL@figure7-3vc",
-        description="2-D flattened-butterfly groups (Figure 6), canonical VCs",
-        claimed_vcs=3,
-        build=build,
-        grammar=lambda: variant_path_grammar(vcs.CANONICAL),
-        tables=lambda: VariantLowering(
-            FlattenedButterflyGroupDragonfly(p=1, group_dims=(2, 2), h=1),
-            vcs.CANONICAL,
-            include_nonminimal=True,
-        ),
-    )
-
-
-def _fb_config() -> CheckConfiguration:
-    def build() -> Tuple[Fabric, Iterable[Trace]]:
-        topology = FlattenedButterfly(dims=(3, 3), concentration=1)
-        return topology.fabric, flattened_butterfly_traces(topology)
-
-    return CheckConfiguration(
-        name="flattened-butterfly/FB-MIN+VAL+UGAL@phase-vcs",
-        description="3x3 flattened butterfly, DOR + router Valiant (2 VCs)",
-        claimed_vcs=2,
-        build=build,
-        grammar=fb_path_grammar,
-        tables=lambda: FbLowering(
-            FlattenedButterfly(dims=(3, 3), concentration=1)
-        ),
     )
 
 
 def _torus_config(include_nonminimal: bool) -> CheckConfiguration:
     claimed = 4 if include_nonminimal else 2
     suffix = "DOR+VAL" if include_nonminimal else "DOR"
-
-    def build() -> Tuple[Fabric, Iterable[Trace]]:
-        topology = Torus(dims=(4, 4), concentration=1)
-        return topology.fabric, torus_traces(topology, include_nonminimal)
-
     return CheckConfiguration(
         name=f"torus/{suffix}@dateline-{claimed}vc",
         description=f"4x4 torus, dateline dimension-order ({claimed} VCs)",
-        claimed_vcs=claimed,
-        build=build,
-        grammar=lambda: torus_path_grammar(2, include_nonminimal),
-        tables=lambda: TorusLowering(
+        family=lambda: TorusLowering(
             Torus(dims=(4, 4), concentration=1), include_nonminimal
         ),
-    )
-
-
-def _clos_config() -> CheckConfiguration:
-    def build() -> Tuple[Fabric, Iterable[Trace]]:
-        topology = FoldedClos(num_terminals=8, radix=4)
-        return topology.fabric, folded_clos_traces(topology)
-
-    return CheckConfiguration(
-        name="folded-clos/CLOS-RAND+DET@updown-1vc",
-        description="8-terminal radix-4 folded Clos, all up*/down* routes",
-        claimed_vcs=1,
-        build=build,
-        grammar=lambda: clos_path_grammar(
-            FoldedClos(num_terminals=8, radix=4).levels
-        ),
-        tables=lambda: ClosLowering(FoldedClos(num_terminals=8, radix=4)),
     )
 
 
@@ -237,11 +145,29 @@ def default_configurations() -> List[CheckConfiguration]:
             vcs.MINIMAL_TWO_VC,
             include_nonminimal=False,
         ),
-        _variant_config(),
-        _fb_config(),
+        CheckConfiguration(
+            name="dragonfly-fbgroup/MIN+VAL+UGAL@figure7-3vc",
+            description="2-D flattened-butterfly groups (Figure 6), canonical VCs",
+            family=lambda: VariantLowering(
+                FlattenedButterflyGroupDragonfly(p=1, group_dims=(2, 2), h=1),
+                vcs.CANONICAL,
+                include_nonminimal=True,
+            ),
+        ),
+        CheckConfiguration(
+            name="flattened-butterfly/FB-MIN+VAL+UGAL@phase-vcs",
+            description="3x3 flattened butterfly, DOR + router Valiant (2 VCs)",
+            family=lambda: FbLowering(
+                FlattenedButterfly(dims=(3, 3), concentration=1)
+            ),
+        ),
         _torus_config(include_nonminimal=False),
         _torus_config(include_nonminimal=True),
-        _clos_config(),
+        CheckConfiguration(
+            name="folded-clos/CLOS-RAND+DET@updown-1vc",
+            description="8-terminal radix-4 folded Clos, all up*/down* routes",
+            family=lambda: ClosLowering(FoldedClos(num_terminals=8, radix=4)),
+        ),
     ]
 
 
@@ -360,12 +286,15 @@ def degraded_family_configurations() -> List[DegradedFamilyConfiguration]:
 
 @dataclass(frozen=True)
 class DegradedCrossCheckConfiguration:
-    """One enumerable degraded configuration anchoring the family proof.
+    """One enumerable fault scenario on a concrete dragonfly.
 
-    ``build`` constructs the concrete degraded lowering; the faults pass
-    certifies it symbolically (grammar composed for exactly the fault
-    classes the fault set exhibits) *and* concretely (table-level CDG on
-    the detour-recompiled tables) and asserts the verdicts agree.
+    ``build`` constructs the concrete degraded lowering.  The faults
+    pass certifies the :func:`degraded_crosscheck_configurations`
+    symbolically (grammar composed for exactly the fault classes the
+    fault set exhibits) *and* concretely (table-level CDG on the
+    detour-recompiled tables) and asserts the verdicts agree; the tables
+    pass certifies the :func:`degraded_table_configurations` alongside
+    the healthy registry.
     """
 
     name: str
@@ -385,6 +314,41 @@ def _severed_pair_links(
     return links
 
 
+def _paper_mixed() -> DegradedDragonflyLowering:
+    """Paper-72 hit by all three fault shapes at once.
+
+    A dead global cable (groups 0 and 1 lose their only direct link,
+    forcing detours through a third group), a dead local cable (routers
+    2 and 3 stop talking directly, exercising the local repair pass),
+    and a dead router (router 35 takes its two global links and both
+    terminals down with it, disconnecting group 8 from two more groups).
+    """
+    topology = Dragonfly(DragonflyParams.paper_example_72())
+    global_link = topology.group_links(0, 1)[0]
+    faults = FaultSet.of(
+        links=[
+            (global_link.src_router, global_link.dst_router),
+            (2, 3),
+        ],
+        routers=[35],
+    )
+    return DegradedDragonflyLowering(topology, faults)
+
+
+def degraded_table_configurations() -> List[DegradedCrossCheckConfiguration]:
+    """Fault scenarios certified by ``python -m repro.check tables``."""
+    return [
+        DegradedCrossCheckConfiguration(
+            name="dragonfly-degraded/MIN+detours@figure7-3vc",
+            description=(
+                "paper-72 dragonfly minus one global cable, one local "
+                "cable and one router; minimal tables with detours"
+            ),
+            build=_paper_mixed,
+        ),
+    ]
+
+
 def degraded_crosscheck_configurations() -> List[
     DegradedCrossCheckConfiguration
 ]:
@@ -394,18 +358,6 @@ def degraded_crosscheck_configurations() -> List[
     def paper_severed() -> DegradedDragonflyLowering:
         topology = Dragonfly(DragonflyParams.paper_example_72())
         faults = FaultSet.of(links=_severed_pair_links(topology, [(0, 1)]))
-        return DegradedDragonflyLowering(topology, faults)
-
-    def paper_mixed() -> DegradedDragonflyLowering:
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        global_link = topology.group_links(0, 1)[0]
-        faults = FaultSet.of(
-            links=[
-                (global_link.src_router, global_link.dst_router),
-                (2, 3),
-            ],
-            routers=[35],
-        )
         return DegradedDragonflyLowering(topology, faults)
 
     def tiny_severed() -> DegradedDragonflyLowering:
@@ -445,7 +397,7 @@ def degraded_crosscheck_configurations() -> List[
                 "paper-72 minus one global cable, one local cable and "
                 "one router (all three fault classes at once)"
             ),
-            build=paper_mixed,
+            build=_paper_mixed,
         ),
         DegradedCrossCheckConfiguration(
             name="dragonfly-degraded-tiny/severed-pair@figure7-3vc",

@@ -254,13 +254,13 @@ class CrossCheck:
         )
 
 
-def cross_check(configuration: CheckConfiguration) -> Optional[CrossCheck]:
-    """Certify one configuration both ways; None when it has no grammar."""
-    if configuration.grammar is None:
-        return None
-    symbolic = certify_grammar(configuration.name, configuration.grammar())
-    fabric, traces = configuration.build()
-    concrete = certify(configuration.name, fabric, traces)
+def cross_check(configuration: CheckConfiguration) -> CrossCheck:
+    """Certify one configuration both ways, from its one family object."""
+    family = configuration.family()
+    symbolic = certify_grammar(configuration.name, family.grammar())
+    concrete = certify(
+        configuration.name, family.topology.fabric, family.traces()
+    )
     return CrossCheck(configuration.name, symbolic, concrete)
 
 
@@ -278,12 +278,7 @@ def soundness_harness(
     """
     if configurations is None:
         configurations = [*default_configurations(), broken_configuration()]
-    checks = []
-    for configuration in configurations:
-        result = cross_check(configuration)
-        if result is not None:
-            checks.append(result)
-    return checks
+    return [cross_check(configuration) for configuration in configurations]
 
 
 # ----------------------------------------------------------------------
@@ -353,13 +348,8 @@ def degraded_cross_check(
     the same way PR 5's :func:`soundness_harness` anchors the healthy
     one.
     """
-    from ..routing.paths import degraded_dragonfly_grammar
     from .tables import certify_tables
 
-    grammar = degraded_dragonfly_grammar(
-        lowering.assignment,
-        lowering.faults.fault_classes(lowering.topology),
-    ).compose()
-    symbolic = certify_grammar(name, grammar)
+    symbolic = certify_grammar(name, lowering.grammar())
     concrete = certify_tables(name, lowering)
     return DegradedCrossCheck(name, symbolic, concrete)

@@ -33,8 +33,9 @@ configuration actually deployed:
   evidence (INFO), a negative control that certifies clean has rotted
   (ERROR).
 
-Fault-degraded dragonfly table sets (:func:`degraded_configurations`)
-are certified alongside the healthy registry: the verifier either
+Fault-degraded dragonfly table sets
+(:func:`repro.check.registry.degraded_table_configurations`) are
+certified alongside the healthy registry: the verifier either
 proves the degraded tables deadlock-free, reachable, and
 grammar-consistent, or prints the counterexample.
 """
@@ -45,12 +46,10 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.params import DragonflyParams
 from ..routing.grammar import PathGrammar, Segment
 from ..routing.tables import (
-    DegradedDragonflyLowering,
     ForwardingTables,
     Lowering,
     RouteCase,
@@ -58,8 +57,6 @@ from ..routing.tables import (
     TableRouteError,
     table_walk_route,
 )
-from ..topology.dragonfly import Dragonfly
-from ..topology.faults import FaultSet
 from .cdg import CdgNode, certify, describe_cycle
 from .report import Finding, Severity
 
@@ -298,54 +295,6 @@ def certify_tables(name: str, lowering: Lowering) -> TableCertification:
     return result
 
 
-# ----------------------------------------------------------------------
-# Degraded configurations certified alongside the healthy registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DegradedConfiguration:
-    """One fault scenario whose recompiled tables the pass certifies."""
-
-    name: str
-    description: str
-    build: Callable[[], DegradedDragonflyLowering]
-
-
-def degraded_configurations() -> List[DegradedConfiguration]:
-    """Fault scenarios certified by ``python -m repro.check tables``.
-
-    The default scenario hits the paper-72 dragonfly with all three
-    fault shapes at once: a dead global cable (groups 0 and 1 lose their
-    only direct link, forcing detours through a third group), a dead
-    local cable (routers 2 and 3 stop talking directly, exercising the
-    local repair pass), and a dead router (router 35 takes its two
-    global links and both terminals down with it, disconnecting group 8
-    from two more groups).
-    """
-
-    def build() -> DegradedDragonflyLowering:
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        global_link = topology.group_links(0, 1)[0]
-        faults = FaultSet.of(
-            links=[
-                (global_link.src_router, global_link.dst_router),
-                (2, 3),
-            ],
-            routers=[35],
-        )
-        return DegradedDragonflyLowering(topology, faults)
-
-    return [
-        DegradedConfiguration(
-            name="dragonfly-degraded/MIN+detours@figure7-3vc",
-            description=(
-                "paper-72 dragonfly minus one global cable, one local "
-                "cable and one router; minimal tables with detours"
-            ),
-            build=build,
-        ),
-    ]
-
-
 def export_filename(name: str) -> str:
     """A filesystem-safe file name for one configuration's table JSON."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") + ".json"
@@ -363,27 +312,21 @@ def run_tables_pass(
     clean has rotted and fails the gate.  With ``export_dir`` set, every
     compiled table set is exported to its versioned JSON file.
     """
-    from .registry import all_configurations, broken_configuration
+    from .registry import (
+        all_configurations,
+        broken_configuration,
+        degraded_table_configurations,
+    )
     from .report import CheckReport
 
     report = CheckReport(pass_name="tables")
-    jobs: List[Tuple[str, Lowering, bool]] = []
     configurations = list(all_configurations())
     if demo_broken:
         configurations.append(broken_configuration())
-    for configuration in configurations:
-        if configuration.tables is None:
-            report.note(
-                f"{configuration.name}: no table lowering registered; "
-                "skipped (cdg pass still covers it)"
-            )
-            continue
-        jobs.append((
-            configuration.name,
-            configuration.tables(),
-            configuration.expect_deadlock_free,
-        ))
-    for degraded in degraded_configurations():
+    jobs: List[Tuple[str, Lowering, bool]] = [
+        (c.name, c.family(), c.expect_deadlock_free) for c in configurations
+    ]
+    for degraded in degraded_table_configurations():
         jobs.append((degraded.name, degraded.build(), True))
 
     for name, lowering, expect_clean in jobs:

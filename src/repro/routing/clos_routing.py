@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..topology.folded_clos import FoldedClos
 from .base import CongestionView, RoutingAlgorithm
@@ -119,28 +119,6 @@ def clos_path_grammar(levels: int) -> PathGrammar:
         num_vcs=1,
         route_classes=(RouteClass("up*/down*", tuple(segments)),),
     )
-
-
-def clos_walk_route(
-    topology: FoldedClos,
-    src_router: int,
-    dst_terminal: int,
-    plan: ClosRoutePlan,
-) -> List[Tuple[int, int, int]]:
-    """Full (router, port, vc) trace of a plan."""
-    trace = []
-    router = src_router
-    progress = 0
-    for _ in range(2 * topology.levels + 2):
-        port, vc, progress = clos_next_hop(
-            topology, router, plan, progress, dst_terminal
-        )
-        trace.append((router, port, vc))
-        channel = topology.fabric.out_channel(router, port)
-        if channel is None:
-            return trace
-        router = channel.dst.router
-    raise AssertionError("folded-Clos route failed to terminate")
 
 
 class _ClosRouting(RoutingAlgorithm):

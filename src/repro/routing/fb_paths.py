@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..topology.flattened_butterfly import FlattenedButterfly
 from .grammar import ChannelClass, PathGrammar, RouteClass, Segment
@@ -162,24 +162,3 @@ def fb_path_grammar(include_nonminimal: bool = True) -> PathGrammar:
         num_vcs=2 if include_nonminimal else 1,
         route_classes=tuple(route_classes),
     )
-
-
-def fb_walk_route(
-    topology: FlattenedButterfly,
-    src_router: int,
-    dst_terminal: int,
-    plan: FbRoutePlan,
-) -> List[Tuple[int, int, int]]:
-    """Full (router, port, vc) trace of a plan (tests and analytics)."""
-    trace = []
-    router = src_router
-    progress = 0
-    bound = 2 * len(topology.dims) + 2
-    for _ in range(bound):
-        port, vc, progress = fb_next_hop(topology, router, plan, progress, dst_terminal)
-        trace.append((router, port, vc))
-        channel = topology.fabric.out_channel(router, port)
-        if channel is None:
-            return trace  # ejected
-        router = channel.dst.router
-    raise AssertionError("flattened-butterfly route failed to terminate")

@@ -10,7 +10,7 @@ assignment of :mod:`repro.routing.vc_assignment`.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.params import TopologyError
 from ..network.packet import RoutePlan
@@ -335,7 +335,7 @@ def dragonfly_path_grammar(
     because groups are complete graphs -- every local segment is at most
     one hop and every global segment exactly one, regardless of size.
     The three route classes mirror Section 4.1 (and the enumeration of
-    :func:`repro.check.cdg.dragonfly_traces`):
+    :meth:`repro.routing.tables.Lowering.routes`):
 
     * ``intra-group`` -- source and destination share a group: at most
       one local hop on the final-stage VC;
@@ -446,30 +446,36 @@ def degraded_dragonfly_grammar(
 
 
 def walk_route(
-    topology: Dragonfly,
+    topology: Any,
+    next_hop: Callable[[Any, int, Any, int, int], Tuple[int, int, int]],
     src_router: int,
     dst_terminal: int,
-    plan: RoutePlan,
-    assignment: vcs.VcAssignment = vcs.CANONICAL,
+    plan: Any,
 ) -> List[Tuple[int, int, int]]:
     """Full (router, out_port, vc) trace of a plan, ending at ejection.
 
-    Used by tests, analytics and the static certifier; the simulator
-    executes hops lazily.
+    The one route walker of every family: ``next_hop`` is the family's
+    executor ``(topology, router, plan, progress, dst_terminal) ->
+    (out_port, out_vc, next_progress)``, the interface the simulator
+    drives through :meth:`RoutingAlgorithm.next_hop`.  Used by tests,
+    analytics and the static certifier (:meth:`repro.routing.tables.
+    Lowering.trace`); the simulator executes hops lazily.  A loop-free
+    route visits each router at most once, so a walk longer than the
+    fabric has routers is a routing bug and raises :class:`TopologyError`.
     """
+    fabric = topology.fabric
     trace = []
     router = src_router
-    global_hops = 0
-    for _ in range(2 * 5 + 2):  # generous bound; routes have <= 5 hops
-        port, vc = next_hop(
-            topology, router, plan, global_hops, dst_terminal, assignment
-        )
+    progress = 0
+    for _ in range(fabric.num_routers + 2):
+        port, vc, progress = next_hop(topology, router, plan, progress, dst_terminal)
         trace.append((router, port, vc))
-        if topology.is_terminal_port(port):
-            return trace
-        channel = topology.fabric.out_channel(router, port)
-        assert channel is not None
-        if topology.is_global_port(port):
-            global_hops += 1
+        channel = fabric.out_channel(router, port)
+        if channel is None:
+            return trace  # ejected: terminal ports carry no channel
         router = channel.dst.router
-    raise TopologyError("route failed to terminate (routing bug)")
+    raise TopologyError(
+        f"{type(topology).__name__} route from router {src_router} to "
+        f"terminal {dst_terminal} under {plan!r} failed to terminate: "
+        f"still at router {router} after {len(trace)} hops (routing bug)"
+    )

@@ -30,6 +30,7 @@ the versioned JSON export (:meth:`ForwardingTables.dump` /
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -351,10 +352,10 @@ def table_walk_route(
     """Execute a leg program over compiled tables.
 
     Returns the (router, out_port, out_vc) trace ending with the
-    ejection hop -- the same shape as the algorithmic ``walk_route``
-    functions, which is what makes the two executors comparable hop by
-    hop.  Raises :class:`TableRouteError` on a missing or ambiguous
-    entry or when the walk exceeds the loop bound.
+    ejection hop -- the same shape as the algorithmic
+    :func:`~repro.routing.paths.walk_route`, which is what makes the two
+    executors comparable hop by hop.  Raises :class:`TableRouteError` on
+    a missing or ambiguous entry or when the walk exceeds the loop bound.
     """
     fabric = topology.fabric
     trace: List[Tuple[int, int, int]] = []
@@ -496,43 +497,6 @@ def _compile_grouped(
                             port = local_toward(router, link.src_router)
                         tables.add(router, key, TableEntry(port, nf, via=tag))
     return tables
-
-
-def _grouped_min_legs(
-    topology: Any, assignment: vcs.VcAssignment, plan: RoutePlan, dest: int
-) -> Tuple[Leg, ...]:
-    dest_group = topology.group_of(dest)
-    if plan.gc1 is None:
-        return (Leg(dest_group, dest, assignment.final_local_vc),)
-    return (
-        Leg(
-            dest_group,
-            dest,
-            assignment.minimal_first_vc,
-            via=frozenset((link_tag(plan.gc1),)),
-        ),
-    )
-
-
-def _grouped_valiant_legs(
-    topology: Any, assignment: vcs.VcAssignment, plan: RoutePlan, dest: int
-) -> Tuple[Leg, ...]:
-    assert plan.gc1 is not None and plan.gc2 is not None
-    mid = plan.gc1.dst_router
-    return (
-        Leg(
-            topology.group_of(mid),
-            mid,
-            assignment.nonminimal_first_vc,
-            via=frozenset((link_tag(plan.gc1),)),
-        ),
-        Leg(
-            topology.group_of(dest),
-            dest,
-            assignment.intermediate_vc,
-            via=frozenset((link_tag(plan.gc2),)),
-        ),
-    )
 
 
 def compile_dragonfly_tables(
@@ -842,14 +806,6 @@ def compile_fb_tables(
     return tables
 
 
-def _fb_legs(
-    topology: FlattenedButterfly, plan: fb_paths.FbRoutePlan, dest: int
-) -> Tuple[Leg, ...]:
-    if plan.minimal or plan.intermediate_router is None:
-        return (Leg(0, dest, 0),)
-    return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 1))
-
-
 # ----------------------------------------------------------------------
 # Torus (dateline DOR)
 # ----------------------------------------------------------------------
@@ -914,14 +870,6 @@ def compile_torus_tables(
     return tables
 
 
-def _torus_legs(
-    topology: Torus, plan: torus_routing.TorusRoutePlan, dest: int
-) -> Tuple[Leg, ...]:
-    if plan.minimal or plan.intermediate_router is None:
-        return (Leg(0, dest, 0),)
-    return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 2))
-
-
 # ----------------------------------------------------------------------
 # Folded Clos (up*/down*)
 # ----------------------------------------------------------------------
@@ -963,15 +911,6 @@ def compile_clos_tables(
                         TableEntry(down + up, 0, via=("up", level, up)),
                     )
     return tables
-
-
-def _clos_legs(
-    topology: FoldedClos, plan: clos_routing.ClosRoutePlan, dest_leaf: int
-) -> Tuple[Leg, ...]:
-    via = frozenset(
-        ("up", level, plan.up_ports[level]) for level in range(plan.ancestor_level)
-    )
-    return (Leg(0, dest_leaf, 0, via=via or None),)
 
 
 # ----------------------------------------------------------------------
@@ -1178,23 +1117,35 @@ class DegradedTableRouting(RoutingAlgorithm):
 
 
 # ----------------------------------------------------------------------
-# Lowerings: bind one registry configuration to its compiler, its route
-# cases (leg programs + algorithmic traces), and its hop classifier.
+# Lowerings: one routing family on one topology, as the certifier sees
+# it -- its compiler, its grammar, its hop classifier and the single
+# enumeration of its admissible routes that every pass consumes.
 # ----------------------------------------------------------------------
+#: One admissible route: (label, src_router, dst_terminal, plan).
+Route = Tuple[str, int, int, Any]
+
+
 class Lowering:
-    """Everything the table verifier needs to know about one family."""
+    """Everything the certifier needs to know about one family.
+
+    A family supplies :meth:`compile`, :meth:`grammar`,
+    :meth:`classify_hop` and three small pieces: :meth:`routes` (every
+    admissible route, enumerated once), :meth:`next_hop` (its executor)
+    and :meth:`legs` (a route's table leg program).  The base class
+    derives the two views the passes read: :meth:`traces` for the CDG
+    pass and the soundness harness, :meth:`cases` for the table pass.
+    """
 
     family: str = "base"
+    #: The family's executor, the function the simulator's routing
+    #: classes call: ``(topology, router, plan, progress, dst_terminal)
+    #: -> (out_port, out_vc, next_progress)``.
+    next_hop: Callable[[Any, int, Any, int, int], Tuple[int, int, int]]
 
-    @property
-    def topology(self) -> Any:
-        raise NotImplementedError
+    def __init__(self, topology: Any) -> None:
+        self.topology = topology
 
     def compile(self) -> ForwardingTables:
-        raise NotImplementedError
-
-    def cases(self) -> Iterator[RouteCase]:
-        """Every route the family can emit, as a table leg program."""
         raise NotImplementedError
 
     def grammar(self) -> PathGrammar:
@@ -1203,6 +1154,51 @@ class Lowering:
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
         """Map a trace hop onto its grammar (kind, vc, role) class."""
         raise NotImplementedError
+
+    def routes(self) -> Iterator[Route]:
+        """Every route the family can emit, once each.
+
+        Every source router, every destination terminal, every global
+        channel / intermediate / up-port choice the algorithm could
+        make.  A superset of what an adaptive algorithm actually routes
+        (UGAL picks between the minimal and one Valiant candidate, both
+        of which are enumerated), so a certificate over these routes
+        covers every algorithm of the family.
+        """
+        raise NotImplementedError
+
+    def legs(self, plan: Any, dest: int) -> Tuple[Leg, ...]:
+        """The table leg program of ``plan`` toward router ``dest``."""
+        raise NotImplementedError
+
+    def trace(
+        self, src_router: int, dst_terminal: int, plan: Any
+    ) -> List[Tuple[int, int, int]]:
+        """One route walked through the family's executor."""
+        return paths.walk_route(
+            self.topology, self.next_hop, src_router, dst_terminal, plan
+        )
+
+    def traces(self) -> Iterator[List[Tuple[int, int, int]]]:
+        """Every route's executor trace, in :meth:`routes` order.
+
+        Walks only: the CDG pass and the soundness harness never read
+        leg programs, and building them costs half again the walk.
+        """
+        for _label, src_router, dst_terminal, plan in self.routes():
+            yield self.trace(src_router, dst_terminal, plan)
+
+    def cases(self) -> Iterator[RouteCase]:
+        """Every route as a table leg program plus its executor trace."""
+        terminal_router = self.topology.terminal_router
+        for label, src_router, dst_terminal, plan in self.routes():
+            yield RouteCase(
+                label=label,
+                src_router=src_router,
+                dst_terminal=dst_terminal,
+                legs=self.legs(plan, terminal_router(dst_terminal)),
+                algorithmic=tuple(self.trace(src_router, dst_terminal, plan)),
+            )
 
 
 class _GroupedLowering(Lowering):
@@ -1214,53 +1210,40 @@ class _GroupedLowering(Lowering):
         assignment: vcs.VcAssignment,
         include_nonminimal: bool,
     ) -> None:
-        self._topology = topology
+        super().__init__(topology)
         self.assignment = assignment
         self.include_nonminimal = (
             include_nonminimal and assignment.supports_nonminimal
         )
 
-    @property
-    def topology(self) -> Any:
-        return self._topology
-
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        channel = self._topology.fabric.out_channel(router, port)
+        channel = self.topology.fabric.out_channel(router, port)
         assert channel is not None
         return channel.kind.value, vc, ""
 
-    def _walk(self, src_router: int, dst_terminal: int, plan: RoutePlan):
-        raise NotImplementedError
-
-    def cases(self) -> Iterator[RouteCase]:
-        topology = self._topology
-        assignment = self.assignment
+    def routes(self) -> Iterator[Route]:
+        """Minimal routes over every global channel between the two
+        groups; Valiant routes additionally over every intermediate
+        group and every second global channel."""
+        topology = self.topology
         for src_router in range(topology.fabric.num_routers):
             src_group = topology.group_of(src_router)
             for dst_terminal in range(topology.num_terminals):
-                dest = topology.terminal_router(dst_terminal)
-                dest_group = topology.group_of(dest)
+                dest_group = topology.group_of(
+                    topology.terminal_router(dst_terminal)
+                )
+                pair = f"r{src_router}->t{dst_terminal}"
                 if src_group == dest_group:
-                    plan = RoutePlan(minimal=True)
-                    yield RouteCase(
-                        label=f"intra r{src_router}->t{dst_terminal}",
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=_grouped_min_legs(topology, assignment, plan, dest),
-                        algorithmic=tuple(self._walk(src_router, dst_terminal, plan)),
+                    yield (
+                        f"intra {pair}", src_router, dst_terminal,
+                        RoutePlan(minimal=True),
                     )
                     continue
                 for gc1 in topology.group_links(src_group, dest_group):
-                    plan = RoutePlan(minimal=True, gc1=gc1)
-                    yield RouteCase(
-                        label=(
-                            f"min r{src_router}->t{dst_terminal} "
-                            f"via {gc1.src_port}@{gc1.src_router}"
-                        ),
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=_grouped_min_legs(topology, assignment, plan, dest),
-                        algorithmic=tuple(self._walk(src_router, dst_terminal, plan)),
+                    yield (
+                        f"min {pair} via {gc1.src_port}@{gc1.src_router}",
+                        src_router, dst_terminal,
+                        RoutePlan(minimal=True, gc1=gc1),
                     )
                 if not self.include_nonminimal:
                     continue
@@ -1269,21 +1252,35 @@ class _GroupedLowering(Lowering):
                         continue
                     for gc1 in topology.group_links(src_group, mid_group):
                         for gc2 in topology.group_links(mid_group, dest_group):
-                            plan = RoutePlan(minimal=False, gc1=gc1, gc2=gc2)
-                            yield RouteCase(
-                                label=(
-                                    f"val r{src_router}->t{dst_terminal} "
-                                    f"mid g{mid_group}"
-                                ),
-                                src_router=src_router,
-                                dst_terminal=dst_terminal,
-                                legs=_grouped_valiant_legs(
-                                    topology, assignment, plan, dest
-                                ),
-                                algorithmic=tuple(
-                                    self._walk(src_router, dst_terminal, plan)
-                                ),
+                            yield (
+                                f"val {pair} mid g{mid_group}",
+                                src_router, dst_terminal,
+                                RoutePlan(minimal=False, gc1=gc1, gc2=gc2),
                             )
+
+    def legs(self, plan: RoutePlan, dest: int) -> Tuple[Leg, ...]:
+        assignment = self.assignment
+        dest_group = self.topology.group_of(dest)
+        if plan.gc1 is None:
+            return (Leg(dest_group, dest, assignment.final_local_vc),)
+        first = frozenset((link_tag(plan.gc1),))
+        if plan.gc2 is None:
+            return (Leg(dest_group, dest, assignment.minimal_first_vc, via=first),)
+        mid = plan.gc1.dst_router
+        return (
+            Leg(
+                self.topology.group_of(mid),
+                mid,
+                assignment.nonminimal_first_vc,
+                via=first,
+            ),
+            Leg(
+                dest_group,
+                dest,
+                assignment.intermediate_vc,
+                via=frozenset((link_tag(plan.gc2),)),
+            ),
+        )
 
 
 class DragonflyLowering(_GroupedLowering):
@@ -1291,16 +1288,24 @@ class DragonflyLowering(_GroupedLowering):
 
     def compile(self) -> ForwardingTables:
         return compile_dragonfly_tables(
-            self._topology, self.assignment, self.include_nonminimal
+            self.topology, self.assignment, self.include_nonminimal
         )
 
     def grammar(self) -> PathGrammar:
         return paths.dragonfly_path_grammar(self.assignment, self.include_nonminimal)
 
-    def _walk(self, src_router: int, dst_terminal: int, plan: RoutePlan):
-        return paths.walk_route(
-            self._topology, src_router, dst_terminal, plan, self.assignment
+    def next_hop(
+        self,
+        topology: Dragonfly,
+        router: int,
+        plan: RoutePlan,
+        progress: int,
+        dst_terminal: int,
+    ) -> Tuple[int, int, int]:
+        port, vc = paths.next_hop(
+            topology, router, plan, progress, dst_terminal, self.assignment
         )
+        return port, vc, progress + (1 if topology.is_global_port(port) else 0)
 
 
 class VariantLowering(_GroupedLowering):
@@ -1308,7 +1313,7 @@ class VariantLowering(_GroupedLowering):
 
     def compile(self) -> ForwardingTables:
         return compile_variant_tables(
-            self._topology, self.assignment, self.include_nonminimal
+            self.topology, self.assignment, self.include_nonminimal
         )
 
     def grammar(self) -> PathGrammar:
@@ -1316,9 +1321,16 @@ class VariantLowering(_GroupedLowering):
             self.assignment, self.include_nonminimal
         )
 
-    def _walk(self, src_router: int, dst_terminal: int, plan: RoutePlan):
-        return variant_paths.variant_walk_route(
-            self._topology, src_router, dst_terminal, plan, self.assignment
+    def next_hop(
+        self,
+        topology: FlattenedButterflyGroupDragonfly,
+        router: int,
+        plan: RoutePlan,
+        progress: int,
+        dst_terminal: int,
+    ) -> Tuple[int, int, int]:
+        return variant_paths.variant_next_hop(
+            topology, router, plan, progress, dst_terminal, self.assignment
         )
 
 
@@ -1326,9 +1338,10 @@ class DegradedDragonflyLowering(Lowering):
     """Fault-degraded dragonfly: minimal routes plus explicit detours.
 
     There is no algorithmic executor for the degraded fabric -- the
-    tables *are* the routing -- so cases carry no algorithmic trace and
-    the verifier certifies reachability, cycle-freedom, and grammar
-    membership of the table walks alone.  The grammar is the
+    tables *are* the routing -- so :meth:`cases` is written out here,
+    its cases carry no algorithmic trace, and the verifier certifies
+    reachability, cycle-freedom, and grammar membership of the table
+    walks alone.  The grammar is the
     fault-parametric :class:`~repro.routing.grammar.DegradedPathGrammar`
     composed for exactly the fault classes this fault set exhibits:
     detour walks match its ``fault-detour`` route class, and local
@@ -1343,17 +1356,13 @@ class DegradedDragonflyLowering(Lowering):
         faults: FaultSet,
         assignment: vcs.VcAssignment = vcs.CANONICAL,
     ) -> None:
-        self._topology = topology
+        super().__init__(topology)
         self.faults = faults
         self.assignment = assignment
 
-    @property
-    def topology(self) -> Dragonfly:
-        return self._topology
-
     def compile(self) -> ForwardingTables:
         return compile_dragonfly_tables(
-            self._topology,
+            self.topology,
             self.assignment,
             include_nonminimal=False,
             faults=self.faults,
@@ -1362,16 +1371,16 @@ class DegradedDragonflyLowering(Lowering):
     def grammar(self) -> PathGrammar:
         return paths.degraded_dragonfly_grammar(
             self.assignment,
-            self.faults.fault_classes(self._topology),
+            self.faults.fault_classes(self.topology),
         ).compose()
 
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        channel = self._topology.fabric.out_channel(router, port)
+        channel = self.topology.fabric.out_channel(router, port)
         assert channel is not None
         return channel.kind.value, vc, ""
 
     def cases(self) -> Iterator[RouteCase]:
-        topology = self._topology
+        topology = self.topology
         faults = self.faults
         assignment = self.assignment
         for src_router in range(topology.fabric.num_routers):
@@ -1383,65 +1392,48 @@ class DegradedDragonflyLowering(Lowering):
                 if faults.router_dead(dest):
                     continue
                 dest_group = topology.group_of(dest)
+                pair = f"r{src_router}->t{dst_terminal}"
                 if src_group == dest_group:
+                    programs = [("intra", assignment.final_local_vc, None)]
+                else:
+                    links = [
+                        link
+                        for link in topology.group_links(src_group, dest_group)
+                        if not faults.link_dead(link.src_router, link.dst_router)
+                    ]
+                    if links:
+                        programs = [
+                            (
+                                "min",
+                                assignment.minimal_first_vc,
+                                frozenset((link_tag(link),)),
+                            )
+                            for link in links
+                        ]
+                    else:
+                        _mid, first, second = _detour_choice(
+                            topology, faults, src_group, dest_group
+                        )
+                        programs = [(
+                            "detour",
+                            assignment.nonminimal_first_vc,
+                            frozenset((link_tag(first), link_tag(second))),
+                        )]
+                for kind, entry_vc, via in programs:
                     yield RouteCase(
-                        label=f"intra r{src_router}->t{dst_terminal}",
+                        label=f"{kind} {pair}",
                         src_router=src_router,
                         dst_terminal=dst_terminal,
-                        legs=(Leg(dest_group, dest, assignment.final_local_vc),),
+                        legs=(Leg(dest_group, dest, entry_vc, via=via),),
                     )
-                    continue
-                links = [
-                    link
-                    for link in topology.group_links(src_group, dest_group)
-                    if not faults.link_dead(link.src_router, link.dst_router)
-                ]
-                if links:
-                    for link in links:
-                        yield RouteCase(
-                            label=f"min r{src_router}->t{dst_terminal}",
-                            src_router=src_router,
-                            dst_terminal=dst_terminal,
-                            legs=(
-                                Leg(
-                                    dest_group,
-                                    dest,
-                                    assignment.minimal_first_vc,
-                                    via=frozenset((link_tag(link),)),
-                                ),
-                            ),
-                        )
-                    continue
-                _mid, first, second = _detour_choice(
-                    topology, faults, src_group, dest_group
-                )
-                yield RouteCase(
-                    label=f"detour r{src_router}->t{dst_terminal}",
-                    src_router=src_router,
-                    dst_terminal=dst_terminal,
-                    legs=(
-                        Leg(
-                            dest_group,
-                            dest,
-                            assignment.nonminimal_first_vc,
-                            via=frozenset((link_tag(first), link_tag(second))),
-                        ),
-                    ),
-                )
 
 
 class FbLowering(Lowering):
     family = "flattened-butterfly"
-
-    def __init__(self, topology: FlattenedButterfly) -> None:
-        self._topology = topology
-
-    @property
-    def topology(self) -> FlattenedButterfly:
-        return self._topology
+    next_hop = staticmethod(fb_paths.fb_next_hop)
 
     def compile(self) -> ForwardingTables:
-        return compile_fb_tables(self._topology)
+        return compile_fb_tables(self.topology)
 
     def grammar(self) -> PathGrammar:
         return fb_paths.fb_path_grammar()
@@ -1449,151 +1441,124 @@ class FbLowering(Lowering):
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
         return "local", vc, f"phase{vc}"
 
-    def cases(self) -> Iterator[RouteCase]:
-        topology = self._topology
+    def routes(self) -> Iterator[Route]:
+        """Every DOR route, plus every router-level Valiant route."""
+        topology = self.topology
         for src_router in range(topology.num_routers):
             for dst_terminal in range(topology.num_terminals):
                 dest = topology.terminal_router(dst_terminal)
-                plan = fb_paths.fb_minimal_plan()
-                yield RouteCase(
-                    label=f"min r{src_router}->t{dst_terminal}",
-                    src_router=src_router,
-                    dst_terminal=dst_terminal,
-                    legs=_fb_legs(topology, plan, dest),
-                    algorithmic=tuple(
-                        fb_paths.fb_walk_route(topology, src_router, dst_terminal, plan)
-                    ),
+                pair = f"r{src_router}->t{dst_terminal}"
+                yield (
+                    f"min {pair}", src_router, dst_terminal,
+                    fb_paths.FbRoutePlan(minimal=True),
                 )
                 for mid in range(topology.num_routers):
                     if mid in (src_router, dest):
                         continue
-                    plan = fb_paths.FbRoutePlan(minimal=False, intermediate_router=mid)
-                    yield RouteCase(
-                        label=f"val r{src_router}->t{dst_terminal} mid r{mid}",
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=_fb_legs(topology, plan, dest),
-                        algorithmic=tuple(
-                            fb_paths.fb_walk_route(
-                                topology, src_router, dst_terminal, plan
-                            )
-                        ),
+                    yield (
+                        f"val {pair} mid r{mid}", src_router, dst_terminal,
+                        fb_paths.FbRoutePlan(minimal=False, intermediate_router=mid),
                     )
+
+    def legs(self, plan: fb_paths.FbRoutePlan, dest: int) -> Tuple[Leg, ...]:
+        if plan.minimal or plan.intermediate_router is None:
+            return (Leg(0, dest, 0),)
+        return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 1))
 
 
 class TorusLowering(Lowering):
     family = "torus"
+    next_hop = staticmethod(torus_routing.torus_next_hop)
 
     def __init__(self, topology: Torus, include_nonminimal: bool) -> None:
-        self._topology = topology
+        super().__init__(topology)
         self.include_nonminimal = include_nonminimal
 
-    @property
-    def topology(self) -> Torus:
-        return self._topology
-
     def compile(self) -> ForwardingTables:
-        return compile_torus_tables(self._topology, self.include_nonminimal)
+        return compile_torus_tables(self.topology, self.include_nonminimal)
 
     def grammar(self) -> PathGrammar:
         return torus_routing.torus_path_grammar(
-            len(self._topology.dims), self.include_nonminimal
+            len(self.topology.dims), self.include_nonminimal
         )
 
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        dim = (port - self._topology.concentration) // 2
+        dim = (port - self.topology.concentration) // 2
         crossed = vc % 2
         role = f"dim{dim}" + ("+dateline" if crossed else "")
         return "ring", vc, role
 
-    def cases(self) -> Iterator[RouteCase]:
-        topology = self._topology
+    def routes(self) -> Iterator[Route]:
+        """Every dateline-DOR route, plus every router-level Valiant
+        route when the configuration admits them."""
+        topology = self.topology
         for src_router in range(topology.num_routers):
             for dst_terminal in range(topology.num_terminals):
                 dest = topology.terminal_router(dst_terminal)
-                plan = torus_routing.torus_minimal_plan()
-                yield RouteCase(
-                    label=f"min r{src_router}->t{dst_terminal}",
-                    src_router=src_router,
-                    dst_terminal=dst_terminal,
-                    legs=_torus_legs(topology, plan, dest),
-                    algorithmic=tuple(
-                        torus_routing.torus_walk_route(
-                            topology, src_router, dst_terminal, plan
-                        )
-                    ),
+                pair = f"r{src_router}->t{dst_terminal}"
+                yield (
+                    f"min {pair}", src_router, dst_terminal,
+                    torus_routing.TorusRoutePlan(minimal=True),
                 )
                 if not self.include_nonminimal:
                     continue
                 for mid in range(topology.num_routers):
                     if mid in (src_router, dest):
                         continue
-                    plan = torus_routing.TorusRoutePlan(
-                        minimal=False, intermediate_router=mid
-                    )
-                    yield RouteCase(
-                        label=f"val r{src_router}->t{dst_terminal} mid r{mid}",
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=_torus_legs(topology, plan, dest),
-                        algorithmic=tuple(
-                            torus_routing.torus_walk_route(
-                                topology, src_router, dst_terminal, plan
-                            )
+                    yield (
+                        f"val {pair} mid r{mid}", src_router, dst_terminal,
+                        torus_routing.TorusRoutePlan(
+                            minimal=False, intermediate_router=mid
                         ),
                     )
+
+    def legs(self, plan: torus_routing.TorusRoutePlan, dest: int) -> Tuple[Leg, ...]:
+        if plan.minimal or plan.intermediate_router is None:
+            return (Leg(0, dest, 0),)
+        return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 2))
 
 
 class ClosLowering(Lowering):
     family = "folded-clos"
-
-    def __init__(self, topology: FoldedClos) -> None:
-        self._topology = topology
-
-    @property
-    def topology(self) -> FoldedClos:
-        return self._topology
+    next_hop = staticmethod(clos_routing.clos_next_hop)
 
     def compile(self) -> ForwardingTables:
-        return compile_clos_tables(self._topology)
+        return compile_clos_tables(self.topology)
 
     def grammar(self) -> PathGrammar:
-        return clos_routing.clos_path_grammar(self._topology.levels)
+        return clos_routing.clos_path_grammar(self.topology.levels)
 
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        level = self._topology.level_of(router)
-        if port >= self._topology.down:
+        level = self.topology.level_of(router)
+        if port >= self.topology.down:
             return "up", 0, f"level{level}->{level + 1}"
         return "down", 0, f"level{level}->{level - 1}"
 
-    def cases(self) -> Iterator[RouteCase]:
-        import itertools
-
-        topology = self._topology
-        for src_terminal in range(topology.num_terminals):
-            src_router = topology.terminal_router(src_terminal)
+    def routes(self) -> Iterator[Route]:
+        """Every up*/down* route from every source *leaf* over every
+        up-port choice: covers CLOS-RAND (all tuples) and CLOS-DET
+        (whose d-mod-k tuple is one of them)."""
+        topology = self.topology
+        for src_leaf in range(topology.switches_per_level):
+            src_router = topology.switch_id(0, src_leaf)
             for dst_terminal in range(topology.num_terminals):
-                dst_leaf = topology.terminal_router(dst_terminal)
                 ancestor = topology.ancestor_level(
-                    topology.index_of(src_router), dst_leaf
+                    src_leaf, topology.terminal_router(dst_terminal)
                 )
                 for up_ports in itertools.product(
                     range(topology.down), repeat=ancestor
                 ):
-                    plan = clos_routing.ClosRoutePlan(
-                        minimal=True, ancestor_level=ancestor, up_ports=up_ports
-                    )
-                    yield RouteCase(
-                        label=(
-                            f"updown r{src_router}->t{dst_terminal} "
-                            f"up{list(up_ports)}"
-                        ),
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=_clos_legs(topology, plan, dst_leaf),
-                        algorithmic=tuple(
-                            clos_routing.clos_walk_route(
-                                topology, src_router, dst_terminal, plan
-                            )
+                    yield (
+                        f"updown r{src_router}->t{dst_terminal} "
+                        f"up{list(up_ports)}",
+                        src_router, dst_terminal,
+                        clos_routing.ClosRoutePlan(
+                            minimal=True, ancestor_level=ancestor, up_ports=up_ports
                         ),
                     )
+
+    def legs(self, plan: clos_routing.ClosRoutePlan, dest: int) -> Tuple[Leg, ...]:
+        via = frozenset(
+            ("up", level, plan.up_ports[level]) for level in range(plan.ancestor_level)
+        )
+        return (Leg(0, dest, 0, via=via or None),)

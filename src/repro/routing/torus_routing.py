@@ -170,29 +170,6 @@ def torus_path_grammar(
     )
 
 
-def torus_walk_route(
-    topology: Torus,
-    src_router: int,
-    dst_terminal: int,
-    plan: TorusRoutePlan,
-) -> List[Tuple[int, int, int]]:
-    """Full (router, port, vc) trace of a plan."""
-    trace = []
-    router = src_router
-    progress = 0
-    bound = 2 * sum(topology.dims) + 2
-    for _ in range(bound):
-        port, vc, progress = torus_next_hop(
-            topology, router, plan, progress, dst_terminal
-        )
-        trace.append((router, port, vc))
-        channel = topology.fabric.out_channel(router, port)
-        if channel is None:
-            return trace
-        router = channel.dst.router
-    raise AssertionError("torus route failed to terminate")
-
-
 class _TorusRouting(RoutingAlgorithm):
     def next_hop(
         self,

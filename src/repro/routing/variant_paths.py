@@ -221,27 +221,3 @@ def variant_path_grammar(
         num_vcs=assignment.num_vcs,
         route_classes=tuple(route_classes),
     )
-
-
-def variant_walk_route(
-    topology: Variant,
-    src_router: int,
-    dst_terminal: int,
-    plan: RoutePlan,
-    assignment: vcs.VcAssignment = vcs.CANONICAL,
-) -> List[Tuple[int, int, int]]:
-    """Full (router, port, vc) trace of a plan."""
-    trace = []
-    router = src_router
-    progress = 0
-    bound = 3 * len(topology.group_dims) + 2 + 2
-    for _ in range(bound * 2):
-        port, vc, progress = variant_next_hop(
-            topology, router, plan, progress, dst_terminal, assignment
-        )
-        trace.append((router, port, vc))
-        channel = topology.fabric.out_channel(router, port)
-        if channel is None:
-            return trace
-        router = channel.dst.router
-    raise TopologyError("group-variant route failed to terminate")

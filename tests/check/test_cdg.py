@@ -7,7 +7,6 @@ from repro.check.cdg import (
     cdg_from_traces,
     certify,
     describe_cycle,
-    dragonfly_traces,
     find_counterexample,
     max_vc_used,
 )
@@ -19,6 +18,12 @@ from repro.check.registry import (
     _EXTRA,
 )
 from repro.routing import vc_assignment as vcs
+from repro.routing.tables import DragonflyLowering
+
+
+def dragonfly_traces(topology, assignment, include_nonminimal=True):
+    """Every admissible dragonfly route, from the single enumerator."""
+    return DragonflyLowering(topology, assignment, include_nonminimal).traces()
 
 
 class TestCanonicalAssignment:
@@ -112,8 +117,10 @@ class TestCollapsedAssignmentCounterexample:
     def test_broken_registry_entry_matches(self, collapsed):
         configuration = broken_configuration()
         assert not configuration.expect_deadlock_free
-        fabric, traces = configuration.build()
-        assert not certify(configuration.name, fabric, traces).ok
+        family = configuration.family()
+        assert not certify(
+            configuration.name, family.topology.fabric, family.traces()
+        ).ok
 
 
 class TestCdgConstruction:
@@ -156,13 +163,15 @@ class TestCdgConstruction:
 class TestRegistry:
     def test_default_configurations_all_certify(self):
         for configuration in default_configurations():
-            fabric, traces = configuration.build()
-            traces = list(traces)
-            certification = certify(configuration.name, fabric, traces)
+            family = configuration.family()
+            traces = list(family.traces())
+            certification = certify(
+                configuration.name, family.topology.fabric, traces
+            )
             assert certification.ok == configuration.expect_deadlock_free, (
                 configuration.name
             )
-            assert max_vc_used(traces) < configuration.claimed_vcs, (
+            assert max_vc_used(traces) < family.grammar().num_vcs, (
                 f"{configuration.name} exceeds its claimed VC budget"
             )
 

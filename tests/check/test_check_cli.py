@@ -20,8 +20,11 @@ from repro.check.report import (
     Severity,
     combined_exit_code,
 )
+from repro.core.params import DragonflyParams
 from repro.routing import vc_assignment as vcs
 from repro.routing.paths import dragonfly_path_grammar
+from repro.routing.tables import DragonflyLowering
+from repro.topology.dragonfly import Dragonfly
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -46,14 +49,33 @@ class TestExitCodes:
         assert "dragonfly/MIN+VAL+UGAL@figure7-3vc" in out
         assert "dragonfly-paper72" in out
 
-    def test_list_shows_grammar_markers_and_scale_parameterisations(
+    def test_list_shows_vc_budgets_and_scale_parameterisations(
         self, capsys
     ):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "[grammar]" in out
+        assert "torus/DOR+VAL@dateline-4vc [torus, 4 VCs]" in out
         assert "Symbolic scale parameterisations:" in out
         assert "dragonfly-balanced-h24" in out
+
+    def test_list_names_the_entry_whose_family_cannot_be_built(
+        self, monkeypatch, capsys
+    ):
+        """``--list`` constructs every family, so CI catches a registry
+        entry that cannot be built -- by name, not by traceback."""
+
+        def unbuildable():
+            raise ValueError("no such topology")
+
+        bad = dataclasses.replace(
+            broken_configuration(), name="bad/entry", family=unbuildable
+        )
+        monkeypatch.setattr(
+            "repro.check.__main__.all_configurations", lambda: [bad]
+        )
+        with pytest.raises(ValueError, match="no such topology"):
+            main(["--list"])
+        assert "'bad/entry'" in capsys.readouterr().err
 
     def test_symbolic_flag_runs_only_the_symbolic_pass(self, capsys):
         assert main(["--symbolic"]) == 0
@@ -210,9 +232,17 @@ class TestSymbolicGate:
         concrete cross-check (SYM005)."""
         from repro.check.registry import default_configurations
 
+        class Drifted(DragonflyLowering):
+            def grammar(self):
+                return dragonfly_path_grammar(vcs.COLLAPSED_TWO_VC)
+
         drifted = dataclasses.replace(
             default_configurations()[0],
-            grammar=lambda: dragonfly_path_grammar(vcs.COLLAPSED_TWO_VC),
+            family=lambda: Drifted(
+                Dragonfly(DragonflyParams.paper_example_72()),
+                vcs.CANONICAL,
+                include_nonminimal=True,
+            ),
         )
         monkeypatch.setattr(
             "repro.check.__main__.all_configurations", lambda: [drifted]
@@ -232,21 +262,6 @@ class TestSymbolicGate:
         )
         report = run_symbolic_pass()
         assert any(f.code == "SYM004" for f in report.errors)
-
-    def test_grammarless_configuration_is_skipped_not_failed(
-        self, monkeypatch
-    ):
-        from repro.check.registry import default_configurations
-
-        bare = dataclasses.replace(
-            default_configurations()[0], grammar=None
-        )
-        monkeypatch.setattr(
-            "repro.check.__main__.all_configurations", lambda: [bare]
-        )
-        report = run_symbolic_pass()
-        assert report.ok
-        assert any("skipped" in note for note in report.notes)
 
 
 class TestSanitizeFixture:

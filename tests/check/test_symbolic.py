@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.cdg import certify, dragonfly_traces
+from repro.check.cdg import certify
 from repro.check.registry import (
     broken_configuration,
     default_configurations,
@@ -35,6 +35,7 @@ from repro.routing import vc_assignment as vcs
 from repro.routing.fb_paths import fb_path_grammar
 from repro.routing.grammar import ChannelClass, PathGrammar, RouteClass, Segment
 from repro.routing.paths import dragonfly_path_grammar
+from repro.routing.tables import DragonflyLowering
 from repro.routing.torus_routing import torus_path_grammar
 from repro.routing.variant_paths import variant_path_grammar
 from repro.topology.dragonfly import Dragonfly
@@ -236,12 +237,13 @@ class TestOtherFamilies:
 class TestRegisteredGrammars:
     def test_every_default_configuration_has_a_grammar(self):
         for configuration in default_configurations():
-            assert configuration.grammar is not None, configuration.name
+            grammar = configuration.family().grammar()
+            assert isinstance(grammar, PathGrammar), configuration.name
 
     def test_every_registered_grammar_matches_its_claim(self):
         for configuration in default_configurations():
             certification = certify_grammar(
-                configuration.name, configuration.grammar()
+                configuration.name, configuration.family().grammar()
             )
             assert certification.ok == configuration.expect_deadlock_free, (
                 configuration.name
@@ -249,14 +251,14 @@ class TestRegisteredGrammars:
 
     def test_grammar_vcs_stay_inside_the_claimed_budget(self):
         for configuration in default_configurations():
-            grammar = configuration.grammar()
+            grammar = configuration.family().grammar()
             used = {cls.vc for cls in grammar.classes()}
-            assert max(used) < configuration.claimed_vcs, configuration.name
+            assert max(used) < grammar.num_vcs, configuration.name
 
     def test_broken_configuration_is_refuted(self):
         configuration = broken_configuration()
         certification = certify_grammar(
-            configuration.name, configuration.grammar()
+            configuration.name, configuration.family().grammar()
         )
         assert not certification.ok
 
@@ -295,16 +297,9 @@ class TestSoundnessHarness:
 
     def test_negative_control_is_cyclic_both_ways(self):
         check = cross_check(broken_configuration())
-        assert check is not None
         assert not check.symbolic.ok
         assert not check.concrete.ok
         assert check.agrees
-
-    def test_configuration_without_grammar_is_skipped(self):
-        configuration = dataclasses.replace(
-            default_configurations()[0], grammar=None
-        )
-        assert cross_check(configuration) is None
 
     def test_disagreement_is_loud_in_the_summary(self):
         check = cross_check(broken_configuration())
@@ -335,7 +330,7 @@ class TestSoundnessHarness:
         concrete = certify(
             "concrete",
             topology.fabric,
-            dragonfly_traces(topology, assignment, include_nonminimal),
+            DragonflyLowering(topology, assignment, include_nonminimal).traces(),
         )
         symbolic = certify_grammar(
             "symbolic", dragonfly_path_grammar(assignment, include_nonminimal)

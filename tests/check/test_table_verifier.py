@@ -8,16 +8,17 @@ counterexample cycle, exactly as a bad controller push would be.
 
 import pytest
 
+from repro.check.registry import degraded_table_configurations
 from repro.check.tables import (
     certify_tables,
-    degraded_configurations,
     export_filename,
     run_tables_pass,
 )
 from repro.core.params import DragonflyParams
 from repro.routing import vc_assignment as vcs
-from repro.routing.tables import DragonflyLowering, TableEntry
+from repro.routing.tables import ClosLowering, DragonflyLowering, TableEntry
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.folded_clos import FoldedClos
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +35,19 @@ class TestCertifyHealthy:
         assert cert.num_pairs == tiny.fabric.num_routers * tiny.num_terminals
         assert "certified" in cert.summary()
 
+    def test_clos_routes_are_certified_once_each(self):
+        """Up*/down* routes start at leaf *routers*: a leaf's ``down``
+        terminals share every route, so enumerating by source terminal
+        certified (and counted) each one ``down`` times."""
+        clos = FoldedClos(num_terminals=8, radix=4)
+        cert = certify_tables("clos", ClosLowering(clos))
+        assert cert.ok, [f.format() for f in cert.findings]
+        assert cert.num_cases == 88
+        assert cert.num_pairs == clos.switches_per_level * clos.num_terminals
+        assert "88 routes over 32 pairs" in cert.summary()
+
     def test_degraded_scenario_certifies(self):
-        degraded = degraded_configurations()
+        degraded = degraded_table_configurations()
         assert degraded, "expected at least one fault scenario"
         cert = certify_tables(degraded[0].name, degraded[0].build())
         assert cert.ok, [f.format() for f in cert.findings]
@@ -114,12 +126,10 @@ class TestRunTablesPass:
         healthy = registry.CheckConfiguration(
             name="rotted-control",
             description="documented as deadlocking but actually fine",
-            claimed_vcs=3,
-            build=lambda: (tiny.fabric, ()),
-            expect_deadlock_free=False,
-            tables=lambda: DragonflyLowering(
+            family=lambda: DragonflyLowering(
                 tiny, vcs.CANONICAL, include_nonminimal=True
             ),
+            expect_deadlock_free=False,
         )
         monkeypatch.setattr(registry, "broken_configuration", lambda: healthy)
         report = run_tables_pass(demo_broken=True)

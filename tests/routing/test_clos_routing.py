@@ -10,10 +10,11 @@ from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
 from repro.routing.clos_routing import (
+    clos_next_hop,
     clos_plan,
-    clos_walk_route,
     make_clos_routing,
 )
+from repro.routing.paths import walk_route
 from repro.topology.folded_clos import FoldedClos
 
 
@@ -24,7 +25,7 @@ def clos():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     src_router = topology.terminal_router(src_terminal)
-    trace = clos_walk_route(topology, src_router, dst_terminal, plan)
+    trace = walk_route(topology, clos_next_hop, src_router, dst_terminal, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
     assert last_port == topology.terminal_port(dst_terminal)
@@ -74,13 +75,13 @@ class TestClosPlans:
     def test_single_vc_suffices(self, clos):
         rng = random.Random(4)
         plan = clos_plan(clos, rng, clos.terminal_router(0), 63)
-        trace = clos_walk_route(clos, clos.terminal_router(0), 63, plan)
+        trace = walk_route(clos, clos_next_hop, clos.terminal_router(0), 63, plan)
         assert all(vc == 0 for _, _, vc in trace)
 
     def test_up_then_down_never_up_again(self, clos):
         rng = random.Random(5)
         plan = clos_plan(clos, rng, clos.terminal_router(0), 63)
-        trace = clos_walk_route(clos, clos.terminal_router(0), 63, plan)
+        trace = walk_route(clos, clos_next_hop, clos.terminal_router(0), 63, plan)
         levels = [clos.level_of(router) for router, _, _ in trace]
         peak = levels.index(max(levels))
         assert levels[:peak + 1] == sorted(levels[:peak + 1])
@@ -137,7 +138,7 @@ def test_clos_any_route_reaches(src, dst, seed):
     clos = _PROPERTY_CLOS
     rng = random.Random(seed)
     plan = clos_plan(clos, rng, clos.terminal_router(src), dst)
-    trace = clos_walk_route(clos, clos.terminal_router(src), dst, plan)
+    trace = walk_route(clos, clos_next_hop, clos.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == clos.terminal_router(dst)
     assert last_port == clos.terminal_port(dst)

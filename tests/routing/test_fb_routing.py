@@ -12,11 +12,12 @@ from repro.network.traffic import FbAdversarial, make_pattern
 from repro.routing.fb_paths import (
     FbRoutePlan,
     fb_minimal_plan,
+    fb_next_hop,
     fb_plan_hops,
     fb_valiant_plan,
-    fb_walk_route,
 )
 from repro.routing.fb_routing import FbUgalL, make_fb_routing
+from repro.routing.paths import walk_route
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
 
@@ -27,7 +28,7 @@ def fb():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     src_router = topology.terminal_router(src_terminal)
-    trace = fb_walk_route(topology, src_router, dst_terminal, plan)
+    trace = walk_route(topology, fb_next_hop, src_router, dst_terminal, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
     assert last_port == topology.terminal_port(dst_terminal)
@@ -68,7 +69,7 @@ class TestFbPlans:
     def test_vcs_escalate_at_intermediate(self, fb):
         plan = fb_valiant_plan(fb, random.Random(6), 0, 63,
                                intermediate_router=5)
-        trace = fb_walk_route(fb, 0, 63, plan)
+        trace = walk_route(fb, fb_next_hop, 0, 63, plan)
         vcs_used = [vc for _, port, vc in trace[:-1]]
         assert vcs_used == sorted(vcs_used)
         assert set(vcs_used) <= {0, 1}
@@ -158,7 +159,7 @@ def test_fb_any_route_reaches(src, dst, seed):
     fb = FlattenedButterfly(dims=(4, 4), concentration=4)
     rng = random.Random(seed)
     plan = fb_valiant_plan(fb, rng, fb.terminal_router(src), dst)
-    trace = fb_walk_route(fb, fb.terminal_router(src), dst, plan)
+    trace = walk_route(fb, fb_next_hop, fb.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == fb.terminal_router(dst)
     assert last_port == fb.terminal_port(dst)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.params import DragonflyParams
+from repro.core.params import DragonflyParams, TopologyError
+from repro.network.packet import RoutePlan
 from repro.routing.paths import (
     minimal_plan,
     next_hop,
@@ -14,7 +15,11 @@ from repro.routing.paths import (
     valiant_plan,
     walk_route,
 )
+from repro.routing.minimal import MinimalRouting
 from repro.topology.dragonfly import Dragonfly
+
+#: The simulator's dragonfly executor (canonical VC assignment).
+EXECUTOR = MinimalRouting().next_hop
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +29,8 @@ def df():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     trace = walk_route(
-        topology, topology.terminal_router(src_terminal), dst_terminal, plan
+        topology, EXECUTOR, topology.terminal_router(src_terminal),
+        dst_terminal, plan,
     )
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
@@ -118,7 +124,7 @@ class TestNextHopVcs:
         rng = random.Random(13)
         for _ in range(20):
             plan = valiant_plan(df, rng, 0, 71)
-            trace = walk_route(df, 0, 71, plan)
+            trace = walk_route(df, EXECUTOR, 0, 71, plan)
             vcs_used = [
                 vc for router, port, vc in trace if not df.is_terminal_port(port)
             ]
@@ -130,6 +136,23 @@ class TestNextHopVcs:
         port, vc = next_hop(df, df.terminal_router(5), plan, 0, 5)
         assert df.is_terminal_port(port)
         assert port == df.terminal_port(5)
+
+
+def test_a_route_that_never_ejects_is_a_named_error(df):
+    """The one walker bounds every family's walk by the fabric size and
+    names the route, not just the fact."""
+
+    def ping_pong(topology, router, plan, progress, dst_terminal):
+        return topology.local_port(router, 1 - router), 0, progress
+
+    plan = RoutePlan(minimal=True)
+    with pytest.raises(TopologyError) as excinfo:
+        walk_route(df, ping_pong, 0, 71, plan)
+    message = str(excinfo.value)
+    assert "Dragonfly route from router 0 to terminal 71" in message
+    assert repr(plan) in message
+    assert f"after {df.fabric.num_routers + 2} hops" in message
+    assert "still at router 0" in message
 
 
 @given(
@@ -150,7 +173,7 @@ def test_any_route_terminates_and_reaches(src, dst, seed, use_valiant):
     else:
         plan = minimal_plan(topology, rng, src_router, dst)
         bound = 3
-    trace = walk_route(topology, src_router, dst, plan)
+    trace = walk_route(topology, EXECUTOR, src_router, dst, plan)
     assert len(trace) - 1 <= bound  # channel hops exclude the ejection
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst)

@@ -13,8 +13,8 @@ Valiant, and the plans the UGAL family selects between them -- must
   revisit would silently void the certificate.
 
 Hypothesis drives random topologies, endpoints and RNG seeds through
-``walk_route``, which executes the very ``next_hop`` code path the
-simulator runs.
+``walk_route`` with ``RoutingAlgorithm.next_hop``, the very executor
+the simulator runs.
 """
 
 import functools
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing.base import ZeroCongestion
+from repro.routing.minimal import MinimalRouting
 from repro.routing.paths import minimal_plan, plan_hops, valiant_plan, walk_route
 from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
@@ -67,7 +68,9 @@ def routed_case(draw):
 
 def assert_route_invariants(topology, src_router, dst_terminal, plan,
                             max_global_hops):
-    trace = walk_route(topology, src_router, dst_terminal, plan)
+    trace = walk_route(
+        topology, MinimalRouting().next_hop, src_router, dst_terminal, plan
+    )
 
     # Reaches its destination: the last hop ejects at the destination
     # terminal's port on the destination router, and no earlier hop is

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import TorusTornado, make_pattern
+from repro.routing.paths import walk_route
 from repro.routing.torus_routing import (
     make_torus_routing,
     torus_minimal_plan,
+    torus_next_hop,
     torus_valiant_plan,
-    torus_walk_route,
 )
 from repro.topology.torus import Torus
 
@@ -25,7 +26,7 @@ def torus():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     src_router = topology.terminal_router(src_terminal)
-    trace = torus_walk_route(topology, src_router, dst_terminal, plan)
+    trace = walk_route(topology, torus_next_hop, src_router, dst_terminal, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
     assert last_port == topology.terminal_port(dst_terminal)
@@ -86,7 +87,7 @@ class TestTorusValiant:
         plan = torus_valiant_plan(
             torus, random.Random(6), 0, 30, intermediate_router=9
         )
-        trace = torus_walk_route(torus, 0, 30, plan)
+        trace = walk_route(torus, torus_next_hop, 0, 30, plan)
         phase = 0
         for router, port, vc in trace[:-1]:
             if vc >= 2:
@@ -160,7 +161,7 @@ def test_torus_any_route_reaches(src, dst, seed):
     torus = Torus(dims=(4, 4), concentration=2)
     rng = random.Random(seed)
     plan = torus_valiant_plan(torus, rng, torus.terminal_router(src), dst)
-    trace = torus_walk_route(torus, torus.terminal_router(src), dst, plan)
+    trace = walk_route(torus, torus_next_hop, torus.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == torus.terminal_router(dst)
     assert last_port == torus.terminal_port(dst)

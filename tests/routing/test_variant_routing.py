@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
+from repro.routing.paths import walk_route
 from repro.routing.variant_paths import (
     variant_minimal_plan,
+    variant_next_hop,
     variant_plan_hops,
     variant_valiant_plan,
-    variant_walk_route,
 )
 from repro.routing.variant_routing import make_variant_routing
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
@@ -27,7 +28,7 @@ def cube_df():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     src_router = topology.terminal_router(src_terminal)
-    trace = variant_walk_route(topology, src_router, dst_terminal, plan)
+    trace = walk_route(topology, variant_next_hop, src_router, dst_terminal, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
     assert last_port == topology.terminal_port(dst_terminal)
@@ -64,14 +65,14 @@ class TestVariantPlans:
         rng = random.Random(5)
         for dst in (17, 100, 260):
             plan = variant_valiant_plan(cube_df, rng, 0, dst)
-            trace = variant_walk_route(cube_df, 0, dst, plan)
+            trace = walk_route(cube_df, variant_next_hop, 0, dst, plan)
             assert variant_plan_hops(cube_df, 0, dst, plan) == len(trace) - 1
 
     def test_vcs_nondecreasing(self, cube_df):
         rng = random.Random(6)
         for _ in range(25):
             plan = variant_valiant_plan(cube_df, rng, 0, 260)
-            trace = variant_walk_route(cube_df, 0, 260, plan)
+            trace = walk_route(cube_df, variant_next_hop, 0, 260, plan)
             vcs_used = [vc for _, port, vc in trace[:-1]]
             assert vcs_used == sorted(vcs_used)
 
@@ -139,7 +140,7 @@ def test_variant_any_route_reaches(src, dst, seed):
     topology = _PROPERTY_TOPOLOGY
     rng = random.Random(seed)
     plan = variant_valiant_plan(topology, rng, topology.terminal_router(src), dst)
-    trace = variant_walk_route(topology, topology.terminal_router(src), dst, plan)
+    trace = walk_route(topology, variant_next_hop, topology.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst)
     assert last_port == topology.terminal_port(dst)

@@ -1,10 +1,12 @@
 """Manifest identity, decomposition and figure presets."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.network.cache import key_digest, point_key
+from repro.routing.ugal import make_routing
 from repro.service.manifest import (
     SweepManifest,
     TopologySpec,
@@ -56,8 +58,6 @@ class TestSweepManifest:
         assert clone.job_id == tiny_manifest.job_id
 
     def test_digest_changes_with_grid(self, tiny_manifest):
-        import dataclasses
-
         widened = dataclasses.replace(tiny_manifest, loads=(0.1, 0.2, 0.3, 0.4))
         assert widened.digest != tiny_manifest.digest
 
@@ -72,6 +72,25 @@ class TestSweepManifest:
                 seeds=(1,),
                 config=tiny_config,
             )
+
+    @pytest.mark.parametrize("routing", ["TBL-MIN/gcX", "UGAL-Q"])
+    def test_rejection_is_make_routings_and_names_the_choices(
+        self, tiny_manifest, routing
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            dataclasses.replace(tiny_manifest, routings=(routing,))
+        with pytest.raises(ValueError) as expected:
+            make_routing(routing)
+        assert str(excinfo.value) == str(expected.value)
+        assert repr(routing) in str(excinfo.value)
+        assert "TBL-MIN/gcK" in str(excinfo.value)
+
+    def test_every_name_make_routing_parses_is_accepted(self, tiny_manifest):
+        """The manifest has no routing list of its own to fall behind."""
+        manifest = dataclasses.replace(
+            tiny_manifest, routings=("TBL-MIN/gc4", "UGAL-L_CR")
+        )
+        assert manifest.routings == ("TBL-MIN/gc4", "UGAL-L_CR")
 
     def test_empty_grid_axis_rejected(self, tiny_spec, tiny_config):
         with pytest.raises(ValueError, match="loads"):
@@ -106,6 +125,9 @@ class TestFigurePresets:
         assert manifest.figure == "fig09"
         assert manifest.routings == ("UGAL-L", "UGAL-G")
         assert manifest.patterns == ("worst_case",)
+        # Figure 9 (and Figure9ChannelUtilization) is the one load 0.2.
+        assert manifest.loads == (0.2,)
+        assert manifest.num_units() == 2
 
     def test_loads_override(self):
         (manifest,) = manifests_for_figure("fig09", quick=True, loads=[0.05, 0.1])
