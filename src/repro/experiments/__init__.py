@@ -22,6 +22,7 @@ from .base import (
     experiment_topology,
     get_experiment,
 )
+from .routing_sim import manifests_for_figure
 
 __all__ = [
     "REGISTRY",
@@ -31,4 +32,5 @@ __all__ = [
     "experiment_config",
     "experiment_topology",
     "get_experiment",
+    "manifests_for_figure",
 ]

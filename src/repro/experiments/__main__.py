@@ -80,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             exit_code = 2
             continue
         started = time.perf_counter()
-        with shared_experiment_executor(settings) as executor:
+        with shared_experiment_executor(settings, experiment_id) as executor:
             result = experiment.run(quick=not args.full)
         elapsed = time.perf_counter() - started
         print(result.format_table())

@@ -20,6 +20,7 @@ from ..core.params import DragonflyParams
 from ..network.cache import SweepCache
 from ..network.config import SimulationConfig
 from ..network.parallel import SchedulerOptions, SweepExecutor
+from ..service.client import ServiceExecutor
 from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 
@@ -150,22 +151,20 @@ def experiment_config(
 _SHARED_EXECUTOR: Optional[SweepExecutor] = None
 
 
-def executor_for(settings: Settings) -> SweepExecutor:
+def executor_for(settings: Settings, figure: str = "adhoc") -> SweepExecutor:
     """The sweep executor ``settings`` describes.
 
     ``service_root`` selects the journaled, store-backed
-    :class:`repro.service.client.ServiceExecutor`; otherwise a bare
-    executor over ``cache_dir`` (or no cache).  Either way the engine
-    fields travel with the executor into every point it runs.
+    :class:`repro.service.client.ServiceExecutor`, its batches filed
+    under ``figure``; otherwise a bare executor over ``cache_dir`` (or
+    no cache).  Either way the engine fields travel with the executor
+    into every point it runs.
     """
     if settings.service_root is not None:
-        # Imported lazily: the service layer depends on repro.network
-        # and on this module's config/topology helpers.
-        from ..service.client import ServiceExecutor
-
         return ServiceExecutor(
             settings.service_root,
             options=SchedulerOptions.from_settings(settings),
+            figure=figure,
             settings=settings,
         )
     return SweepExecutor(
@@ -197,17 +196,18 @@ def experiment_executor() -> SweepExecutor:
 
 
 @contextlib.contextmanager
-def shared_experiment_executor(settings: Settings) -> Iterator[SweepExecutor]:
+def shared_experiment_executor(settings: Settings, figure: str) -> Iterator[SweepExecutor]:
     """Scope within which :func:`experiment_executor` is a singleton
     built from ``settings``.
 
-    The CLI wraps each experiment run in this context and reports
-    ``executor.summary_line()`` -- points cached vs simulated, cache
-    hit/miss/invalidation counters, and any serial-fallback diagnostic
-    -- after the figure's table.
+    The CLI wraps each experiment run in this context -- ``figure`` is
+    the experiment id a service root files the run's points under -- and
+    reports ``executor.summary_line()`` -- points cached vs simulated,
+    cache hit/miss/invalidation counters, and any serial-fallback
+    diagnostic -- after the figure's table.
     """
     global _SHARED_EXECUTOR
-    executor = executor_for(settings)
+    executor = executor_for(settings, figure)
     _SHARED_EXECUTOR = executor
     try:
         yield executor

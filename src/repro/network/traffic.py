@@ -327,6 +327,31 @@ class RandomPermutation:
         return self.perm[src_terminal]
 
 
+#: Pattern name -> ``factory(topology, num_terminals, seed, kwargs)``: the
+#: one table of the names the experiment registry and sweep manifests use.
+_FACTORIES: Dict[str, Callable[..., TrafficPattern]] = {
+    "uniform_random": lambda t, n, seed, kw: UniformRandom(n, seed=seed),
+    "worst_case": lambda t, n, seed, kw: WorstCase(t, seed=seed, **kw),
+    "group_tornado": lambda t, n, seed, kw: GroupTornado(t, seed=seed),
+    "bit_complement": lambda t, n, seed, kw: BitComplement(n),
+    "transpose": lambda t, n, seed, kw: Transpose(n),
+    "shift": lambda t, n, seed, kw: Shift(n, **kw) if kw else Shift(n, offset=n // 2),
+    "hotspot": lambda t, n, seed, kw: Hotspot(n, seed=seed, **kw),
+    "random_permutation": lambda t, n, seed, kw: RandomPermutation(n, seed=seed),
+    "bursty": lambda t, n, seed, kw: BurstyInterGroup(t, seed=seed, **kw),
+    "fb_adversarial": lambda t, n, seed, kw: FbAdversarial(t, seed=seed, **kw),
+    "torus_tornado": lambda t, n, seed, kw: TorusTornado(t, seed=seed, **kw),
+}
+
+
+def pattern_factory(name: str) -> Callable[..., TrafficPattern]:
+    """The factory registered under ``name``; a :class:`ValueError`
+    listing the choices for a name that is not a traffic pattern."""
+    if name not in _FACTORIES:
+        raise ValueError(f"unknown traffic pattern {name!r}; choose from {sorted(_FACTORIES)}")
+    return _FACTORIES[name]
+
+
 def make_pattern(
     name: str,
     topology,
@@ -340,20 +365,4 @@ def make_pattern(
     ``num_terminals`` and work on any topology, and ``fb_adversarial``
     requires a flattened butterfly.
     """
-    n = topology.num_terminals
-    factories: Dict[str, Callable[[], TrafficPattern]] = {
-        "uniform_random": lambda: UniformRandom(n, seed=seed),
-        "worst_case": lambda: WorstCase(topology, seed=seed, **kwargs),
-        "group_tornado": lambda: GroupTornado(topology, seed=seed),
-        "bit_complement": lambda: BitComplement(n),
-        "transpose": lambda: Transpose(n),
-        "shift": lambda: Shift(n, **kwargs) if kwargs else Shift(n, offset=n // 2),
-        "hotspot": lambda: Hotspot(n, seed=seed, **kwargs),
-        "random_permutation": lambda: RandomPermutation(n, seed=seed),
-        "bursty": lambda: BurstyInterGroup(topology, seed=seed, **kwargs),
-        "fb_adversarial": lambda: FbAdversarial(topology, seed=seed, **kwargs),
-        "torus_tornado": lambda: TorusTornado(topology, seed=seed, **kwargs),
-    }
-    if name not in factories:
-        raise ValueError(f"unknown traffic pattern {name!r}; choose from {sorted(factories)}")
-    return factories[name]()
+    return pattern_factory(name)(topology, topology.num_terminals, seed, kwargs)

@@ -22,8 +22,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..experiments import manifests_for_figure
 from ..network.parallel import JobProgress, SchedulerOptions
-from ..service.manifest import SweepManifest, manifests_for_figure
+from ..service.manifest import SweepManifest
 from ..service.scheduler import run_manifest
 from ..service.status import (
     job_statuses,
@@ -72,10 +73,10 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
             raise SystemExit(f"error: cannot read manifest {args.manifest}: {error}")
         try:
             manifest = SweepManifest.from_dict(data)
+            if loads is not None:
+                manifest = dataclasses.replace(manifest, loads=tuple(loads))
         except (KeyError, TypeError, ValueError) as error:
             raise SystemExit(f"error: bad manifest {args.manifest}: {error}")
-        if loads is not None:
-            manifest = dataclasses.replace(manifest, loads=tuple(loads))
         return [manifest]
     if not args.figure:
         raise SystemExit("error: submit needs a FIGURE id or --manifest FILE")
@@ -83,6 +84,9 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
         return manifests_for_figure(args.figure, quick=not args.full, loads=loads)
     except KeyError as error:
         raise SystemExit(f"error: {error.args[0]}")
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

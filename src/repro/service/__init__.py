@@ -37,12 +37,7 @@ submit|status|query|gc``).  See ``docs/sweeps.md``.
 
 from ..network.parallel import SchedulerOptions, ServiceError
 from .client import ServiceExecutor
-from .manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    SweepManifest,
-    TopologySpec,
-    manifests_for_figure,
-)
+from .manifest import MANIFEST_SCHEMA_VERSION, SweepManifest, TopologySpec
 from .store import ResultStore, StoredPoint
 
 __all__ = [
@@ -54,5 +49,4 @@ __all__ = [
     "StoredPoint",
     "SweepManifest",
     "TopologySpec",
-    "manifests_for_figure",
 ]

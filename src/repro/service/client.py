@@ -13,22 +13,18 @@ Setting ``REPRO_SWEEP_SERVICE`` to a service root directory makes
 so ``python -m repro.experiments fig09`` transparently becomes a
 service client: previously computed figure data is served from the
 store with zero ``run_point`` calls, fresh points are journaled as they
-land, and a killed run resumes where it stopped.
+land, and a killed run resumes where it stopped.  The experiment CLI
+passes the experiment id as ``figure``, so that run is journaled and
+stored under ``fig09``; a caller naming no figure files under ``adhoc``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..network.cache import key_digest
-from ..network.parallel import (
-    JobProgress,
-    JobReport,
-    SchedulerOptions,
-    SweepExecutor,
-    WorkUnit,
-)
+from ..network.parallel import JobReport, SchedulerOptions, SweepExecutor, WorkUnit
 from ..settings import Settings
 from .scheduler import job_scheduler
 from .store import ResultStore
@@ -42,13 +38,11 @@ class ServiceExecutor(SweepExecutor):
         root: Union[str, Path],
         options: Optional[SchedulerOptions] = None,
         figure: str = "adhoc",
-        on_progress: Optional[Callable[[JobProgress], None]] = None,
         settings: Optional[Settings] = None,
     ) -> None:
         self.root = Path(root)
         self.options = options or SchedulerOptions()
         self.figure = figure
-        self.on_progress = on_progress
         self.store = ResultStore(self.root / "store")
         # The store's point records double as the executor's cache, so
         # cache counters (hits/misses/invalidations) keep reporting.
@@ -59,9 +53,10 @@ class ServiceExecutor(SweepExecutor):
         )
 
     def _run(self, topology, units: List[WorkUnit]) -> JobReport:
-        """One batch as one ad-hoc job (its identity is the digest of
-        its unit digests), so interrupted figure runs resume and
-        ``status`` can narrate them like any submitted manifest."""
+        """One batch as one job (its identity is the figure tag plus
+        the digest of its unit digests), so interrupted figure runs
+        resume and ``status`` can narrate them like any submitted
+        manifest."""
         batch_digest = key_digest({"units": [unit.digest for unit in units]})
         return job_scheduler(
             self.store,
@@ -71,11 +66,7 @@ class ServiceExecutor(SweepExecutor):
             options=self.options,
             figure=self.figure,
             settings=self.settings,
-        ).run(on_progress=self.on_progress)
-
-    def query(self, **filters) -> List:
-        """Convenience pass-through to :meth:`ResultStore.query`."""
-        return self.store.query(**filters)
+        ).run()
 
     def summary_line(self) -> str:
         return f"service {self.root}: " + super().summary_line()

@@ -14,22 +14,23 @@ SHA-256 digest -- the same content address the result store files the
 point under, so "is this unit already computed?" is a single store
 lookup and two identical submissions share every point.
 
-Figure presets (:func:`manifests_for_figure`) mirror the grids of the
-``repro.experiments`` simulation figures; figures that sweep buffer
-depth expand into one manifest per depth, all tagged with the same
-figure id.
+This module knows nothing about the paper's figures: the manifests of
+a simulated figure are built from its declared blocks by
+:func:`repro.experiments.manifests_for_figure`, and ``repro.service``
+imports nothing from ``repro.experiments``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.params import DragonflyParams
 from ..network.cache import key_digest
 from ..network.config import SimulationConfig
 from ..network.parallel import PointSpec, WorkUnit, work_units
+from ..network.traffic import pattern_factory
 from ..routing.ugal import make_routing
 from ..topology.dragonfly import Dragonfly
 
@@ -121,6 +122,9 @@ class SweepManifest:
             # The one parser of routing names; its ValueError lists the
             # choices and the TBL-MIN/gcK form.
             make_routing(routing)
+        for pattern in self.patterns:
+            # Likewise the one table of traffic-pattern names.
+            pattern_factory(pattern)
         for load in self.loads:
             if not 0.0 < load <= 1.0:
                 raise ValueError(f"loads must be in (0, 1], got {load}")
@@ -178,16 +182,13 @@ class SweepManifest:
             * len(self.loads) * len(self.seeds)
         )
 
-    def work_units(self, topology: Optional[Dragonfly] = None) -> List[WorkUnit]:
-        """The manifest's grid as content-addressed work units.
+    def specs(self) -> List[PointSpec]:
+        """The manifest's grid as point specs.
 
         Order is deterministic (routing, then pattern, then load, then
         seed) so unit indexes are stable across submissions and resumes.
-        ``topology`` may be passed when the caller already built one;
-        it must describe the same machine as :attr:`topology`.
         """
-        topology = topology if topology is not None else self.topology.build()
-        return work_units(topology, [
+        return [
             PointSpec(
                 routing, pattern,
                 dataclasses.replace(self.config, load=load, seed=seed),
@@ -196,100 +197,13 @@ class SweepManifest:
             for pattern in self.patterns
             for load in self.loads
             for seed in self.seeds
-        ])
-
-
-# ----------------------------------------------------------------------
-# Figure presets
-# ----------------------------------------------------------------------
-def _figure_manifest(
-    figure: str,
-    quick: bool,
-    routings: Sequence[str],
-    pattern: str,
-    loads: Sequence[float],
-    vc_buffer_depth: int = 16,
-    seeds: Tuple[int, ...] = (1,),
-) -> SweepManifest:
-    from ..experiments.base import experiment_config, experiment_topology
-
-    config = experiment_config(quick, load=loads[0], vc_buffer_depth=vc_buffer_depth)
-    if vc_buffer_depth >= 256:
-        # Deep buffers need a longer warm-up to fill (the fig11/12/16
-        # experiments apply the same scaling).
-        config = dataclasses.replace(config, warmup_cycles=config.warmup_cycles * 5)
-    return SweepManifest(
-        figure=figure,
-        topology=TopologySpec.from_topology(experiment_topology(quick)),
-        routings=tuple(routings),
-        patterns=(pattern,),
-        loads=tuple(loads),
-        seeds=seeds,
-        config=config,
-    )
-
-
-def manifests_for_figure(
-    figure: str,
-    quick: bool = True,
-    loads: Optional[Sequence[float]] = None,
-) -> List[SweepManifest]:
-    """The sweep manifests behind one of the paper's simulation figures.
-
-    Figures whose grid spans both traffic patterns or several buffer
-    depths expand into several manifests sharing the figure tag (a
-    manifest holds one pattern list with one load list, and one base
-    config).  ``loads`` overrides every manifest's load list -- used by
-    CI smoke runs to submit a cheap slice of a figure.
-    """
-    from ..experiments.base import uniform_loads, worst_case_loads
-
-    uniform = tuple(loads) if loads is not None else tuple(uniform_loads(quick))
-    worst = tuple(loads) if loads is not None else tuple(worst_case_loads(quick))
-    mid = tuple(loads) if loads is not None else (
-        (0.1, 0.2, 0.3, 0.4) if quick else (0.1, 0.2, 0.3, 0.4, 0.5)
-    )
-
-    def both_patterns(routings: Sequence[str], depth: int = 16) -> List[SweepManifest]:
-        return [
-            _figure_manifest(figure, quick, routings, "uniform_random", uniform, depth),
-            _figure_manifest(figure, quick, routings, "worst_case", worst, depth),
         ]
 
-    if figure == "fig08":
-        return both_patterns(["MIN", "VAL", "UGAL-L", "UGAL-G"])
-    if figure == "fig09":
-        # Figure 9 reads channel utilisation at the single load 0.2.
-        single = tuple(loads) if loads is not None else (0.2,)
-        return [
-            _figure_manifest(figure, quick, ["UGAL-L", "UGAL-G"], "worst_case", single)
-        ]
-    if figure == "fig10":
-        return both_patterns(["UGAL-L", "UGAL-L_VC", "UGAL-L_VCH", "UGAL-G"])
-    if figure == "fig11":
-        return [
-            _figure_manifest(figure, quick, ["UGAL-L"], "worst_case", mid, depth)
-            for depth in (16, 256)
-        ]
-    if figure == "fig12":
-        single = tuple(loads) if loads is not None else (0.25,)
-        return [
-            _figure_manifest(figure, quick, ["UGAL-L"], "worst_case", single, depth)
-            for depth in (16, 256)
-        ]
-    if figure == "fig14":
-        return [
-            _figure_manifest(figure, quick, ["UGAL-L"], "worst_case", mid, depth)
-            for depth in (4, 8, 16, 32, 64)
-        ]
-    if figure == "fig16":
-        manifests: List[SweepManifest] = []
-        for depth in (16, 256):
-            manifests.extend(
-                both_patterns(["UGAL-L_VCH", "UGAL-L_CR", "UGAL-G"], depth)
-            )
-        return manifests
-    raise KeyError(
-        f"no sweep preset for {figure!r}; available: fig08 fig09 fig10 "
-        "fig11 fig12 fig14 fig16 (or submit an explicit --manifest file)"
-    )
+    def work_units(self, topology: Optional[Dragonfly] = None) -> List[WorkUnit]:
+        """:meth:`specs` as content-addressed work units, in order.
+
+        ``topology`` may be passed when the caller already built one;
+        it must describe the same machine as :attr:`topology`.
+        """
+        topology = topology if topology is not None else self.topology.build()
+        return work_units(topology, self.specs())

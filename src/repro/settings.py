@@ -92,10 +92,12 @@ class Settings:
             require(getattr(self, name) > 0, name, "a positive number of seconds")
         for name in ("cache_dir", "service_root"):
             path = getattr(self, name)
-            # A cache or service rooted at a regular file stores nothing.
+            # Stored as given, so only a Path (what from_env parses) is
+            # accepted; one rooted at a regular file stores nothing.
             require(
-                path is None or path.is_dir() or not path.exists(),
-                name, "a directory (created on demand)",
+                path is None
+                or isinstance(path, Path) and (path.is_dir() or not path.exists()),
+                name, "a pathlib.Path to a directory (created on demand)",
             )
 
     @classmethod

@@ -1,5 +1,6 @@
 """Tests for the command-line entry point."""
 
+import dataclasses
 import json
 import os
 
@@ -50,12 +51,12 @@ class TestBackendFlag:
         import repro.experiments.routing_sim as routing_sim
         from repro.network.config import SimulationConfig
 
-        monkeypatch.setattr(
-            routing_sim, "uniform_loads", lambda quick=True: (0.1, 0.2)
-        )
-        monkeypatch.setattr(
-            routing_sim, "worst_case_loads", lambda quick=True: (0.05, 0.1)
-        )
+        figure = routing_sim.Figure8RoutingComparison
+        uniform, worst = figure.blocks
+        monkeypatch.setattr(figure, "blocks", (
+            dataclasses.replace(uniform, quick_loads=(0.1, 0.2)),
+            dataclasses.replace(worst, quick_loads=(0.05, 0.1)),
+        ))
         monkeypatch.setattr(
             routing_sim, "experiment_config",
             lambda quick=True, load=0.1, vc_buffer_depth=16: SimulationConfig(
@@ -75,9 +76,12 @@ class TestBackendFlag:
         assert main(["fig08", "--backend", "array"]) == 0
         assert dict(os.environ) == before
         assert "16 points: 0 cached + 16 simulated" in capsys.readouterr().out
-        points = ResultStore(tmp_path / "svc" / "store").query()
+        points = ResultStore(tmp_path / "svc" / "store").query(figure="fig08")
         assert len(points) == 16
         assert {(p.backend, p.kernel) for p in points} == {("array", "decide-v1")}
+        # One batch, journaled under the experiment id (not ``adhoc``).
+        (job,) = (tmp_path / "svc" / "jobs").iterdir()
+        assert job.name.startswith("fig08-")
 
     def test_environment_still_selects_the_backend(
         self, fast_fig08, monkeypatch, tmp_path, capsys

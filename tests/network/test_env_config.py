@@ -107,6 +107,11 @@ class TestDirectories:
         with pytest.raises(ValueError, match=ENV_VARS[name]):
             from_env(**{name: str(bogus)})
 
+    def test_direct_construction_takes_a_path_not_a_string(self, name, tmp_path):
+        assert getattr(Settings(**{name: tmp_path}), name) == tmp_path
+        with pytest.raises(ValueError, match=rf"{ENV_VARS[name]} \({name}\)"):
+            Settings(**{name: str(tmp_path)})
+
 
 class TestSchedulerKnobs:
     def test_valid_values_reach_the_scheduler_options(self):

@@ -312,7 +312,7 @@ class TestLayering:
     def test_network_does_not_import_the_service(self):
         """The core lives under repro.network and must stand alone."""
         code = (
-            "import sys, repro.network.parallel, repro.experiments.base\n"
+            "import sys, repro.network.parallel\n"
             "loaded = [m for m in sys.modules if m.startswith('repro.service')]\n"
             "assert not loaded, loaded"
         )

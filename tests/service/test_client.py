@@ -51,6 +51,8 @@ class TestEnvActivation:
             heartbeat_interval=0.25,
         )
         assert executor.settings is settings
+        assert executor.figure == "adhoc"
+        assert executor_for(settings, figure="fig08").figure == "fig08"
 
     def test_file_root_rejected_naming_the_variable(self, monkeypatch, tmp_path):
         not_a_dir = tmp_path / "file"
@@ -116,7 +118,7 @@ class TestServiceExecutor:
             topology, "MIN", "uniform_random", (0.1, 0.2), tiny_config,
             executor=executor,
         )
-        rows = executor.query(figure="figx", routing="MIN")
+        rows = executor.store.query(figure="figx", routing="MIN")
         assert [row.load for row in rows] == [0.1, 0.2]
 
     def test_run_point_single(self, tmp_path, topology, tiny_config):

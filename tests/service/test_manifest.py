@@ -1,17 +1,15 @@
-"""Manifest identity, decomposition and figure presets."""
+"""Manifest identity and decomposition, and the service's layering."""
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.network.cache import key_digest, point_key
 from repro.routing.ugal import make_routing
-from repro.service.manifest import (
-    SweepManifest,
-    TopologySpec,
-    manifests_for_figure,
-)
+from repro.service.manifest import SweepManifest, TopologySpec
 
 
 class TestTopologySpec:
@@ -117,33 +115,26 @@ class TestSweepManifest:
             )
 
 
-class TestFigurePresets:
-    def test_fig09_preset(self):
-        manifests = manifests_for_figure("fig09", quick=True)
-        assert len(manifests) == 1
-        manifest = manifests[0]
-        assert manifest.figure == "fig09"
-        assert manifest.routings == ("UGAL-L", "UGAL-G")
-        assert manifest.patterns == ("worst_case",)
-        # Figure 9 (and Figure9ChannelUtilization) is the one load 0.2.
-        assert manifest.loads == (0.2,)
-        assert manifest.num_units() == 2
+    @pytest.mark.parametrize("pattern", ["worst_case", "bursty"])
+    def test_known_pattern_accepted(self, tiny_manifest, pattern):
+        manifest = dataclasses.replace(tiny_manifest, patterns=(pattern,))
+        assert manifest.patterns == (pattern,)
 
-    def test_loads_override(self):
-        (manifest,) = manifests_for_figure("fig09", quick=True, loads=[0.05, 0.1])
-        assert manifest.loads == (0.05, 0.1)
+    def test_unknown_pattern_fails_at_submission(self, tiny_manifest):
+        """With ``make_pattern``'s own message, not inside a worker."""
+        with pytest.raises(ValueError, match="unknown traffic pattern 'nope'; choose from"):
+            dataclasses.replace(tiny_manifest, patterns=("uniform_random", "nope"))
 
-    def test_depth_figures_expand_to_one_manifest_per_depth(self):
-        manifests = manifests_for_figure("fig14", quick=True)
-        depths = sorted(m.config.vc_buffer_depth for m in manifests)
-        assert depths == [4, 8, 16, 32, 64]
-        assert {m.figure for m in manifests} == {"fig14"}
 
-    def test_every_preset_decomposes(self):
-        for figure in ("fig08", "fig09", "fig10", "fig11", "fig12", "fig14", "fig16"):
-            for manifest in manifests_for_figure(figure, quick=True):
-                assert manifest.num_units() > 0
-
-    def test_unknown_figure_raises(self):
-        with pytest.raises(KeyError, match="no sweep preset"):
-            manifests_for_figure("fig99")
+class TestLayering:
+    def test_service_does_not_import_the_experiments(self):
+        """A figure's grid is declared in ``repro.experiments``; the
+        service runs manifests and knows no figure."""
+        code = (
+            "import sys, repro.service, repro.service.scheduler, repro.service.status\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.experiments')]\n"
+            "assert not loaded, loaded\n"
+            "assert 'manifests_for_figure' not in repro.service.__all__\n"
+            "assert not hasattr(repro.service.manifest, 'manifests_for_figure')"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

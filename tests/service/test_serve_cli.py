@@ -84,6 +84,37 @@ class TestSubmit:
         with pytest.raises(SystemExit, match="no sweep preset"):
             run_cli("--root", str(root), "submit", "fig99")
 
+    @pytest.mark.parametrize("loads", ["1.5", "0", "0.1,1.5"])
+    def test_out_of_range_load_is_one_line_not_a_traceback(
+        self, root, loads, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--root", str(root), "submit", "fig09", "--loads", loads)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: load") and loads.split(",")[-1] in line
+        assert captured.out == ""
+
+    def test_unknown_pattern_is_a_bad_manifest(
+        self, root, tmp_path, tiny_manifest
+    ):
+        path = tmp_path / "nope.json"
+        path.write_text(
+            json.dumps({**tiny_manifest.to_dict(), "patterns": ["nope"]}),
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit, match="error: bad manifest .*'nope'"):
+            run_cli("--root", str(root), "submit", "--manifest", str(path))
+        assert not (root / "jobs").exists()
+
+    def test_out_of_range_load_override_is_a_bad_manifest(self, root, manifest_file):
+        with pytest.raises(SystemExit, match="error: bad manifest .*got 1.5"):
+            run_cli(
+                "--root", str(root), "submit",
+                "--manifest", str(manifest_file), "--loads", "1.5",
+            )
+
     def test_bad_loads_errors(self, root, manifest_file):
         with pytest.raises(SystemExit, match="--loads"):
             run_cli(
