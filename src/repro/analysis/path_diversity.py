@@ -15,11 +15,12 @@ routable around.  This module quantifies that:
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Set, Tuple
 
 from ..topology.dragonfly import Dragonfly, GlobalLink
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import networkx as nx
 
 
 def minimal_route_count(topology: Dragonfly, src_terminal: int, dst_terminal: int) -> int:
@@ -54,6 +55,8 @@ def group_graph(
 
     A failed link removes both directions of its physical cable.
     """
+    import networkx as nx
+
     failed: Set[Tuple[int, int]] = set()
     for link in failed_channels:
         failed.add((link.src_router, link.src_port))
@@ -77,8 +80,9 @@ def survives_faults(
 ) -> bool:
     """True when every group pair is still connected (possibly via
     intermediate groups) after the given global-channel failures."""
-    graph = group_graph(topology, failed_channels)
-    return nx.is_connected(graph)
+    import networkx as nx
+
+    return nx.is_connected(group_graph(topology, failed_channels))
 
 
 def group_fault_tolerance(topology: Dragonfly) -> int:
@@ -89,7 +93,8 @@ def group_fault_tolerance(topology: Dragonfly) -> int:
     dragonfly (complete group graph) tolerates ``g - 2`` arbitrary
     global-cable failures.
     """
+    import networkx as nx
+
     if topology.g < 2:
         return 0
-    graph = group_graph(topology)
-    return nx.edge_connectivity(graph) - 1
+    return nx.edge_connectivity(group_graph(topology)) - 1

@@ -41,7 +41,6 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .cdg import certify
 from .invariants import audit_topology, default_topology_audits
 from .lint import lint_sources
 from .registry import (
@@ -79,10 +78,7 @@ def run_cdg_pass(demo_broken: bool = False) -> CheckReport:
     if demo_broken:
         configurations.append(broken_configuration())
     for configuration in configurations:
-        family = configuration.family()
-        certification = certify(
-            configuration.name, family.topology.fabric, family.traces()
-        )
+        certification = configuration.certification
         report.note(certification.summary())
         if certification.ok == configuration.expect_deadlock_free:
             if not certification.ok:
@@ -115,8 +111,9 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
     Three stages: (1) certify each registered configuration's path
     grammar; (2) certify the Table-2-scale parameterisations (symbolic
     only -- their concrete CDGs are astronomically large) against the
-    wall-clock budget; (3) run the soundness harness, which re-certifies
-    each finite configuration concretely and demands verdict agreement.
+    wall-clock budget; (3) run the soundness harness, which compares each
+    finite configuration's concrete certificate (the one the cdg pass
+    reads) with its symbolic verdict and demands agreement.
     """
     report = CheckReport(pass_name="symbolic")
     configurations = list(all_configurations())
@@ -522,6 +519,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(
             f"unknown pass(es) {', '.join(unknown)}; choose from {', '.join(PASSES)}"
         )
+    if args.export_tables is not None:
+        if "tables" not in passes:
+            parser.error("--export-tables needs the tables pass")
+        if pathlib.Path(args.export_tables).is_file():
+            parser.error(f"--export-tables {args.export_tables}: is a file, not a directory")
     reports = run_passes(
         passes, demo_broken=args.demo_broken, lint_root=args.lint_root,
         export_tables=args.export_tables,

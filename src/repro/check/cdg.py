@@ -8,8 +8,8 @@ buffer B.
 
 This module proves that condition *statically* for a concrete
 (topology, routing algorithm, VC assignment) triple from the traces of
-every route the route-class admits, and checks the resulting graph with
-:func:`networkx.find_cycle`.  It is graph machinery only: it knows a
+every route the route-class admits, and proves the resulting graph
+acyclic with :mod:`graphlib`.  It is graph machinery only: it knows a
 fabric and (router, port, vc) traces, no routing family and no concrete
 topology.  The traces come from the family's single route enumerator,
 :meth:`repro.routing.tables.Lowering.traces` (every source router, every
@@ -18,16 +18,15 @@ choice, each re-executed through the same ``next_hop`` executor the
 simulator uses); the table pass feeds the same functions with walks
 *through compiled tables*.  When the proof fails,
 :func:`find_counterexample` extracts a concrete cycle of (channel, VC)
-buffers and :func:`describe_cycle` renders it as a human-readable
-deadlock scenario.
+buffers with :func:`networkx.find_cycle` and :func:`describe_cycle`
+renders it as a human-readable deadlock scenario.
 """
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..topology.base import Fabric
 
@@ -38,6 +37,12 @@ Trace = List[Tuple[int, int, int]]
 
 #: A CDG node: (directed channel index, virtual channel).
 CdgNode = Tuple[int, int]
+
+#: A CDG: buffer -> buffers requested while holding it, in first-seen order.
+Cdg = Dict[CdgNode, Dict[CdgNode, None]]
+
+#: A graph node: a CdgNode, or a channel class in the symbolic pass.
+Node = TypeVar("Node")
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class Certification:
         )
 
 
-def cdg_from_traces(fabric: Fabric, traces: Iterable[Trace]) -> Tuple[nx.DiGraph, int]:
+def cdg_from_traces(fabric: Fabric, traces: Iterable[Trace]) -> Tuple[Cdg, int]:
     """Build the (channel, VC) dependency graph of a set of route traces.
 
     Returns the graph and the number of traces consumed.  A dependency
@@ -73,30 +78,37 @@ def cdg_from_traces(fabric: Fabric, traces: Iterable[Trace]) -> Tuple[nx.DiGraph
     is needed -- the enumeration includes every admissible route, so
     skipped-hop variants appear as their own traces.)
     """
-    graph: nx.DiGraph = nx.DiGraph()
+    channel_at = {(c.src.router, c.src.port): c.index for c in fabric.channels}.get
+    graph: Cdg = {}
     num_routes = 0
     for trace in traces:
         num_routes += 1
-        previous: Optional[CdgNode] = None
+        held: Optional[Dict[CdgNode, None]] = None
         for router, port, vc in trace:
-            channel = fabric.out_channel(router, port)
+            channel = channel_at((router, port))
             if channel is None:
                 break  # ejection: terminal ports hold no network buffer
-            node = (channel.index, vc)
-            graph.add_node(node)
-            if previous is not None:
-                graph.add_edge(previous, node)
-            previous = node
+            node = (channel, vc)
+            if held is not None:
+                held[node] = None
+            held = graph.setdefault(node, {})
     return graph, num_routes
 
 
-def find_counterexample(graph: nx.DiGraph) -> Optional[List[CdgNode]]:
-    """A concrete buffer cycle, or None when the graph is acyclic."""
+def find_counterexample(graph: Dict[Node, Dict[Node, None]]) -> Optional[List[Node]]:
+    """A cycle, or None when acyclic.  :mod:`graphlib` decides; networkx names
+    the cycle, on the graph replayed in insertion order, only when there is one."""
     try:
-        edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
+        graphlib.TopologicalSorter(graph).prepare()
         return None
-    return [edge[0] for edge in edges]
+    except graphlib.CycleError:
+        pass
+    import networkx as nx
+
+    replay = nx.DiGraph()
+    replay.add_nodes_from(graph)
+    replay.add_edges_from((node, nxt) for node, nexts in graph.items() for nxt in nexts)
+    return [edge[0] for edge in nx.find_cycle(replay, orientation="original")]
 
 
 def describe_cycle(fabric: Fabric, cycle: List[CdgNode]) -> str:
@@ -123,8 +135,8 @@ def certify(name: str, fabric: Fabric, traces: Iterable[Trace]) -> Certification
         name=name,
         ok=cycle is None,
         num_routes=num_routes,
-        num_nodes=graph.number_of_nodes(),
-        num_edges=graph.number_of_edges(),
+        num_nodes=len(graph),
+        num_edges=sum(len(requests) for requests in graph.values()),
         cycle=cycle,
         cycle_description=describe_cycle(fabric, cycle) if cycle else None,
     )

@@ -70,10 +70,6 @@ def audit_fabric(fabric: Fabric, location: str) -> List[Finding]:
                 f"channels {forward.index}/{backward.index} disagree on "
                 "kind or latency",
             ))
-    if fabric.num_routers > 1 and not fabric.is_connected():
-        findings.append(_finding(
-            "TOP007", Severity.ERROR, location, "fabric is not connected",
-        ))
     try:
         fabric.validate()
     except ValueError as error:

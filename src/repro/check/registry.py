@@ -25,10 +25,16 @@ see ``docs/static-analysis.md``), then one registry line::
 Adaptive algorithms that choose among enumerated candidates (the UGAL
 family chooses between the minimal and Valiant routes) are covered by
 enumerating the union of their candidate route classes.
+
+Registry objects are built once per process and memoise their concrete
+:class:`~repro.check.cdg.Certification` on themselves, for their lifetime,
+for the cdg, symbolic and tables passes to share.  The memo holds that
+result only (no trace, table or graph) and is keyed by object, not name.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -55,6 +61,7 @@ from ..topology.flattened_butterfly import FlattenedButterfly
 from ..topology.folded_clos import FoldedClos
 from ..topology.group_variants import FlattenedButterflyGroupDragonfly
 from ..topology.torus import Torus
+from .cdg import Certification, certify
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,11 @@ class CheckConfiguration:
     :class:`~repro.routing.tables.Lowering` on it; construction is
     deferred to the pass that runs (about a millisecond per family --
     ``--list`` constructs each one to show its family and VC budget).
-    Every pass reads the one object: the cdg pass certifies
-    ``family().traces()`` on ``family().topology.fabric``, the symbolic
-    pass analyses ``family().grammar()`` (whose ``num_vcs`` is the VC
-    budget the family documents) and cross-checks it against the traces,
-    and the tables pass compiles and certifies ``family()`` itself.
+    Every pass reads the one object: :attr:`certification` certifies
+    ``family().traces()`` once for the cdg pass and the soundness
+    harness, the symbolic pass analyses ``family().grammar()`` (whose
+    ``num_vcs`` is the VC budget the family documents), and the tables
+    pass compiles and certifies ``family()`` itself.
     ``expect_deadlock_free`` is False only for negative controls kept to
     demonstrate counterexample extraction.
     """
@@ -78,6 +85,12 @@ class CheckConfiguration:
     description: str
     family: Callable[[], Lowering]
     expect_deadlock_free: bool = True
+
+    @functools.cached_property
+    def certification(self) -> Certification:
+        """The CDG certificate of ``family().traces()``, made on first use."""
+        family = self.family()
+        return certify(self.name, family.topology.fabric, family.traces())
 
 
 def _df_config(
@@ -110,9 +123,10 @@ def _torus_config(include_nonminimal: bool) -> CheckConfiguration:
     )
 
 
-def default_configurations() -> List[CheckConfiguration]:
+@functools.lru_cache(maxsize=None)
+def default_configurations() -> Tuple[CheckConfiguration, ...]:
     """The configurations certified by ``python -m repro.check``."""
-    return [
+    return (
         _df_config(
             "dragonfly/MIN+VAL+UGAL@figure7-3vc",
             "Figure 5 dragonfly (p=2,a=4,h=2,g=9), canonical 3-VC assignment",
@@ -168,9 +182,10 @@ def default_configurations() -> List[CheckConfiguration]:
             description="8-terminal radix-4 folded Clos, all up*/down* routes",
             family=lambda: ClosLowering(FoldedClos(num_terminals=8, radix=4)),
         ),
-    ]
+    )
 
 
+@functools.lru_cache(maxsize=None)
 def broken_configuration() -> CheckConfiguration:
     """The negative control: collapsed 2-VC non-minimal assignment.
 
@@ -435,4 +450,4 @@ def register(configuration: CheckConfiguration) -> None:
 
 
 def all_configurations() -> List[CheckConfiguration]:
-    return default_configurations() + list(_EXTRA)
+    return [*default_configurations(), *_EXTRA]

@@ -11,10 +11,11 @@ configuration actually deployed:
 * ``TBL001`` -- the table-level channel-dependency graph is cyclic.
   Every admissible route is walked **through the tables** and the
   resulting traces feed the PR 1 CDG machinery
-  (:func:`repro.check.cdg.certify`); a cycle is rendered as the usual
-  holds/waits chain, annotated with the table entries (router, key,
-  via) that program each buffer in the cycle -- the provenance a
-  controller operator needs to find the bad entry.
+  (:func:`repro.check.cdg.certify`), or reuse the executor's
+  certificate when every table walk equals its executor walk; a cycle
+  is rendered as the usual holds/waits chain, annotated with the table
+  entries (router, key, via) that program each buffer in the cycle --
+  the provenance a controller operator needs to find the bad entry.
 * ``TBL002`` -- reachability/walk failure: a route's table walk hit a
   missing key, an ambiguous candidate set, or the loop bound, or the
   configuration failed to compile at all.
@@ -42,6 +43,7 @@ grammar-consistent, or prints the counterexample.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import re
@@ -57,7 +59,7 @@ from ..routing.tables import (
     TableRouteError,
     table_walk_route,
 )
-from .cdg import CdgNode, certify, describe_cycle
+from .cdg import CdgNode, Certification, certify, describe_cycle
 from .report import Finding, Severity
 
 #: Cap on per-category example findings; the rest is summarised so a
@@ -167,8 +169,15 @@ def annotate_cycle(
     return "\n".join(lines)
 
 
-def certify_tables(name: str, lowering: Lowering) -> TableCertification:
-    """Compile one configuration's tables and run every TBL check."""
+def certify_tables(
+    name: str, lowering: Lowering, executor: Optional[Certification] = None
+) -> TableCertification:
+    """Compile one configuration's tables and run every TBL check.
+
+    ``executor``, the certificate of ``lowering.traces()`` (degraded
+    lowerings have none), is reused when no table walk fails or diverges
+    from its executor walk; otherwise the table walks are certified anew.
+    """
     result = TableCertification(name=name)
 
     def add(code: str, message: str) -> None:
@@ -183,6 +192,9 @@ def certify_tables(name: str, lowering: Lowering) -> TableCertification:
     result.num_entries = tables.num_entries()
     topology = lowering.topology
     grammar = lowering.grammar()
+    # Tens of thousands of routes share a few dozen hops and hop sequences.
+    classify = functools.lru_cache(maxsize=None)(lowering.classify_hop)
+    matches = functools.lru_cache(maxsize=None)(functools.partial(_matches_grammar, grammar))
 
     traces = []
     pairs_total: set = set()
@@ -211,14 +223,11 @@ def certify_tables(name: str, lowering: Lowering) -> TableCertification:
                 f"{case.label}: tables walked {walk}, "
                 f"executor walked {list(case.algorithmic)}"
             )
-        hops = [
-            lowering.classify_hop(router, port, vc)
-            for router, port, vc in walk[:-1]
-        ]
-        if not _matches_grammar(grammar, hops):
+        hops = tuple(classify(*hop) for hop in walk[:-1])
+        if not matches(hops):
             grammar_failures.append(
-                f"{case.label}: hop classes {hops} match no route class "
-                f"of {grammar.name}"
+                f"{case.label}: hop classes {list(hops)} match no route "
+                f"class of {grammar.name}"
             )
     result.num_pairs = len(pairs_total)
 
@@ -255,7 +264,10 @@ def certify_tables(name: str, lowering: Lowering) -> TableCertification:
             "violations suppressed",
         )
 
-    certification = certify(name, topology.fabric, traces)
+    if executor is not None and not walk_failures and not divergences:
+        certification = executor
+    else:
+        certification = certify(name, topology.fabric, traces)
     if not certification.ok:
         assert certification.cycle is not None
         result.cycle_description = annotate_cycle(
@@ -323,14 +335,15 @@ def run_tables_pass(
     configurations = list(all_configurations())
     if demo_broken:
         configurations.append(broken_configuration())
-    jobs: List[Tuple[str, Lowering, bool]] = [
-        (c.name, c.family(), c.expect_deadlock_free) for c in configurations
+    jobs: List[Tuple[str, Lowering, bool, Optional[Certification]]] = [
+        (c.name, c.family(), c.expect_deadlock_free, c.certification)
+        for c in configurations
     ]
     for degraded in degraded_table_configurations():
-        jobs.append((degraded.name, degraded.build(), True))
+        jobs.append((degraded.name, degraded.build(), True, None))
 
-    for name, lowering, expect_clean in jobs:
-        result = certify_tables(name, lowering)
+    for name, lowering, expect_clean, executor in jobs:
+        result = certify_tables(name, lowering, executor)
         report.note(result.summary())
         if expect_clean:
             report.extend(result.findings)

@@ -28,9 +28,10 @@ are kept for the routing executors' hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import networkx as nx
 
 #: Number of VCs required for deadlock freedom with non-minimal routing.
 NUM_VCS_REQUIRED = 3
@@ -144,6 +145,8 @@ class VcAssignment:
         at this abstraction) is equivalent to this graph being acyclic.
         The concrete per-channel proof lives in :mod:`repro.check.cdg`.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for sequence in self.vc_sequences():
             # Any contiguous *subsequence* is realisable (hops may be
@@ -158,6 +161,8 @@ class VcAssignment:
 
     def is_deadlock_free(self) -> bool:
         """True when the abstract channel-class graph is acyclic."""
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.channel_dependency_graph())
 
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    import networkx as nx
 
 
 class ChannelKind(enum.Enum):
@@ -203,6 +204,8 @@ class Fabric:
     # ------------------------------------------------------------------
     def router_graph(self) -> nx.MultiGraph:
         """Undirected multigraph over routers (one edge per cable)."""
+        import networkx as nx
+
         graph = nx.MultiGraph()
         graph.add_nodes_from(range(self.num_routers))
         for forward, _ in self.bidirectional_links():
@@ -213,11 +216,22 @@ class Fabric:
             )
         return graph
 
+    def unreachable_router(self) -> Optional[int]:
+        """The lowest router not reachable from router 0, or None."""
+        reached, frontier = {0}, [0]
+        while frontier:
+            fresh = set(self.neighbors(frontier.pop())) - reached
+            reached |= fresh
+            frontier.extend(fresh)
+        return min(set(range(self.num_routers)) - reached, default=None)
+
     def is_connected(self) -> bool:
-        return nx.is_connected(self.router_graph())
+        return self.unreachable_router() is None
 
     def router_diameter(self) -> int:
         """Hop diameter of the router-to-router graph."""
+        import networkx as nx
+
         return nx.diameter(nx.Graph(self.router_graph()))
 
     def validate(self) -> None:
@@ -231,5 +245,8 @@ class Fabric:
                 raise ValueError(
                     f"terminal {terminal.index} shares a port with a channel"
                 )
-        if self.num_routers > 1 and not self.is_connected():
-            raise ValueError("fabric is not connected")
+        unreachable = self.unreachable_router()
+        if unreachable is not None:
+            raise ValueError(
+                f"fabric is not connected: router {unreachable} unreachable from router 0"
+            )

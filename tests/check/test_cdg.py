@@ -1,9 +1,18 @@
 """Tests for the channel-dependency-graph deadlock-freedom certifier."""
 
+import dataclasses
+import hashlib
+import re
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check import registry
+from repro.check.__main__ import main, run_cdg_pass, run_passes
 from repro.check.cdg import (
+    Certification,
     cdg_from_traces,
     certify,
     describe_cycle,
@@ -17,8 +26,10 @@ from repro.check.registry import (
     register,
     _EXTRA,
 )
+from repro.core.params import DragonflyParams
 from repro.routing import vc_assignment as vcs
-from repro.routing.tables import DragonflyLowering
+from repro.routing.tables import DragonflyLowering, Lowering
+from repro.topology.dragonfly import Dragonfly
 
 
 def dragonfly_traces(topology, assignment, include_nonminimal=True):
@@ -131,26 +142,24 @@ class TestCdgConstruction:
             tiny_dragonfly.fabric,
             dragonfly_traces(tiny_dragonfly, vcs.CANONICAL),
         )
-        for channel_index, _ in graph.nodes:
+        for channel_index, _ in graph:
             channel = tiny_dragonfly.fabric.channels[channel_index]
             assert not tiny_dragonfly.fabric.is_terminal_port(
                 channel.src.router, channel.src.port
             )
 
     def test_find_counterexample_on_hand_built_cycle(self):
-        graph = nx.DiGraph()
-        graph.add_edge((0, 0), (1, 0))
-        graph.add_edge((1, 0), (2, 0))
-        graph.add_edge((2, 0), (0, 0))
+        graph = {(0, 0): {(1, 0): None}, (1, 0): {(2, 0): None}, (2, 0): {(0, 0): None}}
         cycle = find_counterexample(graph)
         assert cycle is not None
         assert sorted(cycle) == [(0, 0), (1, 0), (2, 0)]
 
     def test_find_counterexample_none_on_dag(self):
-        graph = nx.DiGraph()
-        graph.add_edge((0, 0), (1, 0))
-        graph.add_edge((1, 0), (2, 1))
+        graph = {(0, 0): {(1, 0): None}, (1, 0): {(2, 1): None}, (2, 1): {}}
         assert find_counterexample(graph) is None
+
+    def test_self_loop_is_a_cycle(self):
+        assert find_counterexample({(4, 1): {(4, 1): None}}) == [(4, 1)]
 
     def test_describe_cycle_names_every_buffer(self, tiny_dragonfly):
         fabric = tiny_dragonfly.fabric
@@ -182,3 +191,201 @@ class TestRegistry:
             assert len(all_configurations()) == baseline + 1
         finally:
             _EXTRA.clear()
+
+
+# ----------------------------------------------------------------------
+# The stdlib builder against the networkx builder it replaced
+# ----------------------------------------------------------------------
+def reference_cdg(fabric, traces):
+    """The networkx CDG builder ``certify`` used before it went stdlib,
+    kept verbatim as the oracle: one ``add_node``/``add_edge`` per hop."""
+    graph = nx.DiGraph()
+    num_routes = 0
+    for trace in traces:
+        num_routes += 1
+        previous = None
+        for router, port, vc in trace:
+            channel = fabric.out_channel(router, port)
+            if channel is None:
+                break
+            node = (channel.index, vc)
+            graph.add_node(node)
+            if previous is not None:
+                graph.add_edge(previous, node)
+            previous = node
+    return graph, num_routes
+
+
+ORACLE_FABRIC = Dragonfly(DragonflyParams(p=1, a=2, h=1)).fabric
+#: Every (router, port) of the oracle fabric, terminal ports included
+#: (a terminal-port hop ends a trace's buffers, like an ejection).
+ORACLE_PORTS = [
+    (router, port)
+    for router in range(ORACLE_FABRIC.num_routers)
+    for port in ORACLE_FABRIC.ports(router)
+]
+#: Buffer order of a network hop; None for a terminal port.
+BUFFER = {
+    (router, port): getattr(ORACLE_FABRIC.out_channel(router, port), "index", None)
+    for router, port in ORACLE_PORTS
+}
+NETWORK_PORTS = [rp for rp in ORACLE_PORTS if BUFFER[rp] is not None]
+HOPS = st.tuples(st.sampled_from(ORACLE_PORTS), st.integers(0, 3)).map(
+    lambda pair: (*pair[0], pair[1])
+)
+FREE_TRACES = st.lists(st.lists(HOPS, max_size=6), max_size=12)
+
+
+def _monotone(traces):
+    """Each trace's network hops in strictly increasing buffer order: no
+    route can close a cycle."""
+    def key(hop):
+        return BUFFER[hop[:2]], hop[2]
+
+    return [
+        sorted({key(h): h for h in trace if BUFFER[h[:2]] is not None}.values(), key=key)
+        for trace in traces
+    ]
+
+
+def _with_self_loop(drawn):
+    """The trace set plus one route that requests the buffer it holds."""
+    traces, index, vc = drawn
+    hop = (*NETWORK_PORTS[index % len(NETWORK_PORTS)], vc)
+    return [*traces, [hop, hop, *traces[index % len(traces)]]]
+
+
+TRACE_SETS = st.one_of(
+    FREE_TRACES.map(_monotone),
+    FREE_TRACES,
+    st.tuples(
+        FREE_TRACES.filter(bool), st.integers(0, 100), st.integers(0, 3)
+    ).map(_with_self_loop),
+)
+
+
+class TestReferenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(traces=TRACE_SETS)
+    def test_certify_matches_the_networkx_builder(self, traces):
+        reference, num_routes = reference_cdg(ORACLE_FABRIC, traces)
+        try:
+            expected = [
+                edge[0]
+                for edge in nx.find_cycle(reference, orientation="original")
+            ]
+        except nx.NetworkXNoCycle:
+            expected = None
+        certification = certify("oracle", ORACLE_FABRIC, traces)
+        assert certification.ok == (expected is None)
+        assert certification.num_routes == num_routes
+        assert certification.num_nodes == reference.number_of_nodes()
+        assert certification.num_edges == reference.number_of_edges()
+        assert certification.cycle == expected
+
+
+# ----------------------------------------------------------------------
+# One certification per configuration per process
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_registry():
+    """Registry objects with empty memos (other tests warm the shared
+    ones); cleared again afterwards, so later tests never read a memo
+    filled under this test's monkeypatches."""
+    registry.default_configurations.cache_clear()
+    registry.broken_configuration.cache_clear()
+    yield
+    registry.default_configurations.cache_clear()
+    registry.broken_configuration.cache_clear()
+
+
+class TestCertificationMemo:
+    def test_cdg_then_symbolic_walk_each_configuration_once(
+        self, monkeypatch, fresh_registry
+    ):
+        walks = []
+        original = Lowering.traces
+
+        def counting(self):
+            walks.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(Lowering, "traces", counting)
+        configurations = all_configurations()
+        run_passes(["cdg"])
+        assert len(walks) == len(configurations)
+        # The soundness harness adds only the negative control, which
+        # the cdg pass (without --demo-broken) did not certify.
+        run_passes(["symbolic"])
+        assert len(walks) == len(configurations) + 1
+        run_passes(["cdg", "symbolic", "tables"])
+        assert len(walks) == len(configurations) + 1
+
+    def test_memo_holds_only_the_certification(self):
+        configuration = default_configurations()[1]
+        certification = configuration.certification
+        assert isinstance(certification, Certification)
+        fields = {f.name for f in dataclasses.fields(configuration)}
+        assert set(vars(configuration)) - fields == {"certification"}
+        assert configuration.certification is certification
+
+    def test_drifted_family_under_a_registry_name_is_certified_on_its_own(
+        self, monkeypatch, capsys
+    ):
+        registered = default_configurations()[0]
+        assert registered.certification.ok
+        impostor = dataclasses.replace(
+            registered, family=broken_configuration().family
+        )
+        assert impostor.name == registered.name
+        assert not impostor.certification.ok
+        monkeypatch.setattr(
+            "repro.check.__main__.all_configurations", lambda: [impostor]
+        )
+        assert main(["cdg"]) == 1
+        assert "CDG001" in capsys.readouterr().out
+
+    def test_rotted_control_under_a_registry_name_is_certified_on_its_own(
+        self, monkeypatch
+    ):
+        registered = default_configurations()[0]
+        assert registered.certification.ok
+        rotted = dataclasses.replace(registered, expect_deadlock_free=False)
+        calls = []
+        original = registry.certify
+
+        def counting(name, fabric, traces):
+            calls.append(name)
+            return original(name, fabric, traces)
+
+        monkeypatch.setattr(registry, "certify", counting)
+        monkeypatch.setattr(
+            "repro.check.__main__.all_configurations", lambda: [rotted]
+        )
+        report = run_cdg_pass()
+        assert any(f.code == "CDG003" for f in report.errors)
+        assert calls == [registered.name]
+        assert rotted.certification is not registered.certification
+        assert rotted.certification == registered.certification
+
+
+# ----------------------------------------------------------------------
+# The report text, pinned against the networkx-built certifier
+# ----------------------------------------------------------------------
+#: SHA-256 of the two reports below as printed before the CDG went
+#: stdlib, counterexample cycles included.  The Table-2 scale notes
+#: carry a wall-clock reading (``0.000s]``), replaced by ``<t>s]``
+#: before hashing.
+PINNED_REPORTS = {
+    ("-v",): "cfac32834473a3c591564377c1146cdda47288c6533912db901e36524592dc9f",
+    ("cdg", "symbolic", "tables", "faults", "--demo-broken", "-v"): (
+        "e14e219e6956aaf97539507f775d1546bcd93b756aaba352c4276dd2e30ad71e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
+def test_report_text_is_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    out = re.sub(r"\d+\.\d{3}s\]", "<t>s]", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]

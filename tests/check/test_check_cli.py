@@ -84,6 +84,41 @@ class TestExitCodes:
         assert "[cdg]" not in out
         assert "[lint]" not in out
 
+    def test_export_tables_onto_a_file_is_a_usage_error_before_any_pass(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        target = tmp_path / "tables.json"
+        target.write_text("{}")
+
+        def must_not_run(**_kwargs):
+            raise AssertionError("the tables pass ran")
+
+        monkeypatch.setattr(
+            "repro.check.__main__.run_tables_pass", must_not_run
+        )
+        for argv in (
+            ["tables", "--export-tables", str(target)],
+            ["--tables", "--export-tables", str(target)],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            error_lines = [line for line in err.splitlines() if "error:" in line]
+            assert len(error_lines) == 1, err
+            assert str(target) in error_lines[0]
+            assert "Traceback" not in err
+        assert target.read_text() == "{}"
+
+    def test_export_tables_without_the_tables_pass_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cdg", "--export-tables", str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert "--export-tables" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_symbolic_flag_rejects_positional_passes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--symbolic", "lint"])

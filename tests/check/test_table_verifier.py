@@ -8,6 +8,8 @@ counterexample cycle, exactly as a bad controller push would be.
 
 import pytest
 
+from repro.check import registry
+from repro.check import tables as tables_module
 from repro.check.registry import degraded_table_configurations
 from repro.check.tables import (
     certify_tables,
@@ -104,6 +106,45 @@ class TestSeededTableEditRefuted:
         # table entries that program them.
         assert "VC" in (cert.cycle_description or "")
         assert "table provenance" in (cert.cycle_description or "")
+
+    def test_clean_executor_certificate_is_not_reused_for_edited_tables(self):
+        """The edit diverges the table walks from the executor (TBL005),
+        so the clean executor certificate must not vouch for them: the
+        tables are refuted with their own cycle, as without it."""
+        topology = Dragonfly(DragonflyParams.paper_example_72())
+        lowering = _VcMergingLowering(
+            topology, vcs.CANONICAL, include_nonminimal=True
+        )
+        executor = registry.default_configurations()[0].certification
+        assert executor.ok
+        cert = certify_tables("sabotaged", lowering, executor)
+        alone = certify_tables("sabotaged", lowering)
+        assert {"TBL001", "TBL005"} <= {f.code for f in cert.findings}
+        assert cert.cycle_description == alone.cycle_description
+        assert [f.message for f in cert.findings] == [
+            f.message for f in alone.findings
+        ]
+
+
+class TestExecutorCertificateReuse:
+    def test_agreeing_walks_reuse_the_certificate(self, monkeypatch):
+        """collapsed-2vc's tables walk exactly as its executor: the
+        memoised certificate is the table CDG's, with the same cycle and
+        provenance the table pass printed when it built its own."""
+        broken = registry.broken_configuration()
+        alone = certify_tables(broken.name, broken.family())
+        executor = broken.certification
+        built = []
+        monkeypatch.setattr(
+            tables_module, "certify", lambda *args: built.append(args[0])
+        )
+        cert = certify_tables(broken.name, broken.family(), executor)
+        assert built == []
+        assert cert.cyclic
+        assert cert.cycle_description == alone.cycle_description
+        assert [f.message for f in cert.findings] == [
+            f.message for f in alone.findings
+        ]
 
 
 class TestRunTablesPass:

@@ -1,7 +1,12 @@
 """Tests for the shared Fabric wiring representation."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.topology.base import ChannelKind, Fabric, PortRef
 
 
@@ -94,5 +99,53 @@ class TestGraphExport:
         with pytest.raises(ValueError):
             fabric.validate()
 
+    def test_disconnection_names_an_unreachable_router(self):
+        """Two islands {0, 1, 2} and {3, 4}: the error names router 3."""
+        fabric = Fabric(num_routers=5)
+        fabric.connect(PortRef(0, 0), PortRef(1, 0), ChannelKind.LOCAL)
+        fabric.connect(PortRef(1, 1), PortRef(2, 0), ChannelKind.LOCAL)
+        fabric.connect(PortRef(3, 0), PortRef(4, 0), ChannelKind.LOCAL)
+        assert not fabric.is_connected()
+        assert fabric.unreachable_router() == 3
+        with pytest.raises(
+            ValueError,
+            match=r"^fabric is not connected: router 3 unreachable from router 0$",
+        ):
+            fabric.validate()
+
+    def test_isolated_router_is_named(self):
+        fabric = Fabric(num_routers=3)
+        fabric.connect(PortRef(0, 0), PortRef(2, 0), ChannelKind.GLOBAL)
+        with pytest.raises(ValueError, match="router 1 unreachable"):
+            fabric.validate()
+
+    def test_single_router_is_connected(self):
+        fabric = Fabric(num_routers=1)
+        fabric.add_terminal(router=0, port=0)
+        assert fabric.unreachable_router() is None
+        fabric.validate()
+
     def test_validate_passes_on_connected(self):
         two_router_fabric().validate()
+
+
+def test_building_and_configuring_topologies_never_imports_networkx():
+    """``import networkx`` is ~95 ms of set-up: sweeps, the service and
+    the paper-scale runs build and validate fabrics without it."""
+    script = (
+        "import sys, repro, repro.experiments.base\n"
+        "from repro.experiments.base import experiment_topology\n"
+        "from repro.topology.dragonfly import Dragonfly\n"
+        "from repro.core.params import DragonflyParams\n"
+        "experiment_topology(quick=True)\n"
+        "Dragonfly(DragonflyParams.paper_1k())\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'networkx']\n"
+        "sys.exit(f'networkx imported: {loaded[:3]}' if loaded else 0)\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
