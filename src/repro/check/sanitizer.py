@@ -159,7 +159,7 @@ def _flit_findings(view: "SimulatorStateView") -> List[Finding]:
     findings = []
     packet_size = view.config.packet_size
     created = view.packet_counter * packet_size
-    at_source = sum(len(queue) for queue in view.source_queue) * packet_size
+    at_source = sum(view.source_depths) * packet_size
     mid_injection = sum(len(queue) for queue in view.inflight_injection)
     buffered = int(sum(view.buf_count))
     arriving = sum(len(batch) for batch in view.arrival_ring)

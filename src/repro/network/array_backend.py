@@ -284,8 +284,8 @@ class ArrayStateView(SimulatorStateView):
         return self._sim._out_fifo.to_lists()
 
     @property
-    def source_queue(self):
-        return self._sim._src_fifo.to_lists()
+    def source_depths(self) -> List[int]:
+        return [len(queue) for queue in self._sim._src_fifo.to_lists()]
 
     def _arrival_events(self, chunks) -> List[Tuple[int, int, int]]:
         rows = _joined(chunks)
@@ -446,24 +446,22 @@ class ArraySimulator(Simulator):
         self._credit_ring = [[] for _ in range(self._credit_ring_size)]
         self._credit_overflow = {}
         # Bulk mode: the base constructor queued the whole workload as
-        # Packet objects (consuming the pattern rng in scalar order);
+        # backlog records (consuming the pattern rng in scalar order);
         # move it into rows.
         queued = [
-            packet for queue in self._source_queue for packet in queue
+            (terminal, self._records.packet(record, terminal, 1).dst_terminal)
+            for terminal, backlog in enumerate(self._backlog)
+            for record in backlog
         ]
         if queued:
             self._packet_counter = 0
-            srcs = np.asarray(
-                [packet.src_terminal for packet in queued], np.int64
-            )
-            dsts = np.asarray(
-                [packet.dst_terminal for packet in queued], np.int64
-            )
+            srcs = np.asarray([src for src, _ in queued], np.int64)
+            dsts = np.asarray([dst for _, dst in queued], np.int64)
             self._src_fifo.append(
                 srcs, self._new_packets(srcs, dsts, creation=0, measured=True)
             )
         # The scalar engine's per-slot queue objects have no role here.
-        del self._source_queue, self._out_q
+        del self._source_head, self._head_slot, self._backlog, self._out_q
 
     def backend_provenance(self) -> Dict[str, str]:
         return {"backend": "array", "kernel": KERNEL_NAME}
@@ -528,10 +526,6 @@ class ArraySimulator(Simulator):
     # ------------------------------------------------------------------
     # Once-per-run hooks of Simulator.run()
     # ------------------------------------------------------------------
-    def _mean_source_queue_depth(self) -> float:
-        queues = self._src_fifo.to_lists()
-        return sum(map(len, queues)) / max(1, len(queues))
-
     def _finalise_measurement(self) -> None:
         # The int64 latencies are narrowed to the column with a range check.
         self._samples = LatencySamples(

@@ -177,7 +177,7 @@ def _state_fingerprint(sim: "Simulator") -> List[Tuple[str, object]]:
         ("pending", _as_tuple(view.pending)),
         ("pending_vc", _as_tuple(view.pending_vc)),
         ("rr_vc", _as_tuple(view.rr_vc)),
-        ("source_queue", tuple(len(q) for q in view.source_queue)),
+        ("source_depths", tuple(view.source_depths)),
         (
             "arrival_ring",
             tuple(len(batch) for batch in view.arrival_ring),

@@ -39,9 +39,15 @@ router keeps a bitmask of output ports with queued flits, and the switch
 visits only those (routers with an empty mask are skipped entirely).
 Channel and credit events travel through fixed-horizon calendar-queue
 rings instead of hashed event maps; credit events whose delay exceeds
-the ring horizon spill into an overflow map.  All of this is behaviour
-preserving: the golden fixtures under ``tests/golden/`` pin the engine's
-output bit for bit.
+the ring horizon spill into an overflow map.  A terminal's source queue
+is one decided head -- a :class:`Packet` with its route pinned -- and a
+FIFO of compact ``int`` records (:class:`RecordLayout`) behind it, so a
+saturated backlog costs ~40 bytes per queued packet; a record becomes a
+packet in the cycle it reaches the head, which is also the cycle the
+head is decided.  A head blocked on a full injection slot is retried
+only once that slot has room.  All of this is behaviour preserving: the
+golden fixtures under ``tests/golden/`` pin the engine's output bit for
+bit.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from ..topology.base import ChannelKind
 from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 from .config import SimulationConfig
-from .packet import Flit, Packet, RoutePlan, make_flits
+from .packet import Flit, Packet, RecordLayout, RoutePlan, make_flits
 from .stats import LatencySamples, SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids an import cycle
@@ -163,8 +169,14 @@ class SimulatorStateView:
         return self._sim._streams
 
     @property
-    def source_queue(self):
-        return self._sim._source_queue
+    def source_depths(self) -> List[int]:
+        """Packets queued at each terminal: its decided head, if any,
+        plus the backlog records behind it."""
+        sim = self._sim
+        return [
+            len(backlog) + (head is not None)
+            for head, backlog in zip(sim._source_head, sim._backlog)
+        ]
 
     @property
     def inflight_injection(self):
@@ -426,9 +438,21 @@ class Simulator:
         ]
         self._credit_overflow: Dict[int, List[Tuple[int, int]]] = {}
 
-        # Injection state per terminal.
+        # Injection state per terminal.  A source queue is one decided
+        # head -- a real Packet with its route pinned on it -- and a FIFO
+        # of compact records behind it (see ``RecordLayout``); a record
+        # becomes a Packet when it reaches the head.
         num_terminals = topology.num_terminals
-        self._source_queue: List[Deque[Packet]] = [deque() for _ in range(num_terminals)]
+        self._source_head: List[Optional[Packet]] = [None] * num_terminals
+        #: Injection input slot of each decided head's first hop: a
+        #: blocked head waits on this slot, which only the switch drains.
+        self._head_slot: List[int] = [0] * num_terminals
+        self._backlog: List[Deque[int]] = [deque() for _ in range(num_terminals)]
+        self._records = RecordLayout(
+            num_terminals,
+            config.warmup_cycles + config.measure_cycles
+            + config.drain_max_cycles + terminal_latency,
+        )
         self._inflight_injection: List[Deque[Flit]] = [deque() for _ in range(num_terminals)]
         self._terminal_router = [fabric.terminals[t].router for t in range(num_terminals)]
         self._terminal_port = [fabric.terminals[t].port for t in range(num_terminals)]
@@ -459,18 +483,13 @@ class Simulator:
             self._measure_start = 0
             self._measure_end = 0
             for terminal in range(num_terminals):
+                backlog = self._backlog[terminal]
                 for _ in range(config.packets_per_terminal):
-                    packet = Packet(
-                        index=self._packet_counter,
-                        src_terminal=terminal,
-                        dst_terminal=self.pattern(terminal),
-                        creation_time=0,
-                        size=config.packet_size,
-                        measured=True,
-                    )
+                    backlog.append(self._records.pack(
+                        self._packet_counter, self.pattern(terminal), 0, True
+                    ))
                     self._packet_counter += 1
                     self._outstanding_tagged += 1
-                    self._source_queue[terminal].append(packet)
 
         # Opt-in conservation sanitizer (``Settings.sanitize``); imported
         # lazily so the disabled mode never touches repro.check at all.
@@ -544,10 +563,10 @@ class Simulator:
         return {"backend": "scalar", "kernel": "none"}
 
     def _mean_source_queue_depth(self) -> float:
-        """Mean per-terminal source-queue depth (read once per run, when
-        the measurement window closes)."""
-        queues = self._source_queue
-        return sum(len(queue) for queue in queues) / max(1, len(queues))
+        """Mean per-terminal source-queue depth, decided heads included
+        (read once per run, when the measurement window closes)."""
+        depths = self.state_view().source_depths
+        return sum(depths) / max(1, len(depths))
 
     def _finalise_measurement(self) -> None:
         """Once-per-run hook before the result is built: an engine that
@@ -681,10 +700,8 @@ class Simulator:
             p_idx = router * radix + out_port
             if packet.vc_class and channel_info[p_idx] is not None:
                 out_vc += 3 * packet.vc_class
-            # (No ``hop_assignment`` store: single-flit packets have no
-            # body flits to replay the head's decision, and the source
-            # router's entry -- the one injection retries read -- was
-            # written at inject time.)
+            # (No ``hop_assignment``: single-flit packets have no body
+            # flits to replay the head's decision.)
             flit.in_idx = in_idx
             if credit_delay and channel_info[p_idx] is not None:
                 ctq[p_idx].append(now)
@@ -744,44 +761,78 @@ class Simulator:
     # Phase 2: injection
     # ------------------------------------------------------------------
     def _inject(self, now: int) -> None:
-        source_queue = self._source_queue
+        heads = self._source_head
+        backlogs = self._backlog
         inflight = self._inflight_injection
         inject_one = self._inject_one
+        # A decided head is retried only once its injection slot has
+        # room for it: only the switch drains that slot, so a blocked
+        # head costs one occupancy read per cycle, not an attempt.
+        head_slot = self._head_slot
+        buf_count = self._buf_count
+        config = self.config
+        packet_size = config.packet_size
+        room = self._depth - packet_size
         if self._bulk_mode:
-            for terminal in range(len(source_queue)):
-                if source_queue[terminal] or inflight[terminal]:
+            for terminal in range(len(heads)):
+                if heads[terminal] is not None:
+                    if buf_count[head_slot[terminal]] <= room:
+                        inject_one(terminal, now)
+                elif backlogs[terminal] or inflight[terminal]:
                     inject_one(terminal, now)
             return
-        config = self.config
-        packet_prob = config.load / config.packet_size
-        packet_size = config.packet_size
+        packet_prob = config.load / packet_size
         rng_random = self._rng_traffic.random
         pattern = self.pattern
+        pack = self._records.pack
         tagged_window = self._measure_start <= now < self._measure_end
         counter = self._packet_counter
-        for terminal in range(len(source_queue)):
+        for terminal in range(len(heads)):
             # The Bernoulli draw happens for every terminal every cycle
             # (the traffic stream is part of the determinism contract);
             # only the injection attempt is skipped for idle terminals.
             if rng_random() < packet_prob:
-                # Positional construction (fields: index, src, dst,
-                # creation_time, size, plan, measured): kwarg binding is
-                # measurable at one packet per terminal-cycle.
-                packet = Packet(
-                    counter, terminal, pattern(terminal), now, packet_size,
-                    None, tagged_window,
-                )
-                counter += 1
+                dst = pattern(terminal)
                 if tagged_window:
                     self._outstanding_tagged += 1
-                source_queue[terminal].append(packet)
-                inject_one(terminal, now)
-            elif source_queue[terminal] or inflight[terminal]:
+                if (
+                    heads[terminal] is None
+                    and not backlogs[terminal]
+                    and not inflight[terminal]
+                ):
+                    # Nothing queued: the new packet is the head at
+                    # once.  Positional construction (fields: index,
+                    # src, dst, creation_time, size, plan, measured):
+                    # kwarg binding is measurable at one packet per
+                    # terminal-cycle.
+                    inject_one(terminal, now, Packet(
+                        counter, terminal, dst, now, packet_size, None,
+                        tagged_window,
+                    ))
+                    counter += 1
+                    continue
+                backlogs[terminal].append(
+                    pack(counter, dst, now, tagged_window)
+                )
+                counter += 1
+            if heads[terminal] is not None:
+                if buf_count[head_slot[terminal]] <= room:
+                    inject_one(terminal, now)
+            elif backlogs[terminal] or inflight[terminal]:
                 inject_one(terminal, now)
         self._packet_counter = counter
 
-    def _inject_one(self, terminal: int, now: int) -> None:
-        """Move at most one flit from the terminal into its router."""
+    def _inject_one(
+        self, terminal: int, now: int, packet: Optional[Packet] = None
+    ) -> None:
+        """Move at most one flit from the terminal into its router.
+
+        ``packet`` is one created this cycle at a terminal with nothing
+        queued.  Otherwise the terminal's decided head is tried, or, with
+        no head, its oldest backlog record becomes the head.  A new head
+        is decided here, on its first attempt; a blocked one stays the
+        head with its route and injection slot pinned.
+        """
         inflight = self._inflight_injection[terminal]
         router = self._terminal_router[terminal]
         base = self._inject_base[terminal]
@@ -789,13 +840,18 @@ class Simulator:
             # Continue the current packet; space was reserved at head
             # injection and only this terminal fills the buffer.
             flit = inflight.popleft()
-            in_idx = base + flit.packet.hop_assignment[router][1]
+            in_idx = base + self._body_hop(flit.packet, router)[1]
             self._enqueue(router, in_idx, flit)
             return
-        queue = self._source_queue[terminal]
-        if not queue:
-            return
-        packet = queue[0]
+        if packet is None:
+            packet = self._source_head[terminal]
+            if packet is None:
+                backlog = self._backlog[terminal]
+                if not backlog:
+                    return
+                packet = self._records.packet(
+                    backlog.popleft(), terminal, self.config.packet_size
+                )
         plan = packet.plan
         hop = None
         if plan is None:
@@ -813,18 +869,19 @@ class Simulator:
                 hop = self._hop(plan, hop_key, router, 0, dst)
             else:
                 hop = self.routing.next_hop(self.topology, router, plan, 0, dst)
-            packet.hop_assignment[router] = (hop[0], hop[1])
             in_idx = base + hop[1]
         else:
-            # Retry after backpressure: the cheap stored (port, vc) is
-            # enough for the space check; the full hop is recomputed
-            # (a memo hit) only once space is actually available.
-            in_idx = base + packet.hop_assignment[router][1]
+            # Retry after backpressure: the pinned slot is enough for the
+            # space check; the full hop is recomputed (a memo hit) only
+            # once space is actually available.
+            in_idx = self._head_slot[terminal]
         if self._depth - self._buf_count[in_idx] < packet.size:
+            self._source_head[terminal] = packet
+            self._head_slot[terminal] = in_idx
             return
-        queue.popleft()
+        self._source_head[terminal] = None
         packet.inject_time = now
-        if packet.size != 1 or self._multi_flit:
+        if self._multi_flit:
             flits = make_flits(packet)
             self._enqueue(router, in_idx, flits[0])
             for body in flits[1:]:
@@ -847,7 +904,6 @@ class Simulator:
             # Protocol classes ride disjoint VC sets (Section 4.1); the
             # memo holds the raw hop, the offset is applied here.
             out_vc += 3 * packet.vc_class
-        packet.hop_assignment[router] = (out_port, out_vc)
         flit.in_idx = in_idx
         if self._credit_delay_enabled and channel is not None:
             self._ctq[p_idx].append(now)
@@ -946,6 +1002,17 @@ class Simulator:
                 cache[key] = hop
         return hop
 
+    def _body_hop(self, packet: Packet, router: int) -> Tuple[int, int]:
+        """The (out_port, out_vc) a body flit follows at ``router``: the
+        one its packet's head flit took there."""
+        assignment = packet.hop_assignment
+        if assignment is None:
+            raise SimulatorStateError(
+                f"body flit of packet {packet.index} reached router "
+                f"{router} before its head flit"
+            )
+        return assignment[router]
+
     def _enqueue(self, router: int, in_idx: int, flit: Flit) -> None:
         packet = flit.packet
         if flit.is_head:
@@ -965,9 +1032,14 @@ class Simulator:
                 # Protocol classes ride disjoint VC sets (Section 4.1);
                 # the memo holds the raw hop, the offset is applied here.
                 out_vc += 3 * packet.vc_class
-            packet.hop_assignment[router] = (out_port, out_vc)
+            if self._multi_flit:
+                # Body flits replay the head's hop at this router.
+                assignment = packet.hop_assignment
+                if assignment is None:
+                    assignment = packet.hop_assignment = {}
+                assignment[router] = (out_port, out_vc)
         else:
-            out_port, out_vc = packet.hop_assignment[router]
+            out_port, out_vc = self._body_hop(packet, router)
             p_idx = router * self._radix + out_port
         flit.in_idx = in_idx
         if self._credit_delay_enabled and self._channel_info[p_idx] is not None:
@@ -1214,19 +1286,16 @@ class Simulator:
         packet.eject_time = now + self._terminal_latency
         if self._request_reply and packet.vc_class == 0:
             # The request stays open until its reply lands; spawn the
-            # reply at the destination NIC.
-            reply = Packet(
-                index=self._packet_counter,
-                src_terminal=packet.dst_terminal,
-                dst_terminal=packet.src_terminal,
-                creation_time=now + self._terminal_latency,
-                size=packet.size,
-                measured=packet.measured,
-                vc_class=1,
-                request=packet,
-            )
+            # reply at the destination NIC, carrying the request's
+            # creation time for the round-trip latency.
+            self._backlog[packet.dst_terminal].append(self._records.pack(
+                self._packet_counter,
+                packet.src_terminal,
+                now + self._terminal_latency,
+                packet.measured,
+                packet.creation_time,
+            ))
             self._packet_counter += 1
-            self._source_queue[packet.dst_terminal].append(reply)
             return
         if packet.measured:
             self._outstanding_tagged -= 1
@@ -1234,8 +1303,10 @@ class Simulator:
                 raise SimulatorStateError(
                     f"packet {packet.index} ejected without a route plan"
                 )
-            origin = packet.request if packet.request is not None else packet
-            latency = packet.eject_time - origin.creation_time
+            origin = packet.origin_creation
+            if origin is None:
+                origin = packet.creation_time
+            latency = packet.eject_time - origin
             self._samples.append(latency, packet.plan.minimal)
 
 

@@ -190,6 +190,36 @@ class TestAuditFindings:
         finished._packet_counter += 1
         assert "SAN003" in codes(audit_simulator(finished))
 
+    @pytest.mark.parametrize("part", ["backlog record", "decided head"])
+    def test_dropped_source_packet_is_san003(self, paper72_dragonfly, part):
+        """Mid-run and saturated, a source queue is a decided head plus
+        backlog records; SAN003 counts both, so losing either one names
+        a deficit of exactly one flit."""
+        sim = make_simulator(
+            paper72_dragonfly, pattern="worst_case", load=0.45,
+            drain_max_cycles=300,
+        )
+        for now in range(250):
+            sim.now = now
+            sim._deliver_arrivals(now)
+            sim._deliver_credits(now)
+            sim._inject(now)
+            sim._switch()
+        assert audit_simulator(sim) == []
+        terminal = next(
+            t for t, backlog in enumerate(sim._backlog) if backlog
+        )
+        if part == "backlog record":
+            sim._backlog[terminal].pop()
+        else:
+            assert sim._source_head[terminal] is not None
+            sim._source_head[terminal] = None
+        created = sim._packet_counter
+        (finding,) = [
+            f for f in audit_simulator(sim) if f.code == "SAN003"
+        ]
+        assert f"= {created - 1}, expected {created} " in finding.message
+
     def test_corrupted_active_mask_is_san004(self, finished_scalar):
         finished_scalar._active_mask[0] ^= 1
         findings = audit_simulator(finished_scalar)

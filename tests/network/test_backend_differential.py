@@ -257,6 +257,21 @@ class TestArrayBackendInvariants:
             config,
         ) is None
 
+    def test_lockstep_source_depths_past_saturation(self, paper72_dragonfly):
+        """Past saturation the scalar engine's decided heads plus backlog
+        records and the array engine's source FIFOs hold the same number
+        of packets per terminal every cycle."""
+        config = SimulationConfig(
+            load=0.45, warmup_cycles=40, measure_cycles=40,
+            drain_max_cycles=300,
+        )
+        assert first_divergence(
+            paper72_dragonfly,
+            lambda: make_routing("MIN"),
+            lambda: make_pattern("worst_case", paper72_dragonfly, seed=9),
+            config,
+        ) is None
+
     def test_structural_findings_clean_on_both_backends(
         self, paper72_dragonfly
     ):
