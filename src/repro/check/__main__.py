@@ -121,7 +121,7 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
         configurations.append(broken_configuration())
     for configuration in configurations:
         certification = certify_grammar(
-            configuration.name, configuration.family().grammar()
+            configuration.name, configuration.lowering.grammar()
         )
         report.note(certification.summary())
         if certification.ok == configuration.expect_deadlock_free:

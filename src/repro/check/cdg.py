@@ -79,19 +79,26 @@ def cdg_from_traces(fabric: Fabric, traces: Iterable[Trace]) -> Tuple[Cdg, int]:
     skipped-hop variants appear as their own traces.)
     """
     channel_at = {(c.src.router, c.src.port): c.index for c in fabric.channels}.get
+    #: hop -> its buffer, or None for an ejection hop; routes share hops.
+    buffer_of: Dict[Tuple[int, int, int], Optional[CdgNode]] = {}
     graph: Cdg = {}
     num_routes = 0
     for trace in traces:
         num_routes += 1
         held: Optional[Dict[CdgNode, None]] = None
-        for router, port, vc in trace:
-            channel = channel_at((router, port))
-            if channel is None:
+        for hop in trace:
+            try:
+                node = buffer_of[hop]
+            except KeyError:
+                channel = channel_at(hop[:2])
+                node = buffer_of[hop] = None if channel is None else (channel, hop[2])
+            if node is None:
                 break  # ejection: terminal ports hold no network buffer
-            node = (channel, vc)
             if held is not None:
                 held[node] = None
-            held = graph.setdefault(node, {})
+            held = graph.get(node)
+            if held is None:
+                held = graph[node] = {}
     return graph, num_routes
 
 

@@ -159,8 +159,13 @@ def _audit_dragonfly_ports(topology: Dragonfly, location: str) -> List[Finding]:
                 terminals += 1
                 continue
             channel = fabric.out_channel(router, port)
-            assert channel is not None
-            if channel.kind == ChannelKind.LOCAL:
+            if channel is None:
+                findings.append(_finding(
+                    "TOP004", Severity.ERROR, location,
+                    f"router {router} port {port} is claimed but wires "
+                    "neither a terminal nor a channel",
+                ))
+            elif channel.kind == ChannelKind.LOCAL:
                 locals_ += 1
             elif channel.kind == ChannelKind.GLOBAL:
                 globals_ += 1

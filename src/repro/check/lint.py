@@ -35,14 +35,16 @@ of the codebase:
     a preallocated flat structure, or an explicit get/store when the
     code is genuinely cold.
 
-``REP005`` no ``assert`` in the network engine
+``REP005`` no ``assert`` in the engine, the certifier or routing
     ``assert`` statements are stripped under ``python -O``, so state
     validation written as an assert silently stops validating exactly
     when someone turns optimisations on.  In ``repro.network`` (the
-    simulator library), raise
-    :class:`~repro.network.simulator.SimulatorStateError` or report a
-    :class:`~repro.check.report.Finding` via the conservation sanitizer
-    instead.  Tests and non-engine packages may keep using asserts.
+    simulator library), ``repro.check`` (the certifier) and
+    ``repro.routing`` (the routing it certifies), raise a named error
+    (:class:`~repro.network.simulator.SimulatorStateError`,
+    :class:`~repro.routing.tables.TableRouteError`, ...) or report a
+    :class:`~repro.check.report.Finding` instead.  The message names
+    the package.  Tests and other packages may keep using asserts.
 
 ``REP006`` no global-state ``numpy.random`` outside the transplant modules
     ``numpy.random.rand()``, ``numpy.random.seed()`` and friends draw
@@ -89,9 +91,9 @@ PRINT_EXEMPT_PACKAGES = ("check",)
 SETDEFAULT_BANNED_MODULES = frozenset({"network/simulator.py"})
 
 #: Packages (top-level directory under the lint root) where ``assert``
-#: is banned (REP005): the simulator library, whose state validation
-#: must survive ``python -O``.
-ASSERT_BANNED_PACKAGES = frozenset({"network"})
+#: is banned (REP005): the simulator library and the certifier with the
+#: routing it certifies, whose validation must survive ``python -O``.
+ASSERT_BANNED_PACKAGES = frozenset({"network", "check", "routing"})
 
 #: ``numpy.random`` attributes that are legitimate to touch directly
 #: (REP006): explicit-generator constructors, never global-state calls.
@@ -188,10 +190,10 @@ class _Linter(ast.NodeVisitor):
         )
         self._setdefault_banned = relative in SETDEFAULT_BANNED_MODULES
         parts = Path(relative).parts
-        self._assert_banned = (
-            not script_mode
-            and bool(parts)
-            and parts[0] in ASSERT_BANNED_PACKAGES
+        self._assert_package = (
+            parts[0]
+            if not script_mode and parts and parts[0] in ASSERT_BANNED_PACKAGES
+            else None
         )
 
     def _add(self, code: str, node: ast.AST, message: str) -> None:
@@ -343,12 +345,13 @@ class _Linter(ast.NodeVisitor):
 
     # -- asserts: stripped under -O, banned in the engine ----------------
     def visit_Assert(self, node: ast.Assert) -> None:
-        if self._assert_banned:
+        if self._assert_package is not None:
             self._add(
                 "REP005", node,
-                "assert in the network engine is stripped under "
-                "python -O; raise SimulatorStateError or report a "
-                "sanitizer Finding instead",
+                f"assert in repro.{self._assert_package} is stripped under "
+                "python -O; raise a named error (SimulatorStateError, "
+                "TableRouteError, ValueError, ...) or report a Finding "
+                "instead",
             )
         self.generic_visit(node)
 

@@ -26,10 +26,15 @@ Adaptive algorithms that choose among enumerated candidates (the UGAL
 family chooses between the minimal and Valiant routes) are covered by
 enumerating the union of their candidate route classes.
 
-Registry objects are built once per process and memoise their concrete
-:class:`~repro.check.cdg.Certification` on themselves, for their lifetime,
-for the cdg, symbolic and tables passes to share.  The memo holds that
-result only (no trace, table or graph) and is keyed by object, not name.
+Registry objects are built once per process.  Each memoises two things
+on itself, for its lifetime, keyed by object, not name: its one
+:class:`~repro.routing.tables.Lowering` (``lowering``), whose
+:attr:`~repro.routing.tables.Lowering.walks` holds every route's
+executor walk as hop ids, and the concrete
+:class:`~repro.check.cdg.Certification` of those walks.  Every route is
+walked through its executor once per process: the cdg certificate, the
+symbolic soundness harness and the tables pass's TBL005 comparison all
+read the stored walks.  No table, table walk or graph is kept.
 """
 
 from __future__ import annotations
@@ -72,11 +77,12 @@ class CheckConfiguration:
     :class:`~repro.routing.tables.Lowering` on it; construction is
     deferred to the pass that runs (about a millisecond per family --
     ``--list`` constructs each one to show its family and VC budget).
-    Every pass reads the one object: :attr:`certification` certifies
-    ``family().traces()`` once for the cdg pass and the soundness
-    harness, the symbolic pass analyses ``family().grammar()`` (whose
-    ``num_vcs`` is the VC budget the family documents), and the tables
-    pass compiles and certifies ``family()`` itself.
+    Every pass reads the one :attr:`lowering`: :attr:`certification`
+    certifies ``lowering.traces()`` once for the cdg pass and the
+    soundness harness, the symbolic pass analyses ``lowering.grammar()``
+    (whose ``num_vcs`` is the VC budget the family documents), and the
+    tables pass compiles and certifies ``lowering`` itself against the
+    same stored walks.
     ``expect_deadlock_free`` is False only for negative controls kept to
     demonstrate counterexample extraction.
     """
@@ -87,10 +93,15 @@ class CheckConfiguration:
     expect_deadlock_free: bool = True
 
     @functools.cached_property
+    def lowering(self) -> Lowering:
+        """The one ``family()`` object every pass reads, built on first use."""
+        return self.family()
+
+    @functools.cached_property
     def certification(self) -> Certification:
-        """The CDG certificate of ``family().traces()``, made on first use."""
-        family = self.family()
-        return certify(self.name, family.topology.fabric, family.traces())
+        """The CDG certificate of ``lowering.traces()``, made on first use."""
+        lowering = self.lowering
+        return certify(self.name, lowering.topology.fabric, lowering.traces())
 
 
 def _df_config(

@@ -252,7 +252,7 @@ def cross_check(configuration: CheckConfiguration) -> CrossCheck:
     """Certify one configuration's grammar and compare it with the
     configuration's (memoised) concrete certificate."""
     symbolic = certify_grammar(
-        configuration.name, configuration.family().grammar()
+        configuration.name, configuration.lowering.grammar()
     )
     return CrossCheck(
         configuration.name, symbolic, configuration.certification

@@ -48,7 +48,7 @@ import json
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..routing.grammar import PathGrammar, Segment
 from ..routing.tables import (
@@ -57,7 +57,7 @@ from ..routing.tables import (
     RouteCase,
     TableCompileError,
     TableRouteError,
-    table_walk_route,
+    TableWalker,
 )
 from .cdg import CdgNode, Certification, certify, describe_cycle
 from .report import Finding, Severity
@@ -174,9 +174,12 @@ def certify_tables(
 ) -> TableCertification:
     """Compile one configuration's tables and run every TBL check.
 
-    ``executor``, the certificate of ``lowering.traces()`` (degraded
-    lowerings have none), is reused when no table walk fails or diverges
-    from its executor walk; otherwise the table walks are certified anew.
+    Each table walk is compared hop for hop with the executor walk
+    ``lowering.cases()`` carries (degraded lowerings have none) and kept
+    only where the two differ.  ``executor``, the certificate of
+    ``lowering.traces()``, is reused when no table walk fails or
+    diverges; otherwise the table CDG is built, in route order, from the
+    kept walks and the stored executor walks they stand in for.
     """
     result = TableCertification(name=name)
 
@@ -193,37 +196,42 @@ def certify_tables(
     topology = lowering.topology
     grammar = lowering.grammar()
     # Tens of thousands of routes share a few dozen hops and hop sequences.
-    classify = functools.lru_cache(maxsize=None)(lowering.classify_hop)
+    classify = functools.lru_cache(maxsize=None)(lambda hop: lowering.classify_hop(*hop))
     matches = functools.lru_cache(maxsize=None)(functools.partial(_matches_grammar, grammar))
 
-    traces = []
+    #: route index -> its table walk, where that differs from the
+    #: executor walk (every walk, when there is no executor walk).
+    kept: Dict[int, List[Tuple[int, int, int]]] = {}
+    failed: Set[int] = set()
     pairs_total: set = set()
     pairs_reached: set = set()
     walk_failures: List[str] = []
     grammar_failures: List[str] = []
     divergences: List[str] = []
     roundtrip_sample: List[Tuple[RouteCase, tuple]] = []
-    for case in lowering.cases():
+    table_walk = TableWalker(topology, tables).walk
+    for index, case in enumerate(lowering.cases()):
         result.num_cases += 1
         pair = (case.src_router, case.dst_terminal)
         pairs_total.add(pair)
         try:
-            walk = table_walk_route(
-                topology, tables, case.src_router, case.dst_terminal, case.legs
-            )
+            walk = table_walk(case.src_router, case.dst_terminal, case.legs)
         except TableRouteError as error:
             walk_failures.append(f"{case.label}: {error}")
+            failed.add(index)
             continue
         pairs_reached.add(pair)
-        traces.append(walk)
+        hops_walked = tuple(walk)
         if len(roundtrip_sample) < ROUNDTRIP_WALKS:
-            roundtrip_sample.append((case, tuple(walk)))
-        if case.algorithmic is not None and tuple(walk) != case.algorithmic:
-            divergences.append(
-                f"{case.label}: tables walked {walk}, "
-                f"executor walked {list(case.algorithmic)}"
-            )
-        hops = tuple(classify(*hop) for hop in walk[:-1])
+            roundtrip_sample.append((case, hops_walked))
+        if hops_walked != case.algorithmic:
+            kept[index] = walk
+            if case.algorithmic is not None:
+                divergences.append(
+                    f"{case.label}: tables walked {walk}, "
+                    f"executor walked {list(case.algorithmic)}"
+                )
+        hops = tuple(map(classify, hops_walked[:-1]))
         if not matches(hops):
             grammar_failures.append(
                 f"{case.label}: hop classes {list(hops)} match no route "
@@ -267,9 +275,17 @@ def certify_tables(
     if executor is not None and not walk_failures and not divergences:
         certification = executor
     else:
-        certification = certify(name, topology.fabric, traces)
+        certification = certify(name, topology.fabric, (
+            kept[route] if route in kept else lowering.walks.walk(route)
+            for route in range(result.num_cases)
+            if route not in failed
+        ))
     if not certification.ok:
-        assert certification.cycle is not None
+        if certification.cycle is None:
+            raise ValueError(
+                f"{name}: the table CDG certificate is refuted but names "
+                "no counterexample cycle"
+            )
         result.cycle_description = annotate_cycle(
             lowering, tables, certification.cycle
         )
@@ -279,21 +295,20 @@ def certify_tables(
             "counterexample deadlock cycle:\n" + result.cycle_description,
         )
 
-    restored = ForwardingTables.from_json_dict(
-        json.loads(json.dumps(tables.to_json_dict()))
-    )
-    if restored != tables:
+    exported = tables.to_json_dict()
+    restored = ForwardingTables.from_json_dict(json.loads(json.dumps(exported)))
+    if restored.to_json_dict() != exported:
         add(
             "TBL004",
             "export -> import round trip is not structurally identical",
         )
     else:
+        restored_walk = TableWalker(topology, restored).walk
         for case, walk in roundtrip_sample:
             try:
-                rewalk = tuple(table_walk_route(
-                    topology, restored, case.src_router, case.dst_terminal,
-                    case.legs,
-                ))
+                rewalk = tuple(
+                    restored_walk(case.src_router, case.dst_terminal, case.legs)
+                )
             except TableRouteError as error:
                 add("TBL004", f"imported tables failed {case.label}: {error}")
                 break
@@ -336,7 +351,7 @@ def run_tables_pass(
     if demo_broken:
         configurations.append(broken_configuration())
     jobs: List[Tuple[str, Lowering, bool, Optional[Certification]]] = [
-        (c.name, c.family(), c.expect_deadlock_free, c.certification)
+        (c.name, c.lowering, c.expect_deadlock_free, c.certification)
         for c in configurations
     ]
     for degraded in degraded_table_configurations():

@@ -63,7 +63,11 @@ def clos_plan(
         digits = topology.digits_of_leaf(dst_leaf)
         up_ports = tuple(digits[:ancestor])
     else:
-        assert rng is not None
+        if rng is None:
+            raise ValueError(
+                "random up*/down* up ports need an rng; pass one or "
+                "deterministic=True"
+            )
         up_ports = tuple(rng.randrange(topology.down) for _ in range(ancestor))
     return ClosRoutePlan(minimal=True, ancestor_level=ancestor, up_ports=up_ports)
 

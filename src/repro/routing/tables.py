@@ -33,15 +33,18 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -69,6 +72,9 @@ TableKey = Tuple[int, int, int]
 #: ``("link", src_router, src_port)`` names a global link,
 #: ``("up", level, port)`` a folded-Clos up-port choice.
 ViaTag = Tuple[Any, ...]
+
+#: One walked hop: (router, out_port, out_vc).
+Hop = Tuple[int, int, int]
 
 
 class TableCompileError(Exception):
@@ -127,14 +133,14 @@ class TableEntry:
         return self.out_vc if self.next_vc is None else self.next_vc
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):
     """One stage of a table-routed journey.
 
     A packet (or Valiant phase) enters the tables with key
     ``(target_group, target_router, entry_vc)`` and follows threading
     until it stands on ``target_router``.  ``via`` restricts candidate
-    entries to the tags the route committed to at decision time.
+    entries to the tags the route committed to at decision time.  (A
+    named tuple: the certifier builds one or two per enumerated route.)
     """
 
     target_group: int
@@ -143,8 +149,7 @@ class Leg:
     via: Optional[FrozenSet[ViaTag]] = None
 
 
-@dataclass(frozen=True)
-class RouteCase:
+class RouteCase(NamedTuple):
     """One enumerable route: its leg program and the algorithmic trace.
 
     ``algorithmic`` is the (router, out_port, out_vc) trace the family's
@@ -184,6 +189,10 @@ class ForwardingTables:
         self.num_routers = num_routers
         self.meta: Dict[str, Any] = meta or {}
         self.routers: Dict[int, Dict[TableKey, Dict[Optional[ViaTag], TableEntry]]] = {}
+        #: router -> key -> that key's candidates in via-tag order,
+        #: resolved on first query.  :meth:`add` and :meth:`replace` drop
+        #: the slot they change; edit ``routers`` only before querying.
+        self._resolved: Dict[int, Dict[TableKey, Tuple[TableEntry, ...]]] = {}
 
     # -- construction ---------------------------------------------------
     def add(self, router: int, key: TableKey, entry: TableEntry) -> None:
@@ -205,6 +214,7 @@ class ForwardingTables:
         existing = slots.get(entry.via)
         if existing is None:
             slots[entry.via] = entry
+            self._forget(router, key)
         elif existing != entry:
             raise TableCompileError(
                 f"conflicting entries at router {router} key {key} "
@@ -214,15 +224,24 @@ class ForwardingTables:
     def replace(self, router: int, key: TableKey, entry: TableEntry) -> None:
         """Overwrite the (router, key, via) slot (fault-repair pass)."""
         self.routers[router][key][entry.via] = entry
+        self._forget(router, key)
+
+    def _forget(self, router: int, key: TableKey) -> None:
+        resolved = self._resolved.get(router)
+        if resolved is not None:
+            resolved.pop(key, None)
 
     # -- queries --------------------------------------------------------
     def candidates(self, router: int, key: TableKey) -> Tuple[TableEntry, ...]:
-        slots = self.routers.get(router, {}).get(key)
-        if not slots:
-            return ()
-        return tuple(
-            slots[tag] for tag in sorted(slots, key=lambda t: (t is not None, t))
-        )
+        """The entries for ``key`` at ``router``, sorted by via tag."""
+        try:
+            return self._resolved[router][key]
+        except KeyError:
+            slots = self.routers.get(router, {}).get(key, {})
+            entries = self._resolved.setdefault(router, {})[key] = tuple(
+                slots[tag] for tag in sorted(slots, key=lambda t: (t is not None, t))
+            )
+            return entries
 
     def lookup(
         self,
@@ -348,7 +367,7 @@ def table_walk_route(
     src_router: int,
     dst_terminal: int,
     legs: Tuple[Leg, ...],
-) -> List[Tuple[int, int, int]]:
+) -> List[Hop]:
     """Execute a leg program over compiled tables.
 
     Returns the (router, out_port, out_vc) trace ending with the
@@ -357,35 +376,65 @@ def table_walk_route(
     executors comparable hop by hop.  Raises :class:`TableRouteError` on
     a missing or ambiguous entry or when the walk exceeds the loop bound.
     """
-    fabric = topology.fabric
-    trace: List[Tuple[int, int, int]] = []
-    router = src_router
-    bound = 4 * tables.num_routers + 16
-    steps = 0
-    for leg in legs:
-        in_vc = leg.entry_vc
-        while router != leg.target_router:
-            entry = tables.lookup(
-                router, (leg.target_group, leg.target_router, in_vc), leg.via
+    return TableWalker(topology, tables).walk(src_router, dst_terminal, legs)
+
+
+class TableWalker:
+    """Leg programs executed over one table set on one topology.
+
+    Each (router, key, via set) resolves once, through
+    :meth:`ForwardingTables.lookup`, to its step: the hop it emits, the
+    router the hop lands on and the in-VC presented there.  A lookup
+    that fails is not remembered.  Build a walker after the tables are
+    final; it does not see later edits.
+    """
+
+    def __init__(self, topology: Any, tables: ForwardingTables) -> None:
+        self.topology = topology
+        self.tables = tables
+        self.bound = 4 * tables.num_routers + 16
+        self._steps: Dict[Tuple[Any, ...], Tuple[Hop, int, int]] = {}
+
+    def _step(
+        self, router: int, key: TableKey, via: Optional[FrozenSet[ViaTag]]
+    ) -> Tuple[Hop, int, int]:
+        entry = self.tables.lookup(router, key, via)
+        channel = self.topology.fabric.out_channel(router, entry.out_port)
+        if channel is None:
+            raise TableRouteError(
+                f"entry {entry} at router {router} points at an "
+                f"unwired port in {self.tables.name}"
             )
-            trace.append((router, entry.out_port, entry.out_vc))
-            channel = fabric.out_channel(router, entry.out_port)
-            if channel is None:
-                raise TableRouteError(
-                    f"entry {entry} at router {router} points at an "
-                    f"unwired port in {tables.name}"
-                )
-            router = channel.dst.router
-            in_vc = entry.in_vc_at_next
-            steps += 1
-            if steps > bound:
-                raise TableRouteError(
-                    f"table walk from router {src_router} to terminal "
-                    f"{dst_terminal} exceeded {bound} hops (routing loop) "
-                    f"in {tables.name}"
-                )
-    trace.append((router, topology.terminal_port(dst_terminal), 0))
-    return trace
+        step = self._steps[(router, *key, via)] = (
+            (router, entry.out_port, entry.out_vc),
+            channel.dst.router,
+            entry.in_vc_at_next,
+        )
+        return step
+
+    def walk(
+        self, src_router: int, dst_terminal: int, legs: Tuple[Leg, ...]
+    ) -> List[Hop]:
+        """See :func:`table_walk_route`."""
+        steps = self._steps
+        bound = self.bound
+        trace: List[Hop] = []
+        router = src_router
+        for group, target, in_vc, via in legs:
+            while router != target:
+                step = steps.get((router, group, target, in_vc, via))
+                if step is None:
+                    step = self._step(router, (group, target, in_vc), via)
+                hop, router, in_vc = step
+                trace.append(hop)
+                if len(trace) > bound:
+                    raise TableRouteError(
+                        f"table walk from router {src_router} to terminal "
+                        f"{dst_terminal} exceeded {bound} hops (routing loop) "
+                        f"in {self.tables.name}"
+                    )
+        trace.append((router, self.topology.terminal_port(dst_terminal), 0))
+        return trace
 
 
 # ----------------------------------------------------------------------
@@ -1125,6 +1174,50 @@ class DegradedTableRouting(RoutingAlgorithm):
 Route = Tuple[str, int, int, Any]
 
 
+class RouteWalks:
+    """Every route's executor walk, in :meth:`Lowering.routes` order.
+
+    Each distinct hop is kept once in ``hops``; ``ids`` concatenates
+    every walk as indices into ``hops`` and ``ends[i]`` is the offset
+    one past route ``i``'s last hop.  No per-route Python object
+    survives the build: the paper-72 store is under half a MiB.
+    """
+
+    __slots__ = ("hops", "ids", "ends")
+
+    def __init__(self) -> None:
+        self.hops: List[Hop] = []
+        self.ids = array("I")
+        self.ends = array("I")
+
+    def record(self, walks: Iterable[List[Hop]]) -> Iterator[List[Hop]]:
+        """Fill an empty store with ``walks``, passing each one on."""
+        hop_ids = _HopIds()
+        hop_id = hop_ids.__getitem__
+        ids, ends = self.ids, self.ends
+        for walk in walks:
+            ids.extend(map(hop_id, walk))
+            ends.append(len(ids))
+            yield walk
+        self.hops = list(hop_ids)
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def walk(self, route: int) -> Tuple[Hop, ...]:
+        """Route ``route``'s walk, ending with the ejection hop."""
+        start = self.ends[route - 1] if route else 0
+        return tuple(map(self.hops.__getitem__, self.ids[start:self.ends[route]]))
+
+
+class _HopIds(Dict[Hop, int]):
+    """hop -> id, numbering each hop on first sight."""
+
+    def __missing__(self, hop: Hop) -> int:
+        hop_id = self[hop] = len(self)
+        return hop_id
+
+
 class Lowering:
     """Everything the certifier needs to know about one family.
 
@@ -1132,8 +1225,10 @@ class Lowering:
     :meth:`classify_hop` and three small pieces: :meth:`routes` (every
     admissible route, enumerated once), :meth:`next_hop` (its executor)
     and :meth:`legs` (a route's table leg program).  The base class
-    derives the two views the passes read: :meth:`traces` for the CDG
-    pass and the soundness harness, :meth:`cases` for the table pass.
+    walks every route through the executor once, on first use, into
+    :attr:`walks`, and derives the two views the passes read from it:
+    :meth:`traces` for the CDG pass and the soundness harness,
+    :meth:`cases` for the table pass.
     """
 
     family: str = "base"
@@ -1141,6 +1236,7 @@ class Lowering:
     #: classes call: ``(topology, router, plan, progress, dst_terminal)
     #: -> (out_port, out_vc, next_progress)``.
     next_hop: Callable[[Any, int, Any, int, int], Tuple[int, int, int]]
+    _walks: Optional[RouteWalks] = None
 
     def __init__(self, topology: Any) -> None:
         self.topology = topology
@@ -1173,32 +1269,78 @@ class Lowering:
 
     def trace(
         self, src_router: int, dst_terminal: int, plan: Any
-    ) -> List[Tuple[int, int, int]]:
+    ) -> List[Hop]:
         """One route walked through the family's executor."""
         return paths.walk_route(
             self.topology, self.next_hop, src_router, dst_terminal, plan
         )
 
-    def traces(self) -> Iterator[List[Tuple[int, int, int]]]:
+    @property
+    def walks(self) -> RouteWalks:
+        """Every route's executor walk, walked once per lowering."""
+        walks = self._walks
+        if walks is None:
+            walks = RouteWalks()
+            for _walk in self._record(walks):
+                pass
+        return walks
+
+    def traces(self) -> Iterator[List[Hop]]:
         """Every route's executor trace, in :meth:`routes` order.
 
-        Walks only: the CDG pass and the soundness harness never read
-        leg programs, and building them costs half again the walk.
+        The first complete pass walks the executor and keeps the walks
+        in :attr:`walks`; later passes read them back.  A walk that
+        raises leaves nothing kept.
         """
-        for _label, src_router, dst_terminal, plan in self.routes():
-            yield self.trace(src_router, dst_terminal, plan)
+        walks = self._walks
+        if walks is None:
+            return self._record(RouteWalks())
+        return (list(walks.walk(route)) for route in range(len(walks)))
+
+    def _record(self, walks: RouteWalks) -> Iterator[List[Hop]]:
+        yield from walks.record(
+            self.trace(src_router, dst_terminal, plan)
+            for _label, src_router, dst_terminal, plan in self.routes()
+        )
+        self._walks = walks
 
     def cases(self) -> Iterator[RouteCase]:
-        """Every route as a table leg program plus its executor trace."""
+        """Every route as a table leg program plus its stored executor
+        walk.  Raises if :meth:`routes` no longer enumerates exactly the
+        routes that were walked."""
+        walks = self.walks
+        walked = len(walks)
         terminal_router = self.topology.terminal_router
+        routes = 0
         for label, src_router, dst_terminal, plan in self.routes():
-            yield RouteCase(
-                label=label,
-                src_router=src_router,
-                dst_terminal=dst_terminal,
-                legs=self.legs(plan, terminal_router(dst_terminal)),
-                algorithmic=tuple(self.trace(src_router, dst_terminal, plan)),
+            if routes < walked:
+                yield RouteCase(
+                    label,
+                    src_router,
+                    dst_terminal,
+                    self.legs(plan, terminal_router(dst_terminal)),
+                    walks.walk(routes),
+                )
+            routes += 1
+        if routes != walked:
+            raise RuntimeError(
+                f"{self.family} lowering enumerated {routes} routes but "
+                f"walked {walked}: routes() must enumerate the same "
+                "routes every time"
             )
+
+
+def _channel_class(
+    topology: Any, router: int, port: int, vc: int
+) -> Tuple[str, int, str]:
+    """A grouped-family hop's grammar class: its channel kind and VC."""
+    channel = topology.fabric.out_channel(router, port)
+    if channel is None:
+        raise TableRouteError(
+            f"router {router} port {port} carries no network channel, so "
+            "the hop has no grammar class (an ejection hop?)"
+        )
+    return channel.kind.value, vc, ""
 
 
 class _GroupedLowering(Lowering):
@@ -1217,9 +1359,7 @@ class _GroupedLowering(Lowering):
         )
 
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        channel = self.topology.fabric.out_channel(router, port)
-        assert channel is not None
-        return channel.kind.value, vc, ""
+        return _channel_class(self.topology, router, port, vc)
 
     def routes(self) -> Iterator[Route]:
         """Minimal routes over every global channel between the two
@@ -1375,9 +1515,7 @@ class DegradedDragonflyLowering(Lowering):
         ).compose()
 
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        channel = self.topology.fabric.out_channel(router, port)
-        assert channel is not None
-        return channel.kind.value, vc, ""
+        return _channel_class(self.topology, router, port, vc)
 
     def cases(self) -> Iterator[RouteCase]:
         topology = self.topology

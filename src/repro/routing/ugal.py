@@ -172,9 +172,13 @@ class UgalG(_UgalBase):
 
     def _occupancies(self, view, topology, src_router, dst_terminal,
                      min_candidate, nm_candidate):
-        assert min_candidate.gc1 is not None and nm_candidate.gc1 is not None
         gc_min = min_candidate.gc1
         gc_nm = nm_candidate.gc1
+        if gc_min is None or gc_nm is None:
+            raise ValueError(
+                "UGAL-G compares two inter-group candidates; a candidate "
+                "without a first global channel reached _occupancies"
+            )
         return (
             view.output_occupancy(gc_min.src_router, gc_min.src_port),
             view.output_occupancy(gc_nm.src_router, gc_nm.src_port),

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import re
+import sys
+from array import array
 
 import networkx as nx
 import pytest
@@ -26,7 +28,7 @@ from repro.check.registry import (
     register,
     _EXTRA,
 )
-from repro.core.params import DragonflyParams
+from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
 from repro.routing.tables import DragonflyLowering, Lowering
 from repro.topology.dragonfly import Dragonfly
@@ -299,35 +301,108 @@ def fresh_registry():
     registry.broken_configuration.cache_clear()
 
 
+def _route_count(configuration):
+    return sum(1 for _ in configuration.family().routes())
+
+
+def _count_executor_walks(monkeypatch):
+    """Record every route walked through a family's executor."""
+    walked = []
+    original = Lowering.trace
+
+    def counting(self, src_router, dst_terminal, plan):
+        walked.append(self.family)
+        return original(self, src_router, dst_terminal, plan)
+
+    monkeypatch.setattr(Lowering, "trace", counting)
+    return walked
+
+
 class TestCertificationMemo:
     def test_cdg_then_symbolic_walk_each_configuration_once(
         self, monkeypatch, fresh_registry
     ):
-        walks = []
+        certified = []
         original = Lowering.traces
 
         def counting(self):
-            walks.append(type(self).__name__)
+            certified.append(type(self).__name__)
             return original(self)
 
-        monkeypatch.setattr(Lowering, "traces", counting)
         configurations = all_configurations()
+        routes = sum(map(_route_count, configurations))
+        control = _route_count(broken_configuration())
+        monkeypatch.setattr(Lowering, "traces", counting)
+        walked = _count_executor_walks(monkeypatch)
         run_passes(["cdg"])
-        assert len(walks) == len(configurations)
+        assert len(certified) == len(configurations)
+        assert len(walked) == routes
         # The soundness harness adds only the negative control, which
         # the cdg pass (without --demo-broken) did not certify.
         run_passes(["symbolic"])
-        assert len(walks) == len(configurations) + 1
+        assert len(certified) == len(configurations) + 1
+        assert len(walked) == routes + control
+        # The tables pass compares its table walks with the stored
+        # executor walks: not one route is walked through an executor
+        # again.
         run_passes(["cdg", "symbolic", "tables"])
-        assert len(walks) == len(configurations) + 1
+        assert len(certified) == len(configurations) + 1
+        assert len(walked) == routes + control
 
-    def test_memo_holds_only_the_certification(self):
-        configuration = default_configurations()[1]
+    def test_tables_alone_walks_each_route_once(
+        self, monkeypatch, fresh_registry
+    ):
+        configurations = all_configurations()
+        routes = sum(map(_route_count, configurations))
+        walked = _count_executor_walks(monkeypatch)
+        run_passes(["tables"])
+        assert len(walked) == routes
+
+    def test_memo_holds_the_lowering_and_its_compact_walks(self):
+        configuration = default_configurations()[0]
+        assert configuration.name.startswith("dragonfly/")  # paper-72
         certification = configuration.certification
         assert isinstance(certification, Certification)
         fields = {f.name for f in dataclasses.fields(configuration)}
-        assert set(vars(configuration)) - fields == {"certification"}
+        assert set(vars(configuration)) - fields == {"lowering", "certification"}
         assert configuration.certification is certification
+        walks = configuration.lowering.walks
+        assert configuration.lowering.walks is walks
+        assert len(walks) == certification.num_routes == 18720
+        # No per-route Python object: two flat id arrays, plus one tuple
+        # per distinct hop (a few per channel, not a few per route).
+        assert not hasattr(walks, "__dict__")
+        assert isinstance(walks.ids, array) and isinstance(walks.ends, array)
+        assert len(walks.ids) == walks.ends[-1]
+        assert len(walks.hops) == len(set(walks.hops)) < len(walks) // 10
+        size = sum(map(sys.getsizeof, (walks, walks.ids, walks.ends, walks.hops)))
+        size += sum(map(sys.getsizeof, walks.hops))
+        assert size <= 1 << 20
+
+    def test_a_failed_executor_walk_is_not_memoised(self, monkeypatch):
+        lowering = DragonflyLowering(
+            Dragonfly(DragonflyParams(p=1, a=2, h=1)), vcs.CANONICAL, True
+        )
+        original = Lowering.trace
+        failures = [1]
+
+        def failing_once(self, src_router, dst_terminal, plan):
+            if failures and dst_terminal == 1:
+                failures.pop()
+                raise TopologyError(f"route to terminal {dst_terminal} looped")
+            return original(self, src_router, dst_terminal, plan)
+
+        monkeypatch.setattr(Lowering, "trace", failing_once)
+        with pytest.raises(TopologyError, match="terminal 1"):
+            list(lowering.traces())
+        monkeypatch.setattr(Lowering, "trace", original)
+        walked = _count_executor_walks(monkeypatch)
+        routes = sum(1 for _ in lowering.routes())
+        # Nothing of the failed pass was kept: every route walks again,
+        # once, and is kept from then on.
+        assert len(lowering.walks) == routes
+        assert len(list(lowering.traces())) == routes
+        assert len(walked) == routes
 
     def test_drifted_family_under_a_registry_name_is_certified_on_its_own(
         self, monkeypatch, capsys

@@ -141,6 +141,7 @@ class TestAssertRule:
         assert len(rep005) == 1
         assert rep005[0].location == "network/simulator.py:3"
         assert "python -O" in rep005[0].message
+        assert "repro.network" in rep005[0].message
 
     def test_assert_anywhere_in_network_package_is_flagged(self, tmp_path):
         findings = lint_snippet(tmp_path, """
@@ -149,11 +150,29 @@ class TestAssertRule:
         """, name="network/parallel.py")
         assert iter_findings_by_rule(findings, "REP005")
 
-    def test_assert_outside_network_is_allowed(self, tmp_path):
+    def test_assert_in_the_certifier_is_flagged(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            def annotate(certification):
+                assert certification.cycle is not None
+        """, name="check/tables.py")
+        rep005 = iter_findings_by_rule(findings, "REP005")
+        assert [f.location for f in rep005] == ["check/tables.py:3"]
+        assert "assert in repro.check is stripped" in rep005[0].message
+
+    def test_assert_in_routing_is_flagged(self, tmp_path):
         findings = lint_snippet(tmp_path, """
             def walk(trace):
                 assert trace, "route failed to terminate"
         """, name="routing/paths.py")
+        rep005 = iter_findings_by_rule(findings, "REP005")
+        assert [f.location for f in rep005] == ["routing/paths.py:3"]
+        assert "assert in repro.routing is stripped" in rep005[0].message
+
+    def test_assert_outside_the_banned_packages_is_allowed(self, tmp_path):
+        findings = lint_snippet(tmp_path, """
+            def build(links):
+                assert links, "a group needs global links"
+        """, name="topology/dragonfly.py")
         assert not iter_findings_by_rule(findings, "REP005")
 
     def test_raise_in_network_engine_passes(self, tmp_path):

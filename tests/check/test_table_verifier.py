@@ -6,6 +6,9 @@ VC folded onto the global VC) must be refuted with a printed
 counterexample cycle, exactly as a bad controller push would be.
 """
 
+import hashlib
+import re
+
 import pytest
 
 from repro.check import registry
@@ -18,6 +21,7 @@ from repro.check.tables import (
 )
 from repro.core.params import DragonflyParams
 from repro.routing import vc_assignment as vcs
+from repro.routing.paths import dragonfly_path_grammar
 from repro.routing.tables import ClosLowering, DragonflyLowering, TableEntry
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.folded_clos import FoldedClos
@@ -93,6 +97,132 @@ class _VcMergingLowering(DragonflyLowering):
         return tables
 
 
+class _EntryDeletingLowering(DragonflyLowering):
+    """One table entry deleted: the smallest key at the smallest router."""
+
+    def compile(self):
+        tables = super().compile()
+        router = min(tables.routers)
+        key = min(tables.routers[router])
+        self.deleted = (router, key)
+        del tables.routers[router][key]
+        return tables
+
+
+class _MinimalGrammarLowering(DragonflyLowering):
+    """Valiant routes still enumerated and compiled, but the published
+    grammar drops the non-minimal route class."""
+
+    def grammar(self):
+        return dragonfly_path_grammar(self.assignment, include_nonminimal=False)
+
+
+class _TupleMetaLowering(DragonflyLowering):
+    """Compile provenance holding a tuple, which JSON turns into a list:
+    the imported tables no longer equal the exported ones."""
+
+    def compile(self):
+        tables = super().compile()
+        tables.meta["provenance"] = ("compiler", 1)
+        return tables
+
+
+class _LinkSwappingLowering(DragonflyLowering):
+    """One via-tagged entry repointed onto its sibling link's global
+    port at that link's gateway router.  Routes from that router now
+    leave over the other link: each walk is another enumerated route's
+    walk, so the tables diverge from the executor without adding a
+    single dependency."""
+
+    def compile(self):
+        tables = super().compile()
+        fabric = self.topology.fabric
+        for router in sorted(tables.routers):
+            for key in sorted(tables.routers[router]):
+                slots = tables.routers[router][key]
+                by_kind = {
+                    fabric.out_channel(router, e.out_port).kind.value: e
+                    for e in slots.values()
+                }
+                if len(slots) == 2 and set(by_kind) == {"local", "global"}:
+                    local, hop = by_kind["local"], by_kind["global"]
+                    slots[local.via] = TableEntry(
+                        hop.out_port, hop.out_vc, hop.next_vc, via=local.via
+                    )
+                    return tables
+        raise AssertionError("no gateway router with two candidate links")
+
+
+def _certify_memoised_and_fresh(lowering_type, params):
+    """Certify a sabotaged family twice: through a registry entry whose
+    lowering already walked and memoised its routes (as the cdg pass
+    leaves it), and as a fresh lowering that walks on first use.  The
+    two must report exactly the same findings, in the same order."""
+    def family():
+        return lowering_type(Dragonfly(params), vcs.CANONICAL, include_nonminimal=True)
+
+    configuration = registry.CheckConfiguration(
+        name="sabotaged", description="sabotaged tables", family=family
+    )
+    assert len(configuration.lowering.walks) == configuration.certification.num_routes
+    memoised = certify_tables(
+        "sabotaged", configuration.lowering, configuration.certification
+    )
+    fresh = certify_tables("sabotaged", family())
+    assert [(f.code, f.message) for f in memoised.findings] == [
+        (f.code, f.message) for f in fresh.findings
+    ]
+    assert memoised.cycle_description == fresh.cycle_description
+    return memoised, configuration.lowering
+
+
+NONMAX = DragonflyParams(p=1, a=2, h=2, num_groups=3)
+
+
+class TestEveryTableCodeThroughStoredWalks:
+    def test_deleted_entry_is_a_walk_failure_naming_route_and_key(self):
+        cert, lowering = _certify_memoised_and_fresh(
+            _EntryDeletingLowering, DragonflyParams(p=1, a=2, h=1)
+        )
+        router, key = lowering.deleted
+        codes = [f.code for f in cert.findings]
+        assert set(codes) == {"TBL002"}, codes
+        for finding in cert.findings:
+            assert re.fullmatch(
+                rf"table walk failed: \w+ r\d+->t\d+.*: router {router} has "
+                rf"no entry for key \({key[0]}, {key[1]}, {key[2]}\) in .*",
+                finding.message,
+            ), finding.message
+
+    def test_dropped_grammar_class_is_a_grammar_violation(self):
+        cert, _ = _certify_memoised_and_fresh(_MinimalGrammarLowering, NONMAX)
+        codes = [f.code for f in cert.findings]
+        assert set(codes) == {"TBL003"}, codes
+        assert cert.findings[0].message.startswith("grammar violation: val r")
+        assert "further grammar violations suppressed" in cert.findings[-1].message
+
+    def test_corrupted_round_trip_is_reported(self):
+        cert, _ = _certify_memoised_and_fresh(_TupleMetaLowering, NONMAX)
+        assert [(f.code, f.message) for f in cert.findings] == [(
+            "TBL004", "export -> import round trip is not structurally identical"
+        )]
+
+    def test_divergence_without_a_cycle(self):
+        cert, _ = _certify_memoised_and_fresh(_LinkSwappingLowering, NONMAX)
+        codes = [f.code for f in cert.findings]
+        assert set(codes) == {"TBL005"}, codes
+        assert "tables walked" in cert.findings[0].message
+        assert not cert.cyclic
+
+
+#: SHA-256 of the ``_VcMergingLowering`` refutation, recorded before the
+#: tables pass compared table walks with stored executor walks: its
+#: table CDG is now rebuilt from those stored walks plus the divergent
+#: table walks, and must name the same cycle with the same provenance.
+MERGED_CYCLE_SHA256 = "1d515da5782e803a340802322cdbc4a2e2d33520bfd10a98fedd54b6a43ee274"
+MERGED_FINDINGS_SHA256 = "80858409c9ad5f2137e322cbcdb5f39edb721c751fc7a50d730846160c6c3300"
+
+
 class TestSeededTableEditRefuted:
     def test_merging_vc_classes_is_refuted_with_cycle(self):
         topology = Dragonfly(DragonflyParams.paper_example_72())
@@ -106,6 +236,15 @@ class TestSeededTableEditRefuted:
         # table entries that program them.
         assert "VC" in (cert.cycle_description or "")
         assert "table provenance" in (cert.cycle_description or "")
+        digest = hashlib.sha256(cert.cycle_description.encode()).hexdigest()
+        assert digest == MERGED_CYCLE_SHA256
+        findings = "\n".join(f.code + f.message for f in cert.findings)
+        assert hashlib.sha256(findings.encode()).hexdigest() == MERGED_FINDINGS_SHA256
+
+    def test_memoised_and_fresh_lowerings_refute_alike(self):
+        _certify_memoised_and_fresh(
+            _VcMergingLowering, DragonflyParams(p=1, a=2, h=1)
+        )
 
     def test_clean_executor_certificate_is_not_reused_for_edited_tables(self):
         """The edit diverges the table walks from the executor (TBL005),

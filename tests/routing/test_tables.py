@@ -77,6 +77,19 @@ class TestForwardingTablesContainer:
         tables.add(0, (1, 2, 0), TableEntry(out_port=3, out_vc=1, via=("link", 0, 3)))
         assert tables.lookup(0, (1, 2, 0)).out_port == 3
 
+    def test_add_and_replace_drop_the_resolved_candidates(self):
+        tables = self.make()
+        first = TableEntry(out_port=4, out_vc=0, via=("link", 0, 4))
+        tables.add(0, (1, 2, 0), first)
+        assert tables.candidates(0, (1, 2, 0)) == (first,)
+        second = TableEntry(out_port=3, out_vc=0, via=("link", 0, 3))
+        tables.add(0, (1, 2, 0), second)
+        assert tables.candidates(0, (1, 2, 0)) == (second, first)  # via order
+        repaired = TableEntry(out_port=5, out_vc=0, via=("link", 0, 3))
+        tables.replace(0, (1, 2, 0), repaired)
+        assert tables.candidates(0, (1, 2, 0)) == (repaired, first)
+        assert tables.lookup(0, (1, 2, 0), {("link", 0, 3)}) == repaired
+
     def test_next_vc_threads_to_next_router(self):
         entry = TableEntry(out_port=1, out_vc=1, next_vc=0)
         assert entry.in_vc_at_next == 0
