@@ -14,49 +14,25 @@ Public API highlights:
 * :mod:`repro.experiments` -- one entry per paper table and figure.
 """
 
-from .core import DragonflyParams, TopologyError
-from .network import (
-    SimulationConfig,
-    SimulationResult,
-    Simulator,
-    SweepCache,
-    SweepExecutor,
-    load_sweep,
-    make_pattern,
-    saturation_load,
-    simulate,
-)
-from .routing import ALL_ROUTING_NAMES, make_routing
-from .topology import (
-    ChannelKind,
-    Dragonfly,
-    FlattenedButterfly,
-    FoldedClos,
-    Torus,
-    make_dragonfly,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DragonflyParams",
-    "TopologyError",
-    "SimulationConfig",
-    "SimulationResult",
-    "Simulator",
-    "SweepCache",
-    "SweepExecutor",
-    "load_sweep",
-    "make_pattern",
-    "saturation_load",
-    "simulate",
-    "ALL_ROUTING_NAMES",
-    "make_routing",
-    "ChannelKind",
-    "Dragonfly",
-    "FlattenedButterfly",
-    "FoldedClos",
-    "Torus",
-    "make_dragonfly",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.params": ("DragonflyParams", "TopologyError"),
+    ".network.config": ("SimulationConfig",),
+    ".network.stats": ("SimulationResult",),
+    ".network.simulator": ("Simulator", "simulate"),
+    ".network.cache": ("SweepCache",),
+    ".network.parallel": ("SweepExecutor",),
+    ".network.sweep": ("load_sweep", "saturation_load"),
+    ".network.traffic": ("make_pattern",),
+    ".routing": ("ALL_ROUTING_NAMES",),
+    ".routing.ugal": ("make_routing",),
+    ".topology.base": ("ChannelKind",),
+    ".topology.dragonfly": ("Dragonfly", "make_dragonfly"),
+    ".topology.flattened_butterfly": ("FlattenedButterfly",),
+    ".topology.folded_clos": ("FoldedClos",),
+    ".topology.torus": ("Torus",),
+})
+__all__.append("__version__")

@@ -1,63 +1,40 @@
 """Analytic network metrics: diameter, bisection, structure, bounds."""
 
-from .bisection import (
-    dragonfly_bisection_per_node,
-    dragonfly_group_bisection,
-    max_size_dragonfly_bisection,
-)
-from .channel_load import (
-    min_uniform_throughput,
-    min_worst_case_throughput,
-    ugal_ideal_worst_case_throughput,
-    valiant_uniform_throughput,
-    valiant_worst_case_throughput,
-)
-from .comparison import (
-    StructureSummary,
-    dragonfly_structure,
-    figure18_comparison,
-    flattened_butterfly_structure,
-)
-from .latency_model import LatencyModel
-from .path_diversity import (
-    group_fault_tolerance,
-    group_graph,
-    minimal_route_count,
-    survives_faults,
-    valiant_route_count,
-)
-from .diameter import (
-    HopCount,
-    TopologyComparison,
-    dragonfly_minimal_diameter_hops,
-    dragonfly_row,
-    flattened_butterfly_row,
-    table2,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LatencyModel",
-    "group_fault_tolerance",
-    "group_graph",
-    "minimal_route_count",
-    "survives_faults",
-    "valiant_route_count",
-    "dragonfly_bisection_per_node",
-    "dragonfly_group_bisection",
-    "max_size_dragonfly_bisection",
-    "min_uniform_throughput",
-    "min_worst_case_throughput",
-    "ugal_ideal_worst_case_throughput",
-    "valiant_uniform_throughput",
-    "valiant_worst_case_throughput",
-    "StructureSummary",
-    "dragonfly_structure",
-    "figure18_comparison",
-    "flattened_butterfly_structure",
-    "HopCount",
-    "TopologyComparison",
-    "dragonfly_minimal_diameter_hops",
-    "dragonfly_row",
-    "flattened_butterfly_row",
-    "table2",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".latency_model": ("LatencyModel",),
+    ".path_diversity": (
+        "group_fault_tolerance",
+        "group_graph",
+        "minimal_route_count",
+        "survives_faults",
+        "valiant_route_count",
+    ),
+    ".bisection": (
+        "dragonfly_bisection_per_node",
+        "dragonfly_group_bisection",
+        "max_size_dragonfly_bisection",
+    ),
+    ".channel_load": (
+        "min_uniform_throughput",
+        "min_worst_case_throughput",
+        "ugal_ideal_worst_case_throughput",
+        "valiant_uniform_throughput",
+        "valiant_worst_case_throughput",
+    ),
+    ".comparison": (
+        "StructureSummary",
+        "dragonfly_structure",
+        "figure18_comparison",
+        "flattened_butterfly_structure",
+    ),
+    ".diameter": (
+        "HopCount",
+        "TopologyComparison",
+        "dragonfly_minimal_diameter_hops",
+        "dragonfly_row",
+        "flattened_butterfly_row",
+        "table2",
+    ),
+})

@@ -22,87 +22,50 @@ See ``docs/static-analysis.md`` for usage and for how to register a new
 routing algorithm with the certifier.
 """
 
-from .cdg import (
-    Certification,
-    cdg_from_traces,
-    certify,
-    describe_cycle,
-    find_counterexample,
-)
-from .invariants import (
-    audit_dragonfly,
-    audit_fabric,
-    audit_flattened_butterfly,
-    audit_folded_clos,
-    audit_topology,
-    audit_torus,
-    default_topology_audits,
-)
-from .lint import lint_file, lint_sources, lint_tree
-from .registry import (
-    CheckConfiguration,
-    SymbolicScaleConfiguration,
-    all_configurations,
-    broken_configuration,
-    default_configurations,
-    register,
-    symbolic_scale_configurations,
-)
-from .report import CheckReport, Finding, Severity, combined_exit_code
-from .sanitizer import (
-    SanitizerError,
-    SimulatorSanitizer,
-    audit_simulator,
-    structural_findings,
-)
-from .symbolic import (
-    CrossCheck,
-    SymbolicCertification,
-    certify_grammar,
-    class_dependency_graph,
-    cross_check,
-    describe_symbolic_cycle,
-    find_symbolic_counterexample,
-    soundness_harness,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Certification",
-    "CheckConfiguration",
-    "CheckReport",
-    "CrossCheck",
-    "Finding",
-    "SanitizerError",
-    "Severity",
-    "SimulatorSanitizer",
-    "SymbolicCertification",
-    "SymbolicScaleConfiguration",
-    "all_configurations",
-    "audit_simulator",
-    "audit_dragonfly",
-    "audit_fabric",
-    "audit_flattened_butterfly",
-    "audit_folded_clos",
-    "audit_topology",
-    "audit_torus",
-    "broken_configuration",
-    "cdg_from_traces",
-    "certify",
-    "certify_grammar",
-    "class_dependency_graph",
-    "combined_exit_code",
-    "cross_check",
-    "default_configurations",
-    "default_topology_audits",
-    "describe_cycle",
-    "describe_symbolic_cycle",
-    "find_counterexample",
-    "find_symbolic_counterexample",
-    "lint_file",
-    "lint_sources",
-    "lint_tree",
-    "register",
-    "soundness_harness",
-    "structural_findings",
-    "symbolic_scale_configurations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cdg": (
+        "Certification",
+        "cdg_from_traces",
+        "certify",
+        "describe_cycle",
+        "find_counterexample",
+    ),
+    ".invariants": (
+        "audit_dragonfly",
+        "audit_fabric",
+        "audit_flattened_butterfly",
+        "audit_folded_clos",
+        "audit_topology",
+        "audit_torus",
+        "default_topology_audits",
+    ),
+    ".lint": ("lint_file", "lint_sources", "lint_tree"),
+    ".registry": (
+        "CheckConfiguration",
+        "SymbolicScaleConfiguration",
+        "all_configurations",
+        "broken_configuration",
+        "default_configurations",
+        "register",
+        "symbolic_scale_configurations",
+    ),
+    ".report": ("CheckReport", "Finding", "Severity", "combined_exit_code"),
+    ".sanitizer": (
+        "SanitizerError",
+        "SimulatorSanitizer",
+        "audit_simulator",
+        "structural_findings",
+    ),
+    ".symbolic": (
+        "CrossCheck",
+        "SymbolicCertification",
+        "certify_grammar",
+        "class_dependency_graph",
+        "cross_check",
+        "describe_symbolic_cycle",
+        "find_symbolic_counterexample",
+        "soundness_harness",
+    ),
+})

@@ -1,29 +1,20 @@
 """Parameter algebra and scaling laws of the dragonfly topology."""
 
-from .params import (
-    DragonflyParams,
-    TopologyError,
-    balanced_params_for_radix,
-    required_radix_single_hop,
-)
-from .scaling import (
-    RadixRequirementPoint,
-    ScalabilityPoint,
-    balanced_size_for_radix,
-    dragonfly_scalability_curve,
-    network_diameter_hops,
-    radix_requirement_curve,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DragonflyParams",
-    "TopologyError",
-    "balanced_params_for_radix",
-    "required_radix_single_hop",
-    "RadixRequirementPoint",
-    "ScalabilityPoint",
-    "balanced_size_for_radix",
-    "dragonfly_scalability_curve",
-    "network_diameter_hops",
-    "radix_requirement_curve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".params": (
+        "DragonflyParams",
+        "TopologyError",
+        "balanced_params_for_radix",
+        "required_radix_single_hop",
+    ),
+    ".scaling": (
+        "RadixRequirementPoint",
+        "ScalabilityPoint",
+        "balanced_size_for_radix",
+        "dragonfly_scalability_curve",
+        "network_diameter_hops",
+        "radix_requirement_curve",
+    ),
+})

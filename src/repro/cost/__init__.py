@@ -1,59 +1,33 @@
 """Technology-driven cost model (Sections 2 and 5)."""
 
-from .cables import (
-    DEFAULT_CROSSOVER_M,
-    ELECTRICAL_CABLE,
-    INTEL_CONNECTS,
-    LUXTERA_BLAZAR,
-    TABLE_1,
-    CableTechnology,
-    cable_cost,
-    cable_cost_per_gbps,
-    crossover_length_m,
-    electrical_cost_per_gbps,
-    is_optical,
-    optical_cost_per_gbps,
-)
-from .model import (
-    CableRun,
-    CostBreakdown,
-    CostConfig,
-    DragonflyCost,
-    FlattenedButterflyCost,
-    FoldedClosCost,
-    TopologyCost,
-    TorusCost,
-    cost_comparison,
-)
-from .packaging import FloorPlan, PackagingConfig
-from .power import PowerBreakdown, PowerConfig, power_breakdown, power_comparison
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CROSSOVER_M",
-    "ELECTRICAL_CABLE",
-    "INTEL_CONNECTS",
-    "LUXTERA_BLAZAR",
-    "TABLE_1",
-    "CableTechnology",
-    "cable_cost",
-    "cable_cost_per_gbps",
-    "crossover_length_m",
-    "electrical_cost_per_gbps",
-    "is_optical",
-    "optical_cost_per_gbps",
-    "CableRun",
-    "CostBreakdown",
-    "CostConfig",
-    "DragonflyCost",
-    "FlattenedButterflyCost",
-    "FoldedClosCost",
-    "TopologyCost",
-    "TorusCost",
-    "cost_comparison",
-    "FloorPlan",
-    "PackagingConfig",
-    "PowerBreakdown",
-    "PowerConfig",
-    "power_breakdown",
-    "power_comparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cables": (
+        "DEFAULT_CROSSOVER_M",
+        "ELECTRICAL_CABLE",
+        "INTEL_CONNECTS",
+        "LUXTERA_BLAZAR",
+        "TABLE_1",
+        "CableTechnology",
+        "cable_cost",
+        "cable_cost_per_gbps",
+        "crossover_length_m",
+        "electrical_cost_per_gbps",
+        "is_optical",
+        "optical_cost_per_gbps",
+    ),
+    ".model": (
+        "CableRun",
+        "CostBreakdown",
+        "CostConfig",
+        "DragonflyCost",
+        "FlattenedButterflyCost",
+        "FoldedClosCost",
+        "TopologyCost",
+        "TorusCost",
+        "cost_comparison",
+    ),
+    ".packaging": ("FloorPlan", "PackagingConfig"),
+    ".power": ("PowerBreakdown", "PowerConfig", "power_breakdown", "power_comparison"),
+})

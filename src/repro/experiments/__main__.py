@@ -16,9 +16,8 @@ import sys
 import time
 from typing import List, Optional
 
-from . import all_experiment_ids, get_experiment
 from ..settings import BACKENDS, ENV_VARS, Settings
-from .base import shared_experiment_executor
+from .base import all_experiment_ids, get_experiment, shared_experiment_executor
 
 
 def _list_experiments() -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -20,7 +21,6 @@ from ..core.params import DragonflyParams
 from ..network.cache import SweepCache
 from ..network.config import SimulationConfig
 from ..network.parallel import SchedulerOptions, SweepExecutor
-from ..service.client import ServiceExecutor
 from ..settings import Settings
 from ..topology.dragonfly import Dragonfly
 
@@ -86,7 +86,12 @@ class Experiment(abc.ABC):
         """Regenerate the figure's rows (quick = small network)."""
 
 
+#: Experiment id -> factory, filled by the ``@register`` classes of the
+#: figure modules; read it through :func:`load_registry`.
 REGISTRY: Dict[str, Callable[[], Experiment]] = {}
+
+#: The modules whose ``@register`` classes fill :data:`REGISTRY`.
+FIGURE_MODULES = ("analytic", "cost_experiments", "extensions", "fault_sweep", "routing_sim")
 
 
 def register(factory: Callable[[], Experiment]) -> Callable[[], Experiment]:
@@ -100,16 +105,25 @@ def register(factory: Callable[[], Experiment]) -> Callable[[], Experiment]:
     return factory
 
 
+def load_registry() -> Dict[str, Callable[[], Experiment]]:
+    """:data:`REGISTRY`, complete: the first call imports the figure
+    modules, so only a caller that reads the registry pays for them."""
+    for name in FIGURE_MODULES:
+        importlib.import_module(f"{__package__}.{name}")
+    return REGISTRY
+
+
 def get_experiment(experiment_id: str) -> Experiment:
-    if experiment_id not in REGISTRY:
+    registry = load_registry()
+    if experiment_id not in registry:
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(REGISTRY)}"
+            f"unknown experiment {experiment_id!r}; available: {sorted(registry)}"
         )
-    return REGISTRY[experiment_id]()
+    return registry[experiment_id]()
 
 
 def all_experiment_ids() -> List[str]:
-    return sorted(REGISTRY)
+    return sorted(load_registry())
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +175,8 @@ def executor_for(settings: Settings, figure: str = "adhoc") -> SweepExecutor:
     into every point it runs.
     """
     if settings.service_root is not None:
+        from ..service.client import ServiceExecutor
+
         return ServiceExecutor(
             settings.service_root,
             options=SchedulerOptions.from_settings(settings),

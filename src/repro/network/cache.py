@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from .config import SimulationConfig
 from .stats import SimulationResult
@@ -117,15 +117,32 @@ def unlink_all(paths: Iterable[Path]) -> int:
     return removed
 
 
+class UnreadableJSON(Exception):
+    """A file that is not readable JSON (see :func:`read_json`)."""
+
+
+def read_json(path: Path) -> Any:
+    """The JSON value stored in ``path``.
+
+    The one place that decides a file is not readable JSON: it cannot
+    be opened or read, its bytes are not UTF-8, or they do not parse.
+    Each raises :class:`UnreadableJSON` naming the file and the cause.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise UnreadableJSON(f"{path}: {type(error).__name__}: {error}") from error
+
+
 def entry_schema(path: Path) -> object:
     """The schema stamp of a point file; ``None`` when it carries none
     or cannot be read.  A record with another stamp than
     :data:`SCHEMA_VERSION` is unreachable for good: the stamp is part
     of the key its file name hashes."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+        entry = read_json(path)
+    except UnreadableJSON:
         return None
     return entry.get("schema") if isinstance(entry, dict) else None
 
@@ -139,10 +156,9 @@ def read_entry(
     (not an object, schema bump, no key, a result that
     :meth:`SimulationResult.from_dict` rejects) -- a record the caller
     may drop.  A file that cannot be read as JSON at all raises
-    ``OSError`` / ``json.JSONDecodeError``.
+    :class:`UnreadableJSON`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        entry = json.load(handle)
+    entry = read_json(path)
     if (
         not isinstance(entry, dict)
         or entry.get("schema") != SCHEMA_VERSION
@@ -206,7 +222,7 @@ class SweepCache:
         path = self._entry_path(key)
         try:
             entry = read_entry(path)
-        except (OSError, json.JSONDecodeError):
+        except UnreadableJSON:
             self.misses += 1
             return None
         if entry is None or entry[0] != key:

@@ -41,7 +41,6 @@ they never consult their inherited environment.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import pickle
 import queue as queue_module
@@ -49,12 +48,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..settings import Settings
 from .cache import SweepCache, key_digest, point_key
 from .config import SimulationConfig
 from .stats import SimulationResult
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -340,7 +342,7 @@ def _worker_main(
 
 @dataclass
 class _WorkerHandle:
-    process: multiprocessing.process.BaseProcess
+    process: BaseProcess
     task_queue: object
     last_heartbeat: float
     assigned: Optional[int] = None
@@ -573,6 +575,10 @@ class SweepScheduler:
     def _run_pool(
         self, pending: Sequence[int], notify: Callable[[JobProgress], None]
     ) -> None:
+        # Imported here, the only code that forks: a batch answered from
+        # its store, or run in-process, never loads it.
+        import multiprocessing
+
         options = self.options
         progress = self.progress
         ctx = multiprocessing.get_context()

@@ -1,68 +1,6 @@
 """Routing algorithms for the dragonfly (Section 4)."""
 
-from . import vc_assignment
-from .base import CongestionView, RoutingAlgorithm, ZeroCongestion
-from .fb_paths import (
-    FbRoutePlan,
-    fb_minimal_plan,
-    fb_next_hop,
-    fb_plan_hops,
-    fb_valiant_plan,
-)
-from .clos_routing import (
-    ClosDeterministicRouting,
-    ClosRandomRouting,
-    ClosRoutePlan,
-    clos_plan,
-    make_clos_routing,
-)
-from .fb_routing import FbMinimalRouting, FbUgalL, FbValiantRouting, make_fb_routing
-from .torus_routing import (
-    TorusMinimalRouting,
-    TorusRoutePlan,
-    TorusValiantRouting,
-    make_torus_routing,
-    torus_minimal_plan,
-    torus_next_hop,
-    torus_valiant_plan,
-)
-from .minimal import MinimalRouting
-from .paths import minimal_plan, next_hop, plan_hops, valiant_plan, walk_route
-from .tables import (
-    ClosLowering,
-    DegradedDragonflyLowering,
-    DragonflyLowering,
-    FbLowering,
-    ForwardingTables,
-    Leg,
-    Lowering,
-    TableCompileError,
-    TableDrivenRouting,
-    TableEntry,
-    TableRouteError,
-    TorusLowering,
-    VariantLowering,
-    compile_clos_tables,
-    compile_dragonfly_tables,
-    compile_fb_tables,
-    compile_torus_tables,
-    compile_variant_tables,
-    table_walk_route,
-)
-from .ugal import UgalG, UgalL, UgalLCr, UgalLVc, UgalLVcH, make_routing
-from .valiant import ValiantRouting
-from .variant_paths import (
-    variant_minimal_plan,
-    variant_next_hop,
-    variant_plan_hops,
-    variant_valiant_plan,
-)
-from .variant_routing import (
-    VariantMinimalRouting,
-    VariantUgalL,
-    VariantValiantRouting,
-    make_variant_routing,
-)
+from .._lazy import lazy_exports
 
 #: Every algorithm the paper evaluates, in presentation order.
 ALL_ROUTING_NAMES = [
@@ -75,71 +13,69 @@ ALL_ROUTING_NAMES = [
     "UGAL-L_CR",
 ]
 
-__all__ = [
-    "vc_assignment",
-    "FbRoutePlan",
-    "fb_minimal_plan",
-    "fb_next_hop",
-    "fb_plan_hops",
-    "fb_valiant_plan",
-    "ClosDeterministicRouting",
-    "ClosRandomRouting",
-    "ClosRoutePlan",
-    "clos_plan",
-    "make_clos_routing",
-    "FbMinimalRouting",
-    "FbUgalL",
-    "FbValiantRouting",
-    "make_fb_routing",
-    "TorusMinimalRouting",
-    "TorusRoutePlan",
-    "TorusValiantRouting",
-    "make_torus_routing",
-    "torus_minimal_plan",
-    "torus_next_hop",
-    "torus_valiant_plan",
-    "CongestionView",
-    "RoutingAlgorithm",
-    "ZeroCongestion",
-    "MinimalRouting",
-    "minimal_plan",
-    "next_hop",
-    "plan_hops",
-    "valiant_plan",
-    "walk_route",
-    "UgalG",
-    "UgalL",
-    "UgalLCr",
-    "UgalLVc",
-    "UgalLVcH",
-    "make_routing",
-    "ValiantRouting",
-    "ClosLowering",
-    "DegradedDragonflyLowering",
-    "DragonflyLowering",
-    "FbLowering",
-    "ForwardingTables",
-    "Leg",
-    "Lowering",
-    "TableCompileError",
-    "TableDrivenRouting",
-    "TableEntry",
-    "TableRouteError",
-    "TorusLowering",
-    "VariantLowering",
-    "compile_clos_tables",
-    "compile_dragonfly_tables",
-    "compile_fb_tables",
-    "compile_torus_tables",
-    "compile_variant_tables",
-    "table_walk_route",
-    "variant_minimal_plan",
-    "variant_next_hop",
-    "variant_plan_hops",
-    "variant_valiant_plan",
-    "VariantMinimalRouting",
-    "VariantUgalL",
-    "VariantValiantRouting",
-    "make_variant_routing",
-    "ALL_ROUTING_NAMES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".vc_assignment": ("vc_assignment",),
+    ".fb_paths": (
+        "FbRoutePlan",
+        "fb_minimal_plan",
+        "fb_next_hop",
+        "fb_plan_hops",
+        "fb_valiant_plan",
+    ),
+    ".clos_routing": (
+        "ClosDeterministicRouting",
+        "ClosRandomRouting",
+        "ClosRoutePlan",
+        "clos_plan",
+        "make_clos_routing",
+    ),
+    ".fb_routing": ("FbMinimalRouting", "FbUgalL", "FbValiantRouting", "make_fb_routing"),
+    ".torus_routing": (
+        "TorusMinimalRouting",
+        "TorusRoutePlan",
+        "TorusValiantRouting",
+        "make_torus_routing",
+        "torus_minimal_plan",
+        "torus_next_hop",
+        "torus_valiant_plan",
+    ),
+    ".base": ("CongestionView", "RoutingAlgorithm", "ZeroCongestion"),
+    ".minimal": ("MinimalRouting",),
+    ".paths": ("minimal_plan", "next_hop", "plan_hops", "valiant_plan", "walk_route"),
+    ".ugal": ("UgalG", "UgalL", "UgalLCr", "UgalLVc", "UgalLVcH", "make_routing"),
+    ".valiant": ("ValiantRouting",),
+    ".tables": (
+        "ClosLowering",
+        "DegradedDragonflyLowering",
+        "DragonflyLowering",
+        "FbLowering",
+        "ForwardingTables",
+        "Leg",
+        "Lowering",
+        "TableCompileError",
+        "TableDrivenRouting",
+        "TableEntry",
+        "TableRouteError",
+        "TorusLowering",
+        "VariantLowering",
+        "compile_clos_tables",
+        "compile_dragonfly_tables",
+        "compile_fb_tables",
+        "compile_torus_tables",
+        "compile_variant_tables",
+        "table_walk_route",
+    ),
+    ".variant_paths": (
+        "variant_minimal_plan",
+        "variant_next_hop",
+        "variant_plan_hops",
+        "variant_valiant_plan",
+    ),
+    ".variant_routing": (
+        "VariantMinimalRouting",
+        "VariantUgalL",
+        "VariantValiantRouting",
+        "make_variant_routing",
+    ),
+})
+__all__.append("ALL_ROUTING_NAMES")

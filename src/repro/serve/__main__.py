@@ -22,8 +22,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..experiments import manifests_for_figure
+from ..experiments.routing_sim import manifests_for_figure
+from ..network.cache import UnreadableJSON, read_json
 from ..network.parallel import JobProgress, SchedulerOptions
+from ..service.journal import JournalCorruptError
 from ..service.manifest import SweepManifest
 from ..service.scheduler import run_manifest
 from ..service.status import (
@@ -68,9 +70,9 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
     loads = _parse_loads(args.loads)
     if args.manifest:
         try:
-            data = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(f"error: cannot read manifest {args.manifest}: {error}")
+            data = read_json(Path(args.manifest))
+        except UnreadableJSON as error:
+            raise SystemExit(f"error: cannot read manifest {error}")
         try:
             manifest = SweepManifest.from_dict(data)
             if loads is not None:
@@ -117,9 +119,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     flush=True,
                 )
 
-        report = run_manifest(
-            root, manifest, options, on_progress=show, settings=args.settings
-        )
+        try:
+            report = run_manifest(
+                root, manifest, options, on_progress=show, settings=args.settings
+            )
+        except JournalCorruptError as error:
+            raise SystemExit(f"error: cannot resume {manifest.job_id}: {error}")
         if live:
             print(file=sys.stderr)
         summary = {

@@ -35,18 +35,11 @@ The CLI front end lives in :mod:`repro.serve` (``python -m repro.serve
 submit|status|query|gc``).  See ``docs/sweeps.md``.
 """
 
-from ..network.parallel import SchedulerOptions, ServiceError
-from .client import ServiceExecutor
-from .manifest import MANIFEST_SCHEMA_VERSION, SweepManifest, TopologySpec
-from .store import ResultStore, StoredPoint
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MANIFEST_SCHEMA_VERSION",
-    "ResultStore",
-    "SchedulerOptions",
-    "ServiceError",
-    "ServiceExecutor",
-    "StoredPoint",
-    "SweepManifest",
-    "TopologySpec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..network.parallel": ("SchedulerOptions", "ServiceError"),
+    ".client": ("ServiceExecutor",),
+    ".manifest": ("MANIFEST_SCHEMA_VERSION", "SweepManifest", "TopologySpec"),
+    ".store": ("ResultStore", "StoredPoint"),
+})

@@ -8,10 +8,13 @@ each unit burned, and any serial-fallback diagnostics -- everything the
 scheduler needs to resume without recomputing completed points and
 everything the ``status`` verb needs to narrate a job.
 
-A truncated final line (the crash landed mid-write) is ignored; every
-earlier line was durable before the corresponding state change was
-acted on (results are stored *before* their ``done`` event, so a
-journaled-complete unit always has its point record).
+A truncated final line (the crash landed mid-write) is ignored, and the
+next append cuts it off; every earlier line was durable before the
+corresponding state change was acted on (results are stored *before*
+their ``done`` event, so a journaled-complete unit always has its point
+record).  A crash cannot garble a line that others follow, so such a
+line raises :class:`JournalCorruptError` instead of silently dropping
+every later event.
 """
 
 from __future__ import annotations
@@ -46,11 +49,18 @@ class JournalState:
         return any(e.get("event") == "complete" for e in self.events)
 
 
+class JournalCorruptError(ValueError):
+    """A journal line that is not a JSON event, with more lines after it."""
+
+
 class Journal:
     """Durable event log of one sweep job."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        #: Byte offset of a torn final line :meth:`replay` found; the
+        #: next :meth:`append` truncates the file there.
+        self._torn_at: Optional[int] = None
 
     def append(self, event: Dict[str, object]) -> None:
         """Durably append one event (timestamped, fsync'd)."""
@@ -59,26 +69,43 @@ class Journal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record, sort_keys=True)
         with open(self.path, "a", encoding="utf-8") as handle:
+            if self._torn_at is not None:
+                # Written after it, the torn line would garble this one.
+                handle.truncate(self._torn_at)
+                self._torn_at = None
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
 
     def replay(self) -> JournalState:
-        """Fold the journal (if any) into the job's durable state."""
+        """Fold the journal (if any) into the job's durable state.
+
+        Raises :class:`JournalCorruptError` naming the file and the
+        1-based line number when a line that is not a JSON event has
+        more lines after it.
+        """
         state = JournalState()
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return state
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        lines = data.split(b"\n")
+        offset = 0
+        for number, raw in enumerate(lines, start=1):
+            start, offset = offset, offset + len(raw) + 1
+            if not raw.strip():
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                # A crash mid-append leaves at most one truncated final
-                # line; everything after it cannot exist.
+                event = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                following = sum(1 for rest in lines[number:] if rest.strip())
+                if following:
+                    raise JournalCorruptError(
+                        f"{self.path}: line {number} is not a JSON event "
+                        f"and {following} more lines follow it"
+                    ) from None
+                # A crash mid-append leaves at most one torn final line.
+                self._torn_at = start
                 break
             if not isinstance(event, dict):
                 continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .journal import Journal
+from .journal import Journal, JournalCorruptError, JournalState
 from .manifest import SweepManifest
 from .store import ResultStore, StoredPoint
 
@@ -83,7 +83,10 @@ def job_statuses(root: Union[str, Path]) -> List[JobStatus]:
         damaged: Optional[str] = None
         manifest_path = job_dir / "manifest.json"
         journal_path = job_dir / "journal.jsonl"
-        state = Journal(journal_path).replay()
+        try:
+            state = Journal(journal_path).replay()
+        except JournalCorruptError as error:
+            state, damaged = JournalState(), str(error)
         declared = [e for e in state.events if e.get("event") == "job"]
         damaged_file = journal_path
         try:

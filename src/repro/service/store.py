@@ -25,7 +25,6 @@ loads lazily from its record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +33,11 @@ from typing import Callable, Dict, List, Optional, Union
 from ..network.cache import (
     SCHEMA_VERSION,
     SweepCache,
+    UnreadableJSON,
     entry_schema,
     key_digest,
     read_entry,
+    read_json,
     unlink_all,
     write_json_atomic,
 )
@@ -259,7 +260,7 @@ class ResultStore:
         for path in sorted(self.points_dir.glob("*.json")):
             try:
                 entry = read_entry(path)
-            except (OSError, json.JSONDecodeError):
+            except UnreadableJSON:
                 entry = None
             if entry is None or key_digest(entry[0]) != path.stem:
                 corrupt += 1
@@ -362,8 +363,8 @@ class ResultStore:
         if self._index is not None:
             return self._index
         try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            data = read_json(self.index_path)
+        except UnreadableJSON:
             self._index = {}
             return self._index
         if (

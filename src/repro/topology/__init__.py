@@ -1,27 +1,13 @@
 """Topology builders: dragonfly and the paper's comparison baselines."""
 
-from .base import Channel, ChannelKind, Fabric, PortRef, Terminal
-from .dragonfly import Dragonfly, GlobalLink, make_dragonfly
-from .flattened_butterfly import FlattenedButterfly
-from .folded_clos import FoldedClos, levels_required
-from .group_variants import FlattenedButterflyGroupDragonfly
-from .slicing import ChannelSlicedDragonfly, tapered_dragonfly
-from .torus import Torus
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelKind",
-    "Fabric",
-    "PortRef",
-    "Terminal",
-    "Dragonfly",
-    "GlobalLink",
-    "make_dragonfly",
-    "FlattenedButterfly",
-    "FoldedClos",
-    "levels_required",
-    "FlattenedButterflyGroupDragonfly",
-    "ChannelSlicedDragonfly",
-    "tapered_dragonfly",
-    "Torus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Channel", "ChannelKind", "Fabric", "PortRef", "Terminal"),
+    ".dragonfly": ("Dragonfly", "GlobalLink", "make_dragonfly"),
+    ".flattened_butterfly": ("FlattenedButterfly",),
+    ".folded_clos": ("FoldedClos", "levels_required"),
+    ".group_variants": ("FlattenedButterflyGroupDragonfly",),
+    ".slicing": ("ChannelSlicedDragonfly", "tapered_dragonfly"),
+    ".torus": ("Torus",),
+})

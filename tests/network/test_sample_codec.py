@@ -11,8 +11,6 @@ import base64
 import json
 import pickle
 import random
-import subprocess
-import sys
 import zlib
 from pathlib import Path
 
@@ -20,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.network.cache import SCHEMA_VERSION, SweepCache, key_digest
 from repro.network.stats import LatencySample, LatencySamples, SimulationResult
 from repro.service.store import ResultStore
@@ -277,24 +274,3 @@ class TestSchemaOneRecords:
         assert not path.exists()
         assert store.gc()["stale_removed"] == 0
 
-
-# ----------------------------------------------------------------------
-# numpy stays off the scalar path
-# ----------------------------------------------------------------------
-def test_scalar_and_cache_path_never_imports_numpy():
-    """``import numpy`` costs ~135 ms, a quarter more set-up for every
-    scalar sweep, cache read and service client: the sample columns are
-    stdlib ``array``/``bytearray`` for that reason."""
-    script = (
-        "import sys\n"
-        "import repro.network.cache, repro.network.parallel\n"
-        "import repro.network.simulator, repro.service\n"
-        "sys.exit('numpy imported' if 'numpy' in sys.modules else 0)\n"
-    )
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": src, "PATH": ""},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr

@@ -169,6 +169,16 @@ class TestCacheInvalidation:
         assert cache.invalidations == int(invalidated)
         assert path.exists() != invalidated
 
+    def test_non_utf8_file_is_a_miss(self, df, config, tmp_path):
+        """Not a crash: the file is unreadable, so it is left in place."""
+        cache = SweepCache(tmp_path)
+        key = point_key(df, "MIN", "uniform_random", config)
+        path = tmp_path / f"{key_digest(key)}.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        assert cache.get(key) is None
+        assert (cache.misses, cache.invalidations) == (1, 0)
+        assert path.exists()
+
     def test_clear_and_len(self, df, config, tmp_path):
         cache = SweepCache(tmp_path)
         executor = SweepExecutor(cache=cache)

@@ -2,8 +2,6 @@
 
 import dataclasses
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -125,16 +123,3 @@ class TestSweepManifest:
         with pytest.raises(ValueError, match="unknown traffic pattern 'nope'; choose from"):
             dataclasses.replace(tiny_manifest, patterns=("uniform_random", "nope"))
 
-
-class TestLayering:
-    def test_service_does_not_import_the_experiments(self):
-        """A figure's grid is declared in ``repro.experiments``; the
-        service runs manifests and knows no figure."""
-        code = (
-            "import sys, repro.service, repro.service.scheduler, repro.service.status\n"
-            "loaded = [m for m in sys.modules if m.startswith('repro.experiments')]\n"
-            "assert not loaded, loaded\n"
-            "assert 'manifests_for_figure' not in repro.service.__all__\n"
-            "assert not hasattr(repro.service.manifest, 'manifests_for_figure')"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.parallel import SchedulerOptions, ServiceError, _run_spec
-from repro.service.journal import Journal
+from repro.service.journal import Journal, JournalCorruptError
 from repro.service.scheduler import job_scheduler, run_manifest
 from repro.service.store import ResultStore
 
@@ -325,6 +325,31 @@ class TestJournalReplay:
         state = journal.replay()
         assert set(state.done) == {"aaa"}
         assert not state.complete
+
+    def test_garbled_middle_line_is_a_named_error(self, tmp_path):
+        """Events after a garbled line used to vanish silently."""
+        journal = Journal(tmp_path / "journal.jsonl")
+        journal.append({"event": "start", "unit": "aaa", "attempt": 1})
+        with open(journal.path, "ab") as handle:
+            handle.write(b'{"event": "do\xff\n')
+        journal.append({"event": "done", "unit": "aaa", "elapsed": 0.5})
+        with pytest.raises(JournalCorruptError) as raised:
+            journal.replay()
+        assert str(raised.value).startswith(f"{journal.path}: line 2 ")
+
+    def test_torn_final_line_is_cut_before_the_next_append(self, tmp_path):
+        """A resumed job appends after a crash's torn line without
+        garbling its own first event."""
+        journal = Journal(tmp_path / "journal.jsonl")
+        journal.append({"event": "start", "unit": "aaa", "attempt": 1})
+        with open(journal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "done", "unit": "aaa", "ela')
+        resumed = Journal(journal.path)
+        assert not resumed.replay().done
+        resumed.append({"event": "done", "unit": "aaa", "elapsed": 0.5})
+        state = Journal(journal.path).replay()
+        assert set(state.done) == {"aaa"}
+        assert [e["event"] for e in state.events] == ["start", "done"]
 
     def test_missing_journal_is_empty_state(self, tmp_path):
         state = Journal(tmp_path / "missing.jsonl").replay()

@@ -108,6 +108,12 @@ class TestSubmit:
             run_cli("--root", str(root), "submit", "--manifest", str(path))
         assert not (root / "jobs").exists()
 
+    def test_non_utf8_manifest_file_is_one_error_line(self, root, tmp_path):
+        path = tmp_path / "garbled.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(SystemExit, match=f"error: cannot read manifest {path}: "):
+            run_cli("--root", str(root), "submit", "--manifest", str(path))
+
     def test_out_of_range_load_override_is_a_bad_manifest(self, root, manifest_file):
         with pytest.raises(SystemExit, match="error: bad manifest .*got 1.5"):
             run_cli(
@@ -272,6 +278,40 @@ class TestStatusOnDamagedJobs:
         out = capsys.readouterr().out
         assert "corrupt" in out
         assert str(journal) in out
+
+    @pytest.fixture()
+    def garbled(self, job_dir):
+        """The job's journal with its second line garbled."""
+        journal = job_dir / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff garbled\n"
+        journal.write_bytes(b"".join(lines))
+        return journal
+
+    def test_garbled_journal_line_is_listed_as_corrupt(self, root, garbled, capsys):
+        assert run_cli("--root", str(root), "status", "--json") == 0
+        (job,) = json.loads(capsys.readouterr().out)["jobs"]
+        assert job["state"] == "corrupt"
+        assert job["damaged"].startswith(f"{garbled}: line 2 ")
+        assert job["figure"] == "figtest", "the manifest still names the job"
+
+    def test_resuming_a_garbled_journal_is_one_error_line(
+        self, root, garbled, manifest_file, monkeypatch
+    ):
+        import repro.network.sweep as sweep
+
+        def explode(*args, **kwargs):
+            raise AssertionError("a corrupt journal must not be recomputed")
+
+        monkeypatch.setattr(sweep, "run_point", explode)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(
+                "--root", str(root), "submit",
+                "--manifest", str(manifest_file), "--no-progress",
+            )
+        (line,) = str(exit_info.value.code).splitlines()
+        assert line.startswith("error: cannot resume ")
+        assert f"{garbled}: line 2 " in line
 
 
 class TestQueryBackendFilter:

@@ -7,6 +7,9 @@ import pytest
 from repro.network.parallel import _run_spec
 from repro.service.store import ResultStore
 
+#: A point or index file whose bytes are not UTF-8.
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
 
 @pytest.fixture()
 def populated(tmp_path, tiny_manifest):
@@ -199,6 +202,26 @@ class TestMaintenance:
         counts = store.gc()
         assert counts["corrupt"] == 1
         assert counts["indexed"] == len(units) - 1
+
+    def test_non_utf8_record_is_corrupt_and_left_in_place(self, populated):
+        """Bytes that are not UTF-8 used to crash ``reindex``/``gc`` with
+        UnicodeDecodeError."""
+        store, _, units = populated
+        victim = store.points_dir / f"{units[0].digest}.json"
+        victim.write_bytes(NOT_UTF8)
+        assert store.reindex()["corrupt"] == 1
+        counts = store.gc()
+        assert counts["corrupt"] == 1
+        assert counts["indexed"] == len(units) - 1
+        assert victim.read_bytes() == NOT_UTF8
+
+    def test_non_utf8_index_is_rebuilt(self, populated, tmp_path):
+        store, _, units = populated
+        store.index_path.write_bytes(NOT_UTF8)
+        fresh = ResultStore(tmp_path / "store")
+        assert len(fresh) == 0
+        assert fresh.reindex()["indexed"] == len(units)
+        assert len(ResultStore(tmp_path / "store")) == len(units)
 
     @pytest.mark.parametrize("payload", ["[]", "null", "3", '"x"', "{}"])
     def test_gc_counts_non_entry_json_as_corrupt(self, populated, payload):

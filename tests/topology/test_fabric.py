@@ -1,12 +1,7 @@
 """Tests for the shared Fabric wiring representation."""
 
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.topology.base import ChannelKind, Fabric, PortRef
 
 
@@ -128,24 +123,3 @@ class TestGraphExport:
     def test_validate_passes_on_connected(self):
         two_router_fabric().validate()
 
-
-def test_building_and_configuring_topologies_never_imports_networkx():
-    """``import networkx`` is ~95 ms of set-up: sweeps, the service and
-    the paper-scale runs build and validate fabrics without it."""
-    script = (
-        "import sys, repro, repro.experiments.base\n"
-        "from repro.experiments.base import experiment_topology\n"
-        "from repro.topology.dragonfly import Dragonfly\n"
-        "from repro.core.params import DragonflyParams\n"
-        "experiment_topology(quick=True)\n"
-        "Dragonfly(DragonflyParams.paper_1k())\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'networkx']\n"
-        "sys.exit(f'networkx imported: {loaded[:3]}' if loaded else 0)\n"
-    )
-    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={"PYTHONPATH": src, "PATH": ""},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
