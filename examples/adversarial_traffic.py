@@ -16,15 +16,12 @@ Reproduces the paper's central routing story on the worst-case pattern
 Run:  python examples/adversarial_traffic.py
 """
 
-import math
-
 from repro import SimulationConfig, make_dragonfly, make_routing
 from repro.analysis.channel_load import (
     min_worst_case_throughput,
     valiant_worst_case_throughput,
 )
 from repro.network.sweep import run_point
-from repro.viz import line_chart
 
 
 def main() -> None:
@@ -45,7 +42,6 @@ def main() -> None:
     print("average latency (cycles) under worst-case traffic; '-' = saturated")
     print(header)
     print("-" * len(header))
-    series = {name: [] for name in algorithms}
     for load in loads:
         config = SimulationConfig(
             load=load,
@@ -56,19 +52,11 @@ def main() -> None:
         cells = []
         for name in algorithms:
             result = run_point(topology, make_routing(name), "worst_case", config)
-            latency = math.inf if result.saturated else result.avg_latency
-            series[name].append((load, latency))
-            cells.append(f"{'-':>10}" if result.saturated else f"{latency:>10.2f}")
+            cells.append(
+                f"{'-':>10}" if result.saturated else f"{result.avg_latency:>10.2f}"
+            )
         print(f"{load:>6.2f} | " + " | ".join(cells))
 
-    print()
-    print(line_chart(
-        {name: series[name] for name in ("UGAL-L", "UGAL-L_CR", "UGAL-G")},
-        title="the paper's Figure 16(a) shape: intermediate-load latency",
-        x_label="offered load",
-        y_label="avg latency (cycles)",
-        y_max=40,
-    ))
 
     print()
     print("Reading the table (paper Figure 8b / 16a): MIN saturates at")

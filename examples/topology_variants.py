@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Topology variants of Section 3.2: group networks, slicing, tapering.
+"""Topology variants of Section 3.2: group networks and tapering.
 
-Shows three ways the dragonfly bends to packaging and bandwidth needs:
+Shows two ways the dragonfly bends to packaging and bandwidth needs:
 
 1. Figure 6(b): replace the complete intra-group graph with a 3-D
    flattened butterfly to *double* the effective radix of the same
    physical router -- then simulate it.
-2. Channel slicing: parallel network copies multiply terminal bandwidth
-   without raising router radix.
-3. Bandwidth tapering: drop inter-group channels when uniform global
+2. Bandwidth tapering: drop inter-group channels when uniform global
    bandwidth is not needed, trading bisection for cable cost.
 
 Run:  python examples/topology_variants.py
@@ -18,12 +16,7 @@ from repro import DragonflyParams, SimulationConfig, make_dragonfly
 from repro.analysis.bisection import dragonfly_group_bisection
 from repro.network import Simulator, make_pattern
 from repro.routing import make_variant_routing
-from repro.topology import (
-    ChannelKind,
-    ChannelSlicedDragonfly,
-    FlattenedButterflyGroupDragonfly,
-    tapered_dragonfly,
-)
+from repro.topology import ChannelKind, Dragonfly, FlattenedButterflyGroupDragonfly
 
 
 def show_cube_groups() -> None:
@@ -46,23 +39,11 @@ def show_cube_groups() -> None:
     print()
 
 
-def show_channel_slicing() -> None:
-    print("2. Channel slicing: parallel copies for terminal bandwidth")
-    params = DragonflyParams(p=2, a=4, h=2)
-    for slices in (1, 2, 4):
-        sliced = ChannelSlicedDragonfly(params, num_slices=slices)
-        print(
-            f"   {slices} slice(s): {sliced.total_cables():4d} cables, "
-            f"terminal bandwidth x{sliced.terminal_bandwidth_multiplier}"
-        )
-    print()
-
-
 def show_tapering() -> None:
-    print("3. Bandwidth tapering (non-maximal dragonfly, 5 of 9 groups)")
+    print("2. Bandwidth tapering (non-maximal dragonfly, 5 of 9 groups)")
     params = DragonflyParams(p=2, a=4, h=2, num_groups=5)
     for cap in (2, 1):
-        topology = tapered_dragonfly(params, max_channels_per_pair=cap)
+        topology = Dragonfly(params, max_channels_per_pair=cap)
         cables = topology.fabric.num_cables(ChannelKind.GLOBAL)
         bisection = dragonfly_group_bisection(topology)
         print(
@@ -75,7 +56,6 @@ def show_tapering() -> None:
 
 def main() -> None:
     show_cube_groups()
-    show_channel_slicing()
     show_tapering()
 
 

@@ -4,13 +4,6 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".latency_model": ("LatencyModel",),
-    ".path_diversity": (
-        "group_fault_tolerance",
-        "group_graph",
-        "minimal_route_count",
-        "survives_faults",
-        "valiant_route_count",
-    ),
     ".bisection": (
         "dragonfly_bisection_per_node",
         "dragonfly_group_bisection",

@@ -49,7 +49,9 @@ class SimulationConfig:
     #: this many packets at cycle 0 and the run ends when all of them
     #: have been delivered (completion time = ``total_cycles``).  The
     #: warm-up/measurement windows are ignored; ``drain_max_cycles``
-    #: still bounds the run.  Used by :mod:`repro.network.workloads`.
+    #: still bounds the run.  The differential corpus's ``bulk`` and
+    #: ``waves-bulk`` blocks use it to keep every source queue full
+    #: from cycle 0.
     packets_per_terminal: Optional[int] = None
     #: Gain applied to the credit-delay backpressure of UGAL-L_CR:
     #: credits are delayed by ``gain * (t_d(O) - min_o t_d(o))``.  Gain 1

@@ -60,33 +60,6 @@ if TYPE_CHECKING:
 
 _LOGGER = logging.getLogger(__name__)
 
-#: 64-bit splitmix constants for :func:`derive_seed`.
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Deterministic, well-separated per-point seed.
-
-    A splitmix64 finalisation of ``base_seed + index`` -- stable across
-    Python versions, processes and platforms (unlike ``hash``), and free
-    of the correlated-stream risk of handing consecutive integers to
-    ``random.Random``.  The result is folded into 63 bits so it is a
-    portable non-negative seed.
-    """
-    z = (base_seed + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & (_MASK64 >> 1)
-
-
-def derive_seeds(base_seed: int, runs: int) -> List[int]:
-    """``runs`` distinct replication seeds derived from ``base_seed``."""
-    if runs < 1:
-        raise ValueError("need at least one run")
-    return [derive_seed(base_seed, index) for index in range(runs)]
-
-
 @dataclass(frozen=True)
 class PointSpec:
     """One simulation point: routing + pattern + full configuration.

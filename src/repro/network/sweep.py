@@ -109,8 +109,18 @@ def saturation_load(
     load is ever simulated twice, and routed through ``executor`` so an
     attached :class:`~repro.network.parallel.SweepCache` lets repeated
     bisections (tighter tolerance, different brackets, figure re-runs)
-    reuse every previously probed load.
+    reuse every previously probed load.  The bracket must satisfy
+    ``0 < low < high <= 1`` and ``tolerance`` must be positive, or the
+    bisection could never close.
     """
+    if not 0 < low < high <= 1:
+        raise ValueError(f"need 0 < low < high <= 1, got low={low}, high={high}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < accepted_fraction <= 1:
+        raise ValueError(
+            f"accepted_fraction must be in (0, 1], got {accepted_fraction}"
+        )
     executor = executor or SweepExecutor()
     probes: Dict[float, bool] = {}
 

@@ -4,9 +4,9 @@
 interface (``run_point``/``run_points``/``stats``) and runs the same
 execution core, configured as a service job: every batch is journaled
 under ``<root>/jobs/`` and its points land in the indexed result store.
-That buys every caller -- ``load_sweep``, ``saturation_load``,
-``replicate``, the ``repro.experiments`` figure runners, the benchmarks
--- resumable, queryable sweeps with no code changes.
+That buys every caller -- ``load_sweep``, ``saturation_load``, the
+``repro.experiments`` figure runners, the benchmarks -- resumable,
+queryable sweeps with no code changes.
 
 Setting ``REPRO_SWEEP_SERVICE`` to a service root directory makes
 :func:`repro.experiments.base.experiment_executor` return one of these,

@@ -8,6 +8,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".flattened_butterfly": ("FlattenedButterfly",),
     ".folded_clos": ("FoldedClos", "levels_required"),
     ".group_variants": ("FlattenedButterflyGroupDragonfly",),
-    ".slicing": ("ChannelSlicedDragonfly", "tapered_dragonfly"),
     ".torus": ("Torus",),
 })

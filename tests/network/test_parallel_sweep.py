@@ -7,8 +7,8 @@ a worker pool, as a journaled service job -- changes wall-clock time
 and nothing else.  These tests pin the equivalence over the three
 configurations (the CI workflow re-runs the equivalence class with
 ``REPRO_SWEEP_WORKERS=2``), the ordered reassembly, the serial
-fallback and its diagnostics, the pool's fault tolerance without a
-journal, and the deterministic seed derivation.
+fallback and its diagnostics, and the pool's fault tolerance without a
+journal.
 """
 
 import dataclasses
@@ -29,13 +29,9 @@ from repro.network.parallel import (
     SweepExecutor,
     SweepScheduler,
     _run_spec,
-    derive_seed,
-    derive_seeds,
     work_units,
 )
-from repro.network.replication import replicate
 from repro.network.sweep import load_sweep
-from repro.routing.ugal import make_routing
 from repro.service import ServiceExecutor
 from repro.settings import Settings
 from repro.topology.dragonfly import Dragonfly
@@ -88,14 +84,23 @@ class TestParallelSerialEquivalence:
     LOADS = (0.1, 0.2, 0.3, 0.4)
 
     def test_matches_serial(self, df, config, make_executor):
-        """The acceptance-criterion equivalence: 4 workers, same bits."""
+        """The acceptance-criterion equivalence: 4 workers, same bits,
+        whether the points differ in load or only in seed."""
+        executor = make_executor(4)
         points = load_sweep(
             df, "UGAL-L", "uniform_random", self.LOADS, config,
-            executor=make_executor(4),
+            executor=executor,
         )
         assert point_dicts(points) == serial_reference(
             df, "UGAL-L", "uniform_random", self.LOADS, config
         )
+        seeded = [
+            PointSpec("MIN", "uniform_random", dataclasses.replace(config, seed=seed))
+            for seed in (1, 2, 3)
+        ]
+        assert [r.to_dict() for r in executor.run_points(df, seeded)] == [
+            _run_spec(df, spec).to_dict() for spec in seeded
+        ]
 
     def test_matches_serial_adversarial(self, df, config, make_executor):
         points = load_sweep(
@@ -125,19 +130,6 @@ class TestParallelSerialEquivalence:
         assert point_dicts(from_env) == serial_reference(
             df, "MIN", "uniform_random", self.LOADS, config
         )
-
-    def test_replicate_executor_matches_serial(self, df, config, make_executor):
-        serial = replicate(
-            df, lambda: make_routing("MIN"), "uniform_random", config,
-            seeds=(1, 2, 3),
-        )
-        parallel = replicate(
-            df, lambda: make_routing("MIN"), "uniform_random", config,
-            seeds=(1, 2, 3), executor=make_executor(3),
-        )
-        assert serial.latency.values == parallel.latency.values
-        assert serial.accepted_load.values == parallel.accepted_load.values
-        assert serial.saturated_runs == parallel.saturated_runs
 
 
 def no_pool(monkeypatch):
@@ -322,36 +314,6 @@ class TestSettingsReachWorkers:
         assert point_dicts(points) == serial_reference(
             df, "MIN", "uniform_random", (0.1, 0.2), config
         )
-
-
-class TestSeedDerivation:
-    def test_deterministic(self):
-        assert derive_seed(1, 0) == derive_seed(1, 0)
-        assert derive_seeds(42, 5) == derive_seeds(42, 5)
-
-    def test_distinct_across_index_and_base(self):
-        seeds = derive_seeds(7, 100)
-        assert len(set(seeds)) == 100
-        assert derive_seed(7, 3) != derive_seed(8, 3)
-
-    def test_pinned_values(self):
-        """Cross-platform stability: these values are part of the cache
-        contract (replication keys embed derived seeds)."""
-        assert derive_seeds(1, 3) == [
-            1227844342346046657,
-            4533873174211652711,
-            8688467253428114782,
-        ]
-
-    def test_replicate_accepts_run_count(self, df, config):
-        result = replicate(
-            df, lambda: make_routing("MIN"), "uniform_random", config, seeds=3
-        )
-        assert result.accepted_load.runs == 3
-
-    def test_rejects_nonpositive_runs(self):
-        with pytest.raises(ValueError):
-            derive_seeds(1, 0)
 
 
 class TestPointSpec:

@@ -62,6 +62,29 @@ class TestSaturationLoad:
         )
         assert load == 0.2
 
+    @pytest.mark.parametrize("bad, named", [
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": -0.01}, "tolerance"),
+        ({"low": 0.0}, "low"),
+        ({"low": 0.5, "high": 0.5}, "low"),
+        ({"low": 0.6, "high": 0.3}, "low"),
+        ({"high": 1.5}, "high"),
+        ({"accepted_fraction": 0.0}, "accepted_fraction"),
+        ({"accepted_fraction": 1.2}, "accepted_fraction"),
+    ])
+    def test_rejects_arguments_that_cannot_bisect(self, df, config, bad, named):
+        """Rejected before the first probe: ``tolerance=0`` used to spin
+        forever between two adjacent floats."""
+
+        class NoProbes:
+            def run_point(self, *args):
+                raise AssertionError("no load may be probed")
+
+        with pytest.raises(ValueError, match=named):
+            saturation_load(
+                df, "MIN", "uniform_random", config, executor=NoProbes(), **bad
+            )
+
 
 class TestRunPoint:
     def test_independent_instances(self, df, config):

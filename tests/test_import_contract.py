@@ -4,10 +4,13 @@ Every package surface is lazy (``repro._lazy``), so an entry point pays
 at start-up only for the modules it runs.  Each row of :data:`CONTRACT`
 runs one entry point in a fresh interpreter and names the modules it
 must not load; a module or package listed also covers its submodules.
+The other way round, every module must be imported by some entry point
+(:data:`UNREACHED` names the exceptions and why they stay).
 """
 
+import ast
 import dataclasses
-import importlib
+import importlib.util
 import pathlib
 import pkgutil
 import subprocess
@@ -19,6 +22,7 @@ import repro
 from repro.experiments import base
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Every module under ``src/repro``.
 REPRO_MODULES = sorted(
@@ -151,7 +155,7 @@ def test_warm_read_loads_nothing_beyond_its_setup(tmp_path):
 PACKAGES = [
     "repro", "repro.analysis", "repro.check", "repro.core", "repro.cost",
     "repro.experiments", "repro.network", "repro.routing", "repro.service",
-    "repro.topology", "repro.viz",
+    "repro.topology",
 ]
 
 
@@ -171,3 +175,60 @@ def test_every_public_name_resolves_and_is_listed(package):
         assert getattr(module, name) is not None, name
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         module.nope
+
+
+#: The CLIs, the figures the experiment registry loads by name, and the
+#: pipeline benchmark: the code a user or CI runs.
+ENTRY_MODULES = [
+    "repro.check.__main__", "repro.experiments.__main__", "repro.serve.__main__",
+    *FIGURE_MODULES,
+]
+BENCHMARK_SCRIPTS = sorted((ROOT / "benchmarks" / "pipeline").glob("*.py"))
+
+#: Modules no entry point imports -> why each stays.
+UNREACHED = {
+    "repro.analysis.latency_model": (
+        "the analytic zero-load latency the simulator is tested against"
+    ),
+}
+
+
+def module_path(name: str) -> pathlib.Path:
+    path = pathlib.Path(SRC, *name.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def imports_of(path: pathlib.Path, package: str) -> set:
+    """Every module name one file imports, in any function or branch,
+    with each ``from x import y`` also counted as ``x.y``.  The lazy
+    export maps of package ``__init__`` files are strings, not imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package
+            )
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    known = set(REPRO_MODULES)
+    reached = set()
+    pending = {name for script in BENCHMARK_SCRIPTS for name in imports_of(script, "")}
+    pending.update(ENTRY_MODULES)
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in known:
+            continue
+        reached.add(name)
+        pending.add(name.rpartition(".")[0])  # its package is imported too
+        path = module_path(name)
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        pending.update(imports_of(path, package))
+    unreached = sorted(known - reached - set(UNREACHED))
+    assert not unreached, f"no entry point imports {unreached}"
+    assert set(UNREACHED) <= known - reached, "an UNREACHED module is now imported"
