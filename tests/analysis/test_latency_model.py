@@ -1,6 +1,8 @@
 """Tests for the zero-load latency model, cross-validated against the
 simulator."""
 
+import functools
+
 import pytest
 
 from repro.analysis.latency_model import LatencyModel
@@ -99,3 +101,79 @@ class TestAgainstSimulator:
         assert result.avg_latency == pytest.approx(
             model.expected_minimal_latency(), rel=0.1
         )
+
+
+#: Maximum-size configurations small enough to enumerate every
+#: source/destination pair.
+ENUMERATED = [
+    (1, 2, 1),
+    (2, 2, 1),
+    (1, 4, 2),
+    (2, 4, 2),
+    (1, 6, 3),
+    (2, 6, 3),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_minimal_routes(p, a, h):
+    """Exact uniform-random averages of a minimal route's shape, taken
+    over every ordered pair of distinct terminals."""
+    topology = Dragonfly(DragonflyParams(p=p, a=a, h=h))
+    n = topology.num_terminals
+    same_router = same_group = local_hops = global_hops = longest = 0
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            hops = topology.minimal_hop_count(src, dst)
+            crosses = topology.terminal_group(src) != topology.terminal_group(dst)
+            same_router += hops == 0
+            same_group += hops == 1 and not crosses
+            global_hops += crosses
+            local_hops += hops - crosses
+            longest = max(longest, hops)
+    pairs = n * (n - 1)
+    return {
+        "same_router": same_router / pairs,
+        "same_group": same_group / pairs,
+        "local_hops": local_hops / pairs,
+        "global_hops": global_hops / pairs,
+        "longest": longest,
+    }
+
+
+@pytest.mark.parametrize("p,a,h", ENUMERATED)
+class TestAgainstEnumeration:
+    """The hop expectations are exact on a maximum-size dragonfly: they
+    equal the averages over every pair of the topology's own minimal
+    routes."""
+
+    def test_same_router_probability(self, p, a, h):
+        model = LatencyModel(DragonflyParams(p=p, a=a, h=h))
+        assert model.probability_same_router() == pytest.approx(
+            enumerate_minimal_routes(p, a, h)["same_router"]
+        )
+
+    def test_same_group_probability(self, p, a, h):
+        model = LatencyModel(DragonflyParams(p=p, a=a, h=h))
+        assert model.probability_same_group() == pytest.approx(
+            enumerate_minimal_routes(p, a, h)["same_group"]
+        )
+
+    def test_expected_local_hops(self, p, a, h):
+        model = LatencyModel(DragonflyParams(p=p, a=a, h=h))
+        assert model.expected_minimal_local_hops() == pytest.approx(
+            enumerate_minimal_routes(p, a, h)["local_hops"]
+        )
+
+    def test_expected_global_hops(self, p, a, h):
+        model = LatencyModel(DragonflyParams(p=p, a=a, h=h))
+        assert model.expected_minimal_global_hops() == pytest.approx(
+            enumerate_minimal_routes(p, a, h)["global_hops"]
+        )
+
+    def test_worst_case_is_longest_route(self, p, a, h):
+        model = LatencyModel(DragonflyParams(p=p, a=a, h=h))
+        longest = enumerate_minimal_routes(p, a, h)["longest"]
+        assert model.worst_case_minimal_latency() == longest + 1

@@ -156,6 +156,59 @@ class TestTapering:
         with pytest.raises(TopologyError):
             Dragonfly(DragonflyParams(p=2, a=4, h=2), max_channels_per_pair=0)
 
+    #: ``(num_groups, cap)`` of p=2, a=4, h=2 networks whose cap binds:
+    #: untapered, g=3 wires 4 channels per pair, g=4 wires 2 or 3 and
+    #: g=5 wires 2.
+    BINDING = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
+
+    @staticmethod
+    def _pair_counts(df):
+        return {
+            (i, j): len(df.group_links(i, j))
+            for i in range(df.g)
+            for j in range(df.g)
+            if i != j
+        }
+
+    @pytest.mark.parametrize("num_groups,cap", BINDING)
+    def test_cap_bounds_every_group_pair(self, num_groups, cap):
+        params = DragonflyParams(p=2, a=4, h=2, num_groups=num_groups)
+        full = self._pair_counts(Dragonfly(params))
+        tapered = Dragonfly(params, max_channels_per_pair=cap)
+        expected = {pair: min(cap, count) for pair, count in full.items()}
+        assert self._pair_counts(tapered) == expected
+        assert tapered.fabric.num_cables(ChannelKind.GLOBAL) == (
+            sum(expected.values()) // 2
+        )
+
+    @pytest.mark.parametrize("num_groups,cap", BINDING)
+    def test_taper_keeps_local_channels_and_connectivity(self, num_groups, cap):
+        params = DragonflyParams(p=2, a=4, h=2, num_groups=num_groups)
+        full = Dragonfly(params)
+        tapered = Dragonfly(params, max_channels_per_pair=cap)
+        assert tapered.fabric.num_cables(ChannelKind.LOCAL) == (
+            full.fabric.num_cables(ChannelKind.LOCAL)
+        )
+        assert tapered.fabric.is_connected()
+        for router in range(tapered.fabric.num_routers):
+            assert len(tapered.global_links_of(router)) <= tapered.h
+
+    @pytest.mark.parametrize(
+        "params,cap",
+        [
+            (DragonflyParams(p=2, a=4, h=2, num_groups=3), 4),
+            (DragonflyParams(p=2, a=4, h=2, num_groups=3), 5),
+            (DragonflyParams(p=2, a=4, h=2, num_groups=4), 3),
+            (DragonflyParams(p=2, a=4, h=2, num_groups=5), 2),
+            (DragonflyParams.paper_example_72(), 1),
+        ],
+    )
+    def test_cap_at_or_above_untapered_count_removes_nothing(self, params, cap):
+        full = Dragonfly(params)
+        tapered = Dragonfly(params, max_channels_per_pair=cap)
+        assert self._pair_counts(tapered) == self._pair_counts(full)
+        assert tapered.fabric.num_cables() == full.fabric.num_cables()
+
 
 class TestMinimalHopCount:
     def test_same_router(self, paper72_dragonfly):

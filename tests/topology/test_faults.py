@@ -107,6 +107,40 @@ class TestCanonicalGlobalFaults:
         with pytest.raises(TopologyError, match="only 9 groups"):
             canonical_global_faults(paper72, 5)
 
+    @pytest.mark.parametrize("count", range(5))
+    def test_degraded_fabric_stays_connected(self, paper72, count):
+        faults = canonical_global_faults(paper72, count)
+        reached, frontier = {0}, [0]
+        while frontier:
+            router = frontier.pop()
+            for neighbor in paper72.fabric.neighbors(router):
+                if neighbor not in reached and not faults.link_dead(router, neighbor):
+                    reached.add(neighbor)
+                    frontier.append(neighbor)
+        assert len(reached) == paper72.fabric.num_routers
+
+    @pytest.mark.parametrize("count", range(1, 5))
+    def test_each_severed_pair_keeps_g_minus_2_detours(self, paper72, count):
+        faults = canonical_global_faults(paper72, count)
+        wired = {
+            (i, j)
+            for i in range(paper72.g)
+            for j in range(paper72.g)
+            if i != j
+            and any(
+                not faults.link_dead(link.src_router, link.dst_router)
+                for link in paper72.group_links(i, j)
+            )
+        }
+        for k in range(count):
+            src, dst = 2 * k, 2 * k + 1
+            assert (src, dst) not in wired
+            detours = [
+                mid for mid in range(paper72.g)
+                if (src, mid) in wired and (mid, dst) in wired
+            ]
+            assert len(detours) == paper72.g - 2
+
 
 class TestValidationMessages:
     """Errors must name the offending link/router and the fabric bound."""
