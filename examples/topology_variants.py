@@ -12,10 +12,9 @@ Shows two ways the dragonfly bends to packaging and bandwidth needs:
 Run:  python examples/topology_variants.py
 """
 
-from repro import DragonflyParams, SimulationConfig, make_dragonfly
+from repro import DragonflyParams, SimulationConfig, make_dragonfly, make_routing
 from repro.analysis.bisection import dragonfly_group_bisection
 from repro.network import Simulator, make_pattern
-from repro.routing import make_variant_routing
 from repro.topology import ChannelKind, Dragonfly, FlattenedButterflyGroupDragonfly
 
 
@@ -31,7 +30,7 @@ def show_cube_groups() -> None:
     )
     for name in ("VAR-MIN", "VAR-VAL", "VAR-UGAL-L"):
         pattern = make_pattern("worst_case", cube, seed=3)
-        result = Simulator(cube, make_variant_routing(name), pattern, config).run()
+        result = Simulator(cube, make_routing(name), pattern, config).run()
         status = "saturated" if result.saturated else f"{result.avg_latency:6.2f} cycles"
         print(f"     {name:11s} load 0.10 -> {status} (accepted {result.accepted_load:.3f})")
     print("   MIN's bound dropped to 1/(a*h) = 1/16 -- bigger groups widen")

@@ -24,7 +24,7 @@ from ..core.params import DragonflyParams
 from ..network.config import SimulationConfig
 from ..network.backend import make_simulator
 from ..network.traffic import make_pattern
-from ..routing.fb_routing import make_fb_routing
+from ..routing.ugal import make_routing
 from ..topology.base import ChannelKind
 from ..topology.dragonfly import Dragonfly
 from ..topology.flattened_butterfly import FlattenedButterfly
@@ -117,7 +117,7 @@ class FlattenedButterflyRouting(Experiment):
                     config = SimulationConfig(load=load, **windows)
                     pattern = make_pattern(pattern_name, topology, seed=31)
                     run = make_simulator(
-                        topology, make_fb_routing(name), pattern, config,
+                        topology, make_routing(name), pattern, config,
                         settings=experiment_executor().settings,
                     ).run()
                     row[name] = math.inf if run.saturated else run.avg_latency
@@ -186,8 +186,6 @@ class GroupVariantComparison(Experiment):
     )
 
     def run(self, quick: bool = True) -> ExperimentResult:
-        from ..routing.ugal import make_routing
-        from ..routing.variant_routing import make_variant_routing
         from ..topology.group_variants import FlattenedButterflyGroupDragonfly
 
         canonical = Dragonfly(DragonflyParams.paper_example_72())
@@ -229,8 +227,8 @@ class GroupVariantComparison(Experiment):
                 "ugal_wc_latency": ugal_run.avg_latency,
             }
         )
-        min_run = simulate(cube, make_variant_routing("VAR-MIN"), 0.2, 800)
-        ugal_run = simulate(cube, make_variant_routing("VAR-UGAL-L"), 0.1, 8000)
+        min_run = simulate(cube, make_routing("VAR-MIN"), 0.2, 800)
+        ugal_run = simulate(cube, make_routing("VAR-UGAL-L"), 0.1, 8000)
         result.rows.append(
             {
                 "topology": "figure6b_cube_group",
@@ -323,9 +321,6 @@ class FourTopologySimulation(Experiment):
     )
 
     def run(self, quick: bool = True) -> ExperimentResult:
-        from ..routing.clos_routing import make_clos_routing
-        from ..routing.torus_routing import make_torus_routing
-        from ..routing.ugal import make_routing
         from ..topology.folded_clos import FoldedClos
         from ..topology.torus import Torus
 
@@ -352,11 +347,11 @@ class FourTopologySimulation(Experiment):
         cases = [
             ("dragonfly", dragonfly, make_routing("UGAL-L_CR"),
              [("uniform_random", 0.5), ("worst_case", 0.3)], 3),
-            ("flattened_butterfly", butterfly, make_fb_routing("FB-UGAL-L"),
+            ("flattened_butterfly", butterfly, make_routing("FB-UGAL-L"),
              [("uniform_random", 0.5), ("fb_adversarial", 0.3)], 3),
-            ("folded_clos", clos, make_clos_routing("CLOS-RAND"),
+            ("folded_clos", clos, make_routing("CLOS-RAND"),
              [("uniform_random", 0.5), ("shift", 0.3)], 3),
-            ("torus_3d", torus, make_torus_routing("TORUS-VAL"),
+            ("torus_3d", torus, make_routing("TORUS-VAL"),
              [("uniform_random", 0.3), ("torus_tornado", 0.3)], 4),
         ]
         for name, topology, routing, patterns, vcs in cases:

@@ -50,14 +50,19 @@ SCHEMA_VERSION = 2
 
 
 def topology_signature(topology: object) -> Dict[str, object]:
-    """JSON-able identity of a topology: family plus its parameters."""
-    signature: Dict[str, object] = {"family": type(topology).__name__}
+    """JSON-able identity of a topology: family plus its parameters.
+
+    Only a topology with dataclass ``params`` can be told apart from
+    another of its class; any other raises rather than share one key
+    across sizes.
+    """
     params = getattr(topology, "params", None)
-    if dataclasses.is_dataclass(params) and not isinstance(params, type):
-        signature["params"] = dataclasses.asdict(params)
-    else:
-        signature["params"] = repr(params)
-    return signature
+    if not dataclasses.is_dataclass(params) or isinstance(params, type):
+        raise ValueError(
+            f"cannot key a {type(topology).__name__}: it has no dataclass "
+            "params to identify its size"
+        )
+    return {"family": type(topology).__name__, "params": dataclasses.asdict(params)}
 
 
 def point_key(

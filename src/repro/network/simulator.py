@@ -272,6 +272,11 @@ class Simulator:
         config: SimulationConfig,
         settings: Optional[Settings] = None,
     ) -> None:
+        if not isinstance(topology, routing.topology_type):
+            raise ValueError(
+                f"routing {routing.name!r} ({type(routing).__name__}) drives a "
+                f"{routing.topology_type.__name__}, not a {type(topology).__name__}"
+            )
         self.topology = topology
         self.routing = routing
         self.pattern = pattern

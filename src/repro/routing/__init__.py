@@ -1,4 +1,5 @@
-"""Routing algorithms for the dragonfly (Section 4)."""
+"""Routing algorithms for the dragonfly (Section 4) and the extension
+families."""
 
 from .._lazy import lazy_exports
 
@@ -15,30 +16,10 @@ ALL_ROUTING_NAMES = [
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".vc_assignment": ("vc_assignment",),
-    ".fb_paths": (
-        "FbRoutePlan",
-        "fb_minimal_plan",
-        "fb_next_hop",
-        "fb_plan_hops",
-        "fb_valiant_plan",
-    ),
-    ".clos_routing": (
-        "ClosDeterministicRouting",
-        "ClosRandomRouting",
-        "ClosRoutePlan",
-        "clos_plan",
-        "make_clos_routing",
-    ),
-    ".fb_routing": ("FbMinimalRouting", "FbUgalL", "FbValiantRouting", "make_fb_routing"),
-    ".torus_routing": (
-        "TorusMinimalRouting",
-        "TorusRoutePlan",
-        "TorusValiantRouting",
-        "make_torus_routing",
-        "torus_minimal_plan",
-        "torus_next_hop",
-        "torus_valiant_plan",
-    ),
+    ".fb_paths": ("RouterPlan", "fb_next_hop", "fb_plan_hops", "router_valiant_plan"),
+    ".clos_routing": ("ClosRoutePlan", "clos_plan"),
+    ".families": ("FAMILY_ROUTINGS", "Family", "FamilyRouting"),
+    ".torus_routing": ("torus_next_hop",),
     ".base": ("CongestionView", "RoutingAlgorithm", "ZeroCongestion"),
     ".minimal": ("MinimalRouting",),
     ".paths": ("minimal_plan", "next_hop", "plan_hops", "valiant_plan", "walk_route"),
@@ -70,12 +51,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "variant_next_hop",
         "variant_plan_hops",
         "variant_valiant_plan",
-    ),
-    ".variant_routing": (
-        "VariantMinimalRouting",
-        "VariantUgalL",
-        "VariantValiantRouting",
-        "make_variant_routing",
     ),
 })
 __all__.append("ALL_ROUTING_NAMES")

@@ -50,6 +50,9 @@ class RoutingAlgorithm(abc.ABC):
 
     #: Display name used by experiments and plots.
     name: str = "base"
+    #: The topology class the plans and executor are written for; the
+    #: engines refuse any other (:class:`repro.network.simulator.Simulator`).
+    topology_type: type = Dragonfly
     #: True for UGAL-L_CR: the simulator enables the credit round-trip
     #: congestion sensing and delayed-credit backpressure mechanism.
     needs_credit_delay: bool = False

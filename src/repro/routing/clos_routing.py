@@ -13,8 +13,8 @@ is where route freedom lives:
   which concentrates adversarial permutations onto single links -- the
   contrast that motivates randomised/adaptive up-routing.
 
-Up/down routing is deadlock-free on one VC (a route never turns upward
-after descending).
+Both run through :mod:`repro.routing.families`.  Up/down routing is
+deadlock-free on one VC (a route never turns upward after descending).
 
 ``progress`` encoding for the executor: 0 = ascending, 1 = descending.
 """
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..topology.folded_clos import FoldedClos
-from .base import CongestionView, RoutingAlgorithm
 from .grammar import ChannelClass, PathGrammar, RouteClass, Segment
 
 
@@ -123,56 +122,3 @@ def clos_path_grammar(levels: int) -> PathGrammar:
         num_vcs=1,
         route_classes=(RouteClass("up*/down*", tuple(segments)),),
     )
-
-
-class _ClosRouting(RoutingAlgorithm):
-    deterministic = False
-
-    def next_hop(
-        self,
-        topology: FoldedClos,
-        router: int,
-        plan: ClosRoutePlan,
-        progress: int,
-        dst_terminal: int,
-    ) -> Tuple[int, int, int]:
-        return clos_next_hop(topology, router, plan, progress, dst_terminal)
-
-    def decide(
-        self,
-        view: CongestionView,
-        topology: FoldedClos,
-        rng: random.Random,
-        src_router: int,
-        dst_terminal: int,
-    ) -> ClosRoutePlan:
-        return clos_plan(
-            topology, rng, src_router, dst_terminal,
-            deterministic=self.deterministic,
-        )
-
-
-class ClosRandomRouting(_ClosRouting):
-    """Random up port per level (load-balanced, non-blocking)."""
-
-    name = "CLOS-RAND"
-    deterministic = False
-
-
-class ClosDeterministicRouting(_ClosRouting):
-    """Destination-based (d-mod-k) up ports."""
-
-    name = "CLOS-DET"
-    deterministic = True
-
-
-def make_clos_routing(name: str) -> RoutingAlgorithm:
-    algorithms = {
-        "CLOS-RAND": ClosRandomRouting,
-        "CLOS-DET": ClosDeterministicRouting,
-    }
-    if name not in algorithms:
-        raise ValueError(
-            f"unknown folded-Clos routing {name!r}; choose from {sorted(algorithms)}"
-        )
-    return algorithms[name]()

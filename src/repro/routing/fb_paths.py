@@ -24,12 +24,10 @@ from .grammar import ChannelClass, PathGrammar, RouteClass, Segment
 
 
 @dataclass
-class FbRoutePlan:
-    """Per-packet decision on a flattened butterfly.
-
-    ``progress`` semantics for the executor: phase 0 heads to the
-    intermediate router (Valiant only), phase 1 to the destination.
-    """
+class RouterPlan:
+    """Per-packet decision of router-level routing, shared by the
+    flattened butterfly and the torus: minimal, or Valiant through
+    ``intermediate_router`` (phase 0 heads there, phase 1 home)."""
 
     minimal: bool
     intermediate_router: Optional[int] = None
@@ -40,17 +38,13 @@ class FbRoutePlan:
         return 0
 
 
-def fb_minimal_plan() -> FbRoutePlan:
-    return FbRoutePlan(minimal=True)
-
-
-def fb_valiant_plan(
-    topology: FlattenedButterfly,
+def router_valiant_plan(
+    topology,
     rng: random.Random,
     src_router: int,
     dst_terminal: int,
     intermediate_router: Optional[int] = None,
-) -> FbRoutePlan:
+) -> RouterPlan:
     """Valiant route via a random intermediate router.
 
     Degenerates to the minimal plan when the draw lands on the source or
@@ -60,15 +54,15 @@ def fb_valiant_plan(
     if intermediate_router is None:
         intermediate_router = rng.randrange(topology.num_routers)
     if intermediate_router in (src_router, dst_router):
-        return fb_minimal_plan()
-    return FbRoutePlan(minimal=False, intermediate_router=intermediate_router)
+        return RouterPlan(minimal=True)
+    return RouterPlan(minimal=False, intermediate_router=intermediate_router)
 
 
 def fb_plan_hops(
     topology: FlattenedButterfly,
     src_router: int,
     dst_terminal: int,
-    plan: FbRoutePlan,
+    plan: RouterPlan,
 ) -> int:
     """Channel hops of a plan (Hamming distances of its DOR phases)."""
     dst_router = topology.terminal_router(dst_terminal)
@@ -88,7 +82,7 @@ def _hamming(topology: FlattenedButterfly, router_a: int, router_b: int) -> int:
 def fb_next_hop(
     topology: FlattenedButterfly,
     router: int,
-    plan: FbRoutePlan,
+    plan: RouterPlan,
     progress: int,
     dst_terminal: int,
 ) -> Tuple[int, int, int]:

@@ -1566,6 +1566,29 @@ class DegradedDragonflyLowering(Lowering):
                     )
 
 
+def _router_plan_routes(topology, include_nonminimal: bool) -> Iterator[Route]:
+    """Every minimal :class:`~repro.routing.fb_paths.RouterPlan` route of
+    a flattened butterfly or torus, each followed, when
+    ``include_nonminimal``, by its Valiant routes via every other router."""
+    for src_router in range(topology.num_routers):
+        for dst_terminal in range(topology.num_terminals):
+            dest = topology.terminal_router(dst_terminal)
+            pair = f"r{src_router}->t{dst_terminal}"
+            yield (
+                f"min {pair}", src_router, dst_terminal,
+                fb_paths.RouterPlan(minimal=True),
+            )
+            if not include_nonminimal:
+                continue
+            for mid in range(topology.num_routers):
+                if mid in (src_router, dest):
+                    continue
+                yield (
+                    f"val {pair} mid r{mid}", src_router, dst_terminal,
+                    fb_paths.RouterPlan(minimal=False, intermediate_router=mid),
+                )
+
+
 class FbLowering(Lowering):
     family = "flattened-butterfly"
     next_hop = staticmethod(fb_paths.fb_next_hop)
@@ -1581,24 +1604,9 @@ class FbLowering(Lowering):
 
     def routes(self) -> Iterator[Route]:
         """Every DOR route, plus every router-level Valiant route."""
-        topology = self.topology
-        for src_router in range(topology.num_routers):
-            for dst_terminal in range(topology.num_terminals):
-                dest = topology.terminal_router(dst_terminal)
-                pair = f"r{src_router}->t{dst_terminal}"
-                yield (
-                    f"min {pair}", src_router, dst_terminal,
-                    fb_paths.FbRoutePlan(minimal=True),
-                )
-                for mid in range(topology.num_routers):
-                    if mid in (src_router, dest):
-                        continue
-                    yield (
-                        f"val {pair} mid r{mid}", src_router, dst_terminal,
-                        fb_paths.FbRoutePlan(minimal=False, intermediate_router=mid),
-                    )
+        return _router_plan_routes(self.topology, include_nonminimal=True)
 
-    def legs(self, plan: fb_paths.FbRoutePlan, dest: int) -> Tuple[Leg, ...]:
+    def legs(self, plan: fb_paths.RouterPlan, dest: int) -> Tuple[Leg, ...]:
         if plan.minimal or plan.intermediate_router is None:
             return (Leg(0, dest, 0),)
         return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 1))
@@ -1629,28 +1637,9 @@ class TorusLowering(Lowering):
     def routes(self) -> Iterator[Route]:
         """Every dateline-DOR route, plus every router-level Valiant
         route when the configuration admits them."""
-        topology = self.topology
-        for src_router in range(topology.num_routers):
-            for dst_terminal in range(topology.num_terminals):
-                dest = topology.terminal_router(dst_terminal)
-                pair = f"r{src_router}->t{dst_terminal}"
-                yield (
-                    f"min {pair}", src_router, dst_terminal,
-                    torus_routing.TorusRoutePlan(minimal=True),
-                )
-                if not self.include_nonminimal:
-                    continue
-                for mid in range(topology.num_routers):
-                    if mid in (src_router, dest):
-                        continue
-                    yield (
-                        f"val {pair} mid r{mid}", src_router, dst_terminal,
-                        torus_routing.TorusRoutePlan(
-                            minimal=False, intermediate_router=mid
-                        ),
-                    )
+        return _router_plan_routes(self.topology, self.include_nonminimal)
 
-    def legs(self, plan: torus_routing.TorusRoutePlan, dest: int) -> Tuple[Leg, ...]:
+    def legs(self, plan: fb_paths.RouterPlan, dest: int) -> Tuple[Leg, ...]:
         if plan.minimal or plan.intermediate_router is None:
             return (Leg(0, dest, 0),)
         return (Leg(0, plan.intermediate_router, 0), Leg(0, dest, 2))

@@ -7,7 +7,9 @@ in the shorter direction, and a packet that crosses a ring's wraparound
 link ("the dateline") moves from VC0 to VC1, breaking the cyclic channel
 dependency of each ring.  Minimal DOR therefore needs 2 VCs; the
 router-level Valiant variant needs 4 (two per phase), so it requires a
-simulator configured with ``num_vcs >= 4``.
+simulator configured with ``num_vcs >= 4``.  Plans are the
+router-level :class:`~repro.routing.fb_paths.RouterPlan` the flattened
+butterfly uses; :mod:`repro.routing.families` runs them.
 
 ``progress`` encoding used by the executor: ``2*phase + crossed`` where
 ``phase`` is the Valiant phase (0 = toward the intermediate router) and
@@ -16,44 +18,11 @@ simulator configured with ``num_vcs >= 4``.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..topology.torus import Torus
-from .base import CongestionView, RoutingAlgorithm
+from .fb_paths import RouterPlan
 from .grammar import ChannelClass, PathGrammar, RouteClass, Segment
-
-
-@dataclass
-class TorusRoutePlan:
-    """Per-packet decision on a torus."""
-
-    minimal: bool
-    intermediate_router: Optional[int] = None
-
-    @property
-    def num_global_hops(self) -> int:
-        return 0  # interface parity; tori have no global channels
-
-
-def torus_minimal_plan() -> TorusRoutePlan:
-    return TorusRoutePlan(minimal=True)
-
-
-def torus_valiant_plan(
-    topology: Torus,
-    rng: random.Random,
-    src_router: int,
-    dst_terminal: int,
-    intermediate_router: Optional[int] = None,
-) -> TorusRoutePlan:
-    dst_router = topology.terminal_router(dst_terminal)
-    if intermediate_router is None:
-        intermediate_router = rng.randrange(topology.num_routers)
-    if intermediate_router in (src_router, dst_router):
-        return torus_minimal_plan()
-    return TorusRoutePlan(minimal=False, intermediate_router=intermediate_router)
 
 
 def _ring_step(coord: int, target: int, size: int) -> Tuple[int, bool]:
@@ -70,7 +39,7 @@ def _ring_step(coord: int, target: int, size: int) -> Tuple[int, bool]:
 def torus_next_hop(
     topology: Torus,
     router: int,
-    plan: TorusRoutePlan,
+    plan: RouterPlan,
     progress: int,
     dst_terminal: int,
 ) -> Tuple[int, int, int]:
@@ -168,59 +137,3 @@ def torus_path_grammar(
         num_vcs=4 if include_nonminimal else 2,
         route_classes=tuple(route_classes),
     )
-
-
-class _TorusRouting(RoutingAlgorithm):
-    def next_hop(
-        self,
-        topology: Torus,
-        router: int,
-        plan: TorusRoutePlan,
-        progress: int,
-        dst_terminal: int,
-    ) -> Tuple[int, int, int]:
-        return torus_next_hop(topology, router, plan, progress, dst_terminal)
-
-
-class TorusMinimalRouting(_TorusRouting):
-    """Dateline dimension-order routing (2 VCs)."""
-
-    name = "TORUS-DOR"
-
-    def decide(
-        self,
-        view: CongestionView,
-        topology: Torus,
-        rng: random.Random,
-        src_router: int,
-        dst_terminal: int,
-    ) -> TorusRoutePlan:
-        return torus_minimal_plan()
-
-
-class TorusValiantRouting(_TorusRouting):
-    """Router-level Valiant over dateline DOR (4 VCs)."""
-
-    name = "TORUS-VAL"
-
-    def decide(
-        self,
-        view: CongestionView,
-        topology: Torus,
-        rng: random.Random,
-        src_router: int,
-        dst_terminal: int,
-    ) -> TorusRoutePlan:
-        return torus_valiant_plan(topology, rng, src_router, dst_terminal)
-
-
-def make_torus_routing(name: str) -> RoutingAlgorithm:
-    algorithms = {
-        "TORUS-DOR": TorusMinimalRouting,
-        "TORUS-VAL": TorusValiantRouting,
-    }
-    if name not in algorithms:
-        raise ValueError(
-            f"unknown torus routing {name!r}; choose from {sorted(algorithms)}"
-        )
-    return algorithms[name]()

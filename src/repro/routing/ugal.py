@@ -234,9 +234,13 @@ def make_routing(name: str) -> RoutingAlgorithm:
 
     ``TBL-MIN`` simulates minimal routing off detour-recompiled
     forwarding tables on the healthy fabric; ``TBL-MIN/gcK`` degrades
-    the fabric first by severing K disjoint group pairs (the canonical
-    degradation of :func:`repro.topology.faults.canonical_global_faults`)
-    -- the executor of the fault-sweep experiment.
+    the fabric first by severing K >= 1 disjoint group pairs (the
+    canonical degradation of
+    :func:`repro.topology.faults.canonical_global_faults`) -- the
+    executor of the fault-sweep experiment.  The extension families'
+    names (``FB-UGAL-L``, ``TORUS-DOR``, ...) resolve through
+    :data:`repro.routing.families.FAMILY_ROUTINGS`.  Every accepted name
+    is the routing's own ``name``.
     """
     from .minimal import MinimalRouting
     from .valiant import ValiantRouting
@@ -247,11 +251,11 @@ def make_routing(name: str) -> RoutingAlgorithm:
         fault_pairs = 0
         if name != "TBL-MIN":
             suffix = name[len("TBL-MIN/gc"):]
-            if not suffix.isdigit():
+            if not (suffix.isascii() and suffix.isdigit() and suffix[0] != "0"):
                 raise ValueError(
                     f"unknown routing algorithm {name!r}; degraded table "
-                    "routings are named TBL-MIN or TBL-MIN/gcK for an "
-                    "integer number K of severed group pairs"
+                    "routings are named TBL-MIN or TBL-MIN/gcK for K >= 1 "
+                    "severed group pairs, written without leading zeros"
                 )
             fault_pairs = int(suffix)
         return DegradedTableRouting(fault_pairs=fault_pairs)
@@ -265,9 +269,13 @@ def make_routing(name: str) -> RoutingAlgorithm:
         "UGAL-L_VCH": UgalLVcH,
         "UGAL-L_CR": UgalLCr,
     }
-    if name not in algorithms:
-        raise ValueError(
-            f"unknown routing algorithm {name!r}; choose from "
-            f"{sorted(algorithms) + ['TBL-MIN', 'TBL-MIN/gcK']}"
-        )
-    return algorithms[name]()
+    if name in algorithms:
+        return algorithms[name]()
+    from .families import FAMILY_ROUTINGS, FamilyRouting
+
+    if name in FAMILY_ROUTINGS:
+        return FamilyRouting(name, *FAMILY_ROUTINGS[name])
+    raise ValueError(
+        f"unknown routing algorithm {name!r}; choose from "
+        f"{sorted(algorithms) + sorted(FAMILY_ROUTINGS) + ['TBL-MIN', 'TBL-MIN/gcK']}"
+    )

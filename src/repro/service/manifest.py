@@ -121,7 +121,12 @@ class SweepManifest:
         for routing in self.routings:
             # The one parser of routing names; its ValueError lists the
             # choices and the TBL-MIN/gcK form.
-            make_routing(routing)
+            topology_type = make_routing(routing).topology_type
+            if topology_type is not Dragonfly:
+                raise ValueError(
+                    f"routing {routing!r} drives a {topology_type.__name__}; "
+                    "the sweep service builds dragonfly topologies"
+                )
         for pattern in self.patterns:
             # Likewise the one table of traffic-pattern names.
             pattern_factory(pattern)

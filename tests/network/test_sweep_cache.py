@@ -24,6 +24,10 @@ from repro.network.config import SimulationConfig
 from repro.network.parallel import SweepExecutor
 from repro.network.sweep import load_sweep, saturation_load
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.flattened_butterfly import FlattenedButterfly
+from repro.topology.folded_clos import FoldedClos
+from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
+from repro.topology.torus import Torus
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +238,22 @@ class TestSaturationProbeReuse:
         second = saturation_load(df, "MIN", "worst_case", config, **kwargs)
         assert counted_run_point == [], "second bisection must be all cache hits"
         assert first == second
+
+    def test_dragonfly_digest_is_pinned(self, df, config):
+        """Keys of existing cache and store entries must not move."""
+        assert key_digest(point_key(df, "MIN", "uniform_random", config)) == (
+            "2604c765f4565190aa59b8b471d1c0e687d67bebfd8cc2d6898d0cece10d732e"
+        )
+
+    @pytest.mark.parametrize("build", [
+        lambda: FlattenedButterfly(dims=(4, 4), concentration=4),
+        lambda: FlattenedButterfly(dims=(8, 8), concentration=8),
+        lambda: FlattenedButterflyGroupDragonfly(p=1, group_dims=(2,), h=1),
+        lambda: Torus(dims=(3, 3), concentration=1),
+        lambda: FoldedClos(num_terminals=16, radix=8),
+    ], ids=["fb4x4", "fb8x8", "variant", "torus", "clos"])
+    def test_topology_without_params_is_refused(self, build, config):
+        """Two sizes of one such class would share one key."""
+        topology = build()
+        with pytest.raises(ValueError, match=f"cannot key a {type(topology).__name__}:"):
+            point_key(topology, "FB-MIN", "uniform_random", config)

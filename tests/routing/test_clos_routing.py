@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
-from repro.routing.clos_routing import (
-    clos_next_hop,
-    clos_plan,
-    make_clos_routing,
-)
+from repro.routing.clos_routing import clos_next_hop, clos_plan
 from repro.routing.paths import walk_route
+from repro.routing.ugal import make_routing
 from repro.topology.folded_clos import FoldedClos
 
 
@@ -95,7 +92,7 @@ class TestClosSimulation:
             drain_max_cycles=8000,
         )
         pattern = make_pattern(pattern_name, clos, seed=6)
-        return Simulator(clos, make_clos_routing(name), pattern, config).run()
+        return Simulator(clos, make_routing(name), pattern, config).run()
 
     def test_random_up_is_load_balanced(self, clos):
         result = self._run(clos, "CLOS-RAND", "uniform_random", 0.5)
@@ -109,18 +106,13 @@ class TestClosSimulation:
         det = self._run(clos, "CLOS-DET", "shift", 0.3)
         assert det.avg_latency > 3 * rand.avg_latency
 
-    def test_factory(self):
-        assert make_clos_routing("CLOS-RAND").name == "CLOS-RAND"
-        with pytest.raises(ValueError):
-            make_clos_routing("CLOS-UGAL")
-
     def test_invariants(self, clos):
         config = SimulationConfig(
             load=0.4, warmup_cycles=300, measure_cycles=300,
             drain_max_cycles=3000,
         )
         pattern = make_pattern("uniform_random", clos, seed=7)
-        simulator = Simulator(clos, make_clos_routing("CLOS-RAND"), pattern, config)
+        simulator = Simulator(clos, make_routing("CLOS-RAND"), pattern, config)
         simulator.run()
         simulator.check_invariants()
 

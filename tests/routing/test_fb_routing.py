@@ -10,14 +10,13 @@ from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import FbAdversarial, make_pattern
 from repro.routing.fb_paths import (
-    FbRoutePlan,
-    fb_minimal_plan,
+    RouterPlan,
     fb_next_hop,
     fb_plan_hops,
-    fb_valiant_plan,
+    router_valiant_plan,
 )
-from repro.routing.fb_routing import FbUgalL, make_fb_routing
 from repro.routing.paths import walk_route
+from repro.routing.ugal import make_routing
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
 
@@ -37,38 +36,38 @@ def _route_reaches(topology, src_terminal, dst_terminal, plan):
 
 class TestFbPlans:
     def test_minimal_is_dimension_order(self, fb):
-        plan = fb_minimal_plan()
+        plan = RouterPlan(minimal=True)
         trace = _route_reaches(fb, 0, fb.num_terminals - 1, plan)
         # 2 dimension hops + ejection.
         assert len(trace) == 3
         assert fb_plan_hops(fb, 0, fb.num_terminals - 1, plan) == 2
 
     def test_minimal_same_router(self, fb):
-        plan = fb_minimal_plan()
+        plan = RouterPlan(minimal=True)
         trace = _route_reaches(fb, 0, 1, plan)
         assert len(trace) == 1  # direct ejection
 
     def test_valiant_reaches_destination(self, fb):
         rng = random.Random(3)
         for _ in range(30):
-            plan = fb_valiant_plan(fb, rng, 0, fb.num_terminals - 1)
+            plan = router_valiant_plan(fb, rng, 0, fb.num_terminals - 1)
             _route_reaches(fb, 0, fb.num_terminals - 1, plan)
 
     def test_valiant_hop_bound(self, fb):
         rng = random.Random(4)
         for _ in range(30):
-            plan = fb_valiant_plan(fb, rng, 0, 63)
+            plan = router_valiant_plan(fb, rng, 0, 63)
             assert fb_plan_hops(fb, 0, 63, plan) <= 2 * len(fb.dims)
 
     def test_valiant_degenerates_on_endpoint_draw(self, fb):
         dst_router = fb.terminal_router(63)
-        plan = fb_valiant_plan(fb, random.Random(5), 0, 63,
-                               intermediate_router=dst_router)
+        plan = router_valiant_plan(fb, random.Random(5), 0, 63,
+                                   intermediate_router=dst_router)
         assert plan.minimal
 
     def test_vcs_escalate_at_intermediate(self, fb):
-        plan = fb_valiant_plan(fb, random.Random(6), 0, 63,
-                               intermediate_router=5)
+        plan = router_valiant_plan(fb, random.Random(6), 0, 63,
+                                   intermediate_router=5)
         trace = walk_route(fb, fb_next_hop, 0, 63, plan)
         vcs_used = [vc for _, port, vc in trace[:-1]]
         assert vcs_used == sorted(vcs_used)
@@ -79,16 +78,10 @@ class TestFbUgal:
     def test_idle_network_routes_minimally(self, fb):
         from repro.routing.base import ZeroCongestion
 
-        algorithm = FbUgalL()
+        algorithm = make_routing("FB-UGAL-L")
         rng = random.Random(7)
         for dst in (10, 40, 63):
             assert algorithm.decide(ZeroCongestion(), fb, rng, 0, dst).minimal
-
-    def test_factory(self):
-        for name in ("FB-MIN", "FB-VAL", "FB-UGAL-L"):
-            assert make_fb_routing(name).name == name
-        with pytest.raises(ValueError):
-            make_fb_routing("FB-UGAL-G")
 
 
 class TestFbAdversarialPattern:
@@ -112,7 +105,7 @@ class TestFbSimulation:
             drain_max_cycles=drain,
         )
         pattern = make_pattern(pattern_name, fb, seed=11)
-        return Simulator(fb, make_fb_routing(name), pattern, config).run()
+        return Simulator(fb, make_routing(name), pattern, config).run()
 
     def test_all_algorithms_drain_uniform(self, fb):
         for name in ("FB-MIN", "FB-VAL", "FB-UGAL-L"):
@@ -143,7 +136,7 @@ class TestFbSimulation:
             drain_max_cycles=3000,
         )
         pattern = make_pattern("fb_adversarial", fb, seed=12)
-        simulator = Simulator(fb, make_fb_routing("FB-UGAL-L"), pattern, config)
+        simulator = Simulator(fb, make_routing("FB-UGAL-L"), pattern, config)
         simulator.run()
         simulator.check_invariants()
 
@@ -158,7 +151,7 @@ def test_fb_any_route_reaches(src, dst, seed):
     """Property: every FB plan terminates at its destination."""
     fb = FlattenedButterfly(dims=(4, 4), concentration=4)
     rng = random.Random(seed)
-    plan = fb_valiant_plan(fb, rng, fb.terminal_router(src), dst)
+    plan = router_valiant_plan(fb, rng, fb.terminal_router(src), dst)
     trace = walk_route(fb, fb_next_hop, fb.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == fb.terminal_router(dst)

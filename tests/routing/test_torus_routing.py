@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import TorusTornado, make_pattern
+from repro.routing.fb_paths import RouterPlan, router_valiant_plan
 from repro.routing.paths import walk_route
-from repro.routing.torus_routing import (
-    make_torus_routing,
-    torus_minimal_plan,
-    torus_next_hop,
-    torus_valiant_plan,
-)
+from repro.routing.torus_routing import torus_next_hop
+from repro.routing.ugal import make_routing
 from repro.topology.torus import Torus
 
 
@@ -35,32 +32,32 @@ def _route_reaches(topology, src_terminal, dst_terminal, plan):
 
 class TestDatelineDor:
     def test_reaches_all_destinations(self, torus):
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         for dst in range(torus.num_terminals):
             _route_reaches(torus, 0, dst, plan)
 
     def test_hop_count_is_ring_distance(self, torus):
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         for dst in range(0, torus.num_terminals, 3):
             trace = _route_reaches(torus, 0, dst, plan)
             assert len(trace) - 1 == torus.minimal_hop_count(0, dst)
 
     def test_takes_shorter_ring_direction(self, torus):
         """0 -> coordinate 3 in a size-4 ring wraps backwards (1 hop)."""
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         dst_router = torus.router_at((3, 0))
         trace = _route_reaches(torus, 0, dst_router * 2, plan)
         assert len(trace) - 1 == 1
 
     def test_wrapping_hop_uses_dateline_vc(self, torus):
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         dst_router = torus.router_at((3, 0))  # one hop backwards, wraps
         trace = _route_reaches(torus, 0, dst_router * 2, plan)
         (router, port, vc) = trace[0]
         assert vc == 1
 
     def test_non_wrapping_route_stays_on_vc0(self, torus):
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         dst_router = torus.router_at((1, 1))
         trace = _route_reaches(torus, 0, dst_router * 2, plan)
         for _, port, vc in trace[:-1]:
@@ -68,7 +65,7 @@ class TestDatelineDor:
 
     def test_vc_resets_between_dimensions(self, torus):
         """Wrap in dim 0, then a fresh dim-1 traversal starts on VC0."""
-        plan = torus_minimal_plan()
+        plan = RouterPlan(minimal=True)
         dst_router = torus.router_at((3, 1))
         trace = _route_reaches(torus, 0, dst_router * 2, plan)
         vcs = [vc for _, port, vc in trace[:-1]]
@@ -80,11 +77,11 @@ class TestTorusValiant:
     def test_reaches_destination(self, torus):
         rng = random.Random(5)
         for _ in range(40):
-            plan = torus_valiant_plan(torus, rng, 0, 31)
+            plan = router_valiant_plan(torus, rng, 0, 31)
             _route_reaches(torus, 0, 31, plan)
 
     def test_vcs_partition_by_phase(self, torus):
-        plan = torus_valiant_plan(
+        plan = router_valiant_plan(
             torus, random.Random(6), 0, 30, intermediate_router=9
         )
         trace = walk_route(torus, torus_next_hop, 0, 30, plan)
@@ -98,7 +95,7 @@ class TestTorusValiant:
                 assert vc >= 2
 
     def test_degenerates_on_endpoint_draw(self, torus):
-        plan = torus_valiant_plan(
+        plan = router_valiant_plan(
             torus, random.Random(7), 0, 31, intermediate_router=0
         )
         assert plan.minimal
@@ -125,7 +122,7 @@ class TestTorusSimulation:
             drain_max_cycles=6000, num_vcs=4,
         )
         pattern = make_pattern(pattern_name, torus, seed=9)
-        return Simulator(torus, make_torus_routing(name), pattern, config).run()
+        return Simulator(torus, make_routing(name), pattern, config).run()
 
     def test_dor_drains_uniform(self, torus):
         result = self._run(torus, "TORUS-DOR", "uniform_random", 0.2)
@@ -135,18 +132,13 @@ class TestTorusSimulation:
         result = self._run(torus, "TORUS-VAL", "uniform_random", 0.15)
         assert result.drained
 
-    def test_factory(self):
-        assert make_torus_routing("TORUS-DOR").name == "TORUS-DOR"
-        with pytest.raises(ValueError):
-            make_torus_routing("TORUS-UGAL")
-
     def test_invariants(self, torus):
         config = SimulationConfig(
             load=0.3, warmup_cycles=300, measure_cycles=300,
             drain_max_cycles=3000, num_vcs=4,
         )
         pattern = make_pattern("torus_tornado", torus, seed=10)
-        simulator = Simulator(torus, make_torus_routing("TORUS-DOR"), pattern, config)
+        simulator = Simulator(torus, make_routing("TORUS-DOR"), pattern, config)
         simulator.run()
         simulator.check_invariants()
 
@@ -160,7 +152,7 @@ class TestTorusSimulation:
 def test_torus_any_route_reaches(src, dst, seed):
     torus = Torus(dims=(4, 4), concentration=2)
     rng = random.Random(seed)
-    plan = torus_valiant_plan(torus, rng, torus.terminal_router(src), dst)
+    plan = router_valiant_plan(torus, rng, torus.terminal_router(src), dst)
     trace = walk_route(torus, torus_next_hop, torus.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == torus.terminal_router(dst)

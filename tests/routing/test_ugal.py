@@ -40,14 +40,30 @@ class FakeView:
 class TestFactory:
     @pytest.mark.parametrize("name", [
         "MIN", "VAL", "UGAL-L", "UGAL-G", "UGAL-L_VC", "UGAL-L_VCH", "UGAL-L_CR",
+        "TBL-MIN", "TBL-MIN/gc1", "TBL-MIN/gc3", "TBL-MIN/gc10",
+        "FB-MIN", "FB-VAL", "FB-UGAL-L",
+        "VAR-MIN", "VAR-VAL", "VAR-UGAL-L",
+        "TORUS-DOR", "TORUS-VAL",
+        "CLOS-RAND", "CLOS-DET",
     ])
     def test_all_names_resolve(self, name):
+        """Every accepted name is the routing's own name, so manifests
+        and caches key one computation by one spelling."""
         algorithm = make_routing(name)
         assert algorithm.name == name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_routing("UGAL-X")
+
+    @pytest.mark.parametrize("name", [
+        "TBL-MIN/gc0", "TBL-MIN/gc007", "TBL-MIN/gc\u0663", "TBL-MIN/gc",
+        "TBL-MIN/gc-1", "TBL-MIN/gc 2",
+        "FB-UGAL-G", "VAR-UGAL-G", "TORUS-UGAL", "CLOS-UGAL", "fb-min",
+    ])
+    def test_other_spellings_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown routing algorithm"):
+            make_routing(name)
 
     def test_only_cr_needs_credit_delay(self):
         assert make_routing("UGAL-L_CR").needs_credit_delay

@@ -10,13 +10,13 @@ from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
 from repro.routing.paths import walk_route
+from repro.routing.ugal import make_routing
 from repro.routing.variant_paths import (
     variant_minimal_plan,
     variant_next_hop,
     variant_plan_hops,
     variant_valiant_plan,
 )
-from repro.routing.variant_routing import make_variant_routing
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
 
 
@@ -85,7 +85,7 @@ class TestVariantSimulation:
         )
         pattern = make_pattern(pattern_name, topology, seed=7)
         return Simulator(
-            topology, make_variant_routing(name), pattern, config
+            topology, make_routing(name), pattern, config
         ).run()
 
     def test_min_wc_caps_at_1_over_ah(self, cube_df):
@@ -107,11 +107,6 @@ class TestVariantSimulation:
             result = self._run(cube_df, name, "uniform_random", 0.2)
             assert result.drained, name
 
-    def test_factory(self):
-        assert make_variant_routing("VAR-MIN").name == "VAR-MIN"
-        with pytest.raises(ValueError):
-            make_variant_routing("VAR-UGAL-G")
-
     def test_invariants(self, cube_df):
         config = SimulationConfig(
             load=0.2, warmup_cycles=300, measure_cycles=300,
@@ -119,7 +114,7 @@ class TestVariantSimulation:
         )
         pattern = make_pattern("worst_case", cube_df, seed=8)
         simulator = Simulator(
-            cube_df, make_variant_routing("VAR-UGAL-L"), pattern, config
+            cube_df, make_routing("VAR-UGAL-L"), pattern, config
         )
         simulator.run()
         simulator.check_invariants()

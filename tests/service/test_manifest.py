@@ -81,6 +81,13 @@ class TestSweepManifest:
         assert repr(routing) in str(excinfo.value)
         assert "TBL-MIN/gcK" in str(excinfo.value)
 
+    @pytest.mark.parametrize("routing", ["FB-UGAL-L", "VAR-MIN", "TORUS-DOR", "CLOS-RAND"])
+    def test_other_family_routing_rejected(self, tiny_manifest, routing):
+        """The service builds dragonflies; a routing for another family
+        would only fail inside a worker."""
+        with pytest.raises(ValueError, match=f"{routing!r} drives a .*dragonfly"):
+            dataclasses.replace(tiny_manifest, routings=(routing,))
+
     def test_every_name_make_routing_parses_is_accepted(self, tiny_manifest):
         """The manifest has no routing list of its own to fall behind."""
         manifest = dataclasses.replace(

@@ -108,6 +108,20 @@ class TestSubmit:
             run_cli("--root", str(root), "submit", "--manifest", str(path))
         assert not (root / "jobs").exists()
 
+    def test_other_family_routing_is_a_bad_manifest(
+        self, root, tmp_path, tiny_manifest
+    ):
+        path = tmp_path / "fb.json"
+        path.write_text(
+            json.dumps({**tiny_manifest.to_dict(), "routings": ["FB-MIN"]}),
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            SystemExit, match="error: bad manifest .*'FB-MIN' drives a FlattenedButterfly"
+        ):
+            run_cli("--root", str(root), "submit", "--manifest", str(path))
+        assert not (root / "jobs").exists()
+
     def test_non_utf8_manifest_file_is_one_error_line(self, root, tmp_path):
         path = tmp_path / "garbled.json"
         path.write_bytes(b"\xff\xfe\x00garbage")

@@ -87,6 +87,22 @@ CONTRACT = {
         "import repro.network.simulator, repro.service\n",
         ["numpy"],
     ),
+    # The dragonfly's routings never load the extension families.
+    "dragonfly-routing-without-families": (
+        "from repro.routing.ugal import make_routing\n"
+        "make_routing('UGAL-L')\n",
+        [
+            "repro.routing.families",
+            "repro.routing.fb_paths",
+            "repro.routing.variant_paths",
+            "repro.routing.torus_routing",
+            "repro.routing.clos_routing",
+            "repro.topology.flattened_butterfly",
+            "repro.topology.group_variants",
+            "repro.topology.torus",
+            "repro.topology.folded_clos",
+        ],
+    ),
     # The execution core lives under repro.network and stands alone.
     "network-without-service": ("import repro.network.parallel", ["repro.service"]),
     # A figure's grid is declared in repro.experiments; the service runs
