@@ -18,15 +18,16 @@ choice, each re-executed through the same ``next_hop`` executor the
 simulator uses); the table pass feeds the same functions with walks
 *through compiled tables*.  When the proof fails,
 :func:`find_counterexample` extracts a concrete cycle of (channel, VC)
-buffers with :func:`networkx.find_cycle` and :func:`describe_cycle`
-renders it as a human-readable deadlock scenario.
+buffers -- the one ``networkx.find_cycle`` would name, found by the
+stdlib :func:`first_cycle` -- and :func:`describe_cycle` renders it as a
+human-readable deadlock scenario.
 """
 
 from __future__ import annotations
 
 import graphlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, TypeVar
 
 from ..topology.base import Fabric
 
@@ -103,19 +104,46 @@ def cdg_from_traces(fabric: Fabric, traces: Iterable[Trace]) -> Tuple[Cdg, int]:
 
 
 def find_counterexample(graph: Dict[Node, Dict[Node, None]]) -> Optional[List[Node]]:
-    """A cycle, or None when acyclic.  :mod:`graphlib` decides; networkx names
-    the cycle, on the graph replayed in insertion order, only when there is one."""
+    """A cycle, or None when acyclic.  :mod:`graphlib` decides;
+    :func:`first_cycle` names the cycle only when there is one."""
     try:
         graphlib.TopologicalSorter(graph).prepare()
         return None
     except graphlib.CycleError:
-        pass
-    import networkx as nx
+        return first_cycle(graph)
 
-    replay = nx.DiGraph()
-    replay.add_nodes_from(graph)
-    replay.add_edges_from((node, nxt) for node, nexts in graph.items() for nxt in nexts)
-    return [edge[0] for edge in nx.find_cycle(replay, orientation="original")]
+
+def first_cycle(graph: Mapping[Node, Iterable[Node]]) -> Optional[List[Node]]:
+    """The cycle ``networkx.find_cycle(G, orientation="original")`` finds
+    on ``G`` built from ``graph`` in insertion order, as its tail nodes.
+
+    The same edge DFS: start from each unexplored node in insertion
+    order, take each node's out-edges through one iterator shared by the
+    whole search, and stop at the first edge back onto the active path.
+    A node whose edges are exhausted is explored and never re-entered.
+    """
+    explored: Set[Node] = set()
+    for start in graph:
+        if start in explored:
+            continue
+        path = [start]
+        on_path = {start}
+        edges = [iter(graph[start])]
+        while edges:
+            for head in edges[-1]:
+                if head in on_path:
+                    return path[path.index(head):]
+                if head not in explored:
+                    path.append(head)
+                    on_path.add(head)
+                    edges.append(iter(graph.get(head, ())))
+                    break
+            else:
+                done = path.pop()
+                on_path.remove(done)
+                explored.add(done)
+                edges.pop()
+    return None
 
 
 def describe_cycle(fabric: Fabric, cycle: List[CdgNode]) -> str:

@@ -43,9 +43,7 @@ concrete enumerator on every registered (finite) configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, TypedDict
 
 from ..routing.grammar import ChannelClass, PathGrammar
 from .cdg import Certification, find_counterexample
@@ -62,6 +60,20 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: Where one class-level dependency comes from:
 #: (route class name, holding stage index, requesting stage index).
 EdgeProvenance = Tuple[str, int, int]
+
+
+class EdgeData(TypedDict):
+    """One class-level dependency: where it comes from, and whether an
+    order witness covers it."""
+
+    provenance: List[EdgeProvenance]
+    witnessed: bool
+
+
+#: The class-level graph: class -> requested class -> edge data.  Every
+#: class of the grammar is a key, in first-appearance order; each class's
+#: requests are in first-added order.
+ClassGraph = Dict[ChannelClass, Dict[ChannelClass, EdgeData]]
 
 
 @dataclass(frozen=True)
@@ -112,15 +124,15 @@ def _witness_orders(grammar: PathGrammar) -> Dict[ChannelClass, str]:
 
 
 def _add_edge(
-    graph: nx.DiGraph,
+    graph: ClassGraph,
     src: ChannelClass,
     dst: ChannelClass,
     provenance: EdgeProvenance,
     witnessed: bool,
 ) -> None:
-    data = graph.get_edge_data(src, dst)
+    data = graph[src].get(dst)
     if data is None:
-        graph.add_edge(src, dst, provenance=[provenance], witnessed=witnessed)
+        graph[src][dst] = {"provenance": [provenance], "witnessed": witnessed}
     else:
         data["provenance"].append(provenance)
         # One unwitnessed contributor taints the edge: the cycle search
@@ -128,7 +140,7 @@ def _add_edge(
         data["witnessed"] = data["witnessed"] and witnessed
 
 
-def class_dependency_graph(grammar: PathGrammar) -> nx.DiGraph:
+def class_dependency_graph(grammar: PathGrammar) -> ClassGraph:
     """The class-level dependency graph of a path grammar.
 
     Nodes are channel classes.  For each route class, stage ``i`` depends
@@ -140,8 +152,7 @@ def class_dependency_graph(grammar: PathGrammar) -> nx.DiGraph:
     *revisited* across skippable stages is never witnessed -- no
     single-walk order spans two separate visits).
     """
-    graph: nx.DiGraph = nx.DiGraph()
-    graph.add_nodes_from(grammar.classes())
+    graph: ClassGraph = {cls: {} for cls in grammar.classes()}
     witnesses = _witness_orders(grammar)
     for route_class in grammar.route_classes:
         segments = route_class.segments
@@ -166,25 +177,27 @@ def class_dependency_graph(grammar: PathGrammar) -> nx.DiGraph:
 
 
 def find_symbolic_counterexample(
-    graph: nx.DiGraph,
+    graph: ClassGraph,
 ) -> Optional[List[ChannelClass]]:
     """A class cycle, or None.  Witnessed self-edges are not cycles."""
-    search: Dict[ChannelClass, Dict[ChannelClass, None]] = {n: {} for n in graph.nodes}
-    for src, dst, data in graph.edges(data=True):
-        if not (src == dst and data["witnessed"]):
-            search[src][dst] = None
-    return find_counterexample(search)
+    return find_counterexample({
+        src: {
+            dst: None for dst, data in requests.items()
+            if not (src == dst and data["witnessed"])
+        }
+        for src, requests in graph.items()
+    })
 
 
 def describe_symbolic_cycle(
-    graph: nx.DiGraph, cycle: List[ChannelClass]
+    graph: ClassGraph, cycle: List[ChannelClass]
 ) -> str:
     """Render a class cycle, naming the route classes that close it."""
     lines = []
     for i, cls in enumerate(cycle):
         nxt = cycle[(i + 1) % len(cycle)]
-        data = graph.get_edge_data(cls, nxt) or {}
-        provenance: List[EdgeProvenance] = data.get("provenance", [])
+        data = graph.get(cls, {}).get(nxt)
+        provenance = data["provenance"] if data else []
         via = ""
         if provenance:
             name, hold, request = provenance[0]
@@ -207,15 +220,15 @@ def certify_grammar(name: str, grammar: PathGrammar) -> SymbolicCertification:
     cycle = find_symbolic_counterexample(graph)
     witnessed_notes = tuple(sorted(
         f"{src.describe()}: self-dependencies ordered by {witnesses[src]}"
-        for src, dst, data in graph.edges(data=True)
-        if src == dst and data["witnessed"]
+        for src, requests in graph.items()
+        if src in requests and requests[src]["witnessed"]
     ))
     return SymbolicCertification(
         name=name,
         ok=cycle is None,
         num_route_classes=len(grammar.route_classes),
-        num_classes=graph.number_of_nodes(),
-        num_edges=graph.number_of_edges(),
+        num_classes=len(graph),
+        num_edges=sum(len(requests) for requests in graph.values()),
         cycle=tuple(cycle) if cycle else None,
         cycle_description=(
             describe_symbolic_cycle(graph, cycle) if cycle else None

@@ -106,6 +106,7 @@ from .decide_kernel import (
     VectorizedMT19937,
     kernel_ineligibility,
     lower_traffic,
+    transplant_mt19937,
 )
 from .simulator import Simulator, SimulatorStateError, SimulatorStateView
 from .stats import LatencySamples
@@ -115,21 +116,12 @@ def transplant_rng(rng: random.Random) -> np.random.RandomState:
     """A numpy RandomState continuing ``rng``'s exact double stream.
 
     CPython's :class:`random.Random` and numpy's legacy
-    :class:`~numpy.random.RandomState` both run MT19937 and both build
-    ``random()`` doubles as ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from
-    two consecutive 32-bit outputs, so copying the 624-word key and
-    position reproduces the scalar stream bit for bit.
+    :class:`~numpy.random.RandomState` both build ``random()`` doubles as
+    ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
+    outputs, so on the transplanted MT19937 (:func:`transplant_mt19937`)
+    the scalar stream continues bit for bit.
     """
-    state = rng.getstate()
-    if state[0] != 3:  # pragma: no cover - CPython's only current version
-        raise RuntimeError(
-            f"unsupported random.Random state version {state[0]}"
-        )
-    keys = np.asarray(state[1][:-1], dtype=np.uint32)
-    pos = state[1][-1]
-    np_rng = np.random.RandomState()
-    np_rng.set_state(("MT19937", keys, pos))
-    return np_rng
+    return np.random.RandomState(transplant_mt19937(rng))
 
 
 class LinkedFifos:

@@ -9,9 +9,10 @@ backend can resolve *every* injecting terminal's decision for a cycle
 with a handful of numpy gathers, bit-identically to the scalar path:
 
 * :class:`VectorizedMT19937` transplants the route rng's Mersenne
-  Twister state and replays ``getrandbits``-based rejection sampling in
-  blocks, so the Valiant intermediate-group draws consume the generator
-  word-for-word as the scalar inlined loop in
+  Twister state into numpy's own MT19937 and replays
+  ``getrandbits``-based rejection sampling in batches, so the Valiant
+  intermediate-group draws consume the generator word-for-word as the
+  scalar inlined loop in
   :func:`repro.routing.paths._valiant_plan_between` does;
 * :class:`DecideTables` precomputes, per ordered group pair, the unique
   global link and the first-hop (port, VC) of both route phases for all
@@ -52,10 +53,9 @@ import numpy as np
 
 from ..routing import vc_assignment as vcs
 from ..routing.minimal import MinimalRouting
-from ..routing.tables import group_link_matrix
 from ..routing.ugal import UgalG, UgalL, UgalLCr, UgalLVc, UgalLVcH
 from ..routing.valiant import ValiantRouting
-from ..topology.dragonfly import Dragonfly
+from ..topology.dragonfly import Dragonfly, group_link_matrix
 
 #: Version tag stamped into backend provenance and
 #: :class:`~repro.network.backend.EquivalenceContract.decide_kernel`.
@@ -66,15 +66,36 @@ KERNEL_NAME = "decide-v1"
 # Mersenne Twister transplant
 # ----------------------------------------------------------------------
 
+#: Words in one MT19937 state block (CPython's and numpy's ``N``).
 _N = 624
-_M = 397
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
+
+
+def transplant_mt19937(rng: random.Random) -> np.random.MT19937:
+    """numpy's :class:`~numpy.random.MT19937` bit generator standing
+    where ``rng`` stands.
+
+    numpy implements the same generator as CPython -- the same 624-word
+    key, position, twist and tempering -- so once the ``(key, pos)``
+    state is copied, both produce the same 32-bit words from here on.
+    Raises :class:`ValueError` if the state is not the CPython version-3
+    Mersenne Twister layout.
+    """
+    state = rng.getstate()
+    if state[0] != 3 or len(state[1]) != _N + 1:
+        raise ValueError(
+            f"unsupported random.Random state version {state[0]!r}"
+        )
+    bits = np.random.MT19937(0)
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[1][:-1], dtype=np.uint32), "pos": state[1][-1]},
+    }
+    return bits
 
 
 class VectorizedMT19937:
-    """CPython's MT19937 stream, generated a 624-word block at a time.
+    """CPython's MT19937 stream, drawn in batches from numpy's own bit
+    generator (:func:`transplant_mt19937`).
 
     Word ``j`` produced by this class is bit-identical to the ``j``-th
     ``getrandbits(32)`` result of the :class:`random.Random` the state
@@ -85,11 +106,14 @@ class VectorizedMT19937:
     following the last accepted draw.
     """
 
-    __slots__ = ("_mt", "_pos")
+    __slots__ = ("_bits", "_rest")
 
-    def __init__(self, mt: np.ndarray, pos: int) -> None:
-        self._mt = mt.astype(np.uint32, copy=True)
-        self._pos = int(pos)
+    def __init__(self, bits: np.random.MT19937) -> None:
+        self._bits = bits
+        #: The tempered words of the current block not consumed yet.
+        #: ``bits`` itself always stands at the block's end, so the
+        #: stream's position is ``_N - len(_rest)`` in ``bits``' key.
+        self._rest = bits.random_raw(_N - bits.state["state"]["pos"])
 
     @classmethod
     def from_python_rng(cls, rng: random.Random) -> "VectorizedMT19937":
@@ -99,59 +123,24 @@ class VectorizedMT19937:
         version-3 Mersenne Twister layout or the probe words disagree
         (e.g. a ``random.Random`` subclass with different semantics).
         """
-        state = rng.getstate()
-        if state[0] != 3 or len(state[1]) != _N + 1:
-            raise ValueError(
-                f"unsupported random.Random state version {state[0]!r}"
-            )
-        mt = np.array(state[1][:-1], dtype=np.uint32)
-        pos = state[1][-1]
+        clone = cls(transplant_mt19937(rng))
         probe = random.Random()
-        probe.setstate(state)
-        clone = cls(mt, pos)
+        probe.setstate(rng.getstate())
         for _ in range(3):
             if clone.next_word() != probe.getrandbits(32):
                 raise ValueError("transplanted MT19937 diverged from probe")
-        return cls(mt, pos)
+        return cls(transplant_mt19937(rng))
 
-    # -- core generator ------------------------------------------------
-
-    def _twist(self) -> None:
-        mt = self._mt
-        nxt = np.empty(_N, np.uint32)
-        # y[kk] for kk in [0, 623): old words only (kk+1 <= 623).
-        y = (mt[:-1] & _UPPER) | (mt[1:] & _LOWER)
-        f = (y >> np.uint32(1)) ^ np.where(
-            y & np.uint32(1), _MATRIX_A, np.uint32(0)
-        )
-        # mt[kk + M] is an *old* word while kk + M < N, a *new* word
-        # after -- the three slabs replicate the in-place recurrence.
-        lo = _N - _M  # 227
-        nxt[0:lo] = mt[_M:_N] ^ f[0:lo]
-        nxt[lo:2 * lo] = nxt[0:lo] ^ f[lo:2 * lo]
-        nxt[2 * lo:_N - 1] = nxt[lo:_N - 1 - lo] ^ f[2 * lo:_N - 1]
-        y_last = (mt[_N - 1] & _UPPER) | (nxt[0] & _LOWER)
-        f_last = (y_last >> np.uint32(1)) ^ (
-            _MATRIX_A if y_last & np.uint32(1) else np.uint32(0)
-        )
-        nxt[_N - 1] = nxt[_M - 1] ^ f_last
-        self._mt = nxt
-        self._pos = 0
-
-    @staticmethod
-    def _temper(y: np.ndarray) -> np.ndarray:
-        y = y ^ (y >> np.uint32(11))
-        y = y ^ ((y << np.uint32(7)) & np.uint32(0x9D2C5680))
-        y = y ^ ((y << np.uint32(15)) & np.uint32(0xEFC60000))
-        y = y ^ (y >> np.uint32(18))
-        return y
+    def _block(self) -> np.ndarray:
+        """The unconsumed words, drawing the next block once none are left."""
+        if not self._rest.shape[0]:
+            self._rest = self._bits.random_raw(_N)
+        return self._rest
 
     def next_word(self) -> int:
         """One 32-bit output word (scalar; tests and probe validation)."""
-        if self._pos >= _N:
-            self._twist()
-        word = int(self._temper(self._mt[self._pos:self._pos + 1])[0])
-        self._pos += 1
+        word = int(self._block()[0])
+        self._rest = self._rest[1:]
         return word
 
     def getrandbits(self, k: int) -> int:
@@ -165,10 +154,10 @@ class VectorizedMT19937:
 
         Lets callers hand the stream *back* to a scalar generator at the
         exact position this instance reached -- the inverse of
-        :meth:`from_python_rng`, used to keep a paired scalar rng in
-        sync across kernel/non-kernel boundaries and by parity tests.
+        :meth:`from_python_rng`, used by parity tests.
         """
-        return (3, tuple(int(w) for w in self._mt) + (self._pos,), None)
+        key = self._bits.state["state"]["key"]
+        return (3, tuple(int(w) for w in key) + (_N - self._rest.shape[0],), None)
 
     # -- batched sampling ----------------------------------------------
 
@@ -184,26 +173,20 @@ class VectorizedMT19937:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        k = n.bit_length()
-        shift = np.uint32(32 - k)
+        shift = np.uint64(32 - n.bit_length())
         out = np.empty(count, np.int64)
         filled = 0
         while filled < count:
-            if self._pos >= _N:
-                self._twist()
-            vals = (self._temper(self._mt[self._pos:]) >> shift).astype(
-                np.int64
-            )
-            idx = np.nonzero(vals < n)[0]
+            vals = self._block() >> shift
+            idx = np.flatnonzero(vals < n)
             need = count - filled
             if idx.shape[0] >= need:
-                out[filled:count] = vals[idx[:need]]
-                self._pos += int(idx[need - 1]) + 1
-                filled = count
-            else:
-                out[filled:filled + idx.shape[0]] = vals[idx]
-                filled += idx.shape[0]
-                self._pos = _N
+                out[filled:] = vals[idx[:need]]
+                self._rest = self._rest[idx[need - 1] + 1:]
+                break
+            out[filled:filled + idx.shape[0]] = vals[idx]
+            filled += idx.shape[0]
+            self._rest = self._rest[:0]
         return out
 
 

@@ -27,11 +27,12 @@ are kept for the routing executors' hot path.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import Dict, List, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    import networkx as nx
+#: One route stage: (channel class, VC), e.g. ``("local", 1)``.
+Stage = Tuple[str, int]
 
 #: Number of VCs required for deadlock freedom with non-minimal routing.
 NUM_VCS_REQUIRED = 3
@@ -112,7 +113,7 @@ class VcAssignment:
         )
 
     # -- abstract channel-class analysis --------------------------------
-    def vc_sequences(self) -> List[List[Tuple[str, int]]]:
+    def vc_sequences(self) -> List[List[Stage]]:
         """All (channel-class, VC) sequences routes can produce.
 
         Every realisable route is a subsequence of one of these
@@ -135,35 +136,39 @@ class VcAssignment:
         ]
         return [minimal, nonminimal]
 
-    def channel_dependency_graph(self) -> nx.DiGraph:
+    def channel_dependency_graph(self) -> Dict[Stage, Dict[Stage, None]]:
         """Abstract channel-class dependency graph of the assignment.
 
         Nodes are (channel-class, VC) pairs; an edge A -> B means some
         route holds a buffer of class A while requesting one of class B.
-        Deadlock freedom of the assignment (over *any* dragonfly, since
-        local and global channels of the same class are interchangeable
-        at this abstraction) is equivalent to this graph being acyclic.
-        The concrete per-channel proof lives in :mod:`repro.check.cdg`.
+        The graph maps each node to the nodes it requests, in first-seen
+        order.  Deadlock freedom of the assignment (over *any* dragonfly,
+        since local and global channels of the same class are
+        interchangeable at this abstraction) is equivalent to this graph
+        being acyclic.  The concrete per-channel proof lives in
+        :mod:`repro.check.cdg`.
         """
-        import networkx as nx
-
-        graph = nx.DiGraph()
+        graph: Dict[Stage, Dict[Stage, None]] = {}
         for sequence in self.vc_sequences():
             # Any contiguous *subsequence* is realisable (hops may be
             # skipped), so add edges between every ordered pair, not just
             # adjacent hops.
             # A stage revisiting an earlier (class, VC) pair produces a
-            # self-loop, which networkx counts as a cycle -- exactly right.
-            for i in range(len(sequence)):
-                for j in range(i + 1, len(sequence)):
-                    graph.add_edge(sequence[i], sequence[j])
+            # self-loop, which graphlib counts as a cycle -- exactly right.
+            for i, holding in enumerate(sequence):
+                requests = graph.setdefault(holding, {})
+                for requested in sequence[i + 1:]:
+                    requests[requested] = None
+                    graph.setdefault(requested, {})
         return graph
 
     def is_deadlock_free(self) -> bool:
         """True when the abstract channel-class graph is acyclic."""
-        import networkx as nx
-
-        return nx.is_directed_acyclic_graph(self.channel_dependency_graph())
+        try:
+            graphlib.TopologicalSorter(self.channel_dependency_graph()).prepare()
+        except graphlib.CycleError:
+            return False
+        return True
 
 
 #: The canonical Figure 7 assignment: 3 VCs, non-minimal admitted.
@@ -234,12 +239,12 @@ def global_vc(minimal: bool, global_hops_taken: int) -> int:
     return CANONICAL.global_vc(minimal, global_hops_taken)
 
 
-def vc_sequences() -> List[List[Tuple[str, int]]]:
+def vc_sequences() -> List[List[Stage]]:
     """All (channel-class, VC) sequences of the canonical assignment."""
     return CANONICAL.vc_sequences()
 
 
-def channel_dependency_graph() -> nx.DiGraph:
+def channel_dependency_graph() -> Dict[Stage, Dict[Stage, None]]:
     """Abstract channel-class dependency graph of the canonical assignment."""
     return CANONICAL.channel_dependency_graph()
 

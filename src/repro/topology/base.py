@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    import networkx as nx
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class ChannelKind(enum.Enum):
@@ -200,22 +197,8 @@ class Fabric:
         return out
 
     # ------------------------------------------------------------------
-    # Graph export / structural checks
+    # Structural checks
     # ------------------------------------------------------------------
-    def router_graph(self) -> nx.MultiGraph:
-        """Undirected multigraph over routers (one edge per cable)."""
-        import networkx as nx
-
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(range(self.num_routers))
-        for forward, _ in self.bidirectional_links():
-            graph.add_edge(
-                forward.src.router,
-                forward.dst.router,
-                kind=forward.kind.value,
-            )
-        return graph
-
     def unreachable_router(self) -> Optional[int]:
         """The lowest router not reachable from router 0, or None."""
         reached, frontier = {0}, [0]
@@ -229,10 +212,25 @@ class Fabric:
         return self.unreachable_router() is None
 
     def router_diameter(self) -> int:
-        """Hop diameter of the router-to-router graph."""
-        import networkx as nx
-
-        return nx.diameter(nx.Graph(self.router_graph()))
+        """Hop diameter of the router-to-router graph: the largest
+        shortest-path hop count, by a breadth-first search from every
+        router.  Raises ValueError on a disconnected fabric."""
+        unreachable = self.unreachable_router()
+        if unreachable is not None:
+            raise ValueError(
+                f"fabric is not connected: router {unreachable} unreachable "
+                "from router 0, so its diameter is infinite"
+            )
+        adjacency = [set(self.neighbors(router)) for router in range(self.num_routers)]
+        diameter = 0
+        for source in range(self.num_routers):
+            reached, frontier, hops = {source}, {source}, 0
+            while len(reached) < self.num_routers:
+                frontier = set().union(*(adjacency[r] for r in frontier)) - reached
+                reached |= frontier
+                hops += 1
+            diameter = max(diameter, hops)
+        return diameter
 
     def validate(self) -> None:
         """Structural sanity checks; raises ValueError on inconsistency."""

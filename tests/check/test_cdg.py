@@ -19,6 +19,7 @@ from repro.check.cdg import (
     certify,
     describe_cycle,
     find_counterexample,
+    first_cycle,
     max_vc_used,
 )
 from repro.check.registry import (
@@ -284,6 +285,27 @@ class TestReferenceOracle:
         assert certification.num_nodes == reference.number_of_nodes()
         assert certification.num_edges == reference.number_of_edges()
         assert certification.cycle == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24),
+        isolated=st.lists(st.integers(0, 7), max_size=4),
+    )
+    def test_first_cycle_matches_networkx_find_cycle(self, edges, isolated):
+        """Any digraph, nodes and edges in any insertion order (isolated
+        nodes first, a source first seen as a target included)."""
+        graph = {node: {} for node in isolated}
+        for src, dst in edges:
+            graph.setdefault(src, {})[dst] = None
+        reference = nx.DiGraph()
+        reference.add_nodes_from(graph)
+        reference.add_edges_from((src, dst) for src in graph for dst in graph[src])
+        try:
+            expected = [edge[0] for edge in nx.find_cycle(reference, orientation="original")]
+        except nx.NetworkXNoCycle:
+            expected = None
+        assert first_cycle(graph) == expected
+        assert find_counterexample(graph) == expected
 
 
 # ----------------------------------------------------------------------

@@ -82,8 +82,8 @@ def plan_behind(topology: Dragonfly, hk0: int, hk1: int, minimal: bool):
 # ----------------------------------------------------------------------
 class TestVectorizedMT19937:
     def test_word_stream_matches_cpython(self):
-        # Two full twist generations (624 words each) so the 3-slab
-        # vectorized recurrence is exercised across its boundaries.
+        # Two full twist generations (624 words each), so the stream is
+        # followed across two block boundaries.
         rng = random.Random(123)
         mt = VectorizedMT19937.from_python_rng(rng)
         for _ in range(1500):
@@ -148,6 +148,42 @@ class TestVectorizedMT19937:
             consumed += 1
         for _ in range(100):
             assert back.getrandbits(32) == clone.getrandbits(32)
+
+    def test_state_round_trips_on_both_sides_of_each_block_boundary(self):
+        """``to_python_state`` just before and just after every 624-word
+        block boundary a ``rejection_sample`` call crosses equals the
+        state of a scalar generator that made the same draws."""
+        n = 33  # k = 6: words 33..63 are rejected
+        source = random.Random(41)
+        for _ in range(617):  # start 7 words before the first boundary
+            source.getrandbits(32)
+        words = 617
+        walker = random.Random()
+        walker.setstate(source.getstate())
+        ends, states = [], []  # per accepted draw: its word, the state after it
+        while len(ends) < 2000:
+            words += 1
+            if walker.getrandbits(n.bit_length()) < n:
+                ends.append(words)
+                states.append(walker.getstate())
+        batched = VectorizedMT19937.from_python_rng(source).rejection_sample(2000, n)
+        boundaries = range(624, ends[-1], 624)
+        assert len(boundaries) >= 6
+        for boundary in boundaries:
+            before = sum(end <= boundary for end in ends)  # draws left of it
+            mt = VectorizedMT19937.from_python_rng(source)
+            head = mt.rejection_sample(before, n)
+            assert mt.to_python_state() == states[before - 1]
+            # One draw whose word lies past the boundary: the call crosses it.
+            tail = mt.rejection_sample(1, n)
+            assert ends[before] > boundary
+            assert mt.to_python_state() == states[before]
+            assert [*head, *tail] == list(batched[:before + 1])
+            back = random.Random()
+            back.setstate(mt.to_python_state())
+            walker.setstate(states[before])
+            for _ in range(3):
+                assert back.getrandbits(32) == walker.getrandbits(32)
 
     def test_rejection_sample_rejects_bad_n(self):
         mt = VectorizedMT19937.from_python_rng(random.Random(1))

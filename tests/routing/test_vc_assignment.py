@@ -6,6 +6,14 @@ import pytest
 from repro.routing import vc_assignment as vcs
 
 
+def as_networkx(graph):
+    """The adjacency dict as the reference ``nx.DiGraph``."""
+    reference = nx.DiGraph()
+    reference.add_nodes_from(graph)
+    reference.add_edges_from((src, dst) for src, requests in graph.items() for dst in requests)
+    return reference
+
+
 class TestVcValues:
     def test_minimal_route_uses_two_vcs(self):
         """Minimal routing needs 2 VCs (the paper's claim): VC1 and VC2."""
@@ -49,11 +57,24 @@ class TestDeadlockFreedom:
         graph = vcs.channel_dependency_graph()
         for sequence in vcs.vc_sequences():
             for node in sequence:
-                assert node in graph.nodes
+                assert node in graph
 
     def test_topological_order_exists(self):
-        graph = vcs.channel_dependency_graph()
+        graph = as_networkx(vcs.channel_dependency_graph())
         order = list(nx.topological_sort(graph))
         position = {node: i for i, node in enumerate(order)}
         for src, dst in graph.edges:
             assert position[src] < position[dst]
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [vcs.CANONICAL, vcs.MINIMAL_TWO_VC, vcs.COLLAPSED_TWO_VC, vcs.DETOUR_VC_REUSE],
+        ids=lambda assignment: assignment.name,
+    )
+    def test_verdict_matches_networkx(self, assignment):
+        reference = as_networkx(assignment.channel_dependency_graph())
+        assert assignment.is_deadlock_free() == nx.is_directed_acyclic_graph(reference)
+
+    def test_negative_controls_are_cyclic(self):
+        assert not vcs.COLLAPSED_TWO_VC.is_deadlock_free()
+        assert not vcs.DETOUR_VC_REUSE.is_deadlock_free()

@@ -69,16 +69,28 @@ CONTRACT = {
         "import repro.experiments",
         [*FIGURE_MODULES, "repro.cost", "repro.analysis"],
     ),
-    # ``import networkx`` is ~95 ms of set-up: sweeps, the service and
-    # the paper-scale runs build and validate fabrics without it.
-    "topologies-without-networkx": (
-        "import repro, repro.experiments.base\n"
-        "from repro.experiments.base import experiment_topology\n"
-        "from repro.topology.dragonfly import Dragonfly\n"
-        "from repro.core.params import DragonflyParams\n"
-        "experiment_topology(quick=True)\n"
-        "Dragonfly(DragonflyParams.paper_1k())\n",
+    # The symbolic pass refutes a negative control, so a counterexample
+    # cycle is named too; the test extra's networkx is still installed.
+    "check-without-networkx": (
+        "from repro.check.__main__ import run_passes\n"
+        "run_passes(['symbolic'])\n",
         ["networkx"],
+    ),
+    # The decide kernel needs one global link per group pair, not the
+    # table compiler (with its fault model and path grammars).
+    "array-engine-without-table-compiler": (
+        "from repro.core.params import DragonflyParams\n"
+        "from repro.network.backend import make_simulator\n"
+        "from repro.network.config import SimulationConfig\n"
+        "from repro.network.traffic import make_pattern\n"
+        "from repro.routing.ugal import make_routing\n"
+        "from repro.topology.dragonfly import Dragonfly\n"
+        "topology = Dragonfly(DragonflyParams.paper_example_72())\n"
+        "sim = make_simulator(topology, make_routing('UGAL-L'),\n"
+        "    make_pattern('uniform_random', topology, seed=1),\n"
+        "    SimulationConfig(load=0.2), backend='array')\n"
+        "assert type(sim).__name__ == 'ArraySimulator', type(sim)\n",
+        ["repro.routing.tables"],
     ),
     # ``import numpy`` costs ~135 ms: the sample columns are stdlib
     # ``array``/``bytearray`` so the scalar path and cache reads skip it.
@@ -231,6 +243,13 @@ def imports_of(path: pathlib.Path, package: str) -> set:
     return names
 
 
+def module_imports(name: str) -> set:
+    """Every module name the ``src/repro`` module ``name`` imports."""
+    path = module_path(name)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    return imports_of(path, package)
+
+
 def test_every_module_is_reached_from_an_entry_point():
     known = set(REPRO_MODULES)
     reached = set()
@@ -242,9 +261,22 @@ def test_every_module_is_reached_from_an_entry_point():
             continue
         reached.add(name)
         pending.add(name.rpartition(".")[0])  # its package is imported too
-        path = module_path(name)
-        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
-        pending.update(imports_of(path, package))
+        pending.update(module_imports(name))
     unreached = sorted(known - reached - set(UNREACHED))
     assert not unreached, f"no entry point imports {unreached}"
     assert set(UNREACHED) <= known - reached, "an UNREACHED module is now imported"
+
+
+def test_no_module_imports_networkx():
+    """``import networkx`` is ~95 ms of set-up that sweeps, the service,
+    the paper-scale runs and every ``python -m repro.check`` would pay:
+    fabrics, VC assignments and the certifiers' graphs are stdlib dicts,
+    and networkx stays a test-only reference oracle."""
+    offenders = sorted(
+        name for name in REPRO_MODULES
+        if any(
+            imported == "networkx" or imported.startswith("networkx.")
+            for imported in module_imports(name)
+        )
+    )
+    assert not offenders, f"{offenders} import networkx"

@@ -1,7 +1,9 @@
 """Tests for the shared Fabric wiring representation."""
 
+import networkx as nx
 import pytest
 
+from repro.check.registry import default_configurations
 from repro.topology.base import ChannelKind, Fabric, PortRef
 
 
@@ -122,4 +124,25 @@ class TestGraphExport:
 
     def test_validate_passes_on_connected(self):
         two_router_fabric().validate()
+
+    def test_diameter_of_disconnected_fabric_names_the_router(self):
+        with pytest.raises(ValueError, match=r"router 1 unreachable from router 0"):
+            Fabric(3).router_diameter()
+
+    def test_single_router_diameter_is_zero(self):
+        assert Fabric(num_routers=1).router_diameter() == 0
+
+
+@pytest.mark.parametrize("configuration", default_configurations(), ids=lambda c: c.name)
+def test_router_diameter_matches_networkx(configuration):
+    """The breadth-first diameter against ``nx.diameter`` on the
+    router graph, one edge per cable."""
+    fabric = configuration.lowering.topology.fabric
+    reference = nx.Graph()
+    reference.add_nodes_from(range(fabric.num_routers))
+    reference.add_edges_from(
+        (forward.src.router, forward.dst.router)
+        for forward, _ in fabric.bidirectional_links()
+    )
+    assert fabric.router_diameter() == nx.diameter(reference)
 
