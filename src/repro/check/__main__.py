@@ -39,7 +39,7 @@ import json
 import pathlib
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .invariants import audit_topology, default_topology_audits
 from .lint import lint_sources
@@ -322,15 +322,19 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
     """Re-simulate a golden fixture under the conservation sanitizer.
 
     ``fixture`` is a path to a fixture JSON or a bare name resolved
-    against ``tests/golden/``.  The run fails on any conservation
-    violation (the sanitizer's findings are surfaced directly) and on
-    any divergence from the fixture's pinned results -- sanitizing must
-    be behaviour-preserving.
+    against ``tests/golden/`` (``families/<name>`` for an extension
+    family's runs).  The run fails on any conservation violation (the
+    sanitizer's findings are surfaced directly) and on any divergence
+    from the fixture's pinned results -- sanitizing must be
+    behaviour-preserving.
     """
     from ..core.params import DragonflyParams
     from ..network.config import SimulationConfig
     from ..network.parallel import ServiceError, SweepExecutor
+    from ..network.simulator import Simulator
     from ..network.sweep import load_sweep
+    from ..network.traffic import make_pattern
+    from ..routing.ugal import make_routing
     from ..settings import ENV_VARS, Settings
     from ..topology.dragonfly import Dragonfly
     from .sanitizer import SanitizerError
@@ -347,22 +351,36 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
         )
         return report
     data = json.loads(path.read_text())
-    topology = Dragonfly(DragonflyParams(**data["topology"]))
     config = SimulationConfig(**data["config"])
     settings = dataclasses.replace(Settings.from_env(), sanitize=True)
     try:
-        points = load_sweep(
-            topology, data["routing"], data["pattern"], data["loads"], config,
-            executor=SweepExecutor(settings=settings),
-        )
-    except ServiceError as error:
+        if "runs" in data:
+            # An extension family: each run on the scalar engine, on the
+            # topology its routing drives, with the fixture's pattern seed.
+            results: List[Dict[str, Any]] = []
+            for run in data["runs"]:
+                routing = make_routing(run["routing"])
+                topology = routing.topology_type(**data["kwargs"])
+                pattern = make_pattern(run["pattern"], topology, seed=config.seed + 17)
+                results.append(Simulator(
+                    topology, routing, pattern, config.with_load(run["load"]),
+                    settings,
+                ).run().to_dict())
+        else:
+            points = load_sweep(
+                Dragonfly(DragonflyParams(**data["topology"])), data["routing"],
+                data["pattern"], data["loads"], config,
+                executor=SweepExecutor(settings=settings),
+            )
+            results = [point.result.to_dict() for point in points]
+    except (SanitizerError, ServiceError) as error:
         # The sweep runner reports a failed point as ServiceError
         # chained to what the point raised.
-        if not isinstance(error.__cause__, SanitizerError):
+        cause = error.__cause__ if isinstance(error, ServiceError) else error
+        if not isinstance(cause, SanitizerError):
             raise
-        report.extend(error.__cause__.findings)
+        report.extend(cause.findings)
         return report
-    results = [point.result.to_dict() for point in points]
     if results != data["points"]:
         report.add(
             "SAN006", Severity.ERROR, str(path),
@@ -371,7 +389,7 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
         )
     else:
         report.note(
-            f"{path.stem}: {len(points)} point(s) re-simulated under "
+            f"{path.stem}: {len(results)} point(s) re-simulated under "
             f"{ENV_VARS['sanitize']}=1; zero violations, bit-identical results"
         )
     return report

@@ -5,9 +5,9 @@ routable when global cables fail because minimal routes can detour
 through a third group.  This extension experiment quantifies the cost:
 it degrades the quick 72-terminal dragonfly by severing 0..3 disjoint
 group pairs (:func:`repro.topology.faults.canonical_global_faults`),
-recompiles the forwarding tables around the damage
-(:class:`repro.routing.tables.DegradedTableRouting`), and bisects for
-the saturated throughput of uniform random traffic on each degraded
+recompiles the forwarding tables around the damage, simulates them
+(:class:`repro.routing.tables.TableRouting`), and bisects for the
+saturated throughput of uniform random traffic on each degraded
 fabric.
 
 Every severed pair forces its traffic onto third-group detours that

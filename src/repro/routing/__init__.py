@@ -16,7 +16,7 @@ ALL_ROUTING_NAMES = [
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".vc_assignment": ("vc_assignment",),
-    ".fb_paths": ("RouterPlan", "fb_next_hop", "fb_plan_hops", "router_valiant_plan"),
+    ".fb_paths": ("RouterPlan", "fb_next_hop", "router_valiant_plan"),
     ".clos_routing": ("ClosRoutePlan", "clos_plan"),
     ".families": ("FAMILY_ROUTINGS", "Family", "FamilyRouting"),
     ".torus_routing": ("torus_next_hop",),
@@ -37,6 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "TableDrivenRouting",
         "TableEntry",
         "TableRouteError",
+        "TableRouting",
         "TorusLowering",
         "VariantLowering",
         "compile_clos_tables",
@@ -49,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".variant_paths": (
         "variant_minimal_plan",
         "variant_next_hop",
-        "variant_plan_hops",
         "variant_valiant_plan",
     ),
 })

@@ -5,9 +5,11 @@ minimal routing takes the minimal plan, Valiant routing a plan through a
 random intermediate, and UGAL-L compares ``q x H`` for the minimal
 candidate and one Valiant candidate at the source router.  A
 :class:`Family` supplies what does depend on the topology -- the plan
-builders, the hop count and the executor -- and :class:`FamilyRouting`
-applies the rule.  ``make_routing`` resolves every name of
-:data:`FAMILY_ROUTINGS`.
+builders and the lowering whose tables the plans run on -- and
+:class:`FamilyRouting` applies the rule.  Every hop, and UGAL's
+first-hop port and hop count ``H``, is a walk of the compiled tables
+(:class:`~repro.routing.tables.TableRouting`).  ``make_routing``
+resolves every name of :data:`FAMILY_ROUTINGS`.
 
 UGAL-G is not provided: on the flattened butterfly the congested channel
 is attached to the *source* router itself (DOR's first hop), so local
@@ -27,20 +29,22 @@ from ..topology.flattened_butterfly import FlattenedButterfly
 from ..topology.folded_clos import FoldedClos
 from ..topology.group_variants import FlattenedButterflyGroupDragonfly
 from ..topology.torus import Torus
-from .base import CongestionView, RoutingAlgorithm
-from .clos_routing import clos_next_hop, clos_plan
-from .fb_paths import RouterPlan, fb_next_hop, fb_plan_hops, router_valiant_plan
-from .torus_routing import torus_next_hop
-from .variant_paths import (
-    variant_minimal_plan,
-    variant_next_hop,
-    variant_plan_hops,
-    variant_valiant_plan,
+from . import vc_assignment as vcs
+from .base import CongestionView
+from .clos_routing import clos_plan
+from .fb_paths import RouterPlan, router_valiant_plan
+from .tables import (
+    ClosLowering,
+    FbLowering,
+    Lowering,
+    TableRouting,
+    TorusLowering,
+    VariantLowering,
 )
+from .variant_paths import variant_minimal_plan, variant_valiant_plan
 
 #: ``(topology, rng, src_router, dst_terminal) -> plan``.
 PlanBuilder = Callable[[Any, random.Random, int, int], Any]
-
 
 @dataclass(frozen=True)
 class Family:
@@ -49,12 +53,9 @@ class Family:
     topology_type: type
     minimal: PlanBuilder
     valiant: PlanBuilder
-    #: ``(topology, router, plan, progress, dst_terminal)`` ->
-    #: ``(out_port, out_vc, next_progress)``.
-    next_hop: Callable[[Any, int, Any, int, int], Tuple[int, int, int]]
-    #: Channel hops of a plan, ``(topology, src_router, dst_terminal,
-    #: plan)``; UGAL families only.
-    hops: Optional[Callable[[Any, int, int, Any], int]] = None
+    #: ``(topology, include_nonminimal) -> Lowering``: the tables and
+    #: leg programs the family's plans run on.
+    lowering: Callable[[Any, bool], Lowering]
     #: ``(topology, src_router, dst_router)`` -> True when there is no
     #: route choice to make; UGAL families only.
     no_choice: Optional[Callable[[Any, int, int], bool]] = None
@@ -65,24 +66,26 @@ def _router_minimal_plan(topology, rng, src_router, dst_terminal) -> RouterPlan:
 
 
 FLATTENED_BUTTERFLY = Family(
-    FlattenedButterfly, _router_minimal_plan, router_valiant_plan, fb_next_hop,
-    hops=fb_plan_hops,
+    FlattenedButterfly, _router_minimal_plan, router_valiant_plan,
+    lambda topology, include_nonminimal: FbLowering(topology),
     no_choice=lambda topology, src_router, dst_router: src_router == dst_router,
 )
 GROUP_VARIANT = Family(
     FlattenedButterflyGroupDragonfly,
-    variant_minimal_plan, variant_valiant_plan, variant_next_hop,
-    hops=variant_plan_hops,
+    variant_minimal_plan, variant_valiant_plan,
+    lambda topology, include_nonminimal: VariantLowering(
+        topology, vcs.CANONICAL, include_nonminimal
+    ),
     no_choice=lambda topology, src_router, dst_router: (
         topology.group_of(src_router) == topology.group_of(dst_router)
     ),
 )
-TORUS = Family(Torus, _router_minimal_plan, router_valiant_plan, torus_next_hop)
+TORUS = Family(Torus, _router_minimal_plan, router_valiant_plan, TorusLowering)
 #: The Clos's "minimal" plan takes destination-based (d-mod-k) up ports,
 #: its "Valiant" plan random ones.
 FOLDED_CLOS = Family(
     FoldedClos, functools.partial(clos_plan, deterministic=True), clos_plan,
-    clos_next_hop,
+    lambda topology, include_nonminimal: ClosLowering(topology),
 )
 
 #: Routing name -> (family, rule).
@@ -100,16 +103,24 @@ FAMILY_ROUTINGS: Dict[str, Tuple[Family, str]] = {
 }
 
 
-class FamilyRouting(RoutingAlgorithm):
+class FamilyRouting(TableRouting):
     """One routing rule (``"min"``, ``"val"`` or ``"ugal"``) on one family."""
 
     def __init__(self, name: str, family: Family, rule: str) -> None:
         if rule not in ("min", "val", "ugal"):
             raise ValueError(f"unknown routing rule {rule!r}")
-        self.name = name
+        if rule == "ugal" and family.no_choice is None:
+            raise ValueError(
+                f"the {family.topology_type.__name__} family has no "
+                f"{rule!r} rule: UGAL needs a route-choice predicate"
+            )
+        super().__init__(
+            name,
+            functools.partial(family.lowering, include_nonminimal=rule != "min"),
+            topology_type=family.topology_type,
+        )
         self.family = family
         self.rule = rule
-        self.topology_type = family.topology_type
 
     def decide(
         self,
@@ -120,32 +131,20 @@ class FamilyRouting(RoutingAlgorithm):
         dst_terminal: int,
     ) -> Any:
         family = self.family
+        routes = self.routes(topology)
         if self.rule == "val":
             return family.valiant(topology, rng, src_router, dst_terminal)
-        if self.rule == "min" or family.no_choice(
-            topology, src_router, topology.terminal_router(dst_terminal)
-        ):
+        dst_router = topology.terminal_router(dst_terminal)
+        if self.rule == "min" or family.no_choice(topology, src_router, dst_router):
             return family.minimal(topology, rng, src_router, dst_terminal)
         min_plan = family.minimal(topology, rng, src_router, dst_terminal)
         nm_plan = family.valiant(topology, rng, src_router, dst_terminal)
         if nm_plan.minimal:
             return min_plan
-        hops_min = family.hops(topology, src_router, dst_terminal, min_plan)
-        hops_nm = family.hops(topology, src_router, dst_terminal, nm_plan)
-        port_min = family.next_hop(topology, src_router, min_plan, 0, dst_terminal)[0]
-        port_nm = family.next_hop(topology, src_router, nm_plan, 0, dst_terminal)[0]
+        port_min, hops_min = routes.plan_hops(src_router, dst_router, min_plan)
+        port_nm, hops_nm = routes.plan_hops(src_router, dst_router, nm_plan)
         q_min = view.output_occupancy(src_router, port_min)
         q_nm = view.output_occupancy(src_router, port_nm)
         if q_min * hops_min <= q_nm * hops_nm:
             return min_plan
         return nm_plan
-
-    def next_hop(
-        self,
-        topology: Any,
-        router: int,
-        plan: Any,
-        progress: int,
-        dst_terminal: int,
-    ) -> Tuple[int, int, int]:
-        return self.family.next_hop(topology, router, plan, progress, dst_terminal)

@@ -58,27 +58,6 @@ def router_valiant_plan(
     return RouterPlan(minimal=False, intermediate_router=intermediate_router)
 
 
-def fb_plan_hops(
-    topology: FlattenedButterfly,
-    src_router: int,
-    dst_terminal: int,
-    plan: RouterPlan,
-) -> int:
-    """Channel hops of a plan (Hamming distances of its DOR phases)."""
-    dst_router = topology.terminal_router(dst_terminal)
-    if plan.minimal or plan.intermediate_router is None:
-        return _hamming(topology, src_router, dst_router)
-    return _hamming(topology, src_router, plan.intermediate_router) + _hamming(
-        topology, plan.intermediate_router, dst_router
-    )
-
-
-def _hamming(topology: FlattenedButterfly, router_a: int, router_b: int) -> int:
-    coords_a = topology.coords_of(router_a)
-    coords_b = topology.coords_of(router_b)
-    return sum(1 for a, b in zip(coords_a, coords_b) if a != b)
-
-
 def fb_next_hop(
     topology: FlattenedButterfly,
     router: int,

@@ -15,9 +15,11 @@ routing family of :mod:`repro.check.registry` into that form:
 * when one key has several candidate entries (several global links
   between a group pair, several Clos up ports), entries carry a ``via``
   tag and the leg says which tags its route committed to;
-* :class:`TableDrivenRouting` executes compiled dragonfly tables behind
-  the simulator's ``next_hop`` interface, hop-identical to the
-  algorithmic executor in :mod:`repro.routing.paths`;
+* :class:`TableRouting` is the simulator's one table executor: every
+  table-driven routing (the extension families, a dragonfly algorithm
+  over imported tables, the fault-degraded ``TBL-MIN/gcK``) decides by
+  its own rule and walks each hop with the :class:`TableWalker` the
+  certifier uses, over the rule's :meth:`Lowering.legs` program;
 * :func:`compile_dragonfly_tables` accepts a
   :class:`~repro.topology.faults.FaultSet` and recompiles around dead
   links and routers (detour via a third group when a group pair loses
@@ -30,6 +32,7 @@ the versioned JSON export (:meth:`ForwardingTables.dump` /
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -370,11 +373,17 @@ class TableWalker:
         self.topology = topology
         self.tables = tables
         self.bound = 4 * tables.num_routers + 16
-        self._steps: Dict[Tuple[Any, ...], Tuple[Hop, int, int]] = {}
+        #: ``(router, group, target, in_vc, via)`` -> :meth:`step`.
+        self.steps: Dict[Tuple[Any, ...], Tuple[Hop, int, int]] = {}
 
-    def _step(
+    def step(
         self, router: int, key: TableKey, via: Optional[FrozenSet[ViaTag]]
     ) -> Tuple[Hop, int, int]:
+        """The hop ``key`` programs at ``router``, the router it lands on
+        and the in-VC presented there."""
+        step = self.steps.get((router, *key, via))
+        if step is not None:
+            return step
         entry = self.tables.lookup(router, key, via)
         channel = self.topology.fabric.out_channel(router, entry.out_port)
         if channel is None:
@@ -382,7 +391,7 @@ class TableWalker:
                 f"entry {entry} at router {router} points at an "
                 f"unwired port in {self.tables.name}"
             )
-        step = self._steps[(router, *key, via)] = (
+        step = self.steps[(router, *key, via)] = (
             (router, entry.out_port, entry.out_vc),
             channel.dst.router,
             entry.in_vc_at_next,
@@ -393,7 +402,15 @@ class TableWalker:
         self, src_router: int, dst_terminal: int, legs: Tuple[Leg, ...]
     ) -> List[Hop]:
         """See :func:`table_walk_route`."""
-        steps = self._steps
+        trace = self.channel_hops(src_router, legs)
+        trace.append((
+            legs[-1].target_router, self.topology.terminal_port(dst_terminal), 0
+        ))
+        return trace
+
+    def channel_hops(self, src_router: int, legs: Tuple[Leg, ...]) -> List[Hop]:
+        """The network hops of a leg program, without the ejection hop."""
+        steps = self.steps
         bound = self.bound
         trace: List[Hop] = []
         router = src_router
@@ -401,16 +418,15 @@ class TableWalker:
             while router != target:
                 step = steps.get((router, group, target, in_vc, via))
                 if step is None:
-                    step = self._step(router, (group, target, in_vc), via)
+                    step = self.step(router, (group, target, in_vc), via)
                 hop, router, in_vc = step
                 trace.append(hop)
                 if len(trace) > bound:
                     raise TableRouteError(
-                        f"table walk from router {src_router} to terminal "
-                        f"{dst_terminal} exceeded {bound} hops (routing loop) "
-                        f"in {self.tables.name}"
+                        f"table walk from router {src_router} to router "
+                        f"{legs[-1].target_router} exceeded {bound} hops "
+                        f"(routing loop) in {self.tables.name}"
                     )
-        trace.append((router, self.topology.terminal_port(dst_terminal), 0))
         return trace
 
 
@@ -576,6 +592,17 @@ def compile_variant_tables(
 # ----------------------------------------------------------------------
 # Fault-degraded dragonfly compilation
 # ----------------------------------------------------------------------
+def _surviving_links(
+    topology: Dragonfly, faults: FaultSet, src_group: int, dest_group: int
+) -> List[GlobalLink]:
+    """The global links from ``src_group`` to ``dest_group`` still alive."""
+    return [
+        link
+        for link in topology.group_links(src_group, dest_group)
+        if not faults.link_dead(link.src_router, link.dst_router)
+    ]
+
+
 def _detour_choice(
     topology: Dragonfly, faults: FaultSet, src_group: int, dest_group: int
 ) -> Tuple[int, GlobalLink, GlobalLink]:
@@ -588,16 +615,8 @@ def _detour_choice(
     for mid_group in range(topology.g):
         if mid_group in (src_group, dest_group):
             continue
-        first_leg = [
-            link
-            for link in topology.group_links(src_group, mid_group)
-            if not faults.link_dead(link.src_router, link.dst_router)
-        ]
-        second_leg = [
-            link
-            for link in topology.group_links(mid_group, dest_group)
-            if not faults.link_dead(link.src_router, link.dst_router)
-        ]
+        first_leg = _surviving_links(topology, faults, src_group, mid_group)
+        second_leg = _surviving_links(topology, faults, mid_group, dest_group)
         if first_leg and second_leg:
             return mid_group, first_leg[0], second_leg[0]
     raise TableCompileError(
@@ -658,13 +677,6 @@ def _compile_degraded_dragonfly(
     def alive(router: int) -> bool:
         return not faults.router_dead(router)
 
-    def surviving_links(src_group: int, dest_group: int) -> List[GlobalLink]:
-        return [
-            link
-            for link in topology.group_links(src_group, dest_group)
-            if not faults.link_dead(link.src_router, link.dst_router)
-        ]
-
     for dest_group in range(g):
         group_routers = [r for r in range(dest_group * a, (dest_group + 1) * a)]
         for dest in group_routers:
@@ -681,7 +693,7 @@ def _compile_degraded_dragonfly(
             for src_group in range(g):
                 if src_group == dest_group:
                     continue
-                links = surviving_links(src_group, dest_group)
+                links = _surviving_links(topology, faults, src_group, dest_group)
                 if links:
                     for link in links:
                         tag = link_tag(link)
@@ -940,209 +952,6 @@ def compile_clos_tables(
 
 
 # ----------------------------------------------------------------------
-# Table-driven simulator executor (dragonfly family)
-# ----------------------------------------------------------------------
-class TableDrivenRouting(RoutingAlgorithm):
-    """Run the simulator off compiled dragonfly tables.
-
-    Wraps any dragonfly routing algorithm: ``decide`` is delegated (so
-    plans, rng consumption, and congestion sensing are untouched) while
-    every hop is resolved by table lookup instead of the algorithmic
-    executor.  Overriding ``next_hop`` automatically disables the
-    simulator's hop cache, so the tables are consulted for every hop of
-    every flit -- the round-trip contract "export, import, simulate"
-    certifies the deployed configuration, not a memo of the code.
-    """
-
-    def __init__(
-        self,
-        base: RoutingAlgorithm,
-        tables: ForwardingTables,
-        assignment: vcs.VcAssignment = vcs.CANONICAL,
-    ) -> None:
-        self.base = base
-        self.tables = tables
-        self.assignment = assignment
-        self.name = base.name
-        self.needs_credit_delay = base.needs_credit_delay
-
-    def decide(
-        self,
-        view: CongestionView,
-        topology: Dragonfly,
-        rng: random.Random,
-        src_router: int,
-        dst_terminal: int,
-    ) -> RoutePlan:
-        return self.base.decide(view, topology, rng, src_router, dst_terminal)
-
-    def next_hop(
-        self,
-        topology: Any,
-        router: int,
-        plan: RoutePlan,
-        progress: int,
-        dst_terminal: int,
-    ) -> Tuple[int, int, int]:
-        assignment = self.assignment
-        if plan.gc1 is not None and progress == 0:
-            link = plan.gc1
-            took_global = router == link.src_router
-            if plan.minimal:
-                dest = topology.terminal_router(dst_terminal)
-                key = (topology.group_of(dest), dest, assignment.minimal_first_vc)
-            else:
-                key = (
-                    topology.group_of(link.dst_router),
-                    link.dst_router,
-                    assignment.nonminimal_first_vc,
-                )
-            entry = self.tables.lookup(router, key, {link_tag(link)})
-            return entry.out_port, entry.out_vc, progress + (1 if took_global else 0)
-        if plan.gc2 is not None and progress == 1:
-            link = plan.gc2
-            took_global = router == link.src_router
-            dest = topology.terminal_router(dst_terminal)
-            key = (topology.group_of(dest), dest, assignment.intermediate_vc)
-            entry = self.tables.lookup(router, key, {link_tag(link)})
-            return entry.out_port, entry.out_vc, progress + (1 if took_global else 0)
-        dest = topology.terminal_router(dst_terminal)
-        if router == dest:
-            return topology.terminal_port(dst_terminal), 0, progress
-        key = (topology.group_of(dest), dest, assignment.final_local_vc)
-        entry = self.tables.lookup(router, key)
-        return entry.out_port, entry.out_vc, progress
-
-
-class DegradedTableRouting(RoutingAlgorithm):
-    """Simulate detour-recompiled tables on a degraded fabric.
-
-    ``fault_pairs`` severed group pairs (the canonical degradation of
-    :func:`repro.topology.faults.canonical_global_faults`) are routed
-    around by the compiled tables: surviving pairs stay minimal, severed
-    pairs take the programmed third-group detour.  This is the executor
-    the fault-sweep experiment drives -- throughput vs number of dead
-    cables, measured on the exact tables the verifier certified.
-
-    Tables are compiled lazily per topology (sweep workers receive only
-    the routing *name* and build topologies themselves) and cached by
-    the topology's parameters.  ``next_hop`` is overridden, which
-    disables the simulator's hop cache, and no decide-kernel lowering is
-    declared, so the array backend falls back to per-packet calls --
-    both backends execute the same table walks.
-    """
-
-    needs_credit_delay = False
-    kernel_decide = None
-    kernel_signal = None
-
-    def __init__(
-        self,
-        fault_pairs: int = 0,
-        assignment: vcs.VcAssignment = vcs.CANONICAL,
-    ) -> None:
-        if fault_pairs < 0:
-            raise ValueError(f"fault_pairs {fault_pairs} is negative")
-        self.fault_pairs = fault_pairs
-        self.assignment = assignment
-        self.name = (
-            "TBL-MIN" if fault_pairs == 0 else f"TBL-MIN/gc{fault_pairs}"
-        )
-        self._cache: Dict[
-            Tuple[int, int, int, int],
-            Tuple[ForwardingTables, FaultSet],
-        ] = {}
-
-    def _state(self, topology: Dragonfly) -> Tuple[ForwardingTables, FaultSet]:
-        key = (topology.p, topology.a, topology.h, topology.g)
-        state = self._cache.get(key)
-        if state is None:
-            from ..topology.faults import canonical_global_faults
-
-            faults = canonical_global_faults(topology, self.fault_pairs)
-            tables = compile_dragonfly_tables(
-                topology,
-                self.assignment,
-                include_nonminimal=False,
-                faults=faults,
-            )
-            state = (tables, faults)
-            self._cache[key] = state
-        return state
-
-    def decide(
-        self,
-        view: CongestionView,
-        topology: Dragonfly,
-        rng: random.Random,
-        src_router: int,
-        dst_terminal: int,
-    ) -> RoutePlan:
-        _tables, faults = self._state(topology)
-        src_group = topology.group_of(src_router)
-        dest = topology.terminal_router(dst_terminal)
-        dest_group = topology.group_of(dest)
-        if src_group == dest_group:
-            return RoutePlan(minimal=True)
-        links = [
-            link
-            for link in topology.group_links(src_group, dest_group)
-            if not faults.link_dead(link.src_router, link.dst_router)
-        ]
-        if links:
-            gc1 = (
-                links[0]
-                if len(links) == 1
-                else links[rng.randrange(len(links))]
-            )
-            return RoutePlan(minimal=True, gc1=gc1)
-        _mid, first, second = _detour_choice(
-            topology, faults, src_group, dest_group
-        )
-        return RoutePlan(minimal=False, gc1=first, gc2=second)
-
-    def next_hop(
-        self,
-        topology: Any,
-        router: int,
-        plan: RoutePlan,
-        progress: int,
-        dst_terminal: int,
-    ) -> Tuple[int, int, int]:
-        tables, _faults = self._state(topology)
-        assignment = self.assignment
-        dest = topology.terminal_router(dst_terminal)
-        dest_group = topology.group_of(dest)
-        if plan.gc1 is not None and progress == 0:
-            vc = (
-                assignment.minimal_first_vc
-                if plan.minimal
-                else assignment.nonminimal_first_vc
-            )
-            entry = tables.lookup(
-                router, (dest_group, dest, vc), {link_tag(plan.gc1)}
-            )
-        elif plan.gc2 is not None and progress == 1:
-            entry = tables.lookup(
-                router,
-                (dest_group, dest, assignment.intermediate_vc),
-                {link_tag(plan.gc2)},
-            )
-        else:
-            if router == dest:
-                return topology.terminal_port(dst_terminal), 0, progress
-            entry = tables.lookup(
-                router, (dest_group, dest, assignment.final_local_vc)
-            )
-        took_global = topology.is_global_port(entry.out_port)
-        return (
-            entry.out_port,
-            entry.out_vc,
-            progress + (1 if took_global else 0),
-        )
-
-
-# ----------------------------------------------------------------------
 # Lowerings: one routing family on one topology, as the certifier sees
 # it -- its compiler, its grammar, its hop classifier and the single
 # enumeration of its admissible routes that every pass consumes.
@@ -1205,13 +1014,16 @@ class Lowering:
     walks every route through the executor once, on first use, into
     :attr:`walks`, and derives the two views the passes read from it:
     :meth:`traces` for the CDG pass and the soundness harness,
-    :meth:`cases` for the table pass.
+    :meth:`cases` for the table pass.  The simulator runs :meth:`legs`
+    over the compiled tables (:class:`TableRouting`), never the
+    executor.
     """
 
     family: str = "base"
-    #: The family's executor, the function the simulator's routing
-    #: classes call: ``(topology, router, plan, progress, dst_terminal)
-    #: -> (out_port, out_vc, next_progress)``.
+    #: The family's algorithmic executor, the reference the table walks
+    #: are certified against (CDG walks, ``TBL005``):
+    #: ``(topology, router, plan, progress, dst_terminal) -> (out_port,
+    #: out_vc, next_progress)``.
     next_hop: Callable[[Any, int, Any, int, int], Tuple[int, int, int]]
     _walks: Optional[RouteWalks] = None
 
@@ -1243,6 +1055,10 @@ class Lowering:
     def legs(self, plan: Any, dest: int) -> Tuple[Leg, ...]:
         """The table leg program of ``plan`` toward router ``dest``."""
         raise NotImplementedError
+
+    def plan(self, rng: random.Random, src_router: int, dst_terminal: int) -> Any:
+        """One packet's route, where the tables are the routing rule."""
+        raise NotImplementedError(f"the {self.family} lowering has no routing rule")
 
     def trace(
         self, src_router: int, dst_terminal: int, plan: Any
@@ -1451,14 +1267,14 @@ class VariantLowering(_GroupedLowering):
         )
 
 
-class DegradedDragonflyLowering(Lowering):
+class DegradedDragonflyLowering(_GroupedLowering):
     """Fault-degraded dragonfly: minimal routes plus explicit detours.
 
     There is no algorithmic executor for the degraded fabric -- the
-    tables *are* the routing -- so :meth:`cases` is written out here,
-    its cases carry no algorithmic trace, and the verifier certifies
-    reachability, cycle-freedom, and grammar membership of the table
-    walks alone.  The grammar is the
+    tables *are* the routing -- so :meth:`cases` carry no algorithmic
+    trace, the verifier certifies reachability, cycle-freedom, and
+    grammar membership of the table walks alone, and :meth:`plan` is
+    the routing rule ``TBL-MIN/gcK`` simulates.  The grammar is the
     fault-parametric :class:`~repro.routing.grammar.DegradedPathGrammar`
     composed for exactly the fault classes this fault set exhibits:
     detour walks match its ``fault-detour`` route class, and local
@@ -1473,9 +1289,8 @@ class DegradedDragonflyLowering(Lowering):
         faults: FaultSet,
         assignment: vcs.VcAssignment = vcs.CANONICAL,
     ) -> None:
-        super().__init__(topology)
+        super().__init__(topology, assignment, include_nonminimal=False)
         self.faults = faults
-        self.assignment = assignment
 
     def compile(self) -> ForwardingTables:
         return compile_dragonfly_tables(
@@ -1491,13 +1306,11 @@ class DegradedDragonflyLowering(Lowering):
             self.faults.fault_classes(self.topology),
         ).compose()
 
-    def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
-        return _channel_class(self.topology, router, port, vc)
-
-    def cases(self) -> Iterator[RouteCase]:
+    def routes(self) -> Iterator[Route]:
+        """Every route between live routers: intra-group, minimal over
+        each surviving global link, or the programmed detour."""
         topology = self.topology
         faults = self.faults
-        assignment = self.assignment
         for src_router in range(topology.fabric.num_routers):
             if faults.router_dead(src_router):
                 continue
@@ -1509,38 +1322,59 @@ class DegradedDragonflyLowering(Lowering):
                 dest_group = topology.group_of(dest)
                 pair = f"r{src_router}->t{dst_terminal}"
                 if src_group == dest_group:
-                    programs = [("intra", assignment.final_local_vc, None)]
-                else:
-                    links = [
-                        link
-                        for link in topology.group_links(src_group, dest_group)
-                        if not faults.link_dead(link.src_router, link.dst_router)
-                    ]
-                    if links:
-                        programs = [
-                            (
-                                "min",
-                                assignment.minimal_first_vc,
-                                frozenset((link_tag(link),)),
-                            )
-                            for link in links
-                        ]
-                    else:
-                        _mid, first, second = _detour_choice(
-                            topology, faults, src_group, dest_group
-                        )
-                        programs = [(
-                            "detour",
-                            assignment.nonminimal_first_vc,
-                            frozenset((link_tag(first), link_tag(second))),
-                        )]
-                for kind, entry_vc, via in programs:
-                    yield RouteCase(
-                        label=f"{kind} {pair}",
-                        src_router=src_router,
-                        dst_terminal=dst_terminal,
-                        legs=(Leg(dest_group, dest, entry_vc, via=via),),
+                    yield f"intra {pair}", src_router, dst_terminal, RoutePlan(
+                        minimal=True
                     )
+                    continue
+                links = _surviving_links(topology, faults, src_group, dest_group)
+                for link in links:
+                    yield f"min {pair}", src_router, dst_terminal, RoutePlan(
+                        minimal=True, gc1=link
+                    )
+                if not links:
+                    _mid, first, second = _detour_choice(
+                        topology, faults, src_group, dest_group
+                    )
+                    yield f"detour {pair}", src_router, dst_terminal, RoutePlan(
+                        minimal=False, gc1=first, gc2=second
+                    )
+
+    def plan(
+        self, rng: random.Random, src_router: int, dst_terminal: int
+    ) -> RoutePlan:
+        """The route of one packet: minimal over a surviving global link
+        drawn uniformly (no draw when one survives), else the detour."""
+        topology = self.topology
+        src_group = topology.group_of(src_router)
+        dest_group = topology.group_of(topology.terminal_router(dst_terminal))
+        if src_group == dest_group:
+            return RoutePlan(minimal=True)
+        links = _surviving_links(topology, self.faults, src_group, dest_group)
+        if links:
+            gc1 = links[0] if len(links) == 1 else links[rng.randrange(len(links))]
+            return RoutePlan(minimal=True, gc1=gc1)
+        _mid, first, second = _detour_choice(
+            topology, self.faults, src_group, dest_group
+        )
+        return RoutePlan(minimal=False, gc1=first, gc2=second)
+
+    def legs(self, plan: RoutePlan, dest: int) -> Tuple[Leg, ...]:
+        """A detour is one leg, committed to both of its links."""
+        if plan.gc2 is None:
+            return super().legs(plan, dest)
+        return (Leg(
+            self.topology.group_of(dest), dest,
+            self.assignment.nonminimal_first_vc,
+            via=frozenset((link_tag(plan.gc1), link_tag(plan.gc2))),
+        ),)
+
+    def cases(self) -> Iterator[RouteCase]:
+        terminal_router = self.topology.terminal_router
+        for label, src_router, dst_terminal, plan in self.routes():
+            yield RouteCase(
+                label, src_router, dst_terminal,
+                self.legs(plan, terminal_router(dst_terminal)),
+            )
 
 
 def _router_plan_routes(topology, include_nonminimal: bool) -> Iterator[Route]:
@@ -1666,3 +1500,144 @@ class ClosLowering(Lowering):
             ("up", level, plan.up_ports[level]) for level in range(plan.ancestor_level)
         )
         return (Leg(0, dest, 0, via=via or None),)
+
+
+# ----------------------------------------------------------------------
+# The simulator's table executor: a routing rule's plans walked hop by
+# hop over compiled tables, with the certifier's TableWalker.
+# ----------------------------------------------------------------------
+class TableRoutes:
+    """One lowering's tables, walked for the simulator.
+
+    A flit's ``progress`` is 0 before its first hop and then the loop
+    state of :meth:`TableWalker.walk`: the plan's leg program, the leg it
+    is on and the in-VC it presents.  Each hop is one
+    :meth:`TableWalker.step`.
+    """
+
+    def __init__(
+        self, lowering: Lowering, tables: Optional[ForwardingTables] = None
+    ) -> None:
+        self.lowering = lowering
+        self.topology = lowering.topology
+        self.walker = TableWalker(
+            self.topology, lowering.compile() if tables is None else tables
+        )
+        self._steps = self.walker.steps
+
+    def next_hop(
+        self, router: int, plan: Any, progress: Any, dst_terminal: int
+    ) -> Tuple[int, int, Any]:
+        """``(out_port, out_vc, next_progress)`` of ``plan`` at ``router``."""
+        if not progress:
+            legs = self.lowering.legs(plan, self.topology.terminal_router(dst_terminal))
+            progress = (legs, 0, legs[0].entry_vc)
+        legs, leg, in_vc = progress
+        group, target, _entry_vc, via = legs[leg]
+        while router == target and leg + 1 < len(legs):
+            leg += 1
+            group, target, in_vc, via = legs[leg]
+        if router == target:
+            return self.topology.terminal_port(dst_terminal), 0, progress
+        step = self._steps.get((router, group, target, in_vc, via))
+        if step is None:
+            step = self.walker.step(router, (group, target, in_vc), via)
+        (_, out_port, out_vc), _, next_vc = step
+        return out_port, out_vc, (legs, leg, next_vc)
+
+    def plan_hops(self, src_router: int, dest: int, plan: Any) -> Tuple[int, int]:
+        """``(first out_port, channel hops)`` of ``plan`` from
+        ``src_router`` to router ``dest``, by the same table walk; the
+        port is -1 for a route that ejects where it starts."""
+        hops = self.walker.channel_hops(src_router, self.lowering.legs(plan, dest))
+        return (hops[0][1] if hops else -1, len(hops))
+
+
+class TableRouting(RoutingAlgorithm):
+    """The simulator's one table executor.
+
+    ``lowering(topology)`` gives the tables (compiled once per topology
+    object, unless ``tables`` are given) and the leg programs; every hop
+    is a :class:`TableRoutes` step, so the simulator runs exactly the
+    walks the ``tables`` pass certifies.  ``decide`` is the lowering's
+    own rule (:meth:`DegradedDragonflyLowering.plan`); subclasses bring
+    theirs.  The overridden ``next_hop`` disables the simulator's
+    dragonfly hop memo, and without a decide-kernel lowering the array
+    backend runs these routings on the scalar engine.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        lowering: Callable[[Any], Lowering],
+        tables: Optional[ForwardingTables] = None,
+        topology_type: type = Dragonfly,
+    ) -> None:
+        self.name = name
+        self.lowering = lowering
+        self.tables = tables
+        self.topology_type = topology_type
+        #: ``id(topology)`` -> its routes, which hold the topology (so
+        #: its id is not reused while the entry lives).
+        self._routes: Dict[int, TableRoutes] = {}
+
+    def routes(self, topology: Any) -> TableRoutes:
+        """The table routes on ``topology``, compiled on first use."""
+        routes = self._routes.get(id(topology))
+        if routes is None:
+            routes = TableRoutes(self.lowering(topology), self.tables)
+            self._routes[id(topology)] = routes
+        return routes
+
+    def decide(
+        self,
+        view: CongestionView,
+        topology: Any,
+        rng: random.Random,
+        src_router: int,
+        dst_terminal: int,
+    ) -> Any:
+        return self.routes(topology).lowering.plan(rng, src_router, dst_terminal)
+
+    def next_hop(
+        self,
+        topology: Any,
+        router: int,
+        plan: Any,
+        progress: Any,
+        dst_terminal: int,
+    ) -> Tuple[int, int, Any]:
+        routes = self._routes.get(id(topology)) or self.routes(topology)
+        return routes.next_hop(router, plan, progress, dst_terminal)
+
+
+class TableDrivenRouting(TableRouting):
+    """A dragonfly algorithm's own ``decide`` over given dragonfly
+    tables: "export, import, simulate" certifies the deployed
+    configuration, not a memo of the code."""
+
+    def __init__(
+        self,
+        base: RoutingAlgorithm,
+        tables: ForwardingTables,
+        assignment: vcs.VcAssignment = vcs.CANONICAL,
+    ) -> None:
+        super().__init__(
+            base.name,
+            functools.partial(
+                DragonflyLowering, assignment=assignment, include_nonminimal=True
+            ),
+            tables,
+        )
+        self.base = base
+        self.needs_credit_delay = base.needs_credit_delay
+
+    def decide(
+        self,
+        view: CongestionView,
+        topology: Dragonfly,
+        rng: random.Random,
+        src_router: int,
+        dst_terminal: int,
+    ) -> RoutePlan:
+        return self.base.decide(view, topology, rng, src_router, dst_terminal)

@@ -246,7 +246,8 @@ def make_routing(name: str) -> RoutingAlgorithm:
     from .valiant import ValiantRouting
 
     if name == "TBL-MIN" or name.startswith("TBL-MIN/gc"):
-        from .tables import DegradedTableRouting
+        from ..topology.faults import canonical_global_faults
+        from .tables import DegradedDragonflyLowering, TableRouting
 
         fault_pairs = 0
         if name != "TBL-MIN":
@@ -258,7 +259,9 @@ def make_routing(name: str) -> RoutingAlgorithm:
                     "severed group pairs, written without leading zeros"
                 )
             fault_pairs = int(suffix)
-        return DegradedTableRouting(fault_pairs=fault_pairs)
+        return TableRouting(name, lambda topology: DegradedDragonflyLowering(
+            topology, canonical_global_faults(topology, fault_pairs)
+        ))
 
     algorithms = {
         "MIN": MinimalRouting,

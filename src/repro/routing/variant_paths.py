@@ -73,19 +73,15 @@ def variant_valiant_plan(
     rng: random.Random,
     src_router: int,
     dst_terminal: int,
-    intermediate_group: Optional[int] = None,
 ) -> RoutePlan:
     dst_router = topology.terminal_router(dst_terminal)
     src_group = topology.group_of(src_router)
     dst_group = topology.group_of(dst_router)
     if topology.g < 2 or src_group == dst_group:
         return variant_minimal_plan(topology, rng, src_router, dst_terminal)
-    if intermediate_group is None:
-        intermediate_group = rng.randrange(topology.g - 1)
-        if intermediate_group >= src_group:
-            intermediate_group += 1
-    if intermediate_group == src_group:
-        raise ValueError("intermediate group must differ from the source group")
+    intermediate_group = rng.randrange(topology.g - 1)
+    if intermediate_group >= src_group:
+        intermediate_group += 1
     if intermediate_group == dst_group:
         return variant_minimal_plan(topology, rng, src_router, dst_terminal)
     gc1 = _pick_best_link(
@@ -102,26 +98,6 @@ def variant_valiant_plan(
         dst_router,
     )
     return RoutePlan(minimal=False, gc1=gc1, gc2=gc2)
-
-
-def variant_plan_hops(
-    topology: Variant,
-    src_router: int,
-    dst_terminal: int,
-    plan: RoutePlan,
-) -> int:
-    """Channel traversals including the multi-hop local segments."""
-    dst_router = topology.terminal_router(dst_terminal)
-    hops = 0
-    position = src_router
-    for link in (plan.gc1, plan.gc2):
-        if link is None:
-            continue
-        hops += topology.intra_group_hops(position, link.src_router)
-        hops += 1  # the global channel
-        position = link.dst_router
-    hops += topology.intra_group_hops(position, dst_router)
-    return hops
 
 
 def _dor_port(topology: Variant, router: int, target_router: int) -> int:

@@ -19,6 +19,7 @@ minimal path length, up to ``n`` hops per group) changes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.params import TopologyError
@@ -77,6 +78,15 @@ class FlattenedButterflyGroupDragonfly:
         self._local_latency = local_latency
         self._global_latency = global_latency
         self._dim_port_base = self._compute_port_bases()
+        #: Local index -> coordinates (row-major), and the Hamming
+        #: distance between every two local indices.
+        self._coords: List[Tuple[int, ...]] = list(
+            itertools.product(*(range(m) for m in self.group_dims))
+        )
+        self._local_hops: List[List[int]] = [
+            [sum(s != d for s, d in zip(src, dst)) for dst in self._coords]
+            for src in self._coords
+        ]
         self._group_links: Dict[Tuple[int, int], List[GlobalLink]] = {}
         self._build()
 
@@ -101,12 +111,7 @@ class FlattenedButterflyGroupDragonfly:
         return router % self.a
 
     def coords_of(self, router: int) -> Tuple[int, ...]:
-        coords = []
-        rest = self.local_index(router)
-        for m in reversed(self.group_dims):
-            coords.append(rest % m)
-            rest //= m
-        return tuple(reversed(coords))
+        return self._coords[self.local_index(router)]
 
     def local_router_at(self, group: int, coords: Sequence[int]) -> int:
         local = 0
@@ -130,9 +135,9 @@ class FlattenedButterflyGroupDragonfly:
 
     def intra_group_hops(self, src_router: int, dst_router: int) -> int:
         """Hamming distance within the group's flattened butterfly."""
-        src = self.coords_of(src_router)
-        dst = self.coords_of(dst_router)
-        return sum(1 for s, d in zip(src, dst) if s != d)
+        return self._local_hops[self.local_index(src_router)][
+            self.local_index(dst_router)
+        ]
 
     def group_links(self, src_group: int, dst_group: int) -> List[GlobalLink]:
         return self._group_links.get((src_group, dst_group), [])

@@ -22,9 +22,20 @@ from repro.check.tables import (
 from repro.core.params import DragonflyParams
 from repro.routing import vc_assignment as vcs
 from repro.routing.paths import dragonfly_path_grammar
-from repro.routing.tables import ClosLowering, DragonflyLowering, TableEntry
+from repro.routing.ugal import make_routing
+from repro.routing.tables import (
+    ClosLowering,
+    DragonflyLowering,
+    FbLowering,
+    TableEntry,
+    TorusLowering,
+    VariantLowering,
+)
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.topology.folded_clos import FoldedClos
+from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
+from repro.topology.torus import Torus
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +345,50 @@ class TestExportFilename:
 
     def test_no_leading_or_trailing_separators(self):
         assert export_filename("//weird name//") == "weird_name.json"
+
+
+#: Two sizes per family outside the registry, each fast enough for
+#: tier-1: the simulator runs the tables at whatever size it is handed,
+#: so table walks must equal executor walks (no TBL005) and reach every
+#: destination (no TBL002) beyond the certified registry sizes too.
+BEYOND_REGISTRY = {
+    "fb-4x4-c4": lambda: FbLowering(
+        FlattenedButterfly(dims=(4, 4), concentration=4)
+    ),
+    "fb-3x5-c2": lambda: FbLowering(
+        FlattenedButterfly(dims=(3, 5), concentration=2)
+    ),
+    "torus-4x4-c2": lambda: TorusLowering(
+        Torus(dims=(4, 4), concentration=2), include_nonminimal=True
+    ),
+    "torus-3x5-c1-odd-rings": lambda: TorusLowering(
+        Torus(dims=(3, 5), concentration=1), include_nonminimal=True
+    ),
+    "clos-64-radix8": lambda: ClosLowering(FoldedClos(num_terminals=64, radix=8)),
+    "clos-27-radix6": lambda: ClosLowering(FoldedClos(num_terminals=27, radix=6)),
+    "fbgroup-3-h1": lambda: VariantLowering(
+        FlattenedButterflyGroupDragonfly(p=1, group_dims=(3,), h=1),
+        vcs.CANONICAL, include_nonminimal=True,
+    ),
+    "fbgroup-2x2-p2": lambda: VariantLowering(
+        FlattenedButterflyGroupDragonfly(p=2, group_dims=(2, 2), h=1),
+        vcs.CANONICAL, include_nonminimal=True,
+    ),
+    "dragonfly-a3": lambda: DragonflyLowering(
+        Dragonfly(DragonflyParams(p=1, a=3, h=1)), vcs.CANONICAL, True
+    ),
+    "dragonfly-nonmax72-TBL-MIN/gc1": lambda: make_routing("TBL-MIN/gc1").lowering(
+        Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=5))
+    ),
+    "dragonfly-nonmax-g5-TBL-MIN/gc2": lambda: make_routing("TBL-MIN/gc2").lowering(
+        Dragonfly(DragonflyParams(p=1, a=3, h=2, num_groups=5))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_REGISTRY))
+def test_tables_equal_executors_beyond_the_registry(name):
+    cert = certify_tables(name, BEYOND_REGISTRY[name]())
+    codes = {f.code for f in cert.findings}
+    assert not codes & {"TBL002", "TBL005"}, [f.format() for f in cert.findings]
+    assert cert.num_cases > 0

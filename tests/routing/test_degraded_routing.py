@@ -1,14 +1,14 @@
-"""Tests for ``DegradedTableRouting``: the simulation executor that
-routes off detour-recompiled tables (``TBL-MIN`` / ``TBL-MIN/gcK``)."""
+"""Tests for ``TBL-MIN`` / ``TBL-MIN/gcK``: the table routing that
+simulates detour-recompiled tables, its rule the degraded lowering's."""
 
 import random
 
 import pytest
 
-from repro.core.params import DragonflyParams
+from repro.core.params import DragonflyParams, TopologyError
 from repro.network.config import SimulationConfig
 from repro.network.parallel import SweepExecutor
-from repro.routing.tables import DegradedTableRouting
+from repro.routing.tables import DegradedDragonflyLowering, TableRouting
 from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.faults import canonical_global_faults
@@ -42,24 +42,28 @@ def walk(routing, topology, src_terminal, dst_terminal, seed=0):
 
 
 class TestFactoryNames:
-    def test_healthy_name(self):
+    def test_healthy_name(self, paper72):
         routing = make_routing("TBL-MIN")
-        assert isinstance(routing, DegradedTableRouting)
-        assert routing.fault_pairs == 0
+        assert isinstance(routing, TableRouting)
+        assert not routing.routes(paper72).lowering.faults
         assert routing.name == "TBL-MIN"
 
-    def test_degraded_name_parses_pair_count(self):
+    def test_degraded_name_parses_pair_count(self, paper72):
         routing = make_routing("TBL-MIN/gc3")
-        assert routing.fault_pairs == 3
+        lowering = routing.routes(paper72).lowering
+        assert isinstance(lowering, DegradedDragonflyLowering)
+        assert lowering.faults == canonical_global_faults(paper72, 3)
         assert routing.name == "TBL-MIN/gc3"
 
     def test_bad_suffix_names_the_convention(self):
         with pytest.raises(ValueError, match="TBL-MIN/gcK"):
             make_routing("TBL-MIN/gcfoo")
 
-    def test_negative_pairs_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            DegradedTableRouting(fault_pairs=-1)
+    def test_negative_pairs_rejected(self, paper72):
+        with pytest.raises(ValueError, match="TBL-MIN/gcK"):
+            make_routing("TBL-MIN/gc-1")
+        with pytest.raises(TopologyError, match="negative"):
+            canonical_global_faults(paper72, -1)
 
     def test_unknown_name_mentions_table_routings(self):
         with pytest.raises(ValueError, match="TBL-MIN"):
@@ -68,7 +72,7 @@ class TestFactoryNames:
 
 class TestTableWalks:
     def test_surviving_pairs_route_minimally(self, paper72):
-        routing = DegradedTableRouting(fault_pairs=1)
+        routing = make_routing("TBL-MIN/gc1")
         # Groups 6 and 7 keep their cable (only pair (0,1) is severed).
         src = 6 * paper72.a * paper72.p
         dst = 7 * paper72.a * paper72.p
@@ -80,7 +84,7 @@ class TestTableWalks:
         assert len(global_hops) == 1
 
     def test_severed_pair_takes_the_detour(self, paper72):
-        routing = DegradedTableRouting(fault_pairs=1)
+        routing = make_routing("TBL-MIN/gc1")
         faults = canonical_global_faults(paper72, 1)
         src = 0  # terminal in group 0
         dst = 1 * paper72.a * paper72.p  # terminal in group 1
@@ -96,14 +100,14 @@ class TestTableWalks:
             assert not faults.link_dead(channel.src.router, channel.dst.router)
 
     def test_intra_group_routes_stay_local(self, paper72):
-        routing = DegradedTableRouting(fault_pairs=2)
+        routing = make_routing("TBL-MIN/gc2")
         trace = walk(routing, paper72, 0, 3)
         assert not any(
             paper72.is_global_port(port) for _, port, _ in trace
         )
 
     def test_every_pair_delivers_on_degraded_fabric(self, paper72):
-        routing = DegradedTableRouting(fault_pairs=3)
+        routing = make_routing("TBL-MIN/gc3")
         # walk() asserts delivery at the destination router.
         terminals = range(0, paper72.num_terminals, 7)
         for src in terminals:
@@ -111,15 +115,15 @@ class TestTableWalks:
                 if src != dst:
                     walk(routing, paper72, src, dst)
 
-    def test_tables_cached_per_topology(self, paper72):
-        routing = DegradedTableRouting(fault_pairs=1)
+    def test_tables_compiled_once_per_topology(self, paper72):
+        routing = make_routing("TBL-MIN/gc1")
         walk(routing, paper72, 0, 30)
-        state = routing._state(paper72)
+        routes = routing.routes(paper72)
         walk(routing, paper72, 0, 40)
-        assert routing._state(paper72) is state
+        assert routing.routes(paper72) is routes
         tiny = Dragonfly(DragonflyParams(p=1, a=2, h=1))
-        assert routing._state(tiny) is not state
-        assert len(routing._cache) == 2
+        assert routing.routes(tiny) is not routes
+        assert routing.routes(paper72) is routes
 
 
 class TestSimulation:

@@ -13,6 +13,7 @@ from repro.core.params import DragonflyParams
 from repro.network.backend import make_simulator
 from repro.network.config import SimulationConfig
 from repro.network.traffic import make_pattern
+from repro.routing.families import FOLDED_CLOS, TORUS, FamilyRouting
 from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.flattened_butterfly import FlattenedButterfly
@@ -61,3 +62,14 @@ def test_engine_accepts_only_its_family(topology_name, routing_name, backend):
         f"routing {routing_name!r} ({type(routing).__name__}) drives a "
         f"{ROUTINGS[routing_name]}, not a {topology_name}"
     )
+
+
+@pytest.mark.parametrize("family", [TORUS, FOLDED_CLOS], ids=["Torus", "FoldedClos"])
+def test_a_rule_the_family_cannot_run_is_refused_at_construction(family):
+    """The torus and the Clos have no UGAL route-choice predicate, so a
+    UGAL routing on them could only fail at its first decision."""
+    name = family.topology_type.__name__
+    with pytest.raises(ValueError, match=rf"the {name} family has no 'ugal' rule"):
+        FamilyRouting("X", family, "ugal")
+    for rule in ("min", "val"):
+        assert FamilyRouting("X", family, rule).rule == rule

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import FbAdversarial, make_pattern
-from repro.routing.fb_paths import (
-    RouterPlan,
-    fb_next_hop,
-    fb_plan_hops,
-    router_valiant_plan,
-)
+from repro.routing.fb_paths import RouterPlan, fb_next_hop, router_valiant_plan
 from repro.routing.paths import walk_route
 from repro.routing.ugal import make_routing
 from repro.topology.flattened_butterfly import FlattenedButterfly
@@ -23,6 +18,13 @@ from repro.topology.flattened_butterfly import FlattenedButterfly
 @pytest.fixture(scope="module")
 def fb():
     return FlattenedButterfly(dims=(4, 4), concentration=4)
+
+
+def _walk_hops(topology, src_router, dst_terminal, plan):
+    """Channel hops of ``plan`` as the simulator walks it: over the
+    compiled tables."""
+    routes = make_routing("FB-VAL").routes(topology)
+    return routes.plan_hops(src_router, topology.terminal_router(dst_terminal), plan)[1]
 
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
@@ -40,7 +42,7 @@ class TestFbPlans:
         trace = _route_reaches(fb, 0, fb.num_terminals - 1, plan)
         # 2 dimension hops + ejection.
         assert len(trace) == 3
-        assert fb_plan_hops(fb, 0, fb.num_terminals - 1, plan) == 2
+        assert _walk_hops(fb, 0, fb.num_terminals - 1, plan) == 2
 
     def test_minimal_same_router(self, fb):
         plan = RouterPlan(minimal=True)
@@ -57,7 +59,9 @@ class TestFbPlans:
         rng = random.Random(4)
         for _ in range(30):
             plan = router_valiant_plan(fb, rng, 0, 63)
-            assert fb_plan_hops(fb, 0, 63, plan) <= 2 * len(fb.dims)
+            hops = _walk_hops(fb, 0, 63, plan)
+            assert hops <= 2 * len(fb.dims)
+            assert hops == len(walk_route(fb, fb_next_hop, 0, 63, plan)) - 1
 
     def test_valiant_degenerates_on_endpoint_draw(self, fb):
         dst_router = fb.terminal_router(63)

@@ -10,19 +10,28 @@ import pytest
 
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
+from repro.network.packet import RoutePlan
 from repro.routing.tables import (
+    ClosLowering,
     DegradedDragonflyLowering,
     DragonflyLowering,
+    FbLowering,
     ForwardingTables,
     Leg,
     TableCompileError,
     TableEntry,
+    TableRoutes,
     TableRouteError,
+    TorusLowering,
     compile_dragonfly_tables,
     table_walk_route,
 )
+from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.faults import NO_FAULTS, FaultSet
+from repro.topology.flattened_butterfly import FlattenedButterfly
+from repro.topology.folded_clos import FoldedClos
+from repro.topology.torus import Torus
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +226,60 @@ class TestDegradedCompilation:
         assert compile_dragonfly_tables(tiny, faults=NO_FAULTS) == (
             compile_dragonfly_tables(tiny)
         )
+
+
+def _simulated_walk(routes, src_router, dst_terminal, plan):
+    """Drive ``TableRoutes.next_hop`` the way the engine does, from
+    progress 0 to the ejection hop."""
+    trace, router, progress = [], src_router, 0
+    while True:
+        port, vc, progress = routes.next_hop(router, plan, progress, dst_terminal)
+        trace.append((router, port, vc))
+        channel = routes.topology.fabric.out_channel(router, port)
+        if channel is None:
+            return trace
+        router = channel.dst.router
+
+
+class TestTableRouting:
+    """The simulator's table executor walks exactly the certifier's
+    table walks, on every admissible route."""
+
+    @pytest.mark.parametrize("lowering", [
+        lambda: DragonflyLowering(
+            Dragonfly(DragonflyParams(p=1, a=2, h=2, num_groups=3)),
+            vcs.CANONICAL, include_nonminimal=True,
+        ),
+        lambda: make_routing("TBL-MIN/gc2").lowering(
+            Dragonfly(DragonflyParams(p=1, a=3, h=2, num_groups=5))
+        ),
+        lambda: FbLowering(FlattenedButterfly(dims=(3, 3), concentration=1)),
+        lambda: TorusLowering(Torus(dims=(3, 4), concentration=1), True),
+        lambda: ClosLowering(FoldedClos(num_terminals=16, radix=4)),
+    ], ids=["dragonfly-nonmax", "degraded-gc2", "fb", "torus", "clos"])
+    def test_next_hop_walks_the_certified_table_walks(self, lowering):
+        lowering = lowering()
+        routes = TableRoutes(lowering)
+        terminal_router = lowering.topology.terminal_router
+        for _label, src_router, dst_terminal, plan in lowering.routes():
+            legs = lowering.legs(plan, terminal_router(dst_terminal))
+            walk = routes.walker.walk(src_router, dst_terminal, legs)
+            assert _simulated_walk(routes, src_router, dst_terminal, plan) == walk
+            port, hops = routes.plan_hops(
+                src_router, terminal_router(dst_terminal), plan
+            )
+            assert hops == len(walk) - 1
+            assert port == (walk[0][1] if hops else -1)
+
+    def test_plan_hops_refuses_a_routing_loop(self, paper72):
+        tables = compile_dragonfly_tables(paper72, include_nonminimal=False)
+        # Routers 0 and 1 forward router 3's final-VC key to each other.
+        key = (0, 3, vcs.CANONICAL.final_local_vc)
+        for router, other in ((0, 1), (1, 0)):
+            tables.replace(router, key, TableEntry(paper72.local_port(router, other), key[2]))
+        routes = TableRoutes(
+            DragonflyLowering(paper72, vcs.CANONICAL, include_nonminimal=False),
+            tables,
+        )
+        with pytest.raises(TableRouteError, match="routing loop"):
+            routes.plan_hops(0, 3, RoutePlan(minimal=True))

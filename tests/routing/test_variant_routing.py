@@ -14,7 +14,6 @@ from repro.routing.ugal import make_routing
 from repro.routing.variant_paths import (
     variant_minimal_plan,
     variant_next_hop,
-    variant_plan_hops,
     variant_valiant_plan,
 )
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
@@ -66,7 +65,11 @@ class TestVariantPlans:
         for dst in (17, 100, 260):
             plan = variant_valiant_plan(cube_df, rng, 0, dst)
             trace = walk_route(cube_df, variant_next_hop, 0, dst, plan)
-            assert variant_plan_hops(cube_df, 0, dst, plan) == len(trace) - 1
+            routes = make_routing("VAR-VAL").routes(cube_df)
+            dst_router = cube_df.terminal_router(dst)
+            assert routes.plan_hops(0, dst_router, plan) == (
+                trace[0][1], len(trace) - 1
+            )
 
     def test_vcs_nondecreasing(self, cube_df):
         rng = random.Random(6)

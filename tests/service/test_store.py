@@ -27,7 +27,7 @@ def populated(tmp_path, tiny_manifest):
 def mixed_backends(tmp_path, tiny_manifest):
     """A store whose six points carry three distinct engine provenances:
     scalar, array-with-kernel, and array-with-kernel-fallback (the shape
-    ``DegradedTableRouting`` produces -- no kernel lowering)."""
+    a ``TableRouting`` produces -- no kernel lowering)."""
     store = ResultStore(tmp_path / "store")
     topology = tiny_manifest.topology.build()
     units = tiny_manifest.work_units(topology)
@@ -38,7 +38,7 @@ def mixed_backends(tmp_path, tiny_manifest):
             "backend": "array",
             "kernel": "none",
             "kernel_fallback": (
-                "routing DegradedTableRouting has no kernel lowering"
+                "routing TableRouting has no kernel lowering"
             ),
         },
     ]

@@ -49,6 +49,24 @@ class TestFigure6b:
         assert variant.fabric.is_connected()
 
 
+def test_coordinates_and_hops_agree_with_local_router_at():
+    """Uneven dimensions: coordinates round-trip in every group, and the
+    hop count is the number of coordinates that differ."""
+    variant = FlattenedButterflyGroupDragonfly(
+        p=1, group_dims=(3, 2), h=1, num_groups=3
+    )
+    coords = [(x, y) for x in range(3) for y in range(2)]
+    for group in range(variant.g):
+        for src in coords:
+            src_router = variant.local_router_at(group, src)
+            assert variant.coords_of(src_router) == src
+            for dst in coords:
+                dst_router = variant.local_router_at(group, dst)
+                assert variant.intra_group_hops(src_router, dst_router) == sum(
+                    s != d for s, d in zip(src, dst)
+                )
+
+
 class TestFigure6a:
     """2-D flattened butterfly group exploiting packaging locality."""
 
