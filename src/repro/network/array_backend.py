@@ -412,8 +412,9 @@ class ArraySimulator(Simulator):
         self._distinct_lats = sorted(
             {int(lat) for lat, net in zip(ch_lat, self._is_network) if net}
         )
-        self._dst_router_np = np.asarray(self._dst_router, np.int64)
         self._terminal_router_np = np.asarray(self._terminal_router, np.int64)
+        #: A destination terminal's router is its terminal router.
+        self._dst_router_np = self._terminal_router_np
         self._inject_base_np = np.asarray(self._inject_base, np.int64)
         self._eject_terminal_np = np.asarray(self._eject_terminal, np.int64)
         #: Window flit counts per channel; ``_global_flits`` (the list

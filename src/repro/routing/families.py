@@ -15,7 +15,7 @@ UGAL-G is not provided: on the flattened butterfly the congested channel
 is attached to the *source* router itself (DOR's first hop), so local
 queue state is no longer indirect -- the contrast the dragonfly paper
 draws.  The dragonfly keeps its own classes (:mod:`repro.routing.ugal`),
-which the decide kernel and the simulator's hop memo know by type.
+which the decide kernel knows by type; their hops skip the tables.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class FamilyRouting(TableRouting):
         dst_terminal: int,
     ) -> Any:
         family = self.family
-        routes = self.routes(topology)
+        routes = self.hop_memo(topology)
         if self.rule == "val":
             return family.valiant(topology, rng, src_router, dst_terminal)
         dst_router = topology.terminal_router(dst_terminal)

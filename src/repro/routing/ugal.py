@@ -40,6 +40,7 @@ The variants differ only in *which queue* supplies ``q``:
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Tuple
 
@@ -50,7 +51,6 @@ from .paths import (
     _minimal_plan_between,
     _valiant_plan_between,
     minimal_plan,
-    next_hop,
 )
 
 
@@ -58,33 +58,6 @@ class _UgalBase(RoutingAlgorithm):
     """Shared candidate construction and comparison logic."""
 
     kernel_decide = "ugal"
-
-    @staticmethod
-    def _first_hop(
-        topology: Dragonfly,
-        src_router: int,
-        plan: RoutePlan,
-        dst_terminal: int,
-    ) -> Tuple[int, int]:
-        """Memoised ``next_hop(topology, src_router, plan, 0, dst)``.
-
-        When source and destination group differ (the only case that
-        reaches ``_occupancies``), the first hop is the executor's gc1
-        phase -- a pure function of (plan contents, source router),
-        independent of the destination terminal.  The cache lives on
-        the plan itself (``RoutePlan.first_hops``), so entries can
-        never be confused across topologies or outlive the plan.
-        """
-        if plan.gc1 is None:
-            return next_hop(topology, src_router, plan, 0, dst_terminal)
-        cache = plan.first_hops
-        if cache is None:
-            cache = plan.first_hops = {}
-        hop = cache.get(src_router)
-        if hop is None:
-            hop = next_hop(topology, src_router, plan, 0, dst_terminal)
-            cache[src_router] = hop
-        return hop
 
     def decide(
         self,
@@ -156,8 +129,9 @@ class UgalL(_UgalBase):
 
     def _occupancies(self, view, topology, src_router, dst_terminal,
                      min_candidate, nm_candidate):
-        port_min, _ = self._first_hop(topology, src_router, min_candidate, dst_terminal)
-        port_nm, _ = self._first_hop(topology, src_router, nm_candidate, dst_terminal)
+        memo = self.hop_memo(topology)
+        port_min, _, _ = memo.first_hop(min_candidate, src_router, dst_terminal)
+        port_nm, _, _ = memo.first_hop(nm_candidate, src_router, dst_terminal)
         return (
             view.output_occupancy(src_router, port_min),
             view.output_occupancy(src_router, port_nm),
@@ -193,8 +167,9 @@ class UgalLVc(_UgalBase):
 
     def _occupancies(self, view, topology, src_router, dst_terminal,
                      min_candidate, nm_candidate):
-        port_min, vc_min = self._first_hop(topology, src_router, min_candidate, dst_terminal)
-        port_nm, vc_nm = self._first_hop(topology, src_router, nm_candidate, dst_terminal)
+        memo = self.hop_memo(topology)
+        port_min, vc_min, _ = memo.first_hop(min_candidate, src_router, dst_terminal)
+        port_nm, vc_nm, _ = memo.first_hop(nm_candidate, src_router, dst_terminal)
         return (
             view.output_vc_occupancy(src_router, port_min, vc_min),
             view.output_vc_occupancy(src_router, port_nm, vc_nm),
@@ -209,8 +184,9 @@ class UgalLVcH(_UgalBase):
 
     def _occupancies(self, view, topology, src_router, dst_terminal,
                      min_candidate, nm_candidate):
-        port_min, vc_min = self._first_hop(topology, src_router, min_candidate, dst_terminal)
-        port_nm, vc_nm = self._first_hop(topology, src_router, nm_candidate, dst_terminal)
+        memo = self.hop_memo(topology)
+        port_min, vc_min, _ = memo.first_hop(min_candidate, src_router, dst_terminal)
+        port_nm, vc_nm, _ = memo.first_hop(nm_candidate, src_router, dst_terminal)
         if port_min == port_nm:
             return (
                 view.output_vc_occupancy(src_router, port_min, vc_min),
@@ -246,8 +222,7 @@ def make_routing(name: str) -> RoutingAlgorithm:
     from .valiant import ValiantRouting
 
     if name == "TBL-MIN" or name.startswith("TBL-MIN/gc"):
-        from ..topology.faults import canonical_global_faults
-        from .tables import DegradedDragonflyLowering, TableRouting
+        from .tables import TableRouting, canonical_degraded_lowering
 
         fault_pairs = 0
         if name != "TBL-MIN":
@@ -259,8 +234,8 @@ def make_routing(name: str) -> RoutingAlgorithm:
                     "severed group pairs, written without leading zeros"
                 )
             fault_pairs = int(suffix)
-        return TableRouting(name, lambda topology: DegradedDragonflyLowering(
-            topology, canonical_global_faults(topology, fault_pairs)
+        return TableRouting(name, functools.partial(
+            canonical_degraded_lowering, fault_pairs=fault_pairs
         ))
 
     algorithms = {

@@ -3,10 +3,10 @@
 Every golden fixture is re-simulated with the table-driven executor --
 the base algorithm's compiled tables pushed through a full JSON
 export/import cycle -- and must reproduce the checked-in points bit for
-bit.  Because :class:`TableDrivenRouting` overrides ``next_hop``, the
-simulator's hop cache is disabled and the imported tables are consulted
-for every hop of every flit: this certifies the deployed table files,
-not a memo of the routing code.
+bit.  :class:`TableDrivenRouting` hands the simulator the hop memo of
+the imported tables, filled from their table walks, so every hop of
+every flit comes from the deployed table files, not from the routing
+code.
 """
 
 import json

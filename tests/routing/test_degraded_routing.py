@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hop_walk import memo_walk
 from repro.core.params import DragonflyParams, TopologyError
 from repro.network.config import SimulationConfig
 from repro.network.parallel import SweepExecutor
@@ -20,37 +21,28 @@ def paper72():
 
 
 def walk(routing, topology, src_terminal, dst_terminal, seed=0):
-    """Drive decide + next_hop to ejection; returns the (router, port,
-    vc) trace exactly as the simulator would execute it."""
+    """Decide, then walk the routing's hop memo to ejection; returns the
+    (router, port, vc) trace exactly as the simulator would execute it."""
     rng = random.Random(seed)
     router = topology.terminal_router(src_terminal)
     plan = routing.decide(None, topology, rng, router, dst_terminal)
-    trace = []
-    progress = 0
-    for _ in range(12):
-        port, vc, progress = routing.next_hop(
-            topology, router, plan, progress, dst_terminal
-        )
-        trace.append((router, port, vc))
-        if topology.is_terminal_port(port):
-            assert router == topology.terminal_router(dst_terminal)
-            return trace
-        channel = topology.fabric.out_channel(router, port)
-        assert channel is not None
-        router = channel.dst.router
-    raise AssertionError("route failed to terminate")
+    trace = memo_walk(routing.hop_memo(topology), topology, router, dst_terminal, plan)
+    assert len(trace) <= 12
+    assert trace[-1][0] == topology.terminal_router(dst_terminal)
+    assert all(not topology.is_terminal_port(port) for _, port, _ in trace[:-1])
+    return trace
 
 
 class TestFactoryNames:
     def test_healthy_name(self, paper72):
         routing = make_routing("TBL-MIN")
         assert isinstance(routing, TableRouting)
-        assert not routing.routes(paper72).lowering.faults
+        assert not routing.hop_memo(paper72).lowering.faults
         assert routing.name == "TBL-MIN"
 
     def test_degraded_name_parses_pair_count(self, paper72):
         routing = make_routing("TBL-MIN/gc3")
-        lowering = routing.routes(paper72).lowering
+        lowering = routing.hop_memo(paper72).lowering
         assert isinstance(lowering, DegradedDragonflyLowering)
         assert lowering.faults == canonical_global_faults(paper72, 3)
         assert routing.name == "TBL-MIN/gc3"
@@ -118,12 +110,15 @@ class TestTableWalks:
     def test_tables_compiled_once_per_topology(self, paper72):
         routing = make_routing("TBL-MIN/gc1")
         walk(routing, paper72, 0, 30)
-        routes = routing.routes(paper72)
+        routes = routing.hop_memo(paper72)
         walk(routing, paper72, 0, 40)
-        assert routing.routes(paper72) is routes
+        assert routing.hop_memo(paper72) is routes
         tiny = Dragonfly(DragonflyParams(p=1, a=2, h=1))
-        assert routing.routes(tiny) is not routes
-        assert routing.routes(paper72) is routes
+        assert routing.hop_memo(tiny) is not routes
+        assert routing.hop_memo(paper72) is routes
+        # Kept on the topology: routings built alike share them.
+        assert make_routing("TBL-MIN/gc1").hop_memo(paper72) is routes
+        assert make_routing("TBL-MIN/gc2").hop_memo(paper72) is not routes
 
 
 class TestSimulation:

@@ -11,6 +11,7 @@ from repro.network.simulator import Simulator
 from repro.network.traffic import FbAdversarial, make_pattern
 from repro.routing.fb_paths import RouterPlan, fb_next_hop, router_valiant_plan
 from repro.routing.paths import walk_route
+from repro.routing.tables import FbLowering
 from repro.routing.ugal import make_routing
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
@@ -23,7 +24,7 @@ def fb():
 def _walk_hops(topology, src_router, dst_terminal, plan):
     """Channel hops of ``plan`` as the simulator walks it: over the
     compiled tables."""
-    routes = make_routing("FB-VAL").routes(topology)
+    routes = make_routing("FB-VAL").hop_memo(topology)
     return routes.plan_hops(src_router, topology.terminal_router(dst_terminal), plan)[1]
 
 
@@ -143,6 +144,30 @@ class TestFbSimulation:
         simulator = Simulator(fb, make_routing("FB-UGAL-L"), pattern, config)
         simulator.run()
         simulator.check_invariants()
+
+    def test_tables_compile_once_per_topology_across_a_sweep(self, monkeypatch):
+        """A sweep builds a fresh routing for every point; the tables and
+        hop memo stay on the topology, one per lowering."""
+        compiles = []
+        compile_tables = FbLowering.compile
+
+        def counted(lowering):
+            compiles.append(lowering)
+            return compile_tables(lowering)
+
+        monkeypatch.setattr(FbLowering, "compile", counted)
+        topology = FlattenedButterfly(dims=(2, 2), concentration=2)
+        for load in (0.1, 0.2, 0.3):
+            for name in ("FB-MIN", "FB-VAL", "FB-UGAL-L"):
+                config = SimulationConfig(
+                    load=load, warmup_cycles=50, measure_cycles=50,
+                    drain_max_cycles=500,
+                )
+                pattern = make_pattern("uniform_random", topology, seed=11)
+                Simulator(topology, make_routing(name), pattern, config).run()
+        # FB-MIN's minimal lowering, and the non-minimal one FB-VAL and
+        # FB-UGAL-L share.
+        assert len(compiles) == 2
 
 
 @given(

@@ -15,11 +15,16 @@ from repro.routing.paths import (
     valiant_plan,
     walk_route,
 )
-from repro.routing.minimal import MinimalRouting
+from repro.routing import vc_assignment as vcs
+from repro.routing.tables import DragonflyLowering
 from repro.topology.dragonfly import Dragonfly
 
-#: The simulator's dragonfly executor (canonical VC assignment).
-EXECUTOR = MinimalRouting().next_hop
+
+def EXECUTOR(topology, router, plan, progress, dst_terminal):
+    """The dragonfly executor (canonical VC assignment) the certifier
+    walks and the simulator's hop memo is filled from."""
+    lowering = DragonflyLowering(topology, vcs.CANONICAL, include_nonminimal=True)
+    return lowering.next_hop(topology, router, plan, progress, dst_terminal)
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ Valiant, and the plans the UGAL family selects between them -- must
   revisit would silently void the certificate.
 
 Hypothesis drives random topologies, endpoints and RNG seeds through
-``walk_route`` with ``RoutingAlgorithm.next_hop``, the very executor
-the simulator runs.
+``walk_route`` with ``DragonflyLowering.next_hop``, the executor the
+certifier walks and the simulator's hop memo is filled from.
 """
 
 import functools
@@ -24,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing.base import ZeroCongestion
-from repro.routing.minimal import MinimalRouting
+from repro.routing import vc_assignment as vcs
 from repro.routing.paths import minimal_plan, plan_hops, valiant_plan, walk_route
+from repro.routing.tables import DragonflyLowering
 from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
 
@@ -68,9 +69,8 @@ def routed_case(draw):
 
 def assert_route_invariants(topology, src_router, dst_terminal, plan,
                             max_global_hops):
-    trace = walk_route(
-        topology, MinimalRouting().next_hop, src_router, dst_terminal, plan
-    )
+    executor = DragonflyLowering(topology, vcs.CANONICAL, True).next_hop
+    trace = walk_route(topology, executor, src_router, dst_terminal, plan)
 
     # Reaches its destination: the last hop ejects at the destination
     # terminal's port on the destination router, and no earlier hop is

@@ -12,26 +12,25 @@ from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
 from repro.network.packet import RoutePlan
 from repro.routing.tables import (
-    ClosLowering,
     DegradedDragonflyLowering,
     DragonflyLowering,
-    FbLowering,
     ForwardingTables,
     Leg,
     TableCompileError,
     TableEntry,
+    TableDrivenRouting,
     TableRoutes,
     TableRouteError,
-    TorusLowering,
     compile_dragonfly_tables,
+    compile_fb_tables,
     table_walk_route,
 )
 from repro.routing.ugal import make_routing
+from repro.network.config import SimulationConfig
+from repro.network.sweep import run_point
 from repro.topology.dragonfly import Dragonfly
-from repro.topology.faults import NO_FAULTS, FaultSet
 from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.topology.folded_clos import FoldedClos
-from repro.topology.torus import Torus
+from repro.topology.faults import NO_FAULTS, FaultSet
 
 
 @pytest.fixture(scope="module")
@@ -228,48 +227,9 @@ class TestDegradedCompilation:
         )
 
 
-def _simulated_walk(routes, src_router, dst_terminal, plan):
-    """Drive ``TableRoutes.next_hop`` the way the engine does, from
-    progress 0 to the ejection hop."""
-    trace, router, progress = [], src_router, 0
-    while True:
-        port, vc, progress = routes.next_hop(router, plan, progress, dst_terminal)
-        trace.append((router, port, vc))
-        channel = routes.topology.fabric.out_channel(router, port)
-        if channel is None:
-            return trace
-        router = channel.dst.router
-
-
 class TestTableRouting:
-    """The simulator's table executor walks exactly the certifier's
-    table walks, on every admissible route."""
-
-    @pytest.mark.parametrize("lowering", [
-        lambda: DragonflyLowering(
-            Dragonfly(DragonflyParams(p=1, a=2, h=2, num_groups=3)),
-            vcs.CANONICAL, include_nonminimal=True,
-        ),
-        lambda: make_routing("TBL-MIN/gc2").lowering(
-            Dragonfly(DragonflyParams(p=1, a=3, h=2, num_groups=5))
-        ),
-        lambda: FbLowering(FlattenedButterfly(dims=(3, 3), concentration=1)),
-        lambda: TorusLowering(Torus(dims=(3, 4), concentration=1), True),
-        lambda: ClosLowering(FoldedClos(num_terminals=16, radix=4)),
-    ], ids=["dragonfly-nonmax", "degraded-gc2", "fb", "torus", "clos"])
-    def test_next_hop_walks_the_certified_table_walks(self, lowering):
-        lowering = lowering()
-        routes = TableRoutes(lowering)
-        terminal_router = lowering.topology.terminal_router
-        for _label, src_router, dst_terminal, plan in lowering.routes():
-            legs = lowering.legs(plan, terminal_router(dst_terminal))
-            walk = routes.walker.walk(src_router, dst_terminal, legs)
-            assert _simulated_walk(routes, src_router, dst_terminal, plan) == walk
-            port, hops = routes.plan_hops(
-                src_router, terminal_router(dst_terminal), plan
-            )
-            assert hops == len(walk) - 1
-            assert port == (walk[0][1] if hops else -1)
+    """The simulator's table executor; its hop memo is checked against
+    the certified walks in ``test_hop_memo.py``."""
 
     def test_plan_hops_refuses_a_routing_loop(self, paper72):
         tables = compile_dragonfly_tables(paper72, include_nonminimal=False)
@@ -283,3 +243,23 @@ class TestTableRouting:
         )
         with pytest.raises(TableRouteError, match="routing loop"):
             routes.plan_hops(0, 3, RoutePlan(minimal=True))
+
+    @pytest.mark.parametrize("tables, params, match", [
+        ("dragonfly", DragonflyParams(2, 4, 2, 5), "compiled for 36 routers"),
+        ("dragonfly", DragonflyParams(3, 4, 2, 9), "does not have"),
+        ("flattened-butterfly", DragonflyParams(2, 4, 2, 9), "flattened-butterfly tables"),
+    ], ids=["router-count", "global-links", "family"])
+    def test_tables_of_another_topology_are_refused(self, tables, params, match):
+        """Tables compiled for the paper's 72-terminal dragonfly do not
+        run on another 36-router dragonfly, nor FB tables on it."""
+        if tables == "dragonfly":
+            tables = compile_dragonfly_tables(Dragonfly(DragonflyParams(2, 4, 2, 9)))
+        else:
+            tables = compile_fb_tables(FlattenedButterfly(dims=(6, 6), concentration=1))
+        routing = TableDrivenRouting(make_routing("MIN"), tables)
+        config = SimulationConfig(
+            load=0.2, warmup_cycles=200, measure_cycles=200,
+            drain_max_cycles=1000, seed=1,
+        )
+        with pytest.raises(ValueError, match=match):
+            run_point(Dragonfly(params), routing, "uniform_random", config)

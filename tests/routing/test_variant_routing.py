@@ -65,7 +65,7 @@ class TestVariantPlans:
         for dst in (17, 100, 260):
             plan = variant_valiant_plan(cube_df, rng, 0, dst)
             trace = walk_route(cube_df, variant_next_hop, 0, dst, plan)
-            routes = make_routing("VAR-VAL").routes(cube_df)
+            routes = make_routing("VAR-VAL").hop_memo(cube_df)
             dst_router = cube_df.terminal_router(dst)
             assert routes.plan_hops(0, dst_router, plan) == (
                 trace[0][1], len(trace) - 1
