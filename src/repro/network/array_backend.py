@@ -21,6 +21,17 @@ phase iterates per flit, packet, terminal or port in Python.
 State layout
 ------------
 
+* **Construction.**  :class:`ArraySimulator` shares with the scalar
+  engine only :meth:`Simulator._init_shared` -- run identity, RNGs,
+  channel and terminal wiring, event-ring geometry, measurement
+  counters, the sanitizer -- and builds everything else as numpy
+  arrays: the flow-control counters (``_credits``, ``_buf_count``,
+  ``_rr_vc``, the ``_occupancy`` windows, ``_td``/``_td_min``), the
+  wiring columns (``_ch_*``, ``_is_network``, the per-terminal bases),
+  the row store and its two FIFO sets.  None of the scalar engine's
+  per-slot deques, stream table, source heads or active set exists
+  here; a bulk workload goes straight into rows.  The per-port credit
+  time queues exist, in either engine, only under UGAL-L_CR.
 * **Rows.**  Packets are single-flit, so a packet and its flit are one
   *row*: an integer id indexing the ``_f_*`` columns
   (:data:`_FLIT_COLUMNS`), allocated when the packet is created and
@@ -279,6 +290,16 @@ class ArrayStateView(SimulatorStateView):
     def source_depths(self) -> List[int]:
         return [len(queue) for queue in self._sim._src_fifo.to_lists()]
 
+    # Rows are single-flit packets: no packet is ever part way through
+    # injection or open as a multi-flit stream.
+    @property
+    def inflight_injection(self):
+        return [()] * self._sim._num_terminals
+
+    @property
+    def streams(self):
+        return {}
+
     def _arrival_events(self, chunks) -> List[Tuple[int, int, int]]:
         rows = _joined(chunks)
         in_idx = self._sim._f_in_idx[rows]
@@ -346,7 +367,7 @@ class ArraySimulator(Simulator):
                 "make_simulator(backend='array') selects the scalar engine "
                 "for it"
             )
-        super().__init__(topology, routing, pattern, config, settings)
+        self._init_shared(topology, routing, pattern, config, settings)
         num_ports = self._num_routers * self._radix
         num_slots = self._num_routers * self._rv
         # Per-port and per-(port, VC) queue occupancy share one buffer:
@@ -355,11 +376,11 @@ class ArraySimulator(Simulator):
         self._occupancy = np.zeros(num_ports + num_slots, dtype=np.int64)
         self._pending = self._occupancy[:num_ports]
         self._pending_vc = self._occupancy[num_ports:]
-        self._credits = np.asarray(self._credits, dtype=np.int64)
-        self._rr_vc = np.asarray(self._rr_vc, dtype=np.int64)
-        self._buf_count = np.asarray(self._buf_count, dtype=np.int64)
-        self._td = np.asarray(self._td, dtype=np.float64)
-        self._td_min = np.asarray(self._td_min, dtype=np.float64)
+        self._credits = np.full(num_slots, self._depth, dtype=np.int64)
+        self._rr_vc = np.zeros(num_ports, dtype=np.int64)
+        self._buf_count = np.zeros(num_slots, dtype=np.int64)
+        self._td = np.zeros(num_ports, dtype=np.float64)
+        self._td_min = np.zeros(self._num_routers, dtype=np.float64)
         #: True per flat port that has a network channel (ejection and
         #: unwired ports need no credit to forward).
         self._is_network = np.asarray(
@@ -386,11 +407,6 @@ class ArraySimulator(Simulator):
         self._domain_size = self._tables.p * (
             self._tables.a if self._tables.signal == "remote" else 1
         )
-        #: Batched destination draws for the lowered random patterns
-        #: (``None`` keeps the per-packet ``pattern(src)`` call).  The
-        #: transplant is sound because every destination draw goes
-        #: through the batched injection pass.
-        self._traffic_lowering = lower_traffic(self.pattern)
 
         ch_dbase = np.zeros(num_ports, np.int64)
         ch_lat = np.zeros(num_ports, np.int64)
@@ -409,9 +425,7 @@ class ArraySimulator(Simulator):
         #: The handful of distinct channel latencies (local vs global,
         #: typically two) -- the switch phase groups its ring appends by
         #: latency value instead of calling np.unique per cycle.
-        self._distinct_lats = sorted(
-            {int(lat) for lat, net in zip(ch_lat, self._is_network) if net}
-        )
+        self._distinct_lats = np.unique(ch_lat[self._is_network]).tolist()
         self._terminal_router_np = np.asarray(self._terminal_router, np.int64)
         #: A destination terminal's router is its terminal router.
         self._dst_router_np = self._terminal_router_np
@@ -419,7 +433,9 @@ class ArraySimulator(Simulator):
         self._eject_terminal_np = np.asarray(self._eject_terminal, np.int64)
         #: Window flit counts per channel; ``_global_flits`` (the list
         #: the result is built from) is filled in once at run end.
-        self._global_flit_counts = np.zeros(len(self._global_flits), np.int64)
+        self._global_flit_counts = np.zeros(
+            topology.fabric.num_channels, np.int64
+        )
         #: Latency samples as (latency, minimal) column chunks, joined
         #: into ``_samples`` once at result time.
         self._sample_latency: List[np.ndarray] = [_NO_EVENTS]
@@ -433,28 +449,27 @@ class ArraySimulator(Simulator):
         self._src_fifo = LinkedFifos(self._num_terminals, 0)
         self._out_fifo = LinkedFifos(num_slots, 0)
         self._grow_columns(4096)
-        # The event rings keep their geometry and change their payload:
-        # a slot is a list of int64 chunks.
-        self._arrival_ring = [[] for _ in range(self._arrival_ring_size)]
-        self._credit_ring = [[] for _ in range(self._credit_ring_size)]
-        self._credit_overflow = {}
-        # Bulk mode: the base constructor queued the whole workload as
-        # backlog records (consuming the pattern rng in scalar order);
-        # move it into rows.
-        queued = [
-            (terminal, self._records.packet(record, terminal, 1).dst_terminal)
-            for terminal, backlog in enumerate(self._backlog)
-            for record in backlog
-        ]
-        if queued:
-            self._packet_counter = 0
-            srcs = np.asarray([src for src, _ in queued], np.int64)
-            dsts = np.asarray([dst for _, dst in queued], np.int64)
+        if self._bulk_mode:
+            # The whole workload, destinations drawn in the scalar
+            # engine's ``pattern(terminal)`` order, terminal by
+            # terminal, before ``lower_traffic`` transplants the
+            # pattern's rng.
+            srcs = np.repeat(
+                np.arange(self._num_terminals, dtype=np.int64),
+                config.packets_per_terminal,
+            )
+            dsts = np.fromiter(
+                map(self.pattern, srcs.tolist()), np.int64, srcs.shape[0]
+            )
+            self._outstanding_tagged = srcs.shape[0]
             self._src_fifo.append(
                 srcs, self._new_packets(srcs, dsts, creation=0, measured=True)
             )
-        # The scalar engine's per-slot queue objects have no role here.
-        del self._source_head, self._head_slot, self._backlog, self._out_q
+        #: Batched destination draws for the lowered random patterns
+        #: (``None`` keeps the per-packet ``pattern(src)`` call).  The
+        #: transplant is sound because every destination draw goes
+        #: through the batched injection pass.
+        self._traffic_lowering = lower_traffic(self.pattern)
 
     def backend_provenance(self) -> Dict[str, str]:
         return {"backend": "array", "kernel": KERNEL_NAME}

@@ -58,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..settings import Settings
 from .config import SimulationConfig
@@ -159,82 +159,3 @@ def contract_for(
     if reason is None:
         return EquivalenceContract(decide_kernel=KERNEL_NAME)
     return EquivalenceContract(kernel_fallback=reason)
-
-
-# ----------------------------------------------------------------------
-# Divergence diagnostics (used by the differential harness on failure)
-# ----------------------------------------------------------------------
-def _state_fingerprint(sim: "Simulator") -> List[Tuple[str, object]]:
-    """Cheap per-cycle digest of engine state, field by field."""
-    view = sim.state_view()
-    return [
-        ("packet_counter", view.packet_counter),
-        ("flits_delivered", view.flits_delivered),
-        ("outstanding_tagged", view.outstanding_tagged),
-        ("samples", len(view.samples)),
-        ("buf_count", _as_tuple(view.buf_count)),
-        ("credits", _as_tuple(view.credits)),
-        ("pending", _as_tuple(view.pending)),
-        ("pending_vc", _as_tuple(view.pending_vc)),
-        ("rr_vc", _as_tuple(view.rr_vc)),
-        ("source_depths", tuple(view.source_depths)),
-        (
-            "arrival_ring",
-            tuple(len(batch) for batch in view.arrival_ring),
-        ),
-        ("credit_ring", tuple(len(batch) for batch in view.credit_ring)),
-    ]
-
-
-def _as_tuple(seq) -> Tuple[int, ...]:
-    return tuple(int(value) for value in seq)
-
-
-def first_divergence(
-    topology: "Dragonfly",
-    routing_factory: Callable[[], "RoutingAlgorithm"],
-    pattern_factory: Callable[[], Callable[[int], int]],
-    config: SimulationConfig,
-    max_cycles: Optional[int] = None,
-) -> Optional[Tuple[int, str, object, object]]:
-    """Run both backends in lockstep and locate the first state split.
-
-    Returns ``(cycle, field, scalar_value, array_value)`` for the first
-    cycle after which any fingerprinted engine field differs, or
-    ``None`` when the two engines stay in lockstep for the whole run.
-    Each backend gets its own freshly built routing and pattern so RNG
-    streams start identically.  This is a diagnostic -- it re-simulates
-    at one-cycle granularity and is far slower than a plain run; the
-    differential harness only calls it after an equivalence assertion
-    has already failed.
-    """
-    scalar = make_simulator(
-        topology, routing_factory(), pattern_factory(), config, backend="scalar"
-    )
-    array = make_simulator(
-        topology, routing_factory(), pattern_factory(), config, backend="array"
-    )
-    limit = (
-        scalar._measure_end + config.drain_max_cycles
-        if max_cycles is None
-        else max_cycles
-    )
-    for now in range(limit):
-        for sim in (scalar, array):
-            sim.now = now
-            sim._deliver_arrivals(now)
-            sim._deliver_credits(now)
-            sim._inject(now)
-            sim._switch()
-        for (field, left), (_, right) in zip(
-            _state_fingerprint(scalar), _state_fingerprint(array)
-        ):
-            if left != right:
-                return now, field, left, right
-        if (
-            now >= scalar._measure_end
-            and scalar._outstanding_tagged == 0
-            and array._outstanding_tagged == 0
-        ):
-            break
-    return None

@@ -149,16 +149,6 @@ class VectorizedMT19937:
             raise ValueError("k must be in (0, 32]")
         return self.next_word() >> (32 - k)
 
-    def to_python_state(self) -> tuple:
-        """State tuple accepted by :meth:`random.Random.setstate`.
-
-        Lets callers hand the stream *back* to a scalar generator at the
-        exact position this instance reached -- the inverse of
-        :meth:`from_python_rng`, used by parity tests.
-        """
-        key = self._bits.state["state"]["key"]
-        return (3, tuple(int(w) for w in key) + (_N - self._rest.shape[0],), None)
-
     # -- batched sampling ----------------------------------------------
 
     def rejection_sample(self, count: int, n: int) -> np.ndarray:

@@ -214,8 +214,9 @@ class SimulatorStateView:
     # -- active set -----------------------------------------------------
     # The scalar engine maintains explicit bitmasks and an active-router
     # set; the array backend derives activity from its pending array
-    # (its ``ArrayStateView`` also materialises the queue, ring and
-    # sample accessors above, which it keeps as arrays).
+    # (its ``ArrayStateView`` also answers the queue, stream, injection,
+    # ring and sample accessors above from its arrays; the scalar
+    # engine's queue objects do not exist there).
     def active_port_mask(self, router: int) -> int:
         """Bitmask of this router's output ports the engine considers
         active (bit ``p`` set iff port ``p`` has queued flits)."""
@@ -266,6 +267,100 @@ class Simulator:
         config: SimulationConfig,
         settings: Optional[Settings] = None,
     ) -> None:
+        self._init_shared(topology, routing, pattern, config, settings)
+        num_routers = self._num_routers
+        radix = self._radix
+        vcs = self._vcs
+        rv = self._rv
+        num_terminals = self._num_terminals
+
+        # Per-router state, flattened into contiguous lists indexed by
+        # ``router * rv + port * vcs + vc`` (per input/output VC slot) or
+        # ``router * radix + port`` (per port).  Buffer *space* is
+        # accounted per input (port, VC) slot; buffered flits are
+        # *queued* per output (port, VC) so the switch has no input HOL
+        # blocking.
+        self._buf_count: List[int] = [0] * (num_routers * rv)
+        self._out_q: List[Deque] = [deque() for _ in range(num_routers * rv)]
+        self._credits: List[int] = [config.vc_buffer_depth] * (num_routers * rv)
+        self._pending: List[int] = [0] * (num_routers * radix)
+        self._pending_vc: List[int] = [0] * (num_routers * rv)
+        self._rr_vc: List[int] = [0] * (num_routers * radix)
+        # Active set: per-router bitmask of output ports with queued
+        # flits (a port's bit is set iff its pending counter is > 0) and
+        # the set of routers whose mask is non-zero.  _enqueue/_forward
+        # keep both exact, so _switch touches only occupied ports.
+        self._active_mask: List[int] = [0] * num_routers
+        self._active_routers: set = set()
+        # Multi-flit mode: (absolute out_idx, packet index) -> the
+        # packet's open stream, for appending body flits.
+        self._streams: Dict[Tuple[int, int], _Stream] = {}
+        # UGAL-L_CR's sensed round-trip excess t_d per (router, port).
+        # ``_td_min`` caches ``min_o t_d(o)`` over each router's network
+        # ports; _deliver_credits keeps it exact on every t_d update so
+        # _forward never recomputes the min per forwarded flit.
+        self._td: List[float] = [0.0] * (num_routers * radix)
+        self._td_min: List[float] = [0.0] * num_routers
+        #: Flits per directed channel index during the window (dense;
+        #: converted to the sparse dict of SimulationResult at run end).
+        self._global_flits: List[int] = [0] * topology.fabric.num_channels
+
+        # Hops: the routing's memo on this topology (``HopMemo`` of
+        # ``repro.routing.base``), read inline wherever a head flit is
+        # queued: ``hops[packet.keys[progress] + router]``, filled on a
+        # miss; port -1 ejects at the terminal's port (``_terminal_port``).
+        memo = routing.hop_memo(topology)
+        self._hops: Dict[int, Tuple[int, int, int]] = memo.hops
+        self._hop_keys = memo.keys
+        self._hop_fill = memo.fill
+        #: Round-robin VC visit orders: ``_vc_order[start]`` is the full
+        #: rotation starting at ``start``, precomputed so the switch
+        #: avoids per-probe modular arithmetic.
+        self._vc_order: List[Tuple[int, ...]] = [
+            tuple((start + offset) % vcs for offset in range(vcs))
+            for start in range(vcs)
+        ]
+
+        # Injection state per terminal.  A source queue is one decided
+        # head -- a real Packet with its route pinned on it -- and a FIFO
+        # of compact records behind it (see ``RecordLayout``); a record
+        # becomes a Packet when it reaches the head.
+        self._source_head: List[Optional[Packet]] = [None] * num_terminals
+        #: Injection input slot of each decided head's first hop: a
+        #: blocked head waits on this slot, which only the switch drains.
+        self._head_slot: List[int] = [0] * num_terminals
+        self._backlog: List[Deque[int]] = [deque() for _ in range(num_terminals)]
+        self._records = RecordLayout(
+            num_terminals,
+            config.warmup_cycles + config.measure_cycles
+            + config.drain_max_cycles + self._terminal_latency,
+        )
+        self._inflight_injection: List[Deque[Flit]] = [deque() for _ in range(num_terminals)]
+        # Bulk-synchronous mode: the whole workload is queued up front.
+        if self._bulk_mode:
+            for terminal in range(num_terminals):
+                backlog = self._backlog[terminal]
+                for _ in range(config.packets_per_terminal):
+                    backlog.append(self._records.pack(
+                        self._packet_counter, self.pattern(terminal), 0, True
+                    ))
+                    self._packet_counter += 1
+                    self._outstanding_tagged += 1
+
+    def _init_shared(
+        self,
+        topology: Dragonfly,
+        routing: RoutingAlgorithm,
+        pattern: Callable[[int], int],
+        config: SimulationConfig,
+        settings: Optional[Settings],
+    ) -> None:
+        """The state every engine reads: run identity, RNGs, channel and
+        terminal wiring, credit sensing, event rings, measurement
+        counters and the sanitizer.  Each engine's constructor calls
+        this, then builds its own counters and queues in its own layout
+        (the scalar lists and deques above, the array engine's numpy
+        columns)."""
         if not isinstance(topology, routing.topology_type):
             raise ValueError(
                 f"routing {routing.name!r} ({type(routing).__name__}) drives a "
@@ -292,28 +387,6 @@ class Simulator:
         self._depth = config.vc_buffer_depth
         self._multi_flit = config.packet_size > 1
         self._request_reply = config.request_reply
-
-        # Per-router state, flattened into contiguous lists indexed by
-        # ``router * rv + port * vcs + vc`` (per input/output VC slot) or
-        # ``router * radix + port`` (per port).  Buffer *space* is
-        # accounted per input (port, VC) slot; buffered flits are
-        # *queued* per output (port, VC) so the switch has no input HOL
-        # blocking.
-        self._buf_count: List[int] = [0] * (num_routers * rv)
-        self._out_q: List[Deque] = [deque() for _ in range(num_routers * rv)]
-        self._credits: List[int] = [config.vc_buffer_depth] * (num_routers * rv)
-        self._pending: List[int] = [0] * (num_routers * radix)
-        self._pending_vc: List[int] = [0] * (num_routers * rv)
-        self._rr_vc: List[int] = [0] * (num_routers * radix)
-        # Active set: per-router bitmask of output ports with queued
-        # flits (a port's bit is set iff its pending counter is > 0) and
-        # the set of routers whose mask is non-zero.  _enqueue/_forward
-        # keep both exact, so _switch touches only occupied ports.
-        self._active_mask: List[int] = [0] * num_routers
-        self._active_routers: set = set()
-        # Multi-flit mode: (absolute out_idx, packet index) -> the
-        # packet's open stream, for appending body flits.
-        self._streams: Dict[Tuple[int, int], _Stream] = {}
 
         # Static wiring lookups, flat per (router * radix + port).
         self._channel_info: List[Optional[_ChannelInfo]] = [None] * (
@@ -351,47 +424,34 @@ class Simulator:
                 )
                 self._network_ports[router].append(port)
 
-        # Hops: the routing's memo on this topology (``HopMemo`` of
-        # ``repro.routing.base``), read inline wherever a head flit is
-        # queued: ``hops[packet.keys[progress] + router]``, filled on a
-        # miss; port -1 ejects at the terminal's port (``_terminal_port``).
-        memo = routing.hop_memo(topology)
-        self._hops: Dict[int, Tuple[int, int, int]] = memo.hops
-        self._hop_keys = memo.keys
-        self._hop_fill = memo.fill
-        self._num_terminals = topology.num_terminals
-        #: Round-robin VC visit orders: ``_vc_order[start]`` is the full
-        #: rotation starting at ``start``, precomputed so the switch
-        #: avoids per-probe modular arithmetic.
-        self._vc_order: List[Tuple[int, ...]] = [
-            tuple((start + offset) % vcs for offset in range(vcs))
-            for start in range(vcs)
+        num_terminals = topology.num_terminals
+        self._num_terminals = num_terminals
+        self._terminal_router = [fabric.terminals[t].router for t in range(num_terminals)]
+        self._terminal_port = [fabric.terminals[t].port for t in range(num_terminals)]
+        #: Absolute base of the (router, injection port) VC slots.
+        self._inject_base = [
+            self._terminal_router[t] * rv + self._terminal_port[t] * vcs
+            for t in range(num_terminals)
         ]
 
-        # Credit round-trip sensing (UGAL-L_CR), flat per (router, port).
-        # ``_td_min`` caches ``min_o t_d(o)`` over each router's network
-        # ports; _deliver_credits keeps it exact on every t_d update so
-        # _forward never recomputes the min per forwarded flit.
+        # Credit round-trip sensing (UGAL-L_CR), flat per (router, port):
+        # a credit time queue of stamps and the zero-load round trip.
+        # Only a routing that senses credit delay has them; every read
+        # is guarded by ``_credit_delay_enabled``.
         self._credit_delay_enabled = routing.needs_credit_delay
         self._credit_gain = config.credit_delay_gain
-        self._ctq: List[Deque[int]] = [deque() for _ in range(num_routers * radix)]
-        self._td: List[float] = [0.0] * (num_routers * radix)
-        self._td_min: List[float] = [0.0] * num_routers
-        self._tcrt0: List[int] = [0] * (num_routers * radix)
-        for router in range(num_routers):
-            for port in self._network_ports[router]:
-                info = self._channel_info[router * radix + port]
-                if info is None:
-                    raise SimulatorStateError(
-                        f"network port {port} of router {router} has no "
-                        "channel wiring"
-                    )
-                # Zero-load round trip: flit flight + same-cycle downstream
-                # forwarding + credit flight.  Timestamps are taken when
-                # the flit is *enqueued* toward the output, so t_crt
-                # includes queueing toward O at this router -- the
-                # congestion the mechanism exists to sense.
-                self._tcrt0[router * radix + port] = 2 * info[2]
+        self._ctq: List[Deque[int]] = []
+        self._tcrt0: List[int] = []
+        if self._credit_delay_enabled:
+            self._ctq = [deque() for _ in range(num_routers * radix)]
+            # Zero-load round trip: flit flight + same-cycle downstream
+            # forwarding + credit flight.  Timestamps are taken when the
+            # flit is *enqueued* toward the output, so t_crt includes
+            # queueing toward O at this router -- the congestion the
+            # mechanism exists to sense.
+            self._tcrt0 = [
+                0 if info is None else 2 * info[2] for info in self._channel_info
+            ]
 
         # Calendar-queue event wheels.  An event scheduled ``offset``
         # cycles ahead lands in slot ``(now + offset) % size``; since
@@ -401,39 +461,15 @@ class Simulator:
         # are channel latencies, bounded by ``max_latency``; credit
         # offsets additionally carry the UGAL-L_CR delay, so they get
         # slack plus an overflow map for delays beyond the horizon.
+        # The scalar engine's slots hold event tuples, the array
+        # engine's hold int64 chunks.
         self._arrival_ring_size = max_latency
-        self._arrival_ring: List[List[Tuple[int, int, Flit]]] = [
-            [] for _ in range(self._arrival_ring_size)
-        ]
+        self._arrival_ring: List[list] = [[] for _ in range(max_latency)]
         self._credit_ring_size = max_latency + _CREDIT_RING_SLACK
-        self._credit_ring: List[List[Tuple[int, int]]] = [
+        self._credit_ring: List[list] = [
             [] for _ in range(self._credit_ring_size)
         ]
-        self._credit_overflow: Dict[int, List[Tuple[int, int]]] = {}
-
-        # Injection state per terminal.  A source queue is one decided
-        # head -- a real Packet with its route pinned on it -- and a FIFO
-        # of compact records behind it (see ``RecordLayout``); a record
-        # becomes a Packet when it reaches the head.
-        num_terminals = topology.num_terminals
-        self._source_head: List[Optional[Packet]] = [None] * num_terminals
-        #: Injection input slot of each decided head's first hop: a
-        #: blocked head waits on this slot, which only the switch drains.
-        self._head_slot: List[int] = [0] * num_terminals
-        self._backlog: List[Deque[int]] = [deque() for _ in range(num_terminals)]
-        self._records = RecordLayout(
-            num_terminals,
-            config.warmup_cycles + config.measure_cycles
-            + config.drain_max_cycles + terminal_latency,
-        )
-        self._inflight_injection: List[Deque[Flit]] = [deque() for _ in range(num_terminals)]
-        self._terminal_router = [fabric.terminals[t].router for t in range(num_terminals)]
-        self._terminal_port = [fabric.terminals[t].port for t in range(num_terminals)]
-        #: Absolute base of the (router, injection port) VC slots.
-        self._inject_base = [
-            self._terminal_router[t] * rv + self._terminal_port[t] * vcs
-            for t in range(num_terminals)
-        ]
+        self._credit_overflow: Dict[int, list] = {}
 
         # Measurement state.
         self._packet_counter = 0
@@ -444,25 +480,15 @@ class Simulator:
         self._outstanding_tagged = 0
         self._samples = LatencySamples()
         self._ejected_flits_in_window = 0
-        #: Flits per directed channel index during the window (dense;
-        #: converted to the sparse dict of SimulationResult at run end).
-        self._global_flits: List[int] = [0] * fabric.num_channels
         self._measure_start = config.warmup_cycles
         self._measure_end = config.warmup_cycles + config.measure_cycles
         # Bulk-synchronous mode: the whole workload is created up front
-        # and the run completes when every packet has been delivered.
+        # (each engine queues it) and the run completes when every
+        # packet has been delivered.
         self._bulk_mode = config.packets_per_terminal is not None
         if self._bulk_mode:
             self._measure_start = 0
             self._measure_end = 0
-            for terminal in range(num_terminals):
-                backlog = self._backlog[terminal]
-                for _ in range(config.packets_per_terminal):
-                    backlog.append(self._records.pack(
-                        self._packet_counter, self.pattern(terminal), 0, True
-                    ))
-                    self._packet_counter += 1
-                    self._outstanding_tagged += 1
 
         # Opt-in conservation sanitizer (``Settings.sanitize``); imported
         # lazily so the disabled mode never touches repro.check at all.

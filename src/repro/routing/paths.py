@@ -208,60 +208,6 @@ def _valiant_plan_between(
     return RoutePlan(minimal=False, gc1=gc1, gc2=gc2)
 
 
-#: Stand-in rng for memoised-plan lookups that provably consume no
-#: randomness (single-link group pairs leave ``_pick_best_link`` no tie
-#: to break).  Passing it instead of a live generator makes the
-#: no-consumption invariant explicit at the call site.
-_NO_RNG = random.Random(0)
-
-
-def memoised_minimal_plan(
-    topology: Dragonfly,
-    src_group: int,
-    dst_group: int,
-) -> RoutePlan:
-    """The unique minimal plan for an ordered group pair.
-
-    Requires ``topology.single_link_pairs`` -- the plan is then a pure
-    function of the pair and shares the per-topology memo that
-    :func:`_minimal_plan_between` populates, so the decide kernel and
-    the scalar path hand out the *same* interned plan objects.
-    """
-    if not getattr(topology, "single_link_pairs", False):
-        raise TopologyError(
-            "memoised plans require exactly one global link per group pair"
-        )
-    link = topology.group_links(src_group, dst_group)[0]
-    return _minimal_plan_between(
-        topology, _NO_RNG, link.src_router, link.dst_router,
-        src_group, dst_group,
-    )
-
-
-def memoised_valiant_plan(
-    topology: Dragonfly,
-    src_group: int,
-    intermediate_group: int,
-    dst_group: int,
-) -> RoutePlan:
-    """The unique non-degenerate Valiant plan for an ordered group triple.
-
-    Same contract as :func:`memoised_minimal_plan`; the intermediate
-    group must differ from both endpoints (degenerate draws collapse to
-    the minimal plan before this is consulted).
-    """
-    if not getattr(topology, "single_link_pairs", False):
-        raise TopologyError(
-            "memoised plans require exactly one global link per group pair"
-        )
-    link = topology.group_links(src_group, intermediate_group)[0]
-    return _valiant_plan_between(
-        topology, _NO_RNG, link.src_router,
-        topology.group_links(intermediate_group, dst_group)[0].dst_router,
-        src_group, dst_group, intermediate_group,
-    )
-
-
 def plan_hops(
     topology: Dragonfly,
     src_router: int,

@@ -7,7 +7,7 @@ reproduce the scalar engine's result bit for bit on every one of them
 tier :func:`repro.network.backend.contract_for` declares for the
 configuration.  When an equivalence assertion fails, the harness
 re-runs both engines in
-lockstep (:func:`repro.network.backend.first_divergence`) and reports
+lockstep (``first_divergence`` of ``tests/oracles.py``) and reports
 the first cycle and state field at which they split, which turns "the
 latency is off" into "arbitration at port 37 diverged at cycle 112".
 
@@ -26,11 +26,8 @@ import pytest
 
 from differential_corpus import CORPUS, TOPOLOGIES, DifferentialCase
 from repro.core.params import DragonflyParams
-from repro.network.backend import (
-    contract_for,
-    first_divergence,
-    make_simulator,
-)
+from oracles import first_divergence
+from repro.network.backend import contract_for, make_simulator
 from repro.network.config import SimulationConfig
 from repro.settings import BACKENDS
 from repro.network.sweep import load_sweep

@@ -24,6 +24,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import memoised_minimal_plan, memoised_valiant_plan, python_state
 from repro.core.params import DragonflyParams
 from repro.network.array_backend import ArraySimulator
 from repro.network.backend import contract_for, make_simulator
@@ -44,12 +45,7 @@ from repro.routing import (
     make_routing,
 )
 from repro.routing.minimal import MinimalRouting
-from repro.routing.paths import (
-    _INTRA_GROUP_MINIMAL,
-    memoised_minimal_plan,
-    memoised_valiant_plan,
-    next_hop,
-)
+from repro.routing.paths import _INTRA_GROUP_MINIMAL, next_hop
 from repro.topology.dragonfly import Dragonfly
 
 TOPOLOGY = Dragonfly(DragonflyParams.paper_example_72())
@@ -136,7 +132,7 @@ class TestVectorizedMT19937:
         mt = VectorizedMT19937.from_python_rng(rng)
         mt.rejection_sample(700, 5)  # crosses a twist boundary
         back = random.Random()
-        back.setstate(mt.to_python_state())
+        back.setstate(python_state(mt))
         # Advance the scalar reference by the same number of raw words
         # the batch consumed, then both must continue identically.
         clone = random.Random(8)
@@ -150,7 +146,7 @@ class TestVectorizedMT19937:
             assert back.getrandbits(32) == clone.getrandbits(32)
 
     def test_state_round_trips_on_both_sides_of_each_block_boundary(self):
-        """``to_python_state`` just before and just after every 624-word
+        """``python_state`` just before and just after every 624-word
         block boundary a ``rejection_sample`` call crosses equals the
         state of a scalar generator that made the same draws."""
         n = 33  # k = 6: words 33..63 are rejected
@@ -173,14 +169,14 @@ class TestVectorizedMT19937:
             before = sum(end <= boundary for end in ends)  # draws left of it
             mt = VectorizedMT19937.from_python_rng(source)
             head = mt.rejection_sample(before, n)
-            assert mt.to_python_state() == states[before - 1]
+            assert python_state(mt) == states[before - 1]
             # One draw whose word lies past the boundary: the call crosses it.
             tail = mt.rejection_sample(1, n)
             assert ends[before] > boundary
-            assert mt.to_python_state() == states[before]
+            assert python_state(mt) == states[before]
             assert [*head, *tail] == list(batched[:before + 1])
             back = random.Random()
-            back.setstate(mt.to_python_state())
+            back.setstate(python_state(mt))
             walker.setstate(states[before])
             for _ in range(3):
                 assert back.getrandbits(32) == walker.getrandbits(32)
@@ -339,7 +335,7 @@ def test_batch_decide_matches_scalar(name):
 
     # Both sides must have consumed the route stream identically.
     back = random.Random()
-    back.setstate(stream.to_python_state())
+    back.setstate(python_state(stream))
     assert back.getrandbits(32) == rng.getrandbits(32)
 
 

@@ -219,7 +219,8 @@ class TestCreditRoundTripMechanism:
             load=0.3,
         )
         assert not simulator._credit_delay_enabled
-        assert all(not queue for queue in simulator._ctq)
+        # No credit time queue exists at all, not merely empty ones.
+        assert simulator._ctq == []
 
     def test_cr_reduces_intermediate_latency(self, paper72_dragonfly):
         """The headline Figure 16 effect at unit-test scale."""

@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 from hop_walk import memo_walk
+from oracles import memoised_minimal_plan, memoised_valiant_plan
 from repro.core.params import DragonflyParams
 from repro.network.config import SimulationConfig
 from repro.network.parallel import SweepExecutor
@@ -23,11 +24,7 @@ from repro.network.simulator import Simulator
 from repro.network.sweep import load_sweep
 from repro.network.traffic import make_pattern
 from repro.routing import vc_assignment as vcs
-from repro.routing.paths import (
-    DragonflyHops,
-    memoised_minimal_plan,
-    memoised_valiant_plan,
-)
+from repro.routing.paths import DragonflyHops
 from repro.routing.tables import (
     ClosLowering,
     DragonflyLowering,
