@@ -28,7 +28,8 @@ State layout
   arrays: the flow-control counters (``_credits``, ``_buf_count``,
   ``_rr_vc``, the ``_occupancy`` windows, ``_td``/``_td_min``), the
   wiring columns (``_ch_*``, ``_is_network``, the per-terminal bases),
-  the row store and its two FIFO sets.  None of the scalar engine's
+  the row store and its two FIFO sets.  The hop table is the
+  topology's, built by its first engine.  None of the scalar engine's
   per-slot deques, stream table, source heads or active set exists
   here; a bulk workload goes straight into rows.  The per-port credit
   time queues exist, in either engine, only under UGAL-L_CR.
@@ -36,14 +37,18 @@ State layout
   *row*: an integer id indexing the ``_f_*`` columns
   (:data:`_FLIT_COLUMNS`), allocated when the packet is created and
   recycled through a free stack when it ejects (a request's row becomes
-  its reply's row in place).
+  its reply's row in place).  A decided row carries its plan's stage
+  keys (``keys``, indexed by ``progress``), and every hop -- the first
+  one included -- is one gather from the topology's
+  :class:`~repro.routing.paths.HopTable` at ``keys[progress] +
+  router``, the scalar engine's hop-memo read.
 * **FIFOs.**  The per-terminal source queues and the per-(port, VC)
   output queues are :class:`LinkedFifos`: one intrusive singly linked
   list over row ids (``head``/``tail`` per slot, one ``next`` link per
   row) with a batch append and a batch pop.  A blocked queue head keeps
-  its pinned route decision in the row's ``decided``/``port``/``vc``/
-  ``hop0``/``hop1``/``minimal`` columns, exactly as the scalar engine
-  pins the decided plan on the packet.
+  its pinned route decision in the row's ``decided``/``keys``/
+  ``minimal`` columns, exactly as the scalar engine pins the decided
+  plan and its keys on the packet.
 * **Rings.**  The arrival and credit calendar rings hold, per slot, a
   list of int64 chunks (row ids, resp. credit slots) concatenated at
   delivery.  An arriving row already carries its input slot
@@ -245,13 +250,10 @@ _FLIT_COLUMNS = (
     ("pkt", np.int64),              # packet index (error messages)
     # -- the route decision, pinned once made ---------------------------
     ("decided", np.bool_),          # the columns below are valid
-    ("port", np.int64),             # first hop at the source router
-    ("vc", np.int64),               # ... and its raw VC
-    ("hop0", np.int64),             # phase-0 hop-table key, -1 if none
-    ("hop1", np.int64),             # phase-1 hop-table key, -1 if none
+    ("keys", (np.int64, 3)),        # the plan's stage keys, by progress
     ("minimal", np.bool_),          # RoutePlan.minimal of the decision
     # -- in-network progress --------------------------------------------
-    ("progress", np.int64),         # global hops taken
+    ("progress", np.int64),         # global hops taken: indexes keys
     ("next_progress", np.int64),    # progress after the queued hop
     ("in_idx", np.int64),           # input VC slot holding the row
     ("up_credit", np.int64),        # upstream credit slot, -1 at source
@@ -402,6 +404,9 @@ class ArraySimulator(Simulator):
         # still sits at the scalar stream's position.
         self._mt_route = VectorizedMT19937.from_python_rng(self._rng_route)
         self._tables = DecideTables(topology, routing, config.num_vcs)
+        #: Every hop, ``(port, VC, advance)`` at ``keys[progress] +
+        #: router``: the topology's ``HopTable``, shared by its engines.
+        self._hop_table = self._tables.hops
         #: Terminals per dependency domain of the UGAL occupancy read:
         #: the source router, or the whole source group for UGAL-G.
         self._domain_size = self._tables.p * (
@@ -425,8 +430,10 @@ class ArraySimulator(Simulator):
         #: The handful of distinct channel latencies (local vs global,
         #: typically two) -- the switch phase groups its ring appends by
         #: latency value instead of calling np.unique per cycle.
-        self._distinct_lats = np.unique(ch_lat[self._is_network]).tolist()
+        self._distinct_lats = sorted(set(ch_lat[self._is_network].tolist()))
         self._terminal_router_np = np.asarray(self._terminal_router, np.int64)
+        #: Where a row ejects when its hop is port -1.
+        self._terminal_port_np = np.asarray(self._terminal_port, np.int64)
         #: A destination terminal's router is its terminal router.
         self._dst_router_np = self._terminal_router_np
         self._inject_base_np = np.asarray(self._inject_base, np.int64)
@@ -551,45 +558,17 @@ class ArraySimulator(Simulator):
             return
         fids = _joined(chunks)
         chunks.clear()
-        tables = self._tables
-        a = tables.a
-        p = tables.p
         in_idx = self._f_in_idx[fids]
         routers = in_idx // self._rv
         prog = self._f_progress[fids]
-        hk0 = self._f_hop0[fids]
-        hk1 = self._f_hop1[fids]
-        dst = self._f_dst[fids]
-        dstr = self._f_dst_router[fids]
-        li = routers % a
-        cond0 = (prog == 0) & (hk0 >= 0)
-        cond1 = (prog == 1) & (hk1 >= 0)
-        # Final phase: eject at the destination router, else the direct
-        # local hop toward it on the final-stage VC.
-        same = routers == dstr
-        dl = dstr % a
-        fin_port = np.where(same, dst % p, p + dl - (dl > li))
-        fin_vc = np.where(same, 0, np.int64(tables.final_local_vc))
-        # Hop-table gathers (keys < 0 wrap to harmless in-range garbage,
-        # masked out by the phase conditions).
-        i0 = hk0 * a + li
-        i1 = hk1 * a + li
-        port = np.where(
-            cond0,
-            tables.hop0_port[i0],
-            np.where(cond1, tables.hop1_port[i1], fin_port),
-        )
-        vc = np.where(
-            cond0,
-            tables.hop0_vc[i0],
-            np.where(cond1, tables.hop1_vc[i1], fin_vc),
-        )
-        # Local and terminal ports never advance progress; global ports
-        # (the top of the port range) always do.
-        self._f_next_progress[fids] = prog + (port >= p + a - 1)
+        # One gather per arrival: the hop at ``keys[progress] + router``.
+        hop = self._hop_table[self._f_keys[fids, prog] + routers]
+        port = hop[:, 0]
+        port = np.where(port < 0, self._terminal_port_np[self._f_dst[fids]], port)
+        self._f_next_progress[fids] = prog + hop[:, 2]
         p_idx = routers * self._radix + port
         is_net = self._is_network[p_idx]
-        out_idx = p_idx * self._vcs + vc + self._f_vc_off[fids] * is_net
+        out_idx = p_idx * self._vcs + hop[:, 1] + self._f_vc_off[fids] * is_net
         # Several arrivals may share an output port: scatter-add.
         np.add.at(
             self._occupancy,
@@ -677,30 +656,28 @@ class ArraySimulator(Simulator):
         if fresh.shape[0]:
             fresh_rows = heads[fresh]
             batch = self._tables.batch_decide(
-                self._mt_route,
-                routers[fresh],
-                self._f_dst[fresh_rows],
-                self._f_dst_router[fresh_rows],
+                self._mt_route, routers[fresh], self._f_dst_router[fresh_rows]
             )
             self._f_decided[fresh_rows] = True
-            self._f_port[fresh_rows] = batch.a_port
-            self._f_vc[fresh_rows] = batch.a_vc
-            self._f_hop0[fresh_rows] = batch.a_hk0
-            self._f_hop1[fresh_rows] = batch.a_hk1
+            self._f_keys[fresh_rows] = batch.a_keys
             self._f_minimal[fresh_rows] = batch.a_min
             compares[fresh] = batch.mode
 
-        # Both candidates' commit footprint, candidate-major: flat
-        # position ``c * count + i`` is visit ``i`` taking candidate
-        # ``c``.  Only comparing visits have a meaningful candidate 1.
-        port2 = np.zeros((2, count), dtype=np.int64)
-        vc2 = np.zeros((2, count), dtype=np.int64)
-        port2[0] = self._f_port[heads]
-        vc2[0] = self._f_vc[heads]
+        # Both candidates' first hop and commit footprint,
+        # candidate-major: flat position ``c * count + i`` is visit ``i``
+        # taking candidate ``c``.  Only comparing visits have a
+        # meaningful candidate 1 (elsewhere its key 0 reads some row).
+        keys2 = np.zeros((2, count), dtype=np.int64)
+        keys2[0] = self._f_keys[heads, 0]
         any_compare = bool(compares.any())
         if any_compare:
-            port2[1, fresh] = batch.b_port
-            vc2[1, fresh] = batch.b_vc
+            keys2[1, fresh] = batch.b_keys[:, 0]
+        hop2 = self._hop_table[keys2 + routers]
+        port2 = hop2[:, :, 0]
+        port2 = np.where(
+            port2 < 0, self._terminal_port_np[self._f_dst[heads]], port2
+        )
+        vc2 = hop2[:, :, 1]
         in2 = self._inject_base_np[visits] + vc2
         has_room = (self._buf_count[in2] < self._depth).ravel()
         p2 = routers * self._radix + port2
@@ -710,7 +687,7 @@ class ArraySimulator(Simulator):
             # only on network channels (zero must mean "request class").
             out2 += self._f_vc_off[heads] * self._is_network[p2]
         in_flat = in2.ravel()
-        port_flat = port2.ravel()
+        advance_flat = hop2[:, :, 2].ravel()
         # Occupancy-buffer indices a commit increments: its output port
         # and its output (port, VC) slot.
         footprint = np.stack((p2.ravel(), out2.ravel() + num_ports))
@@ -754,10 +731,7 @@ class ArraySimulator(Simulator):
             picked_b = choice[fresh].nonzero()[0]
             if picked_b.shape[0]:
                 rows = heads[fresh[picked_b]]
-                self._f_port[rows] = batch.b_port[picked_b]
-                self._f_vc[rows] = batch.b_vc[picked_b]
-                self._f_hop0[rows] = batch.b_hk0[picked_b]
-                self._f_hop1[rows] = batch.b_hk1[picked_b]
+                self._f_keys[rows] = batch.b_keys[picked_b]
                 self._f_minimal[rows] = False
 
         # Commit, ascending terminals: heads with room leave their
@@ -770,9 +744,7 @@ class ArraySimulator(Simulator):
         in_idx = in_flat[flat]
         self._buf_count[in_idx] += 1
         self._f_progress[fids] = 0
-        self._f_next_progress[fids] = (
-            port_flat[flat] >= self._tables.p + self._tables.a - 1
-        )
+        self._f_next_progress[fids] = advance_flat[flat]
         self._f_in_idx[fids] = in_idx
         self._f_up_credit[fids] = -1
         self._f_on_global[fids] = False

@@ -14,14 +14,16 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   intermediate-group draws consume the generator word-for-word as the
   scalar inlined loop in
   :func:`repro.routing.paths._valiant_plan_between` does;
-* :class:`DecideTables` precomputes, per ordered group pair, the unique
-  global link and the first-hop (port, VC) of both route phases for all
-  ``a`` source routers of a group, using the canonical VC assignment --
-  a decision then reduces to index arithmetic;
+* :class:`DecideTables` reads its hops from the topology's
+  :class:`~repro.routing.paths.HopTable` -- the stages of the scalar
+  engine's :class:`~repro.routing.paths.DragonflyHops` memo as one dense
+  ``(port, VC, advance)`` array, built once per topology -- and adds,
+  per ordered group pair, the unique global link and its stage keys, so
+  a decision reduces to index arithmetic;
 * :meth:`DecideTables.batch_decide` evaluates one cycle's decisions as
   arrays end to end (:class:`DecideBatch`), returning per-decider
-  candidate hops plus, for UGAL, the two queue indices and hop counts of
-  the ``q_m * H_m <= q_nm * H_nm`` comparison.  The comparison is the
+  candidate stage keys plus, for UGAL, the two queue indices and hop
+  counts of the ``q_m * H_m <= q_nm * H_nm`` comparison.  The comparison is the
   only intra-cycle dependency of injection, and it is *domain closed*:
   the indices it reads never leave the decider's source router
   (``kernel_signal`` ``port`` / ``vc`` / ``vc_hybrid``:
@@ -38,24 +40,25 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   new packet in the scalar engine -- collapse into a single
   :meth:`VectorizedMT19937.rejection_sample` call.
 
-Eligibility is deliberately conservative (:func:`kernel_ineligibility`):
-exact registry classes on the canonical single-link dragonfly with
-single-flit packets.  Anything else runs on the scalar engine.
+Eligibility (:func:`kernel_ineligibility`): single-flit packets and a
+routing with a ``kernel_decide``, on the exact registry classes and the
+exact :class:`~repro.topology.dragonfly.Dragonfly` with one global link
+per group pair -- the assumptions ``batch_decide`` and the hop table
+make.  Anything else runs on the scalar engine.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..routing import vc_assignment as vcs
 from ..routing.minimal import MinimalRouting
 from ..routing.ugal import UgalG, UgalL, UgalLCr, UgalLVc, UgalLVcH
 from ..routing.valiant import ValiantRouting
-from ..topology.dragonfly import Dragonfly, group_link_matrix
+from ..topology.dragonfly import Dragonfly
 
 #: Version tag stamped into backend provenance and
 #: :class:`~repro.network.backend.EquivalenceContract.decide_kernel`.
@@ -143,12 +146,6 @@ class VectorizedMT19937:
         self._rest = self._rest[1:]
         return word
 
-    def getrandbits(self, k: int) -> int:
-        """Scalar ``getrandbits`` for ``0 < k <= 32`` (tests only)."""
-        if not 0 < k <= 32:
-            raise ValueError("k must be in (0, 32]")
-        return self.next_word() >> (32 - k)
-
     # -- batched sampling ----------------------------------------------
 
     def rejection_sample(self, count: int, n: int) -> np.ndarray:
@@ -184,9 +181,12 @@ class VectorizedMT19937:
 # Eligibility
 # ----------------------------------------------------------------------
 
-#: Exact routing classes the kernel can lower.  ``type(routing) in`` --
-#: never ``isinstance`` -- so a subclass that overrides ``decide`` or
-#: ``_occupancies`` is not silently mis-lowered.
+#: Exact routing classes the kernel can lower.  ``batch_decide`` replays
+#: these classes' ``decide`` (draw order, UGAL signals) and reads the
+#: hops of their memo, the topology's ``DragonflyHops`` under the
+#: canonical VC assignment.  ``type(routing) in`` -- never
+#: ``isinstance`` -- so a subclass that overrides ``decide``,
+#: ``_occupancies`` or ``hop_memo`` is not silently mis-lowered.
 _KERNEL_ROUTINGS = (
     MinimalRouting,
     ValiantRouting,
@@ -206,19 +206,21 @@ def kernel_ineligibility(config, topology, routing) -> Optional[str]:
     """
     if getattr(config, "packet_size", 1) != 1:
         return f"multi-flit packets (packet_size={config.packet_size})"
+    if routing.kernel_decide is None or type(routing) not in _KERNEL_ROUTINGS:
+        return f"routing {type(routing).__name__} has no kernel lowering"
+    # The hop table's port arithmetic (terminal ports first, then the
+    # local ports of a complete group, router ``r`` in group ``r // a``)
+    # and batch_decide's hop counts are ``Dragonfly``'s own wiring; a
+    # subclass may wire differently.
     if type(topology) is not Dragonfly:
         return (
             f"topology {type(topology).__name__} is not the canonical "
             "Dragonfly"
         )
-    if type(routing) not in _KERNEL_ROUTINGS:
-        return f"routing {type(routing).__name__} has no kernel lowering"
-    if routing.kernel_decide is None:
-        return f"routing {routing.name} declares no kernel_decide"
-    if not getattr(topology, "single_link_pairs", False):
+    # batch_decide reads one link per group pair.  ``Dragonfly`` wires
+    # every pair (it raises otherwise), so this is the whole condition.
+    if not topology.single_link_pairs:
         return "multiple global links per group pair"
-    if group_link_matrix(topology) is None:
-        return "some group pair lacks a unique global link"
     return None
 
 
@@ -307,13 +309,16 @@ class DecideBatch:
     source router, or its source group for the ``remote`` signal) --
     see the module docstring for why nothing outside the domain matters.
 
-    Candidate fields: ``port``/``vc`` is the first hop at the source
-    router (raw VC, before the vc-class offset); ``hk0``/``hk1`` are the
-    per-phase hop-table keys carried on the flit (-1 when the phase does
-    not apply); ``a_min`` mirrors ``RoutePlan.minimal``.  Candidate B
-    and the comparison fields are meaningful only where ``mode`` is true
-    (elsewhere they hold in-range filler), and B is always the
-    non-degenerate Valiant candidate (``minimal`` false).
+    A candidate is its plan's kernel keys (``a_keys``/``b_keys``, one
+    row of three per decider, indexed by progress like the scalar
+    ``Packet.keys``; trailing keys of shorter plans repeat the final
+    one): every hop, the first one at the source router included, is
+    ``hops[keys[progress] + router]`` in the topology's
+    :class:`~repro.routing.paths.HopTable`.  ``a_min`` mirrors
+    ``RoutePlan.minimal``.  Candidate B and the comparison fields are
+    meaningful only where ``mode`` is true (elsewhere they hold
+    in-range filler), and B is always the non-degenerate Valiant
+    candidate (``minimal`` false).
     """
 
     mode: np.ndarray
@@ -322,71 +327,37 @@ class DecideBatch:
     qb: np.ndarray
     hm: np.ndarray
     hn: np.ndarray
-    a_port: np.ndarray
-    a_vc: np.ndarray
-    a_hk0: np.ndarray
-    a_hk1: np.ndarray
+    a_keys: np.ndarray
     a_min: np.ndarray
-    b_port: np.ndarray
-    b_vc: np.ndarray
-    b_hk0: np.ndarray
-    b_hk1: np.ndarray
+    b_keys: np.ndarray
 
     @classmethod
-    def resolved(
-        cls,
-        a_port: np.ndarray,
-        a_vc: np.ndarray,
-        a_hk0: np.ndarray,
-        a_hk1: np.ndarray,
-        a_min: np.ndarray,
-    ) -> "DecideBatch":
+    def resolved(cls, a_keys: np.ndarray, a_min: np.ndarray) -> "DecideBatch":
         """A batch with no comparison left (MIN and VAL)."""
-        n = a_port.shape[0]
+        n = a_keys.shape[0]
         filler = np.zeros(n, dtype=np.int64)
         never = np.zeros(n, dtype=np.bool_)
         return cls(
             mode=never, use_vc=never,
             qa=filler, qb=filler, hm=filler, hn=filler,
-            a_port=a_port, a_vc=a_vc, a_hk0=a_hk0, a_hk1=a_hk1, a_min=a_min,
-            b_port=filler, b_vc=filler, b_hk0=filler, b_hk1=filler,
+            a_keys=a_keys, a_min=a_min, b_keys=np.zeros_like(a_keys),
         )
 
 
-_ZERO = np.int64(0)
-
-
 class DecideTables:
-    """Dense lowering of one (topology, routing, VC assignment) triple.
+    """One routing's decisions on one single-link dragonfly, as arrays.
 
-    Hop tables are keyed by *ordered group pair* and source-router local
-    index, not by router -- ``O(g^2 a)`` entries instead of ``O(N g)``,
-    which keeps the 16k-terminal machines in cache:
-
-    ``hop0_port[(pair * 2 + m) * a + li]``
-        First-phase hop (toward ``pair``'s global link) for a flit at
-        local index ``li`` of the pair's source group; ``m`` is the
-        plan's ``minimal`` flag (the port is identical for both, the VC
-        differs).
-    ``hop1_port[pair2 * a + li]``
-        Second Valiant phase toward ``pair2 = ig * g + dg``'s link.
-
-    The final phase (and intra-group routes) needs no table: the local
-    port is ``p + dl - (dl > sl)`` and ejection is ``dst % p``.
+    The hops are the topology's
+    :class:`~repro.routing.paths.HopTable` (:attr:`hops`), built once per
+    topology by its :class:`~repro.routing.paths.DragonflyHops` and
+    shared by every engine on it.  This adds, per *ordered group pair*,
+    the pair's unique global link (``L_src``, ``L_dst``, and
+    ``L_qidx``, the link's flat ``_pending`` index -- the UGAL-G oracle
+    read) and its three stage keys ``L_keys`` (minimal phase 0, Valiant
+    phase 0, Valiant phase 1), so a decision is index arithmetic.
     """
 
-    def __init__(
-        self,
-        topology: Dragonfly,
-        routing,
-        num_vcs: int,
-        assignment: vcs.VcAssignment = vcs.CANONICAL,
-    ) -> None:
-        matrix = group_link_matrix(topology)
-        if matrix is None:
-            raise ValueError(
-                "decide tables require a unique global link per group pair"
-            )
+    def __init__(self, topology: Dragonfly, routing, num_vcs: int) -> None:
         self.kind: str = routing.kernel_decide
         self.signal: Optional[str] = routing.kernel_signal
         if self.kind not in ("min", "val", "ugal"):
@@ -395,86 +366,39 @@ class DecideTables:
             "port", "remote", "vc", "vc_hybrid",
         ):
             raise ValueError(f"unknown kernel_signal {self.signal!r}")
+        if not getattr(topology, "single_link_pairs", False):
+            raise ValueError(
+                "decide tables require a unique global link per group pair"
+            )
         g = topology.g
         a = topology.a
-        p = topology.p
-        radix = topology.params.radix
         self.g = g
         self.a = a
-        self.p = p
-        self.radix = radix
+        self.p = topology.p
+        self.radix = topology.params.radix
         self.num_vcs = int(num_vcs)
-        self.final_local_vc = assignment.final_local_vc
+        table = routing.hop_memo(topology).table
+        self.hops = table.hops
+        self.final_keys = table.final_keys
 
-        # Unique link per ordered pair, flattened row-major (diagonal 0s
-        # are never indexed: pairs are only formed from distinct groups).
-        L_src = np.zeros(g * g, np.int64)
-        L_sport = np.zeros(g * g, np.int64)
-        L_dst = np.zeros(g * g, np.int64)
-        for sg in range(g):
-            for dg in range(g):
-                link = matrix[sg][dg]
-                if link is not None:
-                    L_src[sg * g + dg] = link.src_router
-                    L_sport[sg * g + dg] = link.src_port
-                    L_dst[sg * g + dg] = link.dst_router
-        self.L_src = L_src
-        self.L_sport = L_sport
-        self.L_dst = L_dst
-        #: Flat ``_pending`` index of each pair's global channel at its
-        #: own router -- the UGAL-G oracle read.
-        self.L_qidx = L_src * radix + L_sport
+        # Per ordered pair, flattened row-major (the diagonal stays 0
+        # and is never read unmasked: pairs of one group route within it).
+        pair = (table.link_src // a) * g + table.link_dst // a
 
-        # First-phase hop tables, built without a per-router Python
-        # loop: for pair (sg, tg) and local index li of group sg, the
-        # hop is the link's own port when the router *is* the gateway,
-        # else the local port toward it.
-        li = np.arange(a, dtype=np.int64)
-        gli = (L_src % a).reshape(g, g, 1)
-        gateway = gli == li.reshape(1, 1, a)
-        lp = p + gli - (gli > li.reshape(1, 1, a))
-        port = np.where(gateway, L_sport.reshape(g, g, 1), lp)
+        def per_pair(column: np.ndarray) -> np.ndarray:
+            out = np.zeros((g * g,) + column.shape[1:], np.int64)
+            out[pair] = column
+            return out
 
-        def vc_table(minimal: bool, phase: int) -> np.ndarray:
-            return np.where(
-                gateway,
-                np.int64(assignment.global_vc(minimal, phase)),
-                np.int64(assignment.local_vc(minimal, phase)),
-            )
-
-        # Layout (g, g, 2, a) -> flat, m-axis ordered [nonminimal,
-        # minimal] to match key = pair * 2 + minimal.
-        self.hop0_port = np.repeat(
-            port[:, :, None, :], 2, axis=2
-        ).reshape(-1).copy()
-        self.hop0_vc = np.stack(
-            [vc_table(False, 0), vc_table(True, 0)], axis=2
-        ).reshape(-1).copy()
-        # Second Valiant phase: same ports, phase-1 nonminimal VCs.
-        self.hop1_port = port.reshape(-1).copy()
-        self.hop1_vc = vc_table(False, 1).reshape(-1).copy()
-
-    def first_hop_arrays(
-        self,
-        srcs: np.ndarray,
-        dstr: np.ndarray,
-        dsts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Final-phase first hop: intra-group (or degenerate) routes."""
-        same = dstr == srcs
-        dl = dstr % self.a
-        sl = srcs % self.a
-        port = np.where(
-            same, dsts % self.p, self.p + dl - (dl > sl)
-        )
-        vc = np.where(same, _ZERO, np.int64(self.final_local_vc))
-        return port, vc
+        self.L_src = per_pair(table.link_src)
+        self.L_dst = per_pair(table.link_dst)
+        self.L_qidx = per_pair(table.link_src * self.radix + table.link_port)
+        self.L_keys = per_pair(table.link_keys)
 
     def batch_decide(
         self,
         stream: Optional[VectorizedMT19937],
         srcs: np.ndarray,
-        dsts: np.ndarray,
         dstr: np.ndarray,
     ) -> DecideBatch:
         """Lower one cycle's decisions (terminal-visit order).
@@ -488,31 +412,20 @@ class DecideTables:
         n = srcs.shape[0]
         sg = srcs // a
         dg = dstr // a
-        sli = srcs % a
         inter = sg != dg
         pair = sg * g + dg
+        final = self.final_keys[dstr]
 
-        f_port, f_vc = self.first_hop_arrays(srcs, dstr, dsts)
-
-        # Minimal candidate first hop (garbage on intra rows, masked).
-        idx_min = (pair * 2 + 1) * a + sli
-        m_port = self.hop0_port[idx_min]
-        m_vc = self.hop0_vc[idx_min]
-
-        # The minimal plan's first hop and keys: the whole decision for
-        # MIN, candidate A for UGAL, the degenerate-draw case for VAL.
-        none_i = np.full(n, -1, dtype=np.int64)
-        min_port = np.where(inter, m_port, f_port)
-        min_vc = np.where(inter, m_vc, f_vc)
-        min_hk0 = np.where(inter, pair * 2 + 1, none_i)
+        # The minimal plan's keys: the whole decision for MIN, candidate
+        # A for UGAL, the degenerate-draw case for VAL.
+        min_keys = np.stack(
+            (np.where(inter, self.L_keys[pair, 0], final), final, final), axis=1
+        )
         always = np.ones(n, dtype=np.bool_)
 
         kind = self.kind
         if kind == "min":
-            return DecideBatch.resolved(
-                a_port=min_port, a_vc=min_vc,
-                a_hk0=min_hk0, a_hk1=none_i, a_min=always,
-            )
+            return DecideBatch.resolved(min_keys, always)
 
         # VAL and UGAL: draw an intermediate group for every inter-group
         # decider, in visit order.
@@ -527,17 +440,13 @@ class DecideTables:
         nonmin = inter & ~degenerate
         pair1 = sg * g + ig_full
         pair2 = ig_full * g + dg
-        idx_nm = (pair1 * 2) * a + sli
-        n_port = self.hop0_port[idx_nm]
-        n_vc = self.hop0_vc[idx_nm]
+        val_keys = np.stack(
+            (self.L_keys[pair1, 1], self.L_keys[pair2, 2], final), axis=1
+        )
 
         if kind == "val":
             return DecideBatch.resolved(
-                a_port=np.where(nonmin, n_port, min_port),
-                a_vc=np.where(nonmin, n_vc, min_vc),
-                a_hk0=np.where(nonmin, pair1 * 2, min_hk0),
-                a_hk1=np.where(nonmin, pair2, none_i),
-                a_min=~nonmin,
+                np.where(nonmin[:, None], val_keys, min_keys), ~nonmin
             )
 
         # UGAL: candidate A is always the minimal plan (the resolved
@@ -554,6 +463,11 @@ class DecideTables:
             + (self.L_dst[pair1] != self.L_src[pair2])
             + (self.L_dst[pair2] != dstr)
         )
+        # Both candidates' first hop (port, VC) at the source router.
+        m_hop = self.hops[min_keys[:, 0] + srcs]
+        n_hop = self.hops[val_keys[:, 0] + srcs]
+        m_port = m_hop[:, 0]
+        n_port = n_hop[:, 0]
 
         signal = self.signal
         radix = self.radix
@@ -567,19 +481,19 @@ class DecideTables:
             qb = self.L_qidx[pair1]
             use_vc = np.zeros(n, dtype=np.bool_)
         elif signal == "vc":
-            qa = (srcs * radix + m_port) * nv + m_vc
-            qb = (srcs * radix + n_port) * nv + n_vc
+            qa = (srcs * radix + m_port) * nv + m_hop[:, 1]
+            qb = (srcs * radix + n_port) * nv + n_hop[:, 1]
             use_vc = np.ones(n, dtype=np.bool_)
         else:  # vc_hybrid
             use_vc = m_port == n_port
             qa = np.where(
                 use_vc,
-                (srcs * radix + m_port) * nv + m_vc,
+                (srcs * radix + m_port) * nv + m_hop[:, 1],
                 srcs * radix + m_port,
             )
             qb = np.where(
                 use_vc,
-                (srcs * radix + n_port) * nv + n_vc,
+                (srcs * radix + n_port) * nv + n_hop[:, 1],
                 srcs * radix + n_port,
             )
 
@@ -587,8 +501,6 @@ class DecideTables:
             mode=nonmin,
             use_vc=use_vc,
             qa=qa, qb=qb, hm=hm, hn=hn,
-            a_port=min_port, a_vc=min_vc,
-            a_hk0=min_hk0, a_hk1=none_i, a_min=always,
-            b_port=n_port, b_vc=n_vc,
-            b_hk0=pair1 * 2, b_hk1=pair2,
+            a_keys=min_keys, a_min=always,
+            b_keys=val_keys,
         )

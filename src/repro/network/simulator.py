@@ -162,7 +162,8 @@ class SimulatorStateView:
     # -- queues, rings, streams -----------------------------------------
     @property
     def out_q(self):
-        return self._sim._out_q
+        """Every output (port, VC) queue; one never appended to is ``()``."""
+        return [() if queue is None else queue for queue in self._sim._out_q]
 
     @property
     def streams(self):
@@ -279,9 +280,11 @@ class Simulator:
         # ``router * radix + port`` (per port).  Buffer *space* is
         # accounted per input (port, VC) slot; buffered flits are
         # *queued* per output (port, VC) so the switch has no input HOL
-        # blocking.
+        # blocking.  An output queue is made on its first append (most
+        # slots of a large network never queue a flit); the switch reads
+        # a missing one as empty.
         self._buf_count: List[int] = [0] * (num_routers * rv)
-        self._out_q: List[Deque] = [deque() for _ in range(num_routers * rv)]
+        self._out_q: List[Optional[Deque]] = [None] * (num_routers * rv)
         self._credits: List[int] = [config.vc_buffer_depth] * (num_routers * rv)
         self._pending: List[int] = [0] * (num_routers * radix)
         self._pending_vc: List[int] = [0] * (num_routers * rv)
@@ -677,7 +680,10 @@ class Simulator:
                 ctq[p_idx].append(now)
             buf_count[in_idx] += 1
             out_idx = p_idx * vcs + out_vc
-            out_q[out_idx].append(flit)
+            queue = out_q[out_idx]
+            if queue is None:
+                queue = out_q[out_idx] = deque()
+            queue.append(flit)
             count = pending[p_idx] + 1
             pending[p_idx] = count
             if count == 1:
@@ -865,7 +871,10 @@ class Simulator:
             self._ctq[p_idx].append(now)
         self._buf_count[in_idx] += 1
         out_idx = p_idx * self._vcs + out_vc
-        self._out_q[out_idx].append(flit)
+        queue = self._out_q[out_idx]
+        if queue is None:
+            queue = self._out_q[out_idx] = deque()
+        queue.append(flit)
         pending = self._pending
         count = pending[p_idx] + 1
         pending[p_idx] = count
@@ -931,7 +940,10 @@ class Simulator:
         stream_key = (out_idx, packet.index)
         if flit.is_head:
             stream = self._streams[stream_key] = _Stream(packet)
-            self._out_q[out_idx].append(stream)
+            queue = self._out_q[out_idx]
+            if queue is None:
+                queue = self._out_q[out_idx] = deque()
+            queue.append(stream)
         else:
             stream = self._streams[stream_key]
         stream.flits.append(flit)

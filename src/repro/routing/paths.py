@@ -297,6 +297,16 @@ class DragonflyHops:
             topology.terminal_router(t) * num_routers
             for t in range(topology.num_terminals)
         ]
+        self._table: Optional[HopTable] = None
+
+    @property
+    def table(self) -> "HopTable":
+        """Every stage's hops as one dense :class:`HopTable` (the array
+        engine's), built on first use."""
+        table = self._table
+        if table is None:
+            table = self._table = HopTable(self.topology)
+        return table
 
     def keys(self, plan: RoutePlan, src_router: int, dst_terminal: int) -> Tuple[int, ...]:
         """The plan's stage keys, indexed by global channels crossed."""
@@ -342,6 +352,87 @@ class DragonflyHops:
         if hop is None:
             hop = self.fill(key, plan, 0, src_router, dst_terminal)
         return hop
+
+
+class HopTable:
+    """Every hop :class:`DragonflyHops` can hold, as dense numpy arrays.
+
+    The same stages as the memo, numbered densely: stage ``d`` is the
+    final stage toward destination router ``d``; after those, global
+    link ``j`` (in flat source-port order, :attr:`link_src` /
+    :attr:`link_port` / :attr:`link_dst`) has stages ``num_routers + 3j
+    + k`` for ``k`` = minimal phase 0, Valiant phase 0 and Valiant
+    phase 1.  A stage is routed by the routers of one group (the
+    destination's, or the link's source group), so :attr:`hops` has one
+    ``(out_port, out_vc, advance)`` row per stage and local router index
+    -- exactly the memo's keys -- and a stage's *kernel key* is ``stage *
+    a - a * group``: the row of ``router`` is ``hops[key + router]``,
+    the memo's ``keys[progress] + router`` form.  :attr:`final_keys`
+    (per destination router) and :attr:`link_keys` (per link, by ``k``)
+    are those keys.  Port -1 means eject, as in the memo.
+
+    Built by integer arithmetic on the link arrays -- the hops
+    :func:`next_hop` returns under the canonical VC assignment -- and
+    never through :meth:`DragonflyHops.fill`: at 16 512 terminals the
+    table has 825 600 rows.  numpy is imported here, not by the module.
+    """
+
+    __slots__ = (
+        "hops", "final_keys", "link_keys", "link_src", "link_port", "link_dst",
+    )
+
+    def __init__(self, topology: Dragonfly) -> None:
+        import numpy as np
+
+        a = topology.a
+        p = topology.p
+        num_routers = topology.fabric.num_routers
+        links = np.array(
+            sorted(
+                (link.src_router, link.src_port, link.dst_router)
+                for router in range(num_routers)
+                for link in topology.global_links_of(router)
+            ),
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        self.link_src, self.link_port, self.link_dst = links.T.copy()
+        num_links = links.shape[0]
+        local = np.arange(a, dtype=np.int64)
+        # Ports, VCs and advances are all below the radix: int16 keeps
+        # the 16 512-terminal table at 4.7 MiB.
+        hops = np.zeros((num_routers + 3 * num_links, a, 3), dtype=np.int16)
+
+        # Final stages: eject at the destination router, else the local
+        # hop toward it on the final VC.
+        dest = (np.arange(num_routers, dtype=np.int64) % a)[:, None]
+        here = dest == local
+        final = hops[:num_routers]
+        final[:, :, 0] = np.where(here, -1, p + dest - (dest > local))
+        final[:, :, 1] = np.where(here, 0, vcs.CANONICAL.final_local_vc)
+
+        # Link stages: the link's own port at its gateway router (one
+        # global hop: advance 1), else the local hop toward the gateway.
+        gate = (self.link_src % a)[:, None]
+        at_gate = gate == local
+        staged = hops[num_routers:].reshape(num_links, 3, a, 3)
+        staged[:, :, :, 0] = np.where(
+            at_gate, self.link_port[:, None], p + gate - (gate > local)
+        )[:, None, :]
+        for k, (minimal, phase) in enumerate(((True, 0), (False, 0), (False, 1))):
+            staged[:, k, :, 1] = np.where(
+                at_gate,
+                vcs.CANONICAL.global_vc(minimal, phase),
+                vcs.CANONICAL.local_vc(minimal, phase),
+            )
+        staged[:, :, :, 2] = at_gate[:, None, :]
+        self.hops = hops.reshape(-1, 3)
+
+        stage = np.arange(num_routers, dtype=np.int64)
+        self.final_keys = a * (stage - stage // a)
+        link_stage = num_routers + 3 * np.arange(num_links, dtype=np.int64)
+        self.link_keys = a * (
+            (link_stage - self.link_src // a)[:, None] + np.arange(3)
+        )
 
 
 def dragonfly_path_grammar(

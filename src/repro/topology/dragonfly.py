@@ -322,29 +322,6 @@ class Dragonfly:
         )
 
 
-def group_link_matrix(
-    topology: Dragonfly,
-) -> Optional[List[List[Optional[GlobalLink]]]]:
-    """``g x g`` matrix of the unique global link per ordered group pair.
-
-    Returns ``None`` when any distinct pair has zero or multiple links
-    (then the per-pair route is not a pure function of the pair and the
-    caller -- the decide kernel's dense-table lowering -- must fall
-    back).  The diagonal is ``None``; groups never link to themselves.
-    """
-    g = topology.g
-    matrix: List[List[Optional[GlobalLink]]] = [[None] * g for _ in range(g)]
-    for src_group in range(g):
-        for dst_group in range(g):
-            if src_group == dst_group:
-                continue
-            links = topology.group_links(src_group, dst_group)
-            if len(links) != 1:
-                return None
-            matrix[src_group][dst_group] = links[0]
-    return matrix
-
-
 def make_dragonfly(
     p: int,
     a: int,

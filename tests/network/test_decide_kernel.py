@@ -6,10 +6,13 @@ the layer that broke, not as a whole-run divergence:
 
 * the Mersenne-Twister transplant reproduces CPython's stream word for
   word, including rejection sampling and position hand-back;
-* the lowered hop tables agree with :func:`repro.routing.paths.next_hop`;
 * :meth:`DecideTables.batch_decide` resolves to exactly the decision the
   scalar :meth:`RoutingAlgorithm.decide` makes, for every registry
-  routing, against a shared synthetic congestion state;
+  routing, against a shared synthetic congestion state: the first hop
+  read from the hop table is ``next_hop``'s, and the stage keys decode
+  to the scalar plan (the table itself is checked against the scalar
+  hop memo in ``tests/routing/test_hop_memo.py``);
+* every array engine on one topology reads the same hop table;
 * eligibility is conservative, ``make_simulator`` selects the engine
   from it, fallbacks are logged, and provenance reports the tier that
   ran.
@@ -19,12 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from oracles import memoised_minimal_plan, memoised_valiant_plan, python_state
+from oracles import KernelKeys, getrandbits, python_state
 from repro.core.params import DragonflyParams
 from repro.network.array_backend import ArraySimulator
 from repro.network.backend import contract_for, make_simulator
@@ -45,7 +49,7 @@ from repro.routing import (
     make_routing,
 )
 from repro.routing.minimal import MinimalRouting
-from repro.routing.paths import _INTRA_GROUP_MINIMAL, next_hop
+from repro.routing.paths import next_hop
 from repro.topology.dragonfly import Dragonfly
 
 TOPOLOGY = Dragonfly(DragonflyParams.paper_example_72())
@@ -59,20 +63,6 @@ BASE_CONFIG = SimulationConfig(
 )
 
 
-def plan_behind(topology: Dragonfly, hk0: int, hk1: int, minimal: bool):
-    """The lowering oracle: the interned ``RoutePlan`` a decision's hop
-    keys stand for.  The engine never materialises plans; these tests
-    do, to compare a lowered decision with ``RoutingAlgorithm.decide``.
-    """
-    if hk0 < 0:
-        return _INTRA_GROUP_MINIMAL
-    g = topology.g
-    sg, tg = divmod(int(hk0) >> 1, g)
-    if minimal:
-        return memoised_minimal_plan(topology, sg, tg)
-    return memoised_valiant_plan(topology, sg, tg, int(hk1) % g)
-
-
 # ----------------------------------------------------------------------
 # Mersenne Twister transplant
 # ----------------------------------------------------------------------
@@ -83,7 +73,7 @@ class TestVectorizedMT19937:
         rng = random.Random(123)
         mt = VectorizedMT19937.from_python_rng(rng)
         for _ in range(1500):
-            assert mt.getrandbits(32) == rng.getrandbits(32)
+            assert getrandbits(mt, 32) == rng.getrandbits(32)
 
     def test_transplant_does_not_advance_source(self):
         rng = random.Random(5)
@@ -95,7 +85,7 @@ class TestVectorizedMT19937:
         rng = random.Random(99)
         mt = VectorizedMT19937.from_python_rng(rng)
         for k in (1, 5, 8, 13, 32, 6, 6, 6):
-            assert mt.getrandbits(k) == rng.getrandbits(k)
+            assert getrandbits(mt, k) == rng.getrandbits(k)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 71, 623, 624, 1000])
     def test_rejection_sample_matches_scalar(self, n):
@@ -125,7 +115,7 @@ class TestVectorizedMT19937:
             assert int(mt.rejection_sample(1, n)[0]) == r
             # A few raw words in between, both sides.
             for _ in range(j % 3):
-                assert mt.getrandbits(32) == rng.getrandbits(32)
+                assert getrandbits(mt, 32) == rng.getrandbits(32)
 
     def test_to_python_state_roundtrip(self):
         rng = random.Random(8)
@@ -196,48 +186,6 @@ class TestVectorizedMT19937:
 
 
 # ----------------------------------------------------------------------
-# Hop tables vs the scalar next-hop executor
-# ----------------------------------------------------------------------
-class TestHopTables:
-    def test_tables_match_next_hop(self):
-        topo = TOPOLOGY
-        tables = DecideTables(topo, make_routing("UGAL-L"), BASE_CONFIG.num_vcs)
-        a, g, p = topo.a, topo.g, topo.p
-        rng = random.Random(0)  # never consumed on single-link pairs
-        for sg in range(g):
-            for dg in range(g):
-                if sg == dg:
-                    continue
-                dst_terminal = (dg * a) * p  # first terminal of dg
-                pair = sg * g + dg
-                for li in range(a):
-                    src_router = sg * a + li
-                    # Minimal first hop (m = 1).
-                    plan = plan_behind(topo, pair * 2 + 1, -1, True)
-                    want = next_hop(topo, src_router, plan, 0, dst_terminal)
-                    key = (pair * 2 + 1) * a + li
-                    got = (int(tables.hop0_port[key]), int(tables.hop0_vc[key]))
-                    assert got == want, (sg, dg, li, "minimal hop0")
-        # Valiant phases for a sample of triples.
-        for sg, ig, dg in [(0, 3, 7), (2, 8, 1), (5, 0, 4), (7, 6, 2)]:
-            plan = memoised_valiant_plan(topo, sg, ig, dg)
-            dst_terminal = (dg * a + 1) * p + 1
-            for li in range(a):
-                # Phase 0: toward the (sg -> ig) link, no global hops yet.
-                src_router = sg * a + li
-                want = next_hop(topo, src_router, plan, 0, dst_terminal)
-                key = ((sg * g + ig) * 2) * a + li
-                got = (int(tables.hop0_port[key]), int(tables.hop0_vc[key]))
-                assert got == want, (sg, ig, dg, li, "valiant hop0")
-                # Phase 1: inside ig after one global hop.
-                mid_router = ig * a + li
-                want = next_hop(topo, mid_router, plan, 1, dst_terminal)
-                key = (ig * g + dg) * a + li
-                got = (int(tables.hop1_port[key]), int(tables.hop1_vc[key]))
-                assert got == want, (sg, ig, dg, li, "valiant hop1")
-
-
-# ----------------------------------------------------------------------
 # Batched decide vs scalar decide, every registry routing
 # ----------------------------------------------------------------------
 class _FakeView:
@@ -296,11 +244,11 @@ def test_batch_decide_matches_scalar(name):
     pairs = _decider_sample(topo, seed=42, count=300)
 
     srcs = np.array([s for s, _ in pairs], dtype=np.int64)
-    dsts = np.array([d for _, d in pairs], dtype=np.int64)
     dstr = np.array([topo.terminal_router(d) for _, d in pairs], dtype=np.int64)
 
     stream = VectorizedMT19937.from_python_rng(random.Random(9))
-    batch = tables.batch_decide(stream, srcs, dsts, dstr)
+    batch = tables.batch_decide(stream, srcs, dstr)
+    oracle = KernelKeys(topo, routing.hop_memo(topo).table)
 
     rng = random.Random(9)
     for i, (src_router, dst_terminal) in enumerate(pairs):
@@ -318,17 +266,20 @@ def test_batch_decide_matches_scalar(name):
                 q_b = view.pending[batch.qb[i]]
             take_a = q_a * batch.hm[i] <= q_b * batch.hn[i]
         if take_a:
-            got_port, got_vc = batch.a_port[i], batch.a_vc[i]
-            got_hk0, got_hk1 = batch.a_hk0[i], batch.a_hk1[i]
+            got_keys = batch.a_keys[i]
             got_min = bool(batch.a_min[i])
         else:
-            got_port, got_vc = batch.b_port[i], batch.b_vc[i]
-            got_hk0, got_hk1 = batch.b_hk0[i], batch.b_hk1[i]
+            got_keys = batch.b_keys[i]
             got_min = False
 
+        got_port, got_vc, _ = tables.hops[got_keys[0] + src_router]
+        if got_port < 0:
+            got_port = topo.terminal_port(dst_terminal)
         assert (got_port, got_vc) == want, f"decider {i} first hop"
         assert got_min == plan.minimal, f"decider {i} minimal flag"
-        lowered = plan_behind(topo, got_hk0, got_hk1, got_min)
+        keys = oracle.keys(plan, dst_terminal)
+        assert tuple(got_keys[:len(keys)].tolist()) == keys, f"decider {i} keys"
+        lowered = oracle.plan(got_keys, src_router, dst_terminal, got_min)
         assert lowered.minimal == plan.minimal
         assert lowered.gc1 == plan.gc1, f"decider {i} gc1"
         assert lowered.gc2 == plan.gc2, f"decider {i} gc2"
@@ -337,6 +288,25 @@ def test_batch_decide_matches_scalar(name):
     back = random.Random()
     back.setstate(python_state(stream))
     assert back.getrandbits(32) == rng.getrandbits(32)
+
+
+def test_engines_on_one_topology_share_the_hop_table():
+    """The hop table is built once per topology, on its ``DragonflyHops``
+    memo: every array engine on the topology reads that one object, and
+    a pickled topology carries no table."""
+    topology = Dragonfly(DragonflyParams.paper_example_72())
+    engines = [
+        ArraySimulator(
+            topology, make_routing(name),
+            make_pattern("uniform_random", topology, seed=1), BASE_CONFIG,
+        )
+        for name in ("UGAL-L", "UGAL-L", "VAL")
+    ]
+    table = make_routing("MIN").hop_memo(topology).table
+    assert all(engine._hop_table is table.hops for engine in engines)
+    assert all(engine._tables.final_keys is table.final_keys for engine in engines)
+    copy = pickle.loads(pickle.dumps(topology))
+    assert make_routing("MIN").hop_memo(copy)._table is None
 
 
 # ----------------------------------------------------------------------

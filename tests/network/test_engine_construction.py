@@ -1,8 +1,10 @@
 """What each engine allocates when it is built.
 
 The array engine builds its counters and wiring as numpy arrays and
-none of the scalar engine's per-slot deques; the credit time queues of
-UGAL-L_CR exist only in an engine whose routing senses credit delay.
+none of the scalar engine's per-slot deques; the scalar engine makes an
+output queue only when a flit first queues there; the credit time
+queues of UGAL-L_CR exist only in an engine whose routing senses credit
+delay.
 """
 
 import tracemalloc
@@ -20,6 +22,11 @@ from repro.topology.dragonfly import Dragonfly
 #: on the paper's 1056-terminal dragonfly.  Building the scalar queues
 #: first and converting them cost 15.5 MiB; the arrays alone ~2.5 MiB.
 ARRAY_BUILD_PEAK_BYTES = 4 * 2**20
+
+#: The same for one UGAL-L scalar engine.  A deque per output (port,
+#: VC) slot built up front cost ~8.6 MiB of an 11.2 MiB peak; made on
+#: first use, the build peaks at ~2.5 MiB.
+SCALAR_BUILD_PEAK_BYTES = 4 * 2**20
 
 #: Per-slot queue state only the scalar engine keeps.
 SCALAR_QUEUES = (
@@ -49,21 +56,43 @@ def build(topology, routing_name, backend):
     )
 
 
-def test_array_engine_build_peak(paper1k):
+@pytest.mark.parametrize(
+    "backend, limit",
+    [("array", ARRAY_BUILD_PEAK_BYTES), ("scalar", SCALAR_BUILD_PEAK_BYTES)],
+    ids=["array", "scalar"],
+)
+def test_engine_build_peak(paper1k, backend, limit):
     """A second build (the first warms every per-topology memo) stays
-    within ``ARRAY_BUILD_PEAK_BYTES`` of traced allocations."""
-    build(paper1k, "UGAL-L", "array")
+    within ``limit`` of traced allocations."""
+    build(paper1k, "UGAL-L", backend)
     args = inputs(paper1k, "UGAL-L")
     tracemalloc.start()
     try:
-        sim = make_simulator(paper1k, *args, backend="array")
+        sim = make_simulator(paper1k, *args, backend=backend)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sim.backend_provenance()["backend"] == "array"
-    assert peak <= ARRAY_BUILD_PEAK_BYTES, (
-        f"array engine build peaked at {peak / 2**20:.1f} MiB traced"
+    assert sim.backend_provenance()["backend"] == backend
+    assert peak <= limit, (
+        f"{backend} engine build peaked at {peak / 2**20:.1f} MiB traced"
     )
+
+
+def test_scalar_output_queues_are_made_on_first_use(paper72_dragonfly, fast_config):
+    topology = paper72_dragonfly
+    sim = make_simulator(
+        topology, make_routing("MIN"), make_pattern("worst_case", topology, seed=3),
+        fast_config, backend="scalar",
+    )
+    assert set(sim._out_q) == {None}
+    sim.run()
+    made = [queue for queue in sim._out_q if queue is not None]
+    assert 0 < len(made) < len(sim._out_q)
+    # The state view shows a missing queue as empty, a made one as itself.
+    view = sim.state_view().out_q
+    assert len(view) == len(sim._out_q)
+    for shown, queue in zip(view, sim._out_q):
+        assert shown == () if queue is None else shown is queue
 
 
 def test_array_engine_holds_no_scalar_queues(paper1k):

@@ -4,10 +4,14 @@ None of these runs inside a simulation: each reads an engine module's
 private state or re-derives what the engine computed another way.
 
 * :func:`python_state` hands a :class:`VectorizedMT19937` stream back
-  to a :class:`random.Random` at the exact position it reached.
+  to a :class:`random.Random` at the exact position it reached, and
+  :func:`getrandbits` draws one scalar ``getrandbits`` from it.
 * :func:`memoised_minimal_plan` and :func:`memoised_valiant_plan` name
   the interned :class:`RoutePlan` a decision on a single-link dragonfly
   stands for.
+* :class:`KernelKeys` encodes a :class:`RoutePlan` as its stage keys in
+  the dragonfly's :class:`~repro.routing.paths.HopTable`, and decodes a
+  decision's keys back into the plan they stand for.
 * :func:`first_divergence` runs both engines in lockstep and names the
   first cycle and state field at which they split.
 """
@@ -20,6 +24,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.core.params import TopologyError
 from repro.network.backend import make_simulator
 from repro.network.decide_kernel import _N, VectorizedMT19937
+from repro.network.packet import RoutePlan
 from repro.routing.paths import _minimal_plan_between, _valiant_plan_between
 
 
@@ -33,6 +38,13 @@ def python_state(stream: VectorizedMT19937) -> tuple:
     is ``_N`` minus the words not consumed yet."""
     key = stream._bits.state["state"]["key"]
     return (3, tuple(int(w) for w in key) + (_N - stream._rest.shape[0],), None)
+
+
+def getrandbits(stream: VectorizedMT19937, k: int) -> int:
+    """Scalar ``getrandbits(k)`` for ``0 < k <= 32`` from ``stream``."""
+    if not 0 < k <= 32:
+        raise ValueError("k must be in (0, 32]")
+    return stream.next_word() >> (32 - k)
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +87,81 @@ def memoised_valiant_plan(
         topology.group_links(intermediate_group, dst_group)[0].dst_router,
         src_group, dst_group, intermediate_group,
     )
+
+
+# ----------------------------------------------------------------------
+# Kernel stage keys
+# ----------------------------------------------------------------------
+class KernelKeys:
+    """Plans as their stage keys in a dragonfly's ``HopTable`` and back.
+
+    Written from the table's documented layout (final stages, then three
+    stages per global link) rather than from ``batch_decide``'s per-pair
+    arithmetic, so the two can be checked against each other.
+    """
+
+    def __init__(self, topology, table) -> None:
+        self.topology = topology
+        self.table = table
+        self.links = [
+            next(
+                link for link in topology.global_links_of(src)
+                if link.src_port == port
+            )
+            for src, port in zip(table.link_src.tolist(), table.link_port.tolist())
+        ]
+        self._index = {
+            (link.src_router, link.src_port): j for j, link in enumerate(self.links)
+        }
+
+    def keys(self, plan, dst_terminal: int) -> Tuple[int, ...]:
+        """The plan's keys, indexed by progress like ``DragonflyHops.keys``."""
+        table = self.table
+        final = int(table.final_keys[self.topology.terminal_router(dst_terminal)])
+        if plan.gc1 is None:
+            return (final,)
+        first = self._index[plan.gc1.src_router, plan.gc1.src_port]
+        keys = [int(table.link_keys[first, 0 if plan.minimal else 1])]
+        if plan.gc2 is not None:
+            second = self._index[plan.gc2.src_router, plan.gc2.src_port]
+            keys.append(int(table.link_keys[second, 2]))
+        return (*keys, final)
+
+    def _stage(self, key: int, router: int) -> Tuple[int, int]:
+        """(link index, stage kind) of the link stage ``key`` names at
+        ``router``; raises on a final-stage key."""
+        stage = (int(key) + router) // self.topology.a
+        routers = self.topology.fabric.num_routers
+        if stage < routers:
+            raise ValueError(f"key {key} at router {router} is a final stage")
+        return divmod(stage - routers, 3)
+
+    def plan(self, keys, src_router: int, dst_terminal: int, minimal: bool):
+        """The plan a decision's keys stand for (decided at ``src_router``
+        for ``dst_terminal``), checking every key names a stage routed by
+        the router the flit is at when it reads it."""
+        a = self.topology.a
+        dest = self.topology.terminal_router(dst_terminal)
+        if (int(keys[0]) + src_router) // a == dest:
+            if not minimal:
+                raise ValueError("an intra-group decision is minimal")
+            return RoutePlan(minimal=True)
+        first, kind = self._stage(keys[0], src_router)
+        gc1 = self.links[first]
+        if kind == 0:
+            if not minimal:
+                raise ValueError("minimal stage key on a non-minimal decision")
+            final = keys[1]
+            plan = RoutePlan(minimal=True, gc1=gc1)
+        else:
+            second, kind2 = self._stage(keys[1], gc1.dst_router)
+            if (kind, kind2, minimal) != (1, 2, False):
+                raise ValueError(f"keys {tuple(keys)} are no Valiant plan")
+            final = keys[2]
+            plan = RoutePlan(minimal=False, gc1=gc1, gc2=self.links[second])
+        if (int(final) + dest) // a != dest:
+            raise ValueError(f"final key {final} is not router {dest}'s")
+        return plan
 
 
 # ----------------------------------------------------------------------

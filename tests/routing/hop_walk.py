@@ -1,4 +1,5 @@
-"""Walk a routing's hop memo the way the simulator does (test helper)."""
+"""Walk a routing's hop memo, or the dragonfly's hop table, the way
+the engines do (test helper)."""
 
 from repro.core.params import TopologyError
 
@@ -24,3 +25,21 @@ def memo_walk(memo, topology, src_router, dst_terminal, plan):
         progress += advance
         router = fabric.out_channel(router, out_port).dst.router
     raise TopologyError(f"memo walk under {plan!r} failed to terminate")
+
+
+def table_walk(table, topology, keys, src_router, dst_terminal):
+    """The (router, out_port, out_vc) trace of a plan's kernel ``keys``
+    through a ``HopTable``, as the array engine walks it: every hop is
+    the row ``hops[keys[progress] + router]``."""
+    fabric = topology.fabric
+    trace = []
+    router, progress = src_router, 0
+    for _ in range(fabric.num_routers + 2):
+        out_port, out_vc, advance = table.hops[keys[progress] + router].tolist()
+        if out_port < 0:
+            trace.append((router, topology.terminal_port(dst_terminal), 0))
+            return trace
+        trace.append((router, out_port, out_vc))
+        progress += advance
+        router = fabric.out_channel(router, out_port).dst.router
+    raise TopologyError(f"table walk of keys {keys} failed to terminate")

@@ -9,16 +9,22 @@ the lowering's stored executor walk hop for hop (the degraded dragonfly,
 which has no executor, its certified table walk): on shared plans (the
 72-terminal dragonfly), on fresh plans (a dragonfly without
 ``single_link_pairs``), and on one small size per family.
+
+The array engine reads the same stages from the dragonfly's dense
+:class:`~repro.routing.paths.HopTable`: each row equals the memo's
+entry, the table holds exactly the memo's keys, and walking it from a
+plan's kernel keys reproduces the executor walk too.
 """
 
 import pickle
 
 import pytest
 
-from hop_walk import memo_walk
-from oracles import memoised_minimal_plan, memoised_valiant_plan
+from hop_walk import memo_walk, table_walk
+from oracles import KernelKeys, memoised_minimal_plan, memoised_valiant_plan
 from repro.core.params import DragonflyParams
 from repro.network.config import SimulationConfig
+from repro.network.packet import RoutePlan
 from repro.network.parallel import SweepExecutor
 from repro.network.simulator import Simulator
 from repro.network.sweep import load_sweep
@@ -65,6 +71,17 @@ LOWERINGS = {
     "clos": lambda: ClosLowering(FoldedClos(num_terminals=16, radix=4)),
 }
 DRAGONFLIES = ["dragonfly72", "dragonfly-fresh-plans", "dragonfly-nonmax"]
+
+#: The hop table's dragonflies: 72 terminals, ``(p, a, h, g) = (1, 2,
+#: 2, 3)`` (two links per group pair), and the paper's 1056 terminals.
+#: There the walks are the minimal lowering's 278 784 routes: with
+#: Valiant routes it enumerates ~8.6 million, so the Valiant rows are
+#: covered row by row (``test_hop_table_is_the_filled_memo``).
+TABLE_PARAMS = {
+    "dragonfly72": DragonflyParams.paper_example_72(),
+    "dragonfly-nonmax": DragonflyParams(p=1, a=2, h=2, num_groups=3),
+    "paper1k": DragonflyParams.paper_1k(),
+}
 
 
 def _assert_memo_reproduces(memo, lowering, reference):
@@ -118,6 +135,64 @@ def test_dragonfly_memo_walks_the_executor_walks(name):
         if plan.gc1 is not None:
             first = memo.first_hop(plan, src_router, dst_terminal)
             assert (src_router, *first[:2]) == reference[index][0]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PARAMS))
+def test_hop_table_walks_the_executor_walks(name):
+    """Every route of the dragonfly's lowering, walked through the hop
+    table from the plan's kernel keys, is the stored executor walk."""
+    topology = Dragonfly(TABLE_PARAMS[name])
+    lowering = DragonflyLowering(
+        topology, vcs.CANONICAL, include_nonminimal=name != "paper1k"
+    )
+    table = make_routing("UGAL-L").hop_memo(topology).table
+    oracle = KernelKeys(topology, table)
+    walks = lowering.walks
+    count = 0
+    for index, (_label, src_router, dst_terminal, plan) in enumerate(
+        lowering.routes()
+    ):
+        keys = oracle.keys(plan, dst_terminal)
+        walk = table_walk(table, topology, keys, src_router, dst_terminal)
+        assert tuple(walk) == walks.walk(index), (src_router, dst_terminal, plan)
+        count += 1
+    assert count == len(walks) > 0
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PARAMS))
+def test_hop_table_is_the_filled_memo(name):
+    """Each table row is the memo's entry at the same stage and router,
+    and once ``fill`` has stored every stage key the memo holds exactly
+    as many entries as the table has rows."""
+    topology = Dragonfly(TABLE_PARAMS[name])
+    memo = DragonflyHops(topology)
+    table = memo.table
+    oracle = KernelKeys(topology, table)
+    a = topology.a
+    stages = []  # (plan, progress, dst_terminal): one per table stage
+    for dest in range(topology.fabric.num_routers):
+        dst_terminal = dest * topology.p
+        assert topology.terminal_router(dst_terminal) == dest
+        stages.append((RoutePlan(minimal=True), 0, dst_terminal))
+    for link in oracle.links:
+        stages.append((RoutePlan(minimal=True, gc1=link), 0, 0))
+        valiant = RoutePlan(minimal=False, gc1=link, gc2=link)
+        stages.extend([(valiant, 0, 0), (valiant, 1, 0)])
+    assert len(stages) * a == len(table.hops)
+    for stage, (plan, progress, dst_terminal) in enumerate(stages):
+        group = (
+            dst_terminal // topology.p // a if plan.gc1 is None
+            else plan.gc1.src_router // a
+        )
+        kernel_key = oracle.keys(plan, dst_terminal)[progress]
+        memo_key = memo.keys(plan, group * a, dst_terminal)[progress]
+        assert kernel_key == stage * a - group * a
+        for router in range(group * a, group * a + a):
+            want = memo.fill(memo_key + router, plan, progress, router, dst_terminal)
+            assert tuple(table.hops[kernel_key + router].tolist()) == want, (
+                stage, router,
+            )
+    assert len(memo.hops) == len(table.hops)
 
 
 def test_shared_plans_walk_like_fresh_ones():

@@ -76,8 +76,10 @@ CONTRACT = {
         "run_passes(['symbolic'])\n",
         ["networkx"],
     ),
-    # The decide kernel needs one global link per group pair, not the
-    # table compiler (with its fault model and path grammars).
+    # The decide kernel needs one global link per group pair and the
+    # topology's hop table, not the table compiler (with its fault model
+    # and path grammars).  Nothing in the build calls ``np.unique``,
+    # which imports ``numpy.ma`` (~8 ms).
     "array-engine-without-table-compiler": (
         "from repro.core.params import DragonflyParams\n"
         "from repro.network.backend import make_simulator\n"
@@ -90,7 +92,7 @@ CONTRACT = {
         "    make_pattern('uniform_random', topology, seed=1),\n"
         "    SimulationConfig(load=0.2), backend='array')\n"
         "assert type(sim).__name__ == 'ArraySimulator', type(sim)\n",
-        ["repro.routing.tables"],
+        ["repro.routing.tables", "numpy.ma"],
     ),
     # ``import numpy`` costs ~135 ms: the sample columns are stdlib
     # ``array``/``bytearray`` so the scalar path and cache reads skip it.
