@@ -50,12 +50,6 @@ class TopologyComparison:
     avg_cable_fraction: float
     max_cable_fraction: float
 
-    def avg_cable_m(self, extent_m: float) -> float:
-        return self.avg_cable_fraction * extent_m
-
-    def max_cable_m(self, extent_m: float) -> float:
-        return self.max_cable_fraction * extent_m
-
 
 def flattened_butterfly_row() -> TopologyComparison:
     """Table 2's flattened butterfly row (3-D configuration)."""

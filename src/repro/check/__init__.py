@@ -44,7 +44,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".lint": ("lint_file", "lint_sources", "lint_tree"),
     ".registry": (
         "CheckConfiguration",
-        "SymbolicScaleConfiguration",
+        "GrammarConfiguration",
         "all_configurations",
         "broken_configuration",
         "default_configurations",

@@ -25,10 +25,12 @@ Runs up to six passes and exits nonzero when any produces an ERROR:
 * ``lint``        -- repo-specific AST lint of ``src/repro``,
                      ``benchmarks/`` and ``examples/``.
 
-With no arguments all six run.  ``--sanitize-fixture NAME`` additionally
-re-simulates a golden fixture under ``REPRO_SANITIZE=1`` and fails on any
-conservation violation or output divergence.  See ``--help`` for
-selection flags and ``docs/static-analysis.md`` for the full story.
+Passes are chosen by name (``python -m repro.check symbolic tables``);
+with none named all six run, and each certifying pass judges its
+certificates by the one rule of :func:`repro.check.report.verdict`.
+``--sanitize-fixture NAME`` additionally re-simulates a golden fixture
+under ``REPRO_SANITIZE=1`` and fails on any conservation violation or
+output divergence.  See ``docs/static-analysis.md`` for the full story.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ import json
 import pathlib
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .invariants import audit_topology, default_topology_audits
 from .lint import lint_sources
 from .registry import (
+    CheckConfiguration,
+    GrammarConfiguration,
     all_configurations,
     broken_configuration,
     degraded_crosscheck_configurations,
@@ -51,14 +55,15 @@ from .registry import (
     degraded_table_configurations,
     symbolic_scale_configurations,
 )
-from .report import CheckReport, Severity, combined_exit_code
+from .report import CheckReport, Severity, Wording, combined_exit_code, verdict
 from .symbolic import (
+    SymbolicCertification,
     certify_grammar,
-    degraded_cross_check,
+    cross_check,
     soundness_harness,
     vc_budget_violations,
 )
-from .tables import run_tables_pass
+from .tables import certify_tables, run_tables_pass
 
 PASSES = ("cdg", "symbolic", "tables", "faults", "invariants", "lint")
 
@@ -70,41 +75,68 @@ SCALE_BUDGET_SECONDS = 5.0
 #: second per parameterisation.
 FAULT_SCALE_BUDGET_SECONDS = 1.0
 
+#: Each pass's verdicts (see :func:`repro.check.report.verdict`).
+CDG_VERDICT: Wording = (
+    ("CDG001", "channel-dependency graph is CYCLIC; counterexample "
+               "deadlock cycle:\n"),
+    ("CDG002", "expected counterexample found:\n"),
+    ("CDG003", "configuration documented as deadlocking was certified "
+               "acyclic; negative control has rotted"),
+)
+SYMBOLIC_VERDICT: Wording = (
+    ("SYM001", "class-level dependency graph is CYCLIC; symbolic "
+               "counterexample:\n"),
+    ("SYM002", "expected symbolic counterexample found:\n"),
+    ("SYM003", "grammar documented as deadlocking was certified acyclic; "
+               "negative control has rotted"),
+)
+FAMILY_VERDICT: Wording = (
+    ("FLT001", "degraded class-level dependency graph is CYCLIC; symbolic "
+               "counterexample:\n"),
+    ("FLT003", "expected symbolic counterexample found:\n"),
+    ("FLT004", "degraded family documented as deadlocking was certified "
+               "acyclic; negative control has rotted"),
+)
+DEGRADED_VERDICT: Wording = (
+    ("FLT001", "degraded configuration is CYCLIC (both verifiers agree); "),
+    ("FLT003", "expected counterexample found by BOTH verifiers.\n"),
+    ("FLT004", "degraded configuration documented as deadlocking was "
+               "certified clean by both verifiers; negative control has "
+               "rotted"),
+)
+
+
+def _registry(demo_broken: bool) -> List[CheckConfiguration]:
+    """The registered configurations, plus the negative control on demand."""
+    configurations = list(all_configurations())
+    if demo_broken:
+        configurations.append(broken_configuration())
+    return configurations
+
+
+def _note_certification(
+    report: CheckReport, family: GrammarConfiguration,
+    certification: SymbolicCertification, elapsed: float,
+) -> None:
+    """Note one grammar configuration's certificate, with its scale."""
+    scale = (
+        f" [N={family.num_terminals:,} terminals, {elapsed:.3f}s]"
+        if family.num_terminals is not None else ""
+    )
+    report.note(f"{certification.summary()}{scale}")
+
 
 def run_cdg_pass(demo_broken: bool = False) -> CheckReport:
     """Certify every registered configuration (plus the negative demo)."""
     report = CheckReport(pass_name="cdg")
-    configurations = list(all_configurations())
-    if demo_broken:
-        configurations.append(broken_configuration())
-    for configuration in configurations:
+    for configuration in _registry(demo_broken):
         certification = configuration.certification
         report.note(certification.summary())
-        if certification.ok == configuration.expect_deadlock_free:
-            if not certification.ok:
-                # Negative control behaved as documented: show the cycle
-                # as evidence but do not fail the gate.
-                report.add(
-                    "CDG002", Severity.INFO, configuration.name,
-                    "expected counterexample found:\n"
-                    + (certification.cycle_description or ""),
-                )
-            continue
-        if certification.ok:
-            report.add(
-                "CDG003", Severity.ERROR, configuration.name,
-                "configuration documented as deadlocking was certified "
-                "acyclic; negative control has rotted",
-            )
-        else:
-            report.add(
-                "CDG001", Severity.ERROR, configuration.name,
-                "channel-dependency graph is CYCLIC; counterexample "
-                "deadlock cycle:\n" + (certification.cycle_description or ""),
-            )
+        report.extend(verdict(
+            configuration.name, configuration.expect_deadlock_free,
+            certification.ok, certification.cycle_description, CDG_VERDICT,
+        ))
     return report
-
-
 def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
     """Certify every routing family symbolically and cross-check.
 
@@ -116,51 +148,27 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
     reads) with its symbolic verdict and demands agreement.
     """
     report = CheckReport(pass_name="symbolic")
-    configurations = list(all_configurations())
-    if demo_broken:
-        configurations.append(broken_configuration())
+    configurations = _registry(demo_broken)
     for configuration in configurations:
         certification = certify_grammar(
             configuration.name, configuration.lowering.grammar()
         )
         report.note(certification.summary())
-        if certification.ok == configuration.expect_deadlock_free:
-            if not certification.ok:
-                report.add(
-                    "SYM002", Severity.INFO, configuration.name,
-                    "expected symbolic counterexample found:\n"
-                    + (certification.cycle_description or ""),
-                )
-            continue
-        if certification.ok:
-            report.add(
-                "SYM003", Severity.ERROR, configuration.name,
-                "grammar documented as deadlocking was certified acyclic; "
-                "negative control has rotted",
-            )
-        else:
-            report.add(
-                "SYM001", Severity.ERROR, configuration.name,
-                "class-level dependency graph is CYCLIC; symbolic "
-                "counterexample:\n"
-                + (certification.cycle_description or ""),
-            )
+        report.extend(verdict(
+            configuration.name, configuration.expect_deadlock_free,
+            certification.ok, certification.cycle_description,
+            SYMBOLIC_VERDICT,
+        ))
     for scale in symbolic_scale_configurations():
         start = time.perf_counter()
         certification = certify_grammar(scale.name, scale.grammar())
         elapsed = time.perf_counter() - start
-        report.note(
-            f"{certification.summary()} "
-            f"[N={scale.num_terminals:,} terminals, {elapsed:.3f}s]"
-        )
-        if not certification.ok:
-            report.add(
-                "SYM001", Severity.ERROR, scale.name,
-                "class-level dependency graph is CYCLIC; symbolic "
-                "counterexample:\n"
-                + (certification.cycle_description or ""),
-            )
-        elif elapsed > SCALE_BUDGET_SECONDS:
+        _note_certification(report, scale, certification, elapsed)
+        report.extend(verdict(
+            scale.name, scale.expect_deadlock_free, certification.ok,
+            certification.cycle_description, SYMBOLIC_VERDICT,
+        ))
+        if certification.ok and elapsed > SCALE_BUDGET_SECONDS:
             report.add(
                 "SYM004", Severity.ERROR, scale.name,
                 f"symbolic certification took {elapsed:.1f}s; the budget "
@@ -175,9 +183,8 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
             report.add(
                 "SYM005", Severity.ERROR, check.name,
                 "symbolic and concrete verdicts disagree "
-                f"(symbolic={'free' if check.symbolic.ok else 'cyclic'}, "
-                f"concrete={'free' if check.concrete.ok else 'cyclic'}); "
-                "the grammar's abstraction no longer matches the routes",
+                f"({check.verdicts(', ')}); the grammar's abstraction no "
+                "longer matches the routes",
             )
     return report
 
@@ -185,34 +192,31 @@ def run_symbolic_pass(demo_broken: bool = False) -> CheckReport:
 def run_faults_pass() -> CheckReport:
     """Fault-parametric certification of degraded families (``FLT0xx``).
 
-    Two stages.  Stage 1 certifies each registered
-    :class:`~repro.check.registry.DegradedFamilyConfiguration`: the
-    fault-parametric grammar is composed (healthy route classes ∪ detour
-    classes, local segments widened for relay faults), its class-level
-    dependency graph is proved acyclic (``FLT001`` on an unexpected
-    cycle), every class is checked against the assignment's VC budget
-    (``FLT002``), and the Table-2 parameterisations are held to the
-    sub-second wall-clock budget (``FLT005``).  Negative controls must
-    be *refuted* (``FLT003`` INFO evidence; ``FLT004`` when one rots).
+    Two stages.  Stage 1 certifies each
+    :func:`~repro.check.registry.degraded_family_configurations` entry:
+    the fault-parametric grammar is composed (healthy route classes ∪
+    detour classes, local segments widened for relay faults), every
+    class is checked against the assignment's VC budget (``FLT002``),
+    the Table-2 parameterisations are held to the sub-second wall-clock
+    budget (``FLT005``), and its class-level dependency graph is judged
+    (``FLT001`` on an unexpected cycle; negative controls must be
+    *refuted*, ``FLT003`` INFO evidence, ``FLT004`` when one rots).
 
     Stage 2 anchors soundness: every enumerable degraded configuration
     is certified both symbolically and concretely (table-level CDG on
     the detour-recompiled tables) and the verdicts must agree
-    (``FLT006``); the refuted negative control prints *both*
-    counterexample cycles.
+    (``FLT006``); the agreed verdict is judged the same way, printing
+    *both* counterexample cycles.
     """
     report = CheckReport(pass_name="faults")
     for family in degraded_family_configurations():
+        # The FLT005 budget covers composing, certifying and the VC check.
         start = time.perf_counter()
-        grammar = family.degraded().compose()
+        grammar = family.grammar()
         certification = certify_grammar(family.name, grammar)
         violations = vc_budget_violations(grammar)
         elapsed = time.perf_counter() - start
-        scale = (
-            f" [N={family.num_terminals:,} terminals, {elapsed:.3f}s]"
-            if family.num_terminals is not None else ""
-        )
-        report.note(f"{certification.summary()}{scale}")
+        _note_certification(report, family, certification, elapsed)
         for violation in violations:
             report.add(
                 "FLT002", Severity.ERROR, family.name,
@@ -227,73 +231,37 @@ def run_faults_pass() -> CheckReport:
                 f"budget at Table-2 scale is "
                 f"{FAULT_SCALE_BUDGET_SECONDS:.0f}s",
             )
-        if certification.ok == family.expect_deadlock_free:
-            if not certification.ok:
-                report.add(
-                    "FLT003", Severity.INFO, family.name,
-                    "expected symbolic counterexample found:\n"
-                    + (certification.cycle_description or ""),
-                )
-            continue
-        if certification.ok:
-            report.add(
-                "FLT004", Severity.ERROR, family.name,
-                "degraded family documented as deadlocking was certified "
-                "acyclic; negative control has rotted",
-            )
-        else:
-            report.add(
-                "FLT001", Severity.ERROR, family.name,
-                "degraded class-level dependency graph is CYCLIC; symbolic "
-                "counterexample:\n"
-                + (certification.cycle_description or ""),
-            )
+        report.extend(verdict(
+            family.name, family.expect_deadlock_free, certification.ok,
+            certification.cycle_description, FAMILY_VERDICT,
+        ))
     for configuration in degraded_crosscheck_configurations():
-        check = degraded_cross_check(configuration.name, configuration.build())
+        # A fresh lowering per scenario, dropped with its tables after it.
+        lowering = configuration.family()
+        tables = certify_tables(configuration.name, lowering)
+        check = cross_check(configuration.name, lowering, tables)
         report.note(check.summary())
         if not check.agrees:
             report.add(
                 "FLT006", Severity.ERROR, configuration.name,
                 "symbolic and concrete verdicts disagree "
-                f"(symbolic={'free' if check.symbolic.ok else 'cyclic'}, "
-                "concrete-tables="
-                f"{'cyclic' if check.concrete.cyclic else 'free'}); the "
-                "degraded grammar's abstraction no longer matches the "
-                "detour-recompiled tables",
+                f"({check.verdicts(', ')}); the degraded grammar's "
+                "abstraction no longer matches the detour-recompiled tables",
             )
             continue
-        safe = check.symbolic.ok
-        if safe == configuration.expect_deadlock_free:
-            if not safe:
-                report.add(
-                    "FLT003", Severity.INFO, configuration.name,
-                    "expected counterexample found by BOTH verifiers.\n"
-                    "symbolic counterexample:\n"
-                    + (check.symbolic.cycle_description or "")
-                    + "\nconcrete table-level counterexample:\n"
-                    + (check.concrete.cycle_description or ""),
-                )
-            else:
-                # Certified clean both ways: surface any non-cycle
-                # concrete findings (reachability, round trip, ...).
-                report.extend(check.concrete.findings)
-            continue
-        if safe:
-            report.add(
-                "FLT004", Severity.ERROR, configuration.name,
-                "degraded configuration documented as deadlocking was "
-                "certified clean by both verifiers; negative control has "
-                "rotted",
-            )
-        else:
-            report.add(
-                "FLT001", Severity.ERROR, configuration.name,
-                "degraded configuration is CYCLIC (both verifiers agree); "
-                "symbolic counterexample:\n"
-                + (check.symbolic.cycle_description or "")
-                + "\nconcrete table-level counterexample:\n"
-                + (check.concrete.cycle_description or ""),
-            )
+        expected, safe = configuration.expect_deadlock_free, check.symbolic.ok
+        if expected and safe:
+            # Certified clean both ways: surface any non-cycle concrete
+            # findings (reachability, round trip, ...).
+            report.extend(tables.findings)
+        report.extend(verdict(
+            configuration.name, expected, safe,
+            "symbolic counterexample:\n"
+            + (check.symbolic.cycle_description or "")
+            + "\nconcrete table-level counterexample:\n"
+            + (tables.cycle_description or ""),
+            DEGRADED_VERDICT,
+        ))
     return report
 
 
@@ -309,10 +277,10 @@ def run_invariants_pass() -> CheckReport:
     return report
 
 
-def run_lint_pass(root: Optional[str] = None) -> CheckReport:
+def run_lint_pass() -> CheckReport:
     """Run the repo-specific AST lint."""
     report = CheckReport(pass_name="lint")
-    findings = lint_sources(root)
+    findings = lint_sources()
     report.extend(findings)
     report.note(f"{len(findings)} finding(s)")
     return report
@@ -398,28 +366,19 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
 def run_passes(
     passes: Sequence[str],
     demo_broken: bool = False,
-    lint_root: Optional[str] = None,
     export_tables: Optional[str] = None,
 ) -> List[CheckReport]:
-    reports = []
-    for name in passes:
-        if name == "cdg":
-            reports.append(run_cdg_pass(demo_broken=demo_broken))
-        elif name == "symbolic":
-            reports.append(run_symbolic_pass(demo_broken=demo_broken))
-        elif name == "tables":
-            reports.append(run_tables_pass(
-                demo_broken=demo_broken, export_dir=export_tables
-            ))
-        elif name == "faults":
-            reports.append(run_faults_pass())
-        elif name == "invariants":
-            reports.append(run_invariants_pass())
-        elif name == "lint":
-            reports.append(run_lint_pass(root=lint_root))
-        else:
-            raise ValueError(f"unknown pass {name!r}")
-    return reports
+    runners: Dict[str, Callable[[], CheckReport]] = {
+        "cdg": lambda: run_cdg_pass(demo_broken=demo_broken),
+        "symbolic": lambda: run_symbolic_pass(demo_broken=demo_broken),
+        "tables": lambda: run_tables_pass(
+            demo_broken=demo_broken, export_dir=export_tables
+        ),
+        "faults": run_faults_pass,
+        "invariants": run_invariants_pass,
+        "lint": run_lint_pass,
+    }
+    return [runners[name]() for name in passes]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -439,21 +398,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "parameterisations and topology audits, then exit",
     )
     parser.add_argument(
-        "--symbolic", action="store_true",
-        help="run only the symbolic family-level certification pass "
-        "(shorthand for the 'symbolic' positional)",
-    )
-    parser.add_argument(
-        "--tables", action="store_true",
-        help="run only the forwarding-table certification pass "
-        "(shorthand for the 'tables' positional)",
-    )
-    parser.add_argument(
-        "--faults", action="store_true",
-        help="run only the fault-parametric degraded-family certification "
-        "pass (shorthand for the 'faults' positional)",
-    )
-    parser.add_argument(
         "--export-tables", metavar="DIR", default=None,
         help="with the tables pass: export every compiled table set as "
         "versioned JSON into DIR",
@@ -468,10 +412,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--demo-broken", action="store_true",
         help="also certify the deliberately broken collapsed-2vc assignment "
         "to demonstrate counterexample extraction (does not fail the gate)",
-    )
-    parser.add_argument(
-        "--lint-root", default=None,
-        help="directory to lint instead of the installed repro package",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true",
@@ -494,44 +434,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise
             print(f"  {configuration.name} [{budget}]  "
                   f"({configuration.description})")
-        print("Fault-degraded table configurations:")
-        for degraded in degraded_table_configurations():
-            print(f"  {degraded.name}  ({degraded.description})")
-        print("Degraded families (symbolic, fault-parametric):")
-        for family in degraded_family_configurations():
-            print(f"  {family.name}  ({family.description})")
-        print("Degraded cross-check configurations:")
-        for crosscheck in degraded_crosscheck_configurations():
-            print(f"  {crosscheck.name}  ({crosscheck.description})")
-        print("Symbolic scale parameterisations:")
-        for scale in symbolic_scale_configurations():
-            print(f"  {scale.name}  ({scale.description})")
+        for heading, entries in (
+            ("Fault-degraded table configurations", degraded_table_configurations()),
+            ("Degraded families (symbolic, fault-parametric)",
+             degraded_family_configurations()),
+            ("Degraded cross-check configurations", degraded_crosscheck_configurations()),
+            ("Symbolic scale parameterisations", symbolic_scale_configurations()),
+        ):
+            print(f"{heading}:")
+            for entry in entries:
+                print(f"  {entry.name}  ({entry.description})")
         print("Topology audits:")
         for name, _ in default_topology_audits():
             print(f"  {name}")
         return 0
 
-    shorthands = (
-        ("--symbolic", args.symbolic),
-        ("--tables", args.tables),
-        ("--faults", args.faults),
-    )
-    for flag, shorthand in shorthands:
-        if shorthand and args.passes:
-            parser.error(f"{flag} cannot be combined with positional passes")
-    selected = [flag for flag, shorthand in shorthands if shorthand]
-    if len(selected) > 1:
-        parser.error(
-            f"{' and '.join(selected)} select different single passes"
-        )
-    if args.symbolic:
-        passes = ["symbolic"]
-    elif args.tables:
-        passes = ["tables"]
-    elif args.faults:
-        passes = ["faults"]
-    else:
-        passes = args.passes or list(PASSES)
+    passes = args.passes or list(PASSES)
     unknown = [name for name in passes if name not in PASSES]
     if unknown:
         parser.error(
@@ -543,8 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if pathlib.Path(args.export_tables).is_file():
             parser.error(f"--export-tables {args.export_tables}: is a file, not a directory")
     reports = run_passes(
-        passes, demo_broken=args.demo_broken, lint_root=args.lint_root,
-        export_tables=args.export_tables,
+        passes, demo_broken=args.demo_broken, export_tables=args.export_tables
     )
     if args.sanitize_fixture is not None:
         reports.append(run_sanitize_pass(args.sanitize_fixture))

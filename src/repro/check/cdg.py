@@ -175,12 +175,3 @@ def certify(name: str, fabric: Fabric, traces: Iterable[Trace]) -> Certification
         cycle=cycle,
         cycle_description=describe_cycle(fabric, cycle) if cycle else None,
     )
-
-
-def max_vc_used(traces: Iterable[Trace]) -> int:
-    """Highest VC index any non-ejection hop of any trace uses."""
-    highest = 0
-    for trace in traces:
-        for _, _, vc in trace[:-1] if trace else []:
-            highest = max(highest, vc)
-    return highest

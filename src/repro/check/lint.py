@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from .report import Finding, Severity
 
@@ -439,8 +439,8 @@ def default_script_roots() -> List[Path]:
     """The repo-level script trees, when running from a checkout.
 
     An installed wheel has no ``benchmarks/``/``examples/`` next to the
-    package; absent trees are simply not linted (unlike an explicit
-    root, which errors when missing).
+    package; absent trees are simply not linted (unlike a root given to
+    :func:`lint_tree`, which errors when missing).
     """
     repo_root = default_lint_root().parent.parent
     return [
@@ -450,15 +450,12 @@ def default_script_roots() -> List[Path]:
     ]
 
 
-def lint_sources(root: Union[str, Path, None] = None) -> List[Finding]:
-    """Entry point used by the CLI: lint the repro package sources.
-
-    With the default root, the repo's script trees (``benchmarks/``,
-    ``examples/``) are linted too, in script mode; findings there are
-    located as ``benchmarks/foo.py:N`` relative to the repo root.
+def lint_sources() -> List[Finding]:
+    """Entry point used by the CLI: lint the repro package sources and
+    the repo's script trees (``benchmarks/``, ``examples/``), the latter
+    in script mode; findings there are located as ``benchmarks/foo.py:N``
+    relative to the repo root.
     """
-    if root is not None:
-        return lint_tree(root)
     findings = lint_tree(default_lint_root())
     for script_root in default_script_roots():
         for path in sorted(script_root.rglob("*.py")):
@@ -466,10 +463,3 @@ def lint_sources(root: Union[str, Path, None] = None) -> List[Finding]:
                 lint_file(path, script_root.parent, script_mode=True)
             )
     return findings
-
-
-def iter_findings_by_rule(
-    findings: Iterable[Finding], code: str
-) -> List[Finding]:
-    """Convenience filter used by tests."""
-    return [finding for finding in findings if finding.code == code]

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.params import DragonflyParams
 from ..routing import vc_assignment as vcs
-from ..routing.grammar import DegradedPathGrammar, PathGrammar
+from ..routing.grammar import PathGrammar
 from ..routing.paths import degraded_dragonfly_grammar, dragonfly_path_grammar
 from ..routing.tables import (
     ClosLowering,
@@ -82,7 +82,10 @@ class CheckConfiguration:
     soundness harness, the symbolic pass analyses ``lowering.grammar()``
     (whose ``num_vcs`` is the VC budget the family documents), and the
     tables pass compiles and certifies ``lowering`` itself against the
-    same stored walks.
+    same stored walks.  A fault-degraded lowering has no executor, so
+    its entries (:func:`degraded_table_configurations`,
+    :func:`degraded_crosscheck_configurations`) are certified from their
+    tables and grammar only and never read :attr:`certification`.
     ``expect_deadlock_free`` is False only for negative controls kept to
     demonstrate counterexample extraction.
     """
@@ -214,130 +217,107 @@ def broken_configuration() -> CheckConfiguration:
 
 
 @dataclass(frozen=True)
-class SymbolicScaleConfiguration:
-    """A Table-2-scale parameterisation certifiable only symbolically.
+class GrammarConfiguration:
+    """A routing family certified from its path grammar alone.
 
-    These instances are far beyond the concrete enumerator's reach (the
-    1M-terminal machine has ~1.3M routers), but the symbolic certifier
-    analyses their path grammar without building the topology at all.
+    ``grammar`` builds the grammar without building any topology: the
+    Table-2 parameterisations (the 1M-terminal machine has ~1.3M
+    routers, far beyond the enumerator's reach) and the fault-degraded
+    families, whose grammar is the
+    :class:`~repro.routing.grammar.DegradedPathGrammar` composed over
+    fault classes, not concrete fault sets -- one certificate covers
+    every (a, p, h, g) member and every fault set exhibiting only those
+    classes.  ``num_terminals`` names the machine size of a Table-2
+    entry (descriptive only), None for an instance-independent family.
     """
 
     name: str
     description: str
-    num_terminals: int
     grammar: Callable[[], PathGrammar]
-
-
-def symbolic_scale_configurations() -> List[SymbolicScaleConfiguration]:
-    """Paper Table 2 entries certified by the ``symbolic`` pass."""
-    configurations = []
-    for h in (16, 24):
-        params = DragonflyParams.balanced(h)
-        configurations.append(SymbolicScaleConfiguration(
-            name=f"dragonfly-balanced-h{h}/MIN+VAL+UGAL@figure7-3vc",
-            description=(
-                f"balanced dragonfly (p={params.p},a={params.a},h={params.h},"
-                f"g={params.g}): N={params.num_terminals:,} terminals"
-            ),
-            num_terminals=params.num_terminals,
-            grammar=lambda: dragonfly_path_grammar(vcs.CANONICAL),
-        ))
-    return configurations
-
-
-# ----------------------------------------------------------------------
-# Fault-parametric degraded families (the ``faults`` pass)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DegradedFamilyConfiguration:
-    """A fault-degraded routing *family* certified symbolically.
-
-    ``degraded`` builds the :class:`~repro.routing.grammar.
-    DegradedPathGrammar` quantifying over fault classes, not concrete
-    fault sets -- one certificate covers every (a, p, h, g) member and
-    every fault set exhibiting only those classes.  ``num_terminals``
-    names the machine size for the Table-2 entries (purely descriptive:
-    the grammar never builds the topology), None for the
-    instance-independent family entries.
-    """
-
-    name: str
-    description: str
-    degraded: Callable[[], DegradedPathGrammar]
     expect_deadlock_free: bool = True
     num_terminals: Optional[int] = None
 
 
-def degraded_family_configurations() -> List[DegradedFamilyConfiguration]:
-    """Degraded families certified by ``python -m repro.check --faults``."""
-    configurations = [
-        DegradedFamilyConfiguration(
+def _balanced_configurations(
+    name: str, description: str, grammar: Callable[[], PathGrammar]
+) -> List[GrammarConfiguration]:
+    """One entry per Table-2 balanced dragonfly (h = 16 and 24)."""
+    configurations = []
+    for h in (16, 24):
+        params = DragonflyParams.balanced(h)
+        configurations.append(GrammarConfiguration(
+            name=name.format(h=h),
+            description=description.format(
+                p=params.p, a=params.a, h=params.h, g=params.g,
+                n=f"{params.num_terminals:,}",
+            ),
+            grammar=grammar,
+            num_terminals=params.num_terminals,
+        ))
+    return configurations
+
+
+def symbolic_scale_configurations() -> List[GrammarConfiguration]:
+    """Paper Table 2 entries certified by the ``symbolic`` pass."""
+    return _balanced_configurations(
+        "dragonfly-balanced-h{h}/MIN+VAL+UGAL@figure7-3vc",
+        "balanced dragonfly (p={p},a={a},h={h},g={g}): N={n} terminals",
+        lambda: dragonfly_path_grammar(vcs.CANONICAL),
+    )
+
+
+def _all_faults_grammar() -> PathGrammar:
+    return degraded_dragonfly_grammar(vcs.CANONICAL, ALL_FAULT_CLASSES).compose()
+
+
+def degraded_family_configurations() -> List[GrammarConfiguration]:
+    """Degraded families certified by ``python -m repro.check faults``."""
+    return [
+        GrammarConfiguration(
             name="dragonfly-degraded-family@figure7-3vc",
             description=(
                 "any dragonfly, any fault set built from severed group "
                 "pairs, dead local links and dead routers; canonical VCs"
             ),
-            degraded=lambda: degraded_dragonfly_grammar(
-                vcs.CANONICAL, ALL_FAULT_CLASSES
-            ),
+            grammar=_all_faults_grammar,
         ),
-        DegradedFamilyConfiguration(
+        GrammarConfiguration(
             name="dragonfly-degraded-family@detour-vc-reuse (negative control)",
             description=(
                 "detour class allowed to reuse its injection VC; the "
                 "certifier must refute the family"
             ),
-            degraded=lambda: degraded_dragonfly_grammar(
+            grammar=lambda: degraded_dragonfly_grammar(
                 vcs.DETOUR_VC_REUSE, (SEVERED_GROUP_PAIR,)
-            ),
+            ).compose(),
             expect_deadlock_free=False,
         ),
+        *_balanced_configurations(
+            "dragonfly-degraded-balanced-h{h}@figure7-3vc",
+            "degraded balanced dragonfly (p={p},a={a},h={h},g={g}): "
+            "N={n} terminals, all three fault classes",
+            _all_faults_grammar,
+        ),
     ]
-    for h in (16, 24):
-        params = DragonflyParams.balanced(h)
-        configurations.append(DegradedFamilyConfiguration(
-            name=f"dragonfly-degraded-balanced-h{h}@figure7-3vc",
-            description=(
-                f"degraded balanced dragonfly (p={params.p},a={params.a},"
-                f"h={params.h},g={params.g}): N={params.num_terminals:,} "
-                "terminals, all three fault classes"
-            ),
-            degraded=lambda: degraded_dragonfly_grammar(
-                vcs.CANONICAL, ALL_FAULT_CLASSES
-            ),
-            num_terminals=params.num_terminals,
-        ))
-    return configurations
 
 
-@dataclass(frozen=True)
-class DegradedCrossCheckConfiguration:
-    """One enumerable fault scenario on a concrete dragonfly.
+def _severed(
+    params: DragonflyParams,
+    pairs: Sequence[Tuple[int, int]],
+    assignment: vcs.VcAssignment = vcs.CANONICAL,
+) -> Callable[[], DegradedDragonflyLowering]:
+    """A dragonfly with every cable between each named group pair cut."""
 
-    ``build`` constructs the concrete degraded lowering.  The faults
-    pass certifies the :func:`degraded_crosscheck_configurations`
-    symbolically (grammar composed for exactly the fault classes the
-    fault set exhibits) *and* concretely (table-level CDG on the
-    detour-recompiled tables) and asserts the verdicts agree; the tables
-    pass certifies the :func:`degraded_table_configurations` alongside
-    the healthy registry.
-    """
+    def family() -> DegradedDragonflyLowering:
+        topology = Dragonfly(params)
+        faults = FaultSet.of(links=[
+            (link.src_router, link.dst_router)
+            for src_group, dest_group in pairs
+            for link in topology.group_links(src_group, dest_group)
+        ])
+        return DegradedDragonflyLowering(topology, faults, assignment)
 
-    name: str
-    description: str
-    build: Callable[[], DegradedDragonflyLowering]
-    expect_deadlock_free: bool = True
-
-
-def _severed_pair_links(
-    topology: Dragonfly, pairs: Iterable[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Endpoints of every cable between each named group pair."""
-    links = []
-    for src_group, dest_group in pairs:
-        for link in topology.group_links(src_group, dest_group):
-            links.append((link.src_router, link.dst_router))
-    return links
+    return family
 
 
 def _paper_mixed() -> DegradedDragonflyLowering:
@@ -361,91 +341,80 @@ def _paper_mixed() -> DegradedDragonflyLowering:
     return DegradedDragonflyLowering(topology, faults)
 
 
-def degraded_table_configurations() -> List[DegradedCrossCheckConfiguration]:
-    """Fault scenarios certified by ``python -m repro.check tables``."""
+def _nonmax_partial() -> DegradedDragonflyLowering:
+    topology = Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=5))
+    link = topology.group_links(0, 1)[0]
+    faults = FaultSet.of(links=[(link.src_router, link.dst_router)])
+    return DegradedDragonflyLowering(topology, faults)
+
+
+def degraded_table_configurations() -> List[CheckConfiguration]:
+    """Fault scenarios certified by ``python -m repro.check tables``.
+
+    A degraded lowering has no executor (its tables *are* the routing),
+    so the tables pass certifies these without an executor certificate.
+    """
     return [
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded/MIN+detours@figure7-3vc",
             description=(
                 "paper-72 dragonfly minus one global cable, one local "
                 "cable and one router; minimal tables with detours"
             ),
-            build=_paper_mixed,
+            family=_paper_mixed,
         ),
     ]
 
 
-def degraded_crosscheck_configurations() -> List[
-    DegradedCrossCheckConfiguration
-]:
-    """Enumerable degraded configurations for the symbolic-vs-concrete
-    harness of the ``faults`` pass."""
-
-    def paper_severed() -> DegradedDragonflyLowering:
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        faults = FaultSet.of(links=_severed_pair_links(topology, [(0, 1)]))
-        return DegradedDragonflyLowering(topology, faults)
-
-    def tiny_severed() -> DegradedDragonflyLowering:
-        topology = Dragonfly(DragonflyParams(p=1, a=2, h=1))
-        faults = FaultSet.of(links=_severed_pair_links(topology, [(0, 1)]))
-        return DegradedDragonflyLowering(topology, faults)
-
-    def nonmax_partial() -> DegradedDragonflyLowering:
-        topology = Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=5))
-        link = topology.group_links(0, 1)[0]
-        faults = FaultSet.of(links=[(link.src_router, link.dst_router)])
-        return DegradedDragonflyLowering(topology, faults)
-
-    def vc_reuse_ring() -> DegradedDragonflyLowering:
-        # Three detour-rerouted pairs in a ring with distinct mid groups
-        # at every junction ((2,3) pushes the 1->2 detour off mid 3,
-        # (0,4) pushes the 2->0 detour off mid 4), so the concrete
-        # table-CDG cycle actually closes when the detour's final stage
-        # reuses the injection VC.
-        topology = Dragonfly(DragonflyParams.paper_example_72())
-        faults = FaultSet.of(links=_severed_pair_links(
-            topology, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4)]
-        ))
-        return DegradedDragonflyLowering(
-            topology, faults, assignment=vcs.DETOUR_VC_REUSE
-        )
-
+def degraded_crosscheck_configurations() -> List[CheckConfiguration]:
+    """Enumerable fault scenarios the ``faults`` pass certifies both
+    symbolically (the grammar composed for exactly the fault classes
+    the fault set exhibits) and concretely (the table-level CDG of the
+    detour-recompiled tables), demanding the verdicts agree."""
+    paper72 = DragonflyParams.paper_example_72()
     return [
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded/severed-pair@figure7-3vc",
             description="paper-72 minus every cable between groups 0 and 1",
-            build=paper_severed,
+            family=_severed(paper72, [(0, 1)]),
         ),
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded/mixed@figure7-3vc",
             description=(
                 "paper-72 minus one global cable, one local cable and "
                 "one router (all three fault classes at once)"
             ),
-            build=_paper_mixed,
+            family=_paper_mixed,
         ),
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded-tiny/severed-pair@figure7-3vc",
             description="smallest dragonfly minus its only 0<->1 cable",
-            build=tiny_severed,
+            family=_severed(DragonflyParams(p=1, a=2, h=1), [(0, 1)]),
         ),
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded-nonmax72/one-of-two@figure7-3vc",
             description=(
                 "non-maximal 72-router dragonfly minus one of the two "
                 "cables between groups 0 and 1 (pair survives, no detour)"
             ),
-            build=nonmax_partial,
+            family=_nonmax_partial,
         ),
-        DegradedCrossCheckConfiguration(
+        CheckConfiguration(
             name="dragonfly-degraded/detour-vc-reuse (negative control)",
             description=(
                 "paper-72 with a detour ring (severed pairs 0-1, 1-2, "
                 "2-0, 2-3, 0-4) under the VC-reuse assignment; both "
                 "verifiers must refute it"
             ),
-            build=vc_reuse_ring,
+            # Three detour-rerouted pairs in a ring with distinct mid
+            # groups at every junction ((2,3) pushes the 1->2 detour off
+            # mid 3, (0,4) pushes the 2->0 detour off mid 4), so the
+            # concrete table-CDG cycle closes when the detour's final
+            # stage reuses the injection VC.
+            family=_severed(
+                paper72, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4)],
+                vcs.DETOUR_VC_REUSE,
+            ),
             expect_deadlock_free=False,
         ),
     ]

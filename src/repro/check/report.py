@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
+
+#: How one pass words its verdicts: the (code, message) of an unexpected
+#: cycle, of a negative control's expected counterexample and of a
+#: negative control certified clean.  The two cycle messages are
+#: prefixes the counterexample text is appended to.
+Wording = Tuple[Tuple[str, str], Tuple[str, str], Tuple[str, str]]
 
 
 class Severity(enum.IntEnum):
@@ -98,6 +104,30 @@ def _severity_counts(findings: List[Finding]) -> str:
         f"{count} {severity.label()}{'s' if count != 1 else ''}"
         for severity, count in sorted(counts.items(), reverse=True)
     )
+
+
+def verdict(
+    subject: str,
+    expected: bool,
+    certified: bool,
+    counterexample: Optional[str],
+    wording: Wording,
+) -> List[Finding]:
+    """The findings of one certificate, by the rule every pass shares.
+
+    ``expected`` says whether ``subject`` is documented as deadlock-free
+    and ``certified`` whether it was proved so.  A clean certificate
+    that was expected gives nothing; a negative control that is refuted,
+    as documented, gives its counterexample as INFO evidence; a control
+    certified clean has rotted and an unexpected cycle is a deadlock,
+    both errors.
+    """
+    cyclic, evidence, (rotted_code, rotted) = wording
+    if certified:
+        return [] if expected else [Finding(rotted_code, Severity.ERROR, subject, rotted)]
+    code, prefix = cyclic if expected else evidence
+    severity = Severity.ERROR if expected else Severity.INFO
+    return [Finding(code, severity, subject, prefix + (counterexample or ""))]
 
 
 def combined_exit_code(reports: List[CheckReport]) -> int:

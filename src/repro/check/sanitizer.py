@@ -298,9 +298,8 @@ def structural_findings(sim: "Simulator") -> List[Finding]:
     """Counter-range and active-set checks (SAN001, SAN004) only.
 
     These hold between any two statements of the hot path that keep
-    their structures in lockstep, so they are safe to assert mid-run;
-    :meth:`~repro.network.simulator.Simulator.check_invariants` uses
-    exactly this subset.
+    their structures in lockstep, so they are safe to check mid-run (the
+    test suite's invariant check raises on exactly this subset).
     """
     view = sim.state_view()
     return _range_findings(view) + _active_set_findings(view)

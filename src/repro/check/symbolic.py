@@ -43,7 +43,7 @@ concrete enumerator on every registered (finite) configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, TypedDict
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, TypedDict, Union
 
 from ..routing.grammar import ChannelClass, PathGrammar
 from .cdg import Certification, find_counterexample
@@ -54,7 +54,7 @@ from .registry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from ..routing.tables import DegradedDragonflyLowering
+    from ..routing.tables import Lowering
     from .tables import TableCertification
 
 #: Where one class-level dependency comes from:
@@ -242,34 +242,48 @@ def certify_grammar(name: str, grammar: PathGrammar) -> SymbolicCertification:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CrossCheck:
-    """Symbolic and concrete verdicts for one registered configuration."""
+    """Symbolic and concrete verdicts for one configuration.
+
+    The concrete side is the route-CDG certificate of the executor
+    walks (``concrete=``) or, for a fault-degraded configuration, which
+    has no executor, the table certificate of its detour-recompiled
+    tables (``concrete-tables=``).  ``agrees`` asserts the soundness
+    direction symbolic-says-safe ⟹ concrete-finds-no-cycle *and* its
+    calibration converse: the two verdicts on deadlock match exactly.
+    A table certificate's non-cycle findings (reachability, round trip)
+    are reported separately.
+    """
 
     name: str
     symbolic: SymbolicCertification
-    concrete: Certification
+    concrete: Union[Certification, "TableCertification"]
 
     @property
     def agrees(self) -> bool:
-        return self.symbolic.ok == self.concrete.ok
+        return self.symbolic.ok == (self.concrete.cycle_description is None)
 
-    def summary(self) -> str:
-        verdict = "agree" if self.agrees else "DISAGREE"
+    def verdicts(self, separator: str) -> str:
+        """Both verdicts, e.g. ``symbolic=free concrete=free``."""
+        label = "concrete" if isinstance(self.concrete, Certification) else "concrete-tables"
         return (
-            f"{self.name}: symbolic="
-            f"{'free' if self.symbolic.ok else 'cyclic'} concrete="
-            f"{'free' if self.concrete.ok else 'cyclic'} -> {verdict}"
+            f"symbolic={'free' if self.symbolic.ok else 'cyclic'}{separator}"
+            f"{label}={'free' if self.concrete.cycle_description is None else 'cyclic'}"
         )
 
+    def summary(self) -> str:
+        return f"{self.name}: {self.verdicts(' ')} -> {'agree' if self.agrees else 'DISAGREE'}"
 
-def cross_check(configuration: CheckConfiguration) -> CrossCheck:
-    """Certify one configuration's grammar and compare it with the
-    configuration's (memoised) concrete certificate."""
-    symbolic = certify_grammar(
-        configuration.name, configuration.lowering.grammar()
-    )
-    return CrossCheck(
-        configuration.name, symbolic, configuration.certification
-    )
+
+def cross_check(
+    name: str,
+    lowering: "Lowering",
+    concrete: Union[Certification, "TableCertification"],
+) -> CrossCheck:
+    """Certify ``lowering``'s grammar and pair it with ``concrete``: the
+    memoised route-CDG :attr:`~CheckConfiguration.certification` of a
+    registry configuration, or the table certificate of a degraded
+    one."""
+    return CrossCheck(name, certify_grammar(name, lowering.grammar()), concrete)
 
 
 def soundness_harness(
@@ -286,7 +300,9 @@ def soundness_harness(
     """
     if configurations is None:
         configurations = [*default_configurations(), broken_configuration()]
-    return [cross_check(configuration) for configuration in configurations]
+    return [
+        cross_check(c.name, c.lowering, c.certification) for c in configurations
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -310,54 +326,3 @@ def vc_budget_violations(grammar: PathGrammar) -> List[str]:
                 f"assignment provisions only VCs 0..{grammar.num_vcs - 1}"
             )
     return violations
-
-
-@dataclass(frozen=True)
-class DegradedCrossCheck:
-    """Symbolic and concrete verdicts for one degraded configuration.
-
-    The concrete side is the table-level CDG verifier on the
-    detour-recompiled tables; ``agrees`` asserts the soundness direction
-    symbolic-says-safe ⟹ concrete-finds-no-cycle *and* its calibration
-    converse, i.e. the two verdicts on deadlock match exactly.  The
-    concrete certification may carry non-cycle findings (reachability,
-    round-trip) that are reported separately; only cyclicity is the
-    soundness question.
-    """
-
-    name: str
-    symbolic: SymbolicCertification
-    concrete: "TableCertification"
-
-    @property
-    def agrees(self) -> bool:
-        return self.symbolic.ok == (not self.concrete.cyclic)
-
-    def summary(self) -> str:
-        verdict = "agree" if self.agrees else "DISAGREE"
-        return (
-            f"{self.name}: symbolic="
-            f"{'free' if self.symbolic.ok else 'cyclic'} concrete-tables="
-            f"{'cyclic' if self.concrete.cyclic else 'free'} -> {verdict}"
-        )
-
-
-def degraded_cross_check(
-    name: str, lowering: "DegradedDragonflyLowering"
-) -> DegradedCrossCheck:
-    """Certify one degraded configuration both ways.
-
-    Symbolically: compose the fault-parametric grammar for exactly the
-    fault classes the lowering's concrete fault set exhibits, and
-    certify the class-level graph.  Concretely: recompile the detour
-    tables and run the full table-level CDG verifier
-    (:func:`repro.check.tables.certify_tables`).  The enumerable
-    configurations checked this way anchor the family-level certificate
-    the same way PR 5's :func:`soundness_harness` anchors the healthy
-    one.
-    """
-    from .tables import certify_tables
-
-    symbolic = certify_grammar(name, lowering.grammar())
-    concrete = certify_tables(name, lowering)
-    return DegradedCrossCheck(name, symbolic, concrete)

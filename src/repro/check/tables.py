@@ -60,7 +60,7 @@ from ..routing.tables import (
     TableWalker,
 )
 from .cdg import CdgNode, Certification, certify, describe_cycle
-from .report import Finding, Severity
+from .report import CheckReport, Finding, Severity, Wording, verdict
 
 #: Cap on per-category example findings; the rest is summarised so a
 #: systematically broken table set cannot flood the report.
@@ -70,6 +70,15 @@ MAX_EXAMPLES = 5
 #: round-trip check (structural equality already implies identical
 #: lookups; the re-walk is an end-to-end spot check of the decoder).
 ROUNDTRIP_WALKS = 50
+
+#: The table pass's verdicts (see :func:`repro.check.report.verdict`).
+TABLES_VERDICT: Wording = (
+    ("TBL001", "table-level channel-dependency graph is CYCLIC; "
+               "counterexample deadlock cycle:\n"),
+    ("TBL006", "expected table-level counterexample found:\n"),
+    ("TBL007", "tables documented as deadlocking were certified acyclic; "
+               "negative control has rotted"),
+)
 
 
 @dataclass
@@ -83,16 +92,17 @@ class TableCertification:
     num_pairs: int = 0
     #: The compiled tables (None when compilation itself failed).
     tables: Optional[ForwardingTables] = None
-    #: Rendering of the table-CDG counterexample, when one exists.
+    #: Rendering of the table-CDG counterexample, when one exists; the
+    #: pass reports it by :data:`TABLES_VERDICT` (``TBL001``).
     cycle_description: Optional[str] = None
 
     @property
-    def ok(self) -> bool:
-        return not self.findings
+    def cyclic(self) -> bool:
+        return self.cycle_description is not None
 
     @property
-    def cyclic(self) -> bool:
-        return any(f.code == "TBL001" for f in self.findings)
+    def ok(self) -> bool:
+        return not self.findings and not self.cyclic
 
     def summary(self) -> str:
         verdict = "certified" if self.ok else "REFUTED"
@@ -289,11 +299,6 @@ def certify_tables(
         result.cycle_description = annotate_cycle(
             lowering, tables, certification.cycle
         )
-        add(
-            "TBL001",
-            "table-level channel-dependency graph is CYCLIC; "
-            "counterexample deadlock cycle:\n" + result.cycle_description,
-        )
 
     exported = tables.to_json_dict()
     restored = ForwardingTables.from_json_dict(json.loads(json.dumps(exported)))
@@ -330,52 +335,39 @@ def export_filename(name: str) -> str:
 def run_tables_pass(
     demo_broken: bool = False,
     export_dir: Optional[str] = None,
-) -> "CheckReport":
+) -> CheckReport:
     """Certify every registry configuration's compiled tables.
 
-    Mirrors the cdg pass's negative-control idiom: configurations
-    documented as deadlocking must be *refuted* by the table CDG (their
-    counterexample is reported as INFO evidence); one that certifies
-    clean has rotted and fails the gate.  With ``export_dir`` set, every
-    compiled table set is exported to its versioned JSON file.
+    A configuration documented as deadlock-free reports every finding
+    of its tables; a negative control must be *refuted* by the table
+    CDG, and only the verdict is reported.  With ``export_dir`` set,
+    every compiled table set is exported to its versioned JSON file.
     """
     from .registry import (
+        CheckConfiguration,
         all_configurations,
         broken_configuration,
         degraded_table_configurations,
     )
-    from .report import CheckReport
 
     report = CheckReport(pass_name="tables")
     configurations = list(all_configurations())
     if demo_broken:
         configurations.append(broken_configuration())
-    jobs: List[Tuple[str, Lowering, bool, Optional[Certification]]] = [
-        (c.name, c.lowering, c.expect_deadlock_free, c.certification)
-        for c in configurations
+    jobs: List[Tuple[CheckConfiguration, Optional[Certification]]] = [
+        (c, c.certification) for c in configurations
     ]
-    for degraded in degraded_table_configurations():
-        jobs.append((degraded.name, degraded.build(), True, None))
-
-    for name, lowering, expect_clean, executor in jobs:
-        result = certify_tables(name, lowering, executor)
+    jobs += [(c, None) for c in degraded_table_configurations()]
+    for configuration, executor in jobs:
+        name = configuration.name
+        result = certify_tables(name, configuration.lowering, executor)
         report.note(result.summary())
-        if expect_clean:
+        if configuration.expect_deadlock_free:
             report.extend(result.findings)
-        elif result.cyclic:
-            # The negative control was refuted, as documented: keep the
-            # counterexample as evidence, drop the expected findings.
-            report.add(
-                "TBL006", Severity.INFO, name,
-                "expected table-level counterexample found:\n"
-                + (result.cycle_description or ""),
-            )
-        else:
-            report.add(
-                "TBL007", Severity.ERROR, name,
-                "tables documented as deadlocking were certified acyclic; "
-                "negative control has rotted",
-            )
+        report.extend(verdict(
+            name, configuration.expect_deadlock_free, not result.cyclic,
+            result.cycle_description, TABLES_VERDICT,
+        ))
         if export_dir is not None and result.tables is not None:
             directory = pathlib.Path(export_dir)
             directory.mkdir(parents=True, exist_ok=True)

@@ -109,16 +109,6 @@ class DragonflyParams:
         """The Figure 5 example: ``p = h = 2, a = 4`` giving ``N = 72``."""
         return cls(p=2, a=4, h=2)
 
-    @classmethod
-    def smallest_balanced_for(cls, num_terminals: int) -> "DragonflyParams":
-        """Smallest balanced dragonfly with at least ``num_terminals``."""
-        if num_terminals < 1:
-            raise TopologyError("num_terminals must be >= 1")
-        h = 1
-        while DragonflyParams.balanced(h).num_terminals < num_terminals:
-            h += 1
-        return cls.balanced(h)
-
     # ------------------------------------------------------------------
     # Derived quantities (Section 3.1)
     # ------------------------------------------------------------------
@@ -159,23 +149,6 @@ class DragonflyParams:
     @property
     def terminals_per_group(self) -> int:
         return self.a * self.p
-
-    @property
-    def global_channels_per_group(self) -> int:
-        """Group-level global connectivity ``a h``."""
-        return self.a * self.h
-
-    @property
-    def num_global_channels(self) -> int:
-        """Count of bidirectional global channels in the whole system."""
-        if self.g == 1:
-            return 0
-        return self.g * self.a * self.h // 2
-
-    @property
-    def num_local_channels(self) -> int:
-        """Count of bidirectional local channels (fully-connected groups)."""
-        return self.g * (self.a * (self.a - 1) // 2)
 
     @property
     def is_balanced(self) -> bool:

@@ -93,10 +93,6 @@ class CostBreakdown:
     total_cable_length_m: float = 0.0
 
     @property
-    def num_inter_cabinet_cables(self) -> int:
-        return self.num_electrical_cables + self.num_optical_cables
-
-    @property
     def cable_dollars(self) -> float:
         return (
             self.backplane_dollars
@@ -247,11 +243,6 @@ class DragonflyCost(TopologyCost):
     def num_routers(self) -> int:
         return self.a * self.g
 
-    def used_radix(self) -> int:
-        local = self.a - 1
-        used_global = self._used_global_ports_per_group() / self.a if self.g > 1 else 0
-        return math.ceil(self.p + local + used_global)
-
     def _channels_per_pair(self) -> int:
         """Global channels between each group pair.
 
@@ -372,9 +363,6 @@ class FlattenedButterflyCost(TopologyCost):
         for m in self.dims:
             per_router += (m - 1) * self._dim_gbps(m)
         return self.routers * per_router
-
-    def _cabinet_of(self, router: int) -> int:
-        return router // self.routers_per_cabinet
 
     def cable_runs(self) -> Iterator[CableRun]:
         packaging = self.config.packaging

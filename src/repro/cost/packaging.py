@@ -79,10 +79,6 @@ class FloorPlan:
         manhattan = abs(row_a - row_b) + abs(col_a - col_b)
         return manhattan * self.config.cabinet_pitch_m + self.config.cable_overhead_m
 
-    def extent_m(self) -> float:
-        """Length of the longer floor dimension (Table 2's ``E``)."""
-        return max(self.rows, self.columns) * self.config.cabinet_pitch_m
-
     def max_cable_length(self) -> float:
         """Corner-to-corner cable run."""
         if self.num_cabinets == 1:

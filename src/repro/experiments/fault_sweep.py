@@ -93,7 +93,7 @@ class FaultSweepSaturation(Experiment):
             )
         result.notes.append(
             "each severed pair reroutes its traffic through a third group "
-            "(two global hops instead of one); repro.check --faults proves "
+            "(two global hops instead of one); repro.check faults proves "
             "the detour route classes deadlock-free"
         )
         return result

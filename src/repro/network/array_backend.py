@@ -839,7 +839,7 @@ class ArraySimulator(Simulator):
         valid = upc >= 0
         upc = upc[valid]
         offsets = offsets[valid]
-        for offset in np.unique(offsets).tolist():
+        for offset in sorted(set(offsets.tolist())):
             credits = upc[offsets == offset]
             if offset <= size:
                 ring[(now + offset) % size].append(credits)

@@ -93,5 +93,3 @@ class SimulationConfig:
     def with_load(self, load: float) -> "SimulationConfig":
         return replace(self, load=load)
 
-    def with_buffers(self, depth: int) -> "SimulationConfig":
-        return replace(self, vc_buffer_depth=depth)

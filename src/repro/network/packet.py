@@ -25,10 +25,6 @@ class RoutePlan:
     gc1: Optional[GlobalLink] = None
     gc2: Optional[GlobalLink] = None
 
-    @property
-    def num_global_hops(self) -> int:
-        return (self.gc1 is not None) + (self.gc2 is not None)
-
 
 @dataclass(slots=True)
 class Packet:
@@ -73,12 +69,6 @@ class Packet:
         if self.eject_time is None:
             raise ValueError(f"packet {self.index} has not been ejected")
         return self.eject_time - self.creation_time
-
-    @property
-    def is_minimal(self) -> bool:
-        if self.plan is None:
-            raise ValueError(f"packet {self.index} has no route plan")
-        return self.plan.minimal
 
 
 class RecordLayout:

@@ -72,8 +72,8 @@ class SimulatorStateError(RuntimeError):
     """Internal engine state violated a flow-control invariant.
 
     Raised (never asserted -- library code must fail under ``python -O``
-    too) by :meth:`Simulator.check_invariants` and by consistency checks
-    on the hot path."""
+    too) by consistency checks on the hot path, and by the test suite's
+    invariant check over :func:`repro.check.sanitizer.structural_findings`."""
 
 
 class SimulatorStateView:
@@ -203,10 +203,6 @@ class SimulatorStateView:
     @property
     def flits_delivered(self) -> int:
         return self._sim._flits_delivered
-
-    @property
-    def outstanding_tagged(self) -> int:
-        return self._sim._outstanding_tagged
 
     @property
     def samples(self):
@@ -531,27 +527,6 @@ class Simulator:
         subclass answering the same questions.
         """
         return SimulatorStateView(self)
-
-    def check_invariants(self) -> None:
-        """Flow-control invariants; raises SimulatorStateError on violation.
-
-        Used by the test suite (and callable at any cycle, including
-        mid-run): buffer occupancies stay within the configured depth,
-        credit counters stay in range, per-output pending counters match
-        the queues, and the active set mirrors the pending counters (a
-        port's bit is set iff its pending counter is > 0, a router is in
-        the active set iff its mask is non-zero).  The checks are the
-        structural subset (SAN001/SAN004) of the conservation sanitizer
-        (:mod:`repro.check.sanitizer`); the full cross-structure laws
-        run under ``REPRO_SANITIZE=1``.
-        """
-        from ..check.sanitizer import structural_findings
-
-        findings = structural_findings(self)
-        if findings:
-            raise SimulatorStateError(
-                "\n".join(finding.format() for finding in findings)
-            )
 
     # ------------------------------------------------------------------
     # Run loop

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Any, Callable, Dict, Protocol, Tuple
+from typing import Any, Dict, Protocol, Tuple
 
 from ..network.packet import RoutePlan
 from ..topology.dragonfly import Dragonfly
-from .paths import DragonflyHops
+from .paths import DragonflyHops, topology_memo
 
 
 class CongestionView(Protocol):
@@ -69,29 +69,6 @@ class ZeroCongestion:
 
     def output_vc_occupancy(self, router: int, out_port: int, vc: int) -> int:
         return 0
-
-
-class _Memos(dict):
-    """Routing memos on a topology, pickled empty: no tables, hops or
-    lambda keys ride to sweep workers."""
-
-    __slots__ = ()
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (_Memos, ())
-
-
-def topology_memo(topology: Any, key: Any, build: Callable[[Any], Any]) -> Any:
-    """The routing memo ``key`` on ``topology`` (a hop memo, compiled
-    tables), ``build(topology)`` on first use."""
-    try:
-        memos = topology._routing_memos
-    except AttributeError:
-        memos = topology._routing_memos = _Memos()
-    memo = memos.get(key)
-    if memo is None:
-        memo = memos[key] = build(topology)
-    return memo
 
 
 class RoutingAlgorithm(abc.ABC):

@@ -38,10 +38,6 @@ class ClosRoutePlan:
     #: Up port choice (0..d-1) for each level below ``ancestor_level``.
     up_ports: Tuple[int, ...]
 
-    @property
-    def num_global_hops(self) -> int:
-        return 0  # interface parity with the dragonfly plan
-
 
 def clos_plan(
     topology: FoldedClos,

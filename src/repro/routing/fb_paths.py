@@ -32,11 +32,6 @@ class RouterPlan:
     minimal: bool
     intermediate_router: Optional[int] = None
 
-    @property
-    def num_global_hops(self) -> int:
-        # Reported for interface parity with the dragonfly plan.
-        return 0
-
 
 def router_valiant_plan(
     topology,

@@ -61,8 +61,9 @@ from ..topology.group_variants import FlattenedButterflyGroupDragonfly
 from ..topology.torus import Torus
 from . import clos_routing, fb_paths, paths, torus_routing, variant_paths
 from . import vc_assignment as vcs
-from .base import CongestionView, RoutingAlgorithm, topology_memo
+from .base import CongestionView, RoutingAlgorithm
 from .grammar import PathGrammar
+from .paths import topology_memo
 
 #: Version of the JSON table format; bumped on incompatible change.
 SCHEMA_VERSION = 1

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.params import DragonflyParams, TopologyError
-from .base import ChannelKind, Fabric, PortRef
+from .base import ChannelKind, Fabric, PortRef, state_without_memos
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class Dragonfly:
     local_latency, global_latency, terminal_latency:
         Channel latencies in cycles used by the simulator.
     """
+
+    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -115,15 +117,9 @@ class Dragonfly:
     def terminal_port(self, terminal: int) -> int:
         return self.fabric.terminals[terminal].port
 
-    def terminal_group(self, terminal: int) -> int:
-        return self.group_of(self.terminal_router(terminal))
-
     # Port-class helpers -------------------------------------------------
     def is_terminal_port(self, port: int) -> bool:
         return port < self.p
-
-    def is_local_port(self, port: int) -> bool:
-        return self.p <= port < self.p + self.a - 1
 
     def is_global_port(self, port: int) -> bool:
         return self.p + self.a - 1 <= port < self.params.radix
@@ -151,9 +147,6 @@ class Dragonfly:
         if src_group == dst_group:
             raise TopologyError("no global links within a group")
         return self._group_links.get((src_group, dst_group), [])
-
-    def groups_reached_by(self, router: int) -> List[int]:
-        return [link.dst_group for link in self._router_global_links[router]]
 
     # ------------------------------------------------------------------
     # Construction
@@ -290,29 +283,6 @@ class Dragonfly:
     # ------------------------------------------------------------------
     # Path helpers (used by the routing algorithms and analytics)
     # ------------------------------------------------------------------
-    def minimal_hop_count(self, src_terminal: int, dst_terminal: int) -> int:
-        """Router-to-router channel traversals of the minimal route."""
-        src_router = self.terminal_router(src_terminal)
-        dst_router = self.terminal_router(dst_terminal)
-        if src_router == dst_router:
-            return 0
-        src_group = self.group_of(src_router)
-        dst_group = self.group_of(dst_router)
-        if src_group == dst_group:
-            return 1
-        best = None
-        for link in self.group_links(src_group, dst_group):
-            hops = 1  # the global channel
-            if link.src_router != src_router:
-                hops += 1
-            if link.dst_router != dst_router:
-                hops += 1
-            best = hops if best is None else min(best, hops)
-        if best is None:
-            raise TopologyError(
-                f"groups {src_group} and {dst_group} are not connected"
-            )
-        return best
 
     def describe(self) -> str:
         return (

@@ -135,13 +135,6 @@ class FaultSet:
             return True
         return LinkFault(router_a, router_b).normalized() in self.links
 
-    def dead_terminals(self, topology) -> List[int]:
-        """Terminals attached to dead routers (unreachable by any table)."""
-        return [
-            t for t in range(topology.num_terminals)
-            if self.router_dead(topology.terminal_router(t))
-        ]
-
     def describe(self) -> str:
         parts = [
             f"link {fault.router_a}<->{fault.router_b}"

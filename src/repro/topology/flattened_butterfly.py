@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .base import ChannelKind, Fabric, PortRef
+from .base import ChannelKind, Fabric, PortRef, state_without_memos
 
 
 class FlattenedButterfly:
     """Concrete flattened butterfly fabric with coordinate helpers."""
+
+    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -144,12 +146,6 @@ class FlattenedButterfly:
                         latency=latency,
                     )
         self.fabric.validate()
-
-    def minimal_hop_count(self, src_terminal: int, dst_terminal: int) -> int:
-        """Hops of dimension-order minimal routing (Hamming distance)."""
-        src = self.coords_of(self.terminal_router(src_terminal))
-        dst = self.coords_of(self.terminal_router(dst_terminal))
-        return sum(1 for s, d in zip(src, dst) if s != d)
 
     def describe(self) -> str:
         dims = "x".join(str(m) for m in self.dims)

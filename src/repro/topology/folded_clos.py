@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import ChannelKind, Fabric, PortRef
+from .base import ChannelKind, Fabric, PortRef, state_without_memos
 
 
 def levels_required(num_terminals: int, radix: int) -> int:
@@ -50,6 +50,8 @@ class FoldedClos:
     Port layout of every switch: down ports ``[0, d)`` (terminals at the
     leaves), up ports ``[d, 2d)`` (unused at the top level).
     """
+
+    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -128,9 +130,6 @@ class FoldedClos:
                     )
         self.fabric.validate()
 
-    def terminal_leaf(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].router
-
     def terminal_router(self, terminal: int) -> int:
         return self.fabric.terminals[terminal].router
 
@@ -159,21 +158,6 @@ class FoldedClos:
             if src_digits[i] != dst_digits[i]:
                 highest = i + 1
         return highest
-
-    def minimal_hop_count(self, src_terminal: int, dst_terminal: int) -> int:
-        """Hops of the minimal (nearest-common-ancestor) route."""
-        src = self.fabric.terminals[src_terminal]
-        dst = self.fabric.terminals[dst_terminal]
-        if src.router == dst.router:
-            return 0
-        src_digits = self._digits(src.router)
-        dst_digits = self._digits(dst.router - 0)  # leaves are level 0
-        # Nearest common ancestor level: the highest differing digit + 1.
-        highest = 0
-        for i in range(self.levels - 1):
-            if src_digits[i] != dst_digits[i]:
-                highest = i + 1
-        return 2 * highest
 
     def describe(self) -> str:
         return (

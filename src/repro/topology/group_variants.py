@@ -23,7 +23,7 @@ import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.params import TopologyError
-from .base import ChannelKind, Fabric, PortRef
+from .base import ChannelKind, Fabric, PortRef, state_without_memos
 from .dragonfly import GlobalLink
 
 
@@ -42,6 +42,8 @@ class FlattenedButterflyGroupDragonfly:
     num_groups:
         Group count; defaults to the maximum ``a*h + 1``.
     """
+
+    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -151,9 +153,6 @@ class FlattenedButterflyGroupDragonfly:
 
     def terminal_port(self, terminal: int) -> int:
         return self.fabric.terminals[terminal].port
-
-    def terminal_group(self, terminal: int) -> int:
-        return self.group_of(self.terminal_router(terminal))
 
     # ------------------------------------------------------------------
     def _build(self) -> None:

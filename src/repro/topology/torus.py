@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .base import ChannelKind, Fabric, PortRef
+from .base import ChannelKind, Fabric, PortRef, state_without_memos
 
 
 class Torus:
@@ -26,6 +26,8 @@ class Torus:
         c + 2*d                     "plus" neighbour in dimension d
         c + 2*d + 1                 "minus" neighbour in dimension d
     """
+
+    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -104,16 +106,6 @@ class Torus:
 
     def terminal_port(self, terminal: int) -> int:
         return self.fabric.terminals[terminal].port
-
-    def minimal_hop_count(self, src_terminal: int, dst_terminal: int) -> int:
-        """Hops of dimension-order minimal routing (ring distances)."""
-        src = self.coords_of(self.fabric.terminals[src_terminal].router)
-        dst = self.coords_of(self.fabric.terminals[dst_terminal].router)
-        hops = 0
-        for s, d, m in zip(src, dst, self.dims):
-            delta = abs(s - d)
-            hops += min(delta, m - delta)
-        return hops
 
     def describe(self) -> str:
         dims = "x".join(str(m) for m in self.dims)

@@ -48,8 +48,8 @@ class TestTable2Rows:
 
     def test_cable_lengths_scale_with_extent(self):
         row = dragonfly_row()
-        assert row.avg_cable_m(30.0) == pytest.approx(20.0)
-        assert row.max_cable_m(30.0) == pytest.approx(60.0)
+        assert row.avg_cable_fraction * 30.0 == pytest.approx(20.0)
+        assert row.max_cable_fraction * 30.0 == pytest.approx(60.0)
 
     def test_table_order(self):
         rows = table2()

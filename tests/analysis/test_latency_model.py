@@ -5,6 +5,7 @@ import functools
 
 import pytest
 
+from oracles import minimal_hop_count
 from repro.analysis.latency_model import LatencyModel
 from repro.core.params import DragonflyParams
 from repro.network.config import SimulationConfig
@@ -126,8 +127,11 @@ def enumerate_minimal_routes(p, a, h):
         for dst in range(n):
             if src == dst:
                 continue
-            hops = topology.minimal_hop_count(src, dst)
-            crosses = topology.terminal_group(src) != topology.terminal_group(dst)
+            hops = minimal_hop_count(topology, src, dst)
+            group_of = topology.group_of
+            crosses = group_of(topology.terminal_router(src)) != group_of(
+                topology.terminal_router(dst)
+            )
             same_router += hops == 0
             same_group += hops == 1 and not crosses
             global_hops += crosses

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import max_vc_used
 from repro.check import registry
 from repro.check.__main__ import main, run_cdg_pass, run_passes
 from repro.check.cdg import (
@@ -20,7 +21,6 @@ from repro.check.cdg import (
     describe_cycle,
     find_counterexample,
     first_cycle,
-    max_vc_used,
 )
 from repro.check.registry import (
     all_configurations,

@@ -77,8 +77,8 @@ class TestExitCodes:
             main(["--list"])
         assert "'bad/entry'" in capsys.readouterr().err
 
-    def test_symbolic_flag_runs_only_the_symbolic_pass(self, capsys):
-        assert main(["--symbolic"]) == 0
+    def test_symbolic_pass_runs_alone_by_name(self, capsys):
+        assert main(["symbolic"]) == 0
         out = capsys.readouterr().out
         assert "[symbolic] ok" in out
         assert "[cdg]" not in out
@@ -96,18 +96,14 @@ class TestExitCodes:
         monkeypatch.setattr(
             "repro.check.__main__.run_tables_pass", must_not_run
         )
-        for argv in (
-            ["tables", "--export-tables", str(target)],
-            ["--tables", "--export-tables", str(target)],
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                main(argv)
-            assert excinfo.value.code == 2
-            err = capsys.readouterr().err
-            error_lines = [line for line in err.splitlines() if "error:" in line]
-            assert len(error_lines) == 1, err
-            assert str(target) in error_lines[0]
-            assert "Traceback" not in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tables", "--export-tables", str(target)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1, err
+        assert str(target) in error_lines[0]
+        assert "Traceback" not in err
         assert target.read_text() == "{}"
 
     def test_export_tables_without_the_tables_pass_is_a_usage_error(
@@ -118,12 +114,6 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "--export-tables" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_symbolic_flag_rejects_positional_passes(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--symbolic", "lint"])
-        assert excinfo.value.code == 2
-        assert "--symbolic" in capsys.readouterr().err
 
 
 class TestExitCodeAudit:

@@ -14,9 +14,10 @@ from repro.check.registry import (
 )
 from repro.check.symbolic import (
     certify_grammar,
-    degraded_cross_check,
+    cross_check,
     vc_budget_violations,
 )
+from repro.check.tables import certify_tables
 from repro.core.params import TopologyError
 from repro.routing import vc_assignment as vcs
 from repro.routing.grammar import (
@@ -187,20 +188,23 @@ class TestFamilyCertification:
         }
         for family in scale:
             start = time.perf_counter()
-            certification = certify_grammar(
-                family.name, family.degraded().compose()
-            )
+            certification = certify_grammar(family.name, family.grammar())
             elapsed = time.perf_counter() - start
             assert certification.ok
             assert elapsed < 1.0
 
 
+def table_cross_check(configuration):
+    lowering = configuration.family()
+    return cross_check(
+        configuration.name, lowering, certify_tables(configuration.name, lowering)
+    )
+
+
 class TestDegradedCrossCheck:
     def test_every_enumerable_configuration_agrees(self):
         for configuration in degraded_crosscheck_configurations():
-            check = degraded_cross_check(
-                configuration.name, configuration.build()
-            )
+            check = table_cross_check(configuration)
             assert check.agrees, check.summary()
             assert check.symbolic.ok == configuration.expect_deadlock_free
 
@@ -210,7 +214,7 @@ class TestDegradedCrossCheck:
             for configuration in degraded_crosscheck_configurations()
             if not configuration.expect_deadlock_free
         )
-        check = degraded_cross_check(negative.name, negative.build())
+        check = table_cross_check(negative)
         assert not check.symbolic.ok
         assert check.concrete.cyclic
         assert "waits for" in check.symbolic.cycle_description
@@ -279,7 +283,7 @@ class TestFaultsPass:
         )
         family = dataclasses.replace(
             degraded_family_configurations()[0],
-            degraded=lambda: DegradedPathGrammar(greedy, ()),
+            grammar=lambda: DegradedPathGrammar(greedy, ()).compose(),
         )
         monkeypatch.setattr(
             "repro.check.__main__.degraded_family_configurations",
@@ -308,10 +312,8 @@ class TestFaultsPass:
     def test_verifier_disagreement_is_flt006(self, monkeypatch):
         """A degraded grammar that no longer matches the recompiled
         tables must trip the cross-check, exactly like SYM005."""
-        real = degraded_cross_check
-
-        def drifted(name, lowering):
-            check = real(name, lowering)
+        def drifted(name, lowering, concrete):
+            check = cross_check(name, lowering, concrete)
             return dataclasses.replace(
                 check,
                 symbolic=dataclasses.replace(
@@ -324,7 +326,7 @@ class TestFaultsPass:
             lambda: [],
         )
         monkeypatch.setattr(
-            "repro.check.__main__.degraded_cross_check", drifted
+            "repro.check.__main__.cross_check", drifted
         )
         report = run_faults_pass()
         errors = [f for f in report.errors if f.code == "FLT006"]
@@ -333,33 +335,20 @@ class TestFaultsPass:
 
 
 class TestFaultsCli:
-    def test_faults_flag_runs_only_the_faults_pass(self, capsys):
-        assert main(["--faults"]) == 0
+    def test_faults_pass_runs_alone_by_name(self, capsys):
+        assert main(["faults"]) == 0
         out = capsys.readouterr().out
         assert "[faults] ok" in out
         assert "[cdg]" not in out
         assert "[lint]" not in out
 
     def test_verbose_output_prints_both_counterexamples(self, capsys):
-        assert main(["--faults", "-v"]) == 0
+        assert main(["faults", "-v"]) == 0
         out = capsys.readouterr().out
         assert "FLT003" in out
         assert "symbolic counterexample:" in out
         assert "concrete table-level counterexample:" in out
         assert "deadlock-free for the whole family" in out
-
-    def test_faults_flag_rejects_positional_passes(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--faults", "lint"])
-        assert excinfo.value.code == 2
-        assert "--faults" in capsys.readouterr().err
-
-    def test_faults_flag_rejects_other_shorthands(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--faults", "--symbolic"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--symbolic and --faults" in err
 
     def test_list_shows_degraded_sections(self, capsys):
         assert main(["--list"]) == 0

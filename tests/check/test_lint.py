@@ -4,10 +4,13 @@ import textwrap
 
 from repro.check.lint import (
     default_lint_root,
-    iter_findings_by_rule,
     lint_sources,
     lint_tree,
 )
+
+
+def iter_findings_by_rule(findings, code):
+    return [finding for finding in findings if finding.code == code]
 
 
 def lint_snippet(tmp_path, source, name="module.py"):

@@ -16,6 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracles import check_invariants
 from repro.check.sanitizer import (
     SanitizerError,
     SimulatorSanitizer,
@@ -280,13 +281,13 @@ class TestAuditFindings:
     ):
         finished_scalar._active_mask[0] ^= 1
         with pytest.raises(SimulatorStateError) as excinfo:
-            finished_scalar.check_invariants()
+            check_invariants(finished_scalar)
         assert "SAN004" in str(excinfo.value)
 
     def test_check_invariants_raises_on_the_array_layout(self, finished_array):
         splice_phantom_flit(finished_array)
         with pytest.raises(SimulatorStateError) as excinfo:
-            finished_array.check_invariants()
+            check_invariants(finished_array)
         assert "SAN004" in str(excinfo.value)
 
     def test_sanitizer_error_carries_findings(self, finished):

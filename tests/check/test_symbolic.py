@@ -296,13 +296,15 @@ class TestSoundnessHarness:
             assert "agree" in check.summary()
 
     def test_negative_control_is_cyclic_both_ways(self):
-        check = cross_check(broken_configuration())
+        control = broken_configuration()
+        check = cross_check(control.name, control.lowering, control.certification)
         assert not check.symbolic.ok
         assert not check.concrete.ok
         assert check.agrees
 
     def test_disagreement_is_loud_in_the_summary(self):
-        check = cross_check(broken_configuration())
+        control = broken_configuration()
+        check = cross_check(control.name, control.lowering, control.certification)
         lying = dataclasses.replace(
             check,
             symbolic=dataclasses.replace(check.symbolic, ok=True),

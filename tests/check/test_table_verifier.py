@@ -14,7 +14,9 @@ import pytest
 from repro.check import registry
 from repro.check import tables as tables_module
 from repro.check.registry import degraded_table_configurations
+from repro.check.report import verdict
 from repro.check.tables import (
+    TABLES_VERDICT,
     certify_tables,
     export_filename,
     run_tables_pass,
@@ -66,7 +68,7 @@ class TestCertifyHealthy:
     def test_degraded_scenario_certifies(self):
         degraded = degraded_table_configurations()
         assert degraded, "expected at least one fault scenario"
-        cert = certify_tables(degraded[0].name, degraded[0].build())
+        cert = certify_tables(degraded[0].name, degraded[0].lowering)
         assert cert.ok, [f.format() for f in cert.findings]
         assert cert.tables is not None
         assert cert.tables.meta["detours"]
@@ -249,7 +251,12 @@ class TestSeededTableEditRefuted:
         assert "table provenance" in (cert.cycle_description or "")
         digest = hashlib.sha256(cert.cycle_description.encode()).hexdigest()
         assert digest == MERGED_CYCLE_SHA256
-        findings = "\n".join(f.code + f.message for f in cert.findings)
+        # The findings as the tables pass reports them: the table
+        # certificate's, then the verdict on its cycle (TBL001).
+        reported = cert.findings + verdict(
+            "sabotaged", True, not cert.cyclic, cert.cycle_description, TABLES_VERDICT
+        )
+        findings = "\n".join(f.code + f.message for f in reported)
         assert hashlib.sha256(findings.encode()).hexdigest() == MERGED_FINDINGS_SHA256
 
     def test_memoised_and_fresh_lowerings_refute_alike(self):
@@ -269,7 +276,8 @@ class TestSeededTableEditRefuted:
         assert executor.ok
         cert = certify_tables("sabotaged", lowering, executor)
         alone = certify_tables("sabotaged", lowering)
-        assert {"TBL001", "TBL005"} <= {f.code for f in cert.findings}
+        assert cert.cyclic
+        assert "TBL005" in {f.code for f in cert.findings}
         assert cert.cycle_description == alone.cycle_description
         assert [f.message for f in cert.findings] == [
             f.message for f in alone.findings

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import smallest_balanced_for
 from repro.core.params import (
     DragonflyParams,
     TopologyError,
     balanced_params_for_radix,
     required_radix_single_hop,
 )
+from repro.topology.base import ChannelKind
+from repro.topology.dragonfly import Dragonfly
 
 
 class TestDerivedQuantities:
@@ -37,14 +40,14 @@ class TestDerivedQuantities:
         assert params.effective_radix == 5 * (3 + 2)
 
     def test_channel_counts_max_size(self):
-        params = DragonflyParams(p=2, a=4, h=2)
+        fabric = Dragonfly(DragonflyParams(p=2, a=4, h=2)).fabric
         # 9 groups, fully connected pairs: 36 global channels.
-        assert params.num_global_channels == 9 * 4 * 2 // 2
-        assert params.num_local_channels == 9 * (4 * 3 // 2)
+        assert fabric.num_cables(ChannelKind.GLOBAL) == 9 * 4 * 2 // 2
+        assert fabric.num_cables(ChannelKind.LOCAL) == 9 * (4 * 3 // 2)
 
     def test_single_group_has_no_global_channels(self):
-        params = DragonflyParams(p=2, a=4, h=2, num_groups=1)
-        assert params.num_global_channels == 0
+        fabric = Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=1)).fabric
+        assert fabric.num_cables(ChannelKind.GLOBAL) == 0
 
     def test_terminals_per_group(self):
         assert DragonflyParams(p=3, a=4, h=3).terminals_per_group == 12
@@ -114,18 +117,18 @@ class TestMinChannelsBetweenPairs:
 
 class TestSmallestBalancedFor:
     def test_exact(self):
-        params = DragonflyParams.smallest_balanced_for(72)
+        params = smallest_balanced_for(72)
         assert params.num_terminals == 72
 
     def test_at_least(self):
-        params = DragonflyParams.smallest_balanced_for(73)
+        params = smallest_balanced_for(73)
         assert params.num_terminals >= 73
         smaller = DragonflyParams.balanced(params.h - 1)
         assert smaller.num_terminals < 73
 
     def test_invalid(self):
         with pytest.raises(TopologyError):
-            DragonflyParams.smallest_balanced_for(0)
+            smallest_balanced_for(0)
 
 
 class TestRequiredRadix:

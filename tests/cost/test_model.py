@@ -63,7 +63,8 @@ class TestDragonflyCost:
         small = DragonflyCost(8192, config).breakdown()
         large = DragonflyCost(32768, config).breakdown()
         ratio = (
-            large.num_inter_cabinet_cables / small.num_inter_cabinet_cables
+            (large.num_electrical_cables + large.num_optical_cables)
+            / (small.num_electrical_cables + small.num_optical_cables)
         )
         assert 2.5 < ratio < 6.0
 

@@ -79,10 +79,6 @@ class TestFloorPlan:
         plan = FloorPlan(9, config)  # 3x3
         assert plan.central_cabinet() == 4
 
-    def test_extent(self, config):
-        plan = FloorPlan(9, config)
-        assert plan.extent_m() == pytest.approx(4.5)
-
     def test_out_of_range(self, config):
         plan = FloorPlan(4, config)
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ import pytest
 
 from differential_corpus import CORPUS, TOPOLOGIES, DifferentialCase
 from repro.core.params import DragonflyParams
-from oracles import first_divergence
+from oracles import check_invariants, first_divergence
 from repro.network.backend import contract_for, make_simulator
 from repro.network.config import SimulationConfig
 from repro.settings import BACKENDS
@@ -217,7 +217,7 @@ class TestArrayBackendInvariants:
             backend="array",
         )
         sim.run()
-        sim.check_invariants()  # must not raise on array-layout state
+        check_invariants(sim)  # must not raise on array-layout state
 
     def test_sanitizer_stride_on_array_backend(
         self, paper72_dragonfly, monkeypatch

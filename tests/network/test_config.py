@@ -53,8 +53,3 @@ class TestBuilders:
         config = SimulationConfig(load=0.1).with_load(0.5)
         assert config.load == 0.5
 
-    def test_with_buffers(self):
-        config = SimulationConfig().with_buffers(256)
-        assert config.vc_buffer_depth == 256
-        # original untouched (frozen dataclass semantics)
-        assert SimulationConfig().vc_buffer_depth == 16

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.packet import Packet, RoutePlan, make_flits
+from repro.network.packet import Packet, make_flits
 
 
 def _packet(size=1):
@@ -46,20 +46,3 @@ class TestPacketAccounting:
         packet = _packet()
         packet.eject_time = 42
         assert packet.latency == 32
-
-    def test_is_minimal_requires_plan(self):
-        packet = _packet()
-        with pytest.raises(ValueError):
-            _ = packet.is_minimal
-        packet.plan = RoutePlan(minimal=True)
-        assert packet.is_minimal
-
-
-class TestRoutePlan:
-    def test_global_hop_count(self):
-        assert RoutePlan(minimal=True).num_global_hops == 0
-        from repro.topology.dragonfly import GlobalLink
-
-        link = GlobalLink(0, 5, 4, 1)
-        assert RoutePlan(minimal=True, gc1=link).num_global_hops == 1
-        assert RoutePlan(minimal=False, gc1=link, gc2=link).num_global_hops == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import check_invariants
 from repro.core.params import DragonflyParams
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
@@ -45,7 +46,7 @@ class TestRoundTrip:
     def test_all_round_trips_complete(self, df):
         simulator, result = run(df)
         assert result.drained
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     def test_latency_is_round_trip(self, df):
         _, round_trip = run(df)
@@ -104,4 +105,4 @@ class TestRoundTrip:
         simulator = Simulator(df, make_routing("UGAL-L_VCH"), pattern, config)
         result = simulator.run()
         assert result.drained
-        simulator.check_invariants()
+        check_invariants(simulator)

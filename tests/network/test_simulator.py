@@ -3,6 +3,7 @@ accounting, flow-control invariants, determinism and throughput caps."""
 
 import pytest
 
+from oracles import check_invariants
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator, simulate
 from repro.network.traffic import UniformRandom, make_pattern
@@ -35,7 +36,7 @@ class TestConservation:
 
     def test_flow_control_invariants_hold_after_run(self, paper72_dragonfly):
         simulator, _ = run(paper72_dragonfly, load=0.3)
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     def test_invariants_under_worst_case_overload(self, paper72_dragonfly):
         simulator, _ = run(
@@ -45,7 +46,7 @@ class TestConservation:
             load=0.4,
             drain_max_cycles=500,
         )
-        simulator.check_invariants()
+        check_invariants(simulator)
 
 
 class TestLatencyAccounting:
@@ -160,7 +161,7 @@ class TestMultiFlitPackets:
 
     def test_invariants_with_multi_flit(self, paper72_dragonfly):
         simulator, _ = run(paper72_dragonfly, load=0.3, packet_size=4)
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     def test_serialization_latency(self, paper72_dragonfly):
         """A 4-flit packet's tail trails the head by >= 3 cycles."""
@@ -331,7 +332,7 @@ class TestBulkMode:
         pattern = make_pattern("worst_case", df, seed=4)
         simulator = Simulator(df, make_routing("UGAL-L_VCH"), pattern, config)
         simulator.run()
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     def _check_quota_delivered(self, df, routing, pattern, quota=4):
         config = SimulationConfig(
@@ -344,7 +345,7 @@ class TestBulkMode:
         assert result.drained
         assert result.unfinished_tagged == 0
         assert len(result.samples) == quota * df.num_terminals
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     @pytest.mark.parametrize(
         "pattern",

@@ -14,6 +14,13 @@ private state or re-derives what the engine computed another way.
   decision's keys back into the plan they stand for.
 * :func:`first_divergence` runs both engines in lockstep and names the
   first cycle and state field at which they split.
+* :func:`check_invariants` raises on any structural flow-control
+  violation of a simulator's state, at any cycle.
+* :func:`minimal_hop_count` derives a minimal route's length from each
+  topology's geometry, for the routing traces to be checked against.
+* :func:`max_vc_used`, :func:`dead_terminals` and
+  :func:`smallest_balanced_for` re-derive, from traces, a fault set and
+  the parameter algebra, what the certifier and topology tests check.
 """
 
 from __future__ import annotations
@@ -21,11 +28,17 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.params import TopologyError
+from repro.check.sanitizer import structural_findings
+from repro.core.params import DragonflyParams, TopologyError
 from repro.network.backend import make_simulator
 from repro.network.decide_kernel import _N, VectorizedMT19937
 from repro.network.packet import RoutePlan
+from repro.network.simulator import SimulatorStateError
 from repro.routing.paths import _minimal_plan_between, _valiant_plan_between
+from repro.topology.dragonfly import Dragonfly
+from repro.topology.flattened_butterfly import FlattenedButterfly
+from repro.topology.folded_clos import FoldedClos
+from repro.topology.torus import Torus
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +191,7 @@ def state_fingerprint(sim) -> List[Tuple[str, object]]:
     return [
         ("packet_counter", view.packet_counter),
         ("flits_delivered", view.flits_delivered),
-        ("outstanding_tagged", view.outstanding_tagged),
+        ("outstanding_tagged", sim._outstanding_tagged),
         ("samples", len(view.samples)),
         ("buf_count", _as_tuple(view.buf_count)),
         ("credits", _as_tuple(view.credits)),
@@ -240,3 +253,91 @@ def first_divergence(
         ):
             break
     return None
+
+
+# ----------------------------------------------------------------------
+# Certifier, fault-set and parameter-algebra helpers
+# ----------------------------------------------------------------------
+def max_vc_used(traces) -> int:
+    """Highest VC index any non-ejection hop of any trace uses."""
+    highest = 0
+    for trace in traces:
+        for _, _, vc in trace[:-1] if trace else []:
+            highest = max(highest, vc)
+    return highest
+
+
+def dead_terminals(faults, topology) -> List[int]:
+    """Terminals attached to ``faults``' dead routers (unreachable by
+    any table)."""
+    return [
+        t for t in range(topology.num_terminals)
+        if faults.router_dead(topology.terminal_router(t))
+    ]
+
+
+def smallest_balanced_for(num_terminals: int) -> DragonflyParams:
+    """Smallest balanced dragonfly with at least ``num_terminals``."""
+    if num_terminals < 1:
+        raise TopologyError("num_terminals must be >= 1")
+    h = 1
+    while DragonflyParams.balanced(h).num_terminals < num_terminals:
+        h += 1
+    return DragonflyParams.balanced(h)
+
+
+def check_invariants(sim) -> None:
+    """Flow-control invariants of either engine; raises
+    :class:`SimulatorStateError` on violation.
+
+    Callable at any cycle, including mid-run: buffer occupancies stay
+    within the configured depth, credit counters stay in range,
+    per-output pending counters match the queues, and the active set
+    mirrors the pending counters.  These are the structural subset
+    (SAN001/SAN004) of the conservation sanitizer; the full
+    cross-structure laws run under ``REPRO_SANITIZE=1``.
+    """
+    findings = structural_findings(sim)
+    if findings:
+        raise SimulatorStateError("\n".join(finding.format() for finding in findings))
+
+
+def minimal_hop_count(topology, src_terminal: int, dst_terminal: int) -> int:
+    """Router-to-router channel traversals of the minimal route."""
+    src = topology.fabric.terminals[src_terminal].router
+    dst = topology.fabric.terminals[dst_terminal].router
+    if isinstance(topology, Dragonfly):
+        if src == dst:
+            return 0
+        src_group, dst_group = topology.group_of(src), topology.group_of(dst)
+        if src_group == dst_group:
+            return 1
+        links = topology.group_links(src_group, dst_group)
+        if not links:
+            raise TopologyError(f"groups {src_group} and {dst_group} are not connected")
+        return min(
+            1 + (link.src_router != src) + (link.dst_router != dst) for link in links
+        )
+    if isinstance(topology, FlattenedButterfly):
+        # Dimension-order minimal routing: the Hamming distance.
+        return sum(
+            1 for s, d in zip(topology.coords_of(src), topology.coords_of(dst)) if s != d
+        )
+    if isinstance(topology, Torus):
+        # Dimension-order minimal routing: the ring distances.
+        hops = 0
+        for s, d, m in zip(topology.coords_of(src), topology.coords_of(dst), topology.dims):
+            hops += min(abs(s - d), m - abs(s - d))
+        return hops
+    if isinstance(topology, FoldedClos):
+        if src == dst:
+            return 0
+        # Up to the nearest common ancestor (the highest differing
+        # digit + 1) and back down.
+        src_digits, dst_digits = topology._digits(src), topology._digits(dst)
+        highest = 0
+        for i in range(topology.levels - 1):
+            if src_digits[i] != dst_digits[i]:
+                highest = i + 1
+        return 2 * highest
+    raise TypeError(f"no minimal hop count for {type(topology).__name__}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_invariants, minimal_hop_count
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
@@ -54,7 +55,7 @@ class TestClosPlans:
             plan = clos_plan(clos, rng, src_router, dst)
             trace = _route_reaches(clos, 0, dst, plan)
             assert len(trace) - 1 == 2 * plan.ancestor_level
-            assert len(trace) - 1 == clos.minimal_hop_count(0, dst)
+            assert len(trace) - 1 == minimal_hop_count(clos, 0, dst)
 
     def test_all_destinations_reachable_random(self, clos):
         rng = random.Random(3)
@@ -114,7 +115,7 @@ class TestClosSimulation:
         pattern = make_pattern("uniform_random", clos, seed=7)
         simulator = Simulator(clos, make_routing("CLOS-RAND"), pattern, config)
         simulator.run()
-        simulator.check_invariants()
+        check_invariants(simulator)
 
 
 _PROPERTY_CLOS = FoldedClos(num_terminals=64, radix=8)

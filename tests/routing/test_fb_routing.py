@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_invariants
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import FbAdversarial, make_pattern
@@ -143,7 +144,7 @@ class TestFbSimulation:
         pattern = make_pattern("fb_adversarial", fb, seed=12)
         simulator = Simulator(fb, make_routing("FB-UGAL-L"), pattern, config)
         simulator.run()
-        simulator.check_invariants()
+        check_invariants(simulator)
 
     def test_tables_compile_once_per_topology_across_a_sweep(self, monkeypatch):
         """A sweep builds a fresh routing for every point; the tables and

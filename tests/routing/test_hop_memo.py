@@ -16,7 +16,10 @@ entry, the table holds exactly the memo's keys, and walking it from a
 plan's kernel keys reproduces the executor walk too.
 """
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
@@ -42,6 +45,8 @@ from repro.routing.tables import (
     VariantLowering,
 )
 from repro.routing.ugal import make_routing
+import repro.topology
+from repro.topology.base import state_without_memos
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.topology.folded_clos import FoldedClos
@@ -224,9 +229,10 @@ def test_shared_plans_walk_like_fresh_ones():
 
 
 def test_routing_memos_are_not_pickled():
-    """Compiled tables and hop memos stay out of a pickled topology: one
-    keyed by a family's lambda lowering leaves it picklable, and a
-    pooled sweep after in-process runs ships no memo to its workers."""
+    """Compiled tables, hop memos and route plans stay out of a pickled
+    topology: one keyed by a family's lambda lowering leaves it
+    picklable, and a pooled sweep after in-process runs ships no memo to
+    its workers."""
     config = SimulationConfig(
         load=0.2, seed=5, warmup_cycles=100, measure_cycles=100,
         drain_max_cycles=2000,
@@ -239,13 +245,18 @@ def test_routing_memos_are_not_pickled():
     assert not routing.hop_memo(pickle.loads(pickle.dumps(fb))).hops
 
     paper72 = Dragonfly(DragonflyParams.paper_example_72())
+    fresh_size = len(pickle.dumps(paper72))
     pattern = make_pattern("uniform_random", paper72)
     for routing in (
+        make_routing("VAL"),
         make_routing("UGAL-L"),
         TableRouting("MIN", lambda t: canonical_degraded_lowering(t, 0)),
     ):
         Simulator(paper72, routing, pattern, config).run()
     assert make_routing("MIN").hop_memo(paper72).hops
+    # Nor do the minimal and Valiant plans the runs memoised: the pickle
+    # is byte for byte the size of the fresh topology's.
+    assert len(pickle.dumps(paper72)) == fresh_size
     executor = SweepExecutor(workers=2)
     points = load_sweep(
         paper72, "MIN", "uniform_random", (0.1, 0.2), config, executor=executor
@@ -259,3 +270,27 @@ def test_routing_memos_are_not_pickled():
     assert [p.result.to_dict() for p in points] == [
         p.result.to_dict() for p in fresh
     ]
+
+
+def test_every_topology_class_pickles_without_memos():
+    """Each topology class keeps the routing memos out of its pickle
+    through :func:`~repro.topology.base.state_without_memos`; a new
+    class that forgets the hook would ship its plans and tables to every
+    sweep worker."""
+    topologies = [
+        cls
+        for info in pkgutil.iter_modules(repro.topology.__path__)
+        for _, cls in inspect.getmembers(
+            importlib.import_module(f"repro.topology.{info.name}"), inspect.isclass
+        )
+        if cls.__module__.startswith("repro.topology.")
+        and hasattr(cls, "terminal_router")
+    ]
+    assert {cls.__name__ for cls in topologies} >= {
+        "Dragonfly", "FlattenedButterfly", "FoldedClos",
+        "FlattenedButterflyGroupDragonfly", "Torus",
+    }
+    assert [
+        cls.__name__ for cls in topologies
+        if cls.__getstate__ is not state_without_memos
+    ] == []

@@ -117,7 +117,8 @@ class TestMinimalRouteProperties:
     @given(case=routed_case())
     def test_intra_group_minimal_has_no_global_channel(self, case):
         topology, rng, src_router, dst_terminal = case
-        if topology.group_of(src_router) != topology.terminal_group(dst_terminal):
+        dst_router = topology.terminal_router(dst_terminal)
+        if topology.group_of(src_router) != topology.group_of(dst_router):
             return
         plan = minimal_plan(topology, rng, src_router, dst_terminal)
         assert plan.gc1 is None and plan.gc2 is None

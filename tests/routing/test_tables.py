@@ -8,6 +8,7 @@ serialisation) and the fault model's behaviour.
 
 import pytest
 
+from oracles import dead_terminals
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
 from repro.network.packet import RoutePlan
@@ -163,7 +164,7 @@ class TestFaultModel:
 
     def test_dead_terminals_follow_dead_routers(self, paper72):
         faults = FaultSet.of(routers=[35])
-        assert faults.dead_terminals(paper72) == [70, 71]
+        assert dead_terminals(faults, paper72) == [70, 71]
 
     def test_link_dead_covers_router_faults(self):
         faults = FaultSet.of(links=[(2, 3)], routers=[7])

@@ -126,7 +126,7 @@ class TestUgalGDecision:
         rng = random.Random(5)
         algorithm = UgalG()
         dst = 71
-        dst_group = df.terminal_group(dst)
+        dst_group = df.group_of(df.terminal_router(dst))
         occupancy = {}
         for link in df.group_links(0, dst_group):
             occupancy[(link.src_router, link.src_port)] = 1000
@@ -158,7 +158,7 @@ class TestUgalGDecision:
         rng = random.Random(60)
         algorithm = UgalG()
         dst = 71
-        dst_group = df.terminal_group(dst)
+        dst_group = df.group_of(df.terminal_router(dst))
         occupancy = {
             (link.src_router, link.src_port): 1
             for link in df.group_links(0, dst_group)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_invariants
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
@@ -45,7 +46,7 @@ class TestVariantPlans:
     def test_minimal_single_global_hop(self, cube_df):
         rng = random.Random(2)
         plan = variant_minimal_plan(cube_df, rng, 0, cube_df.num_terminals - 1)
-        assert plan.num_global_hops == 1
+        assert plan.gc1 is not None and plan.gc2 is None
 
     def test_intra_group_route(self, cube_df):
         rng = random.Random(3)
@@ -120,7 +121,7 @@ class TestVariantSimulation:
             cube_df, make_routing("VAR-UGAL-L"), pattern, config
         )
         simulator.run()
-        simulator.check_invariants()
+        check_invariants(simulator)
 
 
 _PROPERTY_TOPOLOGY = FlattenedButterflyGroupDragonfly(

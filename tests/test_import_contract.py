@@ -15,6 +15,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -93,6 +94,25 @@ CONTRACT = {
         "    SimulationConfig(load=0.2), backend='array')\n"
         "assert type(sim).__name__ == 'ArraySimulator', type(sim)\n",
         ["repro.routing.tables", "numpy.ma"],
+    ),
+    # Credit sensing (UGAL-L_CR) schedules each cycle's credits by their
+    # few distinct delays without ``np.unique`` and its ``numpy.ma``.
+    "array-engine-credit-delay-run": (
+        "from repro.core.params import DragonflyParams\n"
+        "from repro.network.backend import make_simulator\n"
+        "from repro.network.config import SimulationConfig\n"
+        "from repro.network.traffic import make_pattern\n"
+        "from repro.routing.ugal import make_routing\n"
+        "from repro.topology.dragonfly import Dragonfly\n"
+        "topology = Dragonfly(DragonflyParams.paper_example_72())\n"
+        "sim = make_simulator(topology, make_routing('UGAL-L_CR'),\n"
+        "    make_pattern('uniform_random', topology, seed=1),\n"
+        "    SimulationConfig(load=0.3, warmup_cycles=50, measure_cycles=50,\n"
+        "                     drain_max_cycles=0), backend='array')\n"
+        "assert type(sim).__name__ == 'ArraySimulator', type(sim)\n"
+        "assert sim._credit_delay_enabled\n"
+        "sim.run()\n",
+        ["numpy.ma"],
     ),
     # ``import numpy`` costs ~135 ms: the sample columns are stdlib
     # ``array``/``bytearray`` so the scalar path and cache reads skip it.
@@ -282,3 +302,96 @@ def test_no_module_imports_networkx():
         )
     )
     assert not offenders, f"{offenders} import networkx"
+
+
+#: The trees whose code may name a ``src/repro`` definition: the
+#: package itself, the pipeline benchmark and the examples.
+NAMING_TREES = [pathlib.Path(SRC) / "repro", ROOT / "benchmarks" / "pipeline", ROOT / "examples"]
+
+
+def workflow_scripts() -> list:
+    """The inline Python of the CI workflows: every ``python - <<'EOF'``
+    heredoc, dedented, which names package code as any module does."""
+    scripts = []
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        lines = iter(path.read_text().splitlines())
+        for line in lines:
+            if line.rstrip().endswith("python - <<'EOF'"):
+                body = []
+                for line in lines:
+                    if line.strip() == "EOF":
+                        break
+                    body.append(line)
+                scripts.append(textwrap.dedent("\n".join(body)))
+    return scripts
+
+
+def named_identifiers(tree: ast.AST) -> set:
+    """Every identifier one module names: variables, attributes, imported
+    names, keyword arguments and exact string constants (lazy export
+    maps, ``getattr`` names)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name, node) of every top-level function and class
+    and every method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member.name, member
+
+
+def is_exempt(name: str, node: ast.AST) -> bool:
+    """Dunders (called by Python), ``visit_*`` (called by
+    ``ast.NodeVisitor``) and ``@register`` classes (found by their
+    registry)."""
+    decorators = getattr(node, "decorator_list", [])
+    return (
+        (name.startswith("__") and name.endswith("__"))
+        or name.startswith("visit_")
+        or any(isinstance(d, ast.Name) and d.id == "register" for d in decorators)
+    )
+
+
+def test_every_definition_is_named_outside_the_tests():
+    """A function, class or method of ``src/repro`` that no code under
+    ``src/``, ``benchmarks/pipeline/`` or ``examples/`` names, nor the
+    CI workflows' inline Python, is reached only by tests: it belongs in
+    ``tests/oracles.py`` or in its test.  The :data:`UNREACHED` modules
+    are test oracles kept in the package."""
+    unreached = {module_path(name) for name in UNREACHED}
+    scripts = workflow_scripts()
+    assert scripts, "no inline Python found in .github/workflows"
+    named = set()
+    for script in scripts:
+        named |= named_identifiers(ast.parse(script))
+    parsed = {}
+    for root in NAMING_TREES:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            named |= named_identifiers(tree)
+            if root.name == "repro" and path not in unreached:
+                parsed[path] = tree
+    unnamed = sorted(
+        f"{path.relative_to(SRC)}:{qualified}"
+        for path, tree in parsed.items()
+        for qualified, name, node in definitions(tree)
+        if name not in named and not is_exempt(name, node)
+    )
+    assert not unnamed, f"named only by tests: {unnamed}"

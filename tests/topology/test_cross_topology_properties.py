@@ -60,7 +60,7 @@ def any_topology(draw):
 def test_fabric_connected(topology):
     fabric = topology.fabric
     if fabric.num_routers > 1:
-        assert fabric.is_connected()
+        assert fabric.unreachable_router() is None
 
 
 @given(any_topology())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import minimal_hop_count
 from repro.core.params import DragonflyParams, TopologyError
 from repro.topology.base import ChannelKind
 from repro.topology.dragonfly import Dragonfly, make_dragonfly
@@ -58,7 +59,10 @@ class TestPortLayout:
     def test_port_classes(self, paper72_dragonfly):
         df = paper72_dragonfly
         assert df.is_terminal_port(0) and df.is_terminal_port(1)
-        assert df.is_local_port(2) and df.is_local_port(4)
+        assert all(
+            df.fabric.out_channel(0, port).kind is ChannelKind.LOCAL
+            for port in (2, 3, 4)
+        )
         assert df.is_global_port(5) and df.is_global_port(6)
 
     def test_local_port_is_symmetric_channel(self, paper72_dragonfly):
@@ -81,7 +85,7 @@ class TestPortLayout:
         assert df.terminal_router(0) == 0
         assert df.terminal_router(2) == 1
         assert df.terminal_port(3) == 1
-        assert df.terminal_group(71) == 8
+        assert df.group_of(df.terminal_router(71)) == 8
 
 
 class TestGlobalWiring:
@@ -189,7 +193,7 @@ class TestTapering:
         assert tapered.fabric.num_cables(ChannelKind.LOCAL) == (
             full.fabric.num_cables(ChannelKind.LOCAL)
         )
-        assert tapered.fabric.is_connected()
+        assert tapered.fabric.unreachable_router() is None
         for router in range(tapered.fabric.num_routers):
             assert len(tapered.global_links_of(router)) <= tapered.h
 
@@ -212,17 +216,19 @@ class TestTapering:
 
 class TestMinimalHopCount:
     def test_same_router(self, paper72_dragonfly):
-        assert paper72_dragonfly.minimal_hop_count(0, 1) == 0
+        assert minimal_hop_count(paper72_dragonfly, 0, 1) == 0
 
     def test_same_group(self, paper72_dragonfly):
-        assert paper72_dragonfly.minimal_hop_count(0, 2) == 1
+        assert minimal_hop_count(paper72_dragonfly, 0, 2) == 1
 
     def test_cross_group_at_most_three(self, paper72_dragonfly):
         df = paper72_dragonfly
         for src in range(0, df.num_terminals, 7):
             for dst in range(0, df.num_terminals, 5):
-                if df.terminal_group(src) != df.terminal_group(dst):
-                    assert 1 <= df.minimal_hop_count(src, dst) <= 3
+                if df.group_of(df.terminal_router(src)) != df.group_of(
+                    df.terminal_router(dst)
+                ):
+                    assert 1 <= minimal_hop_count(df, src, dst) <= 3
 
 
 @given(dragonfly_params())
@@ -232,7 +238,7 @@ def test_dragonfly_structure_invariants(params):
     df = Dragonfly(params)
     fabric = df.fabric
     assert fabric.num_terminals == params.num_terminals
-    assert fabric.num_cables(ChannelKind.LOCAL) == params.num_local_channels
+    assert fabric.num_cables(ChannelKind.LOCAL) == params.g * (params.a * (params.a - 1) // 2)
     if params.g > 1:
         # Connectivity between every pair of groups.
         for i in range(params.g):
@@ -243,7 +249,7 @@ def test_dragonfly_structure_invariants(params):
     assert fabric.max_radix() <= params.radix
     # The router graph is connected (validated at build, re-check).
     if fabric.num_routers > 1:
-        assert fabric.is_connected()
+        assert fabric.unreachable_router() is None
 
 
 @given(dragonfly_params())
@@ -256,4 +262,4 @@ def test_global_diameter_is_one(params):
     for src in range(0, params.num_terminals, max(1, params.num_terminals // 10)):
         for dst in range(0, params.num_terminals, max(1, params.num_terminals // 10)):
             if src != dst:
-                assert df.minimal_hop_count(src, dst) <= 3
+                assert minimal_hop_count(df, src, dst) <= 3

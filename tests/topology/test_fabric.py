@@ -87,7 +87,7 @@ class TestQueries:
 class TestGraphExport:
     def test_connectivity(self):
         fabric = two_router_fabric()
-        assert fabric.is_connected()
+        assert fabric.unreachable_router() is None
         assert fabric.router_diameter() == 1
 
     def test_validate_detects_disconnection(self):
@@ -102,7 +102,6 @@ class TestGraphExport:
         fabric.connect(PortRef(0, 0), PortRef(1, 0), ChannelKind.LOCAL)
         fabric.connect(PortRef(1, 1), PortRef(2, 0), ChannelKind.LOCAL)
         fabric.connect(PortRef(3, 0), PortRef(4, 0), ChannelKind.LOCAL)
-        assert not fabric.is_connected()
         assert fabric.unreachable_router() == 3
         with pytest.raises(
             ValueError,

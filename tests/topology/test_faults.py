@@ -3,6 +3,7 @@ and validation diagnostics (which must name the offending element)."""
 
 import pytest
 
+from oracles import dead_terminals
 from repro.core.params import DragonflyParams, TopologyError
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.faults import (
@@ -96,7 +97,7 @@ class TestCanonicalGlobalFaults:
     def test_faults_are_valid_and_kill_no_terminals(self, paper72):
         faults = canonical_global_faults(paper72, 2)
         faults.validate(paper72)
-        assert faults.dead_terminals(paper72) == []
+        assert dead_terminals(faults, paper72) == []
 
     def test_negative_count_rejected(self, paper72):
         with pytest.raises(TopologyError, match="negative"):

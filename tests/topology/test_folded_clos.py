@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import minimal_hop_count
 from repro.topology.folded_clos import FoldedClos, levels_required
 
 
@@ -27,19 +28,19 @@ class TestSmallFatTree:
         assert clos.levels == 4
         assert clos.switches_per_level == 8
         assert clos.fabric.num_terminals == 16
-        assert clos.fabric.is_connected()
+        assert clos.fabric.unreachable_router() is None
 
     def test_radix8_64_terminals(self):
         clos = FoldedClos(num_terminals=64, radix=8)
         assert clos.levels == 3
         assert clos.num_switches == 3 * 16
-        assert clos.fabric.is_connected()
+        assert clos.fabric.unreachable_router() is None
 
     def test_radix8_16_terminals_two_levels(self):
         clos = FoldedClos(num_terminals=16, radix=8)
         assert clos.levels == 2
         assert clos.num_switches == 2 * 4
-        assert clos.fabric.is_connected()
+        assert clos.fabric.unreachable_router() is None
 
     def test_wrong_terminal_count_rejected(self):
         with pytest.raises(ValueError):
@@ -58,9 +59,9 @@ class TestSmallFatTree:
 
     def test_hop_counts(self):
         clos = FoldedClos(num_terminals=16, radix=4)
-        assert clos.minimal_hop_count(0, 1) == 0  # same leaf
-        assert clos.minimal_hop_count(0, 2) == 2  # adjacent leaf via level 1
-        assert clos.minimal_hop_count(0, 15) == 2 * (clos.levels - 1)
+        assert minimal_hop_count(clos, 0, 1) == 0  # same leaf
+        assert minimal_hop_count(clos, 0, 2) == 2  # adjacent leaf via level 1
+        assert minimal_hop_count(clos, 0, 15) == 2 * (clos.levels - 1)
 
     def test_diameter_bounded_by_levels(self):
         clos = FoldedClos(num_terminals=64, radix=8)

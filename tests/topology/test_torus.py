@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import minimal_hop_count
 from repro.topology.torus import Torus
 
 
@@ -41,7 +42,7 @@ class TestStructure:
 
     def test_connected(self):
         torus = Torus(dims=(3, 3, 3), concentration=1)
-        assert torus.fabric.is_connected()
+        assert torus.fabric.unreachable_router() is None
 
     def test_diameter(self):
         torus = Torus(dims=(4, 4), concentration=1)
@@ -49,9 +50,9 @@ class TestStructure:
 
     def test_hop_count_ring_distance(self):
         torus = Torus(dims=(5,), concentration=1)
-        assert torus.minimal_hop_count(0, 1) == 1
-        assert torus.minimal_hop_count(0, 4) == 1  # wraps
-        assert torus.minimal_hop_count(0, 2) == 2
+        assert minimal_hop_count(torus, 0, 1) == 1
+        assert minimal_hop_count(torus, 0, 4) == 1  # wraps
+        assert minimal_hop_count(torus, 0, 2) == 2
 
 
 @given(
