@@ -320,8 +320,13 @@ def _severed(
     return family
 
 
+@functools.lru_cache(maxsize=None)
 def _paper_mixed() -> DegradedDragonflyLowering:
     """Paper-72 hit by all three fault shapes at once.
+
+    Both the tables pass and the faults pass certify this scenario, so
+    it is built once per process and certified once
+    (:func:`~repro.check.tables.certify_degraded`).
 
     A dead global cable (groups 0 and 1 lose their only direct link,
     forcing detours through a third group), a dead local cable (routers

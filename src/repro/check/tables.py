@@ -47,8 +47,9 @@ import functools
 import json
 import pathlib
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..routing.grammar import PathGrammar, Segment
 from ..routing.tables import (
@@ -103,6 +104,13 @@ class TableCertification:
     @property
     def ok(self) -> bool:
         return not self.findings and not self.cyclic
+
+    def under(self, name: str) -> "TableCertification":
+        """This certificate as the registry entry ``name`` reports it."""
+        return replace(
+            self, name=name,
+            findings=[replace(finding, location=name) for finding in self.findings],
+        )
 
     def summary(self) -> str:
         verdict = "certified" if self.ok else "REFUTED"
@@ -327,6 +335,23 @@ def certify_tables(
     return result
 
 
+#: A degraded lowering -> its certificate, while the lowering lives.
+_DEGRADED: "weakref.WeakKeyDictionary[Lowering, TableCertification]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def certify_degraded(name: str, lowering: Lowering) -> TableCertification:
+    """:func:`certify_tables` of a fault-degraded lowering (no executor),
+    made once per lowering object: a scenario the ``tables`` and
+    ``faults`` passes both certify is one lowering
+    (:mod:`repro.check.registry`), compiled and certified once."""
+    result = _DEGRADED.get(lowering)
+    if result is None:
+        result = _DEGRADED[lowering] = certify_tables(name, lowering)
+    return result.under(name)
+
+
 def export_filename(name: str) -> str:
     """A filesystem-safe file name for one configuration's table JSON."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") + ".json"
@@ -354,13 +379,17 @@ def run_tables_pass(
     configurations = list(all_configurations())
     if demo_broken:
         configurations.append(broken_configuration())
-    jobs: List[Tuple[CheckConfiguration, Optional[Certification]]] = [
-        (c, c.certification) for c in configurations
+    jobs: List[Tuple[CheckConfiguration, Callable[[], TableCertification]]] = [
+        (c, functools.partial(certify_tables, c.name, c.lowering, c.certification))
+        for c in configurations
     ]
-    jobs += [(c, None) for c in degraded_table_configurations()]
-    for configuration, executor in jobs:
+    jobs += [
+        (c, functools.partial(certify_degraded, c.name, c.lowering))
+        for c in degraded_table_configurations()
+    ]
+    for configuration, certify_job in jobs:
         name = configuration.name
-        result = certify_tables(name, configuration.lowering, executor)
+        result = certify_job()
         report.note(result.summary())
         if configuration.expect_deadlock_free:
             report.extend(result.findings)

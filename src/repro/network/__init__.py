@@ -4,7 +4,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "..settings": ("BACKENDS",),
-    ".backend": ("EquivalenceContract", "contract_for", "make_simulator"),
+    ".backend": ("make_simulator",),
     ".cache": ("SweepCache", "point_key"),
     ".parallel": ("PointSpec", "SweepExecutor"),
     ".config": ("SimulationConfig",),

@@ -48,16 +48,16 @@ vectorized switch arbitration is an exact reformulation: within one
 cycle every output port's decision depends only on that port's own
 queues, credits and round-robin pointer, so batching the decisions
 cannot reorder anything observable.  Configurations the kernel does not
-cover run the scalar engine itself.  :func:`contract_for` therefore
-declares only *which tier* will run, so the harness can assert that the
-tier it thinks it is certifying is the tier that ran.
+cover run the scalar engine itself; the simulator's
+``backend_provenance()`` names the tier that was built, so the harness
+can assert that the tier it thinks it is certifying is the tier that
+ran.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..settings import Settings
@@ -117,45 +117,3 @@ def make_simulator(
     provenance = {"backend": "array", "kernel": "none", "kernel_fallback": reason}
     sim.backend_provenance = provenance.copy  # type: ignore[method-assign]
     return sim
-
-
-@dataclass(frozen=True)
-class EquivalenceContract:
-    """Which engine tier an array-backend run of a configuration gets.
-
-    The equivalence itself is not a field: it is bit-identity, always.
-    """
-
-    #: Name of the batched decide kernel the array backend will engage
-    #: on this configuration (``"decide-v1"``), or ``None`` when the
-    #: kernel stays off or eligibility was not evaluated (``contract_for``
-    #: called without topology/routing).
-    decide_kernel: Optional[str] = None
-    #: When the kernel stays off despite topology/routing being known:
-    #: the human-readable ineligibility reason ``make_simulator`` logs.
-    kernel_fallback: Optional[str] = None
-
-
-def contract_for(
-    config: SimulationConfig,
-    topology: Optional["Dragonfly"] = None,
-    routing: Optional["RoutingAlgorithm"] = None,
-) -> EquivalenceContract:
-    """The tier the array backend will run on this configuration.
-
-    With ``topology`` and ``routing`` the contract is stamped with the
-    array backend's *kernel capability* on that exact setup:
-    ``decide_kernel`` names the batched decide kernel that will engage,
-    or ``kernel_fallback`` carries the ineligibility reason that sends
-    the run to the scalar engine.  The differential harness uses these
-    fields only to assert that the tier it *thinks* it is certifying is
-    the tier that actually ran.
-    """
-    if topology is None or routing is None:
-        return EquivalenceContract()
-    from .decide_kernel import KERNEL_NAME, kernel_ineligibility
-
-    reason = kernel_ineligibility(config, topology, routing)
-    if reason is None:
-        return EquivalenceContract(decide_kernel=KERNEL_NAME)
-    return EquivalenceContract(kernel_fallback=reason)

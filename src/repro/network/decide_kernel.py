@@ -3,8 +3,10 @@
 The scalar simulator makes one :meth:`RoutingAlgorithm.decide` call per
 injected packet -- at the Figure 9 operating points that is ~200 Python
 calls per cycle, each walking plan memos, hop caches and occupancy
-getters.  This module lowers the registry routing algorithms
-(MIN / VAL / the UGAL family) into dense integer tables so the array
+getters.  This module lowers the dragonfly's routing rule
+(:class:`~repro.routing.ugal.RuleRouting` on
+:data:`~repro.routing.ugal.DRAGONFLY`: MIN, VAL and UGAL under each of
+its four signals) into dense integer tables so the array
 backend can resolve *every* injecting terminal's decision for a cycle
 with a handful of numpy gathers, bit-identically to the scalar path:
 
@@ -26,7 +28,7 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   counts of the ``q_m * H_m <= q_nm * H_nm`` comparison.  The comparison is the
   only intra-cycle dependency of injection, and it is *domain closed*:
   the indices it reads never leave the decider's source router
-  (``kernel_signal`` ``port`` / ``vc`` / ``vc_hybrid``:
+  (``signal`` ``port`` / ``vc`` / ``vc_hybrid``:
   ``qa = srcs * radix + m_port``) or its source group (``remote``:
   ``L_qidx[pair]`` with both pairs rooted at ``sg``), and an injection
   only ever writes occupancy at its own source router.  Terminals of
@@ -41,10 +43,11 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   :meth:`VectorizedMT19937.rejection_sample` call.
 
 Eligibility (:func:`kernel_ineligibility`): single-flit packets and a
-routing with a ``kernel_decide``, on the exact registry classes and the
-exact :class:`~repro.topology.dragonfly.Dragonfly` with one global link
-per group pair -- the assumptions ``batch_decide`` and the hop table
-make.  Anything else runs on the scalar engine.
+:class:`~repro.routing.ugal.RuleRouting` of the exact class on the
+dragonfly family -- whose ``rule`` and ``signal`` :class:`DecideTables`
+reads -- on the exact :class:`~repro.topology.dragonfly.Dragonfly` with
+one global link per group pair: the assumptions ``batch_decide`` and the
+hop table make.  Anything else runs on the scalar engine.
 """
 
 from __future__ import annotations
@@ -55,13 +58,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..routing.minimal import MinimalRouting
-from ..routing.ugal import UgalG, UgalL, UgalLCr, UgalLVc, UgalLVcH
-from ..routing.valiant import ValiantRouting
+from ..routing.ugal import DRAGONFLY, RuleRouting
 from ..topology.dragonfly import Dragonfly
 
-#: Version tag stamped into backend provenance and
-#: :class:`~repro.network.backend.EquivalenceContract.decide_kernel`.
+#: Version tag stamped into backend provenance.
 #: Bump when the kernel's observable behaviour changes.
 KERNEL_NAME = "decide-v1"
 
@@ -181,23 +181,6 @@ class VectorizedMT19937:
 # Eligibility
 # ----------------------------------------------------------------------
 
-#: Exact routing classes the kernel can lower.  ``batch_decide`` replays
-#: these classes' ``decide`` (draw order, UGAL signals) and reads the
-#: hops of their memo, the topology's ``DragonflyHops`` under the
-#: canonical VC assignment.  ``type(routing) in`` -- never
-#: ``isinstance`` -- so a subclass that overrides ``decide``,
-#: ``_occupancies`` or ``hop_memo`` is not silently mis-lowered.
-_KERNEL_ROUTINGS = (
-    MinimalRouting,
-    ValiantRouting,
-    UgalL,
-    UgalG,
-    UgalLVc,
-    UgalLVcH,
-    UgalLCr,
-)
-
-
 def kernel_ineligibility(config, topology, routing) -> Optional[str]:
     """Why the decide kernel cannot run this configuration, or ``None``.
 
@@ -206,8 +189,15 @@ def kernel_ineligibility(config, topology, routing) -> Optional[str]:
     """
     if getattr(config, "packet_size", 1) != 1:
         return f"multi-flit packets (packet_size={config.packet_size})"
-    if routing.kernel_decide is None or type(routing) not in _KERNEL_ROUTINGS:
-        return f"routing {type(routing).__name__} has no kernel lowering"
+    # batch_decide replays RuleRouting.decide on the dragonfly's plans
+    # (draw order, signals) and reads the hops of its memo.  ``type(...)
+    # is`` -- never ``isinstance`` -- so a subclass that overrides
+    # ``decide`` or ``hop_memo`` is not silently mis-lowered.
+    if not (type(routing) is RuleRouting and routing.family is DRAGONFLY):
+        return (
+            f"routing {routing.name!r} ({type(routing).__name__}) has no "
+            "kernel lowering"
+        )
     # The hop table's port arithmetic (terminal ports first, then the
     # local ports of a complete group, router ``r`` in group ``r // a``)
     # and batch_decide's hop counts are ``Dragonfly``'s own wiring; a
@@ -258,7 +248,8 @@ def lower_traffic(pattern) -> Optional[TrafficLowering]:
 
     Only the exact random pattern classes whose draw discipline is the
     inlined ``getrandbits`` rejection loop are lowered (``type`` checks,
-    never ``isinstance``, for the same reason as ``_KERNEL_ROUTINGS``):
+    never ``isinstance``, for the same reason as in
+    :func:`kernel_ineligibility`):
     uniform random, worst case, and group tornado (a fixed-offset worst
     case).  Every other pattern keeps the per-packet call inside the
     injection pass -- still correct, just not batched.
@@ -358,14 +349,8 @@ class DecideTables:
     """
 
     def __init__(self, topology: Dragonfly, routing, num_vcs: int) -> None:
-        self.kind: str = routing.kernel_decide
-        self.signal: Optional[str] = routing.kernel_signal
-        if self.kind not in ("min", "val", "ugal"):
-            raise ValueError(f"unknown kernel_decide {self.kind!r}")
-        if self.kind == "ugal" and self.signal not in (
-            "port", "remote", "vc", "vc_hybrid",
-        ):
-            raise ValueError(f"unknown kernel_signal {self.signal!r}")
+        self.kind: str = routing.rule
+        self.signal: str = routing.signal
         if not getattr(topology, "single_link_pairs", False):
             raise ValueError(
                 "decide tables require a unique global link per group pair"

@@ -23,7 +23,6 @@ from typing import Any, Dict, Protocol, Tuple
 
 from ..network.packet import RoutePlan
 from ..topology.dragonfly import Dragonfly
-from .paths import DragonflyHops, topology_memo
 
 
 class CongestionView(Protocol):
@@ -60,15 +59,12 @@ class HopMemo(Protocol):
         """The hop stored at ``key`` (``keys[progress] + router``)."""
         ...
 
-
-class ZeroCongestion:
-    """A congestion view that always reports empty queues (for tests)."""
-
-    def output_occupancy(self, router: int, out_port: int) -> int:
-        return 0
-
-    def output_vc_occupancy(self, router: int, out_port: int, vc: int) -> int:
-        return 0
+    def candidate(
+        self, plan: Any, src_router: int, dst_router: int
+    ) -> Tuple[int, int, int]:
+        """UGAL's query on a candidate plan: ``(first out_port, first
+        out_VC, channel hops)`` from ``src_router`` to ``dst_router``."""
+        ...
 
 
 class RoutingAlgorithm(abc.ABC):
@@ -82,19 +78,6 @@ class RoutingAlgorithm(abc.ABC):
     #: True for UGAL-L_CR: the simulator enables the credit round-trip
     #: congestion sensing and delayed-credit backpressure mechanism.
     needs_credit_delay: bool = False
-    #: Decide-kernel lowering metadata (:mod:`repro.network.decide_kernel`).
-    #: ``kernel_decide`` names the decision structure the batched kernel
-    #: can reproduce ("min" / "val" / "ugal"); ``kernel_signal`` names
-    #: which occupancy feeds the UGAL comparison ("port" = first-hop
-    #: whole port at the source, "remote" = the candidate global channel
-    #: at its own router, "vc" = first-hop VC, "vc_hybrid" = VC when the
-    #: candidates share a port, whole port otherwise).  ``None`` means no
-    #: lowering exists and the array backend falls back to calling
-    #: ``decide`` per packet.  Declared on the exact registry classes
-    #: only -- a subclass overriding behaviour is deliberately not
-    #: trusted by the kernel's eligibility check.
-    kernel_decide: str | None = None
-    kernel_signal: str | None = None
 
     @abc.abstractmethod
     def decide(
@@ -107,12 +90,9 @@ class RoutingAlgorithm(abc.ABC):
     ) -> RoutePlan:
         """Choose the route plan for a packet entering at ``src_router``."""
 
+    @abc.abstractmethod
     def hop_memo(self, topology: Any) -> HopMemo:
-        """The memo the simulator walks this routing's plans with: for
-        dragonfly plans (Section 4.1) the topology's
-        :class:`~repro.routing.paths.DragonflyHops`, built on first use
-        and kept by :func:`topology_memo`."""
-        return topology_memo(topology, DragonflyHops, DragonflyHops)
+        """The memo the simulator walks this routing's plans with."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -123,8 +123,10 @@ def minimal_plan(
 ) -> RoutePlan:
     """The paper's 3-step minimal route (at most one global channel)."""
     dst_router = topology.terminal_router(dst_terminal)
-    src_group = topology.group_of(src_router)
-    dst_group = topology.group_of(dst_router)
+    # group_of, inlined: UGAL builds a candidate with each builder.
+    a = topology.a
+    src_group = src_router // a
+    dst_group = dst_router // a
     if src_group == dst_group:
         return _INTRA_GROUP_MINIMAL
     return _minimal_plan_between(
@@ -147,8 +149,9 @@ def valiant_plan(
     statistics classify the packet by the path it actually takes).
     """
     dst_router = topology.terminal_router(dst_terminal)
-    src_group = topology.group_of(src_router)
-    dst_group = topology.group_of(dst_router)
+    a = topology.a
+    src_group = src_router // a
+    dst_group = dst_router // a
     if topology.g < 2 or src_group == dst_group:
         return minimal_plan(topology, rng, src_router, dst_terminal)
     return _valiant_plan_between(
@@ -218,28 +221,6 @@ def _valiant_plan_between(
     if memoised:
         memo[key] = plan
     return plan
-
-
-def plan_hops(
-    topology: Dragonfly,
-    src_router: int,
-    dst_terminal: int,
-    plan: RoutePlan,
-) -> int:
-    """Router-to-router channel traversals of a plan (UGAL's hop count)."""
-    dst_router = topology.terminal_router(dst_terminal)
-    hops = 0
-    position = src_router
-    for link in (plan.gc1, plan.gc2):
-        if link is None:
-            continue
-        if position != link.src_router:
-            hops += 1  # local hop to the channel's source router
-        hops += 1  # the global channel
-        position = link.dst_router
-    if position != dst_router:
-        hops += 1  # final local hop
-    return hops
 
 
 def next_hop(
@@ -354,16 +335,34 @@ class DragonflyHops:
         self.hops[key] = hop
         return hop
 
-    def first_hop(
-        self, plan: RoutePlan, src_router: int, dst_terminal: int
+    def candidate(
+        self, plan: RoutePlan, src_router: int, dst_router: int
     ) -> Tuple[int, int, int]:
-        """The hop an inter-group plan takes at its source router (UGAL's
-        candidate port and VC)."""
-        key = self._stage(plan.gc1, plan.minimal, 0) + src_router
+        """UGAL's query on an inter-group plan: ``(first out_port, first
+        out_VC, channel hops)``.  The minimal route has ``gc1`` and the
+        non-degenerate Valiant route ``gc1`` and ``gc2``, so the hop
+        count reduces to endpoint comparisons."""
+        gc1 = plan.gc1
+        num_routers = self._num_routers
+        key = (
+            num_routers + (gc1.src_router * self._radix + gc1.src_port) * 4
+            + plan.minimal * 2
+        ) * num_routers + src_router
         hop = self.hops.get(key)
         if hop is None:
-            hop = self.fill(key, plan, 0, src_router, dst_terminal)
-        return hop
+            # A link stage's hop does not depend on the destination.
+            hop = self.fill(key, plan, 0, src_router, -1)
+        gc2 = plan.gc2
+        if gc2 is None:
+            hops = 1 + (gc1.src_router != src_router) + (gc1.dst_router != dst_router)
+        else:
+            hops = (
+                2
+                + (gc1.src_router != src_router)
+                + (gc1.dst_router != gc2.src_router)
+                + (gc2.dst_router != dst_router)
+            )
+        return hop[0], hop[1], hops
 
 
 class HopTable:

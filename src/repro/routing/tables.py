@@ -342,24 +342,6 @@ class ForwardingTables:
         )
 
 
-def table_walk_route(
-    topology: Any,
-    tables: ForwardingTables,
-    src_router: int,
-    dst_terminal: int,
-    legs: Tuple[Leg, ...],
-) -> List[Hop]:
-    """Execute a leg program over compiled tables.
-
-    Returns the (router, out_port, out_vc) trace ending with the
-    ejection hop -- the same shape as the algorithmic
-    :func:`~repro.routing.paths.walk_route`, which is what makes the two
-    executors comparable hop by hop.  Raises :class:`TableRouteError` on
-    a missing or ambiguous entry or when the walk exceeds the loop bound.
-    """
-    return TableWalker(topology, tables).walk(src_router, dst_terminal, legs)
-
-
 class TableWalker:
     """Leg programs executed over one table set on one topology.
 
@@ -402,7 +384,15 @@ class TableWalker:
     def walk(
         self, src_router: int, dst_terminal: int, legs: Tuple[Leg, ...]
     ) -> List[Hop]:
-        """See :func:`table_walk_route`."""
+        """Execute a leg program over the tables.
+
+        Returns the (router, out_port, out_vc) trace ending with the
+        ejection hop -- the same shape as the algorithmic
+        :func:`~repro.routing.paths.walk_route`, which is what makes the
+        two executors comparable hop by hop.  Raises
+        :class:`TableRouteError` on a missing or ambiguous entry or when
+        the walk exceeds the loop bound.
+        """
         trace = self.channel_hops(src_router, legs)
         trace.append((
             legs[-1].target_router, self.topology.terminal_port(dst_terminal), 0
@@ -1613,12 +1603,18 @@ class TableRoutes:
         self.hops[key] = hop
         return hop
 
-    def plan_hops(self, src_router: int, dest: int, plan: Any) -> Tuple[int, int]:
-        """``(first out_port, channel hops)`` of ``plan`` from
-        ``src_router`` to router ``dest``, by the same table walk; the
-        port is -1 for a route that ejects where it starts."""
-        hops = self.walker.channel_hops(src_router, self.lowering.legs(plan, dest))
-        return (hops[0][1] if hops else -1, len(hops))
+    def candidate(
+        self, plan: Any, src_router: int, dst_router: int
+    ) -> Tuple[int, int, int]:
+        """UGAL's query on ``plan``: ``(first out_port, first out_VC,
+        channel hops)`` from ``src_router`` to ``dst_router``, by the
+        same table walk; ``(-1, 0, 0)`` for a route that ejects where it
+        starts."""
+        hops = self.walker.channel_hops(src_router, self.lowering.legs(plan, dst_router))
+        if not hops:
+            return -1, 0, 0
+        _, port, vc = hops[0]
+        return port, vc, len(hops)
 
 
 def _lowering_key(lowering: Callable[[Any], Lowering]) -> Any:
@@ -1629,6 +1625,22 @@ def _lowering_key(lowering: Callable[[Any], Lowering]) -> Any:
             lowering.func, lowering.args, tuple(sorted(lowering.keywords.items()))
         )
     return lowering
+
+
+def table_routes(
+    topology: Any,
+    lowering: Callable[[Any], Lowering],
+    tables: Optional[ForwardingTables] = None,
+) -> TableRoutes:
+    """The :class:`TableRoutes` of ``lowering`` (over ``tables`` when
+    given) on ``topology``, built on first use and kept by
+    :func:`~repro.routing.paths.topology_memo`: every routing with the
+    same lowering arguments and given tables shares them.  Given tables
+    are kept alive by the routes, so their id is not reused."""
+    return topology_memo(
+        topology, (_lowering_key(lowering), id(tables)),
+        lambda t: TableRoutes(lowering(t), tables),
+    )
 
 
 def canonical_degraded_lowering(
@@ -1667,18 +1679,10 @@ class TableRouting(RoutingAlgorithm):
         self.lowering = lowering
         self.tables = tables
         self.topology_type = topology_type
-        #: Key of this routing's routes on a topology; given tables are
-        #: kept alive by the routes, so their id is not reused.
-        self._routes_key = (_lowering_key(lowering), id(tables))
 
     def hop_memo(self, topology: Any) -> TableRoutes:
-        """The table routes -- tables and hop memo -- on ``topology``,
-        built on first use and kept by
-        :func:`~repro.routing.base.topology_memo`."""
-        return topology_memo(
-            topology, self._routes_key,
-            lambda t: TableRoutes(self.lowering(t), self.tables),
-        )
+        """The table routes -- tables and hop memo -- on ``topology``."""
+        return table_routes(topology, self.lowering, self.tables)
 
     def decide(
         self,

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.check.__main__ import main, run_faults_pass
+from repro.check import registry
+from repro.check.__main__ import main, run_faults_pass, run_passes
 from repro.check.registry import (
     degraded_crosscheck_configurations,
     degraded_family_configurations,
@@ -32,6 +33,7 @@ from repro.routing.paths import (
     degraded_dragonfly_grammar,
     dragonfly_path_grammar,
 )
+from repro.routing.tables import DegradedDragonflyLowering
 from repro.topology.faults import (
     ALL_FAULT_CLASSES,
     DEAD_LOCAL_LINK,
@@ -237,6 +239,23 @@ class TestFaultsPass:
         assert any("BOTH verifiers" in f.message for f in infos)
         assert any("N=262,656" in note for note in report.notes)
         assert any("N=1,328,256" in note for note in report.notes)
+
+    def test_mixed_scenario_is_compiled_once_for_both_passes(self, monkeypatch):
+        """The tables and faults passes both certify the paper-72
+        mixed-fault scenario: one lowering, compiled and certified once."""
+        registry._paper_mixed.cache_clear()
+        compiled = []
+        compile_tables = DegradedDragonflyLowering.compile
+
+        def spy(lowering):
+            compiled.append(lowering)
+            return compile_tables(lowering)
+
+        monkeypatch.setattr(DegradedDragonflyLowering, "compile", spy)
+        reports = run_passes(["tables", "faults"])
+        assert all(report.ok for report in reports)
+        mixed = registry._paper_mixed()
+        assert sum(lowering is mixed for lowering in compiled) == 1
 
     def test_rotted_family_negative_control_is_flt004(self, monkeypatch):
         rotted = [

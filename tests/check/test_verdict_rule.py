@@ -243,7 +243,7 @@ def test_faults_pass_cross_checks(monkeypatch, expect, certified, findings):
     stub = SimpleNamespace(name=SUBJECT, expect_deadlock_free=expect, family=lambda: None)
     concrete = table_stub(certified, [ROUND_TRIP])
     monkeypatch.setattr(
-        "repro.check.__main__.certify_tables", lambda name, lowering: concrete
+        "repro.check.__main__.certify_degraded", lambda name, lowering: concrete
     )
     monkeypatch.setattr(
         "repro.check.__main__.cross_check",

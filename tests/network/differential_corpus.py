@@ -1,8 +1,8 @@
 """The backend-differential corpus.
 
 241 simulation configurations, generated programmatically, that the
-scalar and array engines must agree on under the equivalence contract
-(:func:`repro.network.backend.contract_for`).  The corpus is the
+scalar and array engines must agree on bit for bit (the equivalence
+contract of :mod:`repro.network.backend`).  The corpus is the
 certification artifact for the array backend: it sweeps every routing
 algorithm over benign and adversarial traffic on two topologies, and
 covers every engine mode with its own block -- saturation, multi-flit

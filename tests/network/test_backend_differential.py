@@ -4,8 +4,8 @@ Every corpus case (``differential_corpus.CORPUS``, 241 configurations)
 and every golden fixture runs on both backends; the array backend must
 reproduce the scalar engine's result bit for bit on every one of them
 (``to_dict()`` equality), multi-flit included, and must have run the
-tier :func:`repro.network.backend.contract_for` declares for the
-configuration.  When an equivalence assertion fails, the harness
+tier the case asks for: the decide kernel for every single-flit,
+algorithmic case, the scalar engine otherwise.  When an equivalence assertion fails, the harness
 re-runs both engines in
 lockstep (``first_divergence`` of ``tests/oracles.py``) and reports
 the first cycle and state field at which they split, which turns "the
@@ -27,8 +27,9 @@ import pytest
 from differential_corpus import CORPUS, TOPOLOGIES, DifferentialCase
 from repro.core.params import DragonflyParams
 from oracles import check_invariants, first_divergence
-from repro.network.backend import contract_for, make_simulator
+from repro.network.backend import make_simulator
 from repro.network.config import SimulationConfig
+from repro.network.decide_kernel import KERNEL_NAME
 from repro.settings import BACKENDS
 from repro.network.sweep import load_sweep
 from repro.network.traffic import make_pattern
@@ -82,23 +83,16 @@ def run_case(case: DifferentialCase, backend: str):
         backend=backend,
     )
     result = sim.run()
+    assert result.backend_info == sim.backend_provenance()
     if backend == "array":
         # The tier the harness thinks it is certifying must be the tier
-        # that actually ran: the capability stamped on the contract has
-        # to match the provenance the engine recorded.
-        contract = contract_for(
-            case.config, topology_for(case.topology), routing_for(case)
-        )
-        info = result.backend_info or {}
-        expected = contract.decide_kernel or "none"
-        assert info.get("kernel") == expected, (
-            f"{case.case_id}: contract expects kernel {expected!r} but the "
-            f"array engine recorded {info!r}"
-            + (
-                f" (contract fallback: {contract.kernel_fallback})"
-                if contract.kernel_fallback
-                else ""
-            )
+        # that was built: every corpus topology is a single-link
+        # dragonfly, so only multi-flit and table-driven cases fall back.
+        eligible = case.config.packet_size == 1 and not case.table_driven
+        expected = KERNEL_NAME if eligible else "none"
+        assert result.backend_info["kernel"] == expected, (
+            f"{case.case_id}: expected kernel {expected!r} but the array "
+            f"engine recorded {result.backend_info!r}"
         )
     return result
 

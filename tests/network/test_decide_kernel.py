@@ -31,7 +31,7 @@ import pytest
 from oracles import KernelKeys, getrandbits, python_state
 from repro.core.params import DragonflyParams
 from repro.network.array_backend import ArraySimulator
-from repro.network.backend import contract_for, make_simulator
+from repro.network.backend import make_simulator
 from repro.network.config import SimulationConfig
 from repro.network.decide_kernel import (
     KERNEL_NAME,
@@ -48,11 +48,27 @@ from repro.routing import (
     compile_dragonfly_tables,
     make_routing,
 )
-from repro.routing.minimal import MinimalRouting
+from repro.routing.families import FAMILY_ROUTINGS
 from repro.routing.paths import next_hop
+from repro.routing.ugal import DRAGONFLY, RuleRouting
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.flattened_butterfly import FlattenedButterfly
+from repro.topology.folded_clos import FoldedClos
+from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
+from repro.topology.torus import Torus
 
 TOPOLOGY = Dragonfly(DragonflyParams.paper_example_72())
+
+#: One small topology per family, for the routing-name sweep.
+FAMILY_TOPOLOGIES = {
+    Dragonfly: TOPOLOGY,
+    FlattenedButterfly: FlattenedButterfly(dims=(2, 2), concentration=1),
+    FlattenedButterflyGroupDragonfly: FlattenedButterflyGroupDragonfly(
+        p=1, group_dims=(2,), h=1
+    ),
+    Torus: Torus(dims=(3, 3), concentration=1),
+    FoldedClos: FoldedClos(num_terminals=16, radix=8),
+}
 
 BASE_CONFIG = SimulationConfig(
     load=0.2,
@@ -325,10 +341,12 @@ class TestEligibility:
         assert reason is not None and "packet_size" in reason
 
     def test_routing_subclass_is_ineligible(self):
-        class Custom(MinimalRouting):
+        class Custom(RuleRouting):
             pass
 
-        reason = kernel_ineligibility(BASE_CONFIG, TOPOLOGY, Custom())
+        reason = kernel_ineligibility(
+            BASE_CONFIG, TOPOLOGY, Custom("MIN", DRAGONFLY, "min")
+        )
         assert reason is not None and "Custom" in reason
 
     def test_topology_subclass_is_ineligible(self):
@@ -339,21 +357,25 @@ class TestEligibility:
         reason = kernel_ineligibility(BASE_CONFIG, topo, make_routing("MIN"))
         assert reason is not None
 
-    def test_contract_stamps_kernel_capability(self):
-        contract = contract_for(BASE_CONFIG, TOPOLOGY, make_routing("UGAL-L"))
-        assert contract.decide_kernel == KERNEL_NAME
-        assert contract.kernel_fallback is None
-
-    def test_contract_stamps_fallback_reason(self):
-        config = dataclasses.replace(BASE_CONFIG, packet_size=4)
-        contract = contract_for(config, TOPOLOGY, make_routing("UGAL-L"))
-        assert contract.decide_kernel is None
-        assert contract.kernel_fallback is not None
-
-    def test_contract_without_context_stays_unstamped(self):
-        contract = contract_for(BASE_CONFIG)
-        assert contract.decide_kernel is None
-        assert contract.kernel_fallback is None
+    @pytest.mark.parametrize("name", [
+        *ALL_ROUTING_NAMES, *FAMILY_ROUTINGS, "TBL-MIN", "TBL-MIN/gc1",
+    ])
+    def test_every_routing_name_builds_its_tier(self, name):
+        """The kernel engages for exactly the dragonfly's names; every
+        other array request falls back naming its routing."""
+        routing = make_routing(name)
+        assert routing.name == name
+        topology = FAMILY_TOPOLOGIES[routing.topology_type]
+        sim = make_simulator(
+            topology, routing, make_pattern("uniform_random", topology, seed=1),
+            dataclasses.replace(BASE_CONFIG, num_vcs=4), backend="array",
+        )
+        info = sim.backend_provenance()
+        if name in ALL_ROUTING_NAMES:
+            assert info == {"backend": "array", "kernel": KERNEL_NAME}
+        else:
+            assert info["kernel"] == "none"
+            assert repr(name) in info["kernel_fallback"]
 
 
 class TestTrafficLowering:

@@ -7,7 +7,6 @@ and conserve flits.
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

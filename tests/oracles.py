@@ -18,6 +18,9 @@ private state or re-derives what the engine computed another way.
   violation of a simulator's state, at any cycle.
 * :func:`minimal_hop_count` derives a minimal route's length from each
   topology's geometry, for the routing traces to be checked against.
+* :class:`ZeroCongestion` is a congestion view with every queue empty,
+  and :func:`plan_hops` counts a dragonfly plan's channel hops from its
+  links, for the routing tests.
 * :func:`max_vc_used`, :func:`dead_terminals` and
   :func:`smallest_balanced_for` re-derive, from traces, a fault set and
   the parameter algebra, what the certifier and topology tests check.
@@ -341,3 +344,30 @@ def minimal_hop_count(topology, src_terminal: int, dst_terminal: int) -> int:
                 highest = i + 1
         return 2 * highest
     raise TypeError(f"no minimal hop count for {type(topology).__name__}")
+
+
+class ZeroCongestion:
+    """A congestion view that always reports empty queues."""
+
+    def output_occupancy(self, router: int, out_port: int) -> int:
+        return 0
+
+    def output_vc_occupancy(self, router: int, out_port: int, vc: int) -> int:
+        return 0
+
+
+def plan_hops(topology, src_router: int, dst_terminal: int, plan: RoutePlan) -> int:
+    """Router-to-router channel traversals of a dragonfly plan."""
+    dst_router = topology.terminal_router(dst_terminal)
+    hops = 0
+    position = src_router
+    for link in (plan.gc1, plan.gc2):
+        if link is None:
+            continue
+        if position != link.src_router:
+            hops += 1  # local hop to the channel's source router
+        hops += 1  # the global channel
+        position = link.dst_router
+    if position != dst_router:
+        hops += 1  # final local hop
+    return hops

@@ -13,8 +13,8 @@ from repro.core.params import DragonflyParams
 from repro.network.backend import make_simulator
 from repro.network.config import SimulationConfig
 from repro.network.traffic import make_pattern
-from repro.routing.families import FOLDED_CLOS, TORUS, FamilyRouting
-from repro.routing.ugal import make_routing
+from repro.routing.families import FOLDED_CLOS, TORUS
+from repro.routing.ugal import RuleRouting, make_routing
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.flattened_butterfly import FlattenedButterfly
 from repro.topology.folded_clos import FoldedClos
@@ -70,6 +70,6 @@ def test_a_rule_the_family_cannot_run_is_refused_at_construction(family):
     UGAL routing on them could only fail at its first decision."""
     name = family.topology_type.__name__
     with pytest.raises(ValueError, match=rf"the {name} family has no 'ugal' rule"):
-        FamilyRouting("X", family, "ugal")
+        RuleRouting("X", family, "ugal")
     for rule in ("min", "val"):
-        assert FamilyRouting("X", family, rule).rule == rule
+        assert RuleRouting("X", family, rule).rule == rule

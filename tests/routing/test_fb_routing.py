@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_invariants
+from oracles import ZeroCongestion, check_invariants
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import FbAdversarial, make_pattern
@@ -26,7 +26,7 @@ def _walk_hops(topology, src_router, dst_terminal, plan):
     """Channel hops of ``plan`` as the simulator walks it: over the
     compiled tables."""
     routes = make_routing("FB-VAL").hop_memo(topology)
-    return routes.plan_hops(src_router, topology.terminal_router(dst_terminal), plan)[1]
+    return routes.candidate(plan, src_router, topology.terminal_router(dst_terminal))[2]
 
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
@@ -82,8 +82,6 @@ class TestFbPlans:
 
 class TestFbUgal:
     def test_idle_network_routes_minimally(self, fb):
-        from repro.routing.base import ZeroCongestion
-
         algorithm = make_routing("FB-UGAL-L")
         rng = random.Random(7)
         for dst in (10, 40, 63):

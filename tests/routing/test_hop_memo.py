@@ -104,7 +104,8 @@ def _assert_memo_reproduces(memo, lowering, reference):
 @pytest.mark.parametrize("name", sorted(LOWERINGS))
 def test_table_memo_walks_the_certified_walks(name):
     """``TableRoutes`` (every table routing) against the executor walk
-    and the certifier's table walk; ``plan_hops`` agrees with both."""
+    and the certifier's table walk; UGAL's candidate query agrees with
+    both."""
     lowering = LOWERINGS[name]()
     routes = TableRoutes(lowering)
     terminal_router = lowering.topology.terminal_router
@@ -113,9 +114,9 @@ def test_table_memo_walks_the_certified_walks(name):
         dest = terminal_router(dst_terminal)
         walk = routes.walker.walk(src_router, dst_terminal, lowering.legs(plan, dest))
         table_walks.append(tuple(walk))
-        port, hops = routes.plan_hops(src_router, dest, plan)
+        port, vc, hops = routes.candidate(plan, src_router, dest)
         assert hops == len(walk) - 1
-        assert port == (walk[0][1] if hops else -1)
+        assert (port, vc) == (walk[0][1:] if hops else (-1, 0))
     if hasattr(lowering, "next_hop"):
         walks = lowering.walks
         assert [walks.walk(index) for index in range(len(walks))] == table_walks
@@ -125,8 +126,8 @@ def test_table_memo_walks_the_certified_walks(name):
 @pytest.mark.parametrize("name", DRAGONFLIES)
 def test_dragonfly_memo_walks_the_executor_walks(name):
     """``DragonflyHops`` (MIN, VAL and the UGAL family) against the
-    stored ``paths.next_hop`` walks; UGAL's first-hop read is the
-    walk's first hop."""
+    stored ``paths.next_hop`` walks; UGAL's candidate query is the
+    walk's first hop and channel hop count."""
     lowering = LOWERINGS[name]()
     topology = lowering.topology
     memo = make_routing("UGAL-L").hop_memo(topology)
@@ -138,8 +139,11 @@ def test_dragonfly_memo_walks_the_executor_walks(name):
         lowering.routes()
     ):
         if plan.gc1 is not None:
-            first = memo.first_hop(plan, src_router, dst_terminal)
-            assert (src_router, *first[:2]) == reference[index][0]
+            port, vc, hops = memo.candidate(
+                plan, src_router, topology.terminal_router(dst_terminal)
+            )
+            assert (src_router, port, vc) == reference[index][0]
+            assert hops == len(reference[index]) - 1
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_PARAMS))

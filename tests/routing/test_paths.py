@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plan_hops
 from repro.core.params import DragonflyParams, TopologyError
 from repro.network.packet import RoutePlan
-from repro.routing.paths import (
-    minimal_plan,
-    next_hop,
-    plan_hops,
-    valiant_plan,
-    walk_route,
-)
+from repro.routing.paths import minimal_plan, next_hop, valiant_plan, walk_route
 from repro.routing import vc_assignment as vcs
 from repro.routing.tables import DragonflyLowering
 from repro.topology.dragonfly import Dragonfly

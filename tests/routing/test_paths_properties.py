@@ -22,10 +22,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import ZeroCongestion, plan_hops
 from repro.core.params import DragonflyParams, TopologyError
-from repro.routing.base import ZeroCongestion
 from repro.routing import vc_assignment as vcs
-from repro.routing.paths import minimal_plan, plan_hops, valiant_plan, walk_route
+from repro.routing.paths import minimal_plan, valiant_plan, walk_route
 from repro.routing.tables import DragonflyLowering
 from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly

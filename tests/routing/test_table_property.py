@@ -14,11 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
-from repro.routing.tables import (
-    DragonflyLowering,
-    FbLowering,
-    table_walk_route,
-)
+from repro.routing.tables import DragonflyLowering, FbLowering, TableWalker
 from repro.topology.dragonfly import Dragonfly
 from repro.topology.flattened_butterfly import FlattenedButterfly
 
@@ -64,12 +60,10 @@ def _fb_lowering(dims):
 
 
 def assert_cases_match(lowering, topology):
-    tables = lowering.compile()
+    walker = TableWalker(topology, lowering.compile())
     checked = 0
     for case in lowering.cases():
-        walk = table_walk_route(
-            topology, tables, case.src_router, case.dst_terminal, case.legs
-        )
+        walk = walker.walk(case.src_router, case.dst_terminal, case.legs)
         assert tuple(walk) == case.algorithmic, case.label
         checked += 1
     assert checked > 0

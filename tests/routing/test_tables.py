@@ -22,9 +22,9 @@ from repro.routing.tables import (
     TableDrivenRouting,
     TableRoutes,
     TableRouteError,
+    TableWalker,
     compile_dragonfly_tables,
     compile_fb_tables,
-    table_walk_route,
 )
 from repro.routing.ugal import make_routing
 from repro.network.config import SimulationConfig
@@ -124,12 +124,12 @@ class TestSerialisation:
         lowering = DragonflyLowering(tiny, vcs.CANONICAL, include_nonminimal=True)
         tables = lowering.compile()
         restored = ForwardingTables.from_json_dict(tables.to_json_dict())
+        walker = TableWalker(tiny, tables)
+        restored_walker = TableWalker(tiny, restored)
         for case in lowering.cases():
-            original = table_walk_route(
-                tiny, tables, case.src_router, case.dst_terminal, case.legs
-            )
-            assert original == table_walk_route(
-                tiny, restored, case.src_router, case.dst_terminal, case.legs
+            original = walker.walk(case.src_router, case.dst_terminal, case.legs)
+            assert original == restored_walker.walk(
+                case.src_router, case.dst_terminal, case.legs
             )
 
 
@@ -139,17 +139,16 @@ class TestTableWalk:
         tables = lowering.compile()
         cases = list(lowering.cases())
         assert cases
+        walker = TableWalker(tiny, tables)
         for case in cases:
-            walk = table_walk_route(
-                tiny, tables, case.src_router, case.dst_terminal, case.legs
-            )
+            walk = walker.walk(case.src_router, case.dst_terminal, case.legs)
             assert tuple(walk) == case.algorithmic, case.label
 
     def test_unreachable_leg_raises(self, tiny):
         tables = compile_dragonfly_tables(tiny)
         bogus = (Leg(target_group=0, target_router=1, entry_vc=99),)
         with pytest.raises(TableRouteError):
-            table_walk_route(tiny, tables, 0, 1, bogus)
+            TableWalker(tiny, tables).walk(0, 1, bogus)
 
 
 class TestFaultModel:
@@ -212,10 +211,9 @@ class TestDegradedCompilation:
         assert "0->1" in detours and "1->0" in detours
         cases = list(lowering.cases())
         assert cases
+        walker = TableWalker(paper72, tables)
         for case in cases:
-            walk = table_walk_route(
-                paper72, tables, case.src_router, case.dst_terminal, case.legs
-            )
+            walk = walker.walk(case.src_router, case.dst_terminal, case.legs)
             assert walk[-1][0] == paper72.terminal_router(case.dst_terminal)
 
     def test_no_entries_at_dead_routers(self, paper72):
@@ -232,7 +230,7 @@ class TestTableRouting:
     """The simulator's table executor; its hop memo is checked against
     the certified walks in ``test_hop_memo.py``."""
 
-    def test_plan_hops_refuses_a_routing_loop(self, paper72):
+    def test_candidate_refuses_a_routing_loop(self, paper72):
         tables = compile_dragonfly_tables(paper72, include_nonminimal=False)
         # Routers 0 and 1 forward router 3's final-VC key to each other.
         key = (0, 3, vcs.CANONICAL.final_local_vc)
@@ -243,7 +241,7 @@ class TestTableRouting:
             tables,
         )
         with pytest.raises(TableRouteError, match="routing loop"):
-            routes.plan_hops(0, 3, RoutePlan(minimal=True))
+            routes.candidate(RoutePlan(minimal=True), 0, 3)
 
     @pytest.mark.parametrize("tables, params, match", [
         ("dragonfly", DragonflyParams(2, 4, 2, 5), "compiled for 36 routers"),

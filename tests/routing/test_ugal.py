@@ -4,18 +4,14 @@ import random
 
 import pytest
 
+from oracles import ZeroCongestion
 from repro.core.params import DragonflyParams
-from repro.routing.base import ZeroCongestion
 from repro.routing.paths import next_hop
-from repro.routing.ugal import (
-    UgalG,
-    UgalL,
-    UgalLCr,
-    UgalLVc,
-    UgalLVcH,
-    make_routing,
-)
+from repro.routing.ugal import make_routing
 from repro.topology.dragonfly import Dragonfly
+
+
+UGALS = ["UGAL-L", "UGAL-G", "UGAL-L_VC", "UGAL-L_VCH", "UGAL-L_CR"]
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +70,17 @@ class TestFactory:
 class TestUncongestedDecisions:
     """With empty queues every UGAL variant routes minimally."""
 
-    @pytest.mark.parametrize("cls", [UgalL, UgalG, UgalLVc, UgalLVcH, UgalLCr])
-    def test_minimal_when_idle(self, df, cls):
-        algorithm = cls()
+    @pytest.mark.parametrize("name", UGALS)
+    def test_minimal_when_idle(self, df, name):
+        algorithm = make_routing(name)
         rng = random.Random(1)
         for dst in (30, 50, 71):
             plan = algorithm.decide(ZeroCongestion(), df, rng, 0, dst)
             assert plan.minimal
 
-    @pytest.mark.parametrize("cls", [UgalL, UgalG, UgalLVc, UgalLVcH, UgalLCr])
-    def test_intra_group_always_minimal(self, df, cls):
-        algorithm = cls()
+    @pytest.mark.parametrize("name", UGALS)
+    def test_intra_group_always_minimal(self, df, name):
+        algorithm = make_routing(name)
         rng = random.Random(2)
         plan = algorithm.decide(ZeroCongestion(), df, rng, 0, 7)
         assert plan.minimal
@@ -94,7 +90,7 @@ class TestUncongestedDecisions:
 class TestUgalLDecision:
     def test_routes_nonminimally_when_minimal_port_congested(self, df):
         rng = random.Random(3)
-        algorithm = UgalL()
+        algorithm = make_routing("UGAL-L")
         dst = 71
         min_port, _ = next_hop(
             df, 0, algorithm.decide(ZeroCongestion(), df, rng, 0, dst), 0, dst
@@ -110,7 +106,7 @@ class TestUgalLDecision:
     def test_stays_minimal_when_congestion_elsewhere(self, df):
         """Occupancy on an unrelated router must not affect UGAL-L."""
         rng = random.Random(4)
-        algorithm = UgalL()
+        algorithm = make_routing("UGAL-L")
         remote_router = 20
         view = FakeView(
             port_occupancy={(remote_router, port): 1000 for port in range(7)}
@@ -124,7 +120,7 @@ class TestUgalGDecision:
         """UGAL-G reacts to congestion at the *remote* router owning the
         minimal global channel -- the information UGAL-L cannot see."""
         rng = random.Random(5)
-        algorithm = UgalG()
+        algorithm = make_routing("UGAL-G")
         dst = 71
         dst_group = df.group_of(df.terminal_router(dst))
         occupancy = {}
@@ -141,7 +137,7 @@ class TestUgalGDecision:
         """q_m*H_m <= q_nm*H_nm: with *equal* occupancy everywhere the
         shorter minimal path always wins (H_m < H_nm)."""
         rng = random.Random(6)
-        algorithm = UgalG()
+        algorithm = make_routing("UGAL-G")
         dst = 71
         occupancy = {
             (router, port): 5
@@ -156,7 +152,7 @@ class TestUgalGDecision:
         """The paper's rule has no minimal bias: q_m = 1 vs q_nm = 0
         already routes non-minimally (footnote 8, applied verbatim)."""
         rng = random.Random(60)
-        algorithm = UgalG()
+        algorithm = make_routing("UGAL-G")
         dst = 71
         dst_group = df.group_of(df.terminal_router(dst))
         occupancy = {
@@ -175,7 +171,7 @@ class TestVcDiscrimination:
         """Congestion on VC0 (non-minimal traffic) of the shared port must
         not make UGAL-L_VC abandon the minimal route."""
         rng = random.Random(7)
-        algorithm = UgalLVc()
+        algorithm = make_routing("UGAL-L_VC")
         dst = 71
         plan = algorithm.decide(ZeroCongestion(), df, rng, 0, dst)
         min_port, min_vc = next_hop(df, 0, plan, 0, dst)
@@ -186,7 +182,7 @@ class TestVcDiscrimination:
 
     def test_vc_variant_flips_on_minimal_vc(self, df):
         rng = random.Random(8)
-        algorithm = UgalLVc()
+        algorithm = make_routing("UGAL-L_VC")
         dst = 71
         plan = algorithm.decide(ZeroCongestion(), df, rng, 0, dst)
         min_port, _ = next_hop(df, 0, plan, 0, dst)
@@ -200,7 +196,7 @@ class TestVcDiscrimination:
         """When candidates use different first-hop ports, UGAL-L_VCH
         compares whole ports (like UGAL-L), not single VCs."""
         rng = random.Random(9)
-        hybrid = UgalLVcH()
+        hybrid = make_routing("UGAL-L_VCH")
         dst = 71
         plan = hybrid.decide(ZeroCongestion(), df, rng, 0, dst)
         min_port, _ = next_hop(df, 0, plan, 0, dst)

@@ -61,15 +61,15 @@ class TestVariantPlans:
             plan = variant_valiant_plan(cube_df, rng, 0, 260)
             _route_reaches(cube_df, 0, 260, plan)
 
-    def test_plan_hops_match_trace(self, cube_df):
+    def test_candidate_matches_trace(self, cube_df):
         rng = random.Random(5)
         for dst in (17, 100, 260):
             plan = variant_valiant_plan(cube_df, rng, 0, dst)
             trace = walk_route(cube_df, variant_next_hop, 0, dst, plan)
             routes = make_routing("VAR-VAL").hop_memo(cube_df)
             dst_router = cube_df.terminal_router(dst)
-            assert routes.plan_hops(0, dst_router, plan) == (
-                trace[0][1], len(trace) - 1
+            assert routes.candidate(plan, 0, dst_router) == (
+                trace[0][1], trace[0][2], len(trace) - 1
             )
 
     def test_vcs_nondecreasing(self, cube_df):

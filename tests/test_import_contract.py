@@ -121,11 +121,25 @@ CONTRACT = {
         "import repro.network.simulator, repro.service\n",
         ["numpy"],
     ),
-    # The dragonfly's routings never load the extension families.
+    # The dragonfly's routings, and a scalar engine running one, never
+    # load the table compiler or the extension families.
     "dragonfly-routing-without-families": (
-        "from repro.routing.ugal import make_routing\n"
-        "make_routing('UGAL-L')\n",
+        "from repro.core.params import DragonflyParams\n"
+        "from repro.network.backend import make_simulator\n"
+        "from repro.network.config import SimulationConfig\n"
+        "from repro.network.traffic import make_pattern\n"
+        "from repro.routing.ugal import ALL_ROUTING_NAMES, make_routing\n"
+        "from repro.topology.dragonfly import Dragonfly\n"
+        "topology = Dragonfly(DragonflyParams(p=1, a=2, h=1))\n"
+        "routings = [make_routing(name) for name in ALL_ROUTING_NAMES]\n"
+        "assert len(routings) == 7, routings\n"
+        "sim = make_simulator(topology, routings[2],\n"
+        "    make_pattern('uniform_random', topology, seed=1),\n"
+        "    SimulationConfig(load=0.2, warmup_cycles=20, measure_cycles=20),\n"
+        "    backend='scalar')\n"
+        "sim.run()\n",
         [
+            "repro.routing.tables",
             "repro.routing.families",
             "repro.routing.fb_paths",
             "repro.routing.variant_paths",

@@ -5,7 +5,6 @@ budget, pair every directed channel with its reverse, and agree with its
 own analytic channel-count formulas.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
