@@ -4,13 +4,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".latency_model": ("LatencyModel",),
-    ".bisection": (
-        "dragonfly_bisection_per_node",
-        "dragonfly_group_bisection",
-        "max_size_dragonfly_bisection",
-    ),
+    ".bisection": ("dragonfly_group_bisection",),
     ".channel_load": (
-        "min_uniform_throughput",
         "min_worst_case_throughput",
         "ugal_ideal_worst_case_throughput",
         "valiant_uniform_throughput",
@@ -25,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".diameter": (
         "HopCount",
         "TopologyComparison",
-        "dragonfly_minimal_diameter_hops",
         "dragonfly_row",
         "flattened_butterfly_row",
         "table2",

@@ -42,17 +42,3 @@ def dragonfly_group_bisection(topology: Dragonfly) -> int:
             best = value if best is None else min(best, value)
         return best if best is not None else 0
     return crossing(range(half))
-
-
-def dragonfly_bisection_per_node(topology: Dragonfly) -> float:
-    """Global bisection channels per terminal (0.5 means full bisection
-    for uniform traffic, since only half a node's traffic crosses)."""
-    return dragonfly_group_bisection(topology) / topology.num_terminals
-
-
-def max_size_dragonfly_bisection(a: int, h: int) -> int:
-    """Closed form for the maximum-size dragonfly (g = ah + 1): a
-    balanced cut separates ``floor(g/2) * ceil(g/2)`` group pairs, one
-    channel each."""
-    g = a * h + 1
-    return (g // 2) * ((g + 1) // 2)

@@ -72,20 +72,6 @@ def valiant_worst_case_throughput(params: DragonflyParams) -> float:
     return min(1.0, _global_capacity_per_node(params) / expected_hops)
 
 
-def min_uniform_throughput(params: DragonflyParams) -> float:
-    """MIN's uniform-random capacity.
-
-    Each packet crosses one global channel with probability
-    ``(N - ap)/(N - 1)``; per-node global capacity is ``h/p`` (1.0 when
-    balanced).
-    """
-    n = params.num_terminals
-    if params.g < 2 or n < 2:
-        return 1.0
-    fraction_global = (n - params.terminals_per_group) / (n - 1)
-    return min(1.0, _global_capacity_per_node(params) / fraction_global)
-
-
 def _global_capacity_per_node(params: DragonflyParams) -> float:
     """Global channel bandwidth per terminal (1.0 for balanced)."""
     return params.h / params.p

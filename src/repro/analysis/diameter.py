@@ -80,13 +80,3 @@ def dragonfly_row(diagonal_cables: bool = False) -> TopologyComparison:
 def table2() -> list:
     """Both rows, dragonfly last as in the paper."""
     return [flattened_butterfly_row(), dragonfly_row()]
-
-
-def dragonfly_minimal_diameter_hops(a: int, g: int) -> int:
-    """Channel-hop diameter of a concrete dragonfly's minimal routing."""
-    hops = 0
-    if a > 1:
-        hops += 2
-    if g > 1:
-        hops += 1
-    return hops

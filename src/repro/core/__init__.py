@@ -12,9 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".scaling": (
         "RadixRequirementPoint",
         "ScalabilityPoint",
-        "balanced_size_for_radix",
         "dragonfly_scalability_curve",
-        "network_diameter_hops",
         "radix_requirement_curve",
     ),
 })

@@ -58,22 +58,3 @@ def dragonfly_scalability_curve(
         params = balanced_params_for_radix(k)
         points.append(ScalabilityPoint(radix=k, params=params))
     return points
-
-
-def balanced_size_for_radix(radix: int) -> int:
-    """Network size of the largest balanced dragonfly at a given radix.
-
-    With ``h = floor((k+1)/4)`` the size is ``N = 2h^2 (2h^2 + 1)``,
-    i.e. approximately ``(k+1)^4 / 64`` terminals.
-    """
-    return balanced_params_for_radix(radix).num_terminals
-
-
-def network_diameter_hops(params: DragonflyParams) -> int:
-    """Maximum hop count of a minimal route (local + global + local)."""
-    hops = 0
-    if params.a > 1:
-        hops += 2  # one local hop possible at each end
-    if params.g > 1:
-        hops += 1  # exactly one global hop
-    return hops

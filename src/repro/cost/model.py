@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cables import cable_cost_per_gbps
+from .cables import cable_cost, is_optical
 from .packaging import FloorPlan, PackagingConfig
 
 
@@ -155,14 +155,13 @@ class TopologyCost(abc.ABC):
                 out.backplane_dollars += cost * run.count
                 out.num_backplane_links += run.count
             else:
-                per_gbps = cable_cost_per_gbps(run.length_m, config.crossover_m)
-                cost = per_gbps * run.gbps
-                if run.length_m < config.crossover_m:
-                    out.electrical_cable_dollars += cost * run.count
-                    out.num_electrical_cables += run.count
-                else:
+                cost = cable_cost(run.length_m, run.gbps, config.crossover_m)
+                if is_optical(run.length_m, config.crossover_m):
                     out.optical_cable_dollars += cost * run.count
                     out.num_optical_cables += run.count
+                else:
+                    out.electrical_cable_dollars += cost * run.count
+                    out.num_electrical_cables += run.count
                 out.total_cable_length_m += run.length_m * run.count
         return out
 

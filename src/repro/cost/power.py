@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .cables import ELECTRICAL_CABLE, INTEL_CONNECTS
+from .cables import ELECTRICAL_CABLE, INTEL_CONNECTS, is_optical
 from .model import ALL_COST_MODELS, CostConfig, TopologyCost
 
 
@@ -110,7 +110,7 @@ def power_breakdown(
         if run.intra_cabinet:
             pj = power.backplane_pj_per_bit
             out.backplane_watts += _pj_gbps_to_watts(pj, run.gbps) * run.count
-        elif run.length_m < power.crossover_m:
+        elif not is_optical(run.length_m, power.crossover_m):
             pj = power.electrical_pj_per_bit
             out.electrical_cable_watts += (
                 _pj_gbps_to_watts(pj, run.gbps) * run.count

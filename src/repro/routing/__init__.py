@@ -33,11 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "compile_dragonfly_tables",
         "compile_fb_tables",
         "compile_torus_tables",
-        "compile_variant_tables",
     ),
-    ".variant_paths": (
-        "variant_minimal_plan",
-        "variant_next_hop",
-        "variant_valiant_plan",
-    ),
+    ".variant_paths": ("variant_minimal_plan", "variant_valiant_plan"),
 })

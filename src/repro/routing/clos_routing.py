@@ -43,16 +43,16 @@ def clos_plan(
     topology: FoldedClos,
     rng: Optional[random.Random],
     src_router: int,
-    dst_terminal: int,
+    dst_leaf: int,
     deterministic: bool = False,
 ) -> ClosRoutePlan:
-    """Build an up*/down* plan from a leaf switch.
+    """Build an up*/down* plan from a leaf switch to leaf ``dst_leaf``
+    (leaves are level 0, so a leaf's switch id is its index).
 
     ``deterministic`` selects d-mod-k up ports (the destination's own
     digits); otherwise up ports are drawn uniformly.
     """
     src_leaf = topology.index_of(src_router)
-    dst_leaf = topology.terminal_router(dst_terminal)  # leaves are level 0
     ancestor = topology.ancestor_level(src_leaf, dst_leaf)
     if deterministic:
         digits = topology.digits_of_leaf(dst_leaf)

@@ -53,7 +53,7 @@ def _tables(
     )
 
 
-def _router_minimal_plan(topology, rng, src_router, dst_terminal) -> RouterPlan:
+def _router_minimal_plan(topology, rng, src_router, dst_router) -> RouterPlan:
     return RouterPlan(minimal=True)
 
 

@@ -37,7 +37,7 @@ def router_valiant_plan(
     topology,
     rng: random.Random,
     src_router: int,
-    dst_terminal: int,
+    dst_router: int,
     intermediate_router: Optional[int] = None,
 ) -> RouterPlan:
     """Valiant route via a random intermediate router.
@@ -45,7 +45,6 @@ def router_valiant_plan(
     Degenerates to the minimal plan when the draw lands on the source or
     destination router.
     """
-    dst_router = topology.terminal_router(dst_terminal)
     if intermediate_router is None:
         intermediate_router = rng.randrange(topology.num_routers)
     if intermediate_router in (src_router, dst_router):

@@ -119,10 +119,9 @@ def minimal_plan(
     topology: Dragonfly,
     rng: random.Random,
     src_router: int,
-    dst_terminal: int,
+    dst_router: int,
 ) -> RoutePlan:
     """The paper's 3-step minimal route (at most one global channel)."""
-    dst_router = topology.terminal_router(dst_terminal)
     # group_of, inlined: UGAL builds a candidate with each builder.
     a = topology.a
     src_group = src_router // a
@@ -138,7 +137,7 @@ def valiant_plan(
     topology: Dragonfly,
     rng: random.Random,
     src_router: int,
-    dst_terminal: int,
+    dst_router: int,
     intermediate_group: Optional[int] = None,
 ) -> RoutePlan:
     """The 5-step Valiant route through a random intermediate group.
@@ -148,12 +147,11 @@ def valiant_plan(
     degenerates to the minimal route (``minimal`` is set accordingly so
     statistics classify the packet by the path it actually takes).
     """
-    dst_router = topology.terminal_router(dst_terminal)
     a = topology.a
     src_group = src_router // a
     dst_group = dst_router // a
     if topology.g < 2 or src_group == dst_group:
-        return minimal_plan(topology, rng, src_router, dst_terminal)
+        return minimal_plan(topology, rng, src_router, dst_router)
     return _valiant_plan_between(
         topology, rng, src_router, dst_router, src_group, dst_group,
         intermediate_group,
@@ -224,7 +222,7 @@ def _valiant_plan_between(
 
 
 def next_hop(
-    topology: Dragonfly,
+    topology: Any,
     router: int,
     plan: RoutePlan,
     global_hops_taken: int,
@@ -239,6 +237,11 @@ def next_hop(
     static certifier (:mod:`repro.check.cdg`) re-executes routes through
     this very function with candidate assignments, so what it certifies
     is the code path the simulator runs.
+
+    Any grouped topology runs here: the intra-group step is the
+    topology's ``local_port`` (the direct channel of a dragonfly group,
+    the first dimension-order hop of a Figure 6 flattened-butterfly
+    group).
     """
     minimal = plan.minimal
     if plan.gc1 is not None and global_hops_taken == 0:

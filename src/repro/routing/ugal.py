@@ -57,7 +57,7 @@ from ..topology.dragonfly import Dragonfly
 from .base import CongestionView, HopMemo, RoutingAlgorithm
 from .paths import DragonflyHops, minimal_plan, topology_memo, valiant_plan
 
-#: ``(topology, rng, src_router, dst_terminal) -> plan``.
+#: ``(topology, rng, src_router, dst_router) -> plan``.
 PlanBuilder = Callable[[Any, random.Random, int, int], Any]
 
 
@@ -144,15 +144,15 @@ class RuleRouting(RoutingAlgorithm):
     ) -> Any:
         family = self.family
         rule = self.rule
-        if rule == "min":
-            return family.minimal(topology, rng, src_router, dst_terminal)
-        if rule == "val":
-            return family.valiant(topology, rng, src_router, dst_terminal)
         dst_router = topology.terminal_router(dst_terminal)
+        if rule == "min":
+            return family.minimal(topology, rng, src_router, dst_router)
+        if rule == "val":
+            return family.valiant(topology, rng, src_router, dst_router)
         if family.no_choice(topology, src_router, dst_router):
-            return family.minimal(topology, rng, src_router, dst_terminal)
-        min_plan = family.minimal(topology, rng, src_router, dst_terminal)
-        nm_plan = family.valiant(topology, rng, src_router, dst_terminal)
+            return family.minimal(topology, rng, src_router, dst_router)
+        min_plan = family.minimal(topology, rng, src_router, dst_router)
+        nm_plan = family.valiant(topology, rng, src_router, dst_router)
         if nm_plan.minimal:
             # The sampled intermediate was on the minimal route; the
             # "non-minimal" candidate is the minimal route.

@@ -1,4 +1,4 @@
-"""Route plans and execution for Figure 6 group-variant dragonflies.
+"""Route plans and the path grammar of Figure 6 group-variant dragonflies.
 
 The dragonfly's routing (Section 4.1) generalises directly when the
 intra-group network is an n-dimensional flattened butterfly instead of a
@@ -10,13 +10,18 @@ acyclic on its own.
 
 Plans reuse the canonical :class:`~repro.network.packet.RoutePlan`
 (``gc1``/``gc2`` global links), so the UGAL decision structure and the
-statistics pipeline apply unchanged.
+statistics pipeline apply unchanged.  So does execution: the variant's
+``local_port`` is the first DOR hop, and the dragonfly's executor
+(:func:`repro.routing.paths.next_hop`) and table compiler
+(:func:`repro.routing.tables.compile_dragonfly_tables`) walk and lower
+its routes.  Only the plan builders (whose link choice scores DOR hop
+counts) and the grammar (multi-hop local segments) are the variant's own.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.params import TopologyError
 from ..network.packet import RoutePlan
@@ -54,9 +59,8 @@ def variant_minimal_plan(
     topology: Variant,
     rng: random.Random,
     src_router: int,
-    dst_terminal: int,
+    dst_router: int,
 ) -> RoutePlan:
-    dst_router = topology.terminal_router(dst_terminal)
     src_group = topology.group_of(src_router)
     dst_group = topology.group_of(dst_router)
     if src_group == dst_group:
@@ -72,18 +76,17 @@ def variant_valiant_plan(
     topology: Variant,
     rng: random.Random,
     src_router: int,
-    dst_terminal: int,
+    dst_router: int,
 ) -> RoutePlan:
-    dst_router = topology.terminal_router(dst_terminal)
     src_group = topology.group_of(src_router)
     dst_group = topology.group_of(dst_router)
     if topology.g < 2 or src_group == dst_group:
-        return variant_minimal_plan(topology, rng, src_router, dst_terminal)
+        return variant_minimal_plan(topology, rng, src_router, dst_router)
     intermediate_group = rng.randrange(topology.g - 1)
     if intermediate_group >= src_group:
         intermediate_group += 1
     if intermediate_group == dst_group:
-        return variant_minimal_plan(topology, rng, src_router, dst_terminal)
+        return variant_minimal_plan(topology, rng, src_router, dst_router)
     gc1 = _pick_best_link(
         topology,
         topology.group_links(src_group, intermediate_group),
@@ -98,50 +101,6 @@ def variant_valiant_plan(
         dst_router,
     )
     return RoutePlan(minimal=False, gc1=gc1, gc2=gc2)
-
-
-def _dor_port(topology: Variant, router: int, target_router: int) -> int:
-    """First dimension-order hop within a group toward ``target_router``."""
-    src_coords = topology.coords_of(router)
-    dst_coords = topology.coords_of(target_router)
-    for dim, (src_coord, dst_coord) in enumerate(zip(src_coords, dst_coords)):
-        if src_coord != dst_coord:
-            return topology.dim_port(router, dim, dst_coord)
-    raise TopologyError("no local hop needed between identical routers")
-
-
-def variant_next_hop(
-    topology: Variant,
-    router: int,
-    plan: RoutePlan,
-    progress: int,
-    dst_terminal: int,
-    assignment: vcs.VcAssignment = vcs.CANONICAL,
-) -> Tuple[int, int, int]:
-    """(out_port, out_vc, next_progress); progress = global hops taken."""
-    minimal = plan.minimal
-    if plan.gc1 is not None and progress == 0:
-        link = plan.gc1
-        if router == link.src_router:
-            return link.src_port, assignment.global_vc(minimal, 0), progress + 1
-        return (
-            _dor_port(topology, router, link.src_router),
-            assignment.local_vc(minimal, 0),
-            progress,
-        )
-    if plan.gc2 is not None and progress == 1:
-        link = plan.gc2
-        if router == link.src_router:
-            return link.src_port, assignment.global_vc(minimal, 1), progress + 1
-        return (
-            _dor_port(topology, router, link.src_router),
-            assignment.local_vc(minimal, 1),
-            progress,
-        )
-    dst_router = topology.terminal_router(dst_terminal)
-    if router == dst_router:
-        return topology.terminal_port(dst_terminal), 0, progress
-    return _dor_port(topology, router, dst_router), assignment.final_local_vc, progress
 
 
 #: Witness order for intra-group DOR walks: dimension-order routing

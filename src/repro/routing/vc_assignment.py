@@ -17,22 +17,19 @@ Stages and VCs::
     minimal      local(Gs)=1   global=1                local(Gd)=2
     non-minimal  local(Gs)=0   global=0   local(Gi)=1   global=1   local(Gd)=2
 
-Assignments are first-class :class:`VcAssignment` values so that the
-static certifier in :mod:`repro.check.cdg` can enumerate the concrete
-channel-dependency graph a candidate assignment induces on a real
-topology and prove (or refute) its deadlock freedom.  The module-level
-constants and functions describe the canonical Figure 7 assignment and
-are kept for the routing executors' hot path.
+Assignments are first-class :class:`VcAssignment` values, and this
+module holds no deadlock analysis of its own: the certifier proves or
+refutes an assignment from the routes it induces -- symbolically over
+every dragonfly from its path grammar
+(:func:`repro.routing.paths.dragonfly_path_grammar`,
+:func:`repro.check.symbolic.certify_grammar`), and concretely on a real
+topology (:mod:`repro.check.cdg`).  The module-level constants are the
+canonical Figure 7 assignment's VCs.
 """
 
 from __future__ import annotations
 
-import graphlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-#: One route stage: (channel class, VC), e.g. ``("local", 1)``.
-Stage = Tuple[str, int]
 
 #: Number of VCs required for deadlock freedom with non-minimal routing.
 NUM_VCS_REQUIRED = 3
@@ -87,7 +84,7 @@ class VcAssignment:
                 f"assignment {self.name!r} uses VCs outside [0, {self.num_vcs})"
             )
 
-    # -- per-hop queries (mirrors of the module-level functions) --------
+    # -- per-hop queries ------------------------------------------------
     def local_vc(self, minimal: bool, global_hops_taken: int) -> int:
         """VC for a local-channel hop at the given route progress."""
         if minimal:
@@ -111,64 +108,6 @@ class VcAssignment:
             if global_hops_taken == 0
             else self.intermediate_vc
         )
-
-    # -- abstract channel-class analysis --------------------------------
-    def vc_sequences(self) -> List[List[Stage]]:
-        """All (channel-class, VC) sequences routes can produce.
-
-        Every realisable route is a subsequence of one of these
-        full-length sequences (hops are skipped when the packet is
-        already at the right router).
-        """
-        minimal = [
-            ("local", self.minimal_first_vc),
-            ("global", self.minimal_first_vc),
-            ("local", self.final_local_vc),
-        ]
-        if not self.supports_nonminimal:
-            return [minimal]
-        nonminimal = [
-            ("local", self.nonminimal_first_vc),
-            ("global", self.nonminimal_first_vc),
-            ("local", self.intermediate_vc),
-            ("global", self.intermediate_vc),
-            ("local", self.final_local_vc),
-        ]
-        return [minimal, nonminimal]
-
-    def channel_dependency_graph(self) -> Dict[Stage, Dict[Stage, None]]:
-        """Abstract channel-class dependency graph of the assignment.
-
-        Nodes are (channel-class, VC) pairs; an edge A -> B means some
-        route holds a buffer of class A while requesting one of class B.
-        The graph maps each node to the nodes it requests, in first-seen
-        order.  Deadlock freedom of the assignment (over *any* dragonfly,
-        since local and global channels of the same class are
-        interchangeable at this abstraction) is equivalent to this graph
-        being acyclic.  The concrete per-channel proof lives in
-        :mod:`repro.check.cdg`.
-        """
-        graph: Dict[Stage, Dict[Stage, None]] = {}
-        for sequence in self.vc_sequences():
-            # Any contiguous *subsequence* is realisable (hops may be
-            # skipped), so add edges between every ordered pair, not just
-            # adjacent hops.
-            # A stage revisiting an earlier (class, VC) pair produces a
-            # self-loop, which graphlib counts as a cycle -- exactly right.
-            for i, holding in enumerate(sequence):
-                requests = graph.setdefault(holding, {})
-                for requested in sequence[i + 1:]:
-                    requests[requested] = None
-                    graph.setdefault(requested, {})
-        return graph
-
-    def is_deadlock_free(self) -> bool:
-        """True when the abstract channel-class graph is acyclic."""
-        try:
-            graphlib.TopologicalSorter(self.channel_dependency_graph()).prepare()
-        except graphlib.CycleError:
-            return False
-        return True
 
 
 #: The canonical Figure 7 assignment: 3 VCs, non-minimal admitted.
@@ -227,28 +166,3 @@ DETOUR_VC_REUSE = VcAssignment(
     intermediate_vc=INTERMEDIATE_VC,
     final_local_vc=NONMINIMAL_FIRST_VC,
 )
-
-
-def local_vc(minimal: bool, global_hops_taken: int) -> int:
-    """VC for a local-channel hop at the given route progress."""
-    return CANONICAL.local_vc(minimal, global_hops_taken)
-
-
-def global_vc(minimal: bool, global_hops_taken: int) -> int:
-    """VC for a global-channel hop at the given route progress."""
-    return CANONICAL.global_vc(minimal, global_hops_taken)
-
-
-def vc_sequences() -> List[List[Stage]]:
-    """All (channel-class, VC) sequences of the canonical assignment."""
-    return CANONICAL.vc_sequences()
-
-
-def channel_dependency_graph() -> Dict[Stage, Dict[Stage, None]]:
-    """Abstract channel-class dependency graph of the canonical assignment."""
-    return CANONICAL.channel_dependency_graph()
-
-
-def is_deadlock_free() -> bool:
-    """True when the canonical channel-class graph is acyclic."""
-    return CANONICAL.is_deadlock_free()

@@ -130,6 +130,24 @@ class FlattenedButterflyGroupDragonfly:
         offset = dst_coord if dst_coord < src_coord else dst_coord - 1
         return self._dim_port_base[dim] + offset
 
+    def local_port(self, router: int, dst_router: int) -> int:
+        """First dimension-order hop of ``router`` toward ``dst_router``.
+
+        The contract of :meth:`repro.topology.dragonfly.Dragonfly.
+        local_port`: both routers in one group and distinct.  A group is
+        a flattened butterfly, so the hop corrects the lowest differing
+        coordinate; repeated, it walks to ``dst_router``.
+        """
+        src_coords = self.coords_of(router)
+        dst_coords = self.coords_of(dst_router)
+        for dim, (src_coord, dst_coord) in enumerate(zip(src_coords, dst_coords)):
+            if src_coord != dst_coord:
+                return self.dim_port(router, dim, dst_coord)
+        raise TopologyError("no local hop needed between identical routers")
+
+    def is_global_port(self, port: int) -> bool:
+        return self.p + self.local_ports <= port < self.radix
+
     def global_port(self, slot: int) -> int:
         if not (0 <= slot < self.h):
             raise TopologyError(f"global slot {slot} out of range")

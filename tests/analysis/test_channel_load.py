@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.channel_load import (
-    min_uniform_throughput,
     min_worst_case_throughput,
     ugal_ideal_worst_case_throughput,
     valiant_uniform_throughput,
@@ -48,19 +47,11 @@ class TestClosedForms:
         assert valiant_uniform_throughput(params) == pytest.approx(0.5, abs=0.01)
         assert ugal_ideal_worst_case_throughput(params) == pytest.approx(0.5, abs=0.01)
 
-    def test_min_uniform_balanced(self):
-        params = DragonflyParams.paper_example_72()
-        assert min_uniform_throughput(params) == 1.0
-
     def test_min_worst_case_requires_groups(self):
         with pytest.raises(ValueError):
             min_worst_case_throughput(
                 DragonflyParams(p=2, a=4, h=2, num_groups=1)
             )
-
-    def test_underprovisioned_global_reduces_uniform(self):
-        params = DragonflyParams(p=4, a=8, h=2)  # h < p
-        assert min_uniform_throughput(params) < 1.0
 
 
 class TestBoundsAgainstSimulation:

@@ -44,7 +44,7 @@ class TestAncestorLevel:
 class TestClosPlans:
     def test_same_leaf_ejects_directly(self, clos):
         rng = random.Random(1)
-        plan = clos_plan(clos, rng, clos.terminal_router(0), 1)
+        plan = clos_plan(clos, rng, clos.terminal_router(0), clos.terminal_router(1))
         trace = _route_reaches(clos, 0, 1, plan)
         assert len(trace) == 1
 
@@ -52,7 +52,7 @@ class TestClosPlans:
         rng = random.Random(2)
         for dst in (2, 17, 63):
             src_router = clos.terminal_router(0)
-            plan = clos_plan(clos, rng, src_router, dst)
+            plan = clos_plan(clos, rng, src_router, clos.terminal_router(dst))
             trace = _route_reaches(clos, 0, dst, plan)
             assert len(trace) - 1 == 2 * plan.ancestor_level
             assert len(trace) - 1 == minimal_hop_count(clos, 0, dst)
@@ -60,25 +60,26 @@ class TestClosPlans:
     def test_all_destinations_reachable_random(self, clos):
         rng = random.Random(3)
         for dst in range(clos.num_terminals):
-            plan = clos_plan(clos, rng, clos.terminal_router(5), dst)
+            plan = clos_plan(clos, rng, clos.terminal_router(5), clos.terminal_router(dst))
             _route_reaches(clos, 5, dst, plan)
 
     def test_all_destinations_reachable_deterministic(self, clos):
         for dst in range(clos.num_terminals):
             plan = clos_plan(
-                clos, None, clos.terminal_router(5), dst, deterministic=True
+                clos, None, clos.terminal_router(5), clos.terminal_router(dst),
+                deterministic=True,
             )
             _route_reaches(clos, 5, dst, plan)
 
     def test_single_vc_suffices(self, clos):
         rng = random.Random(4)
-        plan = clos_plan(clos, rng, clos.terminal_router(0), 63)
+        plan = clos_plan(clos, rng, clos.terminal_router(0), clos.terminal_router(63))
         trace = walk_route(clos, clos_next_hop, clos.terminal_router(0), 63, plan)
         assert all(vc == 0 for _, _, vc in trace)
 
     def test_up_then_down_never_up_again(self, clos):
         rng = random.Random(5)
-        plan = clos_plan(clos, rng, clos.terminal_router(0), 63)
+        plan = clos_plan(clos, rng, clos.terminal_router(0), clos.terminal_router(63))
         trace = walk_route(clos, clos_next_hop, clos.terminal_router(0), 63, plan)
         levels = [clos.level_of(router) for router, _, _ in trace]
         peak = levels.index(max(levels))
@@ -130,7 +131,7 @@ _PROPERTY_CLOS = FoldedClos(num_terminals=64, radix=8)
 def test_clos_any_route_reaches(src, dst, seed):
     clos = _PROPERTY_CLOS
     rng = random.Random(seed)
-    plan = clos_plan(clos, rng, clos.terminal_router(src), dst)
+    plan = clos_plan(clos, rng, clos.terminal_router(src), clos.terminal_router(dst))
     trace = walk_route(clos, clos_next_hop, clos.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == clos.terminal_router(dst)

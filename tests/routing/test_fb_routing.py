@@ -54,25 +54,25 @@ class TestFbPlans:
     def test_valiant_reaches_destination(self, fb):
         rng = random.Random(3)
         for _ in range(30):
-            plan = router_valiant_plan(fb, rng, 0, fb.num_terminals - 1)
+            plan = router_valiant_plan(fb, rng, 0, fb.terminal_router(fb.num_terminals - 1))
             _route_reaches(fb, 0, fb.num_terminals - 1, plan)
 
     def test_valiant_hop_bound(self, fb):
         rng = random.Random(4)
         for _ in range(30):
-            plan = router_valiant_plan(fb, rng, 0, 63)
+            plan = router_valiant_plan(fb, rng, 0, fb.terminal_router(63))
             hops = _walk_hops(fb, 0, 63, plan)
             assert hops <= 2 * len(fb.dims)
             assert hops == len(walk_route(fb, fb_next_hop, 0, 63, plan)) - 1
 
     def test_valiant_degenerates_on_endpoint_draw(self, fb):
         dst_router = fb.terminal_router(63)
-        plan = router_valiant_plan(fb, random.Random(5), 0, 63,
+        plan = router_valiant_plan(fb, random.Random(5), 0, fb.terminal_router(63),
                                    intermediate_router=dst_router)
         assert plan.minimal
 
     def test_vcs_escalate_at_intermediate(self, fb):
-        plan = router_valiant_plan(fb, random.Random(6), 0, 63,
+        plan = router_valiant_plan(fb, random.Random(6), 0, fb.terminal_router(63),
                                    intermediate_router=5)
         trace = walk_route(fb, fb_next_hop, 0, 63, plan)
         vcs_used = [vc for _, port, vc in trace[:-1]]
@@ -179,7 +179,7 @@ def test_fb_any_route_reaches(src, dst, seed):
     """Property: every FB plan terminates at its destination."""
     fb = FlattenedButterfly(dims=(4, 4), concentration=4)
     rng = random.Random(seed)
-    plan = router_valiant_plan(fb, rng, fb.terminal_router(src), dst)
+    plan = router_valiant_plan(fb, rng, fb.terminal_router(src), fb.terminal_router(dst))
     trace = walk_route(fb, fb_next_hop, fb.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == fb.terminal_router(dst)

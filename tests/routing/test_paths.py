@@ -42,24 +42,24 @@ class TestMinimalPlan:
     def test_reaches_destination(self, df):
         rng = random.Random(1)
         for src, dst in [(0, 71), (0, 2), (0, 1), (10, 50)]:
-            plan = minimal_plan(df, rng, df.terminal_router(src), dst)
+            plan = minimal_plan(df, rng, df.terminal_router(src), df.terminal_router(dst))
             _route_reaches(df, src, dst, plan)
 
     def test_at_most_one_global_hop(self, df):
         rng = random.Random(2)
-        plan = minimal_plan(df, rng, df.terminal_router(0), 71)
+        plan = minimal_plan(df, rng, df.terminal_router(0), df.terminal_router(71))
         assert plan.gc1 is not None and plan.gc2 is None
         assert plan.minimal
 
     def test_intra_group_has_no_global(self, df):
         rng = random.Random(3)
-        plan = minimal_plan(df, rng, df.terminal_router(0), 7)
+        plan = minimal_plan(df, rng, df.terminal_router(0), df.terminal_router(7))
         assert plan.gc1 is None and plan.gc2 is None
 
     def test_hop_count_at_most_three(self, df):
         rng = random.Random(4)
         for dst in range(8, 72, 3):
-            plan = minimal_plan(df, rng, 0, dst)
+            plan = minimal_plan(df, rng, 0, df.terminal_router(dst))
             assert plan_hops(df, 0, dst, plan) <= 3
 
     def test_prefers_direct_global_link(self, df):
@@ -67,7 +67,7 @@ class TestMinimalPlan:
         rng = random.Random(5)
         link = df.global_links_of(0)[0]
         dst_terminal = link.dst_group * df.params.terminals_per_group
-        plan = minimal_plan(df, rng, 0, dst_terminal)
+        plan = minimal_plan(df, rng, 0, df.terminal_router(dst_terminal))
         assert plan.gc1.src_router == 0
 
 
@@ -75,14 +75,14 @@ class TestValiantPlan:
     def test_reaches_destination(self, df):
         rng = random.Random(6)
         for src, dst in [(0, 71), (3, 40), (20, 60)]:
-            plan = valiant_plan(df, rng, df.terminal_router(src), dst)
+            plan = valiant_plan(df, rng, df.terminal_router(src), df.terminal_router(dst))
             _route_reaches(df, src, dst, plan)
 
     def test_uses_up_to_two_global_hops(self, df):
         rng = random.Random(7)
         seen_two = False
         for _ in range(50):
-            plan = valiant_plan(df, rng, 0, 71)
+            plan = valiant_plan(df, rng, 0, df.terminal_router(71))
             assert plan.gc1 is not None
             seen_two = seen_two or plan.gc2 is not None
         assert seen_two
@@ -90,30 +90,30 @@ class TestValiantPlan:
     def test_degenerates_to_minimal_via_destination_group(self, df):
         rng = random.Random(8)
         dst_group = df.group_of(df.terminal_router(71))
-        plan = valiant_plan(df, rng, 0, 71, intermediate_group=dst_group)
+        plan = valiant_plan(df, rng, 0, df.terminal_router(71), intermediate_group=dst_group)
         assert plan.minimal
 
     def test_rejects_source_group_intermediate(self, df):
         rng = random.Random(9)
         with pytest.raises(ValueError):
-            valiant_plan(df, rng, 0, 71, intermediate_group=0)
+            valiant_plan(df, rng, 0, df.terminal_router(71), intermediate_group=0)
 
     def test_intermediate_group_respected(self, df):
         rng = random.Random(10)
-        plan = valiant_plan(df, rng, 0, 71, intermediate_group=4)
+        plan = valiant_plan(df, rng, 0, df.terminal_router(71), intermediate_group=4)
         assert plan.gc1.dst_group == 4
 
     def test_hop_count_at_most_five(self, df):
         rng = random.Random(11)
         for _ in range(30):
-            plan = valiant_plan(df, rng, 0, 71)
+            plan = valiant_plan(df, rng, 0, df.terminal_router(71))
             assert plan_hops(df, 0, 71, plan) <= 5
 
 
 class TestNextHopVcs:
     def test_minimal_vcs(self, df):
         rng = random.Random(12)
-        plan = minimal_plan(df, rng, 0, 71)
+        plan = minimal_plan(df, rng, 0, df.terminal_router(71))
         trace = _route_reaches(df, 0, 71, plan)
         vcs_used = [vc for router, port, vc in trace if not df.is_terminal_port(port)]
         # Local hops 1 then 2, global on 1 (subsequence of [1, 1, 2]).
@@ -123,7 +123,7 @@ class TestNextHopVcs:
     def test_nonminimal_vcs_nondecreasing(self, df):
         rng = random.Random(13)
         for _ in range(20):
-            plan = valiant_plan(df, rng, 0, 71)
+            plan = valiant_plan(df, rng, 0, df.terminal_router(71))
             trace = walk_route(df, EXECUTOR, 0, 71, plan)
             vcs_used = [
                 vc for router, port, vc in trace if not df.is_terminal_port(port)
@@ -132,7 +132,7 @@ class TestNextHopVcs:
 
     def test_ejection_hop(self, df):
         rng = random.Random(14)
-        plan = minimal_plan(df, rng, df.terminal_router(5), 5)
+        plan = minimal_plan(df, rng, df.terminal_router(5), df.terminal_router(5))
         port, vc = next_hop(df, df.terminal_router(5), plan, 0, 5)
         assert df.is_terminal_port(port)
         assert port == df.terminal_port(5)
@@ -168,10 +168,10 @@ def test_any_route_terminates_and_reaches(src, dst, seed, use_valiant):
     rng = random.Random(seed)
     src_router = topology.terminal_router(src)
     if use_valiant:
-        plan = valiant_plan(topology, rng, src_router, dst)
+        plan = valiant_plan(topology, rng, src_router, topology.terminal_router(dst))
         bound = 5
     else:
-        plan = minimal_plan(topology, rng, src_router, dst)
+        plan = minimal_plan(topology, rng, src_router, topology.terminal_router(dst))
         bound = 3
     trace = walk_route(topology, EXECUTOR, src_router, dst, plan)
     assert len(trace) - 1 <= bound  # channel hops exclude the ejection

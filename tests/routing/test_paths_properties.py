@@ -107,7 +107,7 @@ class TestMinimalRouteProperties:
     @given(case=routed_case())
     def test_minimal_route_invariants(self, case):
         topology, rng, src_router, dst_terminal = case
-        plan = minimal_plan(topology, rng, src_router, dst_terminal)
+        plan = minimal_plan(topology, rng, src_router, topology.terminal_router(dst_terminal))
         assert plan.minimal
         assert_route_invariants(
             topology, src_router, dst_terminal, plan, max_global_hops=1
@@ -120,7 +120,7 @@ class TestMinimalRouteProperties:
         dst_router = topology.terminal_router(dst_terminal)
         if topology.group_of(src_router) != topology.group_of(dst_router):
             return
-        plan = minimal_plan(topology, rng, src_router, dst_terminal)
+        plan = minimal_plan(topology, rng, src_router, topology.terminal_router(dst_terminal))
         assert plan.gc1 is None and plan.gc2 is None
 
 
@@ -129,7 +129,7 @@ class TestValiantRouteProperties:
     @given(case=routed_case())
     def test_valiant_route_invariants(self, case):
         topology, rng, src_router, dst_terminal = case
-        plan = valiant_plan(topology, rng, src_router, dst_terminal)
+        plan = valiant_plan(topology, rng, src_router, topology.terminal_router(dst_terminal))
         assert_route_invariants(
             topology, src_router, dst_terminal, plan,
             max_global_hops=1 if plan.minimal else 2,

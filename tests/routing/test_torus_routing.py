@@ -78,12 +78,13 @@ class TestTorusValiant:
     def test_reaches_destination(self, torus):
         rng = random.Random(5)
         for _ in range(40):
-            plan = router_valiant_plan(torus, rng, 0, 31)
+            plan = router_valiant_plan(torus, rng, 0, torus.terminal_router(31))
             _route_reaches(torus, 0, 31, plan)
 
     def test_vcs_partition_by_phase(self, torus):
         plan = router_valiant_plan(
-            torus, random.Random(6), 0, 30, intermediate_router=9
+            torus, random.Random(6), 0, torus.terminal_router(30),
+            intermediate_router=9,
         )
         trace = walk_route(torus, torus_next_hop, 0, 30, plan)
         phase = 0
@@ -97,7 +98,8 @@ class TestTorusValiant:
 
     def test_degenerates_on_endpoint_draw(self, torus):
         plan = router_valiant_plan(
-            torus, random.Random(7), 0, 31, intermediate_router=0
+            torus, random.Random(7), 0, torus.terminal_router(31),
+            intermediate_router=0,
         )
         assert plan.minimal
 
@@ -153,7 +155,7 @@ class TestTorusSimulation:
 def test_torus_any_route_reaches(src, dst, seed):
     torus = Torus(dims=(4, 4), concentration=2)
     rng = random.Random(seed)
-    plan = router_valiant_plan(torus, rng, torus.terminal_router(src), dst)
+    plan = router_valiant_plan(torus, rng, torus.terminal_router(src), torus.terminal_router(dst))
     trace = walk_route(torus, torus_next_hop, torus.terminal_router(src), dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == torus.terminal_router(dst)

@@ -10,14 +10,19 @@ from oracles import check_invariants
 from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
+from repro.routing import vc_assignment as vcs
 from repro.routing.paths import walk_route
+from repro.routing.tables import VariantLowering
 from repro.routing.ugal import make_routing
-from repro.routing.variant_paths import (
-    variant_minimal_plan,
-    variant_next_hop,
-    variant_valiant_plan,
-)
+from repro.routing.variant_paths import variant_minimal_plan, variant_valiant_plan
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
+
+
+def variant_walk(topology, src_router, dst_terminal, plan):
+    """The route through the dragonfly's executor: the variant's
+    ``local_port`` is the first hop of the group's DOR walk."""
+    executor = VariantLowering(topology, vcs.CANONICAL, True).next_hop
+    return walk_route(topology, executor, src_router, dst_terminal, plan)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +33,7 @@ def cube_df():
 
 def _route_reaches(topology, src_terminal, dst_terminal, plan):
     src_router = topology.terminal_router(src_terminal)
-    trace = walk_route(topology, variant_next_hop, src_router, dst_terminal, plan)
+    trace = variant_walk(topology, src_router, dst_terminal, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst_terminal)
     assert last_port == topology.terminal_port(dst_terminal)
@@ -38,19 +43,22 @@ def _route_reaches(topology, src_terminal, dst_terminal, plan):
 class TestVariantPlans:
     def test_minimal_reaches_cross_group(self, cube_df):
         rng = random.Random(1)
-        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.num_terminals - 1)
+        dst = cube_df.num_terminals - 1
+        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.terminal_router(dst))
         trace = _route_reaches(cube_df, 0, cube_df.num_terminals - 1, plan)
         # <= 3 local + 1 global + <= 3 local + ejection.
         assert len(trace) <= 8
 
     def test_minimal_single_global_hop(self, cube_df):
         rng = random.Random(2)
-        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.num_terminals - 1)
+        dst_router = cube_df.terminal_router(cube_df.num_terminals - 1)
+        plan = variant_minimal_plan(cube_df, rng, 0, dst_router)
         assert plan.gc1 is not None and plan.gc2 is None
 
     def test_intra_group_route(self, cube_df):
         rng = random.Random(3)
-        plan = variant_minimal_plan(cube_df, rng, 0, 15)  # same group
+        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.terminal_router(15))
+        assert cube_df.group_of(cube_df.terminal_router(15)) == 0
         assert plan.gc1 is None
         trace = _route_reaches(cube_df, 0, 15, plan)
         assert len(trace) - 1 <= 3  # DOR in a 2x2x2 cube
@@ -58,16 +66,16 @@ class TestVariantPlans:
     def test_valiant_reaches(self, cube_df):
         rng = random.Random(4)
         for _ in range(25):
-            plan = variant_valiant_plan(cube_df, rng, 0, 260)
+            plan = variant_valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
             _route_reaches(cube_df, 0, 260, plan)
 
     def test_candidate_matches_trace(self, cube_df):
         rng = random.Random(5)
         for dst in (17, 100, 260):
-            plan = variant_valiant_plan(cube_df, rng, 0, dst)
-            trace = walk_route(cube_df, variant_next_hop, 0, dst, plan)
-            routes = make_routing("VAR-VAL").hop_memo(cube_df)
             dst_router = cube_df.terminal_router(dst)
+            plan = variant_valiant_plan(cube_df, rng, 0, dst_router)
+            trace = variant_walk(cube_df, 0, dst, plan)
+            routes = make_routing("VAR-VAL").hop_memo(cube_df)
             assert routes.candidate(plan, 0, dst_router) == (
                 trace[0][1], trace[0][2], len(trace) - 1
             )
@@ -75,8 +83,8 @@ class TestVariantPlans:
     def test_vcs_nondecreasing(self, cube_df):
         rng = random.Random(6)
         for _ in range(25):
-            plan = variant_valiant_plan(cube_df, rng, 0, 260)
-            trace = walk_route(cube_df, variant_next_hop, 0, 260, plan)
+            plan = variant_valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
+            trace = variant_walk(cube_df, 0, 260, plan)
             vcs_used = [vc for _, port, vc in trace[:-1]]
             assert vcs_used == sorted(vcs_used)
 
@@ -138,8 +146,9 @@ _PROPERTY_TOPOLOGY = FlattenedButterflyGroupDragonfly(
 def test_variant_any_route_reaches(src, dst, seed):
     topology = _PROPERTY_TOPOLOGY
     rng = random.Random(seed)
-    plan = variant_valiant_plan(topology, rng, topology.terminal_router(src), dst)
-    trace = walk_route(topology, variant_next_hop, topology.terminal_router(src), dst, plan)
+    src_router = topology.terminal_router(src)
+    plan = variant_valiant_plan(topology, rng, src_router, topology.terminal_router(dst))
+    trace = variant_walk(topology, src_router, dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst)
     assert last_port == topology.terminal_port(dst)

@@ -342,10 +342,22 @@ def workflow_scripts() -> list:
 
 def named_identifiers(tree: ast.AST) -> set:
     """Every identifier one module names: variables, attributes, imported
-    names, keyword arguments and exact string constants (lazy export
-    maps, ``getattr`` names)."""
+    names, keyword arguments and exact string constants (``getattr``
+    names).  The strings of a lazy export map (a ``lazy_exports`` call)
+    are not uses: they only make a name importable."""
+    exported = {
+        id(constant)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "lazy_exports"
+        for constant in ast.walk(call)
+        if isinstance(constant, ast.Constant)
+    }
     names = set()
     for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -383,12 +395,22 @@ def is_exempt(name: str, node: ast.AST) -> bool:
     )
 
 
+#: Definitions no code outside the tests names yet -> why each stays.
+UNNAMED = {
+    "repro/routing/tables.py:TableDrivenRouting": (
+        "a dragonfly algorithm over imported tables; ROADMAP item 1(b) "
+        "runs each VC assignment through it at a saturating load"
+    ),
+}
+
+
 def test_every_definition_is_named_outside_the_tests():
     """A function, class or method of ``src/repro`` that no code under
     ``src/``, ``benchmarks/pipeline/`` or ``examples/`` names, nor the
     CI workflows' inline Python, is reached only by tests: it belongs in
     ``tests/oracles.py`` or in its test.  The :data:`UNREACHED` modules
-    are test oracles kept in the package."""
+    are test oracles kept in the package; the :data:`UNNAMED`
+    definitions wait for a named consumer."""
     unreached = {module_path(name) for name in UNREACHED}
     scripts = workflow_scripts()
     assert scripts, "no inline Python found in .github/workflows"
@@ -408,4 +430,5 @@ def test_every_definition_is_named_outside_the_tests():
         for qualified, name, node in definitions(tree)
         if name not in named and not is_exempt(name, node)
     )
-    assert not unnamed, f"named only by tests: {unnamed}"
+    assert sorted(set(unnamed) - set(UNNAMED)) == [], "named only by tests"
+    assert sorted(set(UNNAMED) - set(unnamed)) == [], "an UNNAMED definition is now named"
