@@ -216,6 +216,16 @@ class TestDegradedCompilation:
             walk = walker.walk(case.src_router, case.dst_terminal, case.legs)
             assert walk[-1][0] == paper72.terminal_router(case.dst_terminal)
 
+    def test_degraded_lowering_refuses_an_executor_walk(self, paper72):
+        """The healthy executor would cross the dead 2<->3 cable; the
+        degraded lowering's routes are table walks only."""
+        lowering = DegradedDragonflyLowering(paper72, self.faults(paper72))
+        _label, src_router, dst_terminal, plan = next(iter(lowering.routes()))
+        with pytest.raises(TableRouteError, match="no executor walk"):
+            lowering.trace(src_router, dst_terminal, plan)
+        with pytest.raises(TableRouteError, match="no executor walk"):
+            lowering.walks
+
     def test_no_entries_at_dead_routers(self, paper72):
         tables = DegradedDragonflyLowering(paper72, self.faults(paper72)).compile()
         assert all(router != 35 for router, _, _ in tables.entries())
