@@ -34,5 +34,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "compile_fb_tables",
         "compile_torus_tables",
     ),
-    ".variant_paths": ("variant_minimal_plan", "variant_valiant_plan"),
 })

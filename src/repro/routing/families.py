@@ -17,6 +17,7 @@ UGAL either.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Any, Callable, Dict, Tuple
 
@@ -36,8 +37,7 @@ from .tables import (
     VariantLowering,
     table_routes,
 )
-from .ugal import Family
-from .variant_paths import variant_minimal_plan, variant_valiant_plan
+from .ugal import DRAGONFLY, Family
 
 
 def _tables(
@@ -62,15 +62,14 @@ FLATTENED_BUTTERFLY = Family(
     _tables(lambda topology, include_nonminimal: FbLowering(topology)),
     no_choice=lambda topology, src_router, dst_router: src_router == dst_router,
 )
-GROUP_VARIANT = Family(
-    FlattenedButterflyGroupDragonfly,
-    variant_minimal_plan, variant_valiant_plan,
-    _tables(lambda topology, include_nonminimal: VariantLowering(
+#: The dragonfly with another intra-group network: its plan builders
+#: and route-choice predicate, over the variant's tables.
+GROUP_VARIANT = dataclasses.replace(
+    DRAGONFLY,
+    topology_type=FlattenedButterflyGroupDragonfly,
+    hop_memo=_tables(lambda topology, include_nonminimal: VariantLowering(
         topology, vcs.CANONICAL, include_nonminimal
     )),
-    no_choice=lambda topology, src_router, dst_router: (
-        topology.group_of(src_router) == topology.group_of(dst_router)
-    ),
 )
 TORUS = Family(
     Torus, _router_minimal_plan, router_valiant_plan, _tables(TorusLowering)

@@ -32,30 +32,28 @@ _INTRA_GROUP_MINIMAL = RoutePlan(minimal=True)
 
 
 def _pick_best_link(
+    topology: Any,
     links: List[GlobalLink],
     rng: random.Random,
     src_router: int,
     dst_router: Optional[int] = None,
 ) -> GlobalLink:
-    """Pick the link minimising extra local hops, random tie-break."""
+    """Pick the link minimising the topology's ``intra_group_hops``
+    (to its gateway, and from its landing router to ``dst_router``).
+    One link draws nothing; more draw one ``randrange`` over the best,
+    even when only one is best."""
     if not links:
         raise TopologyError("no global link between the requested groups")
-
     if len(links) == 1:
         return links[0]
-    best = 3
-    candidates: List[GlobalLink] = []
-    for link in links:
-        extra = 0
-        if link.src_router != src_router:
-            extra += 1
-        if dst_router is not None and link.dst_router != dst_router:
-            extra += 1
-        if extra < best:
-            best = extra
-            candidates = [link]
-        elif extra == best:
-            candidates.append(link)
+    hops = topology.intra_group_hops
+    scores = [
+        hops(src_router, link.src_router)
+        + (0 if dst_router is None else hops(link.dst_router, dst_router))
+        for link in links
+    ]
+    best = min(scores)
+    candidates = [link for link, extra in zip(links, scores) if extra == best]
     return candidates[rng.randrange(len(candidates))]
 
 
@@ -108,7 +106,7 @@ def _minimal_plan_between(
     links = topology.group_links(src_group, dst_group)
     plan = RoutePlan(
         minimal=True,
-        gc1=_pick_best_link(links, rng, src_router, dst_router),
+        gc1=_pick_best_link(topology, links, rng, src_router, dst_router),
     )
     if memoised:
         memo[key] = plan
@@ -207,13 +205,11 @@ def _valiant_plan_between(
         if plan is not None:
             return plan
     gc1 = _pick_best_link(
-        topology.group_links(src_group, intermediate_group), rng, src_router
+        topology, topology.group_links(src_group, intermediate_group), rng, src_router
     )
     gc2 = _pick_best_link(
-        topology.group_links(intermediate_group, dst_group),
-        rng,
-        gc1.dst_router,
-        dst_router,
+        topology, topology.group_links(intermediate_group, dst_group), rng,
+        gc1.dst_router, dst_router,
     )
     plan = RoutePlan(minimal=False, gc1=gc1, gc2=gc2)
     if memoised:

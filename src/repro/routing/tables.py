@@ -1067,14 +1067,26 @@ class _GroupedLowering(Lowering):
     def routes(self) -> Iterator[Route]:
         """Minimal routes over every global channel between the two
         groups; Valiant routes additionally over every intermediate
-        group and every second global channel."""
+        group and every second global channel.  Under :attr:`faults`,
+        only live routers, only surviving channels, and the detour for
+        a pair with none."""
         topology = self.topology
+        faults = self.faults
+        degraded = bool(faults)
+        group_links = topology.group_links
+        dead: FrozenSet[int] = frozenset()
+        if degraded:
+            group_links = functools.partial(_surviving_links, topology, faults)
+            dead = frozenset(fault.router for fault in faults.routers)
         for src_router in range(topology.fabric.num_routers):
+            if src_router in dead:
+                continue
             src_group = topology.group_of(src_router)
             for dst_terminal in range(topology.num_terminals):
-                dest_group = topology.group_of(
-                    topology.terminal_router(dst_terminal)
-                )
+                dest = topology.terminal_router(dst_terminal)
+                if dest in dead:
+                    continue
+                dest_group = topology.group_of(dest)
                 pair = f"r{src_router}->t{dst_terminal}"
                 if src_group == dest_group:
                     yield (
@@ -1082,11 +1094,20 @@ class _GroupedLowering(Lowering):
                         RoutePlan(minimal=True),
                     )
                     continue
-                for gc1 in topology.group_links(src_group, dest_group):
+                links = group_links(src_group, dest_group)
+                for gc1 in links:
                     yield (
                         f"min {pair} via {gc1.src_port}@{gc1.src_router}",
                         src_router, dst_terminal,
                         RoutePlan(minimal=True, gc1=gc1),
+                    )
+                if not links and degraded:
+                    mid_group, first, second = _detour_choice(
+                        topology, faults, src_group, dest_group
+                    )
+                    yield (
+                        f"detour {pair} mid g{mid_group}", src_router, dst_terminal,
+                        RoutePlan(minimal=False, gc1=first, gc2=second),
                     )
                 if not self.include_nonminimal:
                     continue
@@ -1156,9 +1177,8 @@ class DegradedDragonflyLowering(_GroupedLowering):
     :class:`~repro.routing.grammar.DegradedPathGrammar` composed for
     exactly the fault classes this fault set exhibits: detour walks
     match its ``fault-detour`` route class, and local repair hops land
-    in local segments widened to relay walks.  :meth:`routes` is its
-    own: it filters dead routers and severed links, adds the detour,
-    and its labels name no global link.
+    in local segments widened to relay walks.  :meth:`routes` is the
+    grouped one, read through :attr:`faults`.
     """
 
     family = "dragonfly"
@@ -1186,44 +1206,11 @@ class DegradedDragonflyLowering(_GroupedLowering):
             self.faults.fault_classes(self.topology),
         ).compose()
 
-    def routes(self) -> Iterator[Route]:
-        """Every route between live routers: intra-group, minimal over
-        each surviving global link, or the programmed detour."""
-        topology = self.topology
-        faults = self.faults
-        for src_router in range(topology.fabric.num_routers):
-            if faults.router_dead(src_router):
-                continue
-            src_group = topology.group_of(src_router)
-            for dst_terminal in range(topology.num_terminals):
-                dest = topology.terminal_router(dst_terminal)
-                if faults.router_dead(dest):
-                    continue
-                dest_group = topology.group_of(dest)
-                pair = f"r{src_router}->t{dst_terminal}"
-                if src_group == dest_group:
-                    yield f"intra {pair}", src_router, dst_terminal, RoutePlan(
-                        minimal=True
-                    )
-                    continue
-                links = _surviving_links(topology, faults, src_group, dest_group)
-                for link in links:
-                    yield f"min {pair}", src_router, dst_terminal, RoutePlan(
-                        minimal=True, gc1=link
-                    )
-                if not links:
-                    _mid, first, second = _detour_choice(
-                        topology, faults, src_group, dest_group
-                    )
-                    yield f"detour {pair}", src_router, dst_terminal, RoutePlan(
-                        minimal=False, gc1=first, gc2=second
-                    )
-
     def plan(
         self, rng: random.Random, src_router: int, dst_router: int
     ) -> RoutePlan:
-        """The route of one packet: minimal over a surviving global link
-        drawn uniformly (no draw when one survives), else the detour."""
+        """The route of one packet: minimal over the surviving global
+        link the dragonfly's picker chooses, else the detour."""
         topology = self.topology
         src_group = topology.group_of(src_router)
         dest_group = topology.group_of(dst_router)
@@ -1231,8 +1218,9 @@ class DegradedDragonflyLowering(_GroupedLowering):
             return RoutePlan(minimal=True)
         links = _surviving_links(topology, self.faults, src_group, dest_group)
         if links:
-            gc1 = links[0] if len(links) == 1 else links[rng.randrange(len(links))]
-            return RoutePlan(minimal=True, gc1=gc1)
+            return RoutePlan(minimal=True, gc1=paths._pick_best_link(
+                topology, links, rng, src_router, dst_router
+            ))
         _mid, first, second = _detour_choice(
             topology, self.faults, src_group, dest_group
         )

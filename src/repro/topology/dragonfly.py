@@ -138,6 +138,11 @@ class Dragonfly:
         offset = dst_local if dst_local < src_local else dst_local - 1
         return self.p + offset
 
+    def intra_group_hops(self, src_router: int, dst_router: int) -> int:
+        """Local hops between two routers of one group: a group is a
+        complete graph, so 0 or 1."""
+        return int(src_router != dst_router)
+
     def global_links_of(self, router: int) -> List[GlobalLink]:
         """The ``h`` global connections of a router."""
         return self._router_global_links[router]

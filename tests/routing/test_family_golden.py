@@ -7,6 +7,7 @@ must reproduce the fixtures under ``tests/golden/families/``
 (``tests/golden/make_golden.py``) bit for bit.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -65,3 +66,18 @@ def test_family_run_matches_golden(name, index):
     pattern = make_pattern(run["pattern"], topology, seed=config.seed + 17)
     result = Simulator(topology, make_routing(run["routing"]), pattern, config).run()
     assert result.to_dict() == fixture["points"][index]
+
+
+def test_group_variant_repin_map_names_the_pinned_points():
+    """The committed old -> new digest map of the group-variant re-pin
+    ends on exactly the points the fixture pins."""
+    fixture = FIXTURES["group_variant"]
+    lines = (FAMILY_DIR / "group_variant.repin.txt").read_text().splitlines()
+    rows = [line.split() for line in lines if line and not line.startswith("#")]
+    assert [(routing, pattern) for routing, pattern, _old, _new in rows] == [
+        (run["routing"], run["pattern"]) for run in fixture["runs"]
+    ]
+    assert [new for *_, new in rows] == [
+        hashlib.sha256(json.dumps(point, sort_keys=True).encode()).hexdigest()
+        for point in fixture["points"]
+    ]

@@ -25,6 +25,7 @@ from repro.routing.tables import (
     TableWalker,
     compile_dragonfly_tables,
     compile_fb_tables,
+    link_tag,
 )
 from repro.routing.ugal import make_routing
 from repro.network.config import SimulationConfig
@@ -225,6 +226,39 @@ class TestDegradedCompilation:
             lowering.trace(src_router, dst_terminal, plan)
         with pytest.raises(TableRouteError, match="no executor walk"):
             lowering.walks
+
+    def test_route_labels_name_the_surviving_link_and_the_detour_group(
+        self, paper72
+    ):
+        """Degraded routes carry the healthy label format: a minimal
+        route names its surviving global link, a detour its mid group."""
+        lowering = DegradedDragonflyLowering(paper72, self.faults(paper72))
+        routes = {label: plan for label, _src, _dst, plan in lowering.routes()}
+        (link,) = paper72.group_links(0, 2)
+        assert not lowering.faults.link_dead(link.src_router, link.dst_router)
+        assert routes["min r0->t16 via 6@0"] == RoutePlan(minimal=True, gc1=link)
+        detour = lowering.compile().meta["detours"]["0->1"]
+        assert detour["mid_group"] == 2
+        plan = routes["detour r0->t8 mid g2"]
+        assert not plan.minimal
+        assert [list(link_tag(plan.gc1)), list(link_tag(plan.gc2))] == [
+            detour["first"], detour["second"],
+        ]
+
+    @pytest.mark.parametrize(
+        "links, message",
+        [
+            ([(0, 2), (1, 4)], "groups 1 and 0 are disconnected even via detours"),
+            ([(0, 1)], "no surviving local relay"),
+        ],
+        ids=["severed-group", "dead-local-link"],
+    )
+    def test_disconnection_is_a_named_compile_error(self, tiny, links, message):
+        """Group 0 of the tiny dragonfly loses both global cables, or
+        its two routers their only local cable."""
+        lowering = DegradedDragonflyLowering(tiny, FaultSet.of(links=links))
+        with pytest.raises(TableCompileError, match=message):
+            lowering.compile()
 
     def test_no_entries_at_dead_routers(self, paper72):
         tables = DegradedDragonflyLowering(paper72, self.faults(paper72)).compile()

@@ -11,10 +11,9 @@ from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
 from repro.routing import vc_assignment as vcs
-from repro.routing.paths import walk_route
+from repro.routing.paths import minimal_plan, valiant_plan, walk_route
 from repro.routing.tables import VariantLowering
 from repro.routing.ugal import make_routing
-from repro.routing.variant_paths import variant_minimal_plan, variant_valiant_plan
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
 
 
@@ -44,7 +43,7 @@ class TestVariantPlans:
     def test_minimal_reaches_cross_group(self, cube_df):
         rng = random.Random(1)
         dst = cube_df.num_terminals - 1
-        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.terminal_router(dst))
+        plan = minimal_plan(cube_df, rng, 0, cube_df.terminal_router(dst))
         trace = _route_reaches(cube_df, 0, cube_df.num_terminals - 1, plan)
         # <= 3 local + 1 global + <= 3 local + ejection.
         assert len(trace) <= 8
@@ -52,12 +51,12 @@ class TestVariantPlans:
     def test_minimal_single_global_hop(self, cube_df):
         rng = random.Random(2)
         dst_router = cube_df.terminal_router(cube_df.num_terminals - 1)
-        plan = variant_minimal_plan(cube_df, rng, 0, dst_router)
+        plan = minimal_plan(cube_df, rng, 0, dst_router)
         assert plan.gc1 is not None and plan.gc2 is None
 
     def test_intra_group_route(self, cube_df):
         rng = random.Random(3)
-        plan = variant_minimal_plan(cube_df, rng, 0, cube_df.terminal_router(15))
+        plan = minimal_plan(cube_df, rng, 0, cube_df.terminal_router(15))
         assert cube_df.group_of(cube_df.terminal_router(15)) == 0
         assert plan.gc1 is None
         trace = _route_reaches(cube_df, 0, 15, plan)
@@ -66,14 +65,14 @@ class TestVariantPlans:
     def test_valiant_reaches(self, cube_df):
         rng = random.Random(4)
         for _ in range(25):
-            plan = variant_valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
+            plan = valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
             _route_reaches(cube_df, 0, 260, plan)
 
     def test_candidate_matches_trace(self, cube_df):
         rng = random.Random(5)
         for dst in (17, 100, 260):
             dst_router = cube_df.terminal_router(dst)
-            plan = variant_valiant_plan(cube_df, rng, 0, dst_router)
+            plan = valiant_plan(cube_df, rng, 0, dst_router)
             trace = variant_walk(cube_df, 0, dst, plan)
             routes = make_routing("VAR-VAL").hop_memo(cube_df)
             assert routes.candidate(plan, 0, dst_router) == (
@@ -83,7 +82,7 @@ class TestVariantPlans:
     def test_vcs_nondecreasing(self, cube_df):
         rng = random.Random(6)
         for _ in range(25):
-            plan = variant_valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
+            plan = valiant_plan(cube_df, rng, 0, cube_df.terminal_router(260))
             trace = variant_walk(cube_df, 0, 260, plan)
             vcs_used = [vc for _, port, vc in trace[:-1]]
             assert vcs_used == sorted(vcs_used)
@@ -147,7 +146,7 @@ def test_variant_any_route_reaches(src, dst, seed):
     topology = _PROPERTY_TOPOLOGY
     rng = random.Random(seed)
     src_router = topology.terminal_router(src)
-    plan = variant_valiant_plan(topology, rng, src_router, topology.terminal_router(dst))
+    plan = valiant_plan(topology, rng, src_router, topology.terminal_router(dst))
     trace = variant_walk(topology, src_router, dst, plan)
     last_router, last_port, _ = trace[-1]
     assert last_router == topology.terminal_router(dst)
