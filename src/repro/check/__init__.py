@@ -48,7 +48,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "all_configurations",
         "broken_configuration",
         "default_configurations",
-        "register",
         "symbolic_scale_configurations",
     ),
     ".report": ("CheckReport", "Finding", "Severity", "combined_exit_code"),

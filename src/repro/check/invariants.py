@@ -3,8 +3,10 @@
 Audits concrete topology instances against the paper's parameter algebra
 (Section 3.1) and against structural properties every fabric must hold:
 
-* dragonfly algebra: group bound ``g <= a*h + 1``, size ``N = a*p*g``
-  (``= ap(ah+1)`` at maximum size), radix ``k = p + a + h - 1``;
+* dragonfly algebra, for the dragonfly and its Figure 6 variants alike:
+  group bound ``g <= a*h + 1``, size ``N = a*p*g`` (``= ap(ah+1)`` at
+  maximum size), radix ``k = p + a + h - 1`` (``p + local ports + h``
+  for a variant);
 * the balance rule ``a = 2p = 2h`` (warning when violated without the
   paper's relaxed overprovisioning ``a >= 2h``, ``p >= h``);
 * port-budget consistency: every router wires exactly its declared
@@ -25,7 +27,7 @@ from typing import Callable, List, Tuple, Union
 
 from ..core.params import DragonflyParams
 from ..topology.base import ChannelKind, Fabric
-from ..topology.dragonfly import Dragonfly
+from ..topology.dragonfly import Dragonfly, GroupedTopology
 from ..topology.flattened_butterfly import FlattenedButterfly
 from ..topology.folded_clos import FoldedClos
 from ..topology.group_variants import FlattenedButterflyGroupDragonfly
@@ -100,34 +102,7 @@ def _audit_radix_bound(
 def audit_dragonfly(topology: Dragonfly) -> List[Finding]:
     params = topology.params
     location = params.describe()
-    findings = audit_fabric(topology.fabric, location)
-    findings += _audit_radix_bound(topology.fabric, params.radix, location)
-
-    # Group bound g <= a*h + 1 (the virtual-router radix limit).
-    if params.g > params.a * params.h + 1:
-        findings.append(_finding(
-            "TOP001", Severity.ERROR, location,
-            f"group count g={params.g} exceeds the bound a*h+1="
-            f"{params.a * params.h + 1}",
-        ))
-
-    # Network size algebra: N = a*p*g, and at maximum size N = ap(ah+1).
-    expected_terminals = params.a * params.p * params.g
-    if topology.fabric.num_terminals != expected_terminals:
-        findings.append(_finding(
-            "TOP002", Severity.ERROR, location,
-            f"fabric has {topology.fabric.num_terminals} terminals, "
-            f"algebra demands a*p*g = {expected_terminals}",
-        ))
-    if params.is_max_size:
-        full = params.a * params.p * (params.a * params.h + 1)
-        if topology.fabric.num_terminals != full:
-            findings.append(_finding(
-                "TOP002", Severity.ERROR, location,
-                f"maximum-size dragonfly must have N = ap(ah+1) = {full} "
-                f"terminals, found {topology.fabric.num_terminals}",
-            ))
-
+    findings = _audit_grouped(topology, location)
     # Balance rule a = 2p = 2h (Section 3.1).
     if not params.is_balanced:
         severity = Severity.INFO if params.is_overprovisioned else Severity.WARNING
@@ -141,16 +116,45 @@ def audit_dragonfly(topology: Dragonfly) -> List[Finding]:
             f"unbalanced configuration (a={params.a}, 2p={2 * params.p}, "
             f"2h={2 * params.h}); {detail}",
         ))
+    return findings
 
-    findings += _audit_dragonfly_ports(topology, location)
+
+def _audit_grouped(topology: GroupedTopology, location: str) -> List[Finding]:
+    """The algebra, port budget and global wiring of any grouped topology
+    (the dragonfly and its Figure 6 variants)."""
+    p, a, h, g = topology.p, topology.a, topology.h, topology.g
+    findings = audit_fabric(topology.fabric, location)
+    findings += _audit_radix_bound(topology.fabric, topology.radix, location)
+
+    # Group bound g <= a*h + 1 (the virtual-router radix limit).
+    if g > a * h + 1:
+        findings.append(_finding(
+            "TOP001", Severity.ERROR, location,
+            f"group count g={g} exceeds the bound a*h+1={a * h + 1}",
+        ))
+
+    # Network size algebra: N = a*p*g, and at maximum size N = ap(ah+1).
+    num_terminals = topology.fabric.num_terminals
+    if num_terminals != a * p * g:
+        findings.append(_finding(
+            "TOP002", Severity.ERROR, location,
+            f"fabric has {num_terminals} terminals, "
+            f"algebra demands a*p*g = {a * p * g}",
+        ))
+    if g == a * h + 1 and num_terminals != a * p * (a * h + 1):
+        findings.append(_finding(
+            "TOP002", Severity.ERROR, location,
+            f"maximum-size dragonfly must have N = ap(ah+1) = "
+            f"{a * p * (a * h + 1)} terminals, found {num_terminals}",
+        ))
+    findings += _audit_grouped_ports(topology, location)
     findings += _audit_global_distribution(topology, location)
     return findings
 
 
-def _audit_dragonfly_ports(topology: Dragonfly, location: str) -> List[Finding]:
-    """Per-router port budget: p terminals, a-1 locals, <= h globals."""
+def _audit_grouped_ports(topology: GroupedTopology, location: str) -> List[Finding]:
+    """Per-router port budget: p terminals, every local port, <= h globals."""
     findings: List[Finding] = []
-    params = topology.params
     fabric = topology.fabric
     for router in range(fabric.num_routers):
         terminals = locals_ = globals_ = 0
@@ -169,20 +173,21 @@ def _audit_dragonfly_ports(topology: Dragonfly, location: str) -> List[Finding]:
                 locals_ += 1
             elif channel.kind == ChannelKind.GLOBAL:
                 globals_ += 1
-        if terminals != params.p:
+        if terminals != topology.p:
             findings.append(_finding(
                 "TOP004", Severity.ERROR, location,
-                f"router {router} wires {terminals} terminal ports, expected p={params.p}",
+                f"router {router} wires {terminals} terminal ports, expected p={topology.p}",
             ))
-        if locals_ != params.a - 1:
+        if locals_ != topology.local_ports:
             findings.append(_finding(
                 "TOP004", Severity.ERROR, location,
-                f"router {router} wires {locals_} local ports, expected a-1={params.a - 1}",
+                f"router {router} wires {locals_} local ports, expected "
+                f"{topology.local_ports}",
             ))
-        if globals_ > params.h:
+        if globals_ > topology.h:
             findings.append(_finding(
                 "TOP004", Severity.ERROR, location,
-                f"router {router} wires {globals_} global ports, exceeding h={params.h}",
+                f"router {router} wires {globals_} global ports, exceeding h={topology.h}",
             ))
         recorded = len(topology.global_links_of(router))
         if recorded != globals_:
@@ -194,15 +199,19 @@ def _audit_dragonfly_ports(topology: Dragonfly, location: str) -> List[Finding]:
     return findings
 
 
-def _audit_global_distribution(topology: Dragonfly, location: str) -> List[Finding]:
-    """Even distribution of global channels over group pairs (Section 3.1)."""
+def _audit_global_distribution(
+    topology: GroupedTopology, location: str
+) -> List[Finding]:
+    """Even distribution of global channels over group pairs (Section 3.1),
+    read from ``g``, the link lists, ``floor(ah / (g-1))`` and the cap
+    alone, so it audits every grouped topology."""
     findings: List[Finding] = []
-    params = topology.params
-    if params.g <= 1:
+    g = topology.g
+    if g <= 1:
         return findings
     counts = []
-    for i in range(params.g):
-        for j in range(i + 1, params.g):
+    for i in range(g):
+        for j in range(i + 1, g):
             count = len(topology.group_links(i, j))
             mirrored = len(topology.group_links(j, i))
             if count != mirrored:
@@ -217,17 +226,16 @@ def _audit_global_distribution(topology: Dragonfly, location: str) -> List[Findi
                     f"groups {i} and {j} are not connected by any global channel",
                 ))
             counts.append(count)
-    if not counts:
-        return findings
     # The round-robin distribution promises per-pair counts within one of
     # each other and at least floor(ah / (g-1)) each; tapering
     # (max_channels_per_pair) intentionally caps counts but must keep the
     # spread-of-one property among uncapped pairs, so only check the
     # lower bound against the cap when tapered.
-    floor_bound = params.min_channels_between_group_pairs()
-    if topology.max_channels_per_pair is not None:
-        floor_bound = min(floor_bound, topology.max_channels_per_pair)
-    if max(counts) - min(counts) > 1 and topology.max_channels_per_pair is None:
+    cap = topology.max_channels_per_pair
+    floor_bound = topology.a * topology.h // (g - 1)
+    if cap is not None:
+        floor_bound = min(floor_bound, cap)
+    if max(counts) - min(counts) > 1 and cap is None:
         findings.append(_finding(
             "TOP006", Severity.ERROR, location,
             f"global channels unevenly distributed: per-pair counts range "
@@ -301,25 +309,10 @@ def audit_torus(topology: Torus) -> List[Finding]:
 
 
 def audit_variant(topology: FlattenedButterflyGroupDragonfly) -> List[Finding]:
-    location = (
+    return _audit_grouped(topology, (
         f"dragonfly_fb_group(p={topology.p}, dims={topology.group_dims}, "
         f"h={topology.h}, g={topology.g})"
-    )
-    findings = audit_fabric(topology.fabric, location)
-    findings += _audit_radix_bound(topology.fabric, topology.radix, location)
-    if topology.g > topology.a * topology.h + 1:
-        findings.append(_finding(
-            "TOP001", Severity.ERROR, location,
-            f"group count g={topology.g} exceeds a*h+1={topology.a * topology.h + 1}",
-        ))
-    expected = topology.a * topology.p * topology.g
-    if topology.fabric.num_terminals != expected:
-        findings.append(_finding(
-            "TOP002", Severity.ERROR, location,
-            f"fabric has {topology.fabric.num_terminals} terminals, "
-            f"algebra demands a*p*g = {expected}",
-        ))
-    return findings
+    ))
 
 
 def audit_topology(topology: AnyTopology) -> List[Finding]:

@@ -12,15 +12,14 @@ Registering a new routing algorithm
 -----------------------------------
 Write one :class:`~repro.routing.tables.Lowering` subclass (``routes``,
 ``next_hop``, ``legs``, ``compile``, ``grammar``, ``classify_hop`` --
-see ``docs/static-analysis.md``), then one registry line::
+see ``docs/static-analysis.md``), then add one line to
+:func:`default_configurations`::
 
-    from repro.check.registry import CheckConfiguration, register
-
-    register(CheckConfiguration(
+    CheckConfiguration(
         name="mytopo/MYALG@my-vcs",
         description="my algorithm on my topology",
         family=lambda: MyLowering(MyTopology(...)),
-    ))
+    ),
 
 Adaptive algorithms that choose among enumerated candidates (the UGAL
 family chooses between the minimal and Valiant routes) are covered by
@@ -425,14 +424,6 @@ def degraded_crosscheck_configurations() -> List[CheckConfiguration]:
     ]
 
 
-#: Extra configurations registered by extensions (see module docstring).
-_EXTRA: List[CheckConfiguration] = []
-
-
-def register(configuration: CheckConfiguration) -> None:
-    """Add a configuration to the set the CLI certifies."""
-    _EXTRA.append(configuration)
-
-
-def all_configurations() -> List[CheckConfiguration]:
-    return [*default_configurations(), *_EXTRA]
+def all_configurations() -> Tuple[CheckConfiguration, ...]:
+    """The configurations the CLI and the tables pass certify."""
+    return default_configurations()

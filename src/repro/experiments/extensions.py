@@ -214,32 +214,23 @@ class GroupVariantComparison(Experiment):
                 settings=experiment_executor().settings,
             ).run()
 
-        min_run = simulate(canonical, make_routing("MIN"), 0.3, 800)
-        ugal_run = simulate(canonical, make_routing("UGAL-L"), 0.1, 8000)
-        result.rows.append(
-            {
-                "topology": "figure5_complete_group",
-                "k": canonical.params.radix,
-                "k_eff": canonical.params.effective_radix,
-                "N": canonical.num_terminals,
-                "groups": canonical.g,
-                "min_wc_accepted": min_run.accepted_load,
-                "ugal_wc_latency": ugal_run.avg_latency,
-            }
-        )
-        min_run = simulate(cube, make_routing("VAR-MIN"), 0.2, 800)
-        ugal_run = simulate(cube, make_routing("VAR-UGAL-L"), 0.1, 8000)
-        result.rows.append(
-            {
-                "topology": "figure6b_cube_group",
-                "k": cube.radix,
-                "k_eff": cube.effective_radix,
-                "N": cube.num_terminals,
-                "groups": cube.g,
-                "min_wc_accepted": min_run.accepted_load,
-                "ugal_wc_latency": ugal_run.avg_latency,
-            }
-        )
+        for name, topology, minimal, ugal, min_load in (
+            ("figure5_complete_group", canonical, "MIN", "UGAL-L", 0.3),
+            ("figure6b_cube_group", cube, "VAR-MIN", "VAR-UGAL-L", 0.2),
+        ):
+            min_run = simulate(topology, make_routing(minimal), min_load, 800)
+            ugal_run = simulate(topology, make_routing(ugal), 0.1, 8000)
+            result.rows.append(
+                {
+                    "topology": name,
+                    "k": topology.radix,
+                    "k_eff": topology.effective_radix,
+                    "N": topology.num_terminals,
+                    "groups": topology.g,
+                    "min_wc_accepted": min_run.accepted_load,
+                    "ugal_wc_latency": ugal_run.avg_latency,
+                }
+            )
         result.notes.append(
             "min_wc_accepted should approach 1/(a*h): 0.125 for figure 5, "
             "0.0625 for the cube variant"

@@ -351,7 +351,7 @@ class DecideTables:
     def __init__(self, topology: Dragonfly, routing, num_vcs: int) -> None:
         self.kind: str = routing.rule
         self.signal: str = routing.signal
-        if not getattr(topology, "single_link_pairs", False):
+        if not topology.single_link_pairs:
             raise ValueError(
                 "decide tables require a unique global link per group pair"
             )

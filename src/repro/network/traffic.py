@@ -66,13 +66,7 @@ class WorstCase:
         self.topology = topology
         self.group_offset = group_offset
         self._rng = random.Random(seed)
-        # Works for the canonical dragonfly and the Figure 6 group
-        # variants, which expose terminals_per_group directly.
-        params = getattr(topology, "params", None)
-        if params is not None:
-            self._per_group = params.terminals_per_group
-        else:
-            self._per_group = topology.terminals_per_group
+        self._per_group = topology.terminals_per_group
 
     def __call__(self, src_terminal: int) -> int:
         per_group = self._per_group
@@ -271,11 +265,7 @@ class BurstyInterGroup:
         self.topology = topology
         self.burst_length = burst_length
         self._rng = random.Random(seed)
-        params = getattr(topology, "params", None)
-        if params is not None:
-            self._per_group = params.terminals_per_group
-        else:
-            self._per_group = topology.terminals_per_group
+        self._per_group = topology.terminals_per_group
         # Per-source burst state, created lazily on first send so the
         # RNG stream depends only on the order of draws, not on N.
         self._burst_group: Dict[int, int] = {}

@@ -89,7 +89,7 @@ def _minimal_plan_between(
     and consumes no rng -- so plans are memoised on the topology, in its
     routing memos.
     """
-    memoised = getattr(topology, "single_link_pairs", False)
+    memoised = topology.single_link_pairs
     if memoised:
         # The hot path reads the memo inline and calls topology_memo only
         # to create it: a 72-terminal scalar UGAL-L run (150+150 cycles,
@@ -192,7 +192,7 @@ def _valiant_plan_between(
         return _minimal_plan_between(
             topology, rng, src_router, dst_router, src_group, dst_group
         )
-    memoised = getattr(topology, "single_link_pairs", False)
+    memoised = topology.single_link_pairs
     if memoised:
         # Read inline, as in _minimal_plan_between.
         try:

@@ -447,36 +447,63 @@ def _grouped_flip_meta(assignment: vcs.VcAssignment) -> Dict[str, Any]:
     }
 
 
-def _surviving_links(
-    topology: Any, faults: FaultSet, src_group: int, dest_group: int
-) -> List[GlobalLink]:
-    """The global links from ``src_group`` to ``dest_group`` still alive."""
-    return [
-        link
-        for link in topology.group_links(src_group, dest_group)
-        if not faults.link_dead(link.src_router, link.dst_router)
-    ]
+class FaultView:
+    """One fault set read on one grouped topology, once.
 
-
-def _detour_choice(
-    topology: Any, faults: FaultSet, src_group: int, dest_group: int
-) -> Tuple[int, GlobalLink, GlobalLink]:
-    """Deterministic detour for a disconnected group pair.
-
-    The smallest third group with surviving links both ways, using the
-    first surviving link of each stage -- deterministic so exported
-    tables, verifier legs, and re-compiles agree without coordination.
+    Per ordered group pair, :attr:`links` are the global links that
+    survive, in ``group_links`` order (the link picker breaks ties by
+    it), and :meth:`detour` is the detour of a pair left with none.
+    :func:`fault_view` keeps one per (topology, fault set); the
+    compiler, the route enumeration and the degraded plan all read it.
     """
-    for mid_group in range(topology.g):
-        if mid_group in (src_group, dest_group):
-            continue
-        first_leg = _surviving_links(topology, faults, src_group, mid_group)
-        second_leg = _surviving_links(topology, faults, mid_group, dest_group)
-        if first_leg and second_leg:
-            return mid_group, first_leg[0], second_leg[0]
-    raise TableCompileError(
-        f"groups {src_group} and {dest_group} are disconnected even via "
-        f"detours under faults ({faults.describe()})"
+
+    def __init__(self, topology: Any, faults: FaultSet) -> None:
+        self.faults = faults
+        self.dead: FrozenSet[int] = frozenset(fault.router for fault in faults.routers)
+        g = topology.g
+        links = self.links = {
+            (src, dest): [
+                link
+                for link in topology.group_links(src, dest)
+                if not faults.link_dead(link.src_router, link.dst_router)
+            ]
+            for src in range(g)
+            for dest in range(g)
+            if src != dest
+        }
+        # The smallest third group with surviving links both ways, over
+        # the first surviving link of each stage -- deterministic so
+        # exported tables, verifier legs, and re-compiles agree without
+        # coordination.
+        self._detours = {
+            (src, dest): next((
+                (mid, links[src, mid][0], links[mid, dest][0])
+                for mid in range(g)
+                if mid not in (src, dest) and links[src, mid] and links[mid, dest]
+            ), None)
+            for (src, dest), pair_links in links.items()
+            if not pair_links
+        }
+
+    def detour(
+        self, src_group: int, dest_group: int
+    ) -> Tuple[int, GlobalLink, GlobalLink]:
+        """``(mid_group, first, second)`` for a pair with no surviving
+        link."""
+        detour = self._detours[src_group, dest_group]
+        if detour is None:
+            raise TableCompileError(
+                f"groups {src_group} and {dest_group} are disconnected even via "
+                f"detours under faults ({self.faults.describe()})"
+            )
+        return detour
+
+
+def fault_view(topology: Any, faults: FaultSet) -> FaultView:
+    """The :class:`FaultView` of ``faults`` on ``topology``, built on
+    first use and kept in its routing memos."""
+    return topology_memo(
+        topology, (FaultView, faults), lambda t: FaultView(t, faults)
     )
 
 
@@ -583,7 +610,8 @@ def compile_dragonfly_tables(
     via_mid = nonmin or bool(faults)
     landing_vcs = (fv, mf, iv) if via_mid else (fv, mf)
     stage_vcs = (mf, iv) if via_mid else (mf,)
-    dead = {fault.router for fault in faults.routers}
+    view = fault_view(topology, faults) if faults else None
+    dead = view.dead if view else frozenset()
     live = [
         [router for router in range(group * a, (group + 1) * a) if router not in dead]
         for group in range(g)
@@ -601,18 +629,16 @@ def compile_dragonfly_tables(
             for src_group in range(g):
                 if src_group == dest_group:
                     continue
-                if faults:
-                    links = _surviving_links(topology, faults, src_group, dest_group)
-                else:
-                    links = topology.group_links(src_group, dest_group)
+                links = (
+                    view.links[src_group, dest_group] if view
+                    else topology.group_links(src_group, dest_group)
+                )
                 for link in links:
                     _toward_link(tables, local_port, live[src_group], link, stage)
-                if links or not faults:
+                if links or not view:
                     continue
                 # A pair the faults disconnected: route via a detour group.
-                mid_group, first, second = _detour_choice(
-                    topology, faults, src_group, dest_group
-                )
+                mid_group, first, second = view.detour(src_group, dest_group)
                 meta["detours"][f"{src_group}->{dest_group}"] = {
                     "mid_group": mid_group,
                     "first": list(link_tag(first)),
@@ -1048,6 +1074,11 @@ class _GroupedLowering(Lowering):
             self.faults, family=self.family,
         )
 
+    @functools.cached_property
+    def view(self) -> FaultView:
+        """:attr:`faults` read on the topology (:func:`fault_view`)."""
+        return fault_view(self.topology, self.faults)
+
     def classify_hop(self, router: int, port: int, vc: int) -> Tuple[str, int, str]:
         return _channel_class(self.topology, router, port, vc)
 
@@ -1071,13 +1102,8 @@ class _GroupedLowering(Lowering):
         only live routers, only surviving channels, and the detour for
         a pair with none."""
         topology = self.topology
-        faults = self.faults
-        degraded = bool(faults)
-        group_links = topology.group_links
-        dead: FrozenSet[int] = frozenset()
-        if degraded:
-            group_links = functools.partial(_surviving_links, topology, faults)
-            dead = frozenset(fault.router for fault in faults.routers)
+        view = self.view if self.faults else None
+        dead = view.dead if view else frozenset()
         for src_router in range(topology.fabric.num_routers):
             if src_router in dead:
                 continue
@@ -1094,17 +1120,18 @@ class _GroupedLowering(Lowering):
                         RoutePlan(minimal=True),
                     )
                     continue
-                links = group_links(src_group, dest_group)
+                links = (
+                    view.links[src_group, dest_group] if view
+                    else topology.group_links(src_group, dest_group)
+                )
                 for gc1 in links:
                     yield (
                         f"min {pair} via {gc1.src_port}@{gc1.src_router}",
                         src_router, dst_terminal,
                         RoutePlan(minimal=True, gc1=gc1),
                     )
-                if not links and degraded:
-                    mid_group, first, second = _detour_choice(
-                        topology, faults, src_group, dest_group
-                    )
+                if not links and view:
+                    mid_group, first, second = view.detour(src_group, dest_group)
                     yield (
                         f"detour {pair} mid g{mid_group}", src_router, dst_terminal,
                         RoutePlan(minimal=False, gc1=first, gc2=second),
@@ -1216,14 +1243,13 @@ class DegradedDragonflyLowering(_GroupedLowering):
         dest_group = topology.group_of(dst_router)
         if src_group == dest_group:
             return RoutePlan(minimal=True)
-        links = _surviving_links(topology, self.faults, src_group, dest_group)
+        view = self.view
+        links = view.links[src_group, dest_group]
         if links:
             return RoutePlan(minimal=True, gc1=paths._pick_best_link(
                 topology, links, rng, src_router, dst_router
             ))
-        _mid, first, second = _detour_choice(
-            topology, self.faults, src_group, dest_group
-        )
+        _mid, first, second = view.detour(src_group, dest_group)
         return RoutePlan(minimal=False, gc1=first, gc2=second)
 
     def legs(self, plan: RoutePlan, dest: int) -> Tuple[Leg, ...]:

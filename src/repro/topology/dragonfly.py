@@ -8,11 +8,18 @@ to routers in other groups.  The ``a`` routers of a group act together as
 a virtual router of radix ``k' = a(p + h)``, which lets up to
 ``g = ah + 1`` groups be connected with a global diameter of one.
 
-Port layout of every router (radix ``k = p + a + h - 1``)::
+:class:`GroupedTopology` owns what does not depend on the intra-group
+network: terminals, group identity, global wiring and link indexes.
+:class:`Dragonfly` (complete groups) and the Figure 6
+:class:`~repro.topology.group_variants.FlattenedButterflyGroupDragonfly`
+are sibling subclasses that add only their local wiring.
 
-    [0, p)              terminal ports
-    [p, p + a - 1)      local ports
-    [p + a - 1, k)      global ports
+Port layout of every router (radix ``k = p + local_ports + h``, with
+``local_ports = a - 1`` for the dragonfly)::
+
+    [0, p)                      terminal ports
+    [p, p + local_ports)        local ports
+    [p + local_ports, k)        global ports
 
 Global wiring
 -------------
@@ -44,15 +51,16 @@ class GlobalLink:
     dst_group: int
 
 
-class Dragonfly:
-    """A concrete dragonfly network with routing tables.
+class GroupedTopology:
+    """Routers in ``g`` groups of ``a``, joined by global channels.
 
-    Parameters
-    ----------
-    params:
-        The ``(p, a, h, g)`` configuration.
-    local_latency, global_latency, terminal_latency:
-        Channel latencies in cycles used by the simulator.
+    ``params`` gives the shape and is not stored (a subclass keeps it
+    only if it identifies the topology, see
+    :func:`repro.network.cache.topology_signature`); ``local_ports`` is
+    the number of local ports per router.  A subclass supplies
+    ``fabric_name``, ``_wire_group(group)``, ``local_port(router,
+    dst_router)`` (the first local hop toward a router of the same
+    group), ``intra_group_hops`` and ``describe()``.
     """
 
     __getstate__ = state_without_memos
@@ -60,22 +68,14 @@ class Dragonfly:
     def __init__(
         self,
         params: DragonflyParams,
+        local_ports: int,
         local_latency: int = 1,
         global_latency: int = 1,
         terminal_latency: int = 1,
         max_channels_per_pair: Optional[int] = None,
     ) -> None:
-        """Build the network.
-
-        ``max_channels_per_pair`` enables *bandwidth tapering*
-        (Section 3.2): when set, at most that many global channels are
-        wired between any pair of groups, leaving excess global ports
-        unused and reducing global cable count (and cost) when uniform
-        inter-group bandwidth is not required.
-        """
         if max_channels_per_pair is not None and max_channels_per_pair < 1:
             raise TopologyError("max_channels_per_pair must be >= 1 when set")
-        self.params = params
         self.max_channels_per_pair = max_channels_per_pair
         self.local_latency = local_latency
         self.global_latency = global_latency
@@ -87,14 +87,23 @@ class Dragonfly:
         self.h = params.h
         self.g = params.g
         self.num_terminals = params.num_terminals
-        self.fabric = Fabric(num_routers=params.num_routers, name="dragonfly")
+        self.num_routers = params.num_routers
+        self.terminals_per_group = params.terminals_per_group
+        self.local_ports = local_ports
+        self.radix = params.p + local_ports + params.h
+        self.fabric = Fabric(num_routers=self.num_routers, name=self.fabric_name)
         # (group, group) -> list of directed GlobalLink from first to second
         self._group_links: Dict[Tuple[int, int], List[GlobalLink]] = {}
         # router -> list of GlobalLink (one per global port)
         self._router_global_links: Dict[int, List[GlobalLink]] = {
-            r: [] for r in range(params.num_routers)
+            r: [] for r in range(self.num_routers)
         }
-        self._build()
+        self._build(params)
+
+    @property
+    def effective_radix(self) -> int:
+        """Virtual-router radix ``k' = a (p + h)``."""
+        return self.a * (self.p + self.h)
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -122,26 +131,13 @@ class Dragonfly:
         return port < self.p
 
     def is_global_port(self, port: int) -> bool:
-        return self.p + self.a - 1 <= port < self.params.radix
+        return self.p + self.local_ports <= port < self.radix
 
-    def local_port(self, router: int, dst_router: int) -> int:
-        """Port of ``router`` on the direct local channel to ``dst_router``.
-
-        Both routers must be in the same group and distinct.
-        """
-        if self.group_of(router) != self.group_of(dst_router):
-            raise TopologyError("local_port requires routers in the same group")
-        src_local = self.local_index(router)
-        dst_local = self.local_index(dst_router)
-        if src_local == dst_local:
-            raise TopologyError("no local channel from a router to itself")
-        offset = dst_local if dst_local < src_local else dst_local - 1
-        return self.p + offset
-
-    def intra_group_hops(self, src_router: int, dst_router: int) -> int:
-        """Local hops between two routers of one group: a group is a
-        complete graph, so 0 or 1."""
-        return int(src_router != dst_router)
+    def global_port(self, slot: int) -> int:
+        """The port of a router's global channel ``slot`` (``< h``)."""
+        if not (0 <= slot < self.h):
+            raise TopologyError(f"global slot {slot} out of range")
+        return self.p + self.local_ports + slot
 
     def global_links_of(self, router: int) -> List[GlobalLink]:
         """The ``h`` global connections of a router."""
@@ -156,23 +152,14 @@ class Dragonfly:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        params = self.params
+    def _build(self, params: DragonflyParams) -> None:
         # Terminals: terminal t -> router t // p, port t % p.
         for router in range(params.num_routers):
             for port in range(params.p):
                 self.fabric.add_terminal(router=router, port=port)
-        # Local channels: each group completely connected.
+        # Local channels.
         for group in range(params.g):
-            routers = list(self.group_routers(group))
-            for i, src in enumerate(routers):
-                for dst in routers[i + 1:]:
-                    self.fabric.connect(
-                        PortRef(src, self.local_port(src, dst)),
-                        PortRef(dst, self.local_port(dst, src)),
-                        ChannelKind.LOCAL,
-                        latency=self.local_latency,
-                    )
+            self._wire_group(group)
         # Global channels.
         if params.g > 1:
             if params.is_max_size and self.max_channels_per_pair is None:
@@ -197,10 +184,8 @@ class Dragonfly:
 
     def _group_port_to_router_port(self, group: int, group_port: int) -> PortRef:
         """Map a group-level global port index to a concrete router port."""
-        local_router = group_port // self.h
-        port_within = group_port % self.h
-        router = self.router_id(group, local_router)
-        return PortRef(router, self.p + self.a - 1 + port_within)
+        router = self.router_id(group, group_port // self.h)
+        return PortRef(router, self.global_port(group_port % self.h))
 
     def _record_global(self, src: PortRef, dst: PortRef) -> None:
         src_group = self.group_of(src.router)
@@ -285,9 +270,72 @@ class Dragonfly:
         if any(count == 0 for count in wired.values()):
             raise TopologyError("tapering disconnected a pair of groups")
 
-    # ------------------------------------------------------------------
-    # Path helpers (used by the routing algorithms and analytics)
-    # ------------------------------------------------------------------
+
+class Dragonfly(GroupedTopology):
+    """A concrete dragonfly network with routing tables.
+
+    Parameters
+    ----------
+    params:
+        The ``(p, a, h, g)`` configuration.
+    local_latency, global_latency, terminal_latency:
+        Channel latencies in cycles used by the simulator.
+    """
+
+    fabric_name = "dragonfly"
+
+    def __init__(
+        self,
+        params: DragonflyParams,
+        local_latency: int = 1,
+        global_latency: int = 1,
+        terminal_latency: int = 1,
+        max_channels_per_pair: Optional[int] = None,
+    ) -> None:
+        """Build the network.
+
+        ``max_channels_per_pair`` enables *bandwidth tapering*
+        (Section 3.2): when set, at most that many global channels are
+        wired between any pair of groups, leaving excess global ports
+        unused and reducing global cable count (and cost) when uniform
+        inter-group bandwidth is not required.
+        """
+        self.params = params
+        super().__init__(
+            params, params.a - 1, local_latency, global_latency,
+            terminal_latency, max_channels_per_pair,
+        )
+
+    def local_port(self, router: int, dst_router: int) -> int:
+        """Port of ``router`` on the direct local channel to ``dst_router``.
+
+        Both routers must be in the same group and distinct.
+        """
+        if self.group_of(router) != self.group_of(dst_router):
+            raise TopologyError("local_port requires routers in the same group")
+        src_local = self.local_index(router)
+        dst_local = self.local_index(dst_router)
+        if src_local == dst_local:
+            raise TopologyError("no local channel from a router to itself")
+        offset = dst_local if dst_local < src_local else dst_local - 1
+        return self.p + offset
+
+    def intra_group_hops(self, src_router: int, dst_router: int) -> int:
+        """Local hops between two routers of one group: a group is a
+        complete graph, so 0 or 1."""
+        return int(src_router != dst_router)
+
+    def _wire_group(self, group: int) -> None:
+        """Each group completely connected."""
+        routers = self.group_routers(group)
+        for i, src in enumerate(routers):
+            for dst in routers[i + 1:]:
+                self.fabric.connect(
+                    PortRef(src, self.local_port(src, dst)),
+                    PortRef(dst, self.local_port(dst, src)),
+                    ChannelKind.LOCAL,
+                    latency=self.local_latency,
+                )
 
     def describe(self) -> str:
         return (

@@ -12,22 +12,27 @@ Figure 6 of the paper shows two variants:
     ``p = 2`` is a 3-D cube and doubles ``k'`` from 16 to 32 relative to
     the Figure 5 example.
 
-This module builds such dragonflies: the inter-group wiring is identical
-to the canonical topology; only the local wiring (and therefore the local
-minimal path length, up to ``n`` hops per group) changes.
+This module builds such dragonflies.  Only the local wiring (and
+therefore the local minimal path length, up to ``n`` hops per group)
+changes; everything else is
+:class:`~repro.topology.dragonfly.GroupedTopology`'s, the code that
+wires :class:`~repro.topology.dragonfly.Dragonfly`.  The variant is
+validated as ``DragonflyParams`` but keeps no ``params``: a sweep cache
+key has no room for ``group_dims``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+import math
+from typing import List, Sequence, Tuple
 
-from ..core.params import TopologyError
-from .base import ChannelKind, Fabric, PortRef, state_without_memos
-from .dragonfly import GlobalLink
+from ..core.params import DragonflyParams, TopologyError
+from .base import ChannelKind, PortRef
+from .dragonfly import GroupedTopology
 
 
-class FlattenedButterflyGroupDragonfly:
+class FlattenedButterflyGroupDragonfly(GroupedTopology):
     """Dragonfly whose groups are n-dimensional flattened butterflies.
 
     Parameters
@@ -43,7 +48,7 @@ class FlattenedButterflyGroupDragonfly:
         Group count; defaults to the maximum ``a*h + 1``.
     """
 
-    __getstate__ = state_without_memos
+    fabric_name = "dragonfly_fb_group"
 
     def __init__(
         self,
@@ -54,32 +59,15 @@ class FlattenedButterflyGroupDragonfly:
         local_latency: int = 1,
         global_latency: int = 1,
     ) -> None:
-        if p < 1 or h < 0:
-            raise TopologyError("p must be >= 1 and h >= 0")
         if not group_dims or any(m < 1 for m in group_dims):
             raise TopologyError(f"invalid group dimensions {group_dims}")
-        self.p = p
-        self.h = h
         self.group_dims: Tuple[int, ...] = tuple(group_dims)
-        self.a = 1
-        for m in self.group_dims:
-            self.a *= m
-        max_groups = self.a * self.h + 1
-        self.g = num_groups if num_groups else max_groups
-        if self.g > max_groups:
-            raise TopologyError(f"num_groups={self.g} exceeds a*h+1={max_groups}")
-        if self.g > 1 and (self.g * self.a * self.h) % 2 != 0:
-            raise TopologyError("g*a*h must be even to pair global channels")
-        self.local_ports = sum(m - 1 for m in self.group_dims)
-        self.radix = p + self.local_ports + h
-        self.num_routers = self.a * self.g
-        self.num_terminals = self.a * self.p * self.g
-        #: Ejection latency used by the simulator (shared interface).
-        self.terminal_latency = 1
-        self.fabric = Fabric(self.num_routers, name="dragonfly_fb_group")
-        self._local_latency = local_latency
-        self._global_latency = global_latency
-        self._dim_port_base = self._compute_port_bases()
+        #: Each dimension's first port: its ``m - 1`` ports follow the
+        #: lower dimensions' ones.
+        self._dim_port_base: List[int] = [
+            p + sum(m - 1 for m in self.group_dims[:dim])
+            for dim in range(len(self.group_dims))
+        ]
         #: Local index -> coordinates (row-major), and the Hamming
         #: distance between every two local indices.
         self._coords: List[Tuple[int, ...]] = list(
@@ -89,29 +77,14 @@ class FlattenedButterflyGroupDragonfly:
             [sum(s != d for s, d in zip(src, dst)) for dst in self._coords]
             for src in self._coords
         ]
-        self._group_links: Dict[Tuple[int, int], List[GlobalLink]] = {}
-        self._build()
+        super().__init__(
+            DragonflyParams(p, math.prod(self.group_dims), h, num_groups or None),
+            sum(m - 1 for m in self.group_dims),
+            local_latency,
+            global_latency,
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def effective_radix(self) -> int:
-        """Virtual-router radix ``k' = a (p + h)``."""
-        return self.a * (self.p + self.h)
-
-    def _compute_port_bases(self) -> List[int]:
-        bases = []
-        base = self.p
-        for m in self.group_dims:
-            bases.append(base)
-            base += m - 1
-        return bases
-
-    def group_of(self, router: int) -> int:
-        return router // self.a
-
-    def local_index(self, router: int) -> int:
-        return router % self.a
-
     def coords_of(self, router: int) -> Tuple[int, ...]:
         return self._coords[self.local_index(router)]
 
@@ -145,44 +118,13 @@ class FlattenedButterflyGroupDragonfly:
                 return self.dim_port(router, dim, dst_coord)
         raise TopologyError("no local hop needed between identical routers")
 
-    def is_global_port(self, port: int) -> bool:
-        return self.p + self.local_ports <= port < self.radix
-
-    def global_port(self, slot: int) -> int:
-        if not (0 <= slot < self.h):
-            raise TopologyError(f"global slot {slot} out of range")
-        return self.p + self.local_ports + slot
-
     def intra_group_hops(self, src_router: int, dst_router: int) -> int:
         """Hamming distance within the group's flattened butterfly."""
         return self._local_hops[self.local_index(src_router)][
             self.local_index(dst_router)
         ]
 
-    def group_links(self, src_group: int, dst_group: int) -> List[GlobalLink]:
-        return self._group_links.get((src_group, dst_group), [])
-
-    @property
-    def terminals_per_group(self) -> int:
-        return self.a * self.p
-
-    def terminal_router(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].router
-
-    def terminal_port(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].port
-
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        for router in range(self.num_routers):
-            for port in range(self.p):
-                self.fabric.add_terminal(router=router, port=port)
-        for group in range(self.g):
-            self._wire_group(group)
-        if self.g > 1:
-            self._wire_global()
-        self.fabric.validate()
-
     def _wire_group(self, group: int) -> None:
         for dim, m in enumerate(self.group_dims):
             for local in range(self.a):
@@ -196,60 +138,8 @@ class FlattenedButterflyGroupDragonfly:
                         PortRef(router, self.dim_port(router, dim, dst_coord)),
                         PortRef(dst, self.dim_port(dst, dim, coords[dim])),
                         ChannelKind.LOCAL,
-                        latency=self._local_latency,
+                        latency=self.local_latency,
                     )
-
-    def _group_port_to_router_port(self, group: int, group_port: int) -> PortRef:
-        local_router = group_port // self.h
-        slot = group_port % self.h
-        return PortRef(group * self.a + local_router, self.global_port(slot))
-
-    def _record_global(self, src: PortRef, dst: PortRef) -> None:
-        src_group, dst_group = self.group_of(src.router), self.group_of(dst.router)
-        self._group_links.setdefault((src_group, dst_group), []).append(
-            GlobalLink(src.router, src.port, dst.router, dst_group)
-        )
-        self._group_links.setdefault((dst_group, src_group), []).append(
-            GlobalLink(dst.router, dst.port, src.router, src_group)
-        )
-
-    def _wire_global(self) -> None:
-        if self.g == self.a * self.h + 1:
-            for src_group in range(self.g):
-                for group_port in range(self.a * self.h):
-                    dst_group = group_port if group_port < src_group else group_port + 1
-                    if dst_group < src_group:
-                        continue
-                    src = self._group_port_to_router_port(src_group, group_port)
-                    dst = self._group_port_to_router_port(dst_group, src_group)
-                    self.fabric.connect(
-                        src, dst, ChannelKind.GLOBAL, latency=self._global_latency
-                    )
-                    self._record_global(src, dst)
-            return
-        free = {group: list(range(self.a * self.h)) for group in range(self.g)}
-        pairs = [(i, j) for i in range(self.g) for j in range(i + 1, self.g)]
-        wired = {pair: 0 for pair in pairs}
-        # Balanced greedy (see Dragonfly._wire_global_distributed).
-        while True:
-            candidates = [
-                pair for pair in pairs if free[pair[0]] and free[pair[1]]
-            ]
-            if not candidates:
-                break
-            i, j = min(
-                candidates,
-                key=lambda pair: (
-                    wired[pair],
-                    -(len(free[pair[0]]) + len(free[pair[1]])),
-                    pair,
-                ),
-            )
-            src = self._group_port_to_router_port(i, free[i].pop(0))
-            dst = self._group_port_to_router_port(j, free[j].pop(0))
-            self.fabric.connect(src, dst, ChannelKind.GLOBAL, latency=self._global_latency)
-            self._record_global(src, dst)
-            wired[(i, j)] += 1
 
     def describe(self) -> str:
         dims = "x".join(str(m) for m in self.group_dims)

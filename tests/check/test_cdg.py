@@ -26,8 +26,6 @@ from repro.check.registry import (
     all_configurations,
     broken_configuration,
     default_configurations,
-    register,
-    _EXTRA,
 )
 from repro.core.params import DragonflyParams, TopologyError
 from repro.routing import vc_assignment as vcs
@@ -186,14 +184,6 @@ class TestRegistry:
             assert max_vc_used(traces) < family.grammar().num_vcs, (
                 f"{configuration.name} exceeds its claimed VC budget"
             )
-
-    def test_register_extends_all_configurations(self):
-        baseline = len(all_configurations())
-        register(broken_configuration())
-        try:
-            assert len(all_configurations()) == baseline + 1
-        finally:
-            _EXTRA.clear()
 
 
 # ----------------------------------------------------------------------

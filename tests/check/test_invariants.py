@@ -11,6 +11,7 @@ from repro.check.invariants import (
 from repro.check.report import Severity
 from repro.core.params import DragonflyParams
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
 
 
 def errors(findings):
@@ -78,6 +79,25 @@ class TestFabricTampering:
 
     def test_clean_fabric_has_no_findings(self, tiny_dragonfly):
         assert not audit_fabric(tiny_dragonfly.fabric, "clean")
+
+
+class TestVariantGlobalWiring:
+    """The Figure 6 variant shares the dragonfly's global wiring, so it
+    is audited by the same distribution rules (TOP005/TOP006)."""
+
+    def _variant(self):
+        return FlattenedButterflyGroupDragonfly(p=2, group_dims=(2, 2), h=2, num_groups=5)
+
+    def test_variant_wiring_is_clean(self):
+        findings = audit_topology(self._variant())
+        assert not codes(findings) & {"TOP005", "TOP006"}
+
+    def test_corrupted_link_index_is_top005(self):
+        variant = self._variant()
+        variant._group_links[(1, 3)].pop()
+        findings = [f for f in errors(audit_topology(variant)) if f.code == "TOP005"]
+        assert len(findings) == 1
+        assert "group pair (1,3)" in findings[0].message
 
 
 class TestDispatch:

@@ -6,6 +6,8 @@ the table container's contracts (conflict detection, via selection,
 serialisation) and the fault model's behaviour.
 """
 
+import random
+
 import pytest
 
 from oracles import dead_terminals
@@ -25,6 +27,7 @@ from repro.routing.tables import (
     TableWalker,
     compile_dragonfly_tables,
     compile_fb_tables,
+    fault_view,
     link_tag,
 )
 from repro.routing.ugal import make_routing
@@ -216,6 +219,56 @@ class TestDegradedCompilation:
         for case in cases:
             walk = walker.walk(case.src_router, case.dst_terminal, case.legs)
             assert walk[-1][0] == paper72.terminal_router(case.dst_terminal)
+
+    def test_fault_view_is_worked_out_once(self, paper72):
+        """One view per (topology, fault set): every pair's surviving
+        links in ``group_links`` order, and the detour of the severed
+        pair."""
+        faults = self.faults(paper72)
+        view = fault_view(paper72, faults)
+        assert fault_view(paper72, self.faults(paper72)) is view
+        assert DegradedDragonflyLowering(paper72, faults).view is view
+        for (src_group, dest_group), links in view.links.items():
+            assert links == [
+                link for link in paper72.group_links(src_group, dest_group)
+                if not faults.link_dead(link.src_router, link.dst_router)
+            ]
+        mid_group, first, second = view.detour(0, 1)
+        assert first in view.links[0, mid_group]
+        assert second in view.links[mid_group, 1]
+
+    def test_fault_view_keeps_the_link_order(self):
+        """With four links per group pair, one of them dead, the
+        survivors keep ``group_links`` order (the picker's tie-break)."""
+        topology = Dragonfly(DragonflyParams(p=2, a=4, h=2, num_groups=3))
+        dead = topology.group_links(0, 1)[1]
+        view = fault_view(topology, FaultSet.of(
+            links=[(dead.src_router, dead.dst_router)]
+        ))
+        assert len(view.links[0, 1]) == 3
+        assert view.links[0, 1] == [
+            link for link in topology.group_links(0, 1) if link != dead
+        ]
+        assert view.links[1, 2] == topology.group_links(1, 2)
+
+    def test_plans_and_compile_read_the_view(self):
+        """After the view is built, no packet, route or table entry asks
+        the topology for its links again."""
+        topology = Dragonfly(DragonflyParams.paper_example_72())
+        lowering = DegradedDragonflyLowering(topology, self.faults(topology))
+        view = lowering.view
+        topology.group_links = None
+        rng = random.Random(3)
+        plans = [
+            lowering.plan(rng, src_router, dst_router)
+            for src_router in range(35)
+            for dst_router in range(35)
+        ]
+        assert any(plan.gc2 is not None for plan in plans)
+        assert lowering.compile().meta["detours"]["0->1"]["mid_group"] == (
+            view.detour(0, 1)[0]
+        )
+        assert sum(1 for _ in lowering.routes()) > 0
 
     def test_degraded_lowering_refuses_an_executor_walk(self, paper72):
         """The healthy executor would cross the dead 2<->3 cable; the

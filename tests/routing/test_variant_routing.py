@@ -11,7 +11,13 @@ from repro.network.config import SimulationConfig
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
 from repro.routing import vc_assignment as vcs
-from repro.routing.paths import minimal_plan, valiant_plan, walk_route
+from repro.routing.paths import (
+    _minimal_plan_between,
+    _valiant_plan_between,
+    minimal_plan,
+    valiant_plan,
+    walk_route,
+)
 from repro.routing.tables import VariantLowering
 from repro.routing.ugal import make_routing
 from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
@@ -129,6 +135,20 @@ class TestVariantSimulation:
         )
         simulator.run()
         check_invariants(simulator)
+
+
+def test_cube_plans_are_memoised():
+    """The Fig. 6(b) cube has one global link per group pair, so a
+    VAR-UGAL-L run keeps its plans in the topology's plan memos, as on
+    the canonical dragonfly."""
+    cube = FlattenedButterflyGroupDragonfly(p=2, group_dims=(2, 2, 2), h=2)
+    assert cube.single_link_pairs
+    config = SimulationConfig(load=0.3, warmup_cycles=50, measure_cycles=50)
+    pattern = make_pattern("uniform_random", cube, seed=7)
+    Simulator(cube, make_routing("VAR-UGAL-L"), pattern, config).run()
+    memos = cube._routing_memos
+    assert memos[_minimal_plan_between]
+    assert memos[_valiant_plan_between]
 
 
 _PROPERTY_TOPOLOGY = FlattenedButterflyGroupDragonfly(
