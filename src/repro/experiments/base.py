@@ -179,7 +179,7 @@ def executor_for(settings: Settings, figure: str = "adhoc") -> SweepExecutor:
 
         return ServiceExecutor(
             settings.service_root,
-            options=SchedulerOptions.from_settings(settings),
+            options=SchedulerOptions(workers=settings.workers),
             figure=figure,
             settings=settings,
         )

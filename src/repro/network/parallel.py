@@ -124,40 +124,19 @@ class ServiceError(RuntimeError):
     """A batch could not be completed (units failed permanently)."""
 
 
+#: Base of the exponential retry backoff (seconds).
+RETRY_BACKOFF = 0.25
+#: How long the pool loop waits for a worker event (seconds).
+POLL_INTERVAL = 0.05
+
+
 @dataclass(frozen=True)
 class SchedulerOptions:
-    """Fault-tolerance and sharding knobs of one scheduler run."""
+    """How :class:`~repro.service.client.ServiceExecutor` shards its
+    batches; every other knob of a run is a :class:`Settings` field."""
 
     #: Worker process count; ``1`` runs in-process.
     workers: int = 1
-    #: Kill and retry a unit running longer than this (seconds).
-    unit_timeout: float = Settings.unit_timeout
-    #: Total attempts per unit before it fails permanently.
-    max_attempts: int = Settings.max_attempts
-    #: Worker heartbeat period (seconds); a worker silent for several
-    #: periods is declared dead even if the process object looks alive.
-    heartbeat_interval: float = Settings.heartbeat_interval
-    #: Base of the exponential retry backoff (seconds).
-    backoff_base: float = 0.25
-    #: Scheduler poll period (seconds).
-    poll_interval: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.unit_timeout <= 0 or self.heartbeat_interval <= 0:
-            raise ValueError("timeouts must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-    @classmethod
-    def from_settings(cls, settings: Settings) -> "SchedulerOptions":
-        return cls(
-            workers=settings.workers,
-            unit_timeout=settings.unit_timeout,
-            max_attempts=settings.max_attempts,
-            heartbeat_interval=settings.heartbeat_interval,
-        )
 
 
 @dataclass
@@ -334,7 +313,7 @@ class SweepScheduler:
         units: Sequence[WorkUnit],
         store=None,
         journal=None,
-        options: Optional[SchedulerOptions] = None,
+        workers: int = 1,
         settings: Optional[Settings] = None,
         job_id: str = "",
         figure: str = "adhoc",
@@ -346,9 +325,11 @@ class SweepScheduler:
         self.store = store
         #: ``append(event)`` / ``replay()``, or ``None`` for no journal.
         self.journal = journal
-        self.options = options or SchedulerOptions()
-        #: What every point's engine is built from (default: the
-        #: environment, read once per run in this process).
+        #: Worker process count; ``1`` runs in-process.
+        self.workers = workers
+        #: What every point's engine is built from, and the retry,
+        #: timeout and heartbeat knobs (default: the environment, read
+        #: once per run in this process).
         self.settings = settings
         #: Labels on the journal's ``job`` event and on the report.
         self.job_id = job_id
@@ -399,26 +380,22 @@ class SweepScheduler:
             units=len(self.units),
             pending=len(pending),
             resumed=bool(state is not None and state.events),
-            workers=self.options.workers,
+            workers=self.workers,
         )
         notify(progress)
 
-        if pending and self.settings is None:
-            self.settings = Settings.from_env()
-        if (
-            self.options.workers > 1
-            and len(pending) > 1
-            and self._picklable(pending)
-        ):
-            try:
-                self._run_pool(pending, notify)
-            except OSError as exc:
-                self._note_fallback("worker pool failed", exc)
-            pending = [
-                index for index in pending
-                if index not in self.results and index not in self.failed
-            ]
-        self._run_inline(pending, notify)
+        if pending:
+            settings = self.settings = self.settings or Settings.from_env()
+            if self.workers > 1 and len(pending) > 1 and self._picklable(pending):
+                try:
+                    self._run_pool(pending, notify, settings)
+                except OSError as exc:
+                    self._note_fallback("worker pool failed", exc)
+                pending = [
+                    index for index in pending
+                    if index not in self.results and index not in self.failed
+                ]
+            self._run_inline(pending, notify, settings)
 
         if self.journal is not None:
             self._emit("complete", job=self.job_id, **progress.to_dict())
@@ -493,11 +470,13 @@ class SweepScheduler:
         self.progress.simulated += 1
         self.progress.sim_elapsed += elapsed
 
-    def _fail_attempt(self, index: int, error: str) -> Optional[float]:
+    def _fail_attempt(
+        self, index: int, error: str, max_attempts: int
+    ) -> Optional[float]:
         """Journal a failed attempt; the backoff delay before the unit
         may retry, or ``None`` when it has failed permanently."""
         attempt = self._attempts[index]
-        permanent = attempt >= self.options.max_attempts
+        permanent = attempt >= max_attempts
         self._emit(
             "failed", self.units[index],
             attempt=attempt, error=error, permanent=permanent,
@@ -507,13 +486,16 @@ class SweepScheduler:
             self.progress.failed += 1
             return None
         self.progress.retries += 1
-        return self.options.backoff_base * (2 ** (attempt - 1))
+        return RETRY_BACKOFF * (2 ** (attempt - 1))
 
     # ------------------------------------------------------------------
     # In-process execution
     # ------------------------------------------------------------------
     def _run_inline(
-        self, pending: Sequence[int], notify: Callable[[JobProgress], None]
+        self,
+        pending: Sequence[int],
+        notify: Callable[[JobProgress], None],
+        settings: Settings,
     ) -> None:
         progress = self.progress
         for index in pending:
@@ -527,12 +509,12 @@ class SweepScheduler:
                 started = time.monotonic()
                 try:
                     result = _run_spec(
-                        self.topology, self.units[index].spec, self.settings
+                        self.topology, self.units[index].spec, settings
                     )
                 except Exception as exc:  # noqa: BLE001 - journaled + retried
                     self._cause = exc
                     delay = self._fail_attempt(
-                        index, f"{type(exc).__name__}: {exc}"
+                        index, f"{type(exc).__name__}: {exc}", settings.max_attempts
                     )
                 else:
                     self._complete_unit(
@@ -546,13 +528,15 @@ class SweepScheduler:
     # Sharded execution
     # ------------------------------------------------------------------
     def _run_pool(
-        self, pending: Sequence[int], notify: Callable[[JobProgress], None]
+        self,
+        pending: Sequence[int],
+        notify: Callable[[JobProgress], None],
+        settings: Settings,
     ) -> None:
         # Imported here, the only code that forks: a batch answered from
         # its store, or run in-process, never loads it.
         import multiprocessing
 
-        options = self.options
         progress = self.progress
         ctx = multiprocessing.get_context()
         result_queue = ctx.Queue()
@@ -561,7 +545,7 @@ class SweepScheduler:
         #: Units eligible to dispatch: (not-before time, unit index).
         ready: List[tuple] = [(0.0, index) for index in pending]
         outstanding = set(pending)
-        heartbeat_grace = max(5.0 * options.heartbeat_interval, 2.0)
+        heartbeat_grace = max(5.0 * settings.heartbeat_interval, 2.0)
 
         def spawn() -> None:
             nonlocal next_worker_id
@@ -573,10 +557,10 @@ class SweepScheduler:
                 args=(
                     worker_id,
                     self.topology,
-                    self.settings,
+                    settings,
                     task_queue,
                     result_queue,
-                    options.heartbeat_interval,
+                    settings.heartbeat_interval,
                     self.crash_flag,
                 ),
                 daemon=True,
@@ -589,7 +573,7 @@ class SweepScheduler:
             )
 
         def requeue(index: int, error: str) -> None:
-            delay = self._fail_attempt(index, error)
+            delay = self._fail_attempt(index, error, settings.max_attempts)
             if delay is None:
                 outstanding.discard(index)
             else:
@@ -616,7 +600,7 @@ class SweepScheduler:
             while outstanding:
                 # Keep the pool full while work is left (first fill, and
                 # top-ups after workers died).
-                while len(workers) < min(options.workers, len(outstanding)):
+                while len(workers) < min(self.workers, len(outstanding)):
                     spawn()
                 now = time.monotonic()
                 # Dispatch ready units to idle workers.
@@ -640,7 +624,7 @@ class SweepScheduler:
                 # Drain worker events.
                 try:
                     kind, worker_id, index, payload = result_queue.get(
-                        timeout=options.poll_interval
+                        timeout=POLL_INTERVAL
                     )
                 except queue_module.Empty:
                     kind = None
@@ -667,11 +651,11 @@ class SweepScheduler:
                         retire(worker_id, "worker heartbeat lost")
                     elif (
                         handle.assigned is not None
-                        and now - handle.assigned_at > options.unit_timeout
+                        and now - handle.assigned_at > settings.unit_timeout
                     ):
                         retire(
                             worker_id,
-                            f"unit exceeded {options.unit_timeout:.1f}s timeout",
+                            f"unit exceeded {settings.unit_timeout:.1f}s timeout",
                         )
 
                 progress.running = sum(
@@ -757,7 +741,7 @@ class SweepExecutor:
             topology,
             units,
             store=self.cache,
-            options=SchedulerOptions(workers=self.workers),
+            workers=self.workers,
             settings=self.settings,
         ).run()
 

@@ -11,8 +11,8 @@ Verbs (see ``docs/sweeps.md``):
     Narrate every submitted job from its crash journal: done/failed
     counts, attempts burned, serial-fallback diagnostics.
 ``query``
-    Filter the result store's index (figure, routing, pattern, load
-    range, seed, digest prefix) -- never simulates.
+    Filter the result store's index by figure tag and routing -- never
+    simulates.
 ``gc``
     Drop temp litter and stale records, rebuild the index.
 

@@ -13,8 +13,8 @@ pool + directory of JSON files" to a *service*:
     :class:`~repro.service.store.ResultStore` -- the on-disk point
     records of :class:`~repro.network.cache.SweepCache` (atomic writes,
     self-healing invalidation) plus a schema'd manifest index with a
-    query API: by figure, by digest, by (routing, pattern, load)
-    predicates.  Queries never simulate.
+    query API: by figure tag, routing and a load ceiling.  Queries
+    never simulate.
 
 :mod:`~repro.service.scheduler`
     The sweep runner of :mod:`repro.network.parallel` (worker pool with

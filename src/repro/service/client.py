@@ -41,13 +41,12 @@ class ServiceExecutor(SweepExecutor):
         settings: Optional[Settings] = None,
     ) -> None:
         self.root = Path(root)
-        self.options = options or SchedulerOptions()
         self.figure = figure
         self.store = ResultStore(self.root / "store")
         # The store's point records double as the executor's cache, so
         # cache counters (hits/misses/invalidations) keep reporting.
         super().__init__(
-            workers=self.options.workers,
+            workers=options.workers if options is not None else 1,
             cache=self.store.cache,
             settings=settings,
         )
@@ -63,7 +62,7 @@ class ServiceExecutor(SweepExecutor):
             self.root / "jobs" / f"{self.figure}-{batch_digest[:16]}",
             topology,
             units,
-            options=self.options,
+            workers=self.workers,
             figure=self.figure,
             settings=self.settings,
         ).run()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.params import DragonflyParams
-from ..network.cache import key_digest
+from ..network.cache import WIRING_DEFAULTS, key_digest
 from ..network.config import SimulationConfig
 from ..network.parallel import PointSpec, WorkUnit, work_units
 from ..network.traffic import pattern_factory
@@ -82,6 +82,14 @@ class TopologySpec:
 
     @classmethod
     def from_topology(cls, topology: Dragonfly) -> "TopologySpec":
+        """The spec of ``topology``; a taper or latency it cannot describe
+        is a ``ValueError`` (its :meth:`build` would be another network)."""
+        for name, default in WIRING_DEFAULTS:
+            if getattr(topology, name) != default:
+                raise ValueError(
+                    f"TopologySpec cannot describe {name}="
+                    f"{getattr(topology, name)!r} (only the default {default!r})"
+                )
         params = topology.params
         return cls(
             family="dragonfly",

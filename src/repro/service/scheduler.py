@@ -22,13 +22,7 @@ import json
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from ..network.parallel import (
-    JobProgress,
-    JobReport,
-    SchedulerOptions,
-    SweepScheduler,
-    WorkUnit,
-)
+from ..network.parallel import JobProgress, JobReport, SweepScheduler, WorkUnit
 from ..settings import Settings
 from .journal import Journal
 from .manifest import SweepManifest
@@ -40,7 +34,7 @@ def job_scheduler(
     job_dir: Union[str, Path],
     topology,
     units: Sequence[WorkUnit],
-    options: Optional[SchedulerOptions] = None,
+    workers: int = 1,
     figure: str = "adhoc",
     settings: Optional[Settings] = None,
 ) -> SweepScheduler:
@@ -51,7 +45,7 @@ def job_scheduler(
         units,
         store=FigureStore(store, figure),
         journal=Journal(job_dir / "journal.jsonl"),
-        options=options,
+        workers=workers,
         settings=settings,
         job_id=job_dir.name,
         figure=figure,
@@ -61,7 +55,7 @@ def job_scheduler(
 def run_manifest(
     root: Union[str, Path],
     manifest: SweepManifest,
-    options: Optional[SchedulerOptions] = None,
+    workers: int = 1,
     on_progress: Optional[Callable[[JobProgress], None]] = None,
     settings: Optional[Settings] = None,
 ) -> JobReport:
@@ -87,7 +81,7 @@ def run_manifest(
         job_dir,
         topology,
         manifest.work_units(topology),
-        options=options,
+        workers=workers,
         figure=manifest.figure,
         settings=settings,
     ).run(on_progress=on_progress)

@@ -17,10 +17,9 @@ without touching every point file:
     time from the point records (:meth:`ResultStore.reindex`), so the
     index is an accelerator, never the ground truth.
 
-Queries (:meth:`ResultStore.query`) filter the index -- by figure, by
-digest, by routing/pattern equality, by load/seed predicates -- and
-never run a simulation; the full bit-exact result of a matching point
-loads lazily from its record.
+Queries (:meth:`ResultStore.query`) filter the index -- by figure tag,
+routing and a load ceiling -- and never run a simulation; the full
+bit-exact result of a matching point loads lazily from its record.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..network.cache import (
     SCHEMA_VERSION,
@@ -188,20 +187,12 @@ class ResultStore:
         self,
         figure: Optional[str] = None,
         routing: Optional[str] = None,
-        pattern: Optional[str] = None,
-        load: Optional[float] = None,
-        min_load: Optional[float] = None,
         max_load: Optional[float] = None,
-        seed: Optional[int] = None,
-        digest: Optional[str] = None,
-        backend: Optional[str] = None,
-        predicate: Optional[Callable[[StoredPoint], bool]] = None,
     ) -> List[StoredPoint]:
         """Indexed points matching every given filter (no simulation).
 
-        ``digest`` matches a prefix, so CLI users can paste the short
-        form.  Results are ordered by (routing, pattern, load, seed) so
-        a figure query reads like the figure's table.
+        Results are ordered by (routing, pattern, load, seed) so a
+        figure query reads like the figure's table.
         """
         points: List[StoredPoint] = []
         for point_digest, entry in self._load_index().items():
@@ -212,21 +203,7 @@ class ResultStore:
                 continue
             if routing is not None and point.routing != routing:
                 continue
-            if pattern is not None and point.pattern != pattern:
-                continue
-            if load is not None and point.load != load:
-                continue
-            if min_load is not None and point.load < min_load:
-                continue
             if max_load is not None and point.load > max_load:
-                continue
-            if seed is not None and point.seed != seed:
-                continue
-            if digest is not None and not point_digest.startswith(digest):
-                continue
-            if backend is not None and point.backend != backend:
-                continue
-            if predicate is not None and not predicate(point):
                 continue
             points.append(point)
         points.sort(key=lambda p: (p.routing, p.pattern, p.load, p.seed))

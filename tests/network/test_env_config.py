@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.network.backend import make_simulator
-from repro.network.parallel import SchedulerOptions
 from repro.settings import ENV_VARS, Settings
 
 DEFAULTS = Settings()
@@ -114,19 +113,15 @@ class TestDirectories:
 
 
 class TestSchedulerKnobs:
-    def test_valid_values_reach_the_scheduler_options(self):
+    def test_valid_values_parse(self):
         settings = from_env(
             workers="4", unit_timeout="120.5", max_attempts="5",
             heartbeat_interval="0.25",
         )
-        options = SchedulerOptions.from_settings(settings)
-        assert options.workers == 4
-        assert options.unit_timeout == 120.5
-        assert options.max_attempts == 5
-        assert options.heartbeat_interval == 0.25
-
-    def test_scheduler_defaults_are_the_settings_defaults(self):
-        assert SchedulerOptions() == SchedulerOptions.from_settings(DEFAULTS)
+        assert settings.workers == 4
+        assert settings.unit_timeout == 120.5
+        assert settings.max_attempts == 5
+        assert settings.heartbeat_interval == 0.25
 
     @pytest.mark.parametrize("raw", ["0", "-1", "garbage", "1.5s"])
     def test_bad_timeout_raises_naming_variable(self, raw):

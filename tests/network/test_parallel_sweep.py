@@ -230,7 +230,7 @@ class TestBareExecutorFaultTolerance:
     requeue and the bounded retries, with no journal anywhere."""
 
     def test_killed_worker_is_requeued_without_a_journal(
-        self, df, config, tmp_path
+        self, df, config, tmp_path, monkeypatch
     ):
         """A worker dying mid-unit (``os._exit``, same as SIGKILL) costs
         one retry; the batch is still bit-identical."""
@@ -241,10 +241,9 @@ class TestBareExecutorFaultTolerance:
             PointSpec("MIN", "uniform_random", config.with_load(load))
             for load in loads
         ]
+        monkeypatch.setattr(parallel_module, "RETRY_BACKOFF", 0.01)
         scheduler = SweepScheduler(
-            df, work_units(df, specs),
-            options=SchedulerOptions(workers=2, backoff_base=0.01),
-            crash_flag=str(crash_flag),
+            df, work_units(df, specs), workers=2, crash_flag=str(crash_flag),
         )
         report = scheduler.run()
         assert not crash_flag.exists()
@@ -272,12 +271,12 @@ class TestBareExecutorFaultTolerance:
 
         monkeypatch.setattr(sweep_module, "run_point", broken)
         monkeypatch.setattr(parallel_module.time, "sleep", lambda seconds: None)
-        executor = SweepExecutor()
+        executor = SweepExecutor(settings=Settings())
         with pytest.raises(ServiceError) as excinfo:
             executor.run_point(df, "MIN", "uniform_random", config)
         assert "RuntimeError: injected simulator bug" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
-        assert len(attempts) == SchedulerOptions().max_attempts
+        assert len(attempts) == Settings().max_attempts
 
     def test_pooled_exception_surfaces_its_original_text(
         self, df, config, monkeypatch
@@ -292,8 +291,7 @@ class TestBareExecutorFaultTolerance:
             for load in (0.1, 0.2)
         ]
         report = SweepScheduler(
-            df, work_units(df, specs),
-            options=SchedulerOptions(workers=2, max_attempts=1),
+            df, work_units(df, specs), workers=2, settings=Settings(max_attempts=1),
         ).run()
         with pytest.raises(ServiceError, match="RuntimeError: injected simulator bug"):
             report.raise_for_failures()

@@ -211,6 +211,33 @@ class TestKeyStability:
             "p": 2, "a": 4, "h": 2, "num_groups": 9,
         }
 
+    def test_default_key_digest_is_pinned(self, df):
+        """The wiring fields are keyed only away from their defaults, so
+        a default network's key keeps its bytes."""
+        key = point_key(df, "UGAL-L", "uniform_random", SimulationConfig(load=0.1))
+        assert key_digest(key) == (
+            "93e2b3eea35af63e27af07a3a1c55fb5bd33fcbc93cf6240ae9120755ca586c6"
+        )
+        assert set(key["topology"]) == {"family", "params"}
+
+    @pytest.mark.parametrize("wiring, value", [
+        ("max_channels_per_pair", 1),
+        ("local_latency", 2),
+        ("global_latency", 10),
+        ("terminal_latency", 3),
+    ])
+    def test_taper_and_latencies_name_the_network(self, config, wiring, value):
+        """Same params, another network: a tapered dragonfly wires 10
+        global cables where the untapered one wires 20."""
+        params = DragonflyParams(2, 4, 2, 5)
+        plain = Dragonfly(params)
+        other = Dragonfly(params, **{wiring: value})
+        key = point_key(other, "MIN", "uniform_random", config)
+        assert key["topology"][wiring] == value
+        assert key_digest(key) != key_digest(
+            point_key(plain, "MIN", "uniform_random", config)
+        )
+
 
 class TestSaturationProbeReuse:
     def test_each_load_simulated_at_most_once(

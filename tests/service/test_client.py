@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.base import executor_for, experiment_executor
-from repro.network.parallel import SchedulerOptions, SweepExecutor
+from repro.network.parallel import SchedulerOptions, ServiceError, SweepExecutor
 from repro.network.sweep import load_sweep
 from repro.service.client import ServiceExecutor
 from repro.settings import Settings
@@ -46,10 +46,7 @@ class TestEnvActivation:
         executor = executor_for(settings)
         assert isinstance(executor, ServiceExecutor)
         assert executor.root == tmp_path / "svc"
-        assert executor.options == SchedulerOptions(
-            workers=2, max_attempts=5, unit_timeout=12.0,
-            heartbeat_interval=0.25,
-        )
+        assert executor.workers == 2
         assert executor.settings is settings
         assert executor.figure == "adhoc"
         assert executor_for(settings, figure="fig08").figure == "fig08"
@@ -68,6 +65,51 @@ class TestEnvActivation:
         assert not isinstance(experiment_executor(), ServiceExecutor)
         monkeypatch.setenv(SERVICE_ENV_VAR, str(tmp_path / "svc"))
         assert isinstance(experiment_executor(), ServiceExecutor)
+
+
+class TestSchedulerObeysSettings:
+    """The retry bound is read from the run's ``Settings`` on both
+    paths: a bare executor used to run its class default (3 tries)."""
+
+    @pytest.fixture()
+    def attempts(self, monkeypatch):
+        import repro.network.parallel as parallel
+
+        calls = []
+        real = parallel._run_spec
+
+        def counted(topology, spec, settings=None):
+            calls.append(spec.routing_name)
+            return real(topology, spec, settings)
+
+        monkeypatch.setattr(parallel, "_run_spec", counted)
+        return calls
+
+    def test_plain_executor_makes_one_attempt(
+        self, topology, tiny_config, attempts
+    ):
+        executor = SweepExecutor(settings=Settings(max_attempts=1))
+        with pytest.raises(ServiceError, match="unknown routing"):
+            executor.run_point(topology, "NOPE", "uniform_random", tiny_config)
+        assert attempts == ["NOPE"]
+
+    def test_service_executor_makes_one_journaled_attempt(
+        self, tmp_path, topology, tiny_config, attempts
+    ):
+        from repro.service.journal import Journal
+
+        executor = executor_for(
+            Settings(service_root=tmp_path / "svc", max_attempts=1)
+        )
+        with pytest.raises(ServiceError, match="unknown routing"):
+            executor.run_point(topology, "NOPE", "uniform_random", tiny_config)
+        assert attempts == ["NOPE"]
+        (journal,) = (tmp_path / "svc" / "jobs").glob("adhoc-*/journal.jsonl")
+        failed = [
+            event for event in Journal(journal).replay().events
+            if event["event"] == "failed"
+        ]
+        assert [(e["attempt"], e["permanent"]) for e in failed] == [(1, True)]
 
 
 class TestServiceExecutor:

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.network.config import SimulationConfig
-from repro.network.parallel import SchedulerOptions, _run_spec
+from repro.network.parallel import _run_spec
 from repro.service.journal import Journal
 from repro.service.manifest import SweepManifest, TopologySpec
 from repro.service.scheduler import run_manifest
@@ -73,7 +73,6 @@ def test_sigkilled_service_resumes_without_recomputation(
             str(manifest_path),
             "--workers",
             "2",
-            "--no-progress",
         ],
         env=dict(os.environ, PYTHONPATH="src"),
         cwd=os.getcwd(),
@@ -116,9 +115,7 @@ def test_sigkilled_service_resumes_without_recomputation(
         return real_run_point(topology, routing, pattern, config, settings)
 
     monkeypatch.setattr(sweep, "run_point", counted)
-    report = run_manifest(
-        root, crash_manifest, options=SchedulerOptions(workers=1)
-    )
+    report = run_manifest(root, crash_manifest, workers=1)
     report.raise_for_failures()
 
     # Zero recomputation: exactly the missing units were simulated.

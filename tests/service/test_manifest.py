@@ -5,9 +5,11 @@ import json
 
 import pytest
 
-from repro.network.cache import key_digest, point_key
+from repro.core.params import DragonflyParams
+from repro.network.cache import key_digest, point_key, topology_signature
 from repro.routing.ugal import make_routing
 from repro.service.manifest import SweepManifest, TopologySpec
+from repro.topology.dragonfly import Dragonfly
 
 
 class TestTopologySpec:
@@ -25,6 +27,22 @@ class TestTopologySpec:
 
     def test_round_trip(self, tiny_spec):
         assert TopologySpec.from_dict(tiny_spec.to_dict()) == tiny_spec
+
+    def test_from_topology_builds_the_same_network(self, tiny_spec):
+        topology = tiny_spec.build()
+        rebuilt = TopologySpec.from_topology(topology).build()
+        assert topology_signature(rebuilt) == topology_signature(topology)
+
+    @pytest.mark.parametrize("wiring, value", [
+        ("max_channels_per_pair", 1),
+        ("global_latency", 10),
+    ])
+    def test_from_topology_refuses_what_it_cannot_describe(self, wiring, value):
+        """Its ``build()`` would return the untapered, unit-latency
+        network: 20 global cables instead of 10 at ``p, a, h, g = 2, 4, 2, 5``."""
+        topology = Dragonfly(DragonflyParams(2, 4, 2, 5), **{wiring: value})
+        with pytest.raises(ValueError, match=f"cannot describe {wiring}={value}"):
+            TopologySpec.from_topology(topology)
 
 
 class TestSweepManifest:

@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.network.parallel import SchedulerOptions, ServiceError, _run_spec
+import repro.network.parallel as parallel_module
+from repro.network.parallel import ServiceError, _run_spec
 from repro.service.journal import Journal, JournalCorruptError
 from repro.service.scheduler import job_scheduler, run_manifest
 from repro.service.store import ResultStore
+from repro.settings import Settings
+
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Retry backoff of 10 ms instead of 250 ms."""
+    monkeypatch.setattr(parallel_module, "RETRY_BACKOFF", 0.01)
 
 
 def reference_dicts(manifest):
@@ -17,19 +25,19 @@ def reference_dicts(manifest):
     ]
 
 
-def make_scheduler(tmp_path, manifest, units=None, **option_kwargs):
+def make_scheduler(tmp_path, manifest, units=None, workers=1, **settings_kwargs):
     store = ResultStore(tmp_path / "store")
     topology = manifest.topology.build()
     all_units = manifest.work_units(topology)
-    option_kwargs.setdefault("backoff_base", 0.01)
     job_dir = tmp_path / "jobs" / manifest.job_id
     scheduler = job_scheduler(
         store,
         job_dir,
         topology,
         all_units if units is None else units,
-        options=SchedulerOptions(**option_kwargs),
+        workers=workers,
         figure=manifest.figure,
+        settings=Settings(**settings_kwargs),
     )
     scheduler.job_dir = job_dir  # where the tests read the journal back
     return scheduler

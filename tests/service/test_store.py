@@ -49,6 +49,12 @@ def mixed_backends(tmp_path, tiny_manifest):
     return store, units
 
 
+def stored(store, unit):
+    """The indexed point of ``unit``."""
+    (point,) = [p for p in store.query() if p.digest == unit.digest]
+    return point
+
+
 class TestPutGetQuery:
     def test_put_then_get_round_trips(self, populated):
         store, topology, units = populated
@@ -65,8 +71,8 @@ class TestPutGetQuery:
 
     def test_query_by_routing_and_load_range(self, populated):
         store, _, _ = populated
-        points = store.query(routing="MIN", min_load=0.15, max_load=0.35)
-        assert [p.load for p in points] == [0.2, 0.3]
+        points = store.query(routing="MIN", max_load=0.25)
+        assert [p.load for p in points] == [0.1, 0.2]
         assert all(p.routing == "MIN" for p in points)
 
     def test_query_orders_like_a_figure_table(self, populated):
@@ -75,20 +81,9 @@ class TestPutGetQuery:
         keys = [(p.routing, p.pattern, p.load, p.seed) for p in points]
         assert keys == sorted(keys)
 
-    def test_query_by_digest_prefix(self, populated):
-        store, _, units = populated
-        points = store.query(digest=units[0].digest[:12])
-        assert [p.digest for p in points] == [units[0].digest]
-
-    def test_query_with_predicate(self, populated):
-        store, _, _ = populated
-        points = store.query(predicate=lambda p: p.load > 0.25)
-        assert all(p.load > 0.25 for p in points)
-        assert points
-
     def test_stored_point_result_is_bit_exact(self, populated):
         store, topology, units = populated
-        point = store.query(digest=units[0].digest)[0]
+        point = stored(store, units[0])
         assert point.result().to_dict() == _run_spec(topology, units[0].spec).to_dict()
 
     def test_query_never_simulates(self, populated, monkeypatch):
@@ -103,29 +98,13 @@ class TestPutGetQuery:
 
 
 class TestBackendProvenance:
-    def test_query_filters_by_backend(self, mixed_backends):
-        store, units = mixed_backends
-        scalar = store.query(backend="scalar")
-        array = store.query(backend="array")
-        assert len(scalar) == 2
-        assert len(array) == 4
-        assert len(scalar) + len(array) == len(units)
-        assert all(p.backend == "scalar" for p in scalar)
-        assert all(p.backend == "array" for p in array)
-
-    def test_backend_filter_composes_with_others(self, mixed_backends):
-        store, _ = mixed_backends
-        points = store.query(figure="figtest", backend="array", routing="MIN")
-        assert points
-        assert all(
-            p.backend == "array" and p.routing == "MIN" for p in points
-        )
-
     def test_kernel_provenance_survives_the_index(self, mixed_backends, tmp_path):
         _, units = mixed_backends
         fresh = ResultStore(tmp_path / "store")
-        kernels = {p.kernel for p in fresh.query(backend="array")}
-        assert kernels == {"ugal", "none"}
+        engines = [(p.backend, p.kernel) for p in fresh.query()]
+        assert sorted(engines) == sorted(
+            [("scalar", "none"), ("array", "ugal"), ("array", "none")] * 2
+        )
 
     def test_engine_column_distinguishes_kernel_and_fallback(
         self, mixed_backends
@@ -141,16 +120,12 @@ class TestBackendProvenance:
         # kernel-lowered points as "array/ugal".
         assert engines == {"scalar", "array", "array/ugal"}
 
-    def test_unknown_backend_matches_nothing(self, mixed_backends):
-        store, _ = mixed_backends
-        assert store.query(backend="quantum") == []
-
 
 class TestFigureTags:
     def test_second_figure_tag_merges(self, populated):
         store, _, units = populated
         store.tag(units[0].key, "other")
-        point = store.query(digest=units[0].digest)[0]
+        point = stored(store, units[0])
         assert point.figures == ["figtest", "other"]
         # The point is served to both figure queries.
         assert store.query(figure="other")[0].digest == units[0].digest
