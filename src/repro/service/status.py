@@ -37,22 +37,6 @@ class JobStatus:
     #: For ``state == "corrupt"``: the damaged file and what is wrong.
     damaged: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "job": self.job_id,
-            "figure": self.figure,
-            "units": self.units,
-            "done": self.done,
-            "cached": self.cached,
-            "failed": self.failed,
-            "attempts": self.attempts,
-            "state": self.state,
-            "last_event_age": self.last_event_age,
-            "last_fallback": self.last_fallback,
-            "failures": dict(self.failures),
-            "damaged": self.damaged,
-        }
-
     def line(self) -> str:
         parts = [
             f"{self.job_id:40s} {self.state:12s}",
