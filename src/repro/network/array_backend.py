@@ -45,20 +45,26 @@ State layout
 * **FIFOs.**  The per-terminal source queues and the per-(port, VC)
   output queues are :class:`LinkedFifos`: one intrusive singly linked
   list over row ids (``head``/``tail`` per slot, one ``next`` link per
-  row) with a batch append and a batch pop.  A blocked queue head keeps
-  its pinned route decision in the row's ``decided``/``keys``/
-  ``minimal`` columns, exactly as the scalar engine pins the decided
-  plan and its keys on the packet.
+  row) with a batch append and a batch pop.  A cycle's arrivals and its
+  injections enter the output FIFOs through one append, which the
+  switch makes before it arbitrates.  A new packet at an empty source
+  FIFO is visited without entering it (:meth:`LinkedFifos.offer`), and
+  enters only if it cannot commit (:meth:`LinkedFifos.settle`).  A
+  blocked queue head keeps its pinned route decision in the row's
+  ``decided``/``keys``/``minimal`` columns, exactly as the scalar engine
+  pins the decided plan and its keys on the packet.
 * **Rings.**  The arrival and credit calendar rings hold, per slot, a
   list of int64 chunks (row ids, resp. credit slots) concatenated at
   delivery.  An arriving row already carries its input slot
   (``in_idx``), and a credit's upstream port is ``credit_idx // vcs``,
   so one column per event is enough.
-* **Active set.**  The ports the switch visits are
-  ``pending.nonzero()`` -- ascending flat-port order, the scalar
-  visit order.
+* **Active set.**  The ports the switch visits are those with a VC
+  that can forward, found from one bitmask per port, in ascending
+  flat-port order -- the scalar visit order.
 * ``_pending`` and ``_pending_vc`` are two windows onto one occupancy
   buffer, so a UGAL read is one gather whatever the congestion signal.
+  A spare last entry absorbs the increments of injection candidates
+  whose slot is full, so a wave scatters without filtering them out.
 
 The sanitizer and the lockstep fingerprint read all of this through
 :class:`ArrayStateView`, which materialises queues, ring events and port
@@ -90,15 +96,23 @@ What stays bit-identical, and why
   every domain's ``k``-th comparing terminal at once, finishes their
   comparisons, and scatters the occupancy of everything committing in
   the wave; each comparing terminal therefore sees exactly the
-  injections the ascending scan would have committed before it.  MIN
-  and VAL never compare, so they commit in a single wave.
+  injections the ascending scan would have committed before it.  The
+  visits are sorted by wave once, with their two candidates' footprints
+  and comparison operands, so each wave is a slice; wave 0 holds no
+  comparing visit and commits without reading occupancy.  MIN and VAL
+  never compare, so they commit in a single wave.
 * **Switch arbitration** batches only decisions that are independent
   within a cycle (each output port touches its own queues, credits and
   round-robin pointer); winners stay in ascending flat-port order, so
-  sample order, ring order and every downstream FIFO order match.
+  sample order, ring order and every downstream FIFO order match.  The
+  scalar round-robin probe becomes one read of a table indexed by the
+  port's pointer and its bitmask of eligible VCs.
 * **FIFO order** survives batching because :meth:`LinkedFifos.append`
   sorts a batch by slot *stably*: rows bound for one queue keep their
-  batch order, which is the scalar append order.
+  batch order.  The cycle's batch lists the arrivals (in arrival-ring
+  order) before the injections (in ascending terminal order), which is
+  the scalar engine's append order: its arrivals are queued in phase 1,
+  its injections in phase 2.
 * **Credit delivery** applies as one duplicate-safe scatter-add per
   cycle.  UGAL-L_CR's credit round-trip sensing is the one sequential
   residue: its CTQ stamps are appended per event, and its credit
@@ -172,13 +186,12 @@ class LinkedFifos:
         Slots may repeat: items bound for the same FIFO are queued in
         their batch order.  The batch is sorted by slot (stably), each
         run of equal slots is chained internally, and the chains are
-        spliced onto the slots' tails.
+        hung onto the slots' tails (or heads, where a FIFO is empty).
         """
         count = items.shape[0]
         if count == 0:
             return
         link = self.next
-        link[items] = -1
         # Stable sort by slot.  The batch position in the low bits makes
         # every key unique, so numpy's fast unstable sort cannot reorder
         # the items of one slot.
@@ -187,37 +200,57 @@ class LinkedFifos:
         key.sort()
         items = items[key & ((1 << shift) - 1)]
         slots = key >> shift
-        starts_run = np.empty(count, dtype=np.bool_)
-        starts_run[0] = True
-        np.not_equal(slots[1:], slots[:-1], out=starts_run[1:])
-        follows = (~starts_run).nonzero()[0]
-        link[items[follows - 1]] = items[follows]
-        first = starts_run.nonzero()[0]
-        last = np.empty_like(first)
-        last[:-1] = first[1:] - 1
-        last[-1] = count - 1
-        self._splice(slots[first], items[first], items[last])
-
-    def append_distinct(self, slots: np.ndarray, items: np.ndarray) -> None:
-        """:meth:`append` for a batch whose ``slots`` do not repeat."""
-        self.next[items] = -1
-        self._splice(slots, items, items)
-
-    def _splice(
-        self, slots: np.ndarray, firsts: np.ndarray, lasts: np.ndarray
-    ) -> None:
-        """Hang one ``firsts[i]`` .. ``lasts[i]`` chain per distinct slot."""
-        occupied = self.head[slots] >= 0
-        self.next[self.tail[slots[occupied]]] = firsts[occupied]
-        vacant = ~occupied
-        self.head[slots[vacant]] = firsts[vacant]
-        self.tail[slots] = lasts
+        # Each item links to the next one of the sorted batch, the last
+        # of each slot's run to nothing.
+        ends = np.empty(count, dtype=np.bool_)
+        ends[-1] = True
+        np.not_equal(slots[1:], slots[:-1], out=ends[:-1])
+        link[items[:-1]] = items[1:]
+        link[items[ends]] = -1
+        firsts = items[np.concatenate(([0], ends[:-1].nonzero()[0] + 1))]
+        slots = slots[ends]
+        heads = self.head[slots]
+        occupied = heads >= 0
+        link[self.tail[slots[occupied]]] = firsts[occupied]
+        self.head[slots] = np.where(occupied, heads, firsts)
+        self.tail[slots] = items[ends]
 
     def pop(self, slots: np.ndarray) -> np.ndarray:
         """Remove and return the heads of distinct, non-empty ``slots``."""
         items = self.head[slots]
         self.head[slots] = self.next[items]
         return items
+
+    def offer(self, slots: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Offer one new item to each of the distinct ``slots``.
+
+        An item bound for a non-empty FIFO is appended behind its tail.
+        One bound for an empty FIFO does not enter it yet: it is that
+        slot's *visited* head.  Returns every slot's visited head (-1
+        for none) as a new array; :meth:`settle` ends the visit.
+        """
+        queued = self.head[slots]
+        waiting = queued >= 0
+        self.next[items] = -1
+        self.next[self.tail[slots[waiting]]] = items[waiting]
+        self.tail[slots] = items
+        visited = self.head.copy()
+        visited[slots] = np.where(waiting, queued, items)
+        return visited
+
+    def settle(
+        self, visited: np.ndarray, slots: np.ndarray, items: np.ndarray
+    ) -> None:
+        """End a visit: the visited heads ``items`` of distinct ``slots``
+        leave their FIFOs, and every other visited head stays as its
+        FIFO's head -- an offered item enters its empty FIFO here.
+
+        ``visited`` is :meth:`offer`'s result, or :attr:`head` itself
+        when nothing was offered; it becomes :attr:`head`.
+        """
+        # An offered item's link is -1, so its FIFO stays empty.
+        visited[slots] = self.next[items]
+        self.head = visited
 
     def to_lists(self) -> List[List[int]]:
         """Every FIFO's items, oldest first (diagnostics, not hot path)."""
@@ -242,11 +275,10 @@ class LinkedFifos:
 _FLIT_COLUMNS = (
     # -- fixed at packet creation ---------------------------------------
     ("dst", np.int64),              # destination terminal
-    ("dst_router", np.int64),       # its router (gather-friendly)
-    ("src_terminal", np.int64),     # source terminal (reply addressing)
+    ("src_terminal", np.int64),     # reply addressing (request_reply)
     ("origin_creation", np.int64),  # creation time of the sample origin
     ("measured", np.bool_),         # tagged for latency sampling
-    ("vc_off", np.int64),           # 3 * vc_class network-VC offset
+    ("vc_off", np.int64),           # 3 * vc class (request_reply)
     ("pkt", np.int64),              # packet index (error messages)
     # -- the route decision, pinned once made ---------------------------
     ("decided", np.bool_),          # the columns below are valid
@@ -256,8 +288,8 @@ _FLIT_COLUMNS = (
     ("progress", np.int64),         # global hops taken: indexes keys
     ("next_progress", np.int64),    # progress after the queued hop
     ("in_idx", np.int64),           # input VC slot holding the row
-    ("up_credit", np.int64),        # upstream credit slot, -1 at source
-    ("up_lat", np.int64),           # upstream channel latency
+    ("up_credit", np.int64),        # upstream credit slot
+    ("up_lat", np.int64),           # upstream channel latency, -1 at source
     ("on_global", np.bool_),        # arrived over a global channel
 )
 
@@ -374,12 +406,30 @@ class ArraySimulator(Simulator):
         num_slots = self._num_routers * self._rv
         # Per-port and per-(port, VC) queue occupancy share one buffer:
         # a UGAL comparison reads either kind through one gather, an
-        # injection wave updates both through one scatter-add.
-        self._occupancy = np.zeros(num_ports + num_slots, dtype=np.int64)
+        # injection wave updates both through one scatter-add.  One
+        # spare entry at the end takes the increments of injection
+        # candidates that cannot commit.
+        self._occupancy = np.zeros(num_ports + num_slots + 1, dtype=np.int64)
         self._pending = self._occupancy[:num_ports]
-        self._pending_vc = self._occupancy[num_ports:]
+        self._pending_vc = self._occupancy[num_ports:-1]
         self._credits = np.full(num_slots, self._depth, dtype=np.int64)
         self._rr_vc = np.zeros(num_ports, dtype=np.int64)
+        #: A port's eligible VCs as a bitmask: ``eligible @ _vc_bits``
+        #: (at most 8 VCs, :func:`kernel_ineligibility`).
+        self._vc_bits = (1 << np.arange(self._vcs)).astype(np.uint8)
+        #: ``_rr_pick[rr << vcs | mask]``: the VC the scalar round-robin
+        #: probe from pointer ``rr`` selects among the VCs in ``mask``.
+        masks = np.arange(1 << self._vcs)
+        rr_pick = np.full((self._vcs, masks.shape[0]), -1, np.int64)
+        for rr in range(self._vcs):
+            # The earliest offset of the probe wins: write it last.
+            for offset in reversed(range(self._vcs)):
+                vc = (rr + offset) % self._vcs
+                rr_pick[rr] = np.where(masks >> vc & 1, vc, rr_pick[rr])
+        self._rr_pick = rr_pick.ravel()
+        #: ``(output slots, rows)`` the cycle's arrivals and injections
+        #: queue; the switch appends them as one batch.
+        self._staged: List[Tuple[np.ndarray, np.ndarray]] = []
         self._buf_count = np.zeros(num_slots, dtype=np.int64)
         self._td = np.zeros(num_ports, dtype=np.float64)
         self._td_min = np.zeros(self._num_routers, dtype=np.float64)
@@ -403,6 +453,8 @@ class ArraySimulator(Simulator):
         # The probe consumed draws from copies only; self._np_traffic
         # still sits at the scalar stream's position.
         self._mt_route = VectorizedMT19937.from_python_rng(self._rng_route)
+        #: The scalar engine's per-terminal Bernoulli threshold.
+        self._packet_rate = config.load / config.packet_size
         self._tables = DecideTables(topology, routing, config.num_vcs)
         #: Every hop, ``(port, VC, advance)`` at ``keys[progress] +
         #: router``: the topology's ``HopTable``, shared by its engines.
@@ -434,8 +486,6 @@ class ArraySimulator(Simulator):
         self._terminal_router_np = np.asarray(self._terminal_router, np.int64)
         #: Where a row ejects when its hop is port -1.
         self._terminal_port_np = np.asarray(self._terminal_port, np.int64)
-        #: A destination terminal's router is its terminal router.
-        self._dst_router_np = self._terminal_router_np
         self._inject_base_np = np.asarray(self._inject_base, np.int64)
         self._eject_terminal_np = np.asarray(self._eject_terminal, np.int64)
         #: Window flit counts per channel; ``_global_flits`` (the list
@@ -526,16 +576,16 @@ class ArraySimulator(Simulator):
         count = srcs.shape[0]
         rows = self._alloc_rows(count)
         self._f_dst[rows] = dsts
-        self._f_dst_router[rows] = self._dst_router_np[dsts]
-        self._f_src_terminal[rows] = srcs
         self._f_origin_creation[rows] = creation
         self._f_measured[rows] = measured
-        self._f_vc_off[rows] = 0
-        self._f_pkt[rows] = np.arange(
-            self._packet_counter, self._packet_counter + count, dtype=np.int64
-        )
+        self._f_pkt[rows] = np.arange(self._packet_counter, self._packet_counter + count)
         self._f_decided[rows] = False
         self._packet_counter += count
+        if self._request_reply:
+            # Only requests and replies read these (a recycled row may
+            # have been a reply).
+            self._f_src_terminal[rows] = srcs
+            self._f_vc_off[rows] = 0
         return rows
 
     # ------------------------------------------------------------------
@@ -562,24 +612,24 @@ class ArraySimulator(Simulator):
         routers = in_idx // self._rv
         prog = self._f_progress[fids]
         # One gather per arrival: the hop at ``keys[progress] + router``.
-        hop = self._hop_table[self._f_keys[fids, prog] + routers]
+        hop = self._hop_table.take(self._f_keys[fids, prog] + routers, axis=0)
         port = hop[:, 0]
         port = np.where(port < 0, self._terminal_port_np[self._f_dst[fids]], port)
         self._f_next_progress[fids] = prog + hop[:, 2]
         p_idx = routers * self._radix + port
-        is_net = self._is_network[p_idx]
-        out_idx = p_idx * self._vcs + hop[:, 1] + self._f_vc_off[fids] * is_net
+        out_idx = p_idx * self._vcs + hop[:, 1]
+        if self._request_reply:
+            out_idx += self._f_vc_off[fids] * self._is_network[p_idx]
         # Several arrivals may share an output port: scatter-add.
-        np.add.at(
-            self._occupancy,
-            np.concatenate((p_idx, out_idx + self._pending.shape[0])),
-            1,
-        )
+        np.add.at(self._pending, p_idx, 1)
+        np.add.at(self._pending_vc, out_idx, 1)
         np.add.at(self._buf_count, in_idx, 1)
-        self._out_fifo.append(out_idx, fids)
+        # The switch files them into their output FIFOs, ahead of the
+        # cycle's injections.
+        self._staged.append((out_idx, fids))
         if self._credit_delay_enabled:
             ctq = self._ctq
-            for pi in p_idx[is_net].tolist():
+            for pi in p_idx[self._is_network[p_idx]].tolist():
                 ctq[pi].append(now)
 
     # ------------------------------------------------------------------
@@ -612,18 +662,21 @@ class ArraySimulator(Simulator):
     def _inject(self, now: int) -> None:
         """Batched decide, wave-ordered commit (module docstring).
 
-        New packets join their source FIFOs; every non-empty FIFO's head
-        is visited.  Heads without a pinned decision get one from
-        :meth:`DecideTables.batch_decide` (one rejection-sampled Valiant
-        draw per inter-group decider, in ascending-terminal order), the
-        UGAL comparisons finish wave by wave against live occupancy, and
-        every head whose injection slot has room commits.
+        Every terminal with a queued or a new packet visits its head; a
+        new packet at an empty source FIFO is visited directly
+        (:meth:`LinkedFifos.offer`).  Heads without a pinned decision
+        get one from :meth:`DecideTables.batch_decide` (one
+        rejection-sampled Valiant draw per inter-group decider, in
+        ascending-terminal order), the UGAL comparisons finish wave by
+        wave against live occupancy, and every head whose injection slot
+        has room commits.  A visited new packet that cannot commit
+        enters its FIFO (:meth:`LinkedFifos.settle`).
         """
         src = self._src_fifo
+        visited = src.head
         if not self._bulk_mode:
-            config = self.config
             draws = self._np_traffic.random_sample(self._num_terminals)
-            inj = (draws < config.load / config.packet_size).nonzero()[0]
+            inj = (draws < self._packet_rate).nonzero()[0]
             if inj.shape[0]:
                 lowering = self._traffic_lowering
                 if lowering is not None:
@@ -636,122 +689,120 @@ class ArraySimulator(Simulator):
                         map(self.pattern, inj.tolist()), np.int64, inj.shape[0]
                     )
                 tagged = self._measure_start <= now < self._measure_end
-                src.append_distinct(
-                    inj, self._new_packets(inj, dsts, now, tagged)
-                )
+                rows = self._new_packets(inj, dsts, now, tagged)
+                visited = src.offer(inj, rows)
                 if tagged:
                     self._outstanding_tagged += inj.shape[0]
-        visits = (src.head >= 0).nonzero()[0]
+        visits = (visited >= 0).nonzero()[0]
         count = visits.shape[0]
         if count == 0:
             return
-        heads = src.head[visits]
+        heads = visited[visits]
         routers = self._terminal_router_np[visits]
+        dst = self._f_dst[heads]
         num_ports = self._pending.shape[0]
 
         # Decide the fresh heads; candidate A goes onto the rows at once
         # (it is the decision unless a comparison picks B below).
+        # Candidate-major layout: ``[c, i]`` is visit ``i`` taking
+        # candidate ``c``.  Only comparing visits have a meaningful
+        # candidate 1 (elsewhere its key 0 reads some row).
+        keys2 = np.zeros((2, count), dtype=np.int64)
         fresh = (~self._f_decided[heads]).nonzero()[0]
-        compares = np.zeros(count, dtype=np.bool_)
+        comparing = _NO_EVENTS
         if fresh.shape[0]:
             fresh_rows = heads[fresh]
-            batch = self._tables.batch_decide(
-                self._mt_route, routers[fresh], self._f_dst_router[fresh_rows]
-            )
+            dst_routers = self._terminal_router_np[dst[fresh]]
+            batch = self._tables.batch_decide(self._mt_route, routers[fresh], dst_routers)
             self._f_decided[fresh_rows] = True
             self._f_keys[fresh_rows] = batch.a_keys
             self._f_minimal[fresh_rows] = batch.a_min
-            compares[fresh] = batch.mode
-
-        # Both candidates' first hop and commit footprint,
-        # candidate-major: flat position ``c * count + i`` is visit ``i``
-        # taking candidate ``c``.  Only comparing visits have a
-        # meaningful candidate 1 (elsewhere its key 0 reads some row).
-        keys2 = np.zeros((2, count), dtype=np.int64)
-        keys2[0] = self._f_keys[heads, 0]
-        any_compare = bool(compares.any())
-        if any_compare:
             keys2[1, fresh] = batch.b_keys[:, 0]
-        hop2 = self._hop_table[keys2 + routers]
+            comparing = fresh[batch.mode]
+        keys2[0] = self._f_keys[heads, 0]
+
+        # Both candidates' first hop and commit footprint: the occupancy
+        # buffer's output-port and output-(port, VC) entries a commit
+        # increments -- or, for a candidate whose injection slot is
+        # full, the spare entry at the buffer's end, twice.
+        hop2 = self._hop_table.take(keys2 + routers, axis=0)
         port2 = hop2[:, :, 0]
-        port2 = np.where(
-            port2 < 0, self._terminal_port_np[self._f_dst[heads]], port2
-        )
+        port2 = np.where(port2 < 0, self._terminal_port_np[dst], port2)
         vc2 = hop2[:, :, 1]
         in2 = self._inject_base_np[visits] + vc2
-        has_room = (self._buf_count[in2] < self._depth).ravel()
+        full = self._buf_count[in2] >= self._depth
         p2 = routers * self._radix + port2
-        out2 = p2 * self._vcs + vc2
+        out2 = p2 * self._vcs + vc2 + num_ports
         if self._request_reply:
             # Ungated on the row: the network-VC offset applies per hop,
             # only on network channels (zero must mean "request class").
             out2 += self._f_vc_off[heads] * self._is_network[p2]
-        in_flat = in2.ravel()
-        advance_flat = hop2[:, :, 2].ravel()
-        # Occupancy-buffer indices a commit increments: its output port
-        # and its output (port, VC) slot.
-        footprint = np.stack((p2.ravel(), out2.ravel() + num_ports))
+        footprint = np.where(full, self._occupancy.shape[0] - 1, (p2, out2))
         occupancy = self._occupancy
         choice = np.zeros(count, dtype=np.int64)
 
-        if not any_compare:
+        if comparing.shape[0] == 0:
             # Nothing reads occupancy this cycle: one wave.
-            taken = has_room[:count].nonzero()[0]
-            np.add.at(occupancy, footprint[:, taken], 1)
+            np.add.at(occupancy, footprint[:, 0], 1)
         else:
-            qa = np.zeros(count, dtype=np.int64)
-            qb = np.zeros(count, dtype=np.int64)
-            hm = np.zeros(count, dtype=np.int64)
-            hn = np.zeros(count, dtype=np.int64)
-            qa[fresh] = batch.qa + num_ports * batch.use_vc
-            qb[fresh] = batch.qb + num_ports * batch.use_vc
-            hm[fresh] = batch.hm
-            hn[fresh] = batch.hn
             # Wave = comparing visits at or before this one in its
-            # domain.  Domains are runs of ``visits`` (terminals are
-            # numbered router by router, group by group).
-            domain = visits // self._domain_size
-            running = np.cumsum(compares)
-            opens = np.empty(count, dtype=np.bool_)
-            opens[0] = True
-            np.not_equal(domain[1:], domain[:-1], out=opens[1:])
-            before_domain = (running - compares)[opens]
-            wave = running - before_domain[np.cumsum(opens) - 1]
-            for k in range(int(wave.max()) + 1):
-                members = (wave == k).nonzero()[0]
-                takes_b = compares[members] & (
-                    occupancy[qa[members]] * hm[members]
-                    > occupancy[qb[members]] * hn[members]
-                )
-                choice[members] = takes_b
-                taken = members + count * takes_b
-                taken = taken[has_room[taken]]
-                np.add.at(occupancy, footprint[:, taken], 1)
+            # domain: a running count over each domain's terminals
+            # (terminals are numbered router by router, group by group,
+            # so a domain is a row of ``_domain_size`` of them).
+            per_terminal = np.zeros(self._num_terminals, dtype=np.int16)
+            per_terminal[visits[comparing]] = 1
+            wave = per_terminal.reshape(-1, self._domain_size).cumsum(
+                axis=1, dtype=np.int16
+            ).ravel()[visits]
+            # Visits in wave order, each wave one slice.  A visit that
+            # does not compare has hm = hn = 0 and so keeps candidate A.
+            order = np.argsort(wave, kind="stable")
+            cuts = np.bincount(wave).cumsum().tolist()
+            versus = np.zeros((4, count), dtype=np.int64)
+            versus[:, comparing] = np.array((
+                batch.qa + num_ports * batch.use_vc,
+                batch.qb + num_ports * batch.use_vc,
+                batch.hm,
+                batch.hn,
+            )).compress(batch.mode, axis=1)
+            versus = versus.take(order, axis=1)
+            queues = versus[:2]
+            weights = versus[2:]
+            by_wave = footprint.take(order, axis=2)
+            takes_b = np.zeros(count, dtype=np.bool_)
+            # Wave 0 holds no comparing visit: it commits unread.
+            np.add.at(occupancy, by_wave[:, 0, :cuts[0]], 1)
+            for lo, hi in zip(cuts, cuts[1:]):
+                b = takes_b[lo:hi]
+                q = occupancy[queues[:, lo:hi]] * weights[:, lo:hi]
+                np.greater(q[0], q[1], out=b)
+                np.add.at(occupancy, np.where(b, by_wave[:, 1, lo:hi], by_wave[:, 0, lo:hi]), 1)
+            choice[order] = takes_b
             # Comparisons that picked the Valiant candidate re-pin it.
             picked_b = choice[fresh].nonzero()[0]
             if picked_b.shape[0]:
                 rows = heads[fresh[picked_b]]
-                self._f_keys[rows] = batch.b_keys[picked_b]
+                self._f_keys[rows] = batch.b_keys.take(picked_b, axis=0)
                 self._f_minimal[rows] = False
 
-        # Commit, ascending terminals: heads with room leave their
-        # source FIFO for the output queue of their first hop.
+        # Commit, ascending terminals: heads with room leave for the
+        # output queue of their first hop.
         flat = np.arange(count) + count * choice
-        flat = flat[has_room[flat]]
-        if flat.shape[0] == 0:
-            return
-        fids = src.pop(visits[flat % count])
-        in_idx = in_flat[flat]
+        left = (~full.ravel()[flat]).nonzero()[0]
+        flat = flat[left]
+        fids = heads[left]
+        src.settle(visited, visits[left], fids)
+        in_idx = in2.ravel()[flat]
         self._buf_count[in_idx] += 1
         self._f_progress[fids] = 0
-        self._f_next_progress[fids] = advance_flat[flat]
+        self._f_next_progress[fids] = hop2[:, :, 2].ravel()[flat]
         self._f_in_idx[fids] = in_idx
-        self._f_up_credit[fids] = -1
+        self._f_up_lat[fids] = -1
         self._f_on_global[fids] = False
-        self._out_fifo.append(footprint[1, flat] - num_ports, fids)
+        self._staged.append((footprint[1].ravel()[flat] - num_ports, fids))
         if self._credit_delay_enabled:
             ctq = self._ctq
-            p_idx = footprint[0, flat]
+            p_idx = footprint[0].ravel()[flat]
             for pi in p_idx[self._is_network[p_idx]].tolist():
                 ctq[pi].append(now)
 
@@ -767,47 +818,28 @@ class ArraySimulator(Simulator):
         are independent within a cycle (each port reads and writes only
         its own slots), so batching cannot reorder anything observable.
         """
+        # A VC can forward iff it has queued flits and (ejection port,
+        # or downstream credit available) -- the scalar loop's
+        # conditions verbatim, evaluated for every slot at once, and
+        # packed into one bitmask per port.
+        eligible = (self._pending_vc > 0) & (self._slot_needs_no_credit | (self._credits > 0))
+        masks = eligible.reshape(-1, self._vcs).view(np.uint8) @ self._vc_bits
         # Ascending flat-port order is the scalar visit order (sorted
         # routers, ascending ports), which sample ordering and the
         # golden fixtures depend on.
-        act = self._pending.nonzero()[0]
-        if act.shape[0] == 0:
+        ports = masks.nonzero()[0]
+        if ports.shape[0] == 0:
             return None
-        vcs = self._vcs
-        credits = self._credits
-        pending_vc = self._pending_vc
-        # A VC can forward iff it has queued flits and (ejection port,
-        # or downstream credit available) -- the scalar loop's
-        # conditions verbatim, evaluated for every slot at once.
-        eligible = (pending_vc > 0) & (
-            self._slot_needs_no_credit | (credits > 0)
-        )
-        # Round-robin VC probe, all active ports at once: at each offset
-        # of the rotation, a port still unselected takes that VC if it
-        # is eligible.
-        rr = self._rr_vc[act]
-        slot_base = act * vcs
-        selected_vc = np.full(act.shape[0], -1, dtype=np.int64)
-        for offset in range(vcs):
-            vc = rr + offset
-            vc -= vcs * (vc >= vcs)
-            take = eligible[slot_base + vc] & (selected_vc < 0)
-            selected_vc = np.where(take, vc, selected_vc)
-        chosen = selected_vc >= 0
-        if not chosen.any():
-            return None
-        ports = act[chosen]
-        vc_sel = selected_vc[chosen]
-        out_idx = ports * vcs + vc_sel
+        # The scalar round-robin probe, as one table read per port.
+        vc_sel = self._rr_pick[(self._rr_vc[ports] << self._vcs) | masks[ports]]
+        out_idx = ports * self._vcs + vc_sel
         # Batched bookkeeping: each selected port forwards exactly one
         # flit, network ports additionally consume one downstream
         # credit, and the round-robin pointer advances past the winner.
-        pending_vc[out_idx] -= 1
+        self._pending_vc[out_idx] -= 1
         self._pending[ports] -= 1
-        credits[out_idx] -= self._is_network[ports]
-        next_rr = vc_sel + 1
-        next_rr[next_rr >= vcs] = 0
-        self._rr_vc[ports] = next_rr
+        self._credits[out_idx] -= self._is_network[ports]
+        self._rr_vc[ports] = (vc_sel + 1) % self._vcs
         return ports, vc_sel, out_idx
 
     def _return_credits(
@@ -822,21 +854,22 @@ class ArraySimulator(Simulator):
             # The offset is the upstream latency, always within the
             # ring, and takes only a few distinct values.  Distinct
             # offsets land in distinct slots (latencies differ by less
-            # than the ring size).
+            # than the ring size).  A row injected this cycle has no
+            # upstream: its latency -1 matches none.
             for offset in self._distinct_lats:
-                credits = upc[(upc >= 0) & (offsets == offset)]
+                credits = upc[offsets == offset]
                 if credits.shape[0]:
                     ring[(now + offset) % size].append(credits)
             return
         # UGAL-L_CR: credits that do not cross a global channel are
         # delayed by the round-trip excess of the port the row leaves
         # through, which can push them past the ring horizon.
+        valid = offsets >= 0
         excess = self._td[ports] - self._td_min[ports // self._radix]
         delayed = is_net & ~self._f_on_global[fa] & (excess > 0)
         offsets = offsets + np.where(
             delayed, (self._credit_gain * excess).astype(np.int64), 0
         )
-        valid = upc >= 0
         upc = upc[valid]
         offsets = offsets[valid]
         for offset in sorted(set(offsets.tolist())):
@@ -849,6 +882,11 @@ class ArraySimulator(Simulator):
                 )
 
     def _switch(self) -> None:
+        # The cycle's arrivals, then its injections, enter the output
+        # FIFOs as one batch: the stable append keeps that order per slot.
+        if self._staged:
+            self._out_fifo.append(*map(np.concatenate, zip(*self._staged)))
+            self._staged.clear()
         won = self._arbitrate()
         if won is None:
             return
@@ -881,9 +919,7 @@ class ArraySimulator(Simulator):
             for latency in self._distinct_lats:
                 arriving = fwd_f[lat == latency]
                 if arriving.shape[0]:
-                    self._arrival_ring[
-                        (now + latency) % self._arrival_ring_size
-                    ].append(arriving)
+                    self._arrival_ring[(now + latency) % self._arrival_ring_size].append(arriving)
         ej = (~is_net).nonzero()[0]
         if ej.shape[0]:
             self._eject_rows(now, ports[ej], fa[ej], measuring)
@@ -918,7 +954,6 @@ class ArraySimulator(Simulator):
                 repliers = dst[is_request]
                 askers = self._f_src_terminal[requests]
                 self._f_dst[requests] = askers
-                self._f_dst_router[requests] = self._dst_router_np[askers]
                 self._f_src_terminal[requests] = repliers
                 self._f_vc_off[requests] = 3
                 self._f_pkt[requests] = np.arange(
@@ -928,7 +963,7 @@ class ArraySimulator(Simulator):
                 )
                 self._f_decided[requests] = False
                 self._packet_counter += requests.shape[0]
-                self._src_fifo.append_distinct(repliers, requests)
+                self._src_fifo.append(repliers, requests)
         sampled = fids[self._f_measured[fids]]
         if sampled.shape[0]:
             self._outstanding_tagged -= sampled.shape[0]

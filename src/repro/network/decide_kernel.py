@@ -42,7 +42,8 @@ with a handful of numpy gathers, bit-identically to the scalar path:
   new packet in the scalar engine -- collapse into a single
   :meth:`VectorizedMT19937.rejection_sample` call.
 
-Eligibility (:func:`kernel_ineligibility`): single-flit packets and a
+Eligibility (:func:`kernel_ineligibility`): single-flit packets, at most
+eight VCs (the switch's arbitration table), and a
 :class:`~repro.routing.ugal.RuleRouting` of the exact class on the
 dragonfly family -- whose ``rule`` and ``signal`` :class:`DecideTables`
 reads -- on the exact :class:`~repro.topology.dragonfly.Dragonfly` with
@@ -107,16 +108,23 @@ class VectorizedMT19937:
     stay on the scalar generator's stream exactly -- including rejection
     sampling, where the *position* after a batch must land on the word
     following the last accepted draw.
+
+    The position is kept in two parts: the bit generator stands at the
+    end of the 624-word block that holds the last word consumed, and
+    ``_rest`` holds that block's words after it.  A block is drawn only
+    when a word of it is consumed, so ``(the generator's key, 624 -
+    len(_rest))`` is always the CPython state at the same position.
     """
 
     __slots__ = ("_bits", "_rest")
 
     def __init__(self, bits: np.random.MT19937) -> None:
         self._bits = bits
-        #: The tempered words of the current block not consumed yet.
-        #: ``bits`` itself always stands at the block's end, so the
-        #: stream's position is ``_N - len(_rest)`` in ``bits``' key.
-        self._rest = bits.random_raw(_N - bits.state["state"]["pos"])
+        #: The tempered words of the current block not consumed yet, as
+        #: int64 (every word is below 2^32).  ``bits`` itself always
+        #: stands at the block's end, so the stream's position is
+        #: ``_N - len(_rest)`` in ``bits``' key.
+        self._rest = self._draw(_N - bits.state["state"]["pos"])
 
     @classmethod
     def from_python_rng(cls, rng: random.Random) -> "VectorizedMT19937":
@@ -134,15 +142,15 @@ class VectorizedMT19937:
                 raise ValueError("transplanted MT19937 diverged from probe")
         return cls(transplant_mt19937(rng))
 
-    def _block(self) -> np.ndarray:
-        """The unconsumed words, drawing the next block once none are left."""
-        if not self._rest.shape[0]:
-            self._rest = self._bits.random_raw(_N)
-        return self._rest
+    def _draw(self, count: int) -> np.ndarray:
+        """The bit generator's next ``count`` words, as int64."""
+        return self._bits.random_raw(count).view(np.int64)
 
     def next_word(self) -> int:
         """One 32-bit output word (scalar; tests and probe validation)."""
-        word = int(self._block()[0])
+        if not self._rest.shape[0]:
+            self._rest = self._draw(_N)
+        word = int(self._rest[0])
         self._rest = self._rest[1:]
         return word
 
@@ -157,24 +165,24 @@ class VectorizedMT19937:
         the raw stream is the ``j``-th caller's draw, and the stream
         position is committed to the word *after* the last accepted one,
         so interleaving batched and scalar consumers is seamless.
+
+        The unconsumed words and, while they hold too few accepted
+        draws, whole further blocks are filtered as one buffer.  A block
+        is added only while the draws fall short, so the last accepted
+        word lies in the last block drawn and ``_rest`` keeps its
+        meaning: that block's words after it.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        shift = np.uint64(32 - n.bit_length())
-        out = np.empty(count, np.int64)
-        filled = 0
-        while filled < count:
-            vals = self._block() >> shift
-            idx = np.flatnonzero(vals < n)
-            need = count - filled
-            if idx.shape[0] >= need:
-                out[filled:] = vals[idx[:need]]
-                self._rest = self._rest[idx[need - 1] + 1:]
-                break
-            out[filled:filled + idx.shape[0]] = vals[idx]
-            filled += idx.shape[0]
-            self._rest = self._rest[:0]
-        return out
+        shift = 32 - n.bit_length()
+        words = self._rest
+        accepted = (words >> shift < n).nonzero()[0]
+        while accepted.shape[0] < count:
+            words = np.concatenate((words, self._draw(_N)))
+            accepted = (words >> shift < n).nonzero()[0]
+        accepted = accepted[:count]
+        self._rest = words[accepted[-1] + 1 if count else 0:]
+        return words[accepted] >> shift
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +197,10 @@ def kernel_ineligibility(config, topology, routing) -> Optional[str]:
     """
     if getattr(config, "packet_size", 1) != 1:
         return f"multi-flit packets (packet_size={config.packet_size})"
+    # The switch arbitrates from a table with one column per subset of
+    # a port's VCs, indexed by a one-byte mask.
+    if config.num_vcs > 8:
+        return f"{config.num_vcs} VCs (the arbitration table covers at most 8)"
     # batch_decide replays RuleRouting.decide on the dragonfly's plans
     # (draw order, signals) and reads the hops of its memo.  ``type(...)
     # is`` -- never ``isinstance`` -- so a subclass that overrides
@@ -286,6 +298,11 @@ def lower_traffic(pattern) -> Optional[TrafficLowering]:
 # Decision batch
 # ----------------------------------------------------------------------
 
+#: Columns of :attr:`DecideTables.pair_links` after the three stage
+#: keys: the link's source router, its destination router, and its flat
+#: ``_pending`` index.
+_SRC, _DST, _QIDX = 3, 4, 5
+
 
 @dataclass
 class DecideBatch:
@@ -341,11 +358,12 @@ class DecideTables:
     The hops are the topology's
     :class:`~repro.routing.paths.HopTable` (:attr:`hops`), built once per
     topology by its :class:`~repro.routing.paths.DragonflyHops` and
-    shared by every engine on it.  This adds, per *ordered group pair*,
-    the pair's unique global link (``L_src``, ``L_dst``, and
-    ``L_qidx``, the link's flat ``_pending`` index -- the UGAL-G oracle
-    read) and its three stage keys ``L_keys`` (minimal phase 0, Valiant
-    phase 0, Valiant phase 1), so a decision is index arithmetic.
+    shared by every engine on it.  This adds one packed row per *ordered
+    group pair* (:attr:`pair_links`): the pair's unique global link's
+    three stage keys (minimal phase 0, Valiant phase 0, Valiant phase
+    1), its source and destination routers, and its flat ``_pending``
+    index (the UGAL-G oracle read), so a decision is one gather per pair
+    it touches plus index arithmetic.
     """
 
     def __init__(self, topology: Dragonfly, routing, num_vcs: int) -> None:
@@ -369,16 +387,13 @@ class DecideTables:
         # Per ordered pair, flattened row-major (the diagonal stays 0
         # and is never read unmasked: pairs of one group route within it).
         pair = (table.link_src // a) * g + table.link_dst // a
-
-        def per_pair(column: np.ndarray) -> np.ndarray:
-            out = np.zeros((g * g,) + column.shape[1:], np.int64)
-            out[pair] = column
-            return out
-
-        self.L_src = per_pair(table.link_src)
-        self.L_dst = per_pair(table.link_dst)
-        self.L_qidx = per_pair(table.link_src * self.radix + table.link_port)
-        self.L_keys = per_pair(table.link_keys)
+        self.pair_links = np.zeros((g * g, 6), np.int64)
+        self.pair_links[pair, :3] = table.link_keys
+        self.pair_links[pair, _SRC] = table.link_src
+        self.pair_links[pair, _DST] = table.link_dst
+        self.pair_links[pair, _QIDX] = (
+            table.link_src * self.radix + table.link_port
+        )
 
     def batch_decide(
         self,
@@ -393,43 +408,36 @@ class DecideTables:
         one accepted rejection-sample per such decider, in order.
         """
         g = self.g
-        a = self.a
-        n = srcs.shape[0]
-        sg = srcs // a
-        dg = dstr // a
+        sg = srcs // self.a
+        dg = dstr // self.a
         inter = sg != dg
-        pair = sg * g + dg
+        # ``take`` gathers whole rows several times faster than ``[]``.
+        link = self.pair_links.take(sg * g + dg, axis=0)
         final = self.final_keys[dstr]
 
         # The minimal plan's keys: the whole decision for MIN, candidate
         # A for UGAL, the degenerate-draw case for VAL.
-        min_keys = np.stack(
-            (np.where(inter, self.L_keys[pair, 0], final), final, final), axis=1
-        )
-        always = np.ones(n, dtype=np.bool_)
-
-        kind = self.kind
-        if kind == "min":
+        min_keys = np.repeat(final[:, None], 3, axis=1)
+        min_keys[:, 0] = np.where(inter, link[:, 0], final)
+        always = np.ones(srcs.shape[0], dtype=np.bool_)
+        if self.kind == "min":
             return DecideBatch.resolved(min_keys, always)
 
         # VAL and UGAL: draw an intermediate group for every inter-group
         # decider, in visit order.
-        ig_full = np.zeros(n, dtype=np.int64)
-        if g >= 2:
-            ridx = np.nonzero(inter)[0]
-            if ridx.shape[0]:
-                draws = stream.rejection_sample(int(ridx.shape[0]), g - 1)
-                ig = draws + (draws >= sg[ridx])
-                ig_full[ridx] = ig
-        degenerate = inter & (ig_full == dg)
-        nonmin = inter & ~degenerate
-        pair1 = sg * g + ig_full
-        pair2 = ig_full * g + dg
-        val_keys = np.stack(
-            (self.L_keys[pair1, 1], self.L_keys[pair2, 2], final), axis=1
-        )
+        ig = np.zeros_like(sg)
+        ridx = inter.nonzero()[0]
+        if ridx.shape[0]:
+            draws = stream.rejection_sample(ridx.shape[0], g - 1)
+            ig[ridx] = draws + (draws >= sg[ridx])
+        nonmin = inter & (ig != dg)
+        link1 = self.pair_links.take(sg * g + ig, axis=0)
+        link2 = self.pair_links.take(ig * g + dg, axis=0)
+        val_keys = min_keys.copy()
+        val_keys[:, 0] = link1[:, 1]
+        val_keys[:, 1] = link2[:, 2]
 
-        if kind == "val":
+        if self.kind == "val":
             return DecideBatch.resolved(
                 np.where(nonmin[:, None], val_keys, min_keys), ~nonmin
             )
@@ -437,55 +445,24 @@ class DecideTables:
         # UGAL: candidate A is always the minimal plan (the resolved
         # choice on intra and degenerate rows); candidate B and the
         # queue comparison exist on non-degenerate inter rows.
-        hm = (
-            1
-            + (self.L_src[pair] != srcs)
-            + (self.L_dst[pair] != dstr)
-        )
-        hn = (
-            2
-            + (self.L_src[pair1] != srcs)
-            + (self.L_dst[pair1] != self.L_src[pair2])
-            + (self.L_dst[pair2] != dstr)
-        )
-        # Both candidates' first hop (port, VC) at the source router.
-        m_hop = self.hops[min_keys[:, 0] + srcs]
-        n_hop = self.hops[val_keys[:, 0] + srcs]
-        m_port = m_hop[:, 0]
-        n_port = n_hop[:, 0]
-
+        hm = 1 + (link[:, _SRC] != srcs) + (link[:, _DST] != dstr)
+        hn = 2 + (link1[:, _SRC] != srcs) + (link1[:, _DST] != link2[:, _SRC])
+        hn += link2[:, _DST] != dstr
         signal = self.signal
-        radix = self.radix
-        nv = self.num_vcs
-        if signal == "port":
-            qa = srcs * radix + m_port
-            qb = srcs * radix + n_port
-            use_vc = np.zeros(n, dtype=np.bool_)
-        elif signal == "remote":
-            qa = self.L_qidx[pair]
-            qb = self.L_qidx[pair1]
-            use_vc = np.zeros(n, dtype=np.bool_)
-        elif signal == "vc":
-            qa = (srcs * radix + m_port) * nv + m_hop[:, 1]
-            qb = (srcs * radix + n_port) * nv + n_hop[:, 1]
-            use_vc = np.ones(n, dtype=np.bool_)
-        else:  # vc_hybrid
-            use_vc = m_port == n_port
-            qa = np.where(
-                use_vc,
-                (srcs * radix + m_port) * nv + m_hop[:, 1],
-                srcs * radix + m_port,
-            )
-            qb = np.where(
-                use_vc,
-                (srcs * radix + n_port) * nv + n_hop[:, 1],
-                srcs * radix + n_port,
-            )
-
-        return DecideBatch(
-            mode=nonmin,
-            use_vc=use_vc,
-            qa=qa, qb=qb, hm=hm, hn=hn,
-            a_keys=min_keys, a_min=always,
-            b_keys=val_keys,
-        )
+        if signal == "remote":
+            use_vc = np.zeros_like(nonmin)
+            qa = link[:, _QIDX]
+            qb = link1[:, _QIDX]
+        else:
+            # Both candidates' first hop (port, VC) at the source router.
+            m_hop = self.hops.take(min_keys[:, 0] + srcs, axis=0)
+            n_hop = self.hops.take(val_keys[:, 0] + srcs, axis=0)
+            qa = srcs * self.radix + m_hop[:, 0]
+            qb = srcs * self.radix + n_hop[:, 0]
+            if signal == "port":
+                use_vc = np.zeros_like(nonmin)
+            else:
+                use_vc = always if signal == "vc" else m_hop[:, 0] == n_hop[:, 0]
+                qa = np.where(use_vc, qa * self.num_vcs + m_hop[:, 1], qa)
+                qb = np.where(use_vc, qb * self.num_vcs + n_hop[:, 1], qb)
+        return DecideBatch(nonmin, use_vc, qa, qb, hm, hn, min_keys, always, val_keys)

@@ -14,9 +14,11 @@ which the equivalence tests and the golden fixtures under
   ``put(key, result)``) before simulating anything;
 * runs the misses in-process, or -- with ``workers > 1`` and more than
   one miss -- shards them across worker *processes*.  Each worker owns a
-  private task queue (so an assignment is never ambiguous), sends
-  heartbeats from a daemon thread, and reports ``done`` / ``error`` on
-  a shared result queue.  A worker whose process exited,
+  private task queue (so an assignment is never ambiguous) and a
+  private result pipe, on which it sends heartbeats from a daemon
+  thread and reports ``done`` / ``error``.  Nothing a worker writes is
+  shared with another worker, so one that dies part way through a send
+  closes only its own pipe.  A worker whose process exited,
   whose heartbeats went stale, or whose unit exceeded the per-unit
   timeout is killed and replaced, and its unit requeued with
   exponential backoff;
@@ -43,7 +45,6 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .config import SimulationConfig
 from .stats import SimulationResult
 
 if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
 
 _LOGGER = logging.getLogger(__name__)
@@ -246,22 +248,33 @@ def _worker_main(
     topology,
     settings: Settings,
     task_queue,
-    result_queue,
+    results,
     heartbeat_interval: float,
     crash_flag: Optional[str],
 ) -> None:
     """Worker loop: heartbeat thread + one unit at a time.
+
+    ``results`` is the write end of this worker's own pipe.  The
+    heartbeat thread and the unit loop take turns on it under a
+    ``threading.Lock``, which dies with the process: a worker killed in
+    the middle of a send leaves nothing held that another process waits
+    on.
 
     ``crash_flag`` is the fault-injection hook the crash-resume tests
     use: the first worker to claim the flag file deletes it and dies
     with ``os._exit`` mid-unit, exactly like a SIGKILL.
     """
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        with send_lock:
+            results.send(message)
 
     def beat() -> None:
         while not stop.is_set():
             try:
-                result_queue.put(("heartbeat", worker_id, None, None))
+                send(("heartbeat", worker_id, None, None))
             except Exception:
                 return
             stop.wait(heartbeat_interval)
@@ -283,11 +296,9 @@ def _worker_main(
             try:
                 result = _run_spec(topology, spec, settings)
             except BaseException as exc:
-                result_queue.put(
-                    ("error", worker_id, index, f"{type(exc).__name__}: {exc}")
-                )
+                send(("error", worker_id, index, f"{type(exc).__name__}: {exc}"))
             else:
-                result_queue.put(("done", worker_id, index, result))
+                send(("done", worker_id, index, result))
     finally:
         stop.set()
 
@@ -296,6 +307,9 @@ def _worker_main(
 class _WorkerHandle:
     process: BaseProcess
     task_queue: object
+    #: The read end of the worker's result pipe; ``None`` once it
+    #: reached end-of-file (the worker is gone).
+    results: Optional["Connection"]
     last_heartbeat: float
     assigned: Optional[int] = None
     assigned_at: float = 0.0
@@ -536,10 +550,10 @@ class SweepScheduler:
         # Imported here, the only code that forks: a batch answered from
         # its store, or run in-process, never loads it.
         import multiprocessing
+        from multiprocessing.connection import wait
 
         progress = self.progress
         ctx = multiprocessing.get_context()
-        result_queue = ctx.Queue()
         workers: Dict[int, _WorkerHandle] = {}
         next_worker_id = 0
         #: Units eligible to dispatch: (not-before time, unit index).
@@ -552,6 +566,7 @@ class SweepScheduler:
             worker_id = next_worker_id
             next_worker_id += 1
             task_queue = ctx.Queue()
+            reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
                 args=(
@@ -559,18 +574,27 @@ class SweepScheduler:
                     self.topology,
                     settings,
                     task_queue,
-                    result_queue,
+                    writer,
                     settings.heartbeat_interval,
                     self.crash_flag,
                 ),
                 daemon=True,
             )
             process.start()
+            # Only the worker writes: once it is gone, the reader sees
+            # end-of-file.
+            writer.close()
             workers[worker_id] = _WorkerHandle(
                 process=process,
                 task_queue=task_queue,
+                results=reader,
                 last_heartbeat=time.monotonic(),
             )
+
+        def close_results(handle: _WorkerHandle) -> None:
+            if handle.results is not None:
+                handle.results.close()
+                handle.results = None
 
         def requeue(index: int, error: str) -> None:
             delay = self._fail_attempt(index, error, settings.max_attempts)
@@ -585,6 +609,7 @@ class SweepScheduler:
             if handle.process.is_alive():
                 handle.process.terminate()
             handle.process.join(timeout=5.0)
+            close_results(handle)
             assigned = handle.assigned
             self._emit(
                 "worker-dead",
@@ -621,25 +646,32 @@ class SweepScheduler:
                         self._start_attempt(index, worker_id)
                         handle.task_queue.put((index, self.units[index].spec))
 
-                # Drain worker events.
-                try:
-                    kind, worker_id, index, payload = result_queue.get(
-                        timeout=POLL_INTERVAL
-                    )
-                except queue_module.Empty:
-                    kind = None
-                if kind is not None and worker_id in workers:
-                    handle = workers[worker_id]
-                    handle.last_heartbeat = time.monotonic()
-                    if kind == "done":
-                        self._complete_unit(
-                            index, payload, time.monotonic() - handle.assigned_at
-                        )
-                        outstanding.discard(index)
-                        handle.assigned = None
-                    elif kind == "error":
-                        requeue(index, str(payload))
-                        handle.assigned = None
+                # Drain worker events: every message each ready pipe
+                # holds.  A pipe at end-of-file -- its worker exited,
+                # perhaps part way through a message -- is closed; the
+                # liveness check below retires the worker.
+                readers = {
+                    handle.results: handle for handle in workers.values()
+                    if handle.results is not None
+                }
+                for reader in wait(list(readers), timeout=POLL_INTERVAL):
+                    handle = readers[reader]
+                    try:
+                        while handle.results is not None and reader.poll():
+                            kind, _, index, payload = reader.recv()
+                            handle.last_heartbeat = time.monotonic()
+                            if kind == "done":
+                                self._complete_unit(
+                                    index, payload,
+                                    time.monotonic() - handle.assigned_at,
+                                )
+                                outstanding.discard(index)
+                                handle.assigned = None
+                            elif kind == "error":
+                                requeue(index, str(payload))
+                                handle.assigned = None
+                    except (EOFError, OSError):
+                        close_results(handle)
 
                 # Detect dead or wedged workers.
                 now = time.monotonic()
@@ -676,7 +708,7 @@ class SweepScheduler:
                 if handle.process.is_alive():
                     handle.process.terminate()
                     handle.process.join(timeout=1.0)
-            result_queue.cancel_join_thread()
+                close_results(handle)
             progress.running = 0
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..routing.base import RoutingAlgorithm
@@ -592,11 +593,11 @@ class Simulator:
             drained=drained,
             samples=self._samples,
             ejected_flits_in_window=self._ejected_flits_in_window,
-            global_channel_flits={
-                index: count
-                for index, count in enumerate(self._global_flits)
-                if count
-            },
+            # The channels that carried a flit: (index, count) pairs
+            # with a non-zero count.
+            global_channel_flits=dict(
+                filter(itemgetter(1), enumerate(self._global_flits))
+            ),
             unfinished_tagged=self._outstanding_tagged,
             warmup_cycles=config.warmup_cycles,
             total_cycles=self.now + 1,

@@ -340,6 +340,16 @@ class TestEligibility:
         reason = kernel_ineligibility(config, TOPOLOGY, make_routing("MIN"))
         assert reason is not None and "packet_size" in reason
 
+    def test_more_than_eight_vcs_is_ineligible(self):
+        """The switch's arbitration table has one column per subset of
+        a port's VCs; eight VCs fill its one-byte index."""
+        assert kernel_ineligibility(
+            dataclasses.replace(BASE_CONFIG, num_vcs=8), TOPOLOGY, make_routing("MIN")
+        ) is None
+        config = dataclasses.replace(BASE_CONFIG, num_vcs=9)
+        reason = kernel_ineligibility(config, TOPOLOGY, make_routing("MIN"))
+        assert reason is not None and "9 VCs" in reason
+
     def test_routing_subclass_is_ineligible(self):
         class Custom(RuleRouting):
             pass

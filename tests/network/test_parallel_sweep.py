@@ -14,7 +14,10 @@ journal.
 import dataclasses
 import logging
 import multiprocessing
+import os
 import pickle
+import struct
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -256,6 +259,59 @@ class TestBareExecutorFaultTolerance:
             )
         ]
         assert list(tmp_path.iterdir()) == [], "nothing may be journaled"
+
+    @pytest.mark.parametrize("written", ["nothing", "half a message"])
+    def test_worker_dying_in_a_send_costs_one_retry(
+        self, df, config, tmp_path, monkeypatch, written
+    ):
+        """A worker killed while it sends -- holding whatever lock guards
+        its sends, before writing or after half a message -- costs one
+        retry, not the batch: the other workers' results still arrive
+        and the batch is bit-identical.
+
+        The send is intercepted at ``Connection._send_bytes``, which
+        every send on a ``multiprocessing`` pipe or queue goes through,
+        in worker processes only, and only for the one worker that
+        claims the flag file first."""
+        crash_flag = tmp_path / "die-in-send"
+        crash_flag.write_text("arm")
+        scheduler_pid = os.getpid()
+        real_send_bytes = Connection._send_bytes
+
+        def dying_send_bytes(connection, buf):
+            if os.getpid() != scheduler_pid:
+                try:
+                    os.unlink(crash_flag)
+                except OSError:
+                    pass  # already claimed: an ordinary send
+                else:
+                    if written == "half a message":
+                        half = bytes(memoryview(buf)[: len(buf) // 2])
+                        connection._send(struct.pack("!i", len(buf)) + half)
+                    os._exit(43)
+            return real_send_bytes(connection, buf)
+
+        # Patched before fork, so the workers inherit it.
+        monkeypatch.setattr(Connection, "_send_bytes", dying_send_bytes)
+        monkeypatch.setattr(parallel_module, "RETRY_BACKOFF", 0.01)
+        loads = (0.1, 0.2, 0.3)
+        specs = [
+            PointSpec("MIN", "uniform_random", config.with_load(load))
+            for load in loads
+        ]
+        report = SweepScheduler(
+            df, work_units(df, specs), workers=2,
+            settings=Settings(heartbeat_interval=0.1),
+        ).run()
+        assert not crash_flag.exists()
+        assert report.progress.retries == 1
+        assert report.progress.failed == 0
+        produced = [r.to_dict() for r in report.ordered_results(len(specs))]
+        assert produced == [
+            result for _, result in serial_reference(
+                df, "MIN", "uniform_random", loads, config
+            )
+        ]
 
     def test_python_exception_surfaces_its_original_text(
         self, df, config, monkeypatch

@@ -14,6 +14,9 @@ private state or re-derives what the engine computed another way.
   decision's keys back into the plan they stand for.
 * :func:`first_divergence` runs both engines in lockstep and names the
   first cycle and state field at which they split.
+* :func:`count_line_events` runs a simulator and counts the Python
+  lines the package executes on the way: the interpreter-overhead
+  measure of an engine's per-cycle work.
 * :func:`check_invariants` raises on any structural flow-control
   violation of a simulator's state, at any cycle.
 * :func:`minimal_hop_count` derives a minimal route's length from each
@@ -28,9 +31,12 @@ private state or re-derives what the engine computed another way.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from typing import Callable, List, Optional, Tuple
 
+import repro
 from repro.check.sanitizer import structural_findings
 from repro.core.params import DragonflyParams, TopologyError
 from repro.network.backend import make_simulator
@@ -256,6 +262,46 @@ def first_divergence(
         ):
             break
     return None
+
+
+# ----------------------------------------------------------------------
+# Interpreter work
+# ----------------------------------------------------------------------
+#: Source files of the package (``.../repro/``); numpy, the standard
+#: library and the tests are not counted.
+_PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
+def count_line_events(sim) -> Tuple[object, int]:
+    """``(sim.run(), line events)``: the ``sys.settrace`` ``line`` events
+    raised in frames of the package's own source files during the run.
+
+    Each event is one executed Python line of the package -- an engine
+    phase's bookkeeping or one array operation -- so events per
+    simulated cycle count the interpreter work a cycle costs, exactly
+    and on every machine alike (for one CPython version: the compiler
+    decides where a statement's line events fall).
+    """
+    events = 0
+
+    def on_line(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            return on_line
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = sim.run()
+    finally:
+        sys.settrace(previous)
+    return result, events
 
 
 # ----------------------------------------------------------------------
