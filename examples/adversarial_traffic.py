@@ -16,12 +16,12 @@ Reproduces the paper's central routing story on the worst-case pattern
 Run:  python examples/adversarial_traffic.py
 """
 
-from repro import SimulationConfig, make_dragonfly, make_routing
+from repro import SimulationConfig, make_dragonfly
 from repro.analysis.channel_load import (
     min_worst_case_throughput,
     valiant_worst_case_throughput,
 )
-from repro.network.sweep import run_point
+from repro.network.sweep import load_sweep
 
 
 def main() -> None:
@@ -38,23 +38,28 @@ def main() -> None:
     algorithms = ("MIN", "VAL", "UGAL-L", "UGAL-G", "UGAL-L_VCH", "UGAL-L_CR")
     loads = (0.05, 0.1, 0.2, 0.3, 0.4, 0.45)
 
+    config = SimulationConfig(
+        load=loads[0],
+        warmup_cycles=1000,
+        measure_cycles=1000,
+        drain_max_cycles=15_000,
+    )
+    # One latency-vs-load curve per algorithm.
+    curves = [
+        load_sweep(topology, name, "worst_case", loads, config)
+        for name in algorithms
+    ]
+
     header = f"{'load':>6} | " + " | ".join(f"{name:>10}" for name in algorithms)
     print("average latency (cycles) under worst-case traffic; '-' = saturated")
     print(header)
     print("-" * len(header))
-    for load in loads:
-        config = SimulationConfig(
-            load=load,
-            warmup_cycles=1000,
-            measure_cycles=1000,
-            drain_max_cycles=15_000,
-        )
-        cells = []
-        for name in algorithms:
-            result = run_point(topology, make_routing(name), "worst_case", config)
-            cells.append(
-                f"{'-':>10}" if result.saturated else f"{result.avg_latency:>10.2f}"
-            )
+    for row, load in enumerate(loads):
+        cells = [
+            f"{'-':>10}" if curve[row].result.saturated
+            else f"{curve[row].latency:>10.2f}"
+            for curve in curves
+        ]
         print(f"{load:>6.2f} | " + " | ".join(cells))
 
 

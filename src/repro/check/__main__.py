@@ -41,7 +41,7 @@ import json
 import pathlib
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .invariants import audit_topology, default_topology_audits
 from .lint import lint_sources
@@ -293,20 +293,17 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
 
     ``fixture`` is a path to a fixture JSON or a bare name resolved
     against ``tests/golden/`` (``families/<name>`` for an extension
-    family's runs).  The run fails on any conservation violation (the
-    sanitizer's findings are surfaced directly) and on any divergence
-    from the fixture's pinned results -- sanitizing must be
-    behaviour-preserving.
+    family's runs).  Either kind runs as one batch through
+    :class:`~repro.network.parallel.SweepExecutor`, on the topology
+    :func:`~repro.topology.base.build` makes of the fixture.  The run
+    fails on any conservation violation (the sanitizer's findings are
+    surfaced directly) and on any divergence from the fixture's pinned
+    results -- sanitizing must be behaviour-preserving.
     """
-    from ..core.params import DragonflyParams
     from ..network.config import SimulationConfig
-    from ..network.parallel import ServiceError, SweepExecutor
-    from ..network.simulator import Simulator
-    from ..network.sweep import load_sweep
-    from ..network.traffic import make_pattern
-    from ..routing.ugal import make_routing
+    from ..network.parallel import PointSpec, ServiceError, SweepExecutor
     from ..settings import ENV_VARS, Settings
-    from ..topology.dragonfly import Dragonfly
+    from ..topology.base import build
     from .sanitizer import SanitizerError
 
     report = CheckReport(pass_name="sanitize")
@@ -323,26 +320,26 @@ def run_sanitize_pass(fixture: str) -> CheckReport:
     data = json.loads(path.read_text())
     config = SimulationConfig(**data["config"])
     settings = dataclasses.replace(Settings.from_env(), sanitize=True)
+    if "runs" in data:
+        # An extension family's fixture: its class name, its arguments
+        # and a list of runs.
+        topology = build({"family": data["topology"], **data["kwargs"]})
+        runs = data["runs"]
+    else:
+        topology = build({"family": "Dragonfly", "params": data["topology"]})
+        runs = [
+            {"routing": data["routing"], "pattern": data["pattern"], "load": load}
+            for load in data["loads"]
+        ]
+    specs = [
+        PointSpec(run["routing"], run["pattern"], config.with_load(run["load"]))
+        for run in runs
+    ]
     try:
-        if "runs" in data:
-            # An extension family: each run on the scalar engine, on the
-            # topology its routing drives, with the fixture's pattern seed.
-            results: List[Dict[str, Any]] = []
-            for run in data["runs"]:
-                routing = make_routing(run["routing"])
-                topology = routing.topology_type(**data["kwargs"])
-                pattern = make_pattern(run["pattern"], topology, seed=config.seed + 17)
-                results.append(Simulator(
-                    topology, routing, pattern, config.with_load(run["load"]),
-                    settings,
-                ).run().to_dict())
-        else:
-            points = load_sweep(
-                Dragonfly(DragonflyParams(**data["topology"])), data["routing"],
-                data["pattern"], data["loads"], config,
-                executor=SweepExecutor(settings=settings),
-            )
-            results = [point.result.to_dict() for point in points]
+        results = [
+            result.to_dict()
+            for result in SweepExecutor(settings=settings).run_points(topology, specs)
+        ]
     except (SanitizerError, ServiceError) as error:
         # The sweep runner reports a failed point as ServiceError
         # chained to what the point raised.

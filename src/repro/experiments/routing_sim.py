@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.stats import SimulationResult
-from ..service.manifest import SweepManifest, TopologySpec
+from ..service.manifest import SweepManifest
 from ..topology.dragonfly import Dragonfly
 from .base import (
     Experiment,
@@ -73,7 +73,7 @@ class SimulatedFigure(Experiment):
         ``loads`` overrides every block's load list -- used by CI smoke
         runs to submit a cheap slice of a figure.
         """
-        topology = TopologySpec.from_topology(experiment_topology(quick))
+        topology = experiment_topology(quick).spec()
         manifests = []
         for block in self.blocks:
             block_loads = tuple(loads) if loads is not None else (

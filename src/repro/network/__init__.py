@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".stats": ("LatencySample", "SimulationResult"),
     ".sweep": ("SweepPoint", "load_sweep", "run_point", "saturation_load"),
     ".traffic": (
-        "BitComplement",
         "FbAdversarial",
         "GroupTornado",
         "Hotspot",
@@ -21,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Shift",
         "TrafficPattern",
         "TorusTornado",
-        "Transpose",
         "UniformRandom",
         "WorstCase",
         "make_pattern",

@@ -11,8 +11,9 @@ point that has already been computed.
 A cache entry is keyed by a stable SHA-256 hash over the canonical JSON
 of everything that determines the result:
 
-* topology family and parameters (``p``, ``a``, ``h``, ``num_groups``),
-  plus the taper and channel latencies when they are not the defaults,
+* the topology's :meth:`~repro.topology.base.Topology.spec`: its class
+  and every constructor argument away from its default (a dragonfly's
+  ``params``, and its taper and channel latencies when they are set),
 * routing algorithm name,
 * VC assignment name (the canonical Figure 7 assignment unless a
   variant is threaded through),
@@ -40,6 +41,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
+from ..topology.base import Topology
 from .config import SimulationConfig
 from .stats import SimulationResult
 
@@ -50,43 +52,8 @@ from .stats import SimulationResult
 SCHEMA_VERSION = 2
 
 
-#: A dragonfly's arguments beyond ``params`` (taper, channel latencies)
-#: that change the network, with their defaults.
-WIRING_DEFAULTS = (
-    ("max_channels_per_pair", None),
-    ("local_latency", 1),
-    ("global_latency", 1),
-    ("terminal_latency", 1),
-)
-
-
-def topology_signature(topology: object) -> Dict[str, object]:
-    """JSON-able identity of a topology: family, parameters, and any
-    :data:`WIRING_DEFAULTS` field away from its default (none: old bytes).
-
-    Only a topology with dataclass ``params`` can be told apart from
-    another of its class; any other raises rather than share one key
-    across sizes.
-    """
-    params = getattr(topology, "params", None)
-    if not dataclasses.is_dataclass(params) or isinstance(params, type):
-        raise ValueError(
-            f"cannot key a {type(topology).__name__}: it has no dataclass "
-            "params to identify its size"
-        )
-    signature: Dict[str, object] = {
-        "family": type(topology).__name__,
-        "params": dataclasses.asdict(params),
-    }
-    for name, default in WIRING_DEFAULTS:
-        value = getattr(topology, name, default)
-        if value != default:
-            signature[name] = value
-    return signature
-
-
 def point_key(
-    topology: object,
+    topology: Topology,
     routing_name: str,
     pattern_name: str,
     config: SimulationConfig,
@@ -95,7 +62,7 @@ def point_key(
     """The full, auditable cache key of one simulation point."""
     return {
         "schema": SCHEMA_VERSION,
-        "topology": topology_signature(topology),
+        "topology": topology.spec(),
         "routing": routing_name,
         "vc_assignment": vc_assignment,
         "pattern": pattern_name,

@@ -9,8 +9,8 @@ paper evaluates are:
   to a random node in group ``G_{i+1}``, so minimal routing funnels all
   of a group's traffic onto the single global channel to the next group.
 
-Additional standard patterns (tornado, bit complement, transpose, shift,
-hotspot, fixed permutation) are provided for wider evaluation.
+Additional standard patterns (tornado, shift, hotspot, fixed
+permutation, bursty) are provided for wider evaluation.
 """
 
 from __future__ import annotations
@@ -94,39 +94,6 @@ class GroupTornado:
 
     def __call__(self, src_terminal: int) -> int:
         return self._inner(src_terminal)
-
-
-class BitComplement:
-    """Destination is the bitwise complement of the source index.
-
-    Requires a power-of-two terminal count.
-    """
-
-    name = "bit_complement"
-
-    def __init__(self, num_terminals: int) -> None:
-        if num_terminals < 2 or num_terminals & (num_terminals - 1):
-            raise ValueError("bit complement requires a power-of-two N")
-        self.mask = num_terminals - 1
-
-    def __call__(self, src_terminal: int) -> int:
-        return src_terminal ^ self.mask
-
-
-class Transpose:
-    """Matrix-transpose permutation; requires ``N`` a perfect square."""
-
-    name = "transpose"
-
-    def __init__(self, num_terminals: int) -> None:
-        side = int(round(num_terminals**0.5))
-        if side * side != num_terminals:
-            raise ValueError("transpose requires a square terminal count")
-        self.side = side
-
-    def __call__(self, src_terminal: int) -> int:
-        row, col = divmod(src_terminal, self.side)
-        return col * self.side + row
 
 
 class Shift:
@@ -323,8 +290,6 @@ _FACTORIES: Dict[str, Callable[..., TrafficPattern]] = {
     "uniform_random": lambda t, n, seed, kw: UniformRandom(n, seed=seed),
     "worst_case": lambda t, n, seed, kw: WorstCase(t, seed=seed, **kw),
     "group_tornado": lambda t, n, seed, kw: GroupTornado(t, seed=seed),
-    "bit_complement": lambda t, n, seed, kw: BitComplement(n),
-    "transpose": lambda t, n, seed, kw: Transpose(n),
     "shift": lambda t, n, seed, kw: Shift(n, **kw) if kw else Shift(n, offset=n // 2),
     "hotspot": lambda t, n, seed, kw: Hotspot(n, seed=seed, **kw),
     "random_permutation": lambda t, n, seed, kw: RandomPermutation(n, seed=seed),

@@ -38,6 +38,7 @@ from ..service.status import (
     store_summary,
 )
 from ..service.store import ResultStore
+from ..topology.base import build
 from ..settings import Settings
 
 
@@ -82,6 +83,13 @@ def _manifests(args: argparse.Namespace) -> List[SweepManifest]:
                 manifest = dataclasses.replace(manifest, loads=tuple(loads))
         except (KeyError, TypeError, ValueError) as error:
             raise SystemExit(f"error: bad manifest {args.manifest}: {error}")
+        try:
+            # The manifest checks a spec without wiring the network: one
+            # its family's constructor refuses is refused here, before a
+            # job exists.
+            build(manifest.topology)
+        except (TypeError, ValueError) as error:
+            raise SystemExit(f"error: bad manifest {args.manifest}: topology: {error}")
         return [manifest]
     if not args.figure:
         raise SystemExit("error: submit needs a FIGURE id or --manifest FILE")

@@ -40,6 +40,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "..network.parallel": ("SchedulerOptions", "ServiceError"),
     ".client": ("ServiceExecutor",),
-    ".manifest": ("MANIFEST_SCHEMA_VERSION", "SweepManifest", "TopologySpec"),
+    ".manifest": ("MANIFEST_SCHEMA_VERSION", "SweepManifest"),
     ".store": ("ResultStore", "StoredPoint"),
 })

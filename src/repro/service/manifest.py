@@ -2,7 +2,8 @@
 
 A :class:`SweepManifest` is the unit of submission to the sweep
 service: it names a figure tag and spans a (routing x pattern x load x
-seed) grid over one topology and one base
+seed) grid over one topology, given as its
+:meth:`~repro.topology.base.Topology.spec`, and one base
 :class:`~repro.network.config.SimulationConfig`.  The manifest is pure
 data (JSON round-trip, stable digest), so a sweep request can be
 journaled, resumed, shipped to another host, or compared for identity.
@@ -24,80 +25,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.params import DragonflyParams
-from ..network.cache import WIRING_DEFAULTS, key_digest
+from ..network.cache import key_digest
 from ..network.config import SimulationConfig
 from ..network.parallel import PointSpec, WorkUnit, work_units
 from ..network.traffic import pattern_factory
 from ..routing.ugal import make_routing
-from ..topology.dragonfly import Dragonfly
+from ..topology.base import Topology, build, parse_spec
 
 #: Bump when the manifest layout or its decomposition into units changes.
-MANIFEST_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """JSON-able description of the topology a manifest runs on."""
-
-    family: str
-    p: int
-    a: int
-    h: int
-    num_groups: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.family != "dragonfly":
-            raise ValueError(
-                f"unsupported topology family {self.family!r}; the sweep "
-                "service currently builds 'dragonfly' topologies"
-            )
-        # Validate the parameter algebra eagerly: a bad spec must fail at
-        # submission, not inside a worker process.
-        DragonflyParams(p=self.p, a=self.a, h=self.h, num_groups=self.num_groups)
-
-    def build(self) -> Dragonfly:
-        """Construct the topology this spec describes."""
-        return Dragonfly(
-            DragonflyParams(p=self.p, a=self.a, h=self.h, num_groups=self.num_groups)
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TopologySpec":
-        return cls(
-            family=str(data["family"]),
-            p=int(data["p"]),  # type: ignore[arg-type]
-            a=int(data["a"]),  # type: ignore[arg-type]
-            h=int(data["h"]),  # type: ignore[arg-type]
-            num_groups=(
-                None if data.get("num_groups") is None
-                else int(data["num_groups"])  # type: ignore[arg-type]
-            ),
-        )
-
-    @classmethod
-    def from_topology(cls, topology: Dragonfly) -> "TopologySpec":
-        """The spec of ``topology``; a taper or latency it cannot describe
-        is a ``ValueError`` (its :meth:`build` would be another network)."""
-        for name, default in WIRING_DEFAULTS:
-            if getattr(topology, name) != default:
-                raise ValueError(
-                    f"TopologySpec cannot describe {name}="
-                    f"{getattr(topology, name)!r} (only the default {default!r})"
-                )
-        params = topology.params
-        return cls(
-            family="dragonfly",
-            p=params.p,
-            a=params.a,
-            h=params.h,
-            num_groups=params.num_groups,
-        )
+#: 2: ``topology`` is a topology spec, for any family.
+MANIFEST_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -106,7 +45,9 @@ class SweepManifest:
 
     #: Figure tag the results are filed under (e.g. ``"fig09"``).
     figure: str
-    topology: TopologySpec
+    #: The network, as :meth:`~repro.topology.base.Topology.spec`
+    #: writes it (a spec spelled otherwise is rewritten so).
+    topology: Dict[str, Any]
     routings: Tuple[str, ...]
     patterns: Tuple[str, ...]
     loads: Tuple[float, ...]
@@ -118,6 +59,11 @@ class SweepManifest:
     def __post_init__(self) -> None:
         if not self.figure:
             raise ValueError("manifest needs a figure tag")
+        try:
+            family, spec = parse_spec(self.topology)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"topology: {error}") from error
+        object.__setattr__(self, "topology", spec)
         for name, values in (
             ("routings", self.routings),
             ("patterns", self.patterns),
@@ -130,10 +76,10 @@ class SweepManifest:
             # The one parser of routing names; its ValueError lists the
             # choices and the TBL-MIN/gcK form.
             topology_type = make_routing(routing).topology_type
-            if topology_type is not Dragonfly:
+            if not issubclass(family, topology_type):
                 raise ValueError(
-                    f"routing {routing!r} drives a {topology_type.__name__}; "
-                    "the sweep service builds dragonfly topologies"
+                    f"routing {routing!r} drives a {topology_type.__name__}, "
+                    f"not the manifest's {family.__name__}"
                 )
         for pattern in self.patterns:
             # Likewise the one table of traffic-pattern names.
@@ -149,7 +95,7 @@ class SweepManifest:
         return {
             "schema": MANIFEST_SCHEMA_VERSION,
             "figure": self.figure,
-            "topology": self.topology.to_dict(),
+            "topology": self.topology,
             "routings": list(self.routings),
             "patterns": list(self.patterns),
             "loads": list(self.loads),
@@ -162,13 +108,13 @@ class SweepManifest:
         schema = data.get("schema", MANIFEST_SCHEMA_VERSION)
         if schema != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
-                f"manifest schema {schema!r} is not the supported "
+                f"schema: manifest schema {schema!r} is not the supported "
                 f"version {MANIFEST_SCHEMA_VERSION}"
             )
         config_data = dict(data["config"])  # type: ignore[call-overload]
         return cls(
             figure=str(data["figure"]),
-            topology=TopologySpec.from_dict(data["topology"]),  # type: ignore[arg-type]
+            topology=data["topology"],  # type: ignore[arg-type]
             routings=tuple(str(r) for r in data["routings"]),  # type: ignore[union-attr]
             patterns=tuple(str(p) for p in data["patterns"]),  # type: ignore[union-attr]
             loads=tuple(float(v) for v in data["loads"]),  # type: ignore[union-attr]
@@ -212,11 +158,16 @@ class SweepManifest:
             for seed in self.seeds
         ]
 
-    def work_units(self, topology: Optional[Dragonfly] = None) -> List[WorkUnit]:
+    def work_units(self, topology: Optional[Topology] = None) -> List[WorkUnit]:
         """:meth:`specs` as content-addressed work units, in order.
 
         ``topology`` may be passed when the caller already built one;
-        it must describe the same machine as :attr:`topology`.
+        a topology whose spec is not :attr:`topology` is a ``ValueError``.
         """
-        topology = topology if topology is not None else self.topology.build()
+        if topology is None:
+            topology = build(self.topology)
+        elif topology.spec() != self.topology:
+            raise ValueError(
+                f"topology {topology.spec()} is not the manifest's {self.topology}"
+            )
         return work_units(topology, self.specs())

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ..network.parallel import JobProgress, JobReport, SweepScheduler, WorkUnit
 from ..settings import Settings
+from ..topology.base import build
 from .journal import Journal
 from .manifest import SweepManifest
 from .store import FigureStore, ResultStore
@@ -67,7 +68,7 @@ def run_manifest(
     verify it is re-running the same request.
     """
     root = Path(root)
-    topology = manifest.topology.build()
+    topology = build(manifest.topology)
     job_dir = root / "jobs" / manifest.job_id
     job_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = job_dir / "manifest.json"

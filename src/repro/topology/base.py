@@ -14,23 +14,165 @@ the underlying bidirectional links when counting cables for cost purposes.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
+import inspect
+import types
+import typing
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Type
 
 
 def state_without_memos(topology: Any) -> Dict[str, Any]:
     """A topology's pickled state: its wiring, without the routing memos
     built on it (:func:`repro.routing.paths.topology_memo`: plans, hop
     memos, compiled tables).  A pickle -- what a sweep worker receives --
-    is the same before and after any run.  Every topology class sets
+    is the same before and after any run.  :class:`Topology` sets
     ``__getstate__`` to it (``tests/routing/test_hop_memo.py`` checks
-    each one); memos held beside the topology instead, in a weak-keyed
-    map, would need no hook but cost the UGAL-L decide path ~3.5% more
-    executed opcodes."""
+    every class); memos held beside the topology instead, in a
+    weak-keyed map, would need no hook but cost the UGAL-L decide path
+    ~3.5% more executed opcodes."""
     state = dict(topology.__dict__)
     state.pop("_routing_memos", None)
     return state
+
+
+#: The default of a constructor argument that has none: a spec always
+#: names it.
+_REQUIRED = inspect.Parameter.empty
+
+
+def _as_json(value: Any) -> Any:
+    """A constructor argument as JSON: a dataclass as its fields, a
+    tuple as a list, a set as a sorted list."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_as_json(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_as_json(item) for item in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            field.name: _as_json(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _signature(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default as JSON)`` of each argument of ``cls``'s
+    constructor, read once per class."""
+    arguments = []
+    for parameter in inspect.signature(cls).parameters.values():
+        if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
+            raise ValueError(
+                f"{cls.__name__}'s constructor argument {parameter.name!r} "
+                "cannot be named in a spec"
+            )
+        default = parameter.default
+        arguments.append(
+            (parameter.name, default if default is _REQUIRED else _as_json(default))
+        )
+    return tuple(arguments)
+
+
+def _describe(cls: type, source: Any) -> Dict[str, Any]:
+    """The spec of a ``cls`` whose constructor arguments are ``source``'s
+    attributes of the same names: its family and every argument not at
+    its default, as JSON."""
+    spec: Dict[str, Any] = {"family": cls.__name__}
+    for name, default in _signature(cls):
+        try:
+            value = getattr(source, name)
+        except AttributeError:
+            raise ValueError(
+                f"{cls.__name__} does not keep its constructor argument "
+                f"{name!r}, so its spec cannot name it"
+            ) from None
+        value = _as_json(value)
+        if value != default:
+            spec[name] = value
+    return spec
+
+
+class Topology:
+    """What every topology class shares: it says what network it is
+    (:meth:`spec`, inverted by :func:`build`), and its pickle holds its
+    wiring without the routing memos built on it."""
+
+    __getstate__ = state_without_memos
+
+    #: Ejection latency in cycles, read by the simulator; a dragonfly
+    #: takes it as a constructor argument.
+    terminal_latency = 1
+
+    def spec(self) -> Dict[str, Any]:
+        """The network as JSON: ``family`` (the class name) and each
+        constructor argument away from its default, read from the
+        attribute of the same name.  The sweep cache key and a sweep
+        manifest's ``topology`` are this; a class that does not keep an
+        argument makes it a ``ValueError`` naming the argument."""
+        return _describe(type(self), self)
+
+    def terminal_router(self, terminal: int) -> int:
+        return self.fabric.terminals[terminal].router  # type: ignore[attr-defined]
+
+    def terminal_port(self, terminal: int) -> int:
+        return self.fabric.terminals[terminal].port  # type: ignore[attr-defined]
+
+
+def _resolve(spec: Mapping[str, Any]) -> Tuple[Type[Topology], Dict[str, Any]]:
+    """The class a spec names and its constructor arguments.  Any
+    argument a spec cannot give (an unknown family or argument, a
+    missing one) is a ``ValueError`` naming it."""
+    from .. import topology as package
+
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a topology spec is a JSON object, got {spec!r}")
+    family = spec.get("family")
+    cls = getattr(package, family, None) if isinstance(family, str) else None
+    if not (isinstance(cls, type) and issubclass(cls, Topology)) or cls is Topology:
+        known = [
+            name for name in package.__all__
+            if isinstance(getattr(package, name), type)
+            and issubclass(getattr(package, name), Topology)
+            and name != "Topology"
+        ]
+        raise ValueError(
+            f"unknown topology family {family!r} (one of {', '.join(known)})"
+        )
+    signature = dict(_signature(cls))
+    unknown = sorted(set(spec) - set(signature) - {"family"})
+    if unknown:
+        raise ValueError(f"{family} takes no argument {unknown[0]!r}")
+    hints = typing.get_type_hints(cls.__init__)
+    arguments = {}
+    for name, default in signature.items():
+        if name in spec:
+            value, hint = spec[name], hints.get(name)
+            if dataclasses.is_dataclass(hint) and isinstance(value, Mapping):
+                value = hint(**value)
+            arguments[name] = value
+        elif default is _REQUIRED:
+            raise ValueError(f"a {family} spec needs its argument {name!r}")
+    return cls, arguments
+
+
+def parse_spec(spec: Mapping[str, Any]) -> Tuple[Type[Topology], Dict[str, Any]]:
+    """The class ``spec`` names and the spec as :meth:`Topology.spec`
+    writes it, checked without wiring the network."""
+    cls, arguments = _resolve(spec)
+    values = types.SimpleNamespace(**{**dict(_signature(cls)), **arguments})
+    return cls, _describe(cls, values)
+
+
+def build(spec: Mapping[str, Any]) -> Topology:
+    """The topology ``spec`` describes: ``build(t.spec())`` wires the
+    same channels as ``t``, in order."""
+    cls, arguments = _resolve(spec)
+    return cls(**arguments)
 
 
 class ChannelKind(enum.Enum):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.params import DragonflyParams, TopologyError
-from .base import ChannelKind, Fabric, PortRef, state_without_memos
+from .base import ChannelKind, Fabric, PortRef, Topology
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,16 @@ class GlobalLink:
     dst_group: int
 
 
-class GroupedTopology:
+class GroupedTopology(Topology):
     """Routers in ``g`` groups of ``a``, joined by global channels.
 
-    ``params`` gives the shape and is not stored (a subclass keeps it
-    only if it identifies the topology, see
-    :func:`repro.network.cache.topology_signature`); ``local_ports`` is
-    the number of local ports per router.  A subclass supplies
+    ``params`` gives the shape; ``local_ports`` is the number of local
+    ports per router.  A subclass keeps its own constructor arguments
+    (its :meth:`~repro.topology.base.Topology.spec`) and supplies
     ``fabric_name``, ``_wire_group(group)``, ``local_port(router,
     dst_router)`` (the first local hop toward a router of the same
     group), ``intra_group_hops`` and ``describe()``.
     """
-
-    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -122,9 +119,6 @@ class GroupedTopology:
 
     def terminal_router(self, terminal: int) -> int:
         return self._terminal_routers[terminal]
-
-    def terminal_port(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].port
 
     # Port-class helpers -------------------------------------------------
     def is_terminal_port(self, port: int) -> bool:

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .base import ChannelKind, Fabric, PortRef, state_without_memos
+from .base import ChannelKind, Fabric, PortRef, Topology
 
 
-class FlattenedButterfly:
+class FlattenedButterfly(Topology):
     """Concrete flattened butterfly fabric with coordinate helpers."""
-
-    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -62,11 +60,8 @@ class FlattenedButterfly:
         for m in self.dims:
             self.num_routers *= m
         self.fabric = Fabric(num_routers=self.num_routers, name="flattened_butterfly")
-        self._local_latency = local_latency
-        self._global_latency = global_latency
-        #: Ejection latency used by the simulator (interface shared with
-        #: the dragonfly).
-        self.terminal_latency = 1
+        self.local_latency = local_latency
+        self.global_latency = global_latency
         self._dim_port_base = self._compute_port_bases()
         self._build()
 
@@ -113,12 +108,6 @@ class FlattenedButterfly:
         offset = dst_coord if dst_coord < src_coord else dst_coord - 1
         return self._dim_port_base[dim] + offset
 
-    def terminal_router(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].router
-
-    def terminal_port(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].port
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -131,7 +120,7 @@ class FlattenedButterfly:
                 ChannelKind.GLOBAL if dim in self.global_dims else ChannelKind.LOCAL
             )
             latency = (
-                self._global_latency if dim in self.global_dims else self._local_latency
+                self.global_latency if dim in self.global_dims else self.local_latency
             )
             for router in range(self.num_routers):
                 coords = self.coords_of(router)

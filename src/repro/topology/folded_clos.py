@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import ChannelKind, Fabric, PortRef, state_without_memos
+from .base import ChannelKind, Fabric, PortRef, Topology
 
 
 def levels_required(num_terminals: int, radix: int) -> int:
@@ -36,7 +36,7 @@ def levels_required(num_terminals: int, radix: int) -> int:
     return levels
 
 
-class FoldedClos:
+class FoldedClos(Topology):
     """A concrete folded-Clos fabric.
 
     Levels run from 0 (leaves, terminals attached) to ``levels - 1``
@@ -50,8 +50,6 @@ class FoldedClos:
     Port layout of every switch: down ports ``[0, d)`` (terminals at the
     leaves), up ports ``[d, 2d)`` (unused at the top level).
     """
-
-    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -77,10 +75,8 @@ class FoldedClos:
         self.num_terminals = num_terminals
         self.num_switches = self.levels * self.switches_per_level
         self.fabric = Fabric(num_routers=self.num_switches, name="folded_clos")
-        self._local_latency = local_latency
-        self._global_latency = global_latency
-        #: Ejection latency used by the simulator (shared interface).
-        self.terminal_latency = 1
+        self.local_latency = local_latency
+        self.global_latency = global_latency
         self._build()
 
     def switch_id(self, level: int, index: int) -> int:
@@ -113,7 +109,7 @@ class FoldedClos:
         for level in range(self.levels - 1):
             kind = ChannelKind.LOCAL if level == 0 else ChannelKind.GLOBAL
             latency = (
-                self._local_latency if kind == ChannelKind.LOCAL else self._global_latency
+                self.local_latency if kind == ChannelKind.LOCAL else self.global_latency
             )
             for index in range(self.switches_per_level):
                 src = self.switch_id(level, index)
@@ -129,12 +125,6 @@ class FoldedClos:
                         latency=latency,
                     )
         self.fabric.validate()
-
-    def terminal_router(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].router
-
-    def terminal_port(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].port
 
     def level_of(self, switch: int) -> int:
         return switch // self.switches_per_level

@@ -17,8 +17,8 @@ therefore the local minimal path length, up to ``n`` hops per group)
 changes; everything else is
 :class:`~repro.topology.dragonfly.GroupedTopology`'s, the code that
 wires :class:`~repro.topology.dragonfly.Dragonfly`.  The variant is
-validated as ``DragonflyParams`` but keeps no ``params``: a sweep cache
-key has no room for ``group_dims``.
+validated as ``DragonflyParams``; its spec is its own arguments
+(``p``, ``group_dims``, ``h``, ``num_groups``, latencies).
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class FlattenedButterflyGroupDragonfly(GroupedTopology):
         if not group_dims or any(m < 1 for m in group_dims):
             raise TopologyError(f"invalid group dimensions {group_dims}")
         self.group_dims: Tuple[int, ...] = tuple(group_dims)
+        self.num_groups = num_groups
         #: Each dimension's first port: its ``m - 1`` ports follow the
         #: lower dimensions' ones.
         self._dim_port_base: List[int] = [

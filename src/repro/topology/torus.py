@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .base import ChannelKind, Fabric, PortRef, state_without_memos
+from .base import ChannelKind, Fabric, PortRef, Topology
 
 
-class Torus:
+class Torus(Topology):
     """Concrete k-ary n-cube fabric with coordinate helpers.
 
     Port layout::
@@ -26,8 +26,6 @@ class Torus:
         c + 2*d                     "plus" neighbour in dimension d
         c + 2*d + 1                 "minus" neighbour in dimension d
     """
-
-    __getstate__ = state_without_memos
 
     def __init__(
         self,
@@ -45,10 +43,7 @@ class Torus:
         for m in self.dims:
             self.num_routers *= m
         self.fabric = Fabric(num_routers=self.num_routers, name="torus")
-        self._link_latency = link_latency
-        #: Ejection latency used by the simulator (interface shared with
-        #: the dragonfly).
-        self.terminal_latency = 1
+        self.link_latency = link_latency
         self._build()
 
     @property
@@ -97,15 +92,9 @@ class Torus:
                     PortRef(router, self.plus_port(dim)),
                     PortRef(dst, self.minus_port(dim)),
                     ChannelKind.LOCAL,
-                    latency=self._link_latency,
+                    latency=self.link_latency,
                 )
         self.fabric.validate()
-
-    def terminal_router(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].router
-
-    def terminal_port(self, terminal: int) -> int:
-        return self.fabric.terminals[terminal].port
 
     def describe(self) -> str:
         dims = "x".join(str(m) for m in self.dims)

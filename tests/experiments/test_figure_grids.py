@@ -82,12 +82,16 @@ class StubExecutor:
         raise AssertionError("a figure submits one batch, never single points")
 
 
+def sorted_digest(lines):
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
 class TestGridIdentity:
     @pytest.mark.parametrize("quick,units,digest", [
         (True, 200,
-         "1323f1f44bdab9ab4a4cf8b05e030d65e8fdc7ce8cd9619d8351226a9d782e54"),
+         "c46c347bca54e8da8b70e983695863ff38782cc3dc7270502029de6cc182bcc2"),
         (False, 291,
-         "4ac0e7cb25a8c49e3b6ec907f462c35583b67a496714085cb591679708b5785c"),
+         "f4ad9a5dfb4403f80f8e786b36530c010ec75754f447f19b709ae25313a3d0e9"),
     ])
     def test_job_ids_are_the_recorded_ones(self, quick, units, digest):
         manifests = [
@@ -96,8 +100,21 @@ class TestGridIdentity:
         ]
         assert len(manifests) == 18
         assert sum(manifest.num_units() for manifest in manifests) == units
-        job_ids = "\n".join(sorted(manifest.job_id for manifest in manifests))
-        assert hashlib.sha256(job_ids.encode()).hexdigest() == digest
+        assert sorted_digest(manifest.job_id for manifest in manifests) == digest
+
+    @pytest.mark.parametrize("quick,digest", [
+        (True, "9a8d71194f7d4656fbe4b867b8df70cb77f50d729455b3e69e455b72d53baa27"),
+        (False, "4a34fe7d73bb6b988c00c8c84df96e9409ae096deb126d183a2d5368458f4e8b"),
+    ])
+    def test_unit_digests_are_the_recorded_ones(self, quick, digest):
+        """The points' keys are pinned apart from the job ids: a store
+        filled under an older manifest schema is all hits."""
+        assert sorted_digest(
+            unit.digest
+            for figure in FIGURES
+            for manifest in manifests_for_figure(figure, quick=quick)
+            for unit in manifest.work_units()
+        ) == digest
 
 
 class TestOneBatchPerFigure:

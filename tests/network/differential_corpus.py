@@ -106,9 +106,7 @@ def _build_corpus() -> List[DifferentialCase]:
                     )
 
     # Block "pattern": the remaining dragonfly-legal patterns, every
-    # routing, light and contended.  7*4*2 = 56.  (transpose needs a
-    # square terminal count and bit_complement a power-of-two one;
-    # neither holds for N=6 or N=72.)
+    # routing, light and contended.  7*4*2 = 56.
     for routing in ALL_ROUTING_NAMES:
         for pattern in (
             "random_permutation", "shift", "group_tornado", "hotspot",

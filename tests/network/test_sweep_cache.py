@@ -279,8 +279,18 @@ class TestSaturationProbeReuse:
         lambda: Torus(dims=(3, 3), concentration=1),
         lambda: FoldedClos(num_terminals=16, radix=8),
     ], ids=["fb4x4", "fb8x8", "variant", "torus", "clos"])
-    def test_topology_without_params_is_refused(self, build, config):
-        """Two sizes of one such class would share one key."""
+    def test_every_family_is_keyed_by_its_spec(self, build, config):
+        """A family without dragonfly ``params`` is keyed by its own
+        constructor arguments, so two sizes of one class do not share a key."""
         topology = build()
-        with pytest.raises(ValueError, match=f"cannot key a {type(topology).__name__}:"):
-            point_key(topology, "FB-MIN", "uniform_random", config)
+        key = point_key(topology, "FB-MIN", "uniform_random", config)
+        assert key["topology"] == topology.spec()
+        assert key["topology"]["family"] == type(topology).__name__
+
+    def test_two_sizes_of_a_family_get_two_keys(self, config):
+        small, large = (
+            FlattenedButterfly(dims=(m, m), concentration=m) for m in (4, 8)
+        )
+        assert key_digest(point_key(small, "FB-MIN", "uniform_random", config)) != (
+            key_digest(point_key(large, "FB-MIN", "uniform_random", config))
+        )

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from repro.core.params import DragonflyParams
 from repro.network.traffic import (
-    BitComplement,
     GroupTornado,
     Hotspot,
     RandomPermutation,
     Shift,
-    Transpose,
     UniformRandom,
     WorstCase,
     make_pattern,
@@ -72,25 +70,6 @@ class TestTornado:
 
 
 class TestDeterministicPatterns:
-    def test_bit_complement_involution(self):
-        pattern = BitComplement(64)
-        for src in range(64):
-            assert pattern(pattern(src)) == src
-            assert pattern(src) != src
-
-    def test_bit_complement_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            BitComplement(72)
-
-    def test_transpose_involution(self):
-        pattern = Transpose(64)
-        for src in range(64):
-            assert pattern(pattern(src)) == src
-
-    def test_transpose_requires_square(self):
-        with pytest.raises(ValueError):
-            Transpose(72)
-
     def test_shift(self):
         pattern = Shift(10, offset=3)
         assert pattern(9) == 2

@@ -4,7 +4,8 @@ Every routing name of the flattened butterfly, the Figure 6 group
 variant, the torus and the folded Clos is replayed on the scalar engine
 under uniform traffic and under its family's adversarial pattern, and
 must reproduce the fixtures under ``tests/golden/families/``
-(``tests/golden/make_golden.py``) bit for bit.
+(``tests/golden/make_golden.py``) bit for bit, on the topology
+:func:`~repro.topology.base.build` makes of the fixture's spec.
 """
 
 import hashlib
@@ -13,15 +14,14 @@ import pathlib
 
 import pytest
 
+from repro.network.cache import SweepCache
 from repro.network.config import SimulationConfig
+from repro.network.parallel import PointSpec, SweepExecutor
 from repro.network.simulator import Simulator
 from repro.network.traffic import make_pattern
 from repro.routing.families import FAMILY_ROUTINGS
 from repro.routing.ugal import make_routing
-from repro.topology.flattened_butterfly import FlattenedButterfly
-from repro.topology.folded_clos import FoldedClos
-from repro.topology.group_variants import FlattenedButterflyGroupDragonfly
-from repro.topology.torus import Torus
+from repro.topology.base import build
 
 FAMILY_DIR = pathlib.Path(__file__).parent.parent / "golden" / "families"
 FIXTURES = {
@@ -29,10 +29,9 @@ FIXTURES = {
     for path in sorted(FAMILY_DIR.glob("*.json"))
 }
 
-TOPOLOGIES = {
-    cls.__name__: cls
-    for cls in (FlattenedButterfly, FlattenedButterflyGroupDragonfly, FoldedClos, Torus)
-}
+
+def fixture_topology(fixture):
+    return build({"family": fixture["topology"], **fixture["kwargs"]})
 
 CASES = [
     (name, index)
@@ -61,11 +60,30 @@ def test_every_family_name_is_pinned():
 def test_family_run_matches_golden(name, index):
     fixture = FIXTURES[name]
     run = fixture["runs"][index]
-    topology = TOPOLOGIES[fixture["topology"]](**fixture["kwargs"])
+    topology = fixture_topology(fixture)
     config = SimulationConfig(**fixture["config"]).with_load(run["load"])
     pattern = make_pattern(run["pattern"], topology, seed=config.seed + 17)
     result = Simulator(topology, make_routing(run["routing"]), pattern, config).run()
     assert result.to_dict() == fixture["points"][index]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_family_runs_through_a_cached_sweep(name, tmp_path):
+    """A family's points are keyed by its spec: a cached sweep
+    reproduces the pinned points, and a second pass simulates none."""
+    fixture = FIXTURES[name]
+    topology = fixture_topology(fixture)
+    config = SimulationConfig(**fixture["config"])
+    specs = [
+        PointSpec(run["routing"], run["pattern"], config.with_load(run["load"]))
+        for run in fixture["runs"]
+    ]
+    cache = SweepCache(tmp_path / "cache")
+    first = SweepExecutor(cache=cache).run_points(topology, specs)
+    assert [result.to_dict() for result in first] == fixture["points"]
+    again = SweepExecutor(cache=cache)
+    assert [r.to_dict() for r in again.run_points(topology, specs)] == fixture["points"]
+    assert (again.stats["cached"], again.stats["simulated"]) == (len(specs), 0)
 
 
 def test_group_variant_repin_map_names_the_pinned_points():

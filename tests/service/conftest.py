@@ -3,12 +3,13 @@
 import pytest
 
 from repro.network.config import SimulationConfig
-from repro.service.manifest import SweepManifest, TopologySpec
+from repro.service.manifest import SweepManifest
 
 
 @pytest.fixture()
-def tiny_spec() -> TopologySpec:
-    return TopologySpec(family="dragonfly", p=1, a=2, h=1)
+def tiny_spec() -> dict:
+    """The spec of the three-group dragonfly ``(p, a, h) = (1, 2, 1)``."""
+    return {"family": "Dragonfly", "params": {"p": 1, "a": 2, "h": 1, "num_groups": 3}}
 
 
 @pytest.fixture()

@@ -7,13 +7,14 @@ from repro.network.parallel import SchedulerOptions, ServiceError, SweepExecutor
 from repro.network.sweep import load_sweep
 from repro.service.client import ServiceExecutor
 from repro.settings import Settings
+from repro.topology.base import build
 
 SERVICE_ENV_VAR = "REPRO_SWEEP_SERVICE"
 
 
 @pytest.fixture()
 def topology(tiny_spec):
-    return tiny_spec.build()
+    return build(tiny_spec)
 
 
 def point_dicts(points):

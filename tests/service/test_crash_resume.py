@@ -20,8 +20,9 @@ import pytest
 from repro.network.config import SimulationConfig
 from repro.network.parallel import _run_spec
 from repro.service.journal import Journal
-from repro.service.manifest import SweepManifest, TopologySpec
+from repro.service.manifest import SweepManifest
 from repro.service.scheduler import run_manifest
+from repro.topology.base import build
 
 
 @pytest.fixture()
@@ -29,7 +30,7 @@ def crash_manifest() -> SweepManifest:
     """16 units of ~0.2 s each: a wide-enough window to kill into."""
     return SweepManifest(
         figure="figcrash",
-        topology=TopologySpec(family="dragonfly", p=2, a=2, h=1),
+        topology={"family": "Dragonfly", "params": {"p": 2, "a": 2, "h": 1}},
         routings=("MIN", "VAL"),
         patterns=("uniform_random",),
         loads=(0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45),
@@ -132,7 +133,7 @@ def test_sigkilled_service_resumes_without_recomputation(
 
     # --- bit-identical to an uninterrupted serial run ----------------
     monkeypatch.setattr(sweep, "run_point", real_run_point)
-    topology = crash_manifest.topology.build()
+    topology = build(crash_manifest.topology)
     reference = [
         _run_spec(topology, unit.spec).to_dict()
         for unit in crash_manifest.work_units(topology)

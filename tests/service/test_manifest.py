@@ -6,43 +6,109 @@ import json
 import pytest
 
 from repro.core.params import DragonflyParams
-from repro.network.cache import key_digest, point_key, topology_signature
+from repro.network.cache import key_digest, point_key
 from repro.routing.ugal import make_routing
-from repro.service.manifest import SweepManifest, TopologySpec
+from repro.service.manifest import SweepManifest
+from repro.service.scheduler import run_manifest
+from repro.topology.base import build
 from repro.topology.dragonfly import Dragonfly
+from repro.topology.torus import Torus
 
 
 class TestTopologySpec:
+    """A manifest's ``topology`` is a topology spec, for any family."""
+
     def test_build_matches_spec(self, tiny_spec):
-        topology = tiny_spec.build()
+        topology = build(tiny_spec)
         assert (topology.params.p, topology.params.a, topology.params.h) == (1, 2, 1)
 
-    def test_bad_family_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            TopologySpec(family="torus", p=1, a=2, h=1)
-
-    def test_bad_params_fail_at_submission(self):
-        with pytest.raises(Exception):
-            TopologySpec(family="dragonfly", p=0, a=2, h=1)
-
-    def test_round_trip(self, tiny_spec):
-        assert TopologySpec.from_dict(tiny_spec.to_dict()) == tiny_spec
-
-    def test_from_topology_builds_the_same_network(self, tiny_spec):
-        topology = tiny_spec.build()
-        rebuilt = TopologySpec.from_topology(topology).build()
-        assert topology_signature(rebuilt) == topology_signature(topology)
-
-    @pytest.mark.parametrize("wiring, value", [
-        ("max_channels_per_pair", 1),
-        ("global_latency", 10),
+    @pytest.mark.parametrize("topology, message", [
+        ({"family": "Hypercube"}, "unknown topology family 'Hypercube'"),
+        # The schema-1 form of a dragonfly.
+        ({"family": "dragonfly", "p": 1, "a": 2, "h": 1}, "unknown topology family 'dragonfly'"),
+        ({"family": "Torus", "dims": [2, 2]}, "needs its argument 'concentration'"),
+        ({"family": "Torus", "dims": [2, 2], "concentration": 1, "radix": 4},
+         "takes no argument 'radix'"),
     ])
-    def test_from_topology_refuses_what_it_cannot_describe(self, wiring, value):
-        """Its ``build()`` would return the untapered, unit-latency
-        network: 20 global cables instead of 10 at ``p, a, h, g = 2, 4, 2, 5``."""
-        topology = Dragonfly(DragonflyParams(2, 4, 2, 5), **{wiring: value})
-        with pytest.raises(ValueError, match=f"cannot describe {wiring}={value}"):
-            TopologySpec.from_topology(topology)
+    def test_bad_spec_rejected_naming_the_field(self, tiny_manifest, topology, message):
+        with pytest.raises(ValueError, match=f"^topology: .*{message}"):
+            dataclasses.replace(tiny_manifest, topology=topology)
+
+    def test_bad_params_fail_at_submission(self, tiny_manifest):
+        with pytest.raises(ValueError, match="^topology: p must be >= 1"):
+            dataclasses.replace(
+                tiny_manifest,
+                topology={"family": "Dragonfly", "params": {"p": 0, "a": 2, "h": 1}},
+            )
+
+    def test_spec_is_kept_as_spec_writes_it(self, tiny_manifest, tiny_spec):
+        """A spec that leaves ``num_groups`` to its default is the same
+        manifest, with the same units, as one that names it."""
+        short = dataclasses.replace(
+            tiny_manifest,
+            topology={"family": "Dragonfly", "params": {"p": 1, "a": 2, "h": 1}},
+        )
+        assert short.topology == tiny_spec == build(tiny_spec).spec()
+        assert short.digest == tiny_manifest.digest
+
+    def test_taper_reaches_the_units(self, tiny_manifest):
+        tapered = Dragonfly(DragonflyParams(2, 4, 2, 5), max_channels_per_pair=1)
+        manifest = dataclasses.replace(tiny_manifest, topology=tapered.spec())
+        (unit, *_) = manifest.work_units()
+        assert unit.key["topology"]["max_channels_per_pair"] == 1
+        assert unit.key == point_key(
+            tapered, unit.spec.routing_name, unit.spec.pattern_name, unit.spec.config
+        )
+
+
+class TestOtherFamilies:
+    @pytest.fixture()
+    def torus_manifest(self, tiny_config):
+        """Four units on a 3x3 torus with one terminal per router
+        (``TORUS-VAL`` takes four VCs)."""
+        return SweepManifest(
+            figure="figtorus",
+            topology=Torus(dims=(3, 3), concentration=1).spec(),
+            routings=("TORUS-DOR", "TORUS-VAL"),
+            patterns=("uniform_random",),
+            loads=(0.1, 0.2),
+            seeds=(1,),
+            config=dataclasses.replace(tiny_config, num_vcs=4),
+        )
+
+    @pytest.mark.parametrize("routing, family", [
+        ("FB-UGAL-L", "FlattenedButterfly"),
+        ("VAR-MIN", "FlattenedButterflyGroupDragonfly"),
+        ("TORUS-DOR", "Torus"),
+        ("CLOS-RAND", "FoldedClos"),
+    ])
+    def test_routing_for_another_family_names_both(self, tiny_manifest, routing, family):
+        """It would only fail inside a worker."""
+        with pytest.raises(
+            ValueError, match=f"{routing!r} drives a {family}, not the manifest's Dragonfly"
+        ):
+            dataclasses.replace(tiny_manifest, routings=(routing,))
+
+    def test_dragonfly_routing_on_a_torus_names_both(self, torus_manifest):
+        with pytest.raises(ValueError, match="'MIN' drives a Dragonfly, not the manifest's Torus"):
+            dataclasses.replace(torus_manifest, routings=("MIN",))
+
+    def test_work_units_refuse_another_topology(self, tiny_manifest, torus_manifest):
+        """The units' keys would name a network the manifest does not."""
+        paper72 = Dragonfly(DragonflyParams.paper_example_72())
+        with pytest.raises(ValueError, match="is not the manifest's"):
+            tiny_manifest.work_units(paper72)
+        with pytest.raises(ValueError, match="is not the manifest's"):
+            torus_manifest.work_units(Torus(dims=(3, 3), concentration=2))
+        assert tiny_manifest.work_units(build(tiny_manifest.topology))
+
+    def test_torus_manifest_runs_through_the_service(self, tmp_path, torus_manifest):
+        root = tmp_path / "svc"
+        first = run_manifest(root, torus_manifest)
+        assert (first.progress.simulated, first.progress.cached) == (4, 0)
+        again = run_manifest(root, torus_manifest)
+        assert (again.progress.simulated, again.progress.cached) == (0, 4)
+        assert again.ordered_results(4) == first.ordered_results(4)
 
 
 class TestSweepManifest:
@@ -53,7 +119,7 @@ class TestSweepManifest:
         assert [u.index for u in units] == list(range(len(units)))
 
     def test_units_are_content_addressed(self, tiny_manifest):
-        topology = tiny_manifest.topology.build()
+        topology = build(tiny_manifest.topology)
         for unit in tiny_manifest.work_units(topology):
             expected = point_key(
                 topology,
@@ -98,13 +164,6 @@ class TestSweepManifest:
         assert str(excinfo.value) == str(expected.value)
         assert repr(routing) in str(excinfo.value)
         assert "TBL-MIN/gcK" in str(excinfo.value)
-
-    @pytest.mark.parametrize("routing", ["FB-UGAL-L", "VAR-MIN", "TORUS-DOR", "CLOS-RAND"])
-    def test_other_family_routing_rejected(self, tiny_manifest, routing):
-        """The service builds dragonflies; a routing for another family
-        would only fail inside a worker."""
-        with pytest.raises(ValueError, match=f"{routing!r} drives a .*dragonfly"):
-            dataclasses.replace(tiny_manifest, routings=(routing,))
 
     def test_every_name_make_routing_parses_is_accepted(self, tiny_manifest):
         """The manifest has no routing list of its own to fall behind."""

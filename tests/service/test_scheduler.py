@@ -8,6 +8,7 @@ from repro.service.journal import Journal, JournalCorruptError
 from repro.service.scheduler import job_scheduler, run_manifest
 from repro.service.store import ResultStore
 from repro.settings import Settings
+from repro.topology.base import build
 
 
 @pytest.fixture(autouse=True)
@@ -18,7 +19,7 @@ def fast_retries(monkeypatch):
 
 def reference_dicts(manifest):
     """Serial ground truth for every unit of the manifest, in order."""
-    topology = manifest.topology.build()
+    topology = build(manifest.topology)
     return [
         _run_spec(topology, unit.spec).to_dict()
         for unit in manifest.work_units(topology)
@@ -27,7 +28,7 @@ def reference_dicts(manifest):
 
 def make_scheduler(tmp_path, manifest, units=None, workers=1, **settings_kwargs):
     store = ResultStore(tmp_path / "store")
-    topology = manifest.topology.build()
+    topology = build(manifest.topology)
     all_units = manifest.work_units(topology)
     job_dir = tmp_path / "jobs" / manifest.job_id
     scheduler = job_scheduler(

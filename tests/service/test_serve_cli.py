@@ -6,6 +6,7 @@ import pytest
 
 from repro.serve.__main__ import main
 from repro.service.status import job_statuses
+from repro.topology.base import build
 
 
 @pytest.fixture()
@@ -22,6 +23,17 @@ def root(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+#: The dragonfly-only ``topology`` that schema-1 manifests held.
+SCHEMA_1_TOPOLOGY = {"family": "dragonfly", "p": 1, "a": 2, "h": 1, "num_groups": None}
+
+
+def schema_1_forms(manifest):
+    """A manifest as a schema-1 checkout wrote it, and the same with
+    only its ``topology`` in the old form: (payload, refused field)."""
+    old_topology = {**manifest.to_dict(), "topology": SCHEMA_1_TOPOLOGY}
+    return [({**old_topology, "schema": 1}, "schema"), (old_topology, "topology")]
 
 
 class TestSubmit:
@@ -146,6 +158,39 @@ class TestSubmit:
         )
         with pytest.raises(
             SystemExit, match="error: bad manifest .*'FB-MIN' drives a FlattenedButterfly"
+        ):
+            run_cli("--root", str(root), "submit", "--manifest", str(path))
+        assert not (root / "jobs").exists()
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["schema-1", "old-topology"])
+    def test_schema_1_manifest_is_one_error_line(
+        self, root, tmp_path, tiny_manifest, form, capsys
+    ):
+        payload, field = schema_1_forms(tiny_manifest)[form]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(
+            SystemExit, match=f"^error: bad manifest {path}: {field}: [^\n]*$"
+        ):
+            run_cli("--root", str(root), "submit", "--manifest", str(path))
+        assert not (root / "jobs").exists()
+
+    @pytest.mark.parametrize("topology, message", [
+        ({"family": "Torus", "dims": [0, 3], "concentration": 1},
+         "torus dimensions must all be >= 2"),
+        ({"family": "Dragonfly", "params": {"p": 1, "a": 2, "h": 1},
+          "max_channels_per_pair": 0}, "max_channels_per_pair must be >= 1"),
+    ], ids=["torus", "taper"])
+    def test_network_the_constructor_refuses_is_one_error_line(
+        self, root, tmp_path, tiny_manifest, topology, message
+    ):
+        payload = {**tiny_manifest.to_dict(), "topology": topology}
+        if topology["family"] == "Torus":
+            payload.update(routings=["TORUS-DOR"], config={**payload["config"], "num_vcs": 4})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(
+            SystemExit, match=f"^error: bad manifest {path}: topology: {message}[^\n]*$"
         ):
             run_cli("--root", str(root), "submit", "--manifest", str(path))
         assert not (root / "jobs").exists()
@@ -283,6 +328,18 @@ class TestStatusOnDamagedJobs:
         assert job.figure == "figtest"
         assert str(job_dir / "manifest.json") in job.damaged
 
+    @pytest.mark.parametrize("form", [0, 1], ids=["schema-1", "old-topology"])
+    def test_schema_1_manifest_is_listed_as_corrupt(
+        self, root, job_dir, tiny_manifest, form, capsys
+    ):
+        payload, field = schema_1_forms(tiny_manifest)[form]
+        (job_dir / "manifest.json").write_text(json.dumps(payload))
+        assert run_cli("--root", str(root), "status") == 0
+        assert "corrupt" in capsys.readouterr().out
+        (job,) = job_statuses(root)
+        assert job.state == "corrupt"
+        assert f"{job_dir / 'manifest.json'}: ValueError: {field}: " in job.damaged
+
     def test_damaged_done_event_is_skipped(self, root, job_dir):
         journal = job_dir / "journal.jsonl"
         lines = journal.read_text().splitlines()
@@ -352,7 +409,7 @@ class TestQueryEngineColumn:
         from repro.service.store import ResultStore
 
         store = ResultStore(root / "store")
-        topology = tiny_manifest.topology.build()
+        topology = build(tiny_manifest.topology)
         provenances = [
             {"backend": "scalar", "kernel": "none"},
             {"backend": "array", "kernel": "ugal"},

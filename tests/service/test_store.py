@@ -6,6 +6,7 @@ import pytest
 
 from repro.network.parallel import _run_spec
 from repro.service.store import ResultStore
+from repro.topology.base import build
 
 #: A point or index file whose bytes are not UTF-8.
 NOT_UTF8 = b"\xff\xfe\x00garbage"
@@ -15,7 +16,7 @@ NOT_UTF8 = b"\xff\xfe\x00garbage"
 def populated(tmp_path, tiny_manifest):
     """A store holding the tiny manifest's six points."""
     store = ResultStore(tmp_path / "store")
-    topology = tiny_manifest.topology.build()
+    topology = build(tiny_manifest.topology)
     units = tiny_manifest.work_units(topology)
     for unit in units:
         result = _run_spec(topology, unit.spec)
@@ -29,7 +30,7 @@ def mixed_backends(tmp_path, tiny_manifest):
     scalar, array-with-kernel, and array-with-kernel-fallback (the shape
     a ``TableRouting`` produces -- no kernel lowering)."""
     store = ResultStore(tmp_path / "store")
-    topology = tiny_manifest.topology.build()
+    topology = build(tiny_manifest.topology)
     units = tiny_manifest.work_units(topology)
     provenances = [
         {"backend": "scalar", "kernel": "none"},
